@@ -66,10 +66,6 @@ class Curve:
         return replace(self, zero_rates=tuple(rates))
 
 
-def discount(curve: Curve, t) -> float:
-    return curve.discount(t)
-
-
 @dataclass
 class MarketData:
     """All input term structures and FX spots for one run."""

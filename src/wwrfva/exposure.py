@@ -13,15 +13,17 @@ computed in closed form from normal and truncated-normal moments
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import factorial
 from scipy.stats import norm
 
-from .instruments import Portfolio, Swap, swap_weights, swap_value_y, ystar as swap_ystar
+from .instruments import Portfolio, Swap, swap_weights_on_dates, ystar as swap_ystar
 from .mc import CorrelationMatrix, ScenarioCube, credit_factor, rate_factor
 from .models import ModelSet, cir_terms, hw_terms, sigma_ratio
 
@@ -63,6 +65,25 @@ class BaseMoments:
         return self.y_moments.shape[0] - 1
 
 
+def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray,
+                        n_batches: int = 50) -> BaseMoments:
+    """Average e^{-int r}(V)+ over the credit-free paths; no driver moments.
+
+    This is all that the benchmark and the closed-form approximation read
+    of the base paths; the returned y_moments have no rows.
+    """
+    n_dates = len(cube.dates)
+    disc_epe = np.zeros(n_dates)
+    disc_epe_se = np.zeros(n_dates)
+    for i in range(n_dates):
+        h = cube.pathwise_discount(i) * np.maximum(value_mat[i], 0.0)
+        disc_epe[i] = h.mean()
+        disc_epe_se[i] = _batch_se(h, n_batches)
+    return BaseMoments(dates=cube.dates.copy(), disc_epe=disc_epe,
+                       disc_epe_se=disc_epe_se, y_moments=np.zeros((0, n_dates)),
+                       y_moments_se=np.zeros((0, n_dates)))
+
+
 def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
                  n_r: int, value_mat: Optional[np.ndarray] = None,
                  n_batches: int = 50) -> BaseMoments:
@@ -72,10 +93,9 @@ def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     from .instruments import value_matrix
     if value_mat is None:
         value_mat = value_matrix(p, models, cube)
+    bm = discounted_exposure(cube, value_mat, n_batches)
     n_dates = len(cube.dates)
     l_max = n_r + 2
-    disc_epe = np.zeros(n_dates)
-    disc_epe_se = np.zeros(n_dates)
     moms = np.zeros((l_max + 1, n_dates))
     moms_se = np.zeros((l_max + 1, n_dates))
     y_dom = cube.y_r[cube.domestic]
@@ -83,23 +103,16 @@ def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     nb = min(n_batches, n)
     cut = (n // nb) * nb
     pows = np.empty((l_max + 1, n))
-    ymom_seconds = 0.0
+    t0 = time.perf_counter()
     for i in range(n_dates):
-        pos = np.maximum(value_mat[i], 0.0)
-        h = cube.pathwise_discount(i) * pos
-        disc_epe[i] = h.mean()
-        disc_epe_se[i] = _batch_se(h, n_batches)
-        t0 = time.perf_counter()
-        pows[0] = pos
+        np.maximum(value_mat[i], 0.0, out=pows[0])
         for l in range(1, l_max + 1):
             np.multiply(pows[l - 1], y_dom[i], out=pows[l])
         moms[:, i] = pows.mean(axis=1)
         batch = pows[:, :cut].reshape(l_max + 1, nb, -1).mean(axis=2)
         moms_se[:, i] = batch.std(axis=1, ddof=1) / math.sqrt(nb)
-        ymom_seconds += time.perf_counter() - t0
-    return BaseMoments(dates=cube.dates.copy(), disc_epe=disc_epe,
-                       disc_epe_se=disc_epe_se, y_moments=moms,
-                       y_moments_se=moms_se, y_moment_seconds=ymom_seconds)
+    return dataclasses.replace(bm, y_moments=moms, y_moments_se=moms_se,
+                               y_moment_seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,27 +137,35 @@ class WwrCoeffs:
     sigma_Yr: float         # sd ratio of the integrated rate driver
 
 
-def mu_spread(models: ModelSet, u: float, u_prev: float, t: float = 0.0) -> float:
+def mu_spread(models: ModelSet, u, u_prev, t: float = 0.0):
     """Expected instantaneous funding spread LGD_I (mu_I + b_I) at u.
 
     The deterministic shift b_I has a closed-form integral but no closed
     pointwise value; it is recovered as the average over (u_prev, u],
     consistent with the right-endpoint rectangle rule of the FVA integral.
+    `u` and `u_prev` may be arrays of dates.
     """
     p = models.credit["I"]
-    if u <= u_prev:
+    u = np.asarray(u, dtype=float)
+    u_prev = np.asarray(u_prev, dtype=float)
+    if np.any(u <= u_prev):
         raise ValueError("u must exceed u_prev")
-    ib_u = cir_terms(p, t, u).int_b
-    ib_prev = cir_terms(p, t, u_prev).int_b if u_prev > t else 0.0
-    b_bar = (ib_u - ib_prev) / (u - u_prev)
-    mu_i = cir_terms(p, t, u).mu
-    return p.lgd * (mu_i + b_bar)
+    ci = cir_terms(p, t, u)
+    ib_prev = np.where(u_prev > t, cir_terms(p, t, np.maximum(u_prev, t)).int_b, 0.0)
+    b_bar = (ci.int_b - ib_prev) / (u - u_prev)
+    out = p.lgd * (ci.mu + b_bar)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def wwr_coeffs(models: ModelSet, corr: CorrelationMatrix, t: float, u: float,
-               u_prev: float, n_r: int) -> WwrCoeffs:
-    """All deterministic pieces of the approximation at monitoring date u."""
-    if u <= t:
+def wwr_coeffs(models: ModelSet, corr: CorrelationMatrix, t: float, u,
+               u_prev, n_r: int) -> WwrCoeffs:
+    """All deterministic pieces of the approximation at monitoring date u.
+
+    With arrays of dates `u` and `u_prev` every field becomes an array over
+    the dates, and beta gains a leading date axis.
+    """
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= t):
         raise ValueError("u must exceed t (variance ratios undefined at u = t)")
     dom = models.domestic
     rt = hw_terms(models.rates[dom], t, u)
@@ -160,8 +181,7 @@ def wwr_coeffs(models: ModelSet, corr: CorrelationMatrix, t: float, u: float,
     alpha = -(rho_rI * s_YI + rho_rC * s_YC)
     nu = -(rho_rI ** 2 * s_YI + rho_rI * rho_rC * s_YC) * s_yI
     j = np.arange(n_r + 1)
-    from scipy.special import factorial
-    beta = (-s_Yr) ** j / factorial(j)
+    beta = (-np.asarray(s_Yr))[..., None] ** j / factorial(j)
     lgd = models.credit["I"].lgd
     return WwrCoeffs(
         gamma=gamma, alpha=alpha, nu=nu, beta=beta,
@@ -176,9 +196,14 @@ def wwr_coeffs(models: ModelSet, corr: CorrelationMatrix, t: float, u: float,
 def coeffs_for_dates(models: ModelSet, corr: CorrelationMatrix,
                      dates: np.ndarray, n_r: int) -> list[Optional[WwrCoeffs]]:
     """Coefficients per monitoring date; None at date 0 (ratios undefined)."""
+    dates = np.asarray(dates, dtype=float)
+    c = wwr_coeffs(models, corr, 0.0, dates[1:], dates[:-1], n_r)
+    per_date = {f.name: getattr(c, f.name) for f in dataclasses.fields(WwrCoeffs)}
     out: list[Optional[WwrCoeffs]] = [None]
-    for i in range(1, len(dates)):
-        out.append(wwr_coeffs(models, corr, 0.0, dates[i], dates[i - 1], n_r))
+    for i in range(len(dates) - 1):
+        out.append(WwrCoeffs(**{
+            k: v if np.ndim(v) == 0 else (v[i] if v.ndim == 2 else float(v[i]))
+            for k, v in per_date.items()}))
     return out
 
 
@@ -312,6 +337,33 @@ def epe_wwr_approx_generic(coeffs: list[Optional[WwrCoeffs]],
     return out
 
 
+def _analytic_moments_on_dates(s: Swap, models: ModelSet, dates, n_a: int,
+                               l_max: int, t: float = 0.0) -> np.ndarray:
+    """analytic_positive_moments for every date in `dates`, one row each; the
+    swap weights and driver variances come from one closed-form call."""
+    rp = models.rates[s.currency]
+    if s.currency != models.domestic:
+        raise ValueError("analytic moments require a domestic-currency swap")
+    dates = np.asarray(dates, dtype=float)
+    out = np.zeros((len(dates), l_max + 1))
+    live = np.flatnonzero(dates <= s.maturity)
+    var = hw_terms(rp, t, dates[live]).var_y
+    if np.any(var <= 0.0):
+        raise ValueError("driver variance must be positive (u > t required)")
+    top = n_a + l_max
+    a = np.arange(n_a + 1)
+    inv_fact = 1.0 / factorial(a)
+    shift = a[:, None] + np.arange(l_max + 1)
+    for i, v, sw in zip(live, var, swap_weights_on_dates(s, rp, t, dates[live])):
+        tm = truncated_normal_moments(v, swap_ystar(s, sw, math.sqrt(v)), top)
+        # G_n: moment of y^n over the positivity region of this swap
+        g = normal_moments(v, top) - tm.partial if s.phi == -1 else tm.partial
+        # sum_k wbar_k sum_a (-B_k)^a / a! G_{a+l}, for every l at once
+        coef = (-sw.B[:, None]) ** a * inv_fact
+        out[i] = s.phi * s.notional * (sw.const * g[:l_max + 1] + sw.wbar @ coef @ g[shift])
+    return out
+
+
 def analytic_positive_moments(s: Swap, models: ModelSet, u: float,
                               n_a: int, l_max: int,
                               t: float = 0.0) -> np.ndarray:
@@ -321,36 +373,7 @@ def analytic_positive_moments(s: Swap, models: ModelSet, u: float,
     integrates against the normal density restricted to the positivity
     region bounded by the swap's root.
     """
-    rp = models.rates[s.currency]
-    if s.currency != models.domestic:
-        raise ValueError("analytic moments require a domestic-currency swap")
-    if u > s.maturity:
-        return np.zeros(l_max + 1)
-    rt = hw_terms(rp, t, u)
-    var = rt.var_y
-    if var <= 0.0:
-        raise ValueError("driver variance must be positive (u > t required)")
-    sw = swap_weights(s, rp, t, u)
-    yst = swap_ystar(s, sw, math.sqrt(var))
-    top = n_a + l_max
-    plain = normal_moments(var, top)
-    tm = truncated_normal_moments(var, yst, top)
-    # G_n: moment of y^n over the positivity region of this swap
-    if s.phi == -1:
-        g = plain - tm.partial
-    else:
-        g = tm.partial.copy()
-    a = np.arange(n_a + 1)
-    from scipy.special import factorial
-    inv_fact = 1.0 / factorial(a)
-    out = np.zeros(l_max + 1)
-    for l in range(l_max + 1):
-        acc = sw.const * g[l]
-        for wb, B in zip(sw.wbar, sw.B):
-            coef = (-B) ** a * inv_fact
-            acc += wb * float(np.dot(coef, g[a + l]))
-        out[l] = s.phi * s.notional * acc
-    return out
+    return _analytic_moments_on_dates(s, models, [u], n_a, l_max, t)[0]
 
 
 def epe_wwr_approx_swap_analytic(s: Swap, models: ModelSet,
@@ -360,10 +383,10 @@ def epe_wwr_approx_swap_analytic(s: Swap, models: ModelSet,
     """WWR exposure with the moment sums evaluated in closed form."""
     n = len(bm.dates)
     out = np.zeros(n)
+    all_moms = _analytic_moments_on_dates(s, models, bm.dates[1:], n_a, n_r + 2)
     for i in range(1, n):
         c = coeffs[i]
-        u = bm.dates[i]
-        moms = analytic_positive_moments(s, models, u, n_a, n_r + 2)
+        moms = all_moms[i - 1]
         s1 = float(np.dot(c.beta, moms[1:n_r + 2]))
         s2 = float(np.dot(c.beta, moms[2:n_r + 3]))
         out[i] = (c.H_rIC * (c.mu_S * c.alpha + c.lgd * c.gamma) * s1

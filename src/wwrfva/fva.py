@@ -28,7 +28,7 @@ import yaml
 from . import __version__
 from .curves import MarketData, load_market_data
 from .exposure import (BaseMoments, ExposureProfile, base_moments, coeffs_for_dates,
-                       epe_indep, epe_wwr_approx_generic,
+                       discounted_exposure, epe_indep, epe_wwr_approx_generic,
                        epe_wwr_approx_swap_analytic, epe_wwr_mc)
 from .instruments import Portfolio, load_portfolio, value_matrix
 from .mc import (CorrelationMatrix, SimGrid, build_correlation, factor_labels,
@@ -256,11 +256,16 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
 
     # Shared prerequisites: the discounted exposure and the per-date
     # coefficients enter both the coupling-free part and either WWR
-    # estimator, so neither WWR stage is charged for them. The
+    # estimator, so neither WWR stage is charged for them. The generic
     # approximation's extra work is the driver-moment averaging plus the
-    # series assembly; the benchmark's is the credit simulation plus the
-    # covariance estimator.
-    bm = base_moments(cube_base, p, models, settings.n_r, value_mat=vm)
+    # series assembly; the closed-form one's is its moments plus the
+    # assembly; the benchmark's is the credit simulation plus the
+    # covariance estimator. Only the generic method reads the sampled
+    # driver moments, so only it computes them.
+    if settings.method == "approx_generic":
+        bm = base_moments(cube_base, p, models, settings.n_r, value_mat=vm)
+    else:
+        bm = discounted_exposure(cube_base, vm)
     coeffs = coeffs_for_dates(models, corr, cube_base.dates, settings.n_r)
     moments_seconds = bm.y_moment_seconds
 

@@ -169,37 +169,41 @@ class SwapWeights:
     pay_times: np.ndarray     # live payment dates
 
 
-def swap_weights(s: Swap, rp: Hw1fParams, t: float, u: float) -> SwapWeights:
-    """Weights of the value function V(u; y) given time-t information."""
+def swap_weights_on_dates(s: Swap, rp: Hw1fParams, t: float,
+                          dates) -> list[SwapWeights]:
+    """swap_weights at every monitoring date in `dates`, from one closed-form
+    call over the (date, payment date) grid."""
     pay = np.asarray(s.schedule)
+    u = np.asarray(dates, dtype=float)
+    if np.any(u > pay[-1]):
+        raise ValueError(f"monitoring date {u.max()} is past swap maturity {pay[-1]}")
     m = len(pay) - 1
-    if u > pay[-1]:
-        raise ValueError(f"monitoring date {u} is past swap maturity {pay[-1]}")
     tau = s.accruals
     w = np.empty(m + 1)
     w[0] = -1.0
     w[1:m] = s.fixed_rate * tau[:-1]
     w[m] = 1.0 + s.fixed_rate * tau[-1]
     # first live index: 0 up to and including expiry, else the next payment date
-    beta = int(np.searchsorted(pay, u, side="left")) if u > pay[0] else 0
-    const = -1.0 if u > pay[0] else 0.0
+    started = u > pay[0]
+    beta = np.where(started, np.searchsorted(pay, u, side="left"), 0)
     mu = hw_terms(rp, t, u).mu
-    live = pay[beta:]
-    B = np.empty(len(live))
-    A_bar = np.empty(len(live))
-    for i, T in enumerate(live):
-        terms = hw_terms(rp, u, T)
-        B[i] = terms.B
-        A_bar[i] = terms.A_bar
-    wbar = w[beta:] * np.exp(A_bar - mu * B)
-    return SwapWeights(beta=beta, const=const, w=w[beta:], wbar=wbar, B=B,
-                       pay_times=live)
+    # payments already made collapse onto the monitoring date and are cut below
+    terms = hw_terms(rp, u[:, None], np.maximum(pay, u[:, None]))
+    wbar = w * np.exp(terms.A_bar - mu[:, None] * terms.B)
+    return [SwapWeights(beta=int(b), const=-1.0 if st else 0.0, w=w[b:],
+                        wbar=wbar[i, b:], B=terms.B[i, b:], pay_times=pay[b:])
+            for i, (b, st) in enumerate(zip(beta, started))]
+
+
+def swap_weights(s: Swap, rp: Hw1fParams, t: float, u: float) -> SwapWeights:
+    """Weights of the value function V(u; y) given time-t information."""
+    return swap_weights_on_dates(s, rp, t, [u])[0]
 
 
 def swap_value_y(s: Swap, sw: SwapWeights, y):
     """Swap value at the monitoring date as a function of the rate driver y."""
     y = np.asarray(y, dtype=float)
-    expo = np.exp(-np.multiply.outer(y, sw.B))
+    expo = np.exp(np.multiply.outer(y, -sw.B))
     val = s.phi * s.notional * (sw.const + expo @ sw.wbar)
     return float(val) if val.ndim == 0 else val
 
@@ -360,47 +364,64 @@ def fx_forward_positive_indicator(fwd: FxForward, terms: FxForwardTerms, y):
 
 # ---------------------------------------------------------------------------
 # pathwise portfolio valuation on a scenario cube
+#
+# Each instrument's deterministic terms are computed once over the requested
+# dates; the pathwise values then follow one date slab at a time.
 
-def _swap_values_on_cube(s: Swap, models: ModelSet, cube: ScenarioCube,
-                         date_index: int) -> np.ndarray:
-    u = cube.dates[date_index]
-    if u > s.maturity:
-        return np.zeros(cube.n_paths)
-    sw = swap_weights(s, models.rates[s.currency], 0.0, u)
-    return swap_value_y(s, sw, cube.y_r[s.currency][date_index])
+def _swap_rows(s: Swap, models: ModelSet, cube: ScenarioCube, idx: np.ndarray):
+    if s.currency != models.domestic and s.currency not in cube.ln_fx:
+        raise KeyError(f"cube has no FX slab for {s.currency}")
+    live = cube.dates[idx] <= s.maturity
+    weights = iter(swap_weights_on_dates(s, models.rates[s.currency], 0.0,
+                                         cube.dates[idx[live]]))
+    for i, is_live in zip(idx, live):
+        if not is_live:
+            yield np.zeros(cube.n_paths)
+            continue
+        vals = swap_value_y(s, next(weights), cube.y_r[s.currency][i])
+        if s.currency != models.domestic:
+            vals = vals * np.exp(cube.ln_fx[s.currency][i])
+        yield vals
 
 
-def _fx_forward_values_on_cube(fwd: FxForward, models: ModelSet,
-                               cube: ScenarioCube, date_index: int) -> np.ndarray:
+def _fx_forward_rows(fwd: FxForward, models: ModelSet, cube: ScenarioCube,
+                     idx: np.ndarray):
     """Exact pathwise value from reconstructed bonds and the FX level (domestic)."""
-    u = cube.dates[date_index]
-    if u > fwd.maturity:
-        return np.zeros(cube.n_paths)
     dom = models.domestic
     f = fwd.currency
+    live = cube.dates[idx] <= fwd.maturity
+    u = cube.dates[idx[live]]
     td_u = hw_terms(models.rates[dom], 0.0, u)
     tf_u = hw_terms(models.rates[f], 0.0, u)
     td_T = hw_terms(models.rates[dom], u, fwd.maturity)
     tf_T = hw_terms(models.rates[f], u, fwd.maturity)
-    p_d = np.exp(td_T.A_bar - (td_u.mu + cube.y_r[dom][date_index]) * td_T.B)
-    p_f = np.exp(tf_T.A_bar - (tf_u.mu + cube.y_r[f][date_index]) * tf_T.B)
-    x_u = np.exp(cube.ln_fx[f][date_index])
-    return fwd.phi * fwd.notional * (p_f * x_u - p_d * fwd.strike)
+    j = 0
+    for i, is_live in zip(idx, live):
+        if not is_live:
+            yield np.zeros(cube.n_paths)
+            continue
+        p_d = np.exp(td_T.A_bar[j] - (td_u.mu[j] + cube.y_r[dom][i]) * td_T.B[j])
+        p_f = np.exp(tf_T.A_bar[j] - (tf_u.mu[j] + cube.y_r[f][i]) * tf_T.B[j])
+        x_u = np.exp(cube.ln_fx[f][i])
+        yield fwd.phi * fwd.notional * (p_f * x_u - p_d * fwd.strike)
+        j += 1
+
+
+def _value_rows(inst: Instrument, models: ModelSet, cube: ScenarioCube, idx):
+    """Per-path values in the domestic currency at the date indices `idx`,
+    yielded one date at a time."""
+    idx = np.asarray(idx, dtype=int)
+    if isinstance(inst, Swap):
+        return _swap_rows(inst, models, cube, idx)
+    if isinstance(inst, FxForward):
+        return _fx_forward_rows(inst, models, cube, idx)
+    raise TypeError(f"unknown instrument {type(inst)!r}")
 
 
 def instrument_values_on_cube(inst: Instrument, models: ModelSet,
                               cube: ScenarioCube, date_index: int) -> np.ndarray:
     """Per-path value at one date, converted to the domestic currency."""
-    if isinstance(inst, Swap):
-        vals = _swap_values_on_cube(inst, models, cube, date_index)
-        if inst.currency != models.domestic:
-            if inst.currency not in cube.ln_fx:
-                raise KeyError(f"cube has no FX slab for {inst.currency}")
-            vals = vals * np.exp(cube.ln_fx[inst.currency][date_index])
-        return vals
-    if isinstance(inst, FxForward):
-        return _fx_forward_values_on_cube(inst, models, cube, date_index)
-    raise TypeError(f"unknown instrument {type(inst)!r}")
+    return next(_value_rows(inst, models, cube, [date_index]))
 
 
 def portfolio_values(p: Portfolio, models: ModelSet, cube: ScenarioCube,
@@ -412,16 +433,13 @@ def portfolio_values(p: Portfolio, models: ModelSet, cube: ScenarioCube,
     return total
 
 
-def portfolio_value(p: Portfolio, models: ModelSet, cube: ScenarioCube,
-                    path: int, date_index: int) -> float:
-    return float(portfolio_values(p, models, cube, date_index)[path])
-
-
 def value_matrix(p: Portfolio, models: ModelSet, cube: ScenarioCube) -> np.ndarray:
     """Portfolio values for every (date, path) pair."""
-    out = np.empty((len(cube.dates), cube.n_paths))
-    for i in range(len(cube.dates)):
-        out[i] = portfolio_values(p, models, cube, i)
+    out = np.zeros((len(cube.dates), cube.n_paths))
+    idx = np.arange(len(cube.dates))
+    for inst in p.instruments:
+        for i, vals in zip(idx, _value_rows(inst, models, cube, idx)):
+            out[i] += vals
     return out
 
 

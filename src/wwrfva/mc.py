@@ -11,7 +11,7 @@ dedicated second stream and are only consumed in full mode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -144,17 +144,12 @@ class ScenarioCube:
     truncated_fraction: float = 0.0
     sim_seconds: float = 0.0
     credit_seconds: float = 0.0
-    stats: dict = field(default_factory=dict)
 
     def pathwise_discount(self, date_index: int) -> np.ndarray:
         """H_r(0,u) * exp(-Y_r(0,u)) for the domestic rate, per path."""
         if not 0 <= date_index < len(self.dates):
             raise IndexError("date index out of range")
         return self.h_dom[date_index] * np.exp(-self.Y_r[self.domestic][date_index])
-
-
-def pathwise_discount(cube: ScenarioCube, date_index: int) -> np.ndarray:
-    return cube.pathwise_discount(date_index)
 
 
 def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
@@ -194,22 +189,16 @@ def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
     nsub = grid.substeps_per_interval
 
     # deterministic per-date quantities
-    h_dom = np.empty(n_dates)
-    mu_fx0 = {c: np.empty(n_dates) for c in fx_ccys}
-    mu_cred = {z: np.empty(n_dates) for z in credit_entities}
-    M_cred = {z: np.empty(n_dates) for z in credit_entities}
-    for i, u in enumerate(dates):
-        h_dom[i] = hw_terms(models.rates[dom], 0.0, u).H
-        for c in fx_ccys:
-            ft = fx_terms(models.rates[dom], models.rates[c], models.fx[c],
-                          corr.entry(rate_factor(dom), rate_factor(c)),
-                          corr.entry(rate_factor(dom), fx_factor(c)),
-                          corr.entry(rate_factor(c), fx_factor(c)), 0.0, u)
-            mu_fx0[c][i] = ft.mu_fx
-        for z in credit_entities:
-            ct = cir_terms(models.credit[z], 0.0, u)
-            mu_cred[z][i] = ct.mu
-            M_cred[z][i] = ct.M
+    h_dom = hw_terms(models.rates[dom], 0.0, dates).H
+    mu_fx0 = {}
+    for c in fx_ccys:
+        mu_fx0[c] = fx_terms(models.rates[dom], models.rates[c], models.fx[c],
+                             corr.entry(rate_factor(dom), rate_factor(c)),
+                             corr.entry(rate_factor(dom), fx_factor(c)),
+                             corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
+    cred_terms = {z: cir_terms(models.credit[z], 0.0, dates) for z in credit_entities}
+    mu_cred = {z: ct.mu for z, ct in cred_terms.items()}
+    M_cred = {z: ct.M for z, ct in cred_terms.items()}
 
     # state arrays
     y = {c: np.zeros(n_paths) for c in ccys}         # OU noise per currency
@@ -235,19 +224,21 @@ def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
     n_credit_steps = 0
     credit_seconds = 0.0
 
+    # per-currency exact transition coefficients, one per interval's substep size
+    dts = np.diff(dates) / nsub
+    decay = {c: np.exp(-models.rates[c].a * dts) for c in ccys}
+    shock_sd = {c: models.rates[c].sigma * np.sqrt(bfac(2.0 * models.rates[c].a, dts))
+                for c in ccys}
+
     for i in range(1, n_dates):
-        dt = (dates[i] - dates[i - 1]) / nsub
+        dt = dts[i - 1]
         sq_dt = np.sqrt(dt)
-        # per-currency exact transition coefficients for this substep size
-        decay = {c: np.exp(-models.rates[c].a * dt) for c in ccys}
-        shock_sd = {c: models.rates[c].sigma * np.sqrt(bfac(2.0 * models.rates[c].a, dt))
-                    for c in ccys}
         for _ in range(nsub):
             z_mkt = rng_mkt.standard_normal((n_mkt, n_paths))
             eps_mkt = L_mm @ z_mkt
             for c in ccys:
                 e = eps_mkt[i_rate[c]]
-                y_new = y[c] * decay[c] + shock_sd[c] * e
+                y_new = y[c] * decay[c][i - 1] + shock_sd[c][i - 1] * e
                 Y[c] += 0.5 * dt * (y[c] + y_new)
                 y[c] = y_new
             for c in fx_ccys:

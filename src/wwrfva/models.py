@@ -27,6 +27,12 @@ from .curves import Curve
 # numerically stable primitives (the mean reversion can be as small as 1e-5,
 # so all (1 - exp(-a*tau))/a style ratios get a series branch)
 
+def _out(x):
+    """A float for 0-d input, the array itself otherwise."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
 def bfac(a: float, tau):
     """(1 - exp(-a*tau)) / a, stable for a -> 0 (limit: tau)."""
     tau = np.asarray(tau, dtype=float)
@@ -35,8 +41,7 @@ def bfac(a: float, tau):
     x_safe = np.where(small, 1.0, x)
     direct = -np.expm1(-x_safe) / x_safe * tau
     series = tau * (1.0 - x / 2.0 + x * x / 6.0 - x**3 / 24.0 + x**4 / 120.0)
-    out = np.where(small, series, direct)
-    return float(out) if out.ndim == 0 else out
+    return _out(np.where(small, series, direct))
 
 
 def int_bfac(a: float, tau):
@@ -47,8 +52,7 @@ def int_bfac(a: float, tau):
     a_safe = a if a != 0.0 else 1.0
     direct = (tau - bfac(a_safe, tau)) / a_safe
     series = tau * tau * (0.5 - x / 6.0 + x * x / 24.0 - x**3 / 120.0 + x**4 / 720.0)
-    out = np.where(small, series, direct)
-    return float(out) if out.ndim == 0 else out
+    return _out(np.where(small, series, direct))
 
 
 def _phi(x):
@@ -58,8 +62,7 @@ def _phi(x):
     direct = x + 2.0 * np.expm1(-x) - 0.5 * np.expm1(-2.0 * x)
     series = (x**3 / 3.0 - x**4 / 4.0 + 7.0 * x**5 / 60.0 - x**6 / 24.0
               + 31.0 * x**7 / 2520.0 - x**8 / 320.0)
-    out = np.where(small, series, direct)
-    return float(out) if out.ndim == 0 else out
+    return _out(np.where(small, series, direct))
 
 
 def hw_a(a: float, sigma: float, tau):
@@ -67,19 +70,15 @@ def hw_a(a: float, sigma: float, tau):
     tau = np.asarray(tau, dtype=float)
     x = a * tau
     small = np.abs(x) < 0.01
+    # phi(x)/a^3 = tau^3 * (series in x) keeps precision when a ~ 0
+    series = 0.5 * sigma * sigma * (tau**3 * (
+        1.0 / 3.0 - x / 4.0 + 7.0 * x * x / 60.0 - x**3 / 24.0
+        + 31.0 * x**4 / 2520.0 - x**5 / 320.0))
     if np.all(small):
-        # phi(x)/a^3 = tau^3 * (series in x) keeps precision when a ~ 0
-        series = tau**3 * (1.0 / 3.0 - x / 4.0 + 7.0 * x * x / 60.0 - x**3 / 24.0
-                           + 31.0 * x**4 / 2520.0 - x**5 / 320.0)
-        out = 0.5 * sigma * sigma * series
-    else:
-        a_safe = a if a != 0.0 else 1.0
-        direct = 0.5 * sigma * sigma * _phi(x) / a_safe**3
-        series = 0.5 * sigma * sigma * tau**3 * (
-            1.0 / 3.0 - x / 4.0 + 7.0 * x * x / 60.0 - x**3 / 24.0
-            + 31.0 * x**4 / 2520.0 - x**5 / 320.0)
-        out = np.where(small, series, direct)
-    return float(out) if np.ndim(out) == 0 else out
+        return _out(series)
+    a_safe = a if a != 0.0 else 1.0
+    direct = 0.5 * sigma * sigma * _phi(x) / a_safe**3
+    return _out(np.where(small, series, direct))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +181,22 @@ class ModelSet:
 
 # ---------------------------------------------------------------------------
 # term bundles
+#
+# Every term function below takes scalar or array times (broadcast against
+# each other) and returns its bundle with fields of the broadcast shape;
+# scalar input gives plain floats.
+
+def _ordered(t, u):
+    t = np.asarray(t, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if np.any(u < t):
+        raise ValueError("u must be >= t")
+    return t, u
+
+
+def _bundle(cls, **fields):
+    return cls(**{k: _out(v) for k, v in fields.items()})
+
 
 @dataclass(frozen=True)
 class HwTerms:
@@ -217,7 +232,7 @@ class CirTerms:
         return self.A - self.int_b
 
 
-def _hw_int_b(p: Hw1fParams, t: float, u: float) -> float:
+def _hw_int_b(p: Hw1fParams, t, u):
     """integral_t^u b dv from the market-curve ratio (exact curve fit)."""
     a_t = hw_a(p.a, p.sigma, t)
     a_u = hw_a(p.a, p.sigma, u)
@@ -227,38 +242,37 @@ def _hw_int_b(p: Hw1fParams, t: float, u: float) -> float:
             - a_t + a_u - p.x0 * (b_u - b_t))
 
 
-def hw_terms(p: Hw1fParams, t: float, u: float, x_t: Optional[float] = None) -> HwTerms:
+def hw_terms(p: Hw1fParams, t, u, x_t: Optional[float] = None) -> HwTerms:
     """All closed-form quantities of the Gaussian rate factor over (t, u).
 
     `x_t` defaults to p.x0, which is only correct for t = 0; pass the state
     explicitly when conditioning on a later time.
     """
-    if u < t:
-        raise ValueError("u must be >= t")
+    t, u = _ordered(t, u)
     if x_t is None:
         x_t = p.x0
     tau = u - t
     B = bfac(p.a, tau)
     A = hw_a(p.a, p.sigma, tau)
-    mu = x_t * math.exp(-p.a * tau)
+    mu = x_t * np.exp(-p.a * tau)
     M = x_t * B
     if p.quanto is not None:
         drift = p.quanto.rho_rf_fx * p.sigma * p.quanto.sigma_fx
-        mu -= drift * B
-        M -= drift * int_bfac(p.a, tau)
+        mu = mu - drift * B
+        M = M - drift * int_bfac(p.a, tau)
     var_y = p.sigma * p.sigma * bfac(2.0 * p.a, tau)
     var_Y = 2.0 * A
     int_b = _hw_int_b(p, t, u)
-    H = math.exp(-M - int_b)
-    return HwTerms(B=B, A=A, mu=mu, M=M, var_y=var_y, var_Y=var_Y, int_b=int_b, H=H)
+    H = np.exp(-M - int_b)
+    return _bundle(HwTerms, B=B, A=A, mu=mu, M=M, var_y=var_y, var_Y=var_Y,
+                   int_b=int_b, H=H)
 
 
 def _cir_b(p: CirppParams, tau):
     """CIR ZCB exponent slope, written so exp(h*tau) never overflows."""
     h = p.h
     e = np.exp(-h * np.asarray(tau, dtype=float))
-    out = 2.0 * (1.0 - e) / (2.0 * h * e + (p.a + h) * (1.0 - e))
-    return float(out) if np.ndim(out) == 0 else out
+    return _out(2.0 * (1.0 - e) / (2.0 * h * e + (p.a + h) * (1.0 - e)))
 
 
 def _cir_a(p: CirppParams, tau):
@@ -267,12 +281,11 @@ def _cir_a(p: CirppParams, tau):
     e = np.exp(-h * tau)
     # denominator 2h + (a+h)(e^{h tau} - 1) = e^{h tau} * (2h e^{-h tau} + (a+h)(1 - e^{-h tau}))
     log_den = h * tau + np.log(2.0 * h * e + (p.a + h) * (1.0 - e))
-    out = (2.0 * p.a * p.theta / (p.sigma * p.sigma)) * (
-        math.log(2.0 * h) + 0.5 * (p.a + h) * tau - log_den)
-    return float(out) if np.ndim(out) == 0 else out
+    return _out((2.0 * p.a * p.theta / (p.sigma * p.sigma)) * (
+        math.log(2.0 * h) + 0.5 * (p.a + h) * tau - log_den))
 
 
-def _cir_int_b(p: CirppParams, t: float, u: float) -> float:
+def _cir_int_b(p: CirppParams, t, u):
     a_t = _cir_a(p, t)
     a_u = _cir_a(p, u)
     b_t = _cir_b(p, t)
@@ -281,18 +294,17 @@ def _cir_int_b(p: CirppParams, t: float, u: float) -> float:
             - a_t + a_u - p.x0 * (b_u - b_t))
 
 
-def cir_terms(p: CirppParams, t: float, u: float, x_t: Optional[float] = None) -> CirTerms:
+def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
     """All closed-form quantities of the square-root credit factor over (t, u)."""
-    if u < t:
-        raise ValueError("u must be >= t")
+    t, u = _ordered(t, u)
     if x_t is None:
         x_t = p.x0
-    if x_t < 0.0:
+    if np.any(np.asarray(x_t) < 0.0):
         raise ValueError("x_t must be nonnegative")
     tau = u - t
     a, th, sg = p.a, p.theta, p.sigma
-    e1 = math.exp(-a * tau)
-    e2 = math.exp(-2.0 * a * tau)
+    e1 = np.exp(-a * tau)
+    e2 = np.exp(-2.0 * a * tau)
     B_lin = bfac(a, tau)
     mu = x_t * e1 + th * (1.0 - e1)
     M = x_t * B_lin + th * a * int_bfac(a, tau)
@@ -302,12 +314,11 @@ def cir_terms(p: CirppParams, t: float, u: float, x_t: Optional[float] = None) -
                                         + 2.0 * a * tau * e1 + 0.5 * (1.0 - e1) ** 2))
     exp_Yy = ((sg * sg * x_t / (a * a)) * e1 * (a * tau - 1.0 + e1)
               + (sg * sg * th / (a * a)) * (0.5 * (1.0 - e2) - a * tau * e1))
-    B = _cir_b(p, tau)
-    A = _cir_a(p, tau)
     int_b = _cir_int_b(p, t, u)
-    H = math.exp(-M - int_b)
-    return CirTerms(B=B, A=A, mu=mu, M=M, var_y=max(var_y, 0.0), var_Y=max(var_Y, 0.0),
-                    int_b=int_b, H=H, exp_Yy=exp_Yy)
+    H = np.exp(-M - int_b)
+    return _bundle(CirTerms, B=_cir_b(p, tau), A=_cir_a(p, tau), mu=mu, M=M,
+                   var_y=np.maximum(var_y, 0.0), var_Y=np.maximum(var_Y, 0.0),
+                   int_b=int_b, H=H, exp_Yy=exp_Yy)
 
 
 @dataclass(frozen=True)
@@ -316,36 +327,55 @@ class FxTerms:
     var_lnfx: float
 
 
+def _int_bb(a1: float, a2: float, tau):
+    """integral_0^tau B_a1(s) B_a2(s) ds, the covariance kernel of two
+    integrated rate drivers, stable when either or both reversions vanish.
+
+    With lo, hi the two reversions ordered by size, only hi is divided by:
+        int B_lo B_hi = [int B_lo - (B_{lo+hi}(tau) - e^{-hi tau} B_lo(tau)) / hi] / hi,
+    which keeps its exact limit as lo -> 0. Where hi*tau < 0.1 the
+    division would cancel, and the double series
+        tau^3 sum_{j,k} (-lo tau)^j (-hi tau)^k / ((j+1)! (k+1)! (j+k+3))
+    is summed to total degree 10 instead.
+    """
+    tau = np.asarray(tau, dtype=float)
+    lo, hi = sorted((a1, a2), key=abs)
+    p_lo = [(-lo * tau) ** j for j in range(11)]
+    p_hi = [(-hi * tau) ** k for k in range(11)]
+    series = sum(p_lo[j] * p_hi[k]
+                 / (math.factorial(j + 1) * math.factorial(k + 1) * (j + k + 3))
+                 for j in range(11) for k in range(11 - j))
+    hi_safe = hi if hi != 0.0 else 1.0
+    direct = (int_bfac(lo, tau)
+              - (bfac(lo + hi, tau) - np.exp(-hi * tau) * bfac(lo, tau)) / hi_safe) / hi_safe
+    return _out(np.where(np.abs(hi * tau) < 0.1, tau**3 * series, direct))
+
+
 def fx_terms(dom: Hw1fParams, fgn: Hw1fParams, fx: GbmFxParams,
              rho_dom_fgn: float, rho_dom_fx: float, rho_fgn_fx: float,
-             t: float, u: float) -> FxTerms:
+             t, u) -> FxTerms:
     """Mean and variance of the log FX level at u, conditional on t = 0 data."""
-    if u < t:
-        raise ValueError("u must be >= t")
+    t, u = _ordered(t, u)
     tau = u - t
     dom_terms = hw_terms(dom, t, u)
     fgn_terms = hw_terms(fgn, t, u)
     sx = fx.sigma_fx
     mu_fx = (math.log(fx.spot) + dom_terms.M + dom_terms.int_b
              - fgn_terms.M - fgn_terms.int_b - 0.5 * sx * sx * tau)
-    # cov of the two integrated rate drivers, written as a sum of stable
-    # int_bfac pieces: (1-e^-as)(1-e^-fs) = (1-e^-as) + (1-e^-fs) - (1-e^-(a+f)s)
-    a_d, a_f = dom.a, fgn.a
-    int_bb = (a_d * int_bfac(a_d, tau) + a_f * int_bfac(a_f, tau)
-              - (a_d + a_f) * int_bfac(a_d + a_f, tau))
-    cov_YY = rho_dom_fgn * dom.sigma * fgn.sigma * int_bb / (a_d * a_f) \
-        if a_d != 0.0 and a_f != 0.0 else rho_dom_fgn * dom.sigma * fgn.sigma * tau**3 / 3.0
+    cov_YY = rho_dom_fgn * dom.sigma * fgn.sigma * _int_bb(dom.a, fgn.a, tau)
     var = (dom_terms.var_Y + fgn_terms.var_Y + sx * sx * tau
            - 2.0 * cov_YY
-           + 2.0 * rho_dom_fx * dom.sigma * sx * int_bfac(a_d, tau)
-           - 2.0 * rho_fgn_fx * fgn.sigma * sx * int_bfac(a_f, tau))
-    return FxTerms(mu_fx=mu_fx, var_lnfx=max(var, 0.0))
+           + 2.0 * rho_dom_fx * dom.sigma * sx * int_bfac(dom.a, tau)
+           - 2.0 * rho_fgn_fx * fgn.sigma * sx * int_bfac(fgn.a, tau))
+    return _bundle(FxTerms, mu_fx=mu_fx, var_lnfx=np.maximum(var, 0.0))
 
 
-def sigma_ratio(var_x: float, var_y_r: float) -> float:
+def sigma_ratio(var_x, var_y_r):
     """Scaling sqrt(Var[x]/Var[y_r]) mapping any driver onto the rate driver."""
-    if var_y_r <= 0.0:
+    var_x = np.asarray(var_x, dtype=float)
+    var_y_r = np.asarray(var_y_r, dtype=float)
+    if np.any(var_y_r <= 0.0):
         raise ValueError("reference variance must be positive (u > t required)")
-    if var_x < 0.0:
+    if np.any(var_x < 0.0):
         raise ValueError("var_x must be nonnegative")
-    return math.sqrt(var_x / var_y_r)
+    return _out(np.sqrt(var_x / var_y_r))

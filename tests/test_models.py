@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from wwrfva.curves import Curve
 from wwrfva.models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
@@ -184,6 +185,33 @@ def _cov_lnfx_Yd(dom, fgn, fx, rho_df, rho_d_fx, u):
     cov_yy = rho_df * dom.sigma * fgn.sigma * int_bb / (a_d * a_f)
     var_yd = hw_terms(dom, 0.0, u).var_Y
     return var_yd - cov_yy + rho_d_fx * dom.sigma * fx.sigma_fx * int_bfac(a_d, u)
+
+
+def _rate_cov_by_quadrature(a_d, a_f, tau):
+    # integral_0^tau B_d(s) B_f(s) ds, B_a(s) = (1 - e^{-a s}) / a
+    def b(a, s):
+        return s if a == 0.0 else -math.expm1(-a * s) / a
+    return integrate.quad(lambda s: b(a_d, s) * b(a_f, s), 0.0, tau,
+                          epsabs=0.0, epsrel=1e-13)[0]
+
+
+def test_fx_variance_continuous_as_one_reversion_vanishes():
+    # the rate-rate covariance of var_lnfx has its own limit when only one
+    # mean reversion is zero; approaching it must not make var_lnfx jump
+    fx = GbmFxParams(spot=1.0, sigma_fx=0.15)
+    fixed = hw(a=0.3, sigma=0.01, curve=FLAT)
+    for tau in (0.5, 10.0, 30.0):
+        for pair in (lambda a: (hw(a=a, sigma=0.01), fixed),
+                     lambda a: (fixed, hw(a=a, sigma=0.01))):
+            at_zero = fx_terms(*pair(0.0), fx, 0.5, 0.25, 0.25, 0.0, tau).var_lnfx
+            # var_lnfx holds -2 rho sigma_d sigma_f cov; rho = 0.5 isolates cov
+            cov = (fx_terms(*pair(0.0), fx, 0.0, 0.25, 0.25, 0.0, tau).var_lnfx
+                   - at_zero) / (0.01 * 0.01)
+            assert cov == pytest.approx(
+                _rate_cov_by_quadrature(pair(0.0)[0].a, pair(0.0)[1].a, tau), rel=1e-9)
+            for a in (1e-12, 1e-9, 1e-6, 1e-4):
+                near = fx_terms(*pair(a), fx, 0.5, 0.25, 0.25, 0.0, tau).var_lnfx
+                assert near == pytest.approx(at_zero, rel=a * tau + 1e-12)
 
 
 def test_model_set_validation():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from wwrfva.curves import Curve
 from wwrfva.exposure import normal_moments, truncated_normal_moments
 from wwrfva.instruments import (Swap, positive_indicator, swap_value_y,
-                                swap_weights, ystar)
+                                swap_weights, swap_weights_on_dates, ystar)
 from wwrfva.mc import build_correlation
-from wwrfva.models import Hw1fParams, bfac, hw_terms, int_bfac
+from wwrfva.models import (CirppParams, GbmFxParams, Hw1fParams, QuantoAdjust,
+                           bfac, cir_terms, fx_terms, hw_terms, int_bfac)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -137,3 +138,100 @@ def test_root_and_indicator_consistency(s, u_frac, data):
     assert np.array_equal(ind[clear], vals[clear] > 0.0)
     if math.isfinite(star):
         assert abs(swap_value_y(s, sw, star)) <= 1e-6 * scale
+
+
+# ---------------------------------------------------------------------------
+# array calls of the closed forms against per-element scalar calls
+
+REVERSIONS = (0.0, 1e-5, 0.05, 0.3)
+# a*tau on both sides of each series switch: 1e-4 (bfac), 1e-3 (int_bfac),
+# 1e-2 (hw_a) and 0.1 (the FX rate-rate covariance)
+A_TAU = st.one_of(
+    st.sampled_from((1e-4, 1e-3, 1e-2, 0.1)).flatmap(
+        lambda x: st.floats(0.5 * x, 2.0 * x)),
+    st.floats(1e-6, 3.0))
+CURVE = Curve(label="EUR", times=(1.0, 5.0, 30.0), zero_rates=(0.004, 0.007, 0.012))
+
+
+def _spans(data, a, n):
+    """n (t, u) pairs with u - t such that a*(u - t) hits the switches."""
+    t = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)))
+    x = np.array(data.draw(st.lists(A_TAU, min_size=n, max_size=n)))
+    tau = x / a if a > 0.0 else 30.0 * x
+    return t, t + tau
+
+
+def _assert_fields_match(bundle, scalars):
+    for name in bundle.__dataclass_fields__:
+        want = np.array([getattr(b, name) for b in scalars])
+        np.testing.assert_allclose(getattr(bundle, name), want, rtol=1e-12, atol=0.0,
+                                   err_msg=name)
+
+
+def _hw(a, quanto):
+    q = QuantoAdjust(rho_rf_fx=0.3, sigma_fx=0.15) if quanto else None
+    return Hw1fParams(x0=0.002, a=a, sigma=0.01, curve=CURVE, quanto=q)
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=st.sampled_from(REVERSIONS), quanto=st.booleans(), data=st.data())
+def test_hw_terms_array_call_matches_scalar_calls(a, quanto, data):
+    p = _hw(a, quanto)
+    t, u = _spans(data, a, 6)
+    _assert_fields_match(hw_terms(p, t, u),
+                         [hw_terms(p, ti, ui) for ti, ui in zip(t, u)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=st.sampled_from(REVERSIONS[1:]), data=st.data())
+def test_cir_terms_array_call_matches_scalar_calls(a, data):
+    theta = 0.03
+    p = CirppParams(x0=0.01, a=a, theta=theta, sigma=0.5 * math.sqrt(2 * a * theta),
+                    lgd=0.6, curve=CURVE)
+    t, u = _spans(data, a, 6)
+    _assert_fields_match(cir_terms(p, t, u),
+                         [cir_terms(p, ti, ui) for ti, ui in zip(t, u)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(a_d=st.sampled_from(REVERSIONS), a_f=st.sampled_from(REVERSIONS),
+       data=st.data())
+def test_fx_terms_array_call_matches_scalar_calls(a_d, a_f, data):
+    dom, fgn = _hw(a_d, False), _hw(a_f, True)
+    fx = GbmFxParams(spot=0.9, sigma_fx=0.15)
+    t, u = _spans(data, max(a_d, a_f), 6)
+    _assert_fields_match(
+        fx_terms(dom, fgn, fx, 0.5, 0.25, 0.3, t, u),
+        [fx_terms(dom, fgn, fx, 0.5, 0.25, 0.3, ti, ui) for ti, ui in zip(t, u)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(s=SWAPS, a=st.sampled_from(REVERSIONS),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_swap_weights_on_dates_match_per_payment_scalar_calls(s, a, fracs):
+    rp = _hw(a, False)
+    dates = np.array(fracs) * s.maturity
+    for u, sw in zip(dates, swap_weights_on_dates(s, rp, 0.0, dates)):
+        mu = hw_terms(rp, 0.0, u).mu
+        per_pay = [hw_terms(rp, u, T) for T in sw.pay_times]
+        B = np.array([h.B for h in per_pay])
+        np.testing.assert_allclose(sw.B, B, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            sw.wbar, sw.w * np.exp(np.array([h.A_bar for h in per_pay]) - mu * B),
+            rtol=1e-12, atol=0.0)
+        one = swap_weights(s, rp, 0.0, u)
+        assert (one.beta, one.const) == (sw.beta, sw.const)
+        np.testing.assert_array_equal(one.wbar, sw.wbar)
+
+
+def test_array_call_with_one_reversed_pair_raises():
+    t = np.array([0.0, 1.0, 2.0])
+    u = np.array([1.0, 0.5, 3.0])
+    cir = CirppParams(x0=0.01, a=0.05, theta=0.03, sigma=0.02, lgd=0.6, curve=CURVE)
+    with pytest.raises(ValueError):
+        hw_terms(_hw(0.05, False), t, u)
+    with pytest.raises(ValueError):
+        cir_terms(cir, t, u)
+    with pytest.raises(ValueError):
+        fx_terms(_hw(0.05, False), _hw(0.3, True), GbmFxParams(spot=0.9, sigma_fx=0.15),
+                 0.5, 0.25, 0.3, t, u)
