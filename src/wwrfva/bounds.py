@@ -230,10 +230,7 @@ def truncation_bound(n: int, i: int, models: ModelSet, c_v: float,
         raise ValueError(f"x must be one of {X_CHOICES}")
     if n < 0 or i < 1:
         raise ValueError("need n >= 0 and an interior date")
-    u = float(tab.dates[i])
-    rp = models.rates[models.domestic]
-    var_Yr = hw_terms(rp, 0.0, u).var_Y
-    h_ric = _h_ric(models, u)
+    var_Yr, h_ric, _ = _discount_terms(models, float(tab.dates[i]))
 
     if family == "eps1":
         # credit-sum tail against xbar = e^{-Y_r} x
@@ -272,18 +269,14 @@ def truncation_bound(n: int, i: int, models: ModelSet, c_v: float,
             / math.factorial(n + 1) * math.sqrt(max(cross, 0.0)))
 
 
-def _h_ric(models: ModelSet, u: float) -> float:
-    h = hw_terms(models.rates[models.domestic], 0.0, u).H
-    for ent in ("I", "C"):
-        h *= cir_terms(models.credit[ent], 0.0, u).H
-    return h
-
-
-def _h_ic(models: ModelSet, u: float) -> float:
-    h = 1.0
-    for ent in ("I", "C"):
-        h *= cir_terms(models.credit[ent], 0.0, u).H
-    return h
+def _discount_terms(models: ModelSet, u: float) -> tuple[float, float, float]:
+    """(Var Y_r, H_r H_I H_C, H_I H_C) at u: the integrated rate variance and
+    the deterministic discount-survival factors, from one rate and two
+    credit closed forms."""
+    rt = hw_terms(models.rates[models.domestic], 0.0, u)
+    h_i = cir_terms(models.credit["I"], 0.0, u).H
+    h_c = cir_terms(models.credit["C"], 0.0, u).H
+    return rt.var_Y, rt.H * h_i * h_c, h_i * h_c
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +302,15 @@ def measured_errors(cube: ScenarioCube, models: ModelSet, value_mat: np.ndarray,
     """
     if cube.mode != "full" or cube.y_I is None:
         raise ValueError("measured errors need a full-mode cube")
-    u = float(cube.dates[i])
+    _, h_ric, h_ic = _discount_terms(models, float(cube.dates[i]))
     pos = np.maximum(value_mat[i], 0.0)
     h = cube.pathwise_discount(i) * pos
     s = cube.Y_I[i] + cube.Y_C[i]
     xv = cube.y_I[i] if x == "y_I" else 1.0
     t2 = _tail_terms(s, 2) * xv
-    e1 = _h_ic(models, u) * (np.mean(h * t2) - h.mean() * np.mean(t2))
+    e1 = h_ic * (np.mean(h * t2) - h.mean() * np.mean(t2))
     yr = cube.Y_r[cube.domestic][i]
     tr = _tail_terms(yr, n_r + 1)
-    h_ric = _h_ric(models, u)
     e2 = h_ric * np.mean(tr * xv * (-s) * pos)
     e3 = h_ric * np.mean(tr * xv * pos)
     return {"eps1": float(e1), "eps2": float(e2), "eps3": float(e3)}

@@ -318,29 +318,49 @@ def truncated_normal_moments(variance: float, ystar_value: float,
 # ---------------------------------------------------------------------------
 # the Gaussian WWR approximation
 
-def epe_wwr_approx_generic(coeffs: list[Optional[WwrCoeffs]],
-                           bm: BaseMoments) -> np.ndarray:
-    """WWR exposure from the projection coefficients and the base moments."""
-    n = len(bm.dates)
+def _beta_sum(c: WwrCoeffs, y_moments: np.ndarray, i: int, m: int) -> float:
+    """sum_j beta_j E[y^(j+m) (V(u_i))+], the rate-expansion series at date i."""
+    n_r = len(c.beta) - 1
+    return float(np.dot(c.beta, y_moments[m:n_r + m + 1, i]))
+
+
+def assemble_wwr(coeffs: list[Optional[WwrCoeffs]], y_moments: np.ndarray,
+                 disc_epe: np.ndarray) -> np.ndarray:
+    """WWR exposure per date from the projection coefficients and the
+    driver moments y_moments[l, i] = E[y^l (V(u_i))+], whatever produced
+    them; date 0 is left at 0."""
+    n = len(disc_epe)
+    l_max = y_moments.shape[0] - 1
     out = np.zeros(n)
     for i in range(1, n):
         c = coeffs[i]
         n_r = len(c.beta) - 1
-        if bm.l_max < n_r + 2:
-            raise ValueError(
-                f"base moments cover l <= {bm.l_max}, need {n_r + 2}")
-        s1 = float(np.dot(c.beta, bm.y_moments[1:n_r + 2, i]))
-        s2 = float(np.dot(c.beta, bm.y_moments[2:n_r + 3, i]))
+        if l_max < n_r + 2:
+            raise ValueError(f"base moments cover l <= {l_max}, need {n_r + 2}")
+        s1 = _beta_sum(c, y_moments, i, 1)
+        s2 = _beta_sum(c, y_moments, i, 2)
         out[i] = (c.H_rIC * (c.mu_S * c.alpha + c.lgd * c.gamma) * s1
                   + c.lgd * c.H_rIC * c.nu * s2
-                  + c.lgd * c.H_IC * c.exp_YIyI * bm.disc_epe[i])
+                  + c.lgd * c.H_IC * c.exp_YIyI * disc_epe[i])
     return out
+
+
+def epe_wwr_approx_generic(coeffs: list[Optional[WwrCoeffs]],
+                           bm: BaseMoments) -> np.ndarray:
+    """WWR exposure from the projection coefficients and the base moments."""
+    return assemble_wwr(coeffs, bm.y_moments, bm.disc_epe)
 
 
 def _analytic_moments_on_dates(s: Swap, models: ModelSet, dates, n_a: int,
                                l_max: int, t: float = 0.0) -> np.ndarray:
-    """analytic_positive_moments for every date in `dates`, one row each; the
-    swap weights and driver variances come from one closed-form call."""
+    """Closed-form E[y^l (V(u))+], l = 0..l_max, of a single swap at every
+    date u in `dates`: one row per date, zero past maturity.
+
+    Expands each discount-like factor to order n_a in the rate driver and
+    integrates against the normal density restricted to the positivity
+    region bounded by the swap's root. The swap weights and driver
+    variances come from one closed-form call.
+    """
     rp = models.rates[s.currency]
     if s.currency != models.domestic:
         raise ValueError("analytic moments require a domestic-currency swap")
@@ -364,35 +384,17 @@ def _analytic_moments_on_dates(s: Swap, models: ModelSet, dates, n_a: int,
     return out
 
 
-def analytic_positive_moments(s: Swap, models: ModelSet, u: float,
-                              n_a: int, l_max: int,
-                              t: float = 0.0) -> np.ndarray:
-    """Closed-form E[y^l (V(u))+] for l = 0..l_max, single swap.
-
-    Expands each discount-like factor to order n_a in the rate driver and
-    integrates against the normal density restricted to the positivity
-    region bounded by the swap's root.
-    """
-    return _analytic_moments_on_dates(s, models, [u], n_a, l_max, t)[0]
-
-
 def epe_wwr_approx_swap_analytic(s: Swap, models: ModelSet,
                                  coeffs: list[Optional[WwrCoeffs]],
                                  bm: BaseMoments, n_r: int,
                                  n_a: int) -> np.ndarray:
-    """WWR exposure with the moment sums evaluated in closed form."""
-    n = len(bm.dates)
-    out = np.zeros(n)
-    all_moms = _analytic_moments_on_dates(s, models, bm.dates[1:], n_a, n_r + 2)
-    for i in range(1, n):
-        c = coeffs[i]
-        moms = all_moms[i - 1]
-        s1 = float(np.dot(c.beta, moms[1:n_r + 2]))
-        s2 = float(np.dot(c.beta, moms[2:n_r + 3]))
-        out[i] = (c.H_rIC * (c.mu_S * c.alpha + c.lgd * c.gamma) * s1
-                  + c.lgd * c.H_rIC * c.nu * s2
-                  + c.lgd * c.H_IC * c.exp_YIyI * bm.disc_epe[i])
-    return out
+    """WWR exposure with the driver moments evaluated in closed form; of the
+    base moments only the discounted exposure is read."""
+    moms = np.zeros((len(bm.dates), n_r + 3))
+    moms[1:] = _analytic_moments_on_dates(s, models, bm.dates[1:], n_a, n_r + 2)
+    # built date-major so that each date's moments stay contiguous in the
+    # (order, date) view the assembly reads
+    return assemble_wwr(coeffs, moms.T, bm.disc_epe)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +427,12 @@ def psi_diagnostic(bm: BaseMoments, coeffs: list[Optional[WwrCoeffs]],
     net = np.zeros(n)
     for i in range(1, n):
         c = coeffs[i]
-        n_r = len(c.beta) - 1
-        psi[i] = float(np.dot(c.beta, bm.y_moments[m:n_r + m + 1, i]))
+        psi[i] = _beta_sum(c, bm.y_moments, i, m)
         net[i] = np.sign(c.mu_S * c.alpha + c.lgd * c.gamma)
     # verdicts from a representative interior date (mid-profile)
     mid = max(1, n // 3)
     c = coeffs[mid]
-    psi1 = float(np.dot(c.beta, bm.y_moments[1:len(c.beta) + 1, mid]))
+    psi1 = _beta_sum(c, bm.y_moments, mid, 1)
     gamma_term = c.lgd * c.gamma * psi1
     alpha_term = c.mu_S * c.alpha * psi1
     return PsiDiagnostic(

@@ -55,7 +55,6 @@ class RunSettings:
     n_r: int = 5
     n_a: int = 5
     benchmark: bool = False
-    out_dir: str = "."
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -282,12 +281,9 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
         wwr_mc, se_mc = epe_wwr_mc(cube_full, p, models, bm, coeffs, value_mat=vm)
         bench_seconds = cube_full.credit_seconds + (time.perf_counter() - t0)
 
+    dates = cube_base.dates
     if settings.method == "mc":
-        wwr = wwr_mc
-        profile = ExposureProfile(dates=cube_base.dates.copy(), epe_indep=indep,
-                                  epe_wwr=wwr, method="mc", se_wwr=se_mc,
-                                  se_indep=bm.disc_epe_se.copy())
-        wwr_seconds = bench_seconds
+        wwr, wwr_seconds = wwr_mc, bench_seconds
     else:
         t0 = time.perf_counter()
         if settings.method == "approx_generic":
@@ -296,9 +292,10 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
             wwr = epe_wwr_approx_swap_analytic(p.single_swap, models, coeffs, bm,
                                                settings.n_r, settings.n_a)
         wwr_seconds = moments_seconds + (time.perf_counter() - t0)
-        profile = ExposureProfile(dates=cube_base.dates.copy(), epe_indep=indep,
-                                  epe_wwr=wwr, method=settings.method,
-                                  se_indep=bm.disc_epe_se.copy())
+    profile = ExposureProfile(dates=dates.copy(), epe_indep=indep, epe_wwr=wwr,
+                              method=settings.method,
+                              se_wwr=se_mc if settings.method == "mc" else None,
+                              se_indep=bm.disc_epe_se.copy())
 
     fva_i, fva_w = integrate_profile(profile)
     report = FvaReport(
@@ -307,23 +304,22 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
         truncated_fraction=trunc_frac, settings=settings,
         config_echo=_settings_echo(settings))
 
-    if need_full and settings.method != "mc":
-        bench_profile = ExposureProfile(
-            dates=cube_base.dates.copy(), epe_indep=indep, epe_wwr=wwr_mc,
-            method="mc", se_wwr=se_mc)
-        fva_i_mc, fva_w_mc = integrate_profile(bench_profile)
-        fva_mc_total = fva_i_mc + fva_w_mc
-        report.benchmark_profile = bench_profile
-        report.fva_wwr_mc = fva_w_mc
-        dt = np.diff(bench_profile.dates)
-        report.fva_wwr_mc_se = float(np.sqrt(np.sum((dt * se_mc[1:]) ** 2)))
-        report.runtime_benchmark_wwr_seconds = bench_seconds
-        if fva_mc_total != 0.0:
+    if need_full:
+        # the one MC profile: the run's own under "mc", else a benchmark
+        # beside the approximation
+        if settings.method == "mc":
+            bench_profile = profile
+        else:
+            bench_profile = ExposureProfile(
+                dates=dates.copy(), epe_indep=indep, epe_wwr=wwr_mc,
+                method="mc", se_wwr=se_mc)
+            report.benchmark_profile = bench_profile
+            report.runtime_benchmark_wwr_seconds = bench_seconds
+        report.fva_wwr_mc = integrate_profile(bench_profile)[1]
+        report.fva_wwr_mc_se = float(np.sqrt(np.sum((np.diff(dates) * se_mc[1:]) ** 2)))
+        fva_mc_total = fva_i + report.fva_wwr_mc
+        if settings.method != "mc" and fva_mc_total != 0.0:
             report.wwr_rd_vs_mc = 100.0 * (report.fva_total - fva_mc_total) / fva_mc_total
-    elif settings.method == "mc":
-        report.fva_wwr_mc = fva_w
-        dt = np.diff(profile.dates)
-        report.fva_wwr_mc_se = float(np.sqrt(np.sum((dt * se_mc[1:]) ** 2)))
 
     return report
 

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .mc import CorrelationMatrix, ScenarioCube, fx_factor, rate_factor
-from .models import Hw1fParams, ModelSet, hw_terms, sigma_ratio
+from .models import Hw1fParams, ModelSet, fx_terms, hw_terms, sigma_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +300,31 @@ class FxForwardTerms:
     constant_indicator: Optional[int]  # set when |eta| is degenerate
 
 
+def _fx_forward_bonds(fwd: FxForward, models: ModelSet, t, u):
+    """Domestic and foreign rate terms over (t, u) and over (u, T) of one
+    forward: the bond exponents of both legs at the monitoring dates u."""
+    rp_d, rp_f = models.rates[models.domestic], models.rates[fwd.currency]
+    return (hw_terms(rp_d, t, u), hw_terms(rp_f, t, u),
+            hw_terms(rp_d, u, fwd.maturity), hw_terms(rp_f, u, fwd.maturity))
+
+
 def fx_forward_terms(fwd: FxForward, models: ModelSet, corr: CorrelationMatrix,
                      t: float, u: float) -> FxForwardTerms:
     if u > fwd.maturity:
         raise ValueError("monitoring date past forward maturity")
     dom = models.domestic
     f = fwd.currency
-    rp_d, rp_f = models.rates[dom], models.rates[f]
-    td_u = hw_terms(rp_d, t, u)
-    tf_u = hw_terms(rp_f, t, u)
-    td_T = hw_terms(rp_d, u, fwd.maturity)
-    tf_T = hw_terms(rp_f, u, fwd.maturity)
+    td_u, tf_u, td_T, tf_T = _fx_forward_bonds(fwd, models, t, u)
     fx = models.fx[f]
-    tau = u - t
-    mu_fx = (math.log(fx.spot) + td_u.M + td_u.int_b - tf_u.M - tf_u.int_b
-             - 0.5 * fx.sigma_fx ** 2 * tau)
+    rho_d_fx = corr.entry(rate_factor(dom), fx_factor(f))
+    rho_d_f = corr.entry(rate_factor(dom), rate_factor(f))
+    mu_fx = fx_terms(models.rates[dom], models.rates[f], fx, rho_d_f, rho_d_fx,
+                     corr.entry(rate_factor(f), fx_factor(f)), t, u).mu_fx
     w1 = math.exp(mu_fx + tf_T.A_bar - tf_u.mu * tf_T.B)
-    w2 = fwd.strike * math.exp(td_T.A_bar - td_u.mu * td_T.B)
-    delta = w1 / math.exp(td_T.A_bar - td_u.mu * td_T.B)
+    p_d = math.exp(td_T.A_bar - td_u.mu * td_T.B)
+    w2 = fwd.strike * p_d
+    delta = w1 / p_d
+    tau = u - t
 
     if tau <= 0.0:
         # degenerate at the valuation date: value sign is deterministic
@@ -326,8 +333,6 @@ def fx_forward_terms(fwd: FxForward, models: ModelSet, corr: CorrelationMatrix,
                               ystar=0.0, constant_indicator=int(log_m <= 0.0))
 
     sd_yd = math.sqrt(td_u.var_y)
-    rho_d_fx = corr.entry(rate_factor(dom), fx_factor(f))
-    rho_d_f = corr.entry(rate_factor(dom), rate_factor(f))
     sig_fx_noise = fx.sigma_fx * math.sqrt(tau) / sd_yd
     eta = (rho_d_fx * sig_fx_noise
            - rho_d_f * (sigma_ratio(tf_u.var_Y, td_u.var_y)
@@ -390,11 +395,7 @@ def _fx_forward_rows(fwd: FxForward, models: ModelSet, cube: ScenarioCube,
     dom = models.domestic
     f = fwd.currency
     live = cube.dates[idx] <= fwd.maturity
-    u = cube.dates[idx[live]]
-    td_u = hw_terms(models.rates[dom], 0.0, u)
-    tf_u = hw_terms(models.rates[f], 0.0, u)
-    td_T = hw_terms(models.rates[dom], u, fwd.maturity)
-    tf_T = hw_terms(models.rates[f], u, fwd.maturity)
+    td_u, tf_u, td_T, tf_T = _fx_forward_bonds(fwd, models, 0.0, cube.dates[idx[live]])
     j = 0
     for i, is_live in zip(idx, live):
         if not is_live:
@@ -416,21 +417,6 @@ def _value_rows(inst: Instrument, models: ModelSet, cube: ScenarioCube, idx):
     if isinstance(inst, FxForward):
         return _fx_forward_rows(inst, models, cube, idx)
     raise TypeError(f"unknown instrument {type(inst)!r}")
-
-
-def instrument_values_on_cube(inst: Instrument, models: ModelSet,
-                              cube: ScenarioCube, date_index: int) -> np.ndarray:
-    """Per-path value at one date, converted to the domestic currency."""
-    return next(_value_rows(inst, models, cube, [date_index]))
-
-
-def portfolio_values(p: Portfolio, models: ModelSet, cube: ScenarioCube,
-                     date_index: int) -> np.ndarray:
-    """Per-path portfolio value at one date, in domestic currency."""
-    total = np.zeros(cube.n_paths)
-    for inst in p.instruments:
-        total += instrument_values_on_cube(inst, models, cube, date_index)
-    return total
 
 
 def value_matrix(p: Portfolio, models: ModelSet, cube: ScenarioCube) -> np.ndarray:

@@ -180,13 +180,23 @@ def test_mc_wwr_zero_correlation_within_noise(setup41):
 
 def test_generic_and_analytic_methods_agree(small_run):
     inputs, models, corr, base, full, vm, bm, coeffs = small_run
-    gen = epe_wwr_approx_generic(coeffs, bm)
-    ana = epe_wwr_approx_swap_analytic(inputs.portfolio.single_swap, models,
-                                       coeffs, bm, 5, 5)
-    # same coefficients, moments by averaging vs closed form: few-percent
-    # statistical difference on 2e4 paths
-    denom = np.max(np.abs(gen))
-    assert np.max(np.abs(gen[1:] - ana[1:])) < 0.05 * denom
+    s = inputs.portfolio.single_swap
+    # a second grid running 2 years past maturity, where the swap is gone
+    late = simulate(models, corr, SimGrid.regular(4, s.maturity + 2.0, 2),
+                    20000, 1, "base")
+    late_bm = base_moments(late, inputs.portfolio, models, 5)
+    late_coeffs = coeffs_for_dates(models, corr, late.dates, 5)
+    for b, c in ((bm, coeffs), (late_bm, late_coeffs)):
+        gen = epe_wwr_approx_generic(c, b)
+        ana = epe_wwr_approx_swap_analytic(s, models, c, b, 5, 5)
+        # same coefficients, moments by averaging vs closed form: few-percent
+        # statistical difference on 2e4 paths
+        denom = np.max(np.abs(gen))
+        assert np.max(np.abs(gen[1:] - ana[1:])) < 0.05 * denom
+    after = late.dates > s.maturity
+    assert np.count_nonzero(after) == 8
+    assert np.all(gen[after] == 0.0)
+    assert np.all(ana[after] == 0.0)
 
 
 def test_wwr_requires_full_cube(small_run):

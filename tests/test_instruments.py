@@ -6,8 +6,8 @@ import pytest
 from wwrfva.fva import build_correlation_for, build_model_set
 from wwrfva.instruments import (FxForward, Portfolio, Swap, fx_forward_positive_indicator,
                                 fx_forward_terms, fx_forward_value_projected,
-                                load_portfolio, portfolio_values,
-                                positive_indicator, static_portfolio_value,
+                                load_portfolio, positive_indicator,
+                                static_portfolio_value,
                                 swap_value_y, swap_weights, value_matrix, ystar)
 from wwrfva.mc import SimGrid, simulate
 from wwrfva.models import hw_terms
@@ -198,7 +198,7 @@ def test_fx_forward_pathwise_value_on_cube(setup42):
     p = Portfolio(instruments=(fwd,))
     cube = simulate(models, corr, SimGrid.regular(4, 5.0, 2), 2000, 13, "base")
     i = 8  # u = 2.0
-    vals = portfolio_values(p, models, cube, i)
+    vals = value_matrix(p, models, cube)[i]
     u = float(cube.dates[i])
     x = np.exp(cube.ln_fx["USD"][i])
     usd = models.rates["USD"]
@@ -217,8 +217,6 @@ def test_portfolio_date0_matches_static_valuation(setup42):
     inputs, models, corr = setup42
     p = inputs.portfolio
     cube = simulate(models, corr, SimGrid.regular(1, 30.0, 1), 50, 3, "base")
-    v0 = portfolio_values(p, models, cube, 0)
     static = static_portfolio_value(p, models)
-    assert np.allclose(v0, static, rtol=1e-10)
     vm = value_matrix(p, models, cube)
     assert np.allclose(vm[0], static, rtol=1e-10)
