@@ -294,6 +294,25 @@ def _cir_int_b(p: CirppParams, t, u):
             - a_t + a_u - p.x0 * (b_u - b_t))
 
 
+# Below a*tau = 1 the closed forms of var_Y and exp_Yy cancel O(1) terms
+# (var_Y is O((a tau)^4) of them at small a*tau), so their Taylor series in
+# x = a*tau take over there; 24 terms reach double precision up to x = 1.
+# The coefficient of x^n in each bracket is c(n) / n!.
+_CIR_SERIES_X = 1.0
+
+
+def _cir_series(c, n0: int) -> np.ndarray:
+    return np.array([c(n) / math.factorial(n) for n in range(n0, n0 + 24)])
+
+
+# var_Y = sigma^2 tau^3 (x_t * P_x(x) + theta * P_th(x))
+_VAR_Y_X = _cir_series(lambda n: (-1) ** n * (2 * n - 2 ** n), 3)
+_VAR_Y_TH = _cir_series(lambda n: (-1) ** n * (2 + 2 ** (n - 1) - 2 * n), 3)
+# exp_Yy = sigma^2 tau^2 (x_t * Q_x(x) + theta * Q_th(x))
+_EXP_YY_X = _cir_series(lambda n: (-1) ** n * (2 ** n - n - 1), 2)
+_EXP_YY_TH = _cir_series(lambda n: (-1) ** n * (n - 2 ** (n - 1)), 2)
+
+
 def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
     """All closed-form quantities of the square-root credit factor over (t, u)."""
     t, u = _ordered(t, u)
@@ -303,17 +322,27 @@ def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
         raise ValueError("x_t must be nonnegative")
     tau = u - t
     a, th, sg = p.a, p.theta, p.sigma
-    e1 = np.exp(-a * tau)
-    e2 = np.exp(-2.0 * a * tau)
+    x = a * tau
+    e1 = np.exp(-x)
+    e2 = np.exp(-2.0 * x)
     B_lin = bfac(a, tau)
     mu = x_t * e1 + th * (1.0 - e1)
     M = x_t * B_lin + th * a * int_bfac(a, tau)
-    var_y = (sg * sg / a) * (1.0 - e1) * (mu - 0.5 * th * (1.0 - e1))
-    var_Y = ((sg * sg * x_t / a**3) * (1.0 - 2.0 * a * tau * e1 - e2)
-             + (sg * sg * th / a**3) * (a * tau - 3.0 * (1.0 - e1)
-                                        + 2.0 * a * tau * e1 + 0.5 * (1.0 - e1) ** 2))
-    exp_Yy = ((sg * sg * x_t / (a * a)) * e1 * (a * tau - 1.0 + e1)
-              + (sg * sg * th / (a * a)) * (0.5 * (1.0 - e2) - a * tau * e1))
+    om = -np.expm1(-x)  # 1 - e1 without cancellation
+    var_y = (sg * sg / a) * om * (mu - 0.5 * th * om)
+    var_Y = ((sg * sg * x_t / a**3) * (1.0 - 2.0 * x * e1 - e2)
+             + (sg * sg * th / a**3) * (x - 3.0 * (1.0 - e1)
+                                        + 2.0 * x * e1 + 0.5 * (1.0 - e1) ** 2))
+    exp_Yy = ((sg * sg * x_t / (a * a)) * e1 * (x - 1.0 + e1)
+              + (sg * sg * th / (a * a)) * (0.5 * (1.0 - e2) - x * e1))
+    small = x < _CIR_SERIES_X
+    if np.any(small):
+        poly = np.polynomial.polynomial.polyval
+        xs = np.where(small, x, 0.0)
+        var_Y = np.where(small, sg * sg * tau**3 * (
+            x_t * poly(xs, _VAR_Y_X) + th * poly(xs, _VAR_Y_TH)), var_Y)
+        exp_Yy = np.where(small, sg * sg * tau**2 * (
+            x_t * poly(xs, _EXP_YY_X) + th * poly(xs, _EXP_YY_TH)), exp_Yy)
     int_b = _cir_int_b(p, t, u)
     H = np.exp(-M - int_b)
     return _bundle(CirTerms, B=_cir_b(p, tau), A=_cir_a(p, tau), mu=mu, M=M,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -21,6 +22,12 @@ def hw(a=1e-5, sigma=0.00284, x0=0.0, curve=EUR, quanto=None):
 def cir_c():
     # counterparty-style square-root factor
     return CirppParams(x0=0.0063774, a=0.2, theta=0.035447, sigma=0.08,
+                       lgd=0.6, curve=FLAT)
+
+
+def cir_i():
+    # institution-style square-root factor (the funding spread)
+    return CirppParams(x0=0.0016939, a=0.05, theta=0.015390, sigma=0.02,
                        lgd=0.6, curve=FLAT)
 
 
@@ -141,6 +148,38 @@ def test_cir_moments_match_exact_transition_simulation():
     assert y.var() == pytest.approx(t.var_y, abs=3 * se(y * y))
     assert big_y.var() == pytest.approx(t.var_Y, abs=3 * se(big_y * big_y))
     assert (big_y * y).mean() == pytest.approx(t.exp_Yy, abs=3 * se(big_y * y))
+
+
+def _cir_driver_moments_50_digits(p, tau):
+    """var_y, var_Y and E[Y y] of the square-root factor over (0, tau),
+    from the closed forms evaluated at 50 significant digits."""
+    with mpmath.workdps(50):
+        x0, a, th, sg, tau = (mpmath.mpf(v) for v in
+                              (p.x0, p.a, p.theta, p.sigma, tau))
+        e1 = mpmath.exp(-a * tau)
+        e2 = mpmath.exp(-2 * a * tau)
+        mu = x0 * e1 + th * (1 - e1)
+        var_y = (sg ** 2 / a) * (1 - e1) * (mu - th * (1 - e1) / 2)
+        var_Y = ((sg ** 2 * x0 / a ** 3) * (1 - 2 * a * tau * e1 - e2)
+                 + (sg ** 2 * th / a ** 3) * (a * tau - 3 * (1 - e1)
+                                              + 2 * a * tau * e1 + (1 - e1) ** 2 / 2))
+        exp_Yy = ((sg ** 2 * x0 / a ** 2) * e1 * (a * tau - 1 + e1)
+                  + (sg ** 2 * th / a ** 2) * ((1 - e2) / 2 - a * tau * e1))
+        return float(var_y), float(var_Y), float(exp_Yy)
+
+
+@pytest.mark.parametrize("a_tau", [1e-4, 5e-3, 0.025, 0.125, 0.5, 2.0])
+@pytest.mark.parametrize("make", [cir_i, cir_c])
+def test_cir_driver_moments_accurate_for_small_a_tau(make, a_tau):
+    """The closed forms of var_Y and E[Y y] cancel O(1) terms as a*tau -> 0;
+    against a 50-digit evaluation they must stay at double precision."""
+    p = make()
+    tau = a_tau / p.a
+    t = cir_terms(p, 0.0, tau)
+    ref = _cir_driver_moments_50_digits(p, tau)
+    for name, got, want in zip(("var_y", "var_Y", "exp_Yy"),
+                               (t.var_y, t.var_Y, t.exp_Yy), ref):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), name
 
 
 # ---------------------------------------------------------------------------
