@@ -60,10 +60,6 @@ class BaseMoments:
     # exposure is shared with the coupling-free part of the computation
     y_moment_seconds: float = 0.0
 
-    @property
-    def l_max(self) -> int:
-        return self.y_moments.shape[0] - 1
-
 
 def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray,
                         n_batches: int = 50) -> BaseMoments:
@@ -324,8 +320,8 @@ def _beta_sum(c: WwrCoeffs, y_moments: np.ndarray, i: int, m: int) -> float:
     return float(np.dot(c.beta, y_moments[m:n_r + m + 1, i]))
 
 
-def assemble_wwr(coeffs: list[Optional[WwrCoeffs]], y_moments: np.ndarray,
-                 disc_epe: np.ndarray) -> np.ndarray:
+def _assemble_wwr(coeffs: list[Optional[WwrCoeffs]], y_moments: np.ndarray,
+                  disc_epe: np.ndarray) -> np.ndarray:
     """WWR exposure per date from the projection coefficients and the
     driver moments y_moments[l, i] = E[y^l (V(u_i))+], whatever produced
     them; date 0 is left at 0."""
@@ -348,7 +344,7 @@ def assemble_wwr(coeffs: list[Optional[WwrCoeffs]], y_moments: np.ndarray,
 def epe_wwr_approx_generic(coeffs: list[Optional[WwrCoeffs]],
                            bm: BaseMoments) -> np.ndarray:
     """WWR exposure from the projection coefficients and the base moments."""
-    return assemble_wwr(coeffs, bm.y_moments, bm.disc_epe)
+    return _assemble_wwr(coeffs, bm.y_moments, bm.disc_epe)
 
 
 def _analytic_moments_on_dates(s: Swap, models: ModelSet, dates, n_a: int,
@@ -392,9 +388,10 @@ def epe_wwr_approx_swap_analytic(s: Swap, models: ModelSet,
     base moments only the discounted exposure is read."""
     moms = np.zeros((len(bm.dates), n_r + 3))
     moms[1:] = _analytic_moments_on_dates(s, models, bm.dates[1:], n_a, n_r + 2)
-    # built date-major so that each date's moments stay contiguous in the
-    # (order, date) view the assembly reads
-    return assemble_wwr(coeffs, moms.T, bm.disc_epe)
+    # built date-major: each date's moments stay contiguous in the (order,
+    # date) view the assembly reads, and np.dot on a contiguous vector can
+    # round differently from the same values read with a stride
+    return _assemble_wwr(coeffs, moms.T, bm.disc_epe)
 
 
 # ---------------------------------------------------------------------------

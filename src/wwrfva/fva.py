@@ -249,7 +249,8 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
     grid = make_grid(inputs, settings)
     p = inputs.portfolio
 
-    need_full = settings.method == "mc" or settings.benchmark
+    is_mc = settings.method == "mc"
+    need_full = is_mc or settings.benchmark
     cube_base = simulate(models, corr, grid, settings.n_paths, settings.seed, "base")
     vm = value_matrix(p, models, cube_base)
 
@@ -266,7 +267,6 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
     else:
         bm = discounted_exposure(cube_base, vm)
     coeffs = coeffs_for_dates(models, corr, cube_base.dates, settings.n_r)
-    moments_seconds = bm.y_moment_seconds
 
     indep = epe_indep(bm, coeffs, models)
 
@@ -282,7 +282,7 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
         bench_seconds = cube_full.credit_seconds + (time.perf_counter() - t0)
 
     dates = cube_base.dates
-    if settings.method == "mc":
+    if is_mc:
         wwr, wwr_seconds = wwr_mc, bench_seconds
     else:
         t0 = time.perf_counter()
@@ -291,10 +291,9 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
         else:
             wwr = epe_wwr_approx_swap_analytic(p.single_swap, models, coeffs, bm,
                                                settings.n_r, settings.n_a)
-        wwr_seconds = moments_seconds + (time.perf_counter() - t0)
+        wwr_seconds = bm.y_moment_seconds + (time.perf_counter() - t0)
     profile = ExposureProfile(dates=dates.copy(), epe_indep=indep, epe_wwr=wwr,
-                              method=settings.method,
-                              se_wwr=se_mc if settings.method == "mc" else None,
+                              method=settings.method, se_wwr=se_mc if is_mc else None,
                               se_indep=bm.disc_epe_se.copy())
 
     fva_i, fva_w = integrate_profile(profile)
@@ -305,11 +304,9 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
         config_echo=_settings_echo(settings))
 
     if need_full:
-        # the one MC profile: the run's own under "mc", else a benchmark
-        # beside the approximation
-        if settings.method == "mc":
-            bench_profile = profile
-        else:
+        # the one MC profile: the run's own under "mc", else the benchmark's
+        bench_profile = profile
+        if not is_mc:
             bench_profile = ExposureProfile(
                 dates=dates.copy(), epe_indep=indep, epe_wwr=wwr_mc,
                 method="mc", se_wwr=se_mc)
@@ -318,7 +315,7 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
         report.fva_wwr_mc = integrate_profile(bench_profile)[1]
         report.fva_wwr_mc_se = float(np.sqrt(np.sum((np.diff(dates) * se_mc[1:]) ** 2)))
         fva_mc_total = fva_i + report.fva_wwr_mc
-        if settings.method != "mc" and fva_mc_total != 0.0:
+        if not is_mc and fva_mc_total != 0.0:
             report.wwr_rd_vs_mc = 100.0 * (report.fva_total - fva_mc_total) / fva_mc_total
 
     return report

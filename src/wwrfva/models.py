@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .curves import Curve
 
@@ -295,20 +296,16 @@ def _cir_int_b(p: CirppParams, t, u):
 
 
 # Below a*tau = 1 the closed forms of var_Y and exp_Yy cancel O(1) terms
-# (var_Y is O((a tau)^4) of them at small a*tau), so their Taylor series in
-# x = a*tau take over there; 24 terms reach double precision up to x = 1.
-# The coefficient of x^n in each bracket is c(n) / n!.
-_CIR_SERIES_X = 1.0
-
-
+# (var_Y is O((a tau)^4) of them), so cir_terms sums their Taylor series in
+# x = a*tau there: 24 terms c(n) x^n / n! reach double precision up to x = 1.
 def _cir_series(c, n0: int) -> np.ndarray:
     return np.array([c(n) / math.factorial(n) for n in range(n0, n0 + 24)])
 
 
-# var_Y = sigma^2 tau^3 (x_t * P_x(x) + theta * P_th(x))
+# var_Y = sigma^2 tau^3 (x_t P_x(x) + theta P_th(x)),
+# exp_Yy = sigma^2 tau^2 (x_t Q_x(x) + theta Q_th(x))
 _VAR_Y_X = _cir_series(lambda n: (-1) ** n * (2 * n - 2 ** n), 3)
 _VAR_Y_TH = _cir_series(lambda n: (-1) ** n * (2 + 2 ** (n - 1) - 2 * n), 3)
-# exp_Yy = sigma^2 tau^2 (x_t * Q_x(x) + theta * Q_th(x))
 _EXP_YY_X = _cir_series(lambda n: (-1) ** n * (2 ** n - n - 1), 2)
 _EXP_YY_TH = _cir_series(lambda n: (-1) ** n * (n - 2 ** (n - 1)), 2)
 
@@ -335,14 +332,11 @@ def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
                                         + 2.0 * x * e1 + 0.5 * (1.0 - e1) ** 2))
     exp_Yy = ((sg * sg * x_t / (a * a)) * e1 * (x - 1.0 + e1)
               + (sg * sg * th / (a * a)) * (0.5 * (1.0 - e2) - x * e1))
-    small = x < _CIR_SERIES_X
-    if np.any(small):
-        poly = np.polynomial.polynomial.polyval
-        xs = np.where(small, x, 0.0)
-        var_Y = np.where(small, sg * sg * tau**3 * (
-            x_t * poly(xs, _VAR_Y_X) + th * poly(xs, _VAR_Y_TH)), var_Y)
-        exp_Yy = np.where(small, sg * sg * tau**2 * (
-            x_t * poly(xs, _EXP_YY_X) + th * poly(xs, _EXP_YY_TH)), exp_Yy)
+    small = x < 1.0
+    var_Y = np.where(small, sg * sg * tau**3 * (
+        x_t * polyval(x, _VAR_Y_X) + th * polyval(x, _VAR_Y_TH)), var_Y)
+    exp_Yy = np.where(small, sg * sg * tau**2 * (
+        x_t * polyval(x, _EXP_YY_X) + th * polyval(x, _EXP_YY_TH)), exp_Yy)
     int_b = _cir_int_b(p, t, u)
     H = np.exp(-M - int_b)
     return _bundle(CirTerms, B=_cir_b(p, tau), A=_cir_a(p, tau), mu=mu, M=M,
