@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .curves import Curve
 
@@ -302,12 +301,14 @@ def _cir_series(c, n0: int) -> np.ndarray:
     return np.array([c(n) / math.factorial(n) for n in range(n0, n0 + 24)])
 
 
-# var_Y = sigma^2 tau^3 (x_t P_x(x) + theta P_th(x)),
-# exp_Yy = sigma^2 tau^2 (x_t Q_x(x) + theta Q_th(x))
-_VAR_Y_X = _cir_series(lambda n: (-1) ** n * (2 * n - 2 ** n), 3)
-_VAR_Y_TH = _cir_series(lambda n: (-1) ** n * (2 + 2 ** (n - 1) - 2 * n), 3)
-_EXP_YY_X = _cir_series(lambda n: (-1) ** n * (2 ** n - n - 1), 2)
-_EXP_YY_TH = _cir_series(lambda n: (-1) ** n * (n - 2 ** (n - 1)), 2)
+# With S = sum_k x^k _CIR_SERIES[k]:
+#   var_Y = sigma^2 tau^3 (x_t S[0] + theta S[1]),
+#   exp_Yy = sigma^2 tau^2 (x_t S[2] + theta S[3]).
+_CIR_SERIES = np.column_stack([
+    _cir_series(lambda n: (-1) ** n * (2 * n - 2 ** n), 3),
+    _cir_series(lambda n: (-1) ** n * (2 + 2 ** (n - 1) - 2 * n), 3),
+    _cir_series(lambda n: (-1) ** n * (2 ** n - n - 1), 2),
+    _cir_series(lambda n: (-1) ** n * (n - 2 ** (n - 1)), 2)])
 
 
 def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
@@ -333,10 +334,9 @@ def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
     exp_Yy = ((sg * sg * x_t / (a * a)) * e1 * (x - 1.0 + e1)
               + (sg * sg * th / (a * a)) * (0.5 * (1.0 - e2) - x * e1))
     small = x < 1.0
-    var_Y = np.where(small, sg * sg * tau**3 * (
-        x_t * polyval(x, _VAR_Y_X) + th * polyval(x, _VAR_Y_TH)), var_Y)
-    exp_Yy = np.where(small, sg * sg * tau**2 * (
-        x_t * polyval(x, _EXP_YY_X) + th * polyval(x, _EXP_YY_TH)), exp_Yy)
+    S = np.asarray(x)[..., None] ** np.arange(24) @ _CIR_SERIES
+    var_Y = np.where(small, sg * sg * tau**3 * (x_t * S[..., 0] + th * S[..., 1]), var_Y)
+    exp_Yy = np.where(small, sg * sg * tau**2 * (x_t * S[..., 2] + th * S[..., 3]), exp_Yy)
     int_b = _cir_int_b(p, t, u)
     H = np.exp(-M - int_b)
     return _bundle(CirTerms, B=_cir_b(p, tau), A=_cir_a(p, tau), mu=mu, M=M,
