@@ -334,7 +334,7 @@ def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
     exp_Yy = ((sg * sg * x_t / (a * a)) * e1 * (x - 1.0 + e1)
               + (sg * sg * th / (a * a)) * (0.5 * (1.0 - e2) - x * e1))
     small = x < 1.0
-    S = np.asarray(x)[..., None] ** np.arange(24) @ _CIR_SERIES
+    S = np.asarray(x)[..., None] ** np.arange(len(_CIR_SERIES)) @ _CIR_SERIES
     var_Y = np.where(small, sg * sg * tau**3 * (x_t * S[..., 0] + th * S[..., 1]), var_Y)
     exp_Yy = np.where(small, sg * sg * tau**2 * (x_t * S[..., 2] + th * S[..., 3]), exp_Yy)
     int_b = _cir_int_b(p, t, u)
