@@ -23,16 +23,22 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from .exposure import WwrCoeffs, normal_moments
-from .instruments import Swap, swap_weights
+from .instruments import Swap, SwapWeights, swap_weights, swap_weights_on_dates
 from .mc import ScenarioCube
 from .models import ModelSet, cir_terms, hw_terms
 
 # Tail probability defining the clipped domain on which the exponential
 # envelope of the Taylor tail is evaluated; the clipped mass is reported.
 TAIL_CLIP = 1e-4
+# The standard normal quantile leaving TAIL_CLIP in the two tails together.
+_Z_CLIP = float(ndtri(1.0 - 0.5 * TAIL_CLIP))
+
+# Dates per slab in credit_moment_table: 8 dates of 20k paths keep each
+# temporary at 1.3 MB.
+_DATE_BLOCK = 8
 
 FAMILIES = ("eps1", "eps2", "eps3")
 X_CHOICES = ("1", "y_I")
@@ -50,8 +56,11 @@ def swap_cv_bound(s: Swap, models: ModelSet, t: float, u: float) -> float:
     the zero-mean rate driver.
     """
     rp = models.rates[s.currency]
-    sw = swap_weights(s, rp, t, u)
-    var = hw_terms(rp, t, u).var_y
+    return _cv_bound(s, swap_weights(s, rp, t, u), hw_terms(rp, t, u).var_y)
+
+
+def _cv_bound(s: Swap, sw: SwapWeights, var: float) -> float:
+    """swap_cv_bound from the date's swap weights and rate-driver variance."""
     n_live = len(sw.wbar)
     const = sw.const
     sq = (const * const
@@ -101,29 +110,33 @@ def credit_moment_table(cube: ScenarioCube, max_order: int = 16) -> CreditMoment
         y_I=np.zeros((9, n)), S=np.zeros((k, n)), q_abs_s=np.zeros(n))
     tab.S2_x = {"1": np.zeros(n), "y_I": np.zeros(n)}
     tab.S4_x = {"1": np.zeros(n), "y_I": np.zeros(n)}
-    for i in range(n):
-        yi, YI, YC = cube.y_I[i], cube.Y_I[i], cube.Y_C[i]
+    for lo in range(0, n, _DATE_BLOCK):
+        d = slice(lo, lo + _DATE_BLOCK)
+        yi, YI, YC = cube.y_I[d], cube.Y_I[d], cube.Y_C[d]
         s = YI + YC
         pI = np.ones_like(YI)
         pC = np.ones_like(YC)
         pS = np.ones_like(s)
+        py = np.ones_like(yi)
         for j in range(k):
-            tab.Y_I[j, i] = pI.mean()
-            tab.Y_C[j, i] = pC.mean()
-            tab.S[j, i] = pS.mean()
-            tab.YI_yI[j, i] = (pI * yi).mean()
+            tab.Y_I[j, d] = pI.mean(axis=1)
+            tab.Y_C[j, d] = pC.mean(axis=1)
+            tab.S[j, d] = pS.mean(axis=1)
+            tab.YI_yI[j, d] = (pI * yi).mean(axis=1)
             if j <= 8:
-                tab.y_I[j, i] = (yi ** j).mean() if j else 1.0
+                tab.y_I[j, d] = py.mean(axis=1)
+                py = py * yi
             pI = pI * YI
             pC = pC * YC
             pS = pS * s
         s2 = s * s
         yi2 = yi * yi
-        tab.S2_x["1"][i] = s2.mean()
-        tab.S4_x["1"][i] = (s2 * s2).mean()
-        tab.S2_x["y_I"][i] = (yi2 * s2).mean()
-        tab.S4_x["y_I"][i] = (yi2 * yi2 * s2 * s2).mean()
-        tab.q_abs_s[i] = np.quantile(np.abs(s), 1.0 - TAIL_CLIP) if i else 0.0
+        tab.S2_x["1"][d] = s2.mean(axis=1)
+        tab.S4_x["1"][d] = (s2 * s2).mean(axis=1)
+        tab.S2_x["y_I"][d] = (yi2 * s2).mean(axis=1)
+        tab.S4_x["y_I"][d] = (yi2 * yi2 * s2 * s2).mean(axis=1)
+        tab.q_abs_s[d] = np.quantile(np.abs(s), 1.0 - TAIL_CLIP, axis=1)
+    tab.q_abs_s[0] = 0.0
     return tab
 
 
@@ -170,9 +183,12 @@ def c3_const(x: str, var_Yr: float, tab: CreditMomentTable, i: int) -> float:
 def c4_const(x: str, tab: CreditMomentTable, i: int, start: int = 2,
              rel_tol: float = 1e-12, max_terms: int = 50) -> float:
     """Alternating tail series of the survival expansion beyond `start`-1."""
+    last = min(tab.max_order, max_terms)
+    if start > last:
+        raise ValueError(f"credit moments available up to order {last}")
     total = 0.0
     scale = 0.0
-    for m in range(start, min(tab.max_order, max_terms) + 1):
+    for m in range(start, last + 1):
         term = ((-1.0) ** m / math.factorial(m)) * c2_const(m, x, tab, i)
         total += term
         scale = max(scale, abs(term))
@@ -224,13 +240,19 @@ def truncation_bound(n: int, i: int, models: ModelSet, c_v: float,
     eps1 the survival expansion (credit driver sum, empirical moments),
     eps2/eps3 the discounting expansion (rate driver, normal moments).
     """
+    var_Yr, h_ric, *_ = _date_terms(models, float(tab.dates[i]))
+    return _truncation_bound(n, i, c_v, family, x, tab, var_Yr, h_ric)
+
+
+def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
+                      tab: CreditMomentTable, var_Yr: float, h_ric: float) -> float:
+    """truncation_bound from the date's Var Y_r and H_r H_I H_C."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if x not in X_CHOICES:
         raise ValueError(f"x must be one of {X_CHOICES}")
     if n < 0 or i < 1:
         raise ValueError("need n >= 0 and an interior date")
-    var_Yr, h_ric, _ = _discount_terms(models, float(tab.dates[i]))
 
     if family == "eps1":
         # credit-sum tail against xbar = e^{-Y_r} x
@@ -262,21 +284,20 @@ def truncation_bound(n: int, i: int, models: ModelSet, c_v: float,
         cross = (math.sqrt(max(ey4 - ey2 * ey2, 0.0))
                  * math.sqrt(max(ex4 - ex2 * ex2, 0.0))
                  + ey2 * ex2)
-        q = stats.norm.ppf(1.0 - 0.5 * TAIL_CLIP) * math.sqrt(var_Yr)
-        c_t = tail_envelope_constant(q)
+        c_t = tail_envelope_constant(_Z_CLIP * math.sqrt(var_Yr))
 
-    return (h_ric * math.sqrt(max(c_v, 0.0)) * c_t
-            / math.factorial(n + 1) * math.sqrt(max(cross, 0.0)))
+    return float(h_ric * math.sqrt(max(c_v, 0.0)) * c_t
+                 / math.factorial(n + 1) * math.sqrt(max(cross, 0.0)))
 
 
-def _discount_terms(models: ModelSet, u: float) -> tuple[float, float, float]:
-    """(Var Y_r, H_r H_I H_C, H_I H_C) at u: the integrated rate variance and
-    the deterministic discount-survival factors, from one rate and two
-    credit closed forms."""
+def _date_terms(models: ModelSet, u) -> tuple:
+    """(Var Y_r, H_r H_I H_C, H_I H_C, Var Y_I, Var Y_C) at the date(s) u,
+    from one rate and two credit closed-form calls: floats for a scalar u,
+    arrays over the dates otherwise."""
     rt = hw_terms(models.rates[models.domestic], 0.0, u)
-    h_i = cir_terms(models.credit["I"], 0.0, u).H
-    h_c = cir_terms(models.credit["C"], 0.0, u).H
-    return rt.var_Y, rt.H * h_i * h_c, h_i * h_c
+    ci = cir_terms(models.credit["I"], 0.0, u)
+    cc = cir_terms(models.credit["C"], 0.0, u)
+    return rt.var_Y, rt.H * ci.H * cc.H, ci.H * cc.H, ci.var_Y, cc.var_Y
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +323,30 @@ def measured_errors(cube: ScenarioCube, models: ModelSet, value_mat: np.ndarray,
     """
     if cube.mode != "full" or cube.y_I is None:
         raise ValueError("measured errors need a full-mode cube")
-    _, h_ric, h_ic = _discount_terms(models, float(cube.dates[i]))
+    _, h_ric, h_ic, *_ = _date_terms(models, float(cube.dates[i]))
+    return _measured_errors(cube, value_mat, i, n_r, (x,), h_ric, h_ic)[x]
+
+
+def _measured_errors(cube: ScenarioCube, value_mat: np.ndarray, i: int,
+                     n_r: int, xs: tuple[str, ...], h_ric: float,
+                     h_ic: float) -> dict[str, dict[str, float]]:
+    """measured_errors for each x in xs, sharing the exposure, the pathwise
+    discount and both tail series; any x but "y_I" weighs by one."""
     pos = np.maximum(value_mat[i], 0.0)
     h = cube.pathwise_discount(i) * pos
+    h_mean = h.mean()
     s = cube.Y_I[i] + cube.Y_C[i]
-    xv = cube.y_I[i] if x == "y_I" else 1.0
-    t2 = _tail_terms(s, 2) * xv
-    e1 = h_ic * (np.mean(h * t2) - h.mean() * np.mean(t2))
-    yr = cube.Y_r[cube.domestic][i]
-    tr = _tail_terms(yr, n_r + 1)
-    e2 = h_ric * np.mean(tr * xv * (-s) * pos)
-    e3 = h_ric * np.mean(tr * xv * pos)
-    return {"eps1": float(e1), "eps2": float(e2), "eps3": float(e3)}
+    tail_s = _tail_terms(s, 2)
+    tail_r = _tail_terms(cube.Y_r[cube.domestic][i], n_r + 1)
+    out = {}
+    for x in xs:
+        t2, tr = ((tail_s * cube.y_I[i], tail_r * cube.y_I[i]) if x == "y_I"
+                  else (tail_s, tail_r))
+        e1 = h_ic * (np.mean(h * t2) - h_mean * np.mean(t2))
+        e2 = h_ric * np.mean(tr * (-s) * pos)
+        e3 = h_ric * np.mean(tr * pos)
+        out[x] = {"eps1": float(e1), "eps2": float(e2), "eps3": float(e3)}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +371,24 @@ def gaussian_distance(cube: ScenarioCube, factor: str, i: int,
     else:
         raise ValueError("factor must be Y_I or Y_C")
     var = cir_terms(models.credit[ent], 0.0, float(cube.dates[i])).var_Y
-    sd = math.sqrt(var)
-    res = stats.cramervonmises(sample, "norm", args=(0.0, sd))
+    return _normal_distance(sample, math.sqrt(var), _plotting_positions(len(sample)))
+
+
+def _plotting_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k - 1/2)/n for k = 1..n and the standard normal quantiles there."""
+    p = (np.arange(n) + 0.5) / n
+    return p, ndtri(p)
+
+
+def _normal_distance(sample: np.ndarray, sd: float,
+                     positions: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """gaussian_distance of a sample against N(0, sd^2), given the sample
+    size's plotting positions. The statistic is scipy's cramervonmises
+    statistic, without its p-value."""
+    p, z = positions
     srt = np.sort(sample)
-    grid = stats.norm.ppf((np.arange(len(srt)) + 0.5) / len(srt), scale=sd)
-    w1 = float(np.mean(np.abs(srt - grid)))
-    return float(res.statistic), w1
+    cvm = 1.0 / (12.0 * len(srt)) + np.sum((p - ndtr(srt / sd)) ** 2)
+    return float(cvm), float(np.mean(np.abs(srt - z * sd)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,34 +415,47 @@ def bound_report(s: Swap, models: ModelSet, cube_full: ScenarioCube,
     plus the normality distances of both credit drivers."""
     if tab is None:
         tab = credit_moment_table(cube_full)
+    if cube_full.mode != "full" or cube_full.y_I is None:
+        raise ValueError("the bound report needs a full-mode cube")
+    if cube_full.n_paths < 1000:
+        raise ValueError("too few paths for a stable distance estimate")
     if date_indices is None:
         date_indices = list(range(1, len(cube_full.dates)))
+    if any(i < 1 for i in date_indices):
+        raise ValueError("date 0 is degenerate")
+    # every closed form once over the selected dates
+    dates = cube_full.dates[list(date_indices)]
+    rp = models.rates[s.currency]
+    sws = swap_weights_on_dates(s, rp, 0.0, dates)
+    var_y = hw_terms(rp, 0.0, dates).var_y
+    var_Yr, h_ric, h_ic, var_YI, var_YC = _date_terms(models, dates)
+    positions = _plotting_positions(cube_full.n_paths)
     rows: list[BoundRow] = []
-    for i in date_indices:
-        u = float(cube_full.dates[i])
-        c_v = swap_cv_bound(s, models, 0.0, u)
-        meas_1 = measured_errors(cube_full, models, value_mat, i, n_r, "1")
-        meas_y = measured_errors(cube_full, models, value_mat, i, n_r, "y_I")
-        for x, meas in (("1", meas_1), ("y_I", meas_y)):
+    for k, i in enumerate(date_indices):
+        u = float(dates[k])
+        c_v = _cv_bound(s, sws[k], var_y[k])
+        meas = _measured_errors(cube_full, value_mat, i, n_r, X_CHOICES,
+                                h_ric[k], h_ic[k])
+        for x in X_CHOICES:
             for fam in FAMILIES:
                 if fam == "eps3" and x == "1":
                     continue
                 n_eff = 1 if fam == "eps1" else n_r
                 rows.append(BoundRow(
                     date=u, family=fam, x=x, n=n_eff,
-                    bound=truncation_bound(n_eff, i, models, c_v, fam, x, tab),
-                    measured=meas[fam]))
+                    bound=_truncation_bound(n_eff, i, c_v, fam, x, tab,
+                                            var_Yr[k], h_ric[k]),
+                    measured=meas[x][fam]))
         for fam_extra in orders:
             rows.append(BoundRow(
                 date=u, family="eps3", x="y_I", n=fam_extra,
-                bound=truncation_bound(fam_extra, i, models, c_v, "eps3",
-                                       "y_I", tab)))
-        cvm_i, w_i = gaussian_distance(cube_full, "Y_I", i, models)
-        cvm_c, w_c = gaussian_distance(cube_full, "Y_C", i, models)
-        rows.append(BoundRow(date=u, family="dist_Y_I", x="", n=0, bound=0.0,
-                             cvm=cvm_i, wasserstein=w_i))
-        rows.append(BoundRow(date=u, family="dist_Y_C", x="", n=0, bound=0.0,
-                             cvm=cvm_c, wasserstein=w_c))
+                bound=_truncation_bound(fam_extra, i, c_v, "eps3", "y_I", tab,
+                                        var_Yr[k], h_ric[k])))
+        for factor, var in (("Y_I", var_YI[k]), ("Y_C", var_YC[k])):
+            cvm, w1 = _normal_distance(getattr(cube_full, factor)[i],
+                                       math.sqrt(var), positions)
+            rows.append(BoundRow(date=u, family=f"dist_{factor}", x="", n=0,
+                                 bound=0.0, cvm=cvm, wasserstein=w1))
     return rows
 
 

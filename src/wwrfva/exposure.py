@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import factorial
-from scipy.stats import norm
+from scipy.special import factorial, log_ndtr, ndtr
 
 from .instruments import Portfolio, Swap, swap_weights_on_dates, ystar as swap_ystar
 from .mc import CorrelationMatrix, ScenarioCube, credit_factor, rate_factor
@@ -258,6 +257,9 @@ def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
 # ---------------------------------------------------------------------------
 # normal / truncated-normal moments
 
+_LOG_SQRT_2PI = math.log(math.sqrt(2.0 * math.pi))  # log-density offset of N(0, 1)
+
+
 def normal_moments(variance: float, l_max: int) -> np.ndarray:
     """Central moments of N(0, variance): (l-1)!! Var^{l/2} for even l, 0 odd."""
     if variance < 0.0:
@@ -298,8 +300,9 @@ def truncated_normal_moments(variance: float, ystar_value: float,
         zeros = np.zeros(l_max + 1)
         return TruncatedMoments(m_check=zeros, big_f=0.0, partial=zeros.copy(),
                                 underflow=True)
-    big_f = float(norm.cdf(z))
-    mills = float(np.exp(norm.logpdf(z) - norm.logcdf(z)))  # f(z)/F(z), stable
+    big_f = float(ndtr(z))
+    log_pdf = -(z * z) / 2.0 - _LOG_SQRT_2PI
+    mills = float(np.exp(log_pdf - log_ndtr(z)))  # f(z)/F(z), stable
     m_check = np.zeros(l_max + 1)
     m_check[0] = 1.0
     prev2, prev1 = 0.0, 1.0  # m_check[-1], m_check[0]

@@ -55,14 +55,21 @@ def int_bfac(a: float, tau):
     return _out(np.where(small, series, direct))
 
 
-def _phi(x):
-    """x - 2(1 - e^-x) + (1 - e^-2x)/2, the kernel of the integrated OU variance."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 0.01
-    direct = x + 2.0 * np.expm1(-x) - 0.5 * np.expm1(-2.0 * x)
-    series = (x**3 / 3.0 - x**4 / 4.0 + 7.0 * x**5 / 60.0 - x**6 / 24.0
-              + 31.0 * x**7 / 2520.0 - x**8 / 320.0)
-    return _out(np.where(small, series, direct))
+def _series(c, n0: int) -> np.ndarray:
+    """The 24 Taylor coefficients c(n)/n!, n = n0, ..., n0 + 23: enough for
+    double precision up to |x| = 1 in the series below."""
+    return np.array([c(n) / math.factorial(n) for n in range(n0, n0 + 24)])
+
+
+# phi(x)/x^3 with phi(x) = x - 2(1 - e^-x) + (1 - e^-2x)/2, the kernel of the
+# integrated OU variance: its closed form cancels O(x) terms down to O(x^3),
+# so hw_a sums this series for |x| < 1.
+_PHI_SERIES = _series(lambda n: (-1) ** n * (2 - 2 ** (n - 1)), 3)
+
+
+def _power_series(x, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k per element of x, as one matrix product."""
+    return np.asarray(x)[..., None] ** np.arange(len(coeffs)) @ coeffs
 
 
 def hw_a(a: float, sigma: float, tau):
@@ -77,8 +84,10 @@ def hw_a(a: float, sigma: float, tau):
     if np.all(small):
         return _out(series)
     a_safe = a if a != 0.0 else 1.0
-    direct = 0.5 * sigma * sigma * _phi(x) / a_safe**3
-    return _out(np.where(small, series, direct))
+    mid = 0.5 * sigma * sigma * tau**3 * _power_series(x, _PHI_SERIES)
+    direct = (0.5 * sigma * sigma * (x + 2.0 * np.expm1(-x) - 0.5 * np.expm1(-2.0 * x))
+              / a_safe**3)
+    return _out(np.where(small, series, np.where(np.abs(x) < 1.0, mid, direct)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +305,14 @@ def _cir_int_b(p: CirppParams, t, u):
 
 # Below a*tau = 1 the closed forms of var_Y and exp_Yy cancel O(1) terms
 # (var_Y is O((a tau)^4) of them), so cir_terms sums their Taylor series in
-# x = a*tau there: 24 terms c(n) x^n / n! reach double precision up to x = 1.
-def _cir_series(c, n0: int) -> np.ndarray:
-    return np.array([c(n) / math.factorial(n) for n in range(n0, n0 + 24)])
-
-
-# With S = sum_k x^k _CIR_SERIES[k]:
+# x = a*tau there. With S = sum_k x^k _CIR_SERIES[k]:
 #   var_Y = sigma^2 tau^3 (x_t S[0] + theta S[1]),
 #   exp_Yy = sigma^2 tau^2 (x_t S[2] + theta S[3]).
 _CIR_SERIES = np.column_stack([
-    _cir_series(lambda n: (-1) ** n * (2 * n - 2 ** n), 3),
-    _cir_series(lambda n: (-1) ** n * (2 + 2 ** (n - 1) - 2 * n), 3),
-    _cir_series(lambda n: (-1) ** n * (2 ** n - n - 1), 2),
-    _cir_series(lambda n: (-1) ** n * (n - 2 ** (n - 1)), 2)])
+    _series(lambda n: (-1) ** n * (2 * n - 2 ** n), 3),
+    _series(lambda n: (-1) ** n * (2 + 2 ** (n - 1) - 2 * n), 3),
+    _series(lambda n: (-1) ** n * (2 ** n - n - 1), 2),
+    _series(lambda n: (-1) ** n * (n - 2 ** (n - 1)), 2)])
 
 
 def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
@@ -334,7 +338,7 @@ def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
     exp_Yy = ((sg * sg * x_t / (a * a)) * e1 * (x - 1.0 + e1)
               + (sg * sg * th / (a * a)) * (0.5 * (1.0 - e2) - x * e1))
     small = x < 1.0
-    S = np.asarray(x)[..., None] ** np.arange(len(_CIR_SERIES)) @ _CIR_SERIES
+    S = _power_series(x, _CIR_SERIES)
     var_Y = np.where(small, sg * sg * tau**3 * (x_t * S[..., 0] + th * S[..., 1]), var_Y)
     exp_Yy = np.where(small, sg * sg * tau**2 * (x_t * S[..., 2] + th * S[..., 3]), exp_Yy)
     int_b = _cir_int_b(p, t, u)

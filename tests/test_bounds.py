@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wwrfva.bounds import (bound_report, c1_const, c2_const, c4_const,
-                           credit_moment_table, explicit_e1_bound,
+from wwrfva.bounds import (TAIL_CLIP, X_CHOICES, bound_report, c1_const,
+                           c2_const, c4_const, credit_moment_table, explicit_e1_bound,
                            gaussian_distance, measured_errors, swap_cv_bound,
                            tail_envelope_constant, truncation_bound,
                            write_bounds_csv)
@@ -125,6 +125,36 @@ def test_c4_series_converges_small(rig):
     lead = 0.5 * c2_const(2, "1", tab, i)
     assert v == pytest.approx(lead, rel=0.05)
     assert abs(c4_const("y_I", tab, i)) < abs(v)
+
+
+def test_c4_rejects_an_empty_order_range(rig):
+    inputs, models, corr, full, vm, tab, coeffs, bm = rig
+    with pytest.raises(ValueError):
+        c4_const("1", tab, 30, start=tab.max_order + 1)
+    with pytest.raises(ValueError):
+        c4_const("y_I", tab, 30, start=5, max_terms=4)
+
+
+def test_moment_table_matches_per_date_means(rig):
+    """The date-blocked table against plain per-date means of powers."""
+    inputs, models, corr, full, vm, tab, coeffs, bm = rig
+    last = len(full.dates) - 1
+    for i in [*range(1, last, 7), last]:  # a date in every block of the table
+        yi, YI, YC = full.y_I[i], full.Y_I[i], full.Y_C[i]
+        s = YI + YC
+        for got, want in (
+                (tab.Y_I[:, i], [np.mean(YI ** j) for j in range(tab.max_order + 1)]),
+                (tab.Y_C[:, i], [np.mean(YC ** j) for j in range(tab.max_order + 1)]),
+                (tab.S[:, i], [np.mean(s ** j) for j in range(tab.max_order + 1)]),
+                (tab.YI_yI[:, i], [np.mean(YI ** j * yi) for j in range(tab.max_order + 1)]),
+                (tab.y_I[:, i], [np.mean(yi ** j) for j in range(9)]),
+                ([tab.S2_x[x][i] for x in X_CHOICES],
+                 [np.mean(s ** 2), np.mean(yi ** 2 * s ** 2)]),
+                ([tab.S4_x[x][i] for x in X_CHOICES],
+                 [np.mean(s ** 4), np.mean(yi ** 4 * s ** 4)])):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=str(i))
+        assert tab.q_abs_s[i] == np.quantile(np.abs(s), 1.0 - TAIL_CLIP)
+    assert tab.q_abs_s[0] == 0.0
 
 
 def test_tail_envelope():
@@ -257,3 +287,42 @@ def test_bound_report_and_csv(tmp_path, rig):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "date,family,x,n,bound,measured_error,cvm,wasserstein"
     assert len(lines) == 1 + len(rows)
+
+
+def test_bound_report_rows_equal_the_row_functions(rig):
+    """Each report row is the value its public row function returns."""
+    inputs, models, corr, full, vm, tab, coeffs, bm = rig
+    s = inputs.portfolio.single_swap
+    n_r = 5
+    last = len(full.dates) - 1
+    rows = bound_report(s, models, full, vm, n_r, date_indices=[1, 10, 50, last],
+                        orders=(1, 2, 3), tab=tab)
+    index = {float(full.dates[i]): i for i in (1, 10, 50, last)}
+    assert sorted({r.date for r in rows}) == sorted(index)
+    assert len(rows) == 4 * (5 + 3 + 2)
+
+    def close(got, want):
+        return got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    for r in rows:
+        i = index[r.date]
+        if r.family.startswith("dist_"):
+            cvm, w1 = gaussian_distance(full, r.family[5:], i, models)
+            assert close(r.cvm, cvm) and close(r.wasserstein, w1), (i, r.family)
+            continue
+        c_v = swap_cv_bound(s, models, 0.0, r.date)
+        assert close(r.bound, truncation_bound(r.n, i, models, c_v, r.family,
+                                               r.x, tab)), (i, r.family, r.x, r.n)
+        if r.measured is not None:
+            meas = measured_errors(full, models, vm, i, n_r, r.x)[r.family]
+            assert close(r.measured, meas), (i, r.family, r.x)
+
+
+def test_bound_report_guards(rig):
+    inputs, models, corr, full, vm, tab, coeffs, bm = rig
+    s = inputs.portfolio.single_swap
+    with pytest.raises(ValueError):
+        bound_report(s, models, full, vm, 5, date_indices=[0, 5], tab=tab)
+    base = simulate(models, corr, SimGrid.regular(4, 30.0, 2), 2000, 1, "base")
+    with pytest.raises(ValueError):
+        bound_report(s, models, base, vm, 5, date_indices=[5], tab=tab)

@@ -107,3 +107,21 @@ def test_analytic_override_rejected_on_portfolio(tmp_path, capsys):
                "--method", "approx_analytic", "--out", str(tmp_path)])
     assert rc == 1
     assert "single-swap" in capsys.readouterr().err
+
+
+def test_engine_import_does_not_load_scipy_stats():
+    """The engine's normal-distribution calls come from scipy.special, so
+    importing it skips the far slower import of scipy.stats."""
+    import os
+    import subprocess
+    import sys
+
+    import wwrfva
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wwrfva.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, wwrfva.fva, wwrfva.bounds, wwrfva.sensitivities, wwrfva.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -8,7 +8,7 @@ from scipy import integrate
 from wwrfva.curves import Curve
 from wwrfva.models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                            QuantoAdjust, bfac, cir_terms, feller_check,
-                           fx_terms, hw_terms, int_bfac)
+                           fx_terms, hw_a, hw_terms, int_bfac)
 
 FLAT = Curve(label="flat", times=(1.0, 30.0), zero_rates=(0.01, 0.01))
 EUR = Curve(label="EUR", times=(1.0, 2.0, 5.0, 10.0, 20.0, 30.0),
@@ -180,6 +180,23 @@ def test_cir_driver_moments_accurate_for_small_a_tau(make, a_tau):
     for name, got, want in zip(("var_y", "var_Y", "exp_Yy"),
                                (t.var_y, t.var_Y, t.exp_Yy), ref):
         assert got == pytest.approx(want, rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("a_tau", [0.0101, 0.02, 0.05, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize("a", [0.05, 0.2, 1.0])
+def test_hw_a_accurate_above_the_short_series(a, a_tau):
+    """The closed form of A = sigma^2 phi(a tau) / (2 a^3) cancels O(a tau)
+    terms down to O((a tau)^3); against a 50-digit evaluation it must stay
+    at double precision just above the switch from the short series."""
+    sigma = 0.01
+    tau = a_tau / a
+    with mpmath.workdps(50):
+        x = mpmath.mpf(a) * mpmath.mpf(tau)
+        phi = x - 2 * (1 - mpmath.exp(-x)) + (1 - mpmath.exp(-2 * x)) / 2
+        want = float(mpmath.mpf(sigma) ** 2 * phi / (2 * mpmath.mpf(a) ** 3))
+    assert hw_a(a, sigma, tau) == pytest.approx(want, rel=1e-13, abs=0.0)
+    # the array path gives the same value
+    assert hw_a(a, sigma, np.array([tau]))[0] == hw_a(a, sigma, tau)
 
 
 # ---------------------------------------------------------------------------
