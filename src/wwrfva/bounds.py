@@ -40,6 +40,9 @@ _Z_CLIP = float(ndtri(1.0 - 0.5 * TAIL_CLIP))
 # temporary at 1.3 MB.
 _DATE_BLOCK = 8
 
+# Order n of the report's eps1 rows; they read credit moments up to 4 (n + 1).
+_EPS1_ORDER = 1
+
 FAMILIES = ("eps1", "eps2", "eps3")
 X_CHOICES = ("1", "y_I")
 
@@ -414,7 +417,7 @@ def bound_report(s: Swap, models: ModelSet, cube_full: ScenarioCube,
     """Per-date, per-family truncation bounds with their measured errors,
     plus the normality distances of both credit drivers."""
     if tab is None:
-        tab = credit_moment_table(cube_full)
+        tab = credit_moment_table(cube_full, max_order=4 * (_EPS1_ORDER + 1))
     if cube_full.mode != "full" or cube_full.y_I is None:
         raise ValueError("the bound report needs a full-mode cube")
     if cube_full.n_paths < 1000:
@@ -440,7 +443,7 @@ def bound_report(s: Swap, models: ModelSet, cube_full: ScenarioCube,
             for fam in FAMILIES:
                 if fam == "eps3" and x == "1":
                     continue
-                n_eff = 1 if fam == "eps1" else n_r
+                n_eff = _EPS1_ORDER if fam == "eps1" else n_r
                 rows.append(BoundRow(
                     date=u, family=fam, x=x, n=n_eff,
                     bound=_truncation_bound(n_eff, i, c_v, fam, x, tab,

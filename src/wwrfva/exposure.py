@@ -1,14 +1,14 @@
 """Exposure profiles: independent part, WWR benchmark, WWR approximation.
 
 The discounted positive exposure splits into an independent part and a
-wrong-way-risk part. The independent part needs only credit-free paths
-("base" cube). The benchmark WWR part averages over jointly simulated
-credit paths ("full" cube). The fast approximation replaces the credit
-paths by a Gaussian projection of the credit drivers onto the domestic
-rate driver, leaving only moments E[y^l (V)+] that are either averaged
-over the existing base paths (generic method) or, for a single swap,
-computed in closed form from normal and truncated-normal moments
-(analytic method).
+wrong-way-risk part. The independent part needs only the market paths of
+a cube, which are the same in either mode. The benchmark WWR part
+averages over jointly simulated credit paths and so needs a full cube.
+The fast approximation replaces the credit paths by a Gaussian
+projection of the credit drivers onto the domestic rate driver, leaving
+only moments E[y^l (V)+] that are either averaged over the market paths
+(generic method) or, for a single swap, computed in closed form from
+normal and truncated-normal moments (analytic method).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _batch_se(values: np.ndarray, n_batches: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# base moments (credit-free cube)
+# base moments (market paths)
 
 @dataclass
 class BaseMoments:
@@ -62,10 +62,10 @@ class BaseMoments:
 
 def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray,
                         n_batches: int = 50) -> BaseMoments:
-    """Average e^{-int r}(V)+ over the credit-free paths; no driver moments.
+    """Average e^{-int r}(V)+ over the market paths; no driver moments.
 
     This is all that the benchmark and the closed-form approximation read
-    of the base paths; the returned y_moments have no rows.
+    of the market paths; the returned y_moments have no rows.
     """
     n_dates = len(cube.dates)
     disc_epe = np.zeros(n_dates)
@@ -82,7 +82,7 @@ def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray,
 def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
                  n_r: int, value_mat: Optional[np.ndarray] = None,
                  n_batches: int = 50) -> BaseMoments:
-    """Average e^{-int r}(V)+ and y^l (V)+ over the credit-free paths."""
+    """Average e^{-int r}(V)+ and y^l (V)+ over the market paths."""
     if n_r < 0:
         raise ValueError("n_r must be >= 0")
     from .instruments import value_matrix

@@ -1,12 +1,12 @@
-"""Run orchestration: cubes -> exposure profiles -> integrated FVA report.
+"""Run orchestration: one simulated cube -> exposure profiles -> FVA report.
 
 The funding adjustment is the time integral of the discounted expected
 positive exposure weighted by the expected funding spread. The profile
-splits into an independent part (always computed from the credit-free
-cube) and a WWR part computed by the configured method:
+splits into an independent part (read from the market slabs of the run's
+one cube) and a WWR part computed by the configured method:
 
   mc              jointly simulated credit paths (benchmark),
-  approx_generic  Gaussian projection + moments averaged on base paths,
+  approx_generic  Gaussian projection + moments averaged on market paths,
   approx_analytic Gaussian projection + closed-form swap moments.
 
 Timings isolate the WWR stage: for the benchmark that is the credit
@@ -121,6 +121,9 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
 
 
 def validate_inputs(inputs: RunInputs, settings: RunSettings) -> None:
+    if set(inputs.credit_params) != {"I", "C"}:
+        raise ValueError("models.credit must hold exactly the entities I and C, "
+                         f"found {sorted(inputs.credit_params)}")
     if settings.method == "approx_analytic":
         s = inputs.portfolio.single_swap
         if s is None:
@@ -251,8 +254,10 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
 
     is_mc = settings.method == "mc"
     need_full = is_mc or settings.benchmark
-    cube_base = simulate(models, corr, grid, settings.n_paths, settings.seed, "base")
-    vm = value_matrix(p, models, cube_base)
+    # one pass: a full cube's market slabs equal a base cube's (see mc)
+    cube = simulate(models, corr, grid, settings.n_paths, settings.seed,
+                    "full" if need_full else "base")
+    vm = value_matrix(p, models, cube)
 
     # Shared prerequisites: the discounted exposure and the per-date
     # coefficients enter both the coupling-free part and either WWR
@@ -263,25 +268,20 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
     # covariance estimator. Only the generic method reads the sampled
     # driver moments, so only it computes them.
     if settings.method == "approx_generic":
-        bm = base_moments(cube_base, p, models, settings.n_r, value_mat=vm)
+        bm = base_moments(cube, p, models, settings.n_r, value_mat=vm)
     else:
-        bm = discounted_exposure(cube_base, vm)
-    coeffs = coeffs_for_dates(models, corr, cube_base.dates, settings.n_r)
+        bm = discounted_exposure(cube, vm)
+    coeffs = coeffs_for_dates(models, corr, cube.dates, settings.n_r)
 
     indep = epe_indep(bm, coeffs, models)
 
-    wwr_mc = se_mc = None
-    bench_seconds = None
-    trunc_frac = 0.0
+    wwr_mc = se_mc = bench_seconds = None
     if need_full:
-        cube_full = simulate(models, corr, grid, settings.n_paths, settings.seed,
-                             "full")
-        trunc_frac = cube_full.truncated_fraction
         t0 = time.perf_counter()
-        wwr_mc, se_mc = epe_wwr_mc(cube_full, p, models, bm, coeffs, value_mat=vm)
-        bench_seconds = cube_full.credit_seconds + (time.perf_counter() - t0)
+        wwr_mc, se_mc = epe_wwr_mc(cube, p, models, bm, coeffs, value_mat=vm)
+        bench_seconds = cube.credit_seconds + (time.perf_counter() - t0)
 
-    dates = cube_base.dates
+    dates = cube.dates
     if is_mc:
         wwr, wwr_seconds = wwr_mc, bench_seconds
     else:
@@ -300,7 +300,7 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
     report = FvaReport(
         fva_indep=fva_i, fva_wwr=fva_w, method=settings.method,
         runtime_wwr_seconds=wwr_seconds, profile=profile,
-        truncated_fraction=trunc_frac, settings=settings,
+        truncated_fraction=cube.truncated_fraction, settings=settings,
         config_echo=_settings_echo(settings))
 
     if need_full:

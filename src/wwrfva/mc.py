@@ -5,7 +5,9 @@ Factor order is market first (rates, then FX), credit last; with a
 lower-triangular Cholesky factor the market paths depend only on the
 market draws, so a base-mode cube and a full-mode cube with the same
 seed share bit-identical rate and FX paths. Credit draws come from a
-dedicated second stream and are only consumed in full mode.
+dedicated second stream and are only consumed in full mode. `run_fva`
+relies on this: it simulates once and reads the market slabs of a full
+cube where a credit-free run would read a base cube.
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ class ScenarioCube:
     Y_I: Optional[np.ndarray] = None
     Y_C: Optional[np.ndarray] = None
     truncated_fraction: float = 0.0
-    sim_seconds: float = 0.0
     credit_seconds: float = 0.0
 
     def pathwise_discount(self, date_index: int) -> np.ndarray:
@@ -158,6 +159,8 @@ def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
 
     Rate noise uses the exact conditional transition per substep; credit uses
     full-truncation Euler; running integrals are trapezoidal on substeps.
+    The state of each process is one stacked (n_factors, n_paths) array whose
+    rows follow the factor order, so the correlated draws feed it directly.
     """
     if mode not in ("base", "full"):
         raise ValueError("mode must be 'base' or 'full'")
@@ -167,13 +170,12 @@ def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
     if list(corr.labels) != labels:
         raise ValueError(f"correlation labels {corr.labels} do not match models {labels}")
 
-    t_start = time.perf_counter()
     dom = models.domestic
     ccys = [dom] + models.foreign_currencies
     fx_ccys = list(models.fx)
-    credit_entities = list(models.credit) if mode == "full" else []
-    n_mkt = len(ccys) + len(fx_ccys)
-    n_credit = len(models.credit)
+    entities = list(models.credit) if mode == "full" else []
+    n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
+    n_mkt = n_ccy + n_fx
 
     L = corr.cholesky
     L_mm = np.ascontiguousarray(L[:n_mkt, :n_mkt])
@@ -187,48 +189,50 @@ def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
     dates = grid.monitoring_dates
     n_dates = len(dates)
     nsub = grid.substeps_per_interval
+    dts = np.diff(dates) / nsub
 
-    # deterministic per-date quantities
+    # rates: exact transition coefficients per currency and substep size
+    rates = [models.rates[c] for c in ccys]
+    a_r = np.array([p.a for p in rates])[:, None]
+    decay = np.exp(-a_r * dts)
+    shock_sd = np.array([p.sigma for p in rates])[:, None] * np.sqrt(bfac(2.0 * a_r, dts))
     h_dom = hw_terms(models.rates[dom], 0.0, dates).H
-    mu_fx0 = {}
-    for c in fx_ccys:
-        mu_fx0[c] = fx_terms(models.rates[dom], models.rates[c], models.fx[c],
-                             corr.entry(rate_factor(dom), rate_factor(c)),
-                             corr.entry(rate_factor(dom), fx_factor(c)),
-                             corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
-    cred_terms = {z: cir_terms(models.credit[z], 0.0, dates) for z in credit_entities}
-    mu_cred = {z: ct.mu for z, ct in cred_terms.items()}
-    M_cred = {z: ct.M for z, ct in cred_terms.items()}
 
-    # state arrays
-    y = {c: np.zeros(n_paths) for c in ccys}         # OU noise per currency
-    Y = {c: np.zeros(n_paths) for c in ccys}         # trapezoidal integral of y
-    w_fx = {c: np.zeros(n_paths) for c in fx_ccys}   # Brownian level of the FX noise
-    x_cred = {z: np.full(n_paths, models.credit[z].x0) for z in credit_entities}
-    intx_cred = {z: np.zeros(n_paths) for z in credit_entities}
+    # FX: log level = mean + Y_dom - Y_ccy + sigma_fx * Brownian level
+    fx_rows = [ccys.index(c) for c in fx_ccys]
+    sigma_fx = np.array([models.fx[c].sigma_fx for c in fx_ccys])[:, None]
+    mu_fx = np.array([
+        fx_terms(models.rates[dom], models.rates[c], models.fx[c],
+                 corr.entry(rate_factor(dom), rate_factor(c)),
+                 corr.entry(rate_factor(dom), fx_factor(c)),
+                 corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
+        for c in fx_ccys]).reshape(n_fx, n_dates)
 
-    out_y = {c: np.zeros((n_dates, n_paths)) for c in ccys}
-    out_Y = {c: np.zeros((n_dates, n_paths)) for c in ccys}
-    out_lnfx = {c: np.zeros((n_dates, n_paths)) for c in fx_ccys}
-    out_lnfx_zero = {c: np.log(models.fx[c].spot) for c in fx_ccys}
-    cred_out = {z: {"y": np.zeros((n_dates, n_paths)), "Y": np.zeros((n_dates, n_paths))}
-                for z in credit_entities}
-    for c in fx_ccys:
-        out_lnfx[c][0] = out_lnfx_zero[c]
+    # credit: centered by the closed-form mean and mean integral
+    credit = [models.credit[z] for z in entities]
+    cred_terms = [cir_terms(p, 0.0, dates) for p in credit]
+    M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, n_dates)
+    a_c = np.array([p.a for p in credit])[:, None]
+    theta_c = np.array([p.theta for p in credit])[:, None]
+    sigma_c = np.array([p.sigma for p in credit])[:, None]
 
-    i_rate = {c: labels.index(rate_factor(c)) for c in ccys}
-    i_fx = {c: labels.index(fx_factor(c)) for c in fx_ccys}
-    i_cred = {z: labels.index(credit_factor(z)) - n_mkt for z in credit_entities}
+    y = np.zeros((n_ccy, n_paths))          # OU noise per currency
+    Y = np.zeros((n_ccy, n_paths))          # trapezoidal integral of y
+    w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
+    x_cred = np.repeat(np.array([p.x0 for p in credit])[:, None], n_paths, axis=1)
+    intx_cred = np.zeros((n_cred, n_paths))
+
+    out_y = np.zeros((n_ccy, n_dates, n_paths))
+    out_Y = np.zeros((n_ccy, n_dates, n_paths))
+    out_lnfx = np.zeros((n_fx, n_dates, n_paths))
+    out_lnfx[:, 0] = np.array([np.log(models.fx[c].spot) for c in fx_ccys])[:, None]
+    out_Ycred = np.zeros((n_cred, n_dates, n_paths))
+    # only the investor's intensity driver itself reaches the cube
+    k_I = entities.index("I") if "I" in entities else None
+    out_yI = np.zeros((n_dates, n_paths)) if k_I is not None else None
 
     n_truncated = 0
-    n_credit_steps = 0
     credit_seconds = 0.0
-
-    # per-currency exact transition coefficients, one per interval's substep size
-    dts = np.diff(dates) / nsub
-    decay = {c: np.exp(-models.rates[c].a * dts) for c in ccys}
-    shock_sd = {c: models.rates[c].sigma * np.sqrt(bfac(2.0 * models.rates[c].a, dts))
-                for c in ccys}
 
     for i in range(1, n_dates):
         dt = dts[i - 1]
@@ -236,58 +240,47 @@ def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
         for _ in range(nsub):
             z_mkt = rng_mkt.standard_normal((n_mkt, n_paths))
             eps_mkt = L_mm @ z_mkt
-            for c in ccys:
-                e = eps_mkt[i_rate[c]]
-                y_new = y[c] * decay[c][i - 1] + shock_sd[c][i - 1] * e
-                Y[c] += 0.5 * dt * (y[c] + y_new)
-                y[c] = y_new
-            for c in fx_ccys:
-                w_fx[c] += sq_dt * eps_mkt[i_fx[c]]
-            if credit_entities:
+            y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
+            Y += 0.5 * dt * (y + y_new)
+            y = y_new
+            w_fx += sq_dt * eps_mkt[n_ccy:]
+            if entities:
                 tc = time.perf_counter()
-                z_cred = rng_credit.standard_normal((n_credit, n_paths))
+                z_cred = rng_credit.standard_normal((n_cred, n_paths))
                 eps_cred = L_cm @ z_mkt + L_cc @ z_cred
-                for z in credit_entities:
-                    p = models.credit[z]
-                    xp = np.maximum(x_cred[z], 0.0)
-                    x_new = (x_cred[z] + p.a * (p.theta - xp) * dt
-                             + p.sigma * np.sqrt(xp * dt) * eps_cred[i_cred[z]])
-                    n_truncated += int(np.count_nonzero(x_new < 0.0))
-                    n_credit_steps += n_paths
-                    xp_new = np.maximum(x_new, 0.0)
-                    intx_cred[z] += 0.5 * dt * (xp + xp_new)
-                    x_cred[z] = x_new
+                xp = np.maximum(x_cred, 0.0)
+                x_new = (x_cred + a_c * (theta_c - xp) * dt
+                         + sigma_c * np.sqrt(xp * dt) * eps_cred)
+                n_truncated += int(np.count_nonzero(x_new < 0.0))
+                xp_new = np.maximum(x_new, 0.0)
+                intx_cred += 0.5 * dt * (xp + xp_new)
+                x_cred = x_new
                 credit_seconds += time.perf_counter() - tc
 
-        u = dates[i]
-        for c in ccys:
-            out_y[c][i] = y[c]
-            out_Y[c][i] = Y[c]
-        for c in fx_ccys:
-            out_lnfx[c][i] = (mu_fx0[c][i] + Y[dom] - Y[c]
-                              + models.fx[c].sigma_fx * w_fx[c])
-        for z in credit_entities:
-            cred_out[z]["y"][i] = np.maximum(x_cred[z], 0.0) - mu_cred[z][i]
-            cred_out[z]["Y"][i] = intx_cred[z] - M_cred[z][i]
+        out_y[:, i] = y
+        out_Y[:, i] = Y
+        out_lnfx[:, i] = mu_fx[:, i:i + 1] + Y[0] - Y[fx_rows] + sigma_fx * w_fx
+        out_Ycred[:, i] = intx_cred - M_cred[:, i:i + 1]
+        if out_yI is not None:
+            out_yI[i] = np.maximum(x_cred[k_I], 0.0) - cred_terms[k_I].mu[i]
 
-    for name, arrs in (("y", out_y), ("Y", out_Y), ("lnfx", out_lnfx)):
-        for c, arr in arrs.items():
-            if not np.all(np.isfinite(arr)):
-                bad = np.argwhere(~np.isfinite(arr))[0]
-                raise FloatingPointError(
-                    f"non-finite {name}[{c}] at date index {bad[0]}, path {bad[1]}")
+    for name, arr, keys in (("y", out_y, ccys), ("Y", out_Y, ccys),
+                            ("lnfx", out_lnfx, fx_ccys)):
+        if not np.all(np.isfinite(arr)):
+            k, d, path = np.argwhere(~np.isfinite(arr))[0]
+            raise FloatingPointError(
+                f"non-finite {name}[{keys[k]}] at date index {d}, path {path}")
 
-    cube = ScenarioCube(
+    Y_cred = dict(zip(entities, out_Ycred))
+    credit_steps = n_cred * n_paths * nsub * (n_dates - 1)
+    return ScenarioCube(
         mode=mode, seed=seed, dates=dates.copy(), n_paths=n_paths, domestic=dom,
-        y_r=out_y, Y_r=out_Y, ln_fx=out_lnfx, h_dom=h_dom,
-        y_I=cred_out["I"]["y"] if "I" in cred_out else None,
-        Y_I=cred_out["I"]["Y"] if "I" in cred_out else None,
-        Y_C=cred_out["C"]["Y"] if "C" in cred_out else None,
-        truncated_fraction=(n_truncated / n_credit_steps) if n_credit_steps else 0.0,
-        sim_seconds=time.perf_counter() - t_start,
+        y_r=dict(zip(ccys, out_y)), Y_r=dict(zip(ccys, out_Y)),
+        ln_fx=dict(zip(fx_ccys, out_lnfx)), h_dom=h_dom,
+        y_I=out_yI, Y_I=Y_cred.get("I"), Y_C=Y_cred.get("C"),
+        truncated_fraction=n_truncated / credit_steps if credit_steps else 0.0,
         credit_seconds=credit_seconds,
     )
-    return cube
 
 
 # ---------------------------------------------------------------------------

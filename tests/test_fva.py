@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wwrfva.fva import (FvaReport, RunSettings, build_model_set,
                         integrate_profile, load_run_config, make_grid,
                         read_profile_csv, run_fva, write_profile_csv,
                         write_report_json)
+from wwrfva.mc import simulate
 
 from conftest import fixture_path, small_settings
 
@@ -62,6 +64,16 @@ def test_analytic_method_rejected_on_portfolio(tmp_path):
 def test_missing_rate_params_rejected(tmp_path):
     bad = _patched_config("single_swap.cfg", tmp_path, "EUR: {", "XXX: {")
     with pytest.raises((ValueError, KeyError)):
+        load_run_config(bad)
+
+
+@pytest.mark.parametrize("old, new, found", [
+    ("    C: {", "    # C: {", "['I']"),
+    ("    C: {", "    X: {", "['I', 'X']"),
+], ids=["missing_C", "extra_X"])
+def test_credit_entities_must_be_investor_and_counterparty(tmp_path, old, new, found):
+    bad = _patched_config("single_swap.cfg", tmp_path, old, new)
+    with pytest.raises(ValueError, match=re.escape(f"found {found}")):
         load_run_config(bad)
 
 
@@ -186,3 +198,26 @@ def test_run_fva_methods_close_at_small_scale(b41):
     assert gen.fva_wwr == pytest.approx(ana.fva_wwr, rel=0.1)
     assert gen.fva_wwr < 0.5 * gen.fva_indep  # correction, not the main term
     assert gen.fva_wwr > 0.0  # receiver with negative rate-credit correlation
+
+
+@pytest.mark.parametrize("cfg, method", [("portfolio.cfg", "approx_generic"),
+                                         ("single_swap.cfg", "approx_analytic")])
+def test_benchmark_run_simulates_once(monkeypatch, cfg, method):
+    inputs, settings = load_run_config(fixture_path(cfg))
+    settings = small_settings(settings, n_paths=2000, method=method)
+    plain = run_fva(inputs, settings)
+    modes = []
+
+    def counting_simulate(*args, **kwargs):
+        cube = simulate(*args, **kwargs)
+        modes.append(cube.mode)
+        return cube
+
+    monkeypatch.setattr("wwrfva.fva.simulate", counting_simulate)
+    bench = run_fva(inputs, dataclasses.replace(settings, benchmark=True))
+    assert modes == ["full"]
+    assert bench.fva_wwr_mc is not None
+    # the benchmark's credit paths leave the run's own numbers untouched
+    assert bench.fva_indep == plain.fva_indep
+    assert bench.fva_wwr == plain.fva_wwr
+    assert np.array_equal(bench.profile.epe_wwr, plain.profile.epe_wwr)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from wwrfva.fva import build_correlation_for, build_model_set
+from wwrfva.fva import build_correlation_for, build_model_set, load_run_config
 from wwrfva.mc import (SimGrid, build_correlation, dump_cube, factor_labels,
                        load_cube, simulate)
 from wwrfva.models import cir_terms, fx_terms, hw_terms
+
+from conftest import fixture_path
 
 
 @pytest.fixture()
@@ -68,12 +70,19 @@ def test_grid_validation():
 # ---------------------------------------------------------------------------
 # simulation invariants
 
-def test_base_and_full_market_slabs_identical(setup41):
-    _, models, corr = setup41
+@pytest.mark.parametrize("cfg", ["single_swap.cfg", "portfolio.cfg"])
+def test_base_and_full_market_slabs_identical(cfg):
+    # run_fva reads the market slabs of a full cube in place of a base cube
+    inputs, _ = load_run_config(fixture_path(cfg))
+    models = build_model_set(inputs)
+    corr = build_correlation_for(models, inputs.correlations)
     base = small_cube(models, corr, "base")
     full = small_cube(models, corr, "full")
-    assert np.array_equal(base.y_r["EUR"], full.y_r["EUR"])
-    assert np.array_equal(base.Y_r["EUR"], full.Y_r["EUR"])
+    for name in ("y_r", "Y_r", "ln_fx"):
+        b, f = getattr(base, name), getattr(full, name)
+        assert list(b) == list(f)
+        for key in b:
+            assert np.array_equal(b[key], f[key]), (name, key)
     assert base.y_I is None and full.y_I is not None
 
 
