@@ -1,14 +1,20 @@
 """Exposure profiles: independent part, WWR benchmark, WWR approximation.
 
 The discounted positive exposure splits into an independent part and a
-wrong-way-risk part. The independent part needs only the market paths of
-a cube, which are the same in either mode. The benchmark WWR part
-averages over jointly simulated credit paths and so needs a full cube.
-The fast approximation replaces the credit paths by a Gaussian
-projection of the credit drivers onto the domestic rate driver, leaving
-only moments E[y^l (V)+] that are either averaged over the market paths
-(generic method) or, for a single swap, computed in closed form from
-normal and truncated-normal moments (analytic method).
+wrong-way-risk part. The independent part needs only the market paths,
+which are the same in either simulation mode. The benchmark WWR part
+averages over jointly simulated credit paths and so needs a full-mode
+simulation. The fast approximation replaces the credit paths by a
+Gaussian projection of the credit drivers onto the domestic rate driver,
+leaving only moments E[y^l (V)+] that are either averaged over the
+market paths (generic method) or, for a single swap, computed in closed
+form from normal and truncated-normal moments (analytic method).
+
+Every path average is a per-date kernel (`exposure_at`, `y_moments_at`,
+`wwr_mc_at`) that reads one date's simulated drivers and portfolio
+values. `run_fva` feeds the kernels from the live simulation stream;
+`discounted_exposure`, `base_moments` and `epe_wwr_mc` feed them the
+dates of a stored cube.
 """
 
 from __future__ import annotations
@@ -23,12 +29,15 @@ import numpy as np
 from scipy.special import factorial, log_ndtr, ndtr
 
 from .instruments import Portfolio, Swap, swap_weights_on_dates, ystar as swap_ystar
-from .mc import CorrelationMatrix, ScenarioCube, credit_factor, rate_factor
+from .mc import CorrelationMatrix, DateState, ScenarioCube, credit_factor, rate_factor
 from .models import ModelSet, cir_terms, hw_terms, sigma_ratio
 
 
 # ---------------------------------------------------------------------------
 # batch standard errors
+
+N_BATCHES = 50  # batch count of every Monte Carlo standard error
+
 
 def _batch_se(values: np.ndarray, n_batches: int) -> float:
     """SE of the mean from batch means (values is per-path, 1-D)."""
@@ -37,6 +46,43 @@ def _batch_se(values: np.ndarray, n_batches: int) -> float:
     cut = (n // nb) * nb
     means = values[:cut].reshape(nb, -1).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(nb))
+
+
+# ---------------------------------------------------------------------------
+# per-date kernels: the estimators at one monitoring date, fed either by a
+# live simulation stream or by one date of a stored cube
+
+def exposure_at(st: DateState, value_row: np.ndarray,
+                n_batches: int = N_BATCHES) -> tuple[np.ndarray, float, float]:
+    """Discounted positive exposure e^{-int r}(V)+ per path at the state's
+    date, with its mean and batch SE."""
+    h = st.discount * np.maximum(value_row, 0.0)
+    return h, h.mean(), _batch_se(h, n_batches)
+
+
+def y_moments_at(y: np.ndarray, value_row: np.ndarray, pows: np.ndarray,
+                 n_batches: int = N_BATCHES) -> tuple[np.ndarray, np.ndarray]:
+    """Means and batch SEs of y^l (V)+ for l = 0 .. len(pows) - 1 at one
+    date; `pows` is scratch space of shape (l_max + 1, n_paths)."""
+    n = len(y)
+    nb = min(n_batches, n)
+    cut = (n // nb) * nb
+    np.maximum(value_row, 0.0, out=pows[0])
+    for l in range(1, len(pows)):
+        np.multiply(pows[l - 1], y, out=pows[l])
+    batch = pows[:, :cut].reshape(len(pows), nb, -1).mean(axis=2)
+    return pows.mean(axis=1), batch.std(axis=1, ddof=1) / math.sqrt(nb)
+
+
+def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float, c: "WwrCoeffs",
+              n_batches: int = N_BATCHES) -> tuple[float, float]:
+    """Covariance of the discounted positive exposure `h` (mean `disc_epe`)
+    with the survival-weighted funding spread at one date after 0, with its
+    batch SE; reads the state's credit drivers."""
+    surv = c.H_IC * np.exp(-st.Y_I - st.Y_C)
+    spread = c.mu_S + c.lgd * st.y_I
+    term = (h - disc_epe) * surv * spread
+    return term.mean(), _batch_se(term, n_batches)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +107,7 @@ class BaseMoments:
 
 
 def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray,
-                        n_batches: int = 50) -> BaseMoments:
+                        n_batches: int = N_BATCHES) -> BaseMoments:
     """Average e^{-int r}(V)+ over the market paths; no driver moments.
 
     This is all that the benchmark and the closed-form approximation read
@@ -71,9 +117,8 @@ def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray,
     disc_epe = np.zeros(n_dates)
     disc_epe_se = np.zeros(n_dates)
     for i in range(n_dates):
-        h = cube.pathwise_discount(i) * np.maximum(value_mat[i], 0.0)
-        disc_epe[i] = h.mean()
-        disc_epe_se[i] = _batch_se(h, n_batches)
+        _, disc_epe[i], disc_epe_se[i] = exposure_at(cube.state(i), value_mat[i],
+                                                     n_batches)
     return BaseMoments(dates=cube.dates.copy(), disc_epe=disc_epe,
                        disc_epe_se=disc_epe_se, y_moments=np.zeros((0, n_dates)),
                        y_moments_se=np.zeros((0, n_dates)))
@@ -81,7 +126,7 @@ def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray,
 
 def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
                  n_r: int, value_mat: Optional[np.ndarray] = None,
-                 n_batches: int = 50) -> BaseMoments:
+                 n_batches: int = N_BATCHES) -> BaseMoments:
     """Average e^{-int r}(V)+ and y^l (V)+ over the market paths."""
     if n_r < 0:
         raise ValueError("n_r must be >= 0")
@@ -94,18 +139,11 @@ def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     moms = np.zeros((l_max + 1, n_dates))
     moms_se = np.zeros((l_max + 1, n_dates))
     y_dom = cube.y_r[cube.domestic]
-    n = cube.n_paths
-    nb = min(n_batches, n)
-    cut = (n // nb) * nb
-    pows = np.empty((l_max + 1, n))
+    pows = np.empty((l_max + 1, cube.n_paths))
     t0 = time.perf_counter()
     for i in range(n_dates):
-        np.maximum(value_mat[i], 0.0, out=pows[0])
-        for l in range(1, l_max + 1):
-            np.multiply(pows[l - 1], y_dom[i], out=pows[l])
-        moms[:, i] = pows.mean(axis=1)
-        batch = pows[:, :cut].reshape(l_max + 1, nb, -1).mean(axis=2)
-        moms_se[:, i] = batch.std(axis=1, ddof=1) / math.sqrt(nb)
+        moms[:, i], moms_se[:, i] = y_moments_at(y_dom[i], value_mat[i], pows,
+                                                 n_batches)
     return dataclasses.replace(bm, y_moments=moms, y_moments_se=moms_se,
                                y_moment_seconds=time.perf_counter() - t0)
 
@@ -225,7 +263,7 @@ def epe_indep(bm: BaseMoments, coeffs: list[Optional[WwrCoeffs]],
 def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
                bm: BaseMoments, coeffs: list[Optional[WwrCoeffs]],
                value_mat: Optional[np.ndarray] = None,
-               n_batches: int = 50) -> tuple[np.ndarray, np.ndarray]:
+               n_batches: int = N_BATCHES) -> tuple[np.ndarray, np.ndarray]:
     """Benchmark WWR exposure from jointly simulated credit paths.
 
     Covariance of the discounted positive exposure with the survival-
@@ -243,14 +281,9 @@ def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     vals = np.zeros(n)
     ses = np.zeros(n)
     for i in range(1, n):
-        c = coeffs[i]
-        pos = np.maximum(value_mat[i], 0.0)
-        h = cube.pathwise_discount(i) * pos
-        surv = c.H_IC * np.exp(-cube.Y_I[i] - cube.Y_C[i])
-        spread = c.mu_S + c.lgd * cube.y_I[i]
-        term = (h - bm.disc_epe[i]) * surv * spread
-        vals[i] = term.mean()
-        ses[i] = _batch_se(term, n_batches)
+        st = cube.state(i)
+        h = exposure_at(st, value_mat[i], n_batches)[0]
+        vals[i], ses[i] = wwr_mc_at(st, h, bm.disc_epe[i], coeffs[i], n_batches)
     return vals, ses
 
 

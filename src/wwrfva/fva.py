@@ -1,23 +1,29 @@
-"""Run orchestration: one simulated cube -> exposure profiles -> FVA report.
+"""Run orchestration: one streamed simulation -> exposure profiles -> FVA report.
 
 The funding adjustment is the time integral of the discounted expected
 positive exposure weighted by the expected funding spread. The profile
-splits into an independent part (read from the market slabs of the run's
-one cube) and a WWR part computed by the configured method:
+splits into an independent part (read from the market drivers of the
+run's one simulation) and a WWR part computed by the configured method:
 
   mc              jointly simulated credit paths (benchmark),
   approx_generic  Gaussian projection + moments averaged on market paths,
   approx_analytic Gaussian projection + closed-form swap moments.
 
+The simulation is streamed: each monitoring date is valued and averaged
+as soon as it is simulated, so a run's memory scales with paths x
+factors, not with dates; only the bounds report and the cube export
+store every date.
+
 Timings isolate the WWR stage: for the benchmark that is the credit
 part of the simulation plus the covariance estimator; for the
-approximation it is the projection coefficients, the driver moments and
-the assembly.
+approximation it is the driver moments and the assembly.
 """
 
 from __future__ import annotations
 
 import os
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,12 +33,12 @@ import yaml
 
 from . import __version__
 from .curves import MarketData, load_market_data
-from .exposure import (BaseMoments, ExposureProfile, base_moments, coeffs_for_dates,
-                       discounted_exposure, epe_indep, epe_wwr_approx_generic,
-                       epe_wwr_approx_swap_analytic, epe_wwr_mc)
-from .instruments import Portfolio, load_portfolio, value_matrix
-from .mc import (CorrelationMatrix, SimGrid, build_correlation, factor_labels,
-                 simulate)
+from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
+                       epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
+                       exposure_at, wwr_mc_at, y_moments_at)
+from .instruments import Portfolio, PortfolioValuation, load_portfolio
+from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
+                 factor_labels)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                      QuantoAdjust)
 
@@ -200,6 +206,7 @@ class FvaReport:
     fva_wwr_mc_se: Optional[float] = None
     runtime_wwr_seconds: float = 0.0
     runtime_benchmark_wwr_seconds: Optional[float] = None
+    peak_rss_mb: Optional[float] = None          # of the process, at the run's end
     profile: Optional[ExposureProfile] = None
     benchmark_profile: Optional[ExposureProfile] = None
     truncated_fraction: float = 0.0
@@ -232,6 +239,7 @@ class FvaReport:
         if include_timings:
             out["runtime_wwr_seconds"] = self.runtime_wwr_seconds
             out["runtime_benchmark_wwr_seconds"] = self.runtime_benchmark_wwr_seconds
+            out["peak_rss_mb"] = self.peak_rss_mb
         return out
 
 
@@ -244,20 +252,35 @@ def _settings_echo(settings: RunSettings) -> dict:
     }
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (2^20 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2.0 ** 20 if sys.platform == "darwin" else peak / 1024.0
+
+
 def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
-    """Full pipeline: simulate, split the exposure, integrate, compare."""
+    """Full pipeline: simulate, split the exposure, integrate, compare.
+
+    The simulation is consumed one monitoring date at a time: each date's
+    drivers are valued and fed to the per-date estimators, then dropped,
+    so no array in the run grows with the number of dates times paths.
+    """
     validate_inputs(inputs, settings)
     models = build_model_set(inputs)
     corr = build_correlation_for(models, inputs.correlations)
     grid = make_grid(inputs, settings)
     p = inputs.portfolio
+    dates = grid.monitoring_dates
+    n_dates = len(dates)
 
     is_mc = settings.method == "mc"
+    is_generic = settings.method == "approx_generic"
     need_full = is_mc or settings.benchmark
-    # one pass: a full cube's market slabs equal a base cube's (see mc)
-    cube = simulate(models, corr, grid, settings.n_paths, settings.seed,
-                    "full" if need_full else "base")
-    vm = value_matrix(p, models, cube)
+    # one pass: a full simulation's market drivers equal a base one's (see mc)
+    stream = PathStream(models, corr, grid, settings.n_paths, settings.seed,
+                        "full" if need_full else "base")
+    valuation = PortfolioValuation(p, models, dates)
+    coeffs = coeffs_for_dates(models, corr, dates, settings.n_r)
 
     # Shared prerequisites: the discounted exposure and the per-date
     # coefficients enter both the coupling-free part and either WWR
@@ -267,26 +290,36 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
     # assembly; the benchmark's is the credit simulation plus the
     # covariance estimator. Only the generic method reads the sampled
     # driver moments, so only it computes them.
-    if settings.method == "approx_generic":
-        bm = base_moments(cube, p, models, settings.n_r, value_mat=vm)
-    else:
-        bm = discounted_exposure(cube, vm)
-    coeffs = coeffs_for_dates(models, corr, cube.dates, settings.n_r)
+    disc_epe, disc_epe_se = np.zeros(n_dates), np.zeros(n_dates)
+    n_moments = settings.n_r + 3 if is_generic else 0
+    moms, moms_se = np.zeros((n_moments, n_dates)), np.zeros((n_moments, n_dates))
+    pows = np.empty((n_moments, settings.n_paths))
+    wwr_mc, se_mc = np.zeros(n_dates), np.zeros(n_dates)
+    moment_seconds = cov_seconds = 0.0
+    for st in stream:
+        i = st.index
+        v = valuation.row(st)
+        h, disc_epe[i], disc_epe_se[i] = exposure_at(st, v)
+        if is_generic:
+            t0 = time.perf_counter()
+            moms[:, i], moms_se[:, i] = y_moments_at(st.y_r[models.domestic], v, pows)
+            moment_seconds += time.perf_counter() - t0
+        if need_full and i > 0:
+            t0 = time.perf_counter()
+            wwr_mc[i], se_mc[i] = wwr_mc_at(st, h, disc_epe[i], coeffs[i])
+            cov_seconds += time.perf_counter() - t0
+    bm = BaseMoments(dates=dates.copy(), disc_epe=disc_epe, disc_epe_se=disc_epe_se,
+                     y_moments=moms, y_moments_se=moms_se,
+                     y_moment_seconds=moment_seconds)
 
     indep = epe_indep(bm, coeffs, models)
+    bench_seconds = stream.credit_seconds + cov_seconds if need_full else None
 
-    wwr_mc = se_mc = bench_seconds = None
-    if need_full:
-        t0 = time.perf_counter()
-        wwr_mc, se_mc = epe_wwr_mc(cube, p, models, bm, coeffs, value_mat=vm)
-        bench_seconds = cube.credit_seconds + (time.perf_counter() - t0)
-
-    dates = cube.dates
     if is_mc:
         wwr, wwr_seconds = wwr_mc, bench_seconds
     else:
         t0 = time.perf_counter()
-        if settings.method == "approx_generic":
+        if is_generic:
             wwr = epe_wwr_approx_generic(coeffs, bm)
         else:
             wwr = epe_wwr_approx_swap_analytic(p.single_swap, models, coeffs, bm,
@@ -300,7 +333,7 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
     report = FvaReport(
         fva_indep=fva_i, fva_wwr=fva_w, method=settings.method,
         runtime_wwr_seconds=wwr_seconds, profile=profile,
-        truncated_fraction=cube.truncated_fraction, settings=settings,
+        truncated_fraction=stream.truncated_fraction, settings=settings,
         config_echo=_settings_echo(settings))
 
     if need_full:
@@ -318,6 +351,7 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
         if not is_mc and fva_mc_total != 0.0:
             report.wwr_rd_vs_mc = 100.0 * (report.fva_total - fva_mc_total) / fva_mc_total
 
+    report.peak_rss_mb = _peak_rss_mb()
     return report
 
 

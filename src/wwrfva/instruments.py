@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
-from .mc import CorrelationMatrix, ScenarioCube, fx_factor, rate_factor
+from .mc import CorrelationMatrix, DateState, ScenarioCube, fx_factor, rate_factor
 from .models import Hw1fParams, ModelSet, fx_terms, hw_terms, sigma_ratio
 
 
@@ -203,7 +203,8 @@ def swap_weights(s: Swap, rp: Hw1fParams, t: float, u: float) -> SwapWeights:
 def swap_value_y(s: Swap, sw: SwapWeights, y):
     """Swap value at the monitoring date as a function of the rate driver y."""
     y = np.asarray(y, dtype=float)
-    expo = np.exp(np.multiply.outer(y, -sw.B))
+    expo = np.multiply.outer(y, -sw.B)   # paths x live payments: the largest
+    np.exp(expo, out=expo)               # temporary of a valuation, kept single
     val = s.phi * s.notional * (sw.const + expo @ sw.wbar)
     return float(val) if val.ndim == 0 else val
 
@@ -368,64 +369,77 @@ def fx_forward_positive_indicator(fwd: FxForward, terms: FxForwardTerms, y):
 
 
 # ---------------------------------------------------------------------------
-# pathwise portfolio valuation on a scenario cube
+# pathwise portfolio valuation, one monitoring date at a time
 #
-# Each instrument's deterministic terms are computed once over the requested
-# dates; the pathwise values then follow one date slab at a time.
+# Each instrument's deterministic terms are computed once over all dates;
+# the pathwise values then follow one date's simulated drivers at a time.
 
-def _swap_rows(s: Swap, models: ModelSet, cube: ScenarioCube, idx: np.ndarray):
-    if s.currency != models.domestic and s.currency not in cube.ln_fx:
-        raise KeyError(f"cube has no FX slab for {s.currency}")
-    live = cube.dates[idx] <= s.maturity
-    weights = iter(swap_weights_on_dates(s, models.rates[s.currency], 0.0,
-                                         cube.dates[idx[live]]))
-    for i, is_live in zip(idx, live):
-        if not is_live:
-            yield np.zeros(cube.n_paths)
-            continue
-        vals = swap_value_y(s, next(weights), cube.y_r[s.currency][i])
-        if s.currency != models.domestic:
-            vals = vals * np.exp(cube.ln_fx[s.currency][i])
-        yield vals
+def _swap_terms(s: Swap, models: ModelSet, dates: np.ndarray) -> list[SwapWeights]:
+    if s.currency != models.domestic and s.currency not in models.fx:
+        raise KeyError(f"no FX model for {s.currency}")
+    return swap_weights_on_dates(s, models.rates[s.currency], 0.0,
+                                 dates[dates <= s.maturity])
 
 
-def _fx_forward_rows(fwd: FxForward, models: ModelSet, cube: ScenarioCube,
-                     idx: np.ndarray):
+def _swap_value(s: Swap, models: ModelSet, sw: SwapWeights, st: DateState):
+    vals = swap_value_y(s, sw, st.y_r[s.currency])
+    if s.currency != models.domestic:
+        vals = vals * np.exp(st.ln_fx[s.currency])
+    return vals
+
+
+def _fx_forward_path_terms(fwd: FxForward, models: ModelSet, dates: np.ndarray):
+    """Per live date: (A_bar, mu, B) of the domestic and of the foreign bond."""
+    td_u, tf_u, td_T, tf_T = _fx_forward_bonds(fwd, models, 0.0,
+                                               dates[dates <= fwd.maturity])
+    return list(zip(td_T.A_bar, td_u.mu, td_T.B, tf_T.A_bar, tf_u.mu, tf_T.B))
+
+
+def _fx_forward_value(fwd: FxForward, models: ModelSet, terms, st: DateState):
     """Exact pathwise value from reconstructed bonds and the FX level (domestic)."""
-    dom = models.domestic
-    f = fwd.currency
-    live = cube.dates[idx] <= fwd.maturity
-    td_u, tf_u, td_T, tf_T = _fx_forward_bonds(fwd, models, 0.0, cube.dates[idx[live]])
-    j = 0
-    for i, is_live in zip(idx, live):
-        if not is_live:
-            yield np.zeros(cube.n_paths)
-            continue
-        p_d = np.exp(td_T.A_bar[j] - (td_u.mu[j] + cube.y_r[dom][i]) * td_T.B[j])
-        p_f = np.exp(tf_T.A_bar[j] - (tf_u.mu[j] + cube.y_r[f][i]) * tf_T.B[j])
-        x_u = np.exp(cube.ln_fx[f][i])
-        yield fwd.phi * fwd.notional * (p_f * x_u - p_d * fwd.strike)
-        j += 1
+    a_d, mu_d, b_d, a_f, mu_f, b_f = terms
+    p_d = np.exp(a_d - (mu_d + st.y_r[models.domestic]) * b_d)
+    p_f = np.exp(a_f - (mu_f + st.y_r[fwd.currency]) * b_f)
+    x_u = np.exp(st.ln_fx[fwd.currency])
+    return fwd.phi * fwd.notional * (p_f * x_u - p_d * fwd.strike)
 
 
-def _value_rows(inst: Instrument, models: ModelSet, cube: ScenarioCube, idx):
-    """Per-path values in the domestic currency at the date indices `idx`,
-    yielded one date at a time."""
-    idx = np.asarray(idx, dtype=int)
-    if isinstance(inst, Swap):
-        return _swap_rows(inst, models, cube, idx)
-    if isinstance(inst, FxForward):
-        return _fx_forward_rows(inst, models, cube, idx)
-    raise TypeError(f"unknown instrument {type(inst)!r}")
+class PortfolioValuation:
+    """Pathwise portfolio values in the domestic currency, date by date.
+
+    The instruments' deterministic terms are computed once over `dates`;
+    `row` then values one date's simulated drivers.
+    """
+
+    def __init__(self, p: Portfolio, models: ModelSet, dates):
+        dates = np.asarray(dates, dtype=float)
+        self.models = models
+        self.parts = []
+        for inst in p.instruments:
+            if isinstance(inst, Swap):
+                self.parts.append((inst, _swap_value, _swap_terms(inst, models, dates)))
+            elif isinstance(inst, FxForward):
+                self.parts.append((inst, _fx_forward_value,
+                                   _fx_forward_path_terms(inst, models, dates)))
+            else:
+                raise TypeError(f"unknown instrument {type(inst)!r}")
+
+    def row(self, st: DateState) -> np.ndarray:
+        """Portfolio value per path at the state's date: the live instruments
+        summed in portfolio order, starting from zeros."""
+        out = np.zeros(len(st.Y_r[st.domestic]))
+        for inst, value, terms in self.parts:
+            if st.index < len(terms):
+                out += value(inst, self.models, terms[st.index], st)
+        return out
 
 
 def value_matrix(p: Portfolio, models: ModelSet, cube: ScenarioCube) -> np.ndarray:
-    """Portfolio values for every (date, path) pair."""
-    out = np.zeros((len(cube.dates), cube.n_paths))
-    idx = np.arange(len(cube.dates))
-    for inst in p.instruments:
-        for i, vals in zip(idx, _value_rows(inst, models, cube, idx)):
-            out[i] += vals
+    """Portfolio values for every (date, path) pair of a cube."""
+    valuation = PortfolioValuation(p, models, cube.dates)
+    out = np.empty((len(cube.dates), cube.n_paths))
+    for i in range(len(cube.dates)):
+        out[i] = valuation.row(cube.state(i))
     return out
 
 

@@ -3,18 +3,26 @@
 One correlated standard-normal vector per substep drives all factors.
 Factor order is market first (rates, then FX), credit last; with a
 lower-triangular Cholesky factor the market paths depend only on the
-market draws, so a base-mode cube and a full-mode cube with the same
+market draws, so a base-mode and a full-mode simulation with the same
 seed share bit-identical rate and FX paths. Credit draws come from a
 dedicated second stream and are only consumed in full mode. `run_fva`
-relies on this: it simulates once and reads the market slabs of a full
-cube where a credit-free run would read a base cube.
+relies on this: it simulates once and reads the market drivers of a
+full simulation where a credit-free run would read a base one.
+
+`PathStream` is the simulation: it yields one monitoring date's drivers
+at a time, so a run that consumes them date by date holds no array that
+grows with the number of dates. `simulate` collects the stream into a
+`ScenarioCube` for the callers that need every date at once (the bounds
+report, the cube export and tests).
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -128,6 +136,31 @@ class SimGrid:
 
 
 @dataclass
+class DateState:
+    """The simulated drivers at one monitoring date, one entry per path.
+
+    The fields are a ScenarioCube's slabs at date `index`: rate drivers and
+    log-FX per currency, and in full mode the investor's intensity driver
+    and both integrated credit drivers.
+    """
+
+    index: int
+    domestic: str
+    h_dom: float            # deterministic discount-like factor at this date
+    y_r: dict[str, np.ndarray]
+    Y_r: dict[str, np.ndarray]
+    ln_fx: dict[str, np.ndarray]
+    y_I: Optional[np.ndarray] = None
+    Y_I: Optional[np.ndarray] = None
+    Y_C: Optional[np.ndarray] = None
+
+    @cached_property
+    def discount(self) -> np.ndarray:
+        """H_r(0,u) * exp(-Y_r(0,u)) for the domestic rate, per path."""
+        return self.h_dom * np.exp(-self.Y_r[self.domestic])
+
+
+@dataclass
 class ScenarioCube:
     """Per-factor, per-date, per-path simulated drivers (date index 0 = now)."""
 
@@ -146,141 +179,232 @@ class ScenarioCube:
     truncated_fraction: float = 0.0
     credit_seconds: float = 0.0
 
-    def pathwise_discount(self, date_index: int) -> np.ndarray:
-        """H_r(0,u) * exp(-Y_r(0,u)) for the domestic rate, per path."""
+    def state(self, date_index: int) -> DateState:
+        """The cube's drivers at one date, as views of its slabs."""
         if not 0 <= date_index < len(self.dates):
             raise IndexError("date index out of range")
-        return self.h_dom[date_index] * np.exp(-self.Y_r[self.domestic][date_index])
+        i = date_index
+        credit = (None if a is None else a[i] for a in (self.y_I, self.Y_I, self.Y_C))
+        return DateState(i, self.domestic, self.h_dom[i],
+                         {c: a[i] for c, a in self.y_r.items()},
+                         {c: a[i] for c, a in self.Y_r.items()},
+                         {c: a[i] for c, a in self.ln_fx.items()}, *credit)
+
+    def pathwise_discount(self, date_index: int) -> np.ndarray:
+        """H_r(0,u) * exp(-Y_r(0,u)) for the domestic rate, per path."""
+        return self.state(date_index).discount
 
 
-def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
-             n_paths: int, seed: int, mode: str = "base") -> ScenarioCube:
-    """Simulate all drivers jointly under the domestic risk-neutral measure.
+def _cube_from_slabs(slabs: dict[str, np.ndarray], **fields) -> ScenarioCube:
+    """A cube from its slabs named as `_slabs` names them."""
+    def group(field):
+        return {k.split(":")[1]: v for k, v in slabs.items() if k.startswith(field + ":")}
+    return ScenarioCube(y_r=group("y_r"), Y_r=group("Y_r"), ln_fx=group("ln_fx"),
+                        y_I=slabs.get("y_I"), Y_I=slabs.get("Y_I"),
+                        Y_C=slabs.get("Y_C"), **fields)
+
+
+def _slabs(x) -> dict[str, np.ndarray]:
+    """The named driver arrays of a cube (date x path slabs) or of a date
+    state (path rows), in the order the cube file stores them."""
+    out = {}
+    for field in ("y_r", "Y_r", "ln_fx"):
+        out.update({f"{field}:{c}": a for c, a in getattr(x, field).items()})
+    for name in ("y_I", "Y_I", "Y_C"):
+        if getattr(x, name) is not None:
+            out[name] = getattr(x, name)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# simulation
+
+def physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(n_bytes: int, what: str) -> None:
+    """Refuse, before allocating it, an array set larger than physical memory."""
+    have = physical_memory_bytes()
+    if n_bytes > have:
+        raise ValueError(f"{what} needs {n_bytes / 1e6:.1f} MB, more than the "
+                         f"{have / 1e6:.1f} MB of physical memory")
+
+
+class PathStream:
+    """All drivers simulated jointly under the domestic risk-neutral measure,
+    one monitoring date at a time.
 
     Rate noise uses the exact conditional transition per substep; credit uses
     full-truncation Euler; running integrals are trapezoidal on substeps.
     The state of each process is one stacked (n_factors, n_paths) array whose
     rows follow the factor order, so the correlated draws feed it directly.
+
+    Iterating runs the simulation once from `seed` and yields one DateState
+    per monitoring date, date 0 first; a second iteration repeats it. Its
+    arrays are the live simulation state: a yielded state is valid only
+    until the next one is requested, because the integrated rate drivers
+    are updated in place. Memory therefore scales with paths x factors, not
+    with dates. After the last date, `truncated_fraction` and
+    `credit_seconds` describe the pass.
     """
-    if mode not in ("base", "full"):
-        raise ValueError("mode must be 'base' or 'full'")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    labels = factor_labels(models)
-    if list(corr.labels) != labels:
-        raise ValueError(f"correlation labels {corr.labels} do not match models {labels}")
 
-    dom = models.domestic
-    ccys = [dom] + models.foreign_currencies
-    fx_ccys = list(models.fx)
-    entities = list(models.credit) if mode == "full" else []
-    n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
-    n_mkt = n_ccy + n_fx
+    def __init__(self, models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
+                 n_paths: int, seed: int, mode: str = "base"):
+        if mode not in ("base", "full"):
+            raise ValueError("mode must be 'base' or 'full'")
+        if n_paths < 1:
+            raise ValueError("n_paths must be >= 1")
+        labels = factor_labels(models)
+        if list(corr.labels) != labels:
+            raise ValueError(f"correlation labels {corr.labels} do not match models {labels}")
+        self.models, self.corr, self.grid = models, corr, grid
+        self.n_paths, self.seed, self.mode = n_paths, seed, mode
+        self.dates = grid.monitoring_dates
+        self.h_dom = hw_terms(models.rates[models.domestic], 0.0, self.dates).H
+        self.entities = list(models.credit) if mode == "full" else []
+        n_ccy, n_fx = 1 + len(models.foreign_currencies), len(models.fx)
+        n_cred = len(self.entities)
+        # rows alive at once: the process states, one substep's draws and
+        # one date's derived rows (log-FX, credit drivers, discount)
+        rows = (2 * n_ccy + n_fx + 2 * n_cred) + 2 * (n_ccy + n_fx + n_cred) \
+            + (n_fx + n_cred + 2)
+        self.state_bytes = 8 * n_paths * rows
+        # the cube's slabs: y and Y per currency, log-FX, and in full mode
+        # the investor's driver plus the integrated I and C drivers
+        n_slabs = (2 * n_ccy + n_fx + 2 * ("I" in self.entities)
+                   + ("C" in self.entities))
+        self.cube_bytes = 8 * n_paths * len(self.dates) * n_slabs
+        require_memory(self.state_bytes, "the simulation state")
+        self.truncated_fraction = 0.0
+        self.credit_seconds = 0.0
 
-    L = corr.cholesky
-    L_mm = np.ascontiguousarray(L[:n_mkt, :n_mkt])
-    L_cm = np.ascontiguousarray(L[n_mkt:, :n_mkt])
-    L_cc = np.ascontiguousarray(L[n_mkt:, n_mkt:])
+    def __iter__(self) -> Iterator[DateState]:
+        models, corr, n_paths = self.models, self.corr, self.n_paths
+        dom = models.domestic
+        ccys = [dom] + models.foreign_currencies
+        fx_ccys = list(models.fx)
+        entities = self.entities
+        n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
+        n_mkt = n_ccy + n_fx
 
-    ss_mkt, ss_credit = np.random.SeedSequence(seed).spawn(2)
-    rng_mkt = np.random.default_rng(ss_mkt)
-    rng_credit = np.random.default_rng(ss_credit)
+        L = corr.cholesky
+        L_mm = np.ascontiguousarray(L[:n_mkt, :n_mkt])
+        L_cm = np.ascontiguousarray(L[n_mkt:, :n_mkt])
+        L_cc = np.ascontiguousarray(L[n_mkt:, n_mkt:])
 
-    dates = grid.monitoring_dates
-    n_dates = len(dates)
-    nsub = grid.substeps_per_interval
-    dts = np.diff(dates) / nsub
+        ss_mkt, ss_credit = np.random.SeedSequence(self.seed).spawn(2)
+        rng_mkt = np.random.default_rng(ss_mkt)
+        rng_credit = np.random.default_rng(ss_credit)
 
-    # rates: exact transition coefficients per currency and substep size
-    rates = [models.rates[c] for c in ccys]
-    a_r = np.array([p.a for p in rates])[:, None]
-    decay = np.exp(-a_r * dts)
-    shock_sd = np.array([p.sigma for p in rates])[:, None] * np.sqrt(bfac(2.0 * a_r, dts))
-    h_dom = hw_terms(models.rates[dom], 0.0, dates).H
+        dates = self.dates
+        n_dates = len(dates)
+        nsub = self.grid.substeps_per_interval
+        dts = np.diff(dates) / nsub
 
-    # FX: log level = mean + Y_dom - Y_ccy + sigma_fx * Brownian level
-    fx_rows = [ccys.index(c) for c in fx_ccys]
-    sigma_fx = np.array([models.fx[c].sigma_fx for c in fx_ccys])[:, None]
-    mu_fx = np.array([
-        fx_terms(models.rates[dom], models.rates[c], models.fx[c],
-                 corr.entry(rate_factor(dom), rate_factor(c)),
-                 corr.entry(rate_factor(dom), fx_factor(c)),
-                 corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
-        for c in fx_ccys]).reshape(n_fx, n_dates)
+        # rates: exact transition coefficients per currency and substep size
+        rates = [models.rates[c] for c in ccys]
+        a_r = np.array([p.a for p in rates])[:, None]
+        decay = np.exp(-a_r * dts)
+        shock_sd = np.array([p.sigma for p in rates])[:, None] * np.sqrt(bfac(2.0 * a_r, dts))
 
-    # credit: centered by the closed-form mean and mean integral
-    credit = [models.credit[z] for z in entities]
-    cred_terms = [cir_terms(p, 0.0, dates) for p in credit]
-    M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, n_dates)
-    a_c = np.array([p.a for p in credit])[:, None]
-    theta_c = np.array([p.theta for p in credit])[:, None]
-    sigma_c = np.array([p.sigma for p in credit])[:, None]
+        # FX: log level = mean + Y_dom - Y_ccy + sigma_fx * Brownian level
+        fx_rows = [ccys.index(c) for c in fx_ccys]
+        sigma_fx = np.array([models.fx[c].sigma_fx for c in fx_ccys])[:, None]
+        mu_fx = np.array([
+            fx_terms(models.rates[dom], models.rates[c], models.fx[c],
+                     corr.entry(rate_factor(dom), rate_factor(c)),
+                     corr.entry(rate_factor(dom), fx_factor(c)),
+                     corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
+            for c in fx_ccys]).reshape(n_fx, n_dates)
 
-    y = np.zeros((n_ccy, n_paths))          # OU noise per currency
-    Y = np.zeros((n_ccy, n_paths))          # trapezoidal integral of y
-    w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
-    x_cred = np.repeat(np.array([p.x0 for p in credit])[:, None], n_paths, axis=1)
-    intx_cred = np.zeros((n_cred, n_paths))
+        # credit: centered by the closed-form mean and mean integral
+        credit = [models.credit[z] for z in entities]
+        cred_terms = [cir_terms(p, 0.0, dates) for p in credit]
+        M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, n_dates)
+        a_c = np.array([p.a for p in credit])[:, None]
+        theta_c = np.array([p.theta for p in credit])[:, None]
+        sigma_c = np.array([p.sigma for p in credit])[:, None]
+        # only the investor's intensity driver itself reaches the state
+        k_I = entities.index("I") if "I" in entities else None
 
-    out_y = np.zeros((n_ccy, n_dates, n_paths))
-    out_Y = np.zeros((n_ccy, n_dates, n_paths))
-    out_lnfx = np.zeros((n_fx, n_dates, n_paths))
-    out_lnfx[:, 0] = np.array([np.log(models.fx[c].spot) for c in fx_ccys])[:, None]
-    out_Ycred = np.zeros((n_cred, n_dates, n_paths))
-    # only the investor's intensity driver itself reaches the cube
-    k_I = entities.index("I") if "I" in entities else None
-    out_yI = np.zeros((n_dates, n_paths)) if k_I is not None else None
+        def state(i, ln_fx, Y_cred, y_I):
+            Y_c = dict(zip(entities, Y_cred))
+            return DateState(i, dom, self.h_dom[i], dict(zip(ccys, y)),
+                             dict(zip(ccys, Y)), dict(zip(fx_ccys, ln_fx)),
+                             y_I, Y_c.get("I"), Y_c.get("C"))
 
-    n_truncated = 0
-    credit_seconds = 0.0
+        y = np.zeros((n_ccy, n_paths))          # OU noise per currency
+        Y = np.zeros((n_ccy, n_paths))          # trapezoidal integral of y
+        w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
+        x_cred = np.repeat(np.array([p.x0 for p in credit])[:, None], n_paths, axis=1)
+        intx_cred = np.zeros((n_cred, n_paths))
 
-    for i in range(1, n_dates):
-        dt = dts[i - 1]
-        sq_dt = np.sqrt(dt)
-        for _ in range(nsub):
-            z_mkt = rng_mkt.standard_normal((n_mkt, n_paths))
-            eps_mkt = L_mm @ z_mkt
-            y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
-            Y += 0.5 * dt * (y + y_new)
-            y = y_new
-            w_fx += sq_dt * eps_mkt[n_ccy:]
-            if entities:
-                tc = time.perf_counter()
-                z_cred = rng_credit.standard_normal((n_cred, n_paths))
-                eps_cred = L_cm @ z_mkt + L_cc @ z_cred
-                xp = np.maximum(x_cred, 0.0)
-                x_new = (x_cred + a_c * (theta_c - xp) * dt
-                         + sigma_c * np.sqrt(xp * dt) * eps_cred)
-                n_truncated += int(np.count_nonzero(x_new < 0.0))
-                xp_new = np.maximum(x_new, 0.0)
-                intx_cred += 0.5 * dt * (xp + xp_new)
-                x_cred = x_new
-                credit_seconds += time.perf_counter() - tc
+        n_truncated = 0
+        self.credit_seconds = 0.0
+        log_spot = np.array([np.log(models.fx[c].spot) for c in fx_ccys])[:, None]
+        yield state(0, np.repeat(log_spot, n_paths, axis=1), intx_cred.copy(),
+                    np.zeros(n_paths) if k_I is not None else None)
 
-        out_y[:, i] = y
-        out_Y[:, i] = Y
-        out_lnfx[:, i] = mu_fx[:, i:i + 1] + Y[0] - Y[fx_rows] + sigma_fx * w_fx
-        out_Ycred[:, i] = intx_cred - M_cred[:, i:i + 1]
-        if out_yI is not None:
-            out_yI[i] = np.maximum(x_cred[k_I], 0.0) - cred_terms[k_I].mu[i]
+        for i in range(1, n_dates):
+            dt = dts[i - 1]
+            sq_dt = np.sqrt(dt)
+            for _ in range(nsub):
+                z_mkt = rng_mkt.standard_normal((n_mkt, n_paths))
+                eps_mkt = L_mm @ z_mkt
+                y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
+                Y += 0.5 * dt * (y + y_new)
+                y = y_new
+                w_fx += sq_dt * eps_mkt[n_ccy:]
+                if entities:
+                    tc = time.perf_counter()
+                    z_cred = rng_credit.standard_normal((n_cred, n_paths))
+                    eps_cred = L_cm @ z_mkt + L_cc @ z_cred
+                    xp = np.maximum(x_cred, 0.0)
+                    x_new = (x_cred + a_c * (theta_c - xp) * dt
+                             + sigma_c * np.sqrt(xp * dt) * eps_cred)
+                    n_truncated += int(np.count_nonzero(x_new < 0.0))
+                    xp_new = np.maximum(x_new, 0.0)
+                    intx_cred += 0.5 * dt * (xp + xp_new)
+                    x_cred = x_new
+                    self.credit_seconds += time.perf_counter() - tc
 
-    for name, arr, keys in (("y", out_y, ccys), ("Y", out_Y, ccys),
-                            ("lnfx", out_lnfx, fx_ccys)):
-        if not np.all(np.isfinite(arr)):
-            k, d, path = np.argwhere(~np.isfinite(arr))[0]
-            raise FloatingPointError(
-                f"non-finite {name}[{keys[k]}] at date index {d}, path {path}")
+            ln_fx = mu_fx[:, i:i + 1] + Y[0] - Y[fx_rows] + sigma_fx * w_fx
+            for name, arr, keys in (("y", y, ccys), ("Y", Y, ccys),
+                                    ("lnfx", ln_fx, fx_ccys)):
+                if not np.all(np.isfinite(arr)):
+                    k, path = np.argwhere(~np.isfinite(arr))[0]
+                    raise FloatingPointError(
+                        f"non-finite {name}[{keys[k]}] at date index {i}, path {path}")
+            y_I = (np.maximum(x_cred[k_I], 0.0) - cred_terms[k_I].mu[i]
+                   if k_I is not None else None)
+            yield state(i, ln_fx, intx_cred - M_cred[:, i:i + 1], y_I)
 
-    Y_cred = dict(zip(entities, out_Ycred))
-    credit_steps = n_cred * n_paths * nsub * (n_dates - 1)
-    return ScenarioCube(
-        mode=mode, seed=seed, dates=dates.copy(), n_paths=n_paths, domestic=dom,
-        y_r=dict(zip(ccys, out_y)), Y_r=dict(zip(ccys, out_Y)),
-        ln_fx=dict(zip(fx_ccys, out_lnfx)), h_dom=h_dom,
-        y_I=out_yI, Y_I=Y_cred.get("I"), Y_C=Y_cred.get("C"),
-        truncated_fraction=n_truncated / credit_steps if credit_steps else 0.0,
-        credit_seconds=credit_seconds,
-    )
+        credit_steps = n_cred * n_paths * nsub * (n_dates - 1)
+        self.truncated_fraction = n_truncated / credit_steps if credit_steps else 0.0
+
+
+def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
+             n_paths: int, seed: int, mode: str = "base") -> ScenarioCube:
+    """Simulate all drivers (see PathStream) and keep every date in a cube.
+
+    The cube holds (n_dates, n_paths) slabs; its size is checked against
+    physical memory before any of it is allocated.
+    """
+    stream = PathStream(models, corr, grid, n_paths, seed, mode)
+    require_memory(stream.cube_bytes + stream.state_bytes,
+                   "the scenario cube and its simulation state")
+    for st in stream:
+        if st.index == 0:
+            slabs = {name: np.empty((grid.n_dates, n_paths)) for name in _slabs(st)}
+        for name, row in _slabs(st).items():
+            slabs[name][st.index] = row
+
+    return _cube_from_slabs(
+        slabs, mode=mode, seed=seed, dates=stream.dates.copy(), n_paths=n_paths,
+        domestic=models.domestic, h_dom=stream.h_dom,
+        truncated_fraction=stream.truncated_fraction,
+        credit_seconds=stream.credit_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +421,10 @@ def dump_cube(cube: ScenarioCube, path) -> None:
     """
     import json
 
-    slabs = []
-    arrays = []
-    for c, arr in cube.y_r.items():
-        slabs.append(f"y_r:{c}")
-        arrays.append(arr)
-    for c, arr in cube.Y_r.items():
-        slabs.append(f"Y_r:{c}")
-        arrays.append(arr)
-    for c, arr in cube.ln_fx.items():
-        slabs.append(f"ln_fx:{c}")
-        arrays.append(arr)
-    if cube.mode == "full":
-        for name, arr in (("y_I", cube.y_I), ("Y_I", cube.Y_I), ("Y_C", cube.Y_C)):
-            slabs.append(name)
-            arrays.append(arr)
+    slabs = _slabs(cube)
     header = {
         "mode": cube.mode, "seed": cube.seed, "n_paths": cube.n_paths,
-        "domestic": cube.domestic, "dates": cube.dates.tolist(), "slabs": slabs,
+        "domestic": cube.domestic, "dates": cube.dates.tolist(), "slabs": list(slabs),
         "truncated_fraction": cube.truncated_fraction,
     }
     blob = json.dumps(header).encode("utf-8")
@@ -323,7 +433,7 @@ def dump_cube(cube: ScenarioCube, path) -> None:
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
         fh.write(cube.h_dom.astype(np.float64).tobytes())
-        for arr in arrays:
+        for arr in slabs.values():
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
 
 
@@ -342,12 +452,7 @@ def load_cube(path) -> ScenarioCube:
         for name in header["slabs"]:
             raw = fh.read(8 * n_dates * n_paths)
             slabs[name] = np.frombuffer(raw, dtype=np.float64).reshape(n_dates, n_paths).copy()
-    y_r = {k.split(":")[1]: v for k, v in slabs.items() if k.startswith("y_r:")}
-    Y_r = {k.split(":")[1]: v for k, v in slabs.items() if k.startswith("Y_r:")}
-    ln_fx = {k.split(":")[1]: v for k, v in slabs.items() if k.startswith("ln_fx:")}
-    return ScenarioCube(
-        mode=header["mode"], seed=header["seed"], dates=dates, n_paths=n_paths,
-        domestic=header["domestic"], y_r=y_r, Y_r=Y_r, ln_fx=ln_fx, h_dom=h_dom,
-        y_I=slabs.get("y_I"), Y_I=slabs.get("Y_I"), Y_C=slabs.get("Y_C"),
-        truncated_fraction=float(header.get("truncated_fraction", 0.0)),
-    )
+    return _cube_from_slabs(
+        slabs, mode=header["mode"], seed=header["seed"], dates=dates,
+        n_paths=n_paths, domestic=header["domestic"], h_dom=h_dom,
+        truncated_fraction=float(header.get("truncated_fraction", 0.0)))

@@ -62,37 +62,34 @@ def acc():
     p = inputs.portfolio
     s = p.single_swap
 
+    # one full-mode pass: its market slabs equal a base-mode cube's (see mc)
     t0 = time.perf_counter()
-    cube_base = simulate(models, corr, grid, settings.n_paths, settings.seed,
-                         "base")
-    cube_full = simulate(models, corr, grid, settings.n_paths, settings.seed,
-                         "full")
+    cube = simulate(models, corr, grid, settings.n_paths, settings.seed, "full")
     sim_seconds = time.perf_counter() - t0
-    vm = value_matrix(p, models, cube_base)
+    vm = value_matrix(p, models, cube)
 
     # moments up to the order needed by the n_r = 20 convergence study
-    bm20 = base_moments(cube_base, p, models, 20, value_mat=vm)
+    bm20 = base_moments(cube, p, models, 20, value_mat=vm)
 
     # WWR-stage timing for the default order: the driver-moment averaging
     # plus the series assembly (the discounted exposure and coefficients
     # are shared with the coupling-free part and with the MC estimator)
-    bm5 = base_moments(cube_base, p, models, 5, value_mat=vm)
-    coeffs5 = coeffs_for_dates(models, corr, cube_base.dates, 5)
+    bm5 = base_moments(cube, p, models, 5, value_mat=vm)
+    coeffs5 = coeffs_for_dates(models, corr, cube.dates, 5)
     t0 = time.perf_counter()
     wwr_approx = epe_wwr_approx_generic(coeffs5, bm5)
     approx_seconds = bm5.y_moment_seconds + (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    wwr_mc, wwr_mc_se = epe_wwr_mc(cube_full, p, models, bm5, coeffs5,
-                                   value_mat=vm)
-    mc_seconds = cube_full.credit_seconds + (time.perf_counter() - t0)
+    wwr_mc, wwr_mc_se = epe_wwr_mc(cube, p, models, bm5, coeffs5, value_mat=vm)
+    mc_seconds = cube.credit_seconds + (time.perf_counter() - t0)
 
     indep = epe_indep(bm5, coeffs5, models)
     wwr_analytic = epe_wwr_approx_swap_analytic(s, models, coeffs5, bm5, 5, 5)
 
     return SimpleNamespace(
         inputs=inputs, settings=settings, models=models, corr=corr, grid=grid,
-        portfolio=p, swap=s, cube_base=cube_base, cube_full=cube_full,
+        portfolio=p, swap=s, cube=cube,
         value_mat=vm, bm5=bm5, bm20=bm20, coeffs5=coeffs5,
         epe_indep=indep, wwr_approx=wwr_approx, wwr_analytic=wwr_analytic,
         wwr_mc=wwr_mc, wwr_mc_se=wwr_mc_se,

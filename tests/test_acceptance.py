@@ -36,7 +36,7 @@ from conftest import integrate, small_settings
 # 1. market repricing at full scale, within budget
 
 def test_criterion_1_market_fit(acc):
-    cube = acc.cube_full
+    cube = acc.cube
     curve = acc.inputs.market.rate_curve("EUR")
     sqrt_n = math.sqrt(cube.n_paths)
     for i in range(1, len(cube.dates)):
@@ -80,7 +80,7 @@ def test_criterion_2_zero_correlation(acc):
 # 3. approximation within 5% of the benchmark FVA
 
 def test_criterion_3_benchmark_agreement(acc):
-    dates = acc.cube_base.dates
+    dates = acc.cube.dates
     fva_indep = integrate(dates, acc.epe_indep)
     fva_wwr = integrate(dates, acc.wwr_approx)
     fva_wwr_mc = integrate(dates, acc.wwr_mc)
@@ -111,7 +111,7 @@ def test_criterion_4_speedup(acc):
 # 5. order convergence of both expansions
 
 def test_criterion_5_order_convergence(acc):
-    dates = acc.cube_base.dates
+    dates = acc.cube.dates
     models, corr = acc.models, acc.corr
 
     def fva_at_nr(n_r):
@@ -199,7 +199,7 @@ def test_criterion_7_indicator_oracles(acc, b42):
 # 8. error bounds dominate the measured errors at full scale
 
 def test_criterion_8_error_bounds(acc):
-    cube = acc.cube_full
+    cube = acc.cube
     models, s, vm = acc.models, acc.swap, acc.value_mat
     tab = credit_moment_table(cube)
     for i in range(1, len(cube.dates)):
@@ -229,7 +229,7 @@ def test_criterion_9_risk_direction(acc):
     assert np.all(d.psi[1:] < 0.0)
     assert d.gamma_verdict == "WWR"
     assert d.alpha_verdict == "RWR"
-    for i in range(1, len(acc.cube_base.dates)):
+    for i in range(1, len(acc.cube.dates)):
         c = acc.coeffs5[i]
         assert d.net_sign[i] == np.sign(c.mu_S * c.alpha + c.lgd * c.gamma), i
 

@@ -21,6 +21,7 @@ def test_fva_verb(tmp_path, capsys):
     assert "fva_total=" in out and "method=approx_generic" in out
     doc = json.loads((tmp_path / "fva_report.json").read_text())
     assert doc["fva_total"] == pytest.approx(doc["fva_indep"] + doc["fva_wwr"])
+    assert doc["peak_rss_mb"] > 0.0
     prof = read_profile_csv(tmp_path / "profile.csv")
     assert len(prof.dates) == 61
 

@@ -1,16 +1,21 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wwrfva.exposure import ExposureProfile
-from wwrfva.fva import (FvaReport, RunSettings, build_model_set,
-                        integrate_profile, load_run_config, make_grid,
-                        read_profile_csv, run_fva, write_profile_csv,
+from wwrfva.exposure import (ExposureProfile, base_moments, coeffs_for_dates,
+                             discounted_exposure, epe_indep,
+                             epe_wwr_approx_generic,
+                             epe_wwr_approx_swap_analytic, epe_wwr_mc)
+from wwrfva.fva import (FvaReport, RunSettings, build_correlation_for,
+                        build_model_set, integrate_profile, load_run_config,
+                        make_grid, read_profile_csv, run_fva, write_profile_csv,
                         write_report_json)
-from wwrfva.mc import simulate
+from wwrfva.instruments import value_matrix
+from wwrfva.mc import PathStream, simulate
 
 from conftest import fixture_path, small_settings
 
@@ -160,6 +165,9 @@ def test_run_fva_deterministic(b41):
     r1 = run_fva(inputs, settings)
     r2 = run_fva(inputs.copy(), settings)
     assert r1.to_dict(include_timings=False) == r2.to_dict(include_timings=False)
+    # the process's peak memory is reported with the timings only
+    assert "peak_rss_mb" not in r1.to_dict(include_timings=False)
+    assert r1.to_dict()["peak_rss_mb"] > 0.0
     assert np.array_equal(r1.profile.epe_wwr, r2.profile.epe_wwr)
 
 
@@ -208,12 +216,12 @@ def test_benchmark_run_simulates_once(monkeypatch, cfg, method):
     plain = run_fva(inputs, settings)
     modes = []
 
-    def counting_simulate(*args, **kwargs):
-        cube = simulate(*args, **kwargs)
-        modes.append(cube.mode)
-        return cube
+    def counting_stream(*args, **kwargs):
+        stream = PathStream(*args, **kwargs)
+        modes.append(stream.mode)
+        return stream
 
-    monkeypatch.setattr("wwrfva.fva.simulate", counting_simulate)
+    monkeypatch.setattr("wwrfva.fva.PathStream", counting_stream)
     bench = run_fva(inputs, dataclasses.replace(settings, benchmark=True))
     assert modes == ["full"]
     assert bench.fva_wwr_mc is not None
@@ -221,3 +229,81 @@ def test_benchmark_run_simulates_once(monkeypatch, cfg, method):
     assert bench.fva_indep == plain.fva_indep
     assert bench.fva_wwr == plain.fva_wwr
     assert np.array_equal(bench.profile.epe_wwr, plain.profile.epe_wwr)
+
+
+def _composed_run(inputs, settings):
+    """run_fva's profiles composed from the cube-based functions."""
+    models = build_model_set(inputs)
+    corr = build_correlation_for(models, inputs.correlations)
+    p = inputs.portfolio
+    need_full = settings.method == "mc" or settings.benchmark
+    cube = simulate(models, corr, make_grid(inputs, settings), settings.n_paths,
+                    settings.seed, "full" if need_full else "base")
+    vm = value_matrix(p, models, cube)
+    if settings.method == "approx_generic":
+        bm = base_moments(cube, p, models, settings.n_r, value_mat=vm)
+    else:
+        bm = discounted_exposure(cube, vm)
+    coeffs = coeffs_for_dates(models, corr, cube.dates, settings.n_r)
+    wwr_mc = se_mc = None
+    if need_full:
+        wwr_mc, se_mc = epe_wwr_mc(cube, p, models, bm, coeffs, value_mat=vm)
+    if settings.method == "mc":
+        wwr = wwr_mc
+    elif settings.method == "approx_generic":
+        wwr = epe_wwr_approx_generic(coeffs, bm)
+    else:
+        wwr = epe_wwr_approx_swap_analytic(p.single_swap, models, coeffs, bm,
+                                           settings.n_r, settings.n_a)
+    return cube, bm, epe_indep(bm, coeffs, models), wwr, wwr_mc, se_mc
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("bench", [False, True], ids=["plain", "bench"])
+@pytest.mark.parametrize("cfg, method", [
+    ("single_swap.cfg", "mc"), ("single_swap.cfg", "approx_generic"),
+    ("single_swap.cfg", "approx_analytic"), ("portfolio.cfg", "mc"),
+    ("portfolio.cfg", "approx_generic"), ("portfolio_stressed.cfg", "mc"),
+    ("portfolio_stressed.cfg", "approx_generic")])
+def test_streamed_run_equals_cube_composition(cfg, method, bench):
+    inputs, settings = load_run_config(fixture_path(cfg))
+    settings = small_settings(settings, n_paths=2000, method=method,
+                              benchmark=bench)
+    rep = run_fva(inputs, settings)
+    cube, bm, indep, wwr, wwr_mc, se_mc = _composed_run(inputs, settings)
+    dates = cube.dates
+
+    assert _bits(rep.profile.dates) == _bits(dates)
+    assert _bits(rep.profile.epe_indep) == _bits(indep)
+    assert _bits(rep.profile.epe_wwr) == _bits(wwr)
+    assert _bits(rep.profile.se_indep) == _bits(bm.disc_epe_se)
+    assert (rep.fva_indep, rep.fva_wwr) == integrate_profile(
+        ExposureProfile(dates=dates, epe_indep=indep, epe_wwr=wwr, method=method))
+    assert rep.truncated_fraction == cube.truncated_fraction
+    if wwr_mc is None:
+        assert rep.fva_wwr_mc is None and rep.benchmark_profile is None
+        return
+    mc_profile = rep.profile if method == "mc" else rep.benchmark_profile
+    assert _bits(mc_profile.epe_wwr) == _bits(wwr_mc)
+    assert _bits(mc_profile.se_wwr) == _bits(se_mc)
+    assert rep.fva_wwr_mc == integrate_profile(
+        ExposureProfile(dates=dates, epe_indep=indep, epe_wwr=wwr_mc, method="mc"))[1]
+    assert rep.fva_wwr_mc_se == float(np.sqrt(np.sum((np.diff(dates) * se_mc[1:]) ** 2)))
+
+
+@pytest.mark.parametrize("method", ["approx_analytic", "approx_generic"])
+def test_run_memory_does_not_scale_with_dates(b41, method):
+    inputs, settings = b41
+    settings = small_settings(settings, n_paths=20_000, dates_per_year=4,
+                              method=method, benchmark=True)
+    one_slab = 8 * make_grid(inputs, settings).n_dates * settings.n_paths
+    tracemalloc.start()
+    try:
+        run_fva(inputs, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_slab, (peak, one_slab)

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from wwrfva.fva import build_correlation_for, build_model_set, load_run_config
-from wwrfva.mc import (SimGrid, build_correlation, dump_cube, factor_labels,
-                       load_cube, simulate)
+from wwrfva.mc import (PathStream, SimGrid, build_correlation, dump_cube,
+                       factor_labels, load_cube, simulate)
 from wwrfva.models import cir_terms, fx_terms, hw_terms
 
 from conftest import fixture_path
@@ -220,3 +221,33 @@ def test_invalid_mode_rejected(setup41):
     _, models, corr = setup41
     with pytest.raises(ValueError):
         simulate(models, corr, SimGrid.regular(2, 1.0, 1), 100, 1, "bogus")
+
+
+def test_non_finite_driver_named_at_its_date(setup41):
+    _, models, corr = setup41
+    wild = dataclasses.replace(models, rates={
+        "EUR": dataclasses.replace(models.rates["EUR"], sigma=np.inf)})
+    seen = []
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"non-finite y\[EUR\] at date index 1, path 0"):
+        for st in PathStream(wild, corr, SimGrid.regular(2, 2.0, 1), 10, 1):
+            seen.append(st.index)
+    assert seen == [0]
+
+
+def test_memory_checked_before_allocating(monkeypatch, setup41):
+    _, models, corr = setup41
+    grid = SimGrid.regular(4, 10.0, 2)
+    stream = PathStream(models, corr, grid, 5000, 7, "full")
+    assert stream.cube_bytes == 8 * 5000 * grid.n_dates * 5  # y, Y, y_I, Y_I, Y_C
+    # room for the streamed state but not for the cube
+    monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
+                        lambda: stream.state_bytes + stream.cube_bytes // 2)
+    with pytest.raises(ValueError, match=r"scenario cube .* needs 8\.\d MB, more "
+                                         r"than the \d\.\d MB of physical memory"):
+        simulate(models, corr, grid, 5000, 7, "full")
+    assert sum(1 for _ in PathStream(models, corr, grid, 5000, 7, "full")) == grid.n_dates
+    monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
+                        lambda: stream.state_bytes - 1)
+    with pytest.raises(ValueError, match="simulation state needs"):
+        PathStream(models, corr, grid, 5000, 7, "full")
