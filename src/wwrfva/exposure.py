@@ -74,7 +74,7 @@ def y_moments_at(y: np.ndarray, value_row: np.ndarray, pows: np.ndarray,
     return pows.mean(axis=1), batch.std(axis=1, ddof=1) / math.sqrt(nb)
 
 
-def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float, c: "WwrCoeffs",
+def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float, c: WwrCoeffs,
               n_batches: int = N_BATCHES) -> tuple[float, float]:
     """Covariance of the discounted positive exposure `h` (mean `disc_epe`)
     with the survival-weighted funding spread at one date after 0, with its

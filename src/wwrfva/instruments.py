@@ -203,8 +203,9 @@ def swap_weights(s: Swap, rp: Hw1fParams, t: float, u: float) -> SwapWeights:
 def swap_value_y(s: Swap, sw: SwapWeights, y):
     """Swap value at the monitoring date as a function of the rate driver y."""
     y = np.asarray(y, dtype=float)
-    expo = np.multiply.outer(y, -sw.B)   # paths x live payments: the largest
-    np.exp(expo, out=expo)               # temporary of a valuation, kept single
+    # paths x live payments, the largest temporary of a valuation: one copy
+    expo = np.multiply.outer(y, -sw.B)
+    np.exp(expo, out=expo)
     val = s.phi * s.notional * (sw.const + expo @ sw.wbar)
     return float(val) if val.ndim == 0 else val
 

@@ -220,6 +220,7 @@ def _slabs(x) -> dict[str, np.ndarray]:
 # simulation
 
 def physical_memory_bytes() -> int:
+    """Physical memory of the host, the ceiling of any one array set."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
