@@ -68,8 +68,17 @@ _PHI_SERIES = _series(lambda n: (-1) ** n * (2 - 2 ** (n - 1)), 3)
 
 
 def _power_series(x, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] x^k per element of x, as one matrix product."""
-    return np.asarray(x)[..., None] ** np.arange(len(coeffs)) @ coeffs
+    """sum_k coeffs[k] x^k per element of x; a 2-d `coeffs` sums each
+    column as its own series (last axis of the result).
+
+    Each element's terms are summed along one contiguous row, so an array
+    call gives every element bit for bit what a scalar call gives. A BLAS
+    matrix product would not: its summation order depends on the batch shape.
+    """
+    x = np.asarray(x, dtype=float)[..., None, None]
+    terms = x ** np.arange(len(coeffs)) * np.atleast_2d(coeffs.T)
+    sums = terms.sum(axis=-1)
+    return sums if coeffs.ndim == 2 else sums[..., 0]
 
 
 def hw_a(a: float, sigma: float, tau):
