@@ -213,7 +213,8 @@ def tail_envelope_constant(q_abs: float) -> float:
 def explicit_e1_bound(models: ModelSet, coeffs: WwrCoeffs, c_v: float,
                       disc_epe: float, tab: CreditMomentTable, i: int,
                       x: str) -> float:
-    """Closed-form upper bound on the survival-expansion error at one date.
+    """Closed-form upper bound on the survival-expansion error at date i of
+    the date-array `coeffs`.
 
     First piece bounds the covariance-like term through the product
     bound and the moment constants; second piece is the exact mean term
@@ -221,8 +222,8 @@ def explicit_e1_bound(models: ModelSet, coeffs: WwrCoeffs, c_v: float,
     """
     var_Yr = hw_terms(models.rates[models.domestic], 0.0, tab.dates[i]).var_Y
     c_t2 = tail_envelope_constant(tab.q_abs_s[i])
-    first = coeffs.H_rIC * math.sqrt(c_v) * c_t2 * c3_const(x, var_Yr, tab, i) / 2.0
-    second = coeffs.H_IC * disc_epe * c4_const(x, tab, i)
+    first = coeffs.H_rIC[i] * math.sqrt(c_v) * c_t2 * c3_const(x, var_Yr, tab, i) / 2.0
+    second = coeffs.H_IC[i] * disc_epe * c4_const(x, tab, i)
     return first - second
 
 

@@ -15,6 +15,11 @@ Every path average is a per-date kernel (`exposure_at`, `y_moments_at`,
 values. `run_fva` feeds the kernels from the live simulation stream;
 `discounted_exposure`, `base_moments` and `epe_wwr_mc` feed them the
 dates of a stored cube.
+
+The projection coefficients are deterministic. `coeffs_for_dates` gives
+one `WwrCoeffs` record of arrays over the monitoring dates, whose row 0
+is the date-0 limit, so the independent part, the WWR assembly and the
+sign diagnostic are each one array expression over all dates.
 """
 
 from __future__ import annotations
@@ -78,9 +83,10 @@ def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float, c: WwrCoeffs,
               n_batches: int = N_BATCHES) -> tuple[float, float]:
     """Covariance of the discounted positive exposure `h` (mean `disc_epe`)
     with the survival-weighted funding spread at one date after 0, with its
-    batch SE; reads the state's credit drivers."""
-    surv = c.H_IC * np.exp(-st.Y_I - st.Y_C)
-    spread = c.mu_S + c.lgd * st.y_I
+    batch SE; reads the state's credit drivers and the coefficients at the
+    state's date."""
+    surv = c.H_IC[st.index] * np.exp(-st.Y_I - st.Y_C)
+    spread = c.mu_S[st.index] + c.lgd * st.y_I
     term = (h - disc_epe) * surv * spread
     return term.mean(), _batch_se(term, n_batches)
 
@@ -153,21 +159,24 @@ def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
 
 @dataclass(frozen=True)
 class WwrCoeffs:
-    """Deterministic coefficients of the Gaussian WWR approximation at one date."""
+    """Deterministic coefficients of the Gaussian WWR approximation.
 
-    gamma: float
-    alpha: float
-    nu: float
-    beta: np.ndarray        # beta[j], j = 0..n_r
-    H_rIC: float
-    H_IC: float
-    mu_S: float
-    exp_YIyI: float
-    P_I: float              # survival of the institution to u
-    P_C: float              # survival of the counterparty to u
+    Every field but `lgd` holds one entry per monitoring date, and `beta`
+    has shape (n_dates, n_r + 1); `wwr_coeffs` at a single date gives
+    scalars and a beta vector instead.
+    """
+
+    gamma: np.ndarray
+    alpha: np.ndarray
+    nu: np.ndarray
+    beta: np.ndarray        # beta[i, j], j = 0..n_r
+    H_rIC: np.ndarray
+    H_IC: np.ndarray
+    mu_S: np.ndarray
+    exp_YIyI: np.ndarray
+    P_I: np.ndarray         # survival of the institution to u
+    P_C: np.ndarray         # survival of the counterparty to u
     lgd: float
-    var_y_r: float          # variance of the domestic rate driver at (t,u)
-    sigma_Yr: float         # sd ratio of the integrated rate driver
 
 
 def mu_spread(models: ModelSet, u, u_prev, t: float = 0.0):
@@ -223,45 +232,41 @@ def wwr_coeffs(models: ModelSet, corr: CorrelationMatrix, t: float, u,
         exp_YIyI=ci.exp_Yy,
         P_I=models.credit["I"].curve.discount(u),
         P_C=models.credit["C"].curve.discount(u),
-        lgd=lgd, var_y_r=rt.var_y, sigma_Yr=s_Yr)
+        lgd=lgd)
 
 
 def coeffs_for_dates(models: ModelSet, corr: CorrelationMatrix,
-                     dates: np.ndarray, n_r: int) -> list[Optional[WwrCoeffs]]:
-    """Coefficients per monitoring date; None at date 0 (ratios undefined)."""
+                     dates: np.ndarray, n_r: int) -> WwrCoeffs:
+    """Coefficients at every monitoring date, one array entry per date.
+
+    Row 0 is the date-0 limit, where the variance ratios are undefined:
+    no coupling (gamma = alpha = nu = exp_YIyI = 0), unit survival and
+    discount factors, beta = [1, 0, ...], and the first interval's spread.
+    """
     dates = np.asarray(dates, dtype=float)
     c = wwr_coeffs(models, corr, 0.0, dates[1:], dates[:-1], n_r)
-    per_date = {f.name: getattr(c, f.name) for f in dataclasses.fields(WwrCoeffs)}
-    out: list[Optional[WwrCoeffs]] = [None]
-    for i in range(len(dates) - 1):
-        out.append(WwrCoeffs(**{
-            k: v if np.ndim(v) == 0 else (v[i] if v.ndim == 2 else float(v[i]))
-            for k, v in per_date.items()}))
-    return out
+    row0 = dict(gamma=0.0, alpha=0.0, nu=0.0, beta=np.eye(1, n_r + 1)[0],
+                H_rIC=1.0, H_IC=1.0, mu_S=c.mu_S[0], exp_YIyI=0.0, P_I=1.0, P_C=1.0)
+    return WwrCoeffs(lgd=c.lgd, **{k: np.concatenate(([v], getattr(c, k)))
+                                   for k, v in row0.items()})
 
 
 # ---------------------------------------------------------------------------
 # independent exposure and the MC WWR benchmark
 
-def epe_indep(bm: BaseMoments, coeffs: list[Optional[WwrCoeffs]],
-              models: ModelSet) -> np.ndarray:
-    """Independent discounted exposure per date (spread x exposure, no coupling)."""
-    n = len(bm.dates)
-    out = np.zeros(n)
-    for i in range(n):
-        c = coeffs[i]
-        if c is None:
-            # date 0 limit: survival = 1, spread-driver covariance = 0
-            mu_s0 = mu_spread(models, bm.dates[1], bm.dates[0]) if n > 1 else 0.0
-            out[i] = mu_s0 * bm.disc_epe[i]
-            continue
-        out[i] = (c.P_I * c.P_C * c.mu_S * bm.disc_epe[i]
-                  - c.lgd * c.H_IC * c.exp_YIyI * bm.disc_epe[i])
-    return out
+def epe_indep(bm: BaseMoments, coeffs: WwrCoeffs, models: ModelSet) -> np.ndarray:
+    """Independent discounted exposure per date (spread x exposure, no coupling).
+
+    `models` is unused; it stays because perfbench's replica of the run
+    passes it.
+    """
+    c = coeffs
+    return (c.P_I * c.P_C * c.mu_S * bm.disc_epe
+            - c.lgd * c.H_IC * c.exp_YIyI * bm.disc_epe)
 
 
 def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
-               bm: BaseMoments, coeffs: list[Optional[WwrCoeffs]],
+               bm: BaseMoments, coeffs: WwrCoeffs,
                value_mat: Optional[np.ndarray] = None,
                n_batches: int = N_BATCHES) -> tuple[np.ndarray, np.ndarray]:
     """Benchmark WWR exposure from jointly simulated credit paths.
@@ -283,7 +288,7 @@ def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     for i in range(1, n):
         st = cube.state(i)
         h = exposure_at(st, value_mat[i], n_batches)[0]
-        vals[i], ses[i] = wwr_mc_at(st, h, bm.disc_epe[i], coeffs[i], n_batches)
+        vals[i], ses[i] = wwr_mc_at(st, h, bm.disc_epe[i], coeffs, n_batches)
     return vals, ses
 
 
@@ -350,34 +355,31 @@ def truncated_normal_moments(variance: float, ystar_value: float,
 # ---------------------------------------------------------------------------
 # the Gaussian WWR approximation
 
-def _beta_sum(c: WwrCoeffs, y_moments: np.ndarray, i: int, m: int) -> float:
-    """sum_j beta_j E[y^(j+m) (V(u_i))+], the rate-expansion series at date i."""
-    n_r = len(c.beta) - 1
-    return float(np.dot(c.beta, y_moments[m:n_r + m + 1, i]))
+def _beta_sum(c: WwrCoeffs, y_moments: np.ndarray, m: int) -> np.ndarray:
+    """sum_j beta_j E[y^(j+m) (V(u_i))+] at every date i, the rate-expansion
+    series; a stack of per-date dot products, which rounds as np.dot on each
+    date's strided moment column (an einsum would not)."""
+    k = c.beta.shape[1]
+    return np.matmul(c.beta[:, None, :], y_moments[m:m + k].T[:, :, None])[:, 0, 0]
 
 
-def _assemble_wwr(coeffs: list[Optional[WwrCoeffs]], y_moments: np.ndarray,
+def _assemble_wwr(c: WwrCoeffs, y_moments: np.ndarray,
                   disc_epe: np.ndarray) -> np.ndarray:
     """WWR exposure per date from the projection coefficients and the
     driver moments y_moments[l, i] = E[y^l (V(u_i))+], whatever produced
-    them; date 0 is left at 0."""
-    n = len(disc_epe)
+    them; the coefficients' date-0 row makes date 0 exactly 0."""
     l_max = y_moments.shape[0] - 1
-    out = np.zeros(n)
-    for i in range(1, n):
-        c = coeffs[i]
-        n_r = len(c.beta) - 1
-        if l_max < n_r + 2:
-            raise ValueError(f"base moments cover l <= {l_max}, need {n_r + 2}")
-        s1 = _beta_sum(c, y_moments, i, 1)
-        s2 = _beta_sum(c, y_moments, i, 2)
-        out[i] = (c.H_rIC * (c.mu_S * c.alpha + c.lgd * c.gamma) * s1
-                  + c.lgd * c.H_rIC * c.nu * s2
-                  + c.lgd * c.H_IC * c.exp_YIyI * disc_epe[i])
-    return out
+    n_r = c.beta.shape[1] - 1
+    if l_max < n_r + 2:
+        raise ValueError(f"base moments cover l <= {l_max}, need {n_r + 2}")
+    s1 = _beta_sum(c, y_moments, 1)
+    s2 = _beta_sum(c, y_moments, 2)
+    return (c.H_rIC * (c.mu_S * c.alpha + c.lgd * c.gamma) * s1
+            + c.lgd * c.H_rIC * c.nu * s2
+            + c.lgd * c.H_IC * c.exp_YIyI * disc_epe)
 
 
-def epe_wwr_approx_generic(coeffs: list[Optional[WwrCoeffs]],
+def epe_wwr_approx_generic(coeffs: WwrCoeffs,
                            bm: BaseMoments) -> np.ndarray:
     """WWR exposure from the projection coefficients and the base moments."""
     return _assemble_wwr(coeffs, bm.y_moments, bm.disc_epe)
@@ -417,8 +419,7 @@ def _analytic_moments_on_dates(s: Swap, models: ModelSet, dates, n_a: int,
 
 
 def epe_wwr_approx_swap_analytic(s: Swap, models: ModelSet,
-                                 coeffs: list[Optional[WwrCoeffs]],
-                                 bm: BaseMoments, n_r: int,
+                                 coeffs: WwrCoeffs, bm: BaseMoments, n_r: int,
                                  n_a: int) -> np.ndarray:
     """WWR exposure with the driver moments evaluated in closed form; of the
     base moments only the discounted exposure is read."""
@@ -435,7 +436,7 @@ def epe_wwr_approx_swap_analytic(s: Swap, models: ModelSet,
 
 @dataclass(frozen=True)
 class PsiDiagnostic:
-    psi: np.ndarray            # psi_m per date (0 at date 0)
+    psi: np.ndarray            # psi_m per date (E[y^m (V)+] at date 0)
     net_sign: np.ndarray       # sign of mu_S*alpha + lgd*gamma per date
     gamma_verdict: str         # WWR / RWR / none for the spread-noise term
     alpha_verdict: str         # verdict for the survival-drift term
@@ -450,29 +451,20 @@ def _verdict(contribution: float) -> str:
     return "none"
 
 
-def psi_diagnostic(bm: BaseMoments, coeffs: list[Optional[WwrCoeffs]],
-                   m: int) -> PsiDiagnostic:
+def psi_diagnostic(bm: BaseMoments, coeffs: WwrCoeffs, m: int) -> PsiDiagnostic:
     """Moment-weighted exposure sums determining the WWR/RWR direction."""
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
-    n = len(bm.dates)
-    psi = np.zeros(n)
-    net = np.zeros(n)
-    for i in range(1, n):
-        c = coeffs[i]
-        psi[i] = _beta_sum(c, bm.y_moments, i, m)
-        net[i] = np.sign(c.mu_S * c.alpha + c.lgd * c.gamma)
+    c = coeffs
+    net = c.mu_S * c.alpha + c.lgd * c.gamma
     # verdicts from a representative interior date (mid-profile)
-    mid = max(1, n // 3)
-    c = coeffs[mid]
-    psi1 = _beta_sum(c, bm.y_moments, mid, 1)
-    gamma_term = c.lgd * c.gamma * psi1
-    alpha_term = c.mu_S * c.alpha * psi1
+    mid = max(1, len(bm.dates) // 3)
+    psi1 = _beta_sum(c, bm.y_moments, 1)
     return PsiDiagnostic(
-        psi=psi, net_sign=net,
-        gamma_verdict=_verdict(gamma_term),
-        alpha_verdict=_verdict(alpha_term),
-        net_verdict=_verdict((c.mu_S * c.alpha + c.lgd * c.gamma) * psi1))
+        psi=_beta_sum(c, bm.y_moments, m), net_sign=np.sign(net),
+        gamma_verdict=_verdict(c.lgd * c.gamma[mid] * psi1[mid]),
+        alpha_verdict=_verdict(c.mu_S[mid] * c.alpha[mid] * psi1[mid]),
+        net_verdict=_verdict(net[mid] * psi1[mid]))
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,8 @@ def validate_inputs(inputs: RunInputs, settings: RunSettings) -> None:
         inputs.market.rate_curve(ccy)
         if ccy not in inputs.rate_params:
             raise ValueError(f"no rate model parameters for currency {ccy}")
+        if ccy != inputs.market.domestic and ccy not in inputs.fx_params:
+            raise ValueError(f"no FX model parameters for currency {ccy}")
 
 
 def build_model_set(inputs: RunInputs) -> ModelSet:
@@ -306,7 +308,7 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
             moment_seconds += time.perf_counter() - t0
         if need_full and i > 0:
             t0 = time.perf_counter()
-            wwr_mc[i], se_mc[i] = wwr_mc_at(st, h, disc_epe[i], coeffs[i])
+            wwr_mc[i], se_mc[i] = wwr_mc_at(st, h, disc_epe[i], coeffs)
             cov_seconds += time.perf_counter() - t0
     bm = BaseMoments(dates=dates.copy(), disc_epe=disc_epe, disc_epe_se=disc_epe_se,
                      y_moments=moms, y_moments_se=moms_se,

@@ -113,6 +113,8 @@ class SimGrid:
 
     def __post_init__(self):
         d = np.asarray(self.monitoring_dates, dtype=float)
+        if len(d) < 2:
+            raise ValueError(f"a grid needs at least two monitoring dates, got {len(d)}")
         if d[0] != 0.0:
             raise ValueError("monitoring dates must start at 0")
         if np.any(np.diff(d) <= 0.0):

@@ -67,10 +67,10 @@ def test_criterion_2_zero_correlation(acc):
     bm = base_moments(base, p, models, 5, value_mat=vm)
     coeffs = coeffs_for_dates(models, corr0, base.dates, 5)
     total = epe_indep(bm, coeffs, models) + epe_wwr_approx_generic(coeffs, bm)
+    c = coeffs
     for i in range(1, len(base.dates)):
-        c = coeffs[i]
         assert total[i] == pytest.approx(
-            c.P_I * c.P_C * c.mu_S * bm.disc_epe[i], rel=1e-12), i
+            c.P_I[i] * c.P_C[i] * c.mu_S[i] * bm.disc_epe[i], rel=1e-12), i
     vals, ses = epe_wwr_mc(full, p, models, bm, coeffs, value_mat=vm)
     z = vals[1:] / np.maximum(ses[1:], 1e-300)
     assert np.max(np.abs(z)) < 4.0
@@ -214,7 +214,7 @@ def test_criterion_8_error_bounds(acc):
         c_v = swap_cv_bound(s, models, 0.0, u)
         for x in ("1", "y_I"):
             meas = measured_errors(cube, models, vm, i, 5, x)["eps1"]
-            b = explicit_e1_bound(models, acc.coeffs5[i], c_v,
+            b = explicit_e1_bound(models, acc.coeffs5, c_v,
                                   acc.bm5.disc_epe[i], tab, i, x)
             assert meas <= b, (i, x)
 
@@ -223,15 +223,15 @@ def test_criterion_8_error_bounds(acc):
 # 9. risk-direction diagnostics
 
 def test_criterion_9_risk_direction(acc):
-    for c in acc.coeffs5[1:]:
-        assert c.gamma < 0.0 and c.alpha > 0.0 and c.nu < 0.0
+    c = acc.coeffs5
+    for i in range(1, len(acc.cube.dates)):
+        assert c.gamma[i] < 0.0 and c.alpha[i] > 0.0 and c.nu[i] < 0.0
     d = psi_diagnostic(acc.bm5, acc.coeffs5, 1)
     assert np.all(d.psi[1:] < 0.0)
     assert d.gamma_verdict == "WWR"
     assert d.alpha_verdict == "RWR"
     for i in range(1, len(acc.cube.dates)):
-        c = acc.coeffs5[i]
-        assert d.net_sign[i] == np.sign(c.mu_S * c.alpha + c.lgd * c.gamma), i
+        assert d.net_sign[i] == np.sign(c.mu_S[i] * c.alpha[i] + c.lgd * c.gamma[i]), i
 
 
 # ---------------------------------------------------------------------------

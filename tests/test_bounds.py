@@ -174,7 +174,7 @@ def test_explicit_bound_dominates_measured_eps1(rig):
         c_v = swap_cv_bound(s, models, 0.0, u)
         for x in ("1", "y_I"):
             meas = measured_errors(full, models, vm, i, 5, x)["eps1"]
-            b = explicit_e1_bound(models, coeffs[i], c_v, bm.disc_epe[i],
+            b = explicit_e1_bound(models, coeffs, c_v, bm.disc_epe[i],
                                   tab, i, x)
             assert meas <= b, (i, x)
 

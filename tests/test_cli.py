@@ -55,6 +55,25 @@ def test_sensi_cross(tmp_path, capsys):
     assert ";" in lines[1].split(",")[0]  # the two bump labels, csv-safe
 
 
+@pytest.mark.parametrize("verb, artifact", [("fva", "profile.csv"),
+                                             ("bounds", "bounds.csv")])
+def test_grid_with_one_date_rejected(tmp_path, capsys, verb, artifact):
+    # a quarter-year swap at one date a year: round(0.25 x 1) = 0 intervals
+    book = tmp_path / "book.yaml"
+    book.write_text("instruments:\n- {type: swap, currency: EUR, notional: 100.0,"
+                    " fixed_rate: 0.013, expiry: 0.0, maturity: 0.25, frequency: 4}\n")
+    cfg = tmp_path / "short.cfg"
+    with open(fixture_path("single_swap.cfg")) as fh:
+        text = fh.read()
+    cfg.write_text(text.replace("market: ", f"market: {fixture_path('')}")
+                   .replace("portfolio_single_swap.yaml", str(book)))
+    rc = main([verb, "--config", str(cfg), "--paths", "200",
+               "--dates-per-year", "1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "two monitoring dates" in capsys.readouterr().err
+    assert not (tmp_path / "out" / artifact).exists()
+
+
 def test_sensi_requires_bump(tmp_path, capsys):
     rc = main(["sensi", *CFG, *SMALL, "--out", str(tmp_path)])
     assert rc == 1

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from wwrfva.exposure import (base_moments, coeffs_for_dates, epe_indep,
+from wwrfva.exposure import (WwrCoeffs, _assemble_wwr, base_moments,
+                             coeffs_for_dates, epe_indep,
                              epe_wwr_approx_generic,
                              epe_wwr_approx_swap_analytic, epe_wwr_mc,
-                             normal_moments, psi_diagnostic,
+                             mu_spread, normal_moments, psi_diagnostic,
                              truncated_normal_moments, wwr_coeffs)
 from wwrfva.fva import build_correlation_for, build_model_set
 from wwrfva.instruments import value_matrix
@@ -116,6 +118,64 @@ def test_coeffs_rejects_degenerate_interval(setup41):
         wwr_coeffs(models, corr, 0.0, 0.0, 0.0, 5)
 
 
+def test_coeffs_for_dates_row0_is_the_date0_limit(small_run):
+    inputs, models, corr, base, full, vm, bm, c = small_run
+    n = len(base.dates)
+    for f in dataclasses.fields(WwrCoeffs):
+        if f.name not in ("beta", "lgd"):
+            assert getattr(c, f.name).shape == (n,), f.name
+    assert c.beta.shape == (n, 6)
+    assert c.gamma[0] == c.alpha[0] == c.nu[0] == c.exp_YIyI[0] == 0.0
+    assert c.P_I[0] == c.P_C[0] == c.H_rIC[0] == c.H_IC[0] == 1.0
+    assert c.beta[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert c.mu_S[0] == mu_spread(models, base.dates[1], base.dates[0])
+
+
+def test_coeffs_for_dates_rows_match_scalar_calls(small_run):
+    inputs, models, corr, base, full, vm, bm, c = small_run
+    dates = base.dates
+    for i in range(1, len(dates)):
+        ref = wwr_coeffs(models, corr, 0.0, dates[i], dates[i - 1], 5)
+        assert c.lgd == ref.lgd
+        for f in dataclasses.fields(WwrCoeffs):
+            if f.name != "lgd":
+                np.testing.assert_allclose(getattr(c, f.name)[i],
+                                           getattr(ref, f.name),
+                                           rtol=1e-12, atol=0.0, err_msg=f.name)
+
+
+def _dot_loop_wwr(c, y_moments, disc_epe):
+    """Reference: the WWR assembly as one np.dot per date."""
+    n_r = c.beta.shape[1] - 1
+    out = np.zeros(len(disc_epe))
+    for i in range(len(disc_epe)):
+        s1 = np.dot(c.beta[i], y_moments[1:n_r + 2, i])
+        s2 = np.dot(c.beta[i], y_moments[2:n_r + 3, i])
+        out[i] = (c.H_rIC[i] * (c.mu_S[i] * c.alpha[i] + c.lgd * c.gamma[i]) * s1
+                  + c.lgd * c.H_rIC[i] * c.nu[i] * s2
+                  + c.lgd * c.H_IC[i] * c.exp_YIyI[i] * disc_epe[i])
+    return out
+
+
+def test_array_assembly_equals_per_date_dot_loop(small_run):
+    inputs, models, corr, base, full, vm, _, _ = small_run
+    for n_r in (0, 5, 20):
+        bm = base_moments(base, inputs.portfolio, models, n_r, value_mat=vm)
+        c = coeffs_for_dates(models, corr, base.dates, n_r)
+        # the sampled moments are order-major; the closed-form ones are
+        # assembled from a date-major array
+        date_major = np.ascontiguousarray(bm.y_moments.T).T
+        for moms in (bm.y_moments, date_major):
+            got = _assemble_wwr(c, moms, bm.disc_epe)
+            assert got.tobytes() == _dot_loop_wwr(c, moms, bm.disc_epe).tobytes(), n_r
+        assert _assemble_wwr(c, bm.y_moments, bm.disc_epe)[0] == 0.0
+        for m in (1, 2):
+            psi = [np.dot(c.beta[i], bm.y_moments[m:m + n_r + 1, i])
+                   for i in range(len(bm.dates))]
+            got = psi_diagnostic(bm, c, m).psi
+            assert got.tobytes() == np.array(psi).tobytes(), (n_r, m)
+
+
 # ---------------------------------------------------------------------------
 # base moments and the independent exposure
 
@@ -172,10 +232,10 @@ def test_mc_wwr_zero_correlation_within_noise(setup41):
     # and the approximation is exactly zero apart from the cancellation term
     approx = epe_wwr_approx_generic(coeffs, bm)
     total = epe_indep(bm, coeffs, models) + approx
+    c = coeffs
     for i in range(1, len(base.dates)):
-        c = coeffs[i]
         assert total[i] == pytest.approx(
-            c.P_I * c.P_C * c.mu_S * bm.disc_epe[i], rel=1e-12)
+            c.P_I[i] * c.P_C[i] * c.mu_S[i] * bm.disc_epe[i], rel=1e-12)
 
 
 def test_generic_and_analytic_methods_agree(small_run):
@@ -213,9 +273,9 @@ def test_psi_diagnostic_receiver_negative_correlations(small_run):
     assert d.alpha_verdict == "RWR"
     assert d.net_verdict == "WWR"
     # sign of the net first-order coupling per date
+    c = coeffs
     for i in range(1, len(bm.dates)):
-        c = coeffs[i]
-        expect = np.sign(c.mu_S * c.alpha + c.lgd * c.gamma)
+        expect = np.sign(c.mu_S[i] * c.alpha[i] + c.lgd * c.gamma[i])
         assert d.net_sign[i] == expect, i
     # WWR dominates early in the horizon, where the exposure peaks
     assert np.all(d.net_sign[1:len(bm.dates) // 3] == -1.0)

@@ -82,6 +82,23 @@ def test_credit_entities_must_be_investor_and_counterparty(tmp_path, old, new, f
         load_run_config(bad)
 
 
+@pytest.mark.parametrize("instrument", [
+    "{type: swap, currency: GBP, notional: 100.0, fixed_rate: 0.02,"
+    " expiry: 1.0, maturity: 5.0, frequency: 1}",
+    "{type: fx_forward, currency: GBP, notional: 100.0, strike: 1.1,"
+    " maturity: 3.0}",
+], ids=["swap", "fx_forward"])
+def test_foreign_currency_without_fx_model_rejected(tmp_path, instrument):
+    book = tmp_path / "book.yaml"
+    book.write_text(f"instruments:\n- {instrument}\n")
+    bad = _patched_config("portfolio.cfg", tmp_path,
+                          "    GBP: {sigma_fx: 0.15}\n", "")
+    bad.write_text(bad.read_text().replace(fixture_path("portfolio_swaps.yaml"),
+                                           str(book)))
+    with pytest.raises(ValueError, match="no FX model parameters for currency GBP"):
+        load_run_config(bad)
+
+
 def test_make_grid_uses_portfolio_horizon(b41):
     inputs, settings = b41
     grid = make_grid(inputs, settings)

@@ -63,6 +63,8 @@ def test_factor_labels_market_first(setup41):
 def test_grid_validation():
     with pytest.raises(ValueError):
         SimGrid.regular(0, 10.0, 2)
+    with pytest.raises(ValueError, match="two monitoring dates"):
+        SimGrid.regular(1, 0.25, 2)
     g = SimGrid.regular(4, 2.0, 3)
     assert g.n_dates == 9
     assert g.monitoring_dates[0] == 0.0
