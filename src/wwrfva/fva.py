@@ -65,8 +65,11 @@ class RunSettings:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.n_paths < 1 or self.dates_per_year < 1:
-            raise ValueError("n_paths and dates_per_year must be positive")
+        if self.n_paths < 2:
+            raise ValueError(f"n_paths must be at least 2 (a Monte Carlo standard "
+                             f"error needs two paths), got {self.n_paths}")
+        if self.dates_per_year < 1:
+            raise ValueError("dates_per_year must be positive")
         if not (0 <= self.n_r <= 20 and 0 <= self.n_a <= 20):
             raise ValueError("truncation orders must be in 0..20")
 

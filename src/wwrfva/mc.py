@@ -14,11 +14,20 @@ at a time, so a run that consumes them date by date holds no array that
 grows with the number of dates. `simulate` collects the stream into a
 `ScenarioCube` for the callers that need every date at once (the bounds
 report, the cube export and tests).
+
+The standard normals are drawn ahead on one worker thread: while the
+stream runs the substeps of one monitoring interval, the worker fills
+the next interval's draws into a second buffer set (numpy's generators
+release the GIL while they fill). One fill of (substeps, factors, paths)
+gives the same numbers as that many successive (factors, paths) draws,
+so the paths are bit for bit those of a serial loop.
 """
 
 from __future__ import annotations
 
 import os
+import queue
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -234,6 +243,35 @@ def require_memory(n_bytes: int, what: str) -> None:
                          f"{have / 1e6:.1f} MB of physical memory")
 
 
+def _generators(seed: int) -> list[np.random.Generator]:
+    """The market and the credit normal streams of a seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
+def _fill_ahead(rng_mkt, rng_credit, mkt_bufs, cred_bufs, n_intervals,
+                free: queue.Queue, filled: queue.Queue, stop: threading.Event) -> None:
+    """Worker: fill one interval's draws per buffer slot taken from `free`
+    and hand back (slot, CPU seconds of the credit fill) through `filled`.
+
+    It ends after `n_intervals` fills, on a None slot or once `stop` is set;
+    an exception it raises is handed to the consumer instead of a slot.
+    """
+    try:
+        for _ in range(n_intervals):
+            slot = free.get()
+            if slot is None or stop.is_set():
+                return
+            rng_mkt.standard_normal(out=mkt_bufs[slot])
+            seconds = 0.0
+            if cred_bufs is not None:
+                t0 = time.thread_time()
+                rng_credit.standard_normal(out=cred_bufs[slot])
+                seconds = time.thread_time() - t0
+            filled.put((slot, seconds))
+    except BaseException as exc:  # noqa: BLE001 - re-raised by the consumer
+        filled.put(exc)
+
+
 class PathStream:
     """All drivers simulated jointly under the domestic risk-neutral measure,
     one monitoring date at a time.
@@ -250,6 +288,24 @@ class PathStream:
     are updated in place. Memory therefore scales with paths x factors, not
     with dates. After the last date, `truncated_fraction` and
     `credit_seconds` describe the pass.
+
+    Each iteration starts one worker thread that draws the standard normals
+    one monitoring interval ahead into a ring of two preallocated buffer
+    sets: (substeps, market factors, paths) and, in full mode, (substeps,
+    credit factors, paths). The worker only fills buffers; the correlation
+    products, the process updates and the finite checks stay in the
+    iterating thread, in the serial order, so the yielded states are bit
+    for bit those of drawing each substep in turn. However the iteration
+    ends (last date, `close()`, a `break`, an exception in the consumer or
+    in the stream), the worker is stopped and joined; an exception raised
+    in the worker is re-raised in the consumer.
+
+    `credit_seconds` is the credit Euler time of the iterating thread plus
+    the worker's busy time filling the credit draws, taken as the worker's
+    CPU time: a wall clock around the fill would also count the wait to
+    reacquire the GIL after it. That fill time overlaps the loop, so the
+    sum may exceed the credit stage's share of wall time; it stands for
+    what the credit simulation costs when its draws run serially.
     """
 
     def __init__(self, models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
@@ -268,10 +324,13 @@ class PathStream:
         self.entities = list(models.credit) if mode == "full" else []
         n_ccy, n_fx = 1 + len(models.foreign_currencies), len(models.fx)
         n_cred = len(self.entities)
-        # rows alive at once: the process states, one substep's draws and
-        # one date's derived rows (log-FX, credit drivers, discount)
+        # rows alive at once: the process states, one substep's correlated
+        # draws and their temporaries, and one date's derived rows (log-FX,
+        # credit drivers, discount)
         rows = (2 * n_ccy + n_fx + 2 * n_cred) + 2 * (n_ccy + n_fx + n_cred) \
             + (n_fx + n_cred + 2)
+        # plus the draw ring: two intervals of standard normals
+        rows += 2 * grid.substeps_per_interval * (n_ccy + n_fx + n_cred)
         self.state_bytes = 8 * n_paths * rows
         # the cube's slabs: y and Y per currency, log-FX, and in full mode
         # the investor's driver plus the integrated I and C drivers
@@ -295,10 +354,6 @@ class PathStream:
         L_mm = np.ascontiguousarray(L[:n_mkt, :n_mkt])
         L_cm = np.ascontiguousarray(L[n_mkt:, :n_mkt])
         L_cc = np.ascontiguousarray(L[n_mkt:, n_mkt:])
-
-        ss_mkt, ss_credit = np.random.SeedSequence(self.seed).spawn(2)
-        rng_mkt = np.random.default_rng(ss_mkt)
-        rng_credit = np.random.default_rng(ss_credit)
 
         dates = self.dates
         n_dates = len(dates)
@@ -343,45 +398,70 @@ class PathStream:
         x_cred = np.repeat(np.array([p.x0 for p in credit])[:, None], n_paths, axis=1)
         intx_cred = np.zeros((n_cred, n_paths))
 
+        # the draw ring: the worker fills one slot's buffers while the loop
+        # reads the other's; `free` and `filled` pass slot numbers between them
+        mkt_bufs = [np.empty((nsub, n_mkt, n_paths)) for _ in range(2)]
+        cred_bufs = ([np.empty((nsub, n_cred, n_paths)) for _ in range(2)]
+                     if entities else None)
+        free, filled, stop = queue.Queue(), queue.Queue(), threading.Event()
+        for slot in range(2):
+            free.put(slot)
+        worker = threading.Thread(
+            target=_fill_ahead, name="PathStream draws", daemon=True,
+            args=(*_generators(self.seed), mkt_bufs, cred_bufs, n_dates - 1,
+                  free, filled, stop))
+        worker.start()
+
         n_truncated = 0
         self.credit_seconds = 0.0
         log_spot = np.array([np.log(models.fx[c].spot) for c in fx_ccys])[:, None]
-        yield state(0, np.repeat(log_spot, n_paths, axis=1), intx_cred.copy(),
-                    np.zeros(n_paths) if k_I is not None else None)
+        try:
+            yield state(0, np.repeat(log_spot, n_paths, axis=1), intx_cred.copy(),
+                        np.zeros(n_paths) if k_I is not None else None)
 
-        for i in range(1, n_dates):
-            dt = dts[i - 1]
-            sq_dt = np.sqrt(dt)
-            for _ in range(nsub):
-                z_mkt = rng_mkt.standard_normal((n_mkt, n_paths))
-                eps_mkt = L_mm @ z_mkt
-                y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
-                Y += 0.5 * dt * (y + y_new)
-                y = y_new
-                w_fx += sq_dt * eps_mkt[n_ccy:]
-                if entities:
-                    tc = time.perf_counter()
-                    z_cred = rng_credit.standard_normal((n_cred, n_paths))
-                    eps_cred = L_cm @ z_mkt + L_cc @ z_cred
-                    xp = np.maximum(x_cred, 0.0)
-                    x_new = (x_cred + a_c * (theta_c - xp) * dt
-                             + sigma_c * np.sqrt(xp * dt) * eps_cred)
-                    n_truncated += int(np.count_nonzero(x_new < 0.0))
-                    xp_new = np.maximum(x_new, 0.0)
-                    intx_cred += 0.5 * dt * (xp + xp_new)
-                    x_cred = x_new
-                    self.credit_seconds += time.perf_counter() - tc
+            for i in range(1, n_dates):
+                item = filled.get()
+                if isinstance(item, BaseException):
+                    raise item
+                slot, fill_seconds = item
+                self.credit_seconds += fill_seconds
+                dt = dts[i - 1]
+                sq_dt = np.sqrt(dt)
+                for k in range(nsub):
+                    z_mkt = mkt_bufs[slot][k]
+                    eps_mkt = L_mm @ z_mkt
+                    y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
+                    Y += 0.5 * dt * (y + y_new)
+                    y = y_new
+                    w_fx += sq_dt * eps_mkt[n_ccy:]
+                    if entities:
+                        tc = time.perf_counter()
+                        z_cred = cred_bufs[slot][k]
+                        eps_cred = L_cm @ z_mkt + L_cc @ z_cred
+                        xp = np.maximum(x_cred, 0.0)
+                        x_new = (x_cred + a_c * (theta_c - xp) * dt
+                                 + sigma_c * np.sqrt(xp * dt) * eps_cred)
+                        n_truncated += int(np.count_nonzero(x_new < 0.0))
+                        xp_new = np.maximum(x_new, 0.0)
+                        intx_cred += 0.5 * dt * (xp + xp_new)
+                        x_cred = x_new
+                        self.credit_seconds += time.perf_counter() - tc
+                free.put(slot)
 
-            ln_fx = mu_fx[:, i:i + 1] + Y[0] - Y[fx_rows] + sigma_fx * w_fx
-            for name, arr, keys in (("y", y, ccys), ("Y", Y, ccys),
-                                    ("lnfx", ln_fx, fx_ccys)):
-                if not np.all(np.isfinite(arr)):
-                    k, path = np.argwhere(~np.isfinite(arr))[0]
-                    raise FloatingPointError(
-                        f"non-finite {name}[{keys[k]}] at date index {i}, path {path}")
-            y_I = (np.maximum(x_cred[k_I], 0.0) - cred_terms[k_I].mu[i]
-                   if k_I is not None else None)
-            yield state(i, ln_fx, intx_cred - M_cred[:, i:i + 1], y_I)
+                ln_fx = mu_fx[:, i:i + 1] + Y[0] - Y[fx_rows] + sigma_fx * w_fx
+                for name, arr, keys in (("y", y, ccys), ("Y", Y, ccys),
+                                        ("lnfx", ln_fx, fx_ccys)):
+                    if not np.all(np.isfinite(arr)):
+                        k, path = np.argwhere(~np.isfinite(arr))[0]
+                        raise FloatingPointError(
+                            f"non-finite {name}[{keys[k]}] at date index {i}, path {path}")
+                y_I = (np.maximum(x_cred[k_I], 0.0) - cred_terms[k_I].mu[i]
+                       if k_I is not None else None)
+                yield state(i, ln_fx, intx_cred - M_cred[:, i:i + 1], y_I)
+        finally:
+            stop.set()
+            free.put(None)
+            worker.join()
 
         credit_steps = n_cred * n_paths * nsub * (n_dates - 1)
         self.truncated_fraction = n_truncated / credit_steps if credit_steps else 0.0

@@ -74,6 +74,17 @@ def test_grid_with_one_date_rejected(tmp_path, capsys, verb, artifact):
     assert not (tmp_path / "out" / artifact).exists()
 
 
+def test_single_path_rejected(tmp_path, capsys):
+    # one path has no Monte Carlo standard error: the report would hold NaN
+    rc = main(["fva", *CFG, "--paths", "1", "--dates-per-year", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: n_paths must be at least 2")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "fva_report.json").exists()
+
+
 def test_sensi_requires_bump(tmp_path, capsys):
     rc = main(["sensi", *CFG, *SMALL, "--out", str(tmp_path)])
     assert rc == 1

@@ -28,6 +28,8 @@ def test_settings_validation():
         RunSettings(method="bogus")
     with pytest.raises(ValueError):
         RunSettings(n_paths=0)
+    with pytest.raises(ValueError, match="n_paths must be at least 2"):
+        RunSettings(n_paths=1)
     with pytest.raises(ValueError):
         RunSettings(n_r=25)
 

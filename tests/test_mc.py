@@ -1,13 +1,17 @@
 import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import wwrfva.mc
 from wwrfva.fva import build_correlation_for, build_model_set, load_run_config
-from wwrfva.mc import (PathStream, SimGrid, build_correlation, dump_cube,
-                       factor_labels, load_cube, simulate)
-from wwrfva.models import cir_terms, fx_terms, hw_terms
+from wwrfva.mc import (PathStream, SimGrid, _slabs, build_correlation,
+                       dump_cube, factor_labels, fx_factor, load_cube,
+                       rate_factor, simulate)
+from wwrfva.models import bfac, cir_terms, fx_terms, hw_terms
 
 from conftest import fixture_path
 
@@ -23,6 +27,12 @@ def setup41(b41):
 def small_cube(models, corr, mode, n_paths=20000, seed=7):
     grid = SimGrid.regular(4, 10.0, 2)
     return simulate(models, corr, grid, n_paths, seed, mode)
+
+
+def fixture_models(cfg):
+    inputs, _ = load_run_config(fixture_path(cfg))
+    models = build_model_set(inputs)
+    return models, build_correlation_for(models, inputs.correlations)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +240,26 @@ def test_non_finite_driver_named_at_its_date(setup41):
     wild = dataclasses.replace(models, rates={
         "EUR": dataclasses.replace(models.rates["EUR"], sigma=np.inf)})
     seen = []
+    before = set(threading.enumerate())
     with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError, match=r"non-finite y\[EUR\] at date index 1, path 0"):
         for st in PathStream(wild, corr, SimGrid.regular(2, 2.0, 1), 10, 1):
             seen.append(st.index)
     assert seen == [0]
+    assert set(threading.enumerate()) == before  # the draw worker was joined
 
 
 def test_memory_checked_before_allocating(monkeypatch, setup41):
+    # the state includes the draw ring; portfolio.cfg in full mode has
+    # 3 currencies, 2 FX rates and 2 credit entities
+    p_models, p_corr = fixture_models("portfolio.cfg")
+    n, nsub = 5000, 3
+    stream = PathStream(p_models, p_corr, SimGrid.regular(4, 10.0, nsub), n, 7, "full")
+    states = 2 * 3 + 2 + 2 * 2          # y and Y per currency, FX level, credit
+    draws = 2 * (3 + 2 + 2)             # one substep's draws and temporaries
+    derived = 2 + 2 + 2                 # log-FX, credit drivers, discount
+    ring = 2 * nsub * (5 + 2) * n * 8   # 2 x substeps x factors x paths x 8 B
+    assert stream.state_bytes == 8 * n * (states + draws + derived) + ring
     _, models, corr = setup41
     grid = SimGrid.regular(4, 10.0, 2)
     stream = PathStream(models, corr, grid, 5000, 7, "full")
@@ -245,7 +267,7 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
     # room for the streamed state but not for the cube
     monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
                         lambda: stream.state_bytes + stream.cube_bytes // 2)
-    with pytest.raises(ValueError, match=r"scenario cube .* needs 8\.\d MB, more "
+    with pytest.raises(ValueError, match=r"scenario cube .* needs 9\.3 MB, more "
                                          r"than the \d\.\d MB of physical memory"):
         simulate(models, corr, grid, 5000, 7, "full")
     assert sum(1 for _ in PathStream(models, corr, grid, 5000, 7, "full")) == grid.n_dates
@@ -253,3 +275,212 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
                         lambda: stream.state_bytes - 1)
     with pytest.raises(ValueError, match="simulation state needs"):
         PathStream(models, corr, grid, 5000, 7, "full")
+
+
+# ---------------------------------------------------------------------------
+# draw-ahead worker
+
+def serial_reference(stream):
+    """The simulation as a serial loop that draws each substep's normals in
+    turn, as the stream did before its draws moved to a worker thread.
+    Yields each date's slabs (copies), then the truncated fraction."""
+    models, corr, n_paths = stream.models, stream.corr, stream.n_paths
+    dom = models.domestic
+    ccys = [dom] + models.foreign_currencies
+    fx_ccys = list(models.fx)
+    entities = stream.entities
+    n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
+    n_mkt = n_ccy + n_fx
+    L = corr.cholesky
+    L_mm = np.ascontiguousarray(L[:n_mkt, :n_mkt])
+    L_cm = np.ascontiguousarray(L[n_mkt:, :n_mkt])
+    L_cc = np.ascontiguousarray(L[n_mkt:, n_mkt:])
+    ss_mkt, ss_credit = np.random.SeedSequence(stream.seed).spawn(2)
+    rng_mkt = np.random.default_rng(ss_mkt)
+    rng_credit = np.random.default_rng(ss_credit)
+    dates = stream.dates
+    n_dates, nsub = len(dates), stream.grid.substeps_per_interval
+    dts = np.diff(dates) / nsub
+    rates = [models.rates[c] for c in ccys]
+    a_r = np.array([p.a for p in rates])[:, None]
+    decay = np.exp(-a_r * dts)
+    shock_sd = np.array([p.sigma for p in rates])[:, None] * np.sqrt(bfac(2.0 * a_r, dts))
+    fx_rows = [ccys.index(c) for c in fx_ccys]
+    sigma_fx = np.array([models.fx[c].sigma_fx for c in fx_ccys])[:, None]
+    mu_fx = np.array([
+        fx_terms(models.rates[dom], models.rates[c], models.fx[c],
+                 corr.entry(rate_factor(dom), rate_factor(c)),
+                 corr.entry(rate_factor(dom), fx_factor(c)),
+                 corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
+        for c in fx_ccys]).reshape(n_fx, n_dates)
+    credit = [models.credit[z] for z in entities]
+    cred_terms = [cir_terms(p, 0.0, dates) for p in credit]
+    M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, n_dates)
+    a_c = np.array([p.a for p in credit])[:, None]
+    theta_c = np.array([p.theta for p in credit])[:, None]
+    sigma_c = np.array([p.sigma for p in credit])[:, None]
+    k_I = entities.index("I") if "I" in entities else None
+
+    def slabs(ln_fx, Y_cred, y_I):
+        out = {f"y_r:{c}": r.tobytes() for c, r in zip(ccys, y)}
+        out.update({f"Y_r:{c}": r.tobytes() for c, r in zip(ccys, Y)})
+        out.update({f"ln_fx:{c}": r.tobytes() for c, r in zip(fx_ccys, ln_fx)})
+        if k_I is not None:
+            out["y_I"] = y_I.tobytes()
+        out.update({f"Y_{z}": r.tobytes() for z, r in zip(entities, Y_cred)})
+        return out
+
+    y = np.zeros((n_ccy, n_paths))
+    Y = np.zeros((n_ccy, n_paths))
+    w_fx = np.zeros((n_fx, n_paths))
+    x_cred = np.repeat(np.array([p.x0 for p in credit])[:, None], n_paths, axis=1)
+    intx_cred = np.zeros((n_cred, n_paths))
+    n_truncated = 0
+    log_spot = np.array([np.log(models.fx[c].spot) for c in fx_ccys])[:, None]
+    yield slabs(np.repeat(log_spot, n_paths, axis=1), intx_cred.copy(),
+                np.zeros(n_paths) if k_I is not None else None)
+    for i in range(1, n_dates):
+        dt = dts[i - 1]
+        sq_dt = np.sqrt(dt)
+        for _ in range(nsub):
+            z_mkt = rng_mkt.standard_normal((n_mkt, n_paths))
+            eps_mkt = L_mm @ z_mkt
+            y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
+            Y += 0.5 * dt * (y + y_new)
+            y = y_new
+            w_fx += sq_dt * eps_mkt[n_ccy:]
+            if entities:
+                z_cred = rng_credit.standard_normal((n_cred, n_paths))
+                eps_cred = L_cm @ z_mkt + L_cc @ z_cred
+                xp = np.maximum(x_cred, 0.0)
+                x_new = (x_cred + a_c * (theta_c - xp) * dt
+                         + sigma_c * np.sqrt(xp * dt) * eps_cred)
+                n_truncated += int(np.count_nonzero(x_new < 0.0))
+                xp_new = np.maximum(x_new, 0.0)
+                intx_cred += 0.5 * dt * (xp + xp_new)
+                x_cred = x_new
+        ln_fx = mu_fx[:, i:i + 1] + Y[0] - Y[fx_rows] + sigma_fx * w_fx
+        y_I = (np.maximum(x_cred[k_I], 0.0) - cred_terms[k_I].mu[i]
+               if k_I is not None else None)
+        yield slabs(ln_fx, intx_cred - M_cred[:, i:i + 1], y_I)
+    credit_steps = n_cred * n_paths * nsub * (n_dates - 1)
+    yield n_truncated / credit_steps if credit_steps else 0.0
+
+
+def collect(stream):
+    """Every yielded date's slabs as bytes, and the pass's truncated fraction."""
+    rows = [{k: v.tobytes() for k, v in _slabs(st).items()} for st in stream]
+    return rows, stream.truncated_fraction
+
+
+@pytest.mark.parametrize("n_paths", [1, 1000])
+@pytest.mark.parametrize("nsub", [1, 4])
+@pytest.mark.parametrize("mode", ["base", "full"])
+@pytest.mark.parametrize("cfg", ["single_swap.cfg", "portfolio.cfg"])
+def test_draw_ahead_equals_serial_draws(cfg, mode, nsub, n_paths):
+    models, corr = fixture_models(cfg)
+    stream = PathStream(models, corr, SimGrid.regular(4, 3.0, nsub), n_paths, 5, mode)
+    *ref_rows, ref_truncated = serial_reference(stream)
+    first = collect(stream)
+    assert first == (ref_rows, ref_truncated)
+    assert collect(stream) == first
+
+
+class SlowCredit:
+    """A generator wrapper whose every fill first spends `delay` seconds of
+    the calling thread's CPU time (the worker's busy time is CPU time, so a
+    sleep would not count)."""
+
+    def __init__(self, rng, delay):
+        self.rng, self.delay, self.fills = rng, delay, 0
+
+    def standard_normal(self, *args, **kwargs):
+        end = time.thread_time() + self.delay
+        while time.thread_time() < end:
+            pass
+        self.fills += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_credit_seconds_count_the_workers_credit_fills(monkeypatch, setup41):
+    _, models, corr = setup41
+    make = wwrfva.mc._generators
+    slow = []
+
+    def generators(seed):
+        rng_mkt, rng_credit = make(seed)
+        slow.append(SlowCredit(rng_credit, 0.02))
+        return rng_mkt, slow[-1]
+
+    monkeypatch.setattr("wwrfva.mc._generators", generators)
+    grid = SimGrid.regular(4, 2.0, 2)
+    stream = PathStream(models, corr, grid, 200, 7, "full")
+    assert sum(1 for _ in stream) == grid.n_dates
+    assert slow[0].fills == grid.n_dates - 1
+    assert stream.credit_seconds >= 0.02 * slow[0].fills
+
+
+def consume_all(stream):
+    for _ in stream:
+        pass
+
+
+def close_after_two(stream):
+    it = iter(stream)
+    next(it), next(it)
+    it.close()
+
+
+def break_after_two(stream):
+    for st in stream:
+        if st.index == 1:
+            break
+
+
+def raise_after_two(stream):
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        for st in stream:
+            if st.index == 1:
+                raise RuntimeError("consumer failed")
+
+
+@pytest.mark.parametrize("end", [consume_all, close_after_two, break_after_two,
+                                 raise_after_two])
+def test_worker_joined_however_the_stream_ends(end, setup41):
+    _, models, corr = setup41
+    stream = PathStream(models, corr, SimGrid.regular(4, 5.0, 2), 500, 7, "full")
+    before = set(threading.enumerate())
+    end(stream)
+    assert set(threading.enumerate()) == before
+
+
+class FailingMarket:
+    """A generator wrapper whose third fill raises."""
+
+    def __init__(self, rng):
+        self.rng, self.fills = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.fills += 1
+        if self.fills == 3:
+            raise RuntimeError("draw failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_worker_exception_raised_in_the_consumer(monkeypatch, setup41):
+    _, models, corr = setup41
+    make = wwrfva.mc._generators
+
+    def generators(seed):
+        rng_mkt, rng_credit = make(seed)
+        return FailingMarket(rng_mkt), rng_credit
+
+    monkeypatch.setattr("wwrfva.mc._generators", generators)
+    before = set(threading.enumerate())
+    seen = []
+    with pytest.raises(RuntimeError, match="draw failed"):
+        for st in PathStream(models, corr, SimGrid.regular(4, 5.0, 2), 100, 7, "full"):
+            seen.append(st.index)
+    # the first two intervals were drawn before the third fill failed
+    assert seen == [0, 1, 2]
+    assert set(threading.enumerate()) == before
