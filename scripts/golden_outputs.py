@@ -7,7 +7,10 @@ and 5,000 paths it writes, one subdirectory per case:
 
   fva_<cfg>_<method>   fva_report.json (runtime and peak-memory fields
                        removed) and profile.csv, benchmark on;
-  sensi_portfolio      sensi.csv for three bumps at 4 dates a year;
+  sensi_portfolio      sensi.csv for six bumps at 4 dates a year, under
+                       approx_generic;
+  sensi_portfolio_mc   the same bumps under mc;
+  sensi_cross          sensi.csv of one cross difference;
   bounds_single_swap   bounds.csv;
   cube_<cfg>           the export-cube files in base and full mode.
 
@@ -31,8 +34,13 @@ FVA_CASES = {
     "portfolio": ("mc", "approx_generic"),
     "portfolio_stressed": ("mc", "approx_generic"),
 }
+# Bumps that share a simulation pass and one valuation (credit curve,
+# rate-credit correlation in base mode), share the pass only (domestic and
+# foreign curves, FX spot) or share nothing (rate volatility).
 SENSI_BUMPS = ("ir_parallel:EUR", "credit_parallel:C",
-               "correlation:r_EUR/lambda_I:0.01")
+               "correlation:r_EUR/lambda_I:0.01", "sigma_r:EUR", "fx_spot:USD",
+               "ir_parallel:USD")
+CROSS = ("ir_parallel:EUR", "credit_parallel:C")
 # fields that measure the host, not the computation
 TIMING_FIELDS = ("runtime_wwr_seconds", "runtime_benchmark_wwr_seconds",
                  "peak_rss_mb")
@@ -65,6 +73,10 @@ def main() -> int:
     bumps = [arg for b in SENSI_BUMPS for arg in ("--bump", b)]
     run("sensi", "portfolio", os.path.join(root, "sensi_portfolio"),
         "--dates-per-year", "4", *bumps)
+    run("sensi", "portfolio", os.path.join(root, "sensi_portfolio_mc"),
+        "--dates-per-year", "4", "--method", "mc", *bumps)
+    run("sensi", "portfolio", os.path.join(root, "sensi_cross"),
+        "--dates-per-year", "4", "--cross", *CROSS)
     run("bounds", "single_swap", os.path.join(root, "bounds_single_swap"))
     for cfg in ("single_swap", "portfolio"):
         for mode in ("base", "full"):

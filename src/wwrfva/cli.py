@@ -88,6 +88,9 @@ def _run(args) -> int:
     from .fva import (load_run_config, run_fva, validate_inputs,
                       write_profile_csv, write_report_json)
 
+    if args.verb == "sensi" and args.benchmark:
+        raise ValueError("sensi does not run the Monte Carlo benchmark; "
+                         "drop --benchmark")
     inputs, settings = load_run_config(args.config)
     settings = _apply_overrides(settings, args)
     validate_inputs(inputs, settings)
@@ -109,13 +112,12 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "sensi":
-        from .sensitivities import (SensitivityRow, cross_gamma, fd_sensitivity,
+        from .sensitivities import (SensitivityRow, cross_gamma, fd_sensitivities,
                                     parse_bump, write_sensi_csv)
         if not args.bump and not args.cross:
             raise ValueError("sensi needs at least one --bump or --cross")
-        rows = []
-        for text in args.bump:
-            rows.append(fd_sensitivity(inputs, settings, parse_bump(text, inputs)))
+        rows = fd_sensitivities(inputs, settings,
+                                [parse_bump(text, inputs) for text in args.bump])
         if args.cross:
             ba = parse_bump(args.cross[0], inputs)
             bb = parse_bump(args.cross[1], inputs)

@@ -12,7 +12,8 @@ run's one simulation) and a WWR part computed by the configured method:
 The simulation is streamed: each monitoring date is valued and averaged
 as soon as it is simulated, so a run's memory scales with paths x
 factors, not with dates; only the bounds report and the cube export
-store every date.
+store every date. `run_fva_legs` runs several input sets (the legs of a
+sensitivity) on as few passes as their simulation inputs allow.
 
 Timings isolate the WWR stage: for the benchmark that is the credit
 part of the simulation plus the covariance estimator; for the
@@ -26,7 +27,7 @@ import resource
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import yaml
@@ -36,9 +37,10 @@ from .curves import MarketData, load_market_data
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        exposure_at, wwr_mc_at, y_moments_at)
-from .instruments import Portfolio, PortfolioValuation, load_portfolio
+from .instruments import (Portfolio, PortfolioValuation, load_portfolio,
+                          valuation_key)
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
-                 factor_labels)
+                 factor_labels, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                      QuantoAdjust)
 
@@ -270,94 +272,167 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
     drivers are valued and fed to the per-date estimators, then dropped,
     so no array in the run grows with the number of dates times paths.
     """
-    validate_inputs(inputs, settings)
-    models = build_model_set(inputs)
-    corr = build_correlation_for(models, inputs.correlations)
-    grid = make_grid(inputs, settings)
-    p = inputs.portfolio
-    dates = grid.monitoring_dates
-    n_dates = len(dates)
+    return run_fva_legs([inputs], settings)[0]
 
-    is_mc = settings.method == "mc"
-    is_generic = settings.method == "approx_generic"
-    need_full = is_mc or settings.benchmark
-    # one pass: a full simulation's market drivers equal a base one's (see mc)
-    stream = PathStream(models, corr, grid, settings.n_paths, settings.seed,
-                        "full" if need_full else "base")
-    valuation = PortfolioValuation(p, models, dates)
-    coeffs = coeffs_for_dates(models, corr, dates, settings.n_r)
 
-    # Shared prerequisites: the discounted exposure and the per-date
-    # coefficients enter both the coupling-free part and either WWR
-    # estimator, so neither WWR stage is charged for them. The generic
-    # approximation's extra work is the driver-moment averaging plus the
-    # series assembly; the closed-form one's is its moments plus the
-    # assembly; the benchmark's is the credit simulation plus the
-    # covariance estimator. Only the generic method reads the sampled
-    # driver moments, so only it computes them.
-    disc_epe, disc_epe_se = np.zeros(n_dates), np.zeros(n_dates)
-    n_moments = settings.n_r + 3 if is_generic else 0
-    moms, moms_se = np.zeros((n_moments, n_dates)), np.zeros((n_moments, n_dates))
-    pows = np.empty((n_moments, settings.n_paths))
-    wwr_mc, se_mc = np.zeros(n_dates), np.zeros(n_dates)
-    moment_seconds = cov_seconds = 0.0
-    for st in stream:
-        i = st.index
-        v = valuation.row(st)
-        h, disc_epe[i], disc_epe_se[i] = exposure_at(st, v)
-        if is_generic:
-            t0 = time.perf_counter()
-            moms[:, i], moms_se[:, i] = y_moments_at(st.y_r[models.domestic], v, pows)
-            moment_seconds += time.perf_counter() - t0
-        if need_full and i > 0:
-            t0 = time.perf_counter()
-            wwr_mc[i], se_mc[i] = wwr_mc_at(st, h, disc_epe[i], coeffs)
-            cov_seconds += time.perf_counter() - t0
-    bm = BaseMoments(dates=dates.copy(), disc_epe=disc_epe, disc_epe_se=disc_epe_se,
-                     y_moments=moms, y_moments_se=moms_se,
-                     y_moment_seconds=moment_seconds)
+def run_fva_legs(legs: Sequence[RunInputs], settings: RunSettings) -> list[FvaReport]:
+    """`run_fva` on each input set, with one simulation pass per group of
+    legs whose noise recursion reads the same bytes (`PathStream.key`).
 
-    indep = epe_indep(bm, coeffs, models)
-    bench_seconds = stream.credit_seconds + cov_seconds if need_full else None
+    Within a pass, legs whose date states and valuation terms are bitwise
+    equal share one value row, its discounted exposure and its driver
+    moments; each leg keeps its own coefficients, credit covariance and
+    report. Every report is bit for bit the one `run_fva` gives alone on
+    a pass of its own. Nothing is kept across calls: a pass holds one
+    date's drivers per distinct overlay, as a single run does.
+    """
+    valuations: dict[bytes, PortfolioValuation] = {}
+    runs = [_Leg(inputs, settings, valuations) for inputs in legs]
+    groups: dict[bytes, list[_Leg]] = {}
+    for run in runs:
+        groups.setdefault(run.stream.key, []).append(run)
+    for group in groups.values():
+        _run_pass(group, settings)
+    return [run.report(settings) for run in runs]
 
-    if is_mc:
-        wwr, wwr_seconds = wwr_mc, bench_seconds
-    else:
-        t0 = time.perf_counter()
-        if is_generic:
-            wwr = epe_wwr_approx_generic(coeffs, bm)
+
+class _Leg:
+    """One input set of `run_fva_legs`: its deterministic set-up, its
+    stream, and the per-date estimates that the pass fills in. Legs of
+    equal valuation inputs share one `PortfolioValuation` from
+    `valuations`."""
+
+    def __init__(self, inputs: RunInputs, settings: RunSettings,
+                 valuations: dict[bytes, PortfolioValuation]):
+        validate_inputs(inputs, settings)
+        self.models = models = build_model_set(inputs)
+        self.corr = build_correlation_for(models, inputs.correlations)
+        self.portfolio = inputs.portfolio
+        grid = make_grid(inputs, settings)
+        self.dates = dates = grid.monitoring_dates
+        n_dates = len(dates)
+        # one pass: a full simulation's market drivers equal a base one's (see mc)
+        need_full = settings.method == "mc" or settings.benchmark
+        self.stream = PathStream(models, self.corr, grid, settings.n_paths,
+                                 settings.seed, "full" if need_full else "base")
+        self.valuation_key = valuation_key(inputs.portfolio, models, dates)
+        if self.valuation_key not in valuations:
+            valuations[self.valuation_key] = PortfolioValuation(inputs.portfolio,
+                                                                models, dates)
+        self.valuation = valuations[self.valuation_key]
+        self.coeffs = coeffs_for_dates(models, self.corr, dates, settings.n_r)
+        # Only the generic method reads the sampled driver moments, so only
+        # it computes them.
+        n_moments = settings.n_r + 3 if settings.method == "approx_generic" else 0
+        self.disc_epe, self.disc_epe_se = np.zeros(n_dates), np.zeros(n_dates)
+        self.moms = np.zeros((n_moments, n_dates))
+        self.moms_se = np.zeros((n_moments, n_dates))
+        self.wwr_mc, self.se_mc = np.zeros(n_dates), np.zeros(n_dates)
+        self.moment_seconds = self.cov_seconds = 0.0
+
+    def report(self, settings: RunSettings) -> FvaReport:
+        """The leg's profiles, integrals and benchmark comparison, once the
+        pass has filled its per-date estimates.
+
+        Shared prerequisites: the discounted exposure and the per-date
+        coefficients enter both the coupling-free part and either WWR
+        estimator, so neither WWR stage is charged for them. The generic
+        approximation's extra work is the driver-moment averaging plus the
+        series assembly; the closed-form one's is its moments plus the
+        assembly; the benchmark's is the credit simulation plus the
+        covariance estimator.
+        """
+        dates, coeffs, models = self.dates, self.coeffs, self.models
+        is_mc = settings.method == "mc"
+        need_full = self.stream.mode == "full"
+        bm = BaseMoments(dates=dates.copy(), disc_epe=self.disc_epe,
+                         disc_epe_se=self.disc_epe_se, y_moments=self.moms,
+                         y_moments_se=self.moms_se,
+                         y_moment_seconds=self.moment_seconds)
+        wwr_mc, se_mc = self.wwr_mc, self.se_mc
+
+        indep = epe_indep(bm, coeffs, models)
+        bench_seconds = (self.stream.credit_seconds + self.cov_seconds
+                         if need_full else None)
+
+        if is_mc:
+            wwr, wwr_seconds = wwr_mc, bench_seconds
         else:
-            wwr = epe_wwr_approx_swap_analytic(p.single_swap, models, coeffs, bm,
-                                               settings.n_r, settings.n_a)
-        wwr_seconds = bm.y_moment_seconds + (time.perf_counter() - t0)
-    profile = ExposureProfile(dates=dates.copy(), epe_indep=indep, epe_wwr=wwr,
-                              method=settings.method, se_wwr=se_mc if is_mc else None,
-                              se_indep=bm.disc_epe_se.copy())
+            t0 = time.perf_counter()
+            if settings.method == "approx_generic":
+                wwr = epe_wwr_approx_generic(coeffs, bm)
+            else:
+                wwr = epe_wwr_approx_swap_analytic(self.portfolio.single_swap, models,
+                                                   coeffs, bm, settings.n_r, settings.n_a)
+            wwr_seconds = bm.y_moment_seconds + (time.perf_counter() - t0)
+        profile = ExposureProfile(dates=dates.copy(), epe_indep=indep, epe_wwr=wwr,
+                                  method=settings.method,
+                                  se_wwr=se_mc if is_mc else None,
+                                  se_indep=bm.disc_epe_se.copy())
 
-    fva_i, fva_w = integrate_profile(profile)
-    report = FvaReport(
-        fva_indep=fva_i, fva_wwr=fva_w, method=settings.method,
-        runtime_wwr_seconds=wwr_seconds, profile=profile,
-        truncated_fraction=stream.truncated_fraction, settings=settings,
-        config_echo=_settings_echo(settings))
+        fva_i, fva_w = integrate_profile(profile)
+        report = FvaReport(
+            fva_indep=fva_i, fva_wwr=fva_w, method=settings.method,
+            runtime_wwr_seconds=wwr_seconds, profile=profile,
+            truncated_fraction=self.stream.truncated_fraction, settings=settings,
+            config_echo=_settings_echo(settings))
 
-    if need_full:
-        # the one MC profile: the run's own under "mc", else the benchmark's
-        bench_profile = profile
-        if not is_mc:
-            bench_profile = ExposureProfile(
-                dates=dates.copy(), epe_indep=indep, epe_wwr=wwr_mc,
-                method="mc", se_wwr=se_mc)
-            report.benchmark_profile = bench_profile
-            report.runtime_benchmark_wwr_seconds = bench_seconds
-        report.fva_wwr_mc = integrate_profile(bench_profile)[1]
-        report.fva_wwr_mc_se = float(np.sqrt(np.sum((np.diff(dates) * se_mc[1:]) ** 2)))
-        fva_mc_total = fva_i + report.fva_wwr_mc
-        if not is_mc and fva_mc_total != 0.0:
-            report.wwr_rd_vs_mc = 100.0 * (report.fva_total - fva_mc_total) / fva_mc_total
+        if need_full:
+            # the one MC profile: the run's own under "mc", else the benchmark's
+            bench_profile = profile
+            if not is_mc:
+                bench_profile = ExposureProfile(
+                    dates=dates.copy(), epe_indep=indep, epe_wwr=wwr_mc,
+                    method="mc", se_wwr=se_mc)
+                report.benchmark_profile = bench_profile
+                report.runtime_benchmark_wwr_seconds = bench_seconds
+            report.fva_wwr_mc = integrate_profile(bench_profile)[1]
+            report.fva_wwr_mc_se = float(np.sqrt(np.sum((np.diff(dates) * se_mc[1:]) ** 2)))
+            fva_mc_total = fva_i + report.fva_wwr_mc
+            if not is_mc and fva_mc_total != 0.0:
+                report.wwr_rd_vs_mc = 100.0 * (report.fva_total - fva_mc_total) / fva_mc_total
 
-    report.peak_rss_mb = _peak_rss_mb()
-    return report
+        report.peak_rss_mb = _peak_rss_mb()
+        return report
+
+
+def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
+    """Feed one shared simulation pass to legs of equal stream key.
+
+    Legs with bitwise-equal overlays (hence the same date state) and
+    valuation inputs value each date once; the exposure and the driver
+    moments of that row serve all of them, and each of them is charged
+    the moments' time. The credit covariance reads each leg's own
+    coefficients.
+    """
+    is_generic = settings.method == "approx_generic"
+    need_full = legs[0].stream.mode == "full"
+    dom = legs[0].models.domestic
+    # leg indices per distinct (overlay, valuation); the first one values
+    twins: dict[tuple, list[int]] = {}
+    for k, leg in enumerate(legs):
+        twins.setdefault((leg.stream.overlay_key, leg.valuation_key), []).append(k)
+    pows = np.empty((len(legs[0].moms), settings.n_paths))
+    for states in shared_pass([leg.stream for leg in legs]):
+        for ks in twins.values():
+            st = states[ks[0]]
+            i = st.index
+            v = legs[ks[0]].valuation.row(st)
+            h, epe, epe_se = exposure_at(st, v)
+            if is_generic:
+                t0 = time.perf_counter()
+                moms, moms_se = y_moments_at(st.y_r[dom], v, pows)
+                seconds = time.perf_counter() - t0
+            for k in ks:
+                leg = legs[k]
+                leg.disc_epe[i], leg.disc_epe_se[i] = epe, epe_se
+                if is_generic:
+                    leg.moms[:, i], leg.moms_se[:, i] = moms, moms_se
+                    leg.moment_seconds += seconds
+                if need_full and i > 0:
+                    t0 = time.perf_counter()
+                    leg.wwr_mc[i], leg.se_mc[i] = wwr_mc_at(st, h, epe, leg.coeffs)
+                    leg.cov_seconds += time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
-from .mc import CorrelationMatrix, DateState, ScenarioCube, fx_factor, rate_factor
+from .mc import (CorrelationMatrix, DateState, ScenarioCube, exact_key, fx_factor,
+                 rate_factor)
 from .models import Hw1fParams, ModelSet, fx_terms, hw_terms, sigma_ratio
 
 
@@ -433,6 +434,15 @@ class PortfolioValuation:
             if st.index < len(terms):
                 out += value(inst, self.models, terms[st.index], st)
         return out
+
+
+def valuation_key(p: Portfolio, models: ModelSet, dates) -> bytes:
+    """Everything `PortfolioValuation(p, models, dates)` computes its terms
+    from, as exact bytes (`mc.exact_key`): two valuations of equal key give
+    bitwise-equal rows on one date state."""
+    ccys = sorted(p.currencies | {models.domestic})
+    return exact_key(np.asarray(dates, dtype=float), models.domestic,
+                     p.instruments, [models.rates.get(c) for c in ccys])
 
 
 def value_matrix(p: Portfolio, models: ModelSet, cube: ScenarioCube) -> np.ndarray:

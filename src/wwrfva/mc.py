@@ -11,7 +11,9 @@ full simulation where a credit-free run would read a base one.
 
 `PathStream` is the simulation: it yields one monitoring date's drivers
 at a time, so a run that consumes them date by date holds no array that
-grows with the number of dates. `simulate` collects the stream into a
+grows with the number of dates. `shared_pass` runs one simulation for
+several streams whose random part reads the same inputs, such as the legs
+of a curve sensitivity, and yields each stream's own states. `simulate` collects the stream into a
 `ScenarioCube` for the callers that need every date at once (the bounds
 report, the cube export and tests).
 
@@ -26,6 +28,7 @@ so the paths are bit for bit those of a serial loop.
 from __future__ import annotations
 
 import os
+import pickle
 import queue
 import threading
 import time
@@ -272,6 +275,13 @@ def _fill_ahead(rng_mkt, rng_credit, mkt_bufs, cred_bufs, n_intervals,
         filled.put(exc)
 
 
+def exact_key(*parts) -> bytes:
+    """Bytes that are equal for two argument lists only if their strings and
+    integers are equal and their floats and arrays bitwise equal (shapes
+    included): their pickle, which stores floats and array data raw."""
+    return pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 class PathStream:
     """All drivers simulated jointly under the domestic risk-neutral measure,
     one monitoring date at a time.
@@ -281,6 +291,19 @@ class PathStream:
     The state of each process is one stacked (n_factors, n_paths) array whose
     rows follow the factor order, so the correlated draws feed it directly.
 
+    A stream has two parts. The noise recursion (the rate noise `y` and its
+    integral `Y`, the FX Brownian level `w_fx`, and in full mode the credit
+    state and its integral) reads only the inputs that `key` holds as exact
+    bytes: the rate transition coefficients, the Cholesky blocks it uses, the
+    credit parameters in full mode, the substep sizes, paths, seed and mode.
+    The overlay turns that state into a date's drivers with this model set's
+    deterministic terms: the domestic discount-like factor, the FX means, log
+    spots and volatilities, and in full mode the credit means and mean
+    integrals. Rate curves, FX spots and FX volatilities move only the
+    overlay; credit curves, and in base mode the credit parameters and the
+    market-credit correlations, do not enter the stream at all. Model sets
+    that differ only in these share one pass (`shared_pass`).
+
     Iterating runs the simulation once from `seed` and yields one DateState
     per monitoring date, date 0 first; a second iteration repeats it. Its
     arrays are the live simulation state: a yielded state is valid only
@@ -289,7 +312,7 @@ class PathStream:
     with dates. After the last date, `truncated_fraction` and
     `credit_seconds` describe the pass.
 
-    Each iteration starts one worker thread that draws the standard normals
+    Each pass starts one worker thread that draws the standard normals
     one monitoring interval ahead into a ring of two preallocated buffer
     sets: (substeps, market factors, paths) and, in full mode, (substeps,
     credit factors, paths). The worker only fills buffers; the correlation
@@ -319,16 +342,60 @@ class PathStream:
             raise ValueError(f"correlation labels {corr.labels} do not match models {labels}")
         self.models, self.corr, self.grid = models, corr, grid
         self.n_paths, self.seed, self.mode = n_paths, seed, mode
-        self.dates = grid.monitoring_dates
-        self.h_dom = hw_terms(models.rates[models.domestic], 0.0, self.dates).H
+        self.dates = dates = grid.monitoring_dates
+        dom = models.domestic
+        self.ccys = [dom] + models.foreign_currencies
+        self.fx_ccys = list(models.fx)
         self.entities = list(models.credit) if mode == "full" else []
-        n_ccy, n_fx = 1 + len(models.foreign_currencies), len(models.fx)
-        n_cred = len(self.entities)
+        n_ccy, n_fx, n_cred = len(self.ccys), len(self.fx_ccys), len(self.entities)
+        n_mkt = n_ccy + n_fx
+
+        # the noise recursion's inputs
+        self.dts = np.diff(dates) / grid.substeps_per_interval
+        rates = [models.rates[c] for c in self.ccys]
+        a_r = np.array([p.a for p in rates])[:, None]
+        self.decay = np.exp(-a_r * self.dts)
+        self.shock_sd = (np.array([p.sigma for p in rates])[:, None]
+                         * np.sqrt(bfac(2.0 * a_r, self.dts)))
+        L = corr.cholesky
+        self.L_mm = np.ascontiguousarray(L[:n_mkt, :n_mkt])
+        self.L_cm = np.ascontiguousarray(L[n_mkt:n_mkt + n_cred, :n_mkt])
+        self.L_cc = np.ascontiguousarray(L[n_mkt:n_mkt + n_cred, n_mkt:n_mkt + n_cred])
+        credit = [models.credit[z] for z in self.entities]
+        self.x0_c, self.a_c, self.theta_c, self.sigma_c = (
+            np.array([getattr(p, f) for p in credit])[:, None]
+            for f in ("x0", "a", "theta", "sigma"))
+        self.key = exact_key(tuple(labels), mode, n_paths, seed,
+                             grid.substeps_per_interval, self.dts, self.decay,
+                             self.shock_sd, self.L_mm, self.L_cm, self.L_cc,
+                             self.x0_c, self.a_c, self.theta_c, self.sigma_c)
+
+        # the overlay: FX log level = mean + Y_dom - Y_ccy + sigma_fx * Brownian
+        # level; credit centred by the closed-form mean and mean integral
+        self.h_dom = hw_terms(models.rates[dom], 0.0, dates).H
+        self.fx_rows = [self.ccys.index(c) for c in self.fx_ccys]
+        self.sigma_fx = np.array([models.fx[c].sigma_fx for c in self.fx_ccys])[:, None]
+        self.mu_fx = np.array([
+            fx_terms(models.rates[dom], models.rates[c], models.fx[c],
+                     corr.entry(rate_factor(dom), rate_factor(c)),
+                     corr.entry(rate_factor(dom), fx_factor(c)),
+                     corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
+            for c in self.fx_ccys]).reshape(n_fx, len(dates))
+        self.log_spot = np.array([np.log(models.fx[c].spot) for c in self.fx_ccys])[:, None]
+        cred_terms = [cir_terms(p, 0.0, dates) for p in credit]
+        self.M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, len(dates))
+        # only the investor's intensity driver itself reaches the state
+        self.mu_I = cred_terms[self.entities.index("I")].mu if "I" in self.entities else None
+        self.overlay_key = exact_key(self.h_dom, self.fx_rows, self.sigma_fx, self.mu_fx,
+                                     self.log_spot, self.M_cred, self.mu_I)
+
         # rows alive at once: the process states, one substep's correlated
         # draws and their temporaries, and one date's derived rows (log-FX,
-        # credit drivers, discount)
+        # credit drivers, discount); a shared pass holds the derived rows
+        # once per distinct overlay
+        self.overlay_rows = n_fx + n_cred + 2
         rows = (2 * n_ccy + n_fx + 2 * n_cred) + 2 * (n_ccy + n_fx + n_cred) \
-            + (n_fx + n_cred + 2)
+            + self.overlay_rows
         # plus the draw ring: two intervals of standard normals
         rows += 2 * grid.substeps_per_interval * (n_ccy + n_fx + n_cred)
         self.state_bytes = 8 * n_paths * rows
@@ -336,135 +403,147 @@ class PathStream:
         # the investor's driver plus the integrated I and C drivers
         n_slabs = (2 * n_ccy + n_fx + 2 * ("I" in self.entities)
                    + ("C" in self.entities))
-        self.cube_bytes = 8 * n_paths * len(self.dates) * n_slabs
+        self.cube_bytes = 8 * n_paths * len(dates) * n_slabs
         require_memory(self.state_bytes, "the simulation state")
         self.truncated_fraction = 0.0
         self.credit_seconds = 0.0
 
     def __iter__(self) -> Iterator[DateState]:
-        models, corr, n_paths = self.models, self.corr, self.n_paths
-        dom = models.domestic
-        ccys = [dom] + models.foreign_currencies
-        fx_ccys = list(models.fx)
-        entities = self.entities
-        n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
-        n_mkt = n_ccy + n_fx
-
-        L = corr.cholesky
-        L_mm = np.ascontiguousarray(L[:n_mkt, :n_mkt])
-        L_cm = np.ascontiguousarray(L[n_mkt:, :n_mkt])
-        L_cc = np.ascontiguousarray(L[n_mkt:, n_mkt:])
-
-        dates = self.dates
-        n_dates = len(dates)
-        nsub = self.grid.substeps_per_interval
-        dts = np.diff(dates) / nsub
-
-        # rates: exact transition coefficients per currency and substep size
-        rates = [models.rates[c] for c in ccys]
-        a_r = np.array([p.a for p in rates])[:, None]
-        decay = np.exp(-a_r * dts)
-        shock_sd = np.array([p.sigma for p in rates])[:, None] * np.sqrt(bfac(2.0 * a_r, dts))
-
-        # FX: log level = mean + Y_dom - Y_ccy + sigma_fx * Brownian level
-        fx_rows = [ccys.index(c) for c in fx_ccys]
-        sigma_fx = np.array([models.fx[c].sigma_fx for c in fx_ccys])[:, None]
-        mu_fx = np.array([
-            fx_terms(models.rates[dom], models.rates[c], models.fx[c],
-                     corr.entry(rate_factor(dom), rate_factor(c)),
-                     corr.entry(rate_factor(dom), fx_factor(c)),
-                     corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
-            for c in fx_ccys]).reshape(n_fx, n_dates)
-
-        # credit: centered by the closed-form mean and mean integral
-        credit = [models.credit[z] for z in entities]
-        cred_terms = [cir_terms(p, 0.0, dates) for p in credit]
-        M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, n_dates)
-        a_c = np.array([p.a for p in credit])[:, None]
-        theta_c = np.array([p.theta for p in credit])[:, None]
-        sigma_c = np.array([p.sigma for p in credit])[:, None]
-        # only the investor's intensity driver itself reaches the state
-        k_I = entities.index("I") if "I" in entities else None
-
-        def state(i, ln_fx, Y_cred, y_I):
-            Y_c = dict(zip(entities, Y_cred))
-            return DateState(i, dom, self.h_dom[i], dict(zip(ccys, y)),
-                             dict(zip(ccys, Y)), dict(zip(fx_ccys, ln_fx)),
-                             y_I, Y_c.get("I"), Y_c.get("C"))
-
-        y = np.zeros((n_ccy, n_paths))          # OU noise per currency
-        Y = np.zeros((n_ccy, n_paths))          # trapezoidal integral of y
-        w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
-        x_cred = np.repeat(np.array([p.x0 for p in credit])[:, None], n_paths, axis=1)
-        intx_cred = np.zeros((n_cred, n_paths))
-
-        # the draw ring: the worker fills one slot's buffers while the loop
-        # reads the other's; `free` and `filled` pass slot numbers between them
-        mkt_bufs = [np.empty((nsub, n_mkt, n_paths)) for _ in range(2)]
-        cred_bufs = ([np.empty((nsub, n_cred, n_paths)) for _ in range(2)]
-                     if entities else None)
-        free, filled, stop = queue.Queue(), queue.Queue(), threading.Event()
-        for slot in range(2):
-            free.put(slot)
-        worker = threading.Thread(
-            target=_fill_ahead, name="PathStream draws", daemon=True,
-            args=(*_generators(self.seed), mkt_bufs, cred_bufs, n_dates - 1,
-                  free, filled, stop))
-        worker.start()
-
-        n_truncated = 0
-        self.credit_seconds = 0.0
-        log_spot = np.array([np.log(models.fx[c].spot) for c in fx_ccys])[:, None]
+        states = shared_pass([self])
         try:
-            yield state(0, np.repeat(log_spot, n_paths, axis=1), intx_cred.copy(),
-                        np.zeros(n_paths) if k_I is not None else None)
-
-            for i in range(1, n_dates):
-                item = filled.get()
-                if isinstance(item, BaseException):
-                    raise item
-                slot, fill_seconds = item
-                self.credit_seconds += fill_seconds
-                dt = dts[i - 1]
-                sq_dt = np.sqrt(dt)
-                for k in range(nsub):
-                    z_mkt = mkt_bufs[slot][k]
-                    eps_mkt = L_mm @ z_mkt
-                    y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
-                    Y += 0.5 * dt * (y + y_new)
-                    y = y_new
-                    w_fx += sq_dt * eps_mkt[n_ccy:]
-                    if entities:
-                        tc = time.perf_counter()
-                        z_cred = cred_bufs[slot][k]
-                        eps_cred = L_cm @ z_mkt + L_cc @ z_cred
-                        xp = np.maximum(x_cred, 0.0)
-                        x_new = (x_cred + a_c * (theta_c - xp) * dt
-                                 + sigma_c * np.sqrt(xp * dt) * eps_cred)
-                        n_truncated += int(np.count_nonzero(x_new < 0.0))
-                        xp_new = np.maximum(x_new, 0.0)
-                        intx_cred += 0.5 * dt * (xp + xp_new)
-                        x_cred = x_new
-                        self.credit_seconds += time.perf_counter() - tc
-                free.put(slot)
-
-                ln_fx = mu_fx[:, i:i + 1] + Y[0] - Y[fx_rows] + sigma_fx * w_fx
-                for name, arr, keys in (("y", y, ccys), ("Y", Y, ccys),
-                                        ("lnfx", ln_fx, fx_ccys)):
-                    if not np.all(np.isfinite(arr)):
-                        k, path = np.argwhere(~np.isfinite(arr))[0]
-                        raise FloatingPointError(
-                            f"non-finite {name}[{keys[k]}] at date index {i}, path {path}")
-                y_I = (np.maximum(x_cred[k_I], 0.0) - cred_terms[k_I].mu[i]
-                       if k_I is not None else None)
-                yield state(i, ln_fx, intx_cred - M_cred[:, i:i + 1], y_I)
+            for (st,) in states:
+                yield st
         finally:
-            stop.set()
-            free.put(None)
-            worker.join()
+            states.close()
 
-        credit_steps = n_cred * n_paths * nsub * (n_dates - 1)
-        self.truncated_fraction = n_truncated / credit_steps if credit_steps else 0.0
+
+def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
+    """One simulation pass for streams of equal `key`: per monitoring date, a
+    tuple with one DateState per stream, in the streams' order.
+
+    The noise recursion runs once; each distinct overlay then evaluates its
+    own log-FX expression, finite check and credit drivers from the shared
+    state, in the order a stream of its own would, so every stream's states
+    are bitwise those it yields alone. Streams with equal `overlay_key` get
+    the same DateState object. Afterwards each stream's `truncated_fraction`
+    and `credit_seconds` describe the pass.
+    """
+    streams = list(streams)
+    s0 = streams[0]
+    if any(s.key != s0.key for s in streams[1:]):
+        raise ValueError("streams with different simulation inputs cannot share a pass")
+    # the first stream of each distinct overlay computes it; at[k] is the
+    # overlay of stream k
+    first = {}
+    for s in streams:
+        first.setdefault(s.overlay_key, s)
+    overlays = list(first.values())
+    at = [list(first).index(s.overlay_key) for s in streams]
+    n_paths = s0.n_paths
+    require_memory(s0.state_bytes + 8 * n_paths * sum(o.overlay_rows for o in overlays[1:]),
+                   "the simulation state")
+
+    dom, ccys, fx_ccys, entities = s0.models.domestic, s0.ccys, s0.fx_ccys, s0.entities
+    n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
+    n_mkt = n_ccy + n_fx
+    n_dates = len(s0.dates)
+    nsub = s0.grid.substeps_per_interval
+    dts, decay, shock_sd = s0.dts, s0.decay, s0.shock_sd
+    L_mm, L_cm, L_cc = s0.L_mm, s0.L_cm, s0.L_cc
+    a_c, theta_c, sigma_c = s0.a_c, s0.theta_c, s0.sigma_c
+    k_I = entities.index("I") if "I" in entities else None
+
+    def state(o, i, ln_fx, Y_cred, y_I):
+        Y_c = dict(zip(entities, Y_cred))
+        return DateState(i, dom, o.h_dom[i], dict(zip(ccys, y)),
+                         dict(zip(ccys, Y)), dict(zip(fx_ccys, ln_fx)),
+                         y_I, Y_c.get("I"), Y_c.get("C"))
+
+    y = np.zeros((n_ccy, n_paths))          # OU noise per currency
+    Y = np.zeros((n_ccy, n_paths))          # trapezoidal integral of y
+    w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
+    x_cred = np.repeat(s0.x0_c, n_paths, axis=1)
+    intx_cred = np.zeros((n_cred, n_paths))
+
+    # the draw ring: the worker fills one slot's buffers while the loop
+    # reads the other's; `free` and `filled` pass slot numbers between them
+    mkt_bufs = [np.empty((nsub, n_mkt, n_paths)) for _ in range(2)]
+    cred_bufs = ([np.empty((nsub, n_cred, n_paths)) for _ in range(2)]
+                 if entities else None)
+    free, filled, stop = queue.Queue(), queue.Queue(), threading.Event()
+    for slot in range(2):
+        free.put(slot)
+    worker = threading.Thread(
+        target=_fill_ahead, name="PathStream draws", daemon=True,
+        args=(*_generators(s0.seed), mkt_bufs, cred_bufs, n_dates - 1,
+              free, filled, stop))
+    worker.start()
+
+    n_truncated = 0
+    credit_seconds = 0.0
+    try:
+        made = [state(o, 0, np.repeat(o.log_spot, n_paths, axis=1), intx_cred.copy(),
+                      np.zeros(n_paths) if k_I is not None else None)
+                for o in overlays]
+        yield tuple(made[k] for k in at)
+
+        for i in range(1, n_dates):
+            item = filled.get()
+            if isinstance(item, BaseException):
+                raise item
+            slot, fill_seconds = item
+            credit_seconds += fill_seconds
+            dt = dts[i - 1]
+            sq_dt = np.sqrt(dt)
+            for k in range(nsub):
+                z_mkt = mkt_bufs[slot][k]
+                eps_mkt = L_mm @ z_mkt
+                y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
+                Y += 0.5 * dt * (y + y_new)
+                y = y_new
+                w_fx += sq_dt * eps_mkt[n_ccy:]
+                if entities:
+                    tc = time.perf_counter()
+                    z_cred = cred_bufs[slot][k]
+                    eps_cred = L_cm @ z_mkt + L_cc @ z_cred
+                    xp = np.maximum(x_cred, 0.0)
+                    x_new = (x_cred + a_c * (theta_c - xp) * dt
+                             + sigma_c * np.sqrt(xp * dt) * eps_cred)
+                    n_truncated += int(np.count_nonzero(x_new < 0.0))
+                    xp_new = np.maximum(x_new, 0.0)
+                    intx_cred += 0.5 * dt * (xp + xp_new)
+                    x_cred = x_new
+                    credit_seconds += time.perf_counter() - tc
+            free.put(slot)
+
+            _check_finite(i, "y", y, ccys)
+            _check_finite(i, "Y", Y, ccys)
+            made = []
+            for o in overlays:
+                ln_fx = o.mu_fx[:, i:i + 1] + Y[0] - Y[o.fx_rows] + o.sigma_fx * w_fx
+                _check_finite(i, "lnfx", ln_fx, fx_ccys)
+                y_I = (np.maximum(x_cred[k_I], 0.0) - o.mu_I[i]
+                       if k_I is not None else None)
+                made.append(state(o, i, ln_fx, intx_cred - o.M_cred[:, i:i + 1], y_I))
+            yield tuple(made[k] for k in at)
+    finally:
+        stop.set()
+        free.put(None)
+        worker.join()
+        for s in streams:
+            s.credit_seconds = credit_seconds
+
+    credit_steps = n_cred * n_paths * nsub * (n_dates - 1)
+    for s in streams:
+        s.truncated_fraction = n_truncated / credit_steps if credit_steps else 0.0
+
+
+def _check_finite(i: int, name: str, rows: np.ndarray, keys) -> None:
+    """Raise naming the first non-finite entry of `rows` (one row per key)."""
+    if not np.all(np.isfinite(rows)):
+        k, path = np.argwhere(~np.isfinite(rows))[0]
+        raise FloatingPointError(
+            f"non-finite {name}[{keys[k]}] at date index {i}, path {path}")
 
 
 def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,

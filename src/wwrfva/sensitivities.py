@@ -1,10 +1,18 @@
 """Finite-difference sensitivities of the funding adjustment and its WWR part.
 
-Every difference leg reruns the full pipeline on bumped inputs with the
-same seed (common random numbers), so shifts, discount-like factors and
-variance ratios are all consistently recomputed — nothing is frozen
-across a bump. The independent/WWR split is differenced per leg, which
-makes d_total = d_indep + d_wwr exact by construction.
+Every difference leg is a full run on bumped inputs with the same seed
+(common random numbers), so shifts, discount-like factors and variance
+ratios are all consistently recomputed; nothing is frozen across a bump.
+The independent/WWR split is differenced per leg, which makes
+d_total = d_indep + d_wwr exact by construction.
+
+All legs of one call go to `run_fva_legs` together. Legs whose bump
+leaves the random part of the simulation unchanged (curves, spots, FX
+vols, credit curves and, without credit simulation, credit vols and
+market-credit correlations) share one simulation pass, and legs that
+also value the same portfolio on the same states share that valuation;
+a rate-volatility bump gets a pass per leg. Each leg's result is bit for
+bit that of a run of its own.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .curves import MarketData
-from .fva import FvaReport, RunInputs, RunSettings, run_fva
+from .fva import FvaReport, RunInputs, RunSettings, run_fva_legs
 
 TARGETS = ("ir_parallel", "ir_pillar", "credit_parallel", "sigma_r",
            "sigma_fx", "sigma_lambda", "fx_spot", "correlation")
@@ -59,14 +67,24 @@ def default_size(target: str, qualifier: str, inputs: RunInputs) -> float:
     if target == "correlation":
         return DEFAULT_CORR_BUMP
     if target == "fx_spot":
-        return DEFAULT_SPOT_REL * inputs.market.fx_spots[qualifier]
+        return DEFAULT_SPOT_REL * _entry(inputs.market.fx_spots, qualifier, "fx spot")
     if target == "sigma_r":
-        return DEFAULT_VOL_REL * float(inputs.rate_params[qualifier]["sigma"])
+        return DEFAULT_VOL_REL * float(_entry(inputs.rate_params, qualifier,
+                                              "rate model")["sigma"])
     if target == "sigma_fx":
-        return DEFAULT_VOL_REL * float(inputs.fx_params[qualifier]["sigma_fx"])
+        return DEFAULT_VOL_REL * float(_entry(inputs.fx_params, qualifier,
+                                              "FX model")["sigma_fx"])
     if target == "sigma_lambda":
-        return DEFAULT_VOL_REL * float(inputs.credit_params[qualifier]["sigma"])
+        return DEFAULT_VOL_REL * float(_entry(inputs.credit_params, qualifier,
+                                              "credit model")["sigma"])
     raise ValueError(f"unknown bump target {target!r}")
+
+
+def _entry(table: dict, qualifier: str, what: str):
+    """table[qualifier], or a ValueError naming the qualifier."""
+    if qualifier not in table:
+        raise ValueError(f"no {what} for {qualifier!r}")
+    return table[qualifier]
 
 
 def parse_bump(text: str, inputs: RunInputs) -> BumpSpec:
@@ -145,14 +163,14 @@ def apply_bump(inputs: RunInputs, bump: BumpSpec, direction: float) -> RunInputs
         spots[bump.qualifier] = spots[bump.qualifier] + h
         out.market = dataclasses.replace(m, fx_spots=spots)
     elif bump.target == "sigma_r":
-        out.rate_params[bump.qualifier]["sigma"] = \
-            float(out.rate_params[bump.qualifier]["sigma"]) + h
+        params = _entry(out.rate_params, bump.qualifier, "rate model")
+        params["sigma"] = float(params["sigma"]) + h
     elif bump.target == "sigma_fx":
-        out.fx_params[bump.qualifier]["sigma_fx"] = \
-            float(out.fx_params[bump.qualifier]["sigma_fx"]) + h
+        params = _entry(out.fx_params, bump.qualifier, "FX model")
+        params["sigma_fx"] = float(params["sigma_fx"]) + h
     elif bump.target == "sigma_lambda":
-        out.credit_params[bump.qualifier]["sigma"] = \
-            float(out.credit_params[bump.qualifier]["sigma"]) + h
+        params = _entry(out.credit_params, bump.qualifier, "credit model")
+        params["sigma"] = float(params["sigma"]) + h
     elif bump.target == "correlation":
         key = _corr_key(out, bump.qualifier)
         rho = out.correlations.get(key, 0.0) + h
@@ -186,36 +204,59 @@ class SensitivityRow:
         return self.d_fva_indep + self.d_fva_wwr
 
 
-def _leg(inputs: RunInputs, settings: RunSettings) -> FvaReport:
-    return run_fva(inputs, dataclasses.replace(settings, benchmark=False))
+def fd_sensitivities(inputs: RunInputs, settings: RunSettings,
+                     bumps: list[BumpSpec],
+                     base_report: Optional[FvaReport] = None) -> list[SensitivityRow]:
+    """First-order differences of FVA under each bump, common random
+    numbers, with every leg of every bump in one `run_fva_legs` call.
+
+    Forward bumps share one unbumped leg, or read `base_report` if given.
+    The benchmark is never run: a leg reads only its own FVA split.
+    """
+    legs, at = [], []
+    base_at = None
+    for bump in bumps:
+        up = len(legs)
+        legs.append(apply_bump(inputs, bump, +1.0))
+        if bump.scheme == "central":
+            legs.append(apply_bump(inputs, bump, -1.0))
+            at.append((up, up + 1))
+            continue
+        if base_report is None and base_at is None:
+            base_at = len(legs)
+            legs.append(inputs)
+        at.append((up, base_at))
+    reports = run_fva_legs(legs, dataclasses.replace(settings, benchmark=False))
+    rows = []
+    for bump, (up, dn) in zip(bumps, at):
+        lo = reports[dn] if dn is not None else base_report
+        den = 2.0 * bump.size if bump.scheme == "central" else bump.size
+        rows.append(SensitivityRow(
+            target=bump.label, size=bump.size, scheme=bump.scheme,
+            d_fva_indep=(reports[up].fva_indep - lo.fva_indep) / den,
+            d_fva_wwr=(reports[up].fva_wwr - lo.fva_wwr) / den,
+            method=settings.method))
+    return rows
 
 
 def fd_sensitivity(inputs: RunInputs, settings: RunSettings,
                    bump: BumpSpec,
                    base_report: Optional[FvaReport] = None) -> SensitivityRow:
     """First-order difference of FVA under one bump, common random numbers."""
-    up = _leg(apply_bump(inputs, bump, +1.0), settings)
-    if bump.scheme == "central":
-        dn = _leg(apply_bump(inputs, bump, -1.0), settings)
-        d_ind = (up.fva_indep - dn.fva_indep) / (2.0 * bump.size)
-        d_wwr = (up.fva_wwr - dn.fva_wwr) / (2.0 * bump.size)
-    else:
-        base = base_report if base_report is not None else _leg(inputs, settings)
-        d_ind = (up.fva_indep - base.fva_indep) / bump.size
-        d_wwr = (up.fva_wwr - base.fva_wwr) / bump.size
-    return SensitivityRow(target=bump.label, size=bump.size, scheme=bump.scheme,
-                          d_fva_indep=d_ind, d_fva_wwr=d_wwr,
-                          method=settings.method)
+    return fd_sensitivities(inputs, settings, [bump], base_report)[0]
 
 
 def cross_gamma(inputs: RunInputs, settings: RunSettings,
                 bump_a: BumpSpec, bump_b: BumpSpec) -> dict[str, float]:
-    """Mixed second difference of FVA across two bumps, common seed."""
-    def leg(da, db):
-        both = apply_bump(apply_bump(inputs, bump_a, da), bump_b, db)
-        return _leg(both, settings)
-
-    pp, pm, mp, mm = leg(1, 1), leg(1, -1), leg(-1, 1), leg(-1, -1)
+    """Mixed central second difference of FVA across two bumps, common seed;
+    the four legs run in one `run_fva_legs` call."""
+    for bump in (bump_a, bump_b):
+        if bump.scheme != "central":
+            raise ValueError(f"cross_gamma takes central bumps only, got "
+                             f"{bump.label} with scheme {bump.scheme!r}")
+    legs = [apply_bump(apply_bump(inputs, bump_a, da), bump_b, db)
+            for da, db in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    pp, pm, mp, mm = run_fva_legs(legs, dataclasses.replace(settings, benchmark=False))
     den = 4.0 * bump_a.size * bump_b.size
     d_ind = (pp.fva_indep - pm.fva_indep - mp.fva_indep + mm.fva_indep) / den
     d_wwr = (pp.fva_wwr - pm.fva_wwr - mp.fva_wwr + mm.fva_wwr) / den

@@ -27,7 +27,8 @@ from wwrfva.fva import build_correlation_for, build_model_set, run_fva
 from wwrfva.instruments import value_matrix
 from wwrfva.mc import SimGrid, build_correlation, factor_labels, simulate
 from wwrfva.models import cir_terms, hw_terms
-from wwrfva.sensitivities import BumpSpec, cross_gamma, fd_sensitivity
+from wwrfva.sensitivities import (BumpSpec, cross_gamma, fd_sensitivities,
+                                  fd_sensitivity)
 
 from conftest import integrate, small_settings
 
@@ -247,9 +248,9 @@ def test_criterion_10_sensitivities(b41, b42):
                 for c in ("EUR", "USD", "GBP")]
                + [BumpSpec(target="credit_parallel", qualifier=e, size=1e-4)
                   for e in ("I", "C")])
-    for bump in targets:
-        ap = fd_sensitivity(inputs42, sett, bump)
-        mc = fd_sensitivity(inputs42, sett_mc, bump)
+    rows_ap = fd_sensitivities(inputs42, sett, targets)
+    rows_mc = fd_sensitivities(inputs42, sett_mc, targets)
+    for bump, ap, mc in zip(targets, rows_ap, rows_mc):
         assert np.sign(ap.d_fva_wwr) == np.sign(mc.d_fva_wwr), bump.label
         assert np.sign(ap.d_fva_total) == np.sign(mc.d_fva_total), bump.label
 

@@ -91,6 +91,18 @@ def test_sensi_requires_bump(tmp_path, capsys):
     assert "error: ValueError" in capsys.readouterr().err
 
 
+def test_sensi_rejects_benchmark(tmp_path, capsys):
+    # the legs never run the benchmark, so the flag would be ignored
+    rc = main(["sensi", *CFG, *SMALL, "--benchmark", "--out", str(tmp_path),
+               "--bump", "ir_parallel:EUR"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: sensi does not run the Monte Carlo "
+                          "benchmark")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "sensi.csv").exists()
+
+
 def test_bounds_verb(tmp_path, capsys):
     rc = main(["bounds", *CFG, *SMALL, "--out", str(tmp_path),
                "--orders", "1,2"])

@@ -12,10 +12,11 @@ from wwrfva.exposure import (ExposureProfile, base_moments, coeffs_for_dates,
                              epe_wwr_approx_swap_analytic, epe_wwr_mc)
 from wwrfva.fva import (FvaReport, RunSettings, build_correlation_for,
                         build_model_set, integrate_profile, load_run_config,
-                        make_grid, read_profile_csv, run_fva, write_profile_csv,
-                        write_report_json)
+                        make_grid, read_profile_csv, run_fva, run_fva_legs,
+                        write_profile_csv, write_report_json)
 from wwrfva.instruments import value_matrix
-from wwrfva.mc import PathStream, simulate
+from wwrfva.mc import PathStream, shared_pass, simulate
+from wwrfva.sensitivities import apply_bump, parse_bump
 
 from conftest import fixture_path, small_settings
 
@@ -326,3 +327,68 @@ def test_run_memory_does_not_scale_with_dates(b41, method):
     finally:
         tracemalloc.stop()
     assert peak < one_slab, (peak, one_slab)
+
+
+# ---------------------------------------------------------------------------
+# several legs on shared passes
+
+# two legs each: shared pass and valuation (credit curve, rate-credit
+# correlation), shared pass only (curves, spot, FX vol), no sharing (rate vol)
+LEG_BUMPS = ("credit_parallel:C", "correlation:r_USD/lambda_C", "ir_parallel:EUR",
+             "ir_pillar:GBP@1", "fx_spot:USD", "sigma_fx:GBP", "sigma_r:USD")
+
+
+def bumped_legs(inputs, texts):
+    legs = [inputs]
+    for text in texts:
+        bump = parse_bump(text, inputs)
+        legs += [apply_bump(inputs, bump, +1.0), apply_bump(inputs, bump, -1.0)]
+    return legs
+
+
+def report_bits(rep):
+    """Every number of a report, as exact bytes."""
+    arrays = [rep.profile.dates, rep.profile.epe_indep, rep.profile.epe_wwr,
+              rep.profile.se_indep]
+    for prof in (rep.profile.se_wwr, rep.benchmark_profile and rep.benchmark_profile.epe_wwr,
+                 rep.benchmark_profile and rep.benchmark_profile.se_wwr):
+        arrays.append(np.zeros(0) if prof is None else prof)
+    scalars = [rep.fva_indep, rep.fva_wwr, rep.fva_wwr_mc, rep.fva_wwr_mc_se,
+               rep.wwr_rd_vs_mc, rep.truncated_fraction]
+    return [_bits(a) for a in arrays], repr(scalars), rep.to_dict(include_timings=False)
+
+
+@pytest.mark.parametrize("method, bench", [("approx_generic", False),
+                                           ("approx_generic", True), ("mc", False)])
+def test_run_fva_legs_equal_independent_runs(b42, method, bench):
+    inputs, settings = b42
+    settings = small_settings(settings, n_paths=500, dates_per_year=2, substeps=1,
+                              method=method, benchmark=bench)
+    legs = bumped_legs(inputs, LEG_BUMPS)
+    shared = run_fva_legs(legs, settings)
+    assert len(shared) == len(legs)
+    for leg, rep in zip(legs, shared):
+        assert report_bits(rep) == report_bits(run_fva(leg, settings))
+
+
+@pytest.mark.parametrize("method", ["approx_generic", "mc"])
+def test_run_fva_legs_fuses_exactly_the_legs_of_one_key(monkeypatch, b42, method):
+    inputs, settings = b42
+    settings = small_settings(settings, n_paths=300, dates_per_year=1, substeps=1,
+                              method=method)
+    passes = []
+
+    def recording_pass(streams):
+        passes.append([s.key for s in streams])
+        return shared_pass(streams)
+
+    monkeypatch.setattr("wwrfva.fva.shared_pass", recording_pass)
+    legs = bumped_legs(inputs, LEG_BUMPS)
+    run_fva_legs(legs, settings)
+    # one key per pass, and no key in two passes
+    assert all(len(set(keys)) == 1 for keys in passes)
+    assert len({keys[0] for keys in passes}) == len(passes)
+    assert sum(map(len, passes)) == len(legs)
+    # base mode: only the two rate-vol legs leave the base pass; full mode:
+    # the rate-credit correlation legs also move the credit Cholesky rows
+    assert len(passes) == (3 if method == "approx_generic" else 5)

@@ -10,7 +10,8 @@ import wwrfva.mc
 from wwrfva.fva import build_correlation_for, build_model_set, load_run_config
 from wwrfva.mc import (PathStream, SimGrid, _slabs, build_correlation,
                        dump_cube, factor_labels, fx_factor, load_cube,
-                       rate_factor, simulate)
+                       rate_factor, shared_pass, simulate)
+from wwrfva.sensitivities import apply_bump, parse_bump
 from wwrfva.models import bfac, cir_terms, fx_terms, hw_terms
 
 from conftest import fixture_path
@@ -484,3 +485,68 @@ def test_worker_exception_raised_in_the_consumer(monkeypatch, setup41):
     # the first two intervals were drawn before the third fill failed
     assert seen == [0, 1, 2]
     assert set(threading.enumerate()) == before
+
+
+# ---------------------------------------------------------------------------
+# one pass, several overlays
+
+def bumped_streams(texts, mode, grid, n_paths=300, seed=3):
+    """One stream of portfolio.cfg per bumped input set, the unbumped first."""
+    inputs, _ = load_run_config(fixture_path("portfolio.cfg"))
+    sets = [inputs] + [apply_bump(inputs, parse_bump(t, inputs), +1.0) for t in texts]
+    out = []
+    for s in sets:
+        models = build_model_set(s)
+        out.append(PathStream(models, build_correlation_for(models, s.correlations),
+                              grid, n_paths, seed, mode))
+    return out
+
+
+def state_bits(st):
+    return ({k: v.tobytes() for k, v in _slabs(st).items()},
+            float(st.h_dom), st.discount.tobytes())
+
+
+@pytest.mark.parametrize("mode", ["base", "full"])
+def test_shared_pass_yields_each_streams_own_states(mode):
+    grid = SimGrid.regular(2, 6.0, 2)
+    # the credit curve moves no overlay: its state is the unbumped one's
+    streams = bumped_streams(("ir_parallel:EUR", "fx_spot:USD", "sigma_fx:GBP",
+                              "ir_pillar:USD@2", "credit_parallel:C"), mode, grid)
+    assert len({s.key for s in streams}) == 1
+    assert len({s.overlay_key for s in streams}) == 5
+    alone = [[state_bits(st) for st in s] for s in streams]
+    alone_truncated = [s.truncated_fraction for s in streams]
+    shared = [[] for _ in streams]
+    for states in shared_pass(streams):
+        assert states[-1] is states[0]
+        for rows, st in zip(shared, states):
+            rows.append(state_bits(st))
+    assert shared == alone
+    assert [s.truncated_fraction for s in streams] == alone_truncated
+
+
+def test_streams_that_differ_in_their_noise_never_share_a_pass():
+    grid = SimGrid.regular(2, 6.0, 2)
+    base, sig, corr = bumped_streams(("sigma_r:EUR", "correlation:r_EUR/lambda_I"),
+                                     "full", grid)
+    assert len({base.key, sig.key, corr.key}) == 3
+    for other in (sig, corr):
+        with pytest.raises(ValueError, match="cannot share a pass"):
+            next(shared_pass([base, other]))
+    # the rate-credit correlation leaves a base-mode pass unchanged
+    base, corr = bumped_streams(("correlation:r_EUR/lambda_I",), "base", grid)
+    assert base.key == corr.key
+
+
+def test_shared_pass_counts_each_distinct_overlay(monkeypatch):
+    grid = SimGrid.regular(2, 6.0, 2)
+    base, up, twin = bumped_streams(("ir_parallel:EUR", "credit_parallel:C"),
+                                    "base", grid, n_paths=1000)
+    extra = 8 * 1000 * up.overlay_rows
+    monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
+                        lambda: base.state_bytes + extra - 1)
+    # an equal overlay adds no rows; a distinct one adds its derived rows
+    assert sum(1 for _ in shared_pass([base, twin])) == grid.n_dates
+    with pytest.raises(ValueError, match="simulation state needs"):
+        next(shared_pass([base, up]))

@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wwrfva.fva import run_fva
-from wwrfva.sensitivities import (BumpSpec, apply_bump, cross_gamma,
-                                  default_size, fd_sensitivity, parse_bump,
-                                  write_sensi_csv)
+import wwrfva.mc
+from wwrfva.cli import main as cli_main
+from wwrfva.fva import load_run_config, run_fva
+from wwrfva.sensitivities import (TARGETS, BumpSpec, apply_bump, cross_gamma,
+                                  default_size, fd_sensitivities,
+                                  fd_sensitivity, parse_bump, write_sensi_csv)
 
-from conftest import small_settings
+from conftest import fixture_path, small_settings
 
 TINY = dict(n_paths=3000, dates_per_year=2, substeps=2)
 
@@ -79,6 +81,14 @@ def test_invalid_bumps(b41):
     with pytest.raises(ValueError):
         BumpSpec(target="ir_parallel", qualifier="EUR", size=1e-4,
                  scheme="sideways")
+    # a qualifier with no model parameters is named, not a bare KeyError
+    for target, qualifier in (("sigma_r", "JPY"), ("sigma_fx", "EUR"),
+                              ("sigma_lambda", "X"), ("fx_spot", "EUR")):
+        with pytest.raises(ValueError, match=qualifier):
+            apply_bump(inputs, BumpSpec(target=target, qualifier=qualifier,
+                                        size=1e-3), +1.0)
+        with pytest.raises(ValueError, match=qualifier):
+            parse_bump(f"{target}:{qualifier}", inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +211,112 @@ def test_sensi_csv(tmp_path, tiny41):
     got = lines[1].split(",")
     assert got[0] == "credit_parallel:I"
     assert float(got[3]) + float(got[4]) == pytest.approx(float(got[5]))
+
+
+def test_cross_gamma_rejects_forward_bumps(tiny41):
+    inputs, settings = tiny41
+    a = BumpSpec(target="ir_parallel", qualifier="EUR", size=1e-4)
+    b = BumpSpec(target="credit_parallel", qualifier="C", size=1e-4,
+                 scheme="forward")
+    with pytest.raises(ValueError, match="central"):
+        cross_gamma(inputs, settings, a, b)
+    with pytest.raises(ValueError, match="central"):
+        cross_gamma(inputs, settings, b, a)
+
+
+# ---------------------------------------------------------------------------
+# shared simulation passes: bit for bit one independent run per leg
+
+# one bump per target in TARGETS, where the fixture has the factor
+PORTFOLIO_BUMPS = ("ir_parallel:EUR", "ir_pillar:USD@2", "credit_parallel:C",
+                   "sigma_r:GBP", "sigma_fx:USD", "sigma_lambda:I",
+                   "fx_spot:GBP", "correlation:r_EUR/lambda_I")
+SWAP_BUMPS = ("ir_parallel:EUR", "ir_pillar:EUR@2", "credit_parallel:C",
+              "sigma_r:EUR", "sigma_lambda:C", "correlation:r_EUR/lambda_C")
+PER_METHOD = [("portfolio.cfg", "approx_generic", PORTFOLIO_BUMPS),
+              ("portfolio.cfg", "mc", PORTFOLIO_BUMPS),
+              ("single_swap.cfg", "approx_analytic", SWAP_BUMPS)]
+
+
+def tiny_run(cfg, method):
+    inputs, settings = load_run_config(fixture_path(cfg))
+    return inputs, small_settings(settings, n_paths=400, dates_per_year=1,
+                                  substeps=1, method=method)
+
+
+def reference_row(inputs, settings, bump):
+    """The difference from one independent run_fva per leg."""
+    leg = dataclasses.replace(settings, benchmark=False)
+    up = run_fva(apply_bump(inputs, bump, +1.0), leg)
+    if bump.scheme == "central":
+        lo, den = run_fva(apply_bump(inputs, bump, -1.0), leg), 2.0 * bump.size
+    else:
+        lo, den = run_fva(inputs, leg), bump.size
+    return ((up.fva_indep - lo.fva_indep) / den, (up.fva_wwr - lo.fva_wwr) / den)
+
+
+@pytest.mark.parametrize("cfg, method, texts", PER_METHOD,
+                         ids=[f"{c}-{m}" for c, m, _ in PER_METHOD])
+def test_shared_legs_equal_independent_runs(cfg, method, texts):
+    inputs, settings = tiny_run(cfg, method)
+    central = [parse_bump(t, inputs) for t in texts]
+    assert {b.target for b in central} == set(TARGETS) - (
+        {"sigma_fx", "fx_spot"} if cfg == "single_swap.cfg" else set())
+    forward = [dataclasses.replace(b, scheme="forward") for b in central]
+    bumps = central + forward
+    want = [reference_row(inputs, settings, b) for b in bumps]
+
+    together = fd_sensitivities(inputs, settings, bumps)
+    alone = [fd_sensitivity(inputs, settings, b) for b in bumps]
+    for b, w, r, s in zip(bumps, want, together, alone):
+        assert (r.d_fva_indep, r.d_fva_wwr) == w, (b.label, b.scheme)
+        assert (s.d_fva_indep, s.d_fva_wwr) == w, (b.label, b.scheme)
+        assert (r.target, r.scheme, r.size) == (b.label, b.scheme, b.size)
+
+    a, b = central[0], central[2]   # ir_parallel x credit_parallel
+    leg = dataclasses.replace(settings, benchmark=False)
+    pp, pm, mp, mm = (run_fva(apply_bump(apply_bump(inputs, a, da), b, db), leg)
+                      for da, db in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+    den = 4.0 * a.size * b.size
+    g = cross_gamma(inputs, settings, a, b)
+    assert g["d2_fva_indep"] == (pp.fva_indep - pm.fva_indep - mp.fva_indep
+                                 + mm.fva_indep) / den
+    assert g["d2_fva_wwr"] == (pp.fva_wwr - pm.fva_wwr - mp.fva_wwr
+                               + mm.fva_wwr) / den
+
+
+@pytest.fixture()
+def count_passes(monkeypatch):
+    """The number of simulation passes started, read as a list's length:
+    every pass draws from one fresh pair of generators."""
+    passes = []
+    make = wwrfva.mc._generators
+
+    def generators(seed):
+        passes.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr("wwrfva.mc._generators", generators)
+    return passes
+
+
+@pytest.mark.parametrize("text, n_passes", [
+    ("ir_parallel:EUR", 1), ("ir_pillar:USD@2", 1), ("fx_spot:USD", 1),
+    ("credit_parallel:C", 1), ("correlation:r_EUR/lambda_I", 1),
+    ("sigma_fx:GBP", 1), ("sigma_r:EUR", 2)])
+def test_passes_per_central_bump(count_passes, text, n_passes):
+    inputs, settings = tiny_run("portfolio.cfg", "approx_generic")
+    fd_sensitivity(inputs, settings, parse_bump(text, inputs))
+    assert len(count_passes) == n_passes
+
+
+def test_cli_sensi_runs_one_pass(tmp_path, count_passes):
+    rc = cli_main(["sensi", "--config", fixture_path("portfolio.cfg"),
+                   "--paths", "400", "--dates-per-year", "1",
+                   "--out", str(tmp_path),
+                   "--bump", "ir_parallel:EUR", "--bump", "ir_parallel:USD",
+                   "--bump", "credit_parallel:C", "--bump", "fx_spot:GBP",
+                   "--bump", "correlation:r_EUR/lambda_I:0.01"])
+    assert rc == 0
+    assert len(count_passes) == 1
+    assert len((tmp_path / "sensi.csv").read_text().strip().splitlines()) == 6
