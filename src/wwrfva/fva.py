@@ -37,8 +37,7 @@ from .curves import MarketData, load_market_data
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        exposure_at, wwr_mc_at, y_moments_at)
-from .instruments import (Portfolio, PortfolioValuation, load_portfolio,
-                          valuation_key)
+from .instruments import Portfolio, PortfolioValuation, load_portfolio
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
                  factor_labels, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
@@ -299,7 +298,7 @@ def run_fva_legs(legs: Sequence[RunInputs], settings: RunSettings) -> list[FvaRe
 class _Leg:
     """One input set of `run_fva_legs`: its deterministic set-up, its
     stream, and the per-date estimates that the pass fills in. Legs of
-    equal valuation inputs share one `PortfolioValuation` from
+    equal `PortfolioValuation.key_of` share one `PortfolioValuation` from
     `valuations`."""
 
     def __init__(self, inputs: RunInputs, settings: RunSettings,
@@ -315,11 +314,10 @@ class _Leg:
         need_full = settings.method == "mc" or settings.benchmark
         self.stream = PathStream(models, self.corr, grid, settings.n_paths,
                                  settings.seed, "full" if need_full else "base")
-        self.valuation_key = valuation_key(inputs.portfolio, models, dates)
-        if self.valuation_key not in valuations:
-            valuations[self.valuation_key] = PortfolioValuation(inputs.portfolio,
-                                                                models, dates)
-        self.valuation = valuations[self.valuation_key]
+        key = PortfolioValuation.key_of(inputs.portfolio, models, dates)
+        if key not in valuations:
+            valuations[key] = PortfolioValuation(inputs.portfolio, models, dates)
+        self.valuation = valuations[key]
         self.coeffs = coeffs_for_dates(models, self.corr, dates, settings.n_r)
         # Only the generic method reads the sampled driver moments, so only
         # it computes them.
@@ -411,7 +409,7 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     # leg indices per distinct (overlay, valuation); the first one values
     twins: dict[tuple, list[int]] = {}
     for k, leg in enumerate(legs):
-        twins.setdefault((leg.stream.overlay_key, leg.valuation_key), []).append(k)
+        twins.setdefault((leg.stream.overlay_key, leg.valuation.key), []).append(k)
     pows = np.empty((len(legs[0].moms), settings.n_paths))
     for states in shared_pass([leg.stream for leg in legs]):
         for ks in twins.values():

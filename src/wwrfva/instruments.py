@@ -377,8 +377,6 @@ def fx_forward_positive_indicator(fwd: FxForward, terms: FxForwardTerms, y):
 # the pathwise values then follow one date's simulated drivers at a time.
 
 def _swap_terms(s: Swap, models: ModelSet, dates: np.ndarray) -> list[SwapWeights]:
-    if s.currency != models.domestic and s.currency not in models.fx:
-        raise KeyError(f"no FX model for {s.currency}")
     return swap_weights_on_dates(s, models.rates[s.currency], 0.0,
                                  dates[dates <= s.maturity])
 
@@ -411,20 +409,45 @@ class PortfolioValuation:
 
     The instruments' deterministic terms are computed once over `dates`;
     `row` then values one date's simulated drivers.
+
+    The term builders see only what `key` holds as exact bytes
+    (`mc.exact_key`): the instruments, the domestic currency, the rate
+    models of the portfolio's currencies and the dates. They get a model
+    set cut down to those rate models, with no FX or credit models, so no
+    other input can reach them; two valuations of equal key give
+    bitwise-equal rows on one date state.
     """
 
     def __init__(self, p: Portfolio, models: ModelSet, dates):
-        dates = np.asarray(dates, dtype=float)
-        self.models = models
+        self.key, self.models, dates = self._inputs(p, models, dates)
         self.parts = []
         for inst in p.instruments:
             if isinstance(inst, Swap):
-                self.parts.append((inst, _swap_value, _swap_terms(inst, models, dates)))
+                self.parts.append((inst, _swap_value, _swap_terms(inst, self.models, dates)))
             elif isinstance(inst, FxForward):
                 self.parts.append((inst, _fx_forward_value,
-                                   _fx_forward_path_terms(inst, models, dates)))
+                                   _fx_forward_path_terms(inst, self.models, dates)))
             else:
                 raise TypeError(f"unknown instrument {type(inst)!r}")
+
+    @staticmethod
+    def _inputs(p: Portfolio, models: ModelSet, dates):
+        """(key, cut-down model set, dates) of the valuation of `p` on `dates`."""
+        for inst in p.instruments:
+            if (isinstance(inst, Swap) and inst.currency != models.domestic
+                    and inst.currency not in models.fx):
+                raise KeyError(f"no FX model for {inst.currency}")
+        ccys = sorted(p.currencies | {models.domestic})
+        rates = {c: models.rates[c] for c in ccys}
+        dates = np.asarray(dates, dtype=float)
+        key = exact_key(dates, models.domestic, p.instruments, [rates[c] for c in ccys])
+        return key, ModelSet(models.domestic, rates, fx={}, credit={}), dates
+
+    @classmethod
+    def key_of(cls, p: Portfolio, models: ModelSet, dates) -> bytes:
+        """The `key` of `PortfolioValuation(p, models, dates)`, without
+        computing its terms."""
+        return cls._inputs(p, models, dates)[0]
 
     def row(self, st: DateState) -> np.ndarray:
         """Portfolio value per path at the state's date: the live instruments
@@ -434,15 +457,6 @@ class PortfolioValuation:
             if st.index < len(terms):
                 out += value(inst, self.models, terms[st.index], st)
         return out
-
-
-def valuation_key(p: Portfolio, models: ModelSet, dates) -> bytes:
-    """Everything `PortfolioValuation(p, models, dates)` computes its terms
-    from, as exact bytes (`mc.exact_key`): two valuations of equal key give
-    bitwise-equal rows on one date state."""
-    ccys = sorted(p.currencies | {models.domestic})
-    return exact_key(np.asarray(dates, dtype=float), models.domestic,
-                     p.instruments, [models.rates.get(c) for c in ccys])
 
 
 def value_matrix(p: Portfolio, models: ModelSet, cube: ScenarioCube) -> np.ndarray:

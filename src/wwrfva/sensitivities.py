@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .curves import MarketData
-from .fva import FvaReport, RunInputs, RunSettings, run_fva_legs
+from .fva import RunInputs, RunSettings, run_fva_legs
 
 TARGETS = ("ir_parallel", "ir_pillar", "credit_parallel", "sigma_r",
            "sigma_fx", "sigma_lambda", "fx_spot", "correlation")
@@ -205,13 +205,12 @@ class SensitivityRow:
 
 
 def fd_sensitivities(inputs: RunInputs, settings: RunSettings,
-                     bumps: list[BumpSpec],
-                     base_report: Optional[FvaReport] = None) -> list[SensitivityRow]:
+                     bumps: list[BumpSpec]) -> list[SensitivityRow]:
     """First-order differences of FVA under each bump, common random
     numbers, with every leg of every bump in one `run_fva_legs` call.
 
-    Forward bumps share one unbumped leg, or read `base_report` if given.
-    The benchmark is never run: a leg reads only its own FVA split.
+    Forward bumps share one unbumped leg. The benchmark is never run: a
+    leg reads only its own FVA split.
     """
     legs, at = [], []
     base_at = None
@@ -222,28 +221,26 @@ def fd_sensitivities(inputs: RunInputs, settings: RunSettings,
             legs.append(apply_bump(inputs, bump, -1.0))
             at.append((up, up + 1))
             continue
-        if base_report is None and base_at is None:
+        if base_at is None:
             base_at = len(legs)
             legs.append(inputs)
         at.append((up, base_at))
     reports = run_fva_legs(legs, dataclasses.replace(settings, benchmark=False))
     rows = []
     for bump, (up, dn) in zip(bumps, at):
-        lo = reports[dn] if dn is not None else base_report
         den = 2.0 * bump.size if bump.scheme == "central" else bump.size
         rows.append(SensitivityRow(
             target=bump.label, size=bump.size, scheme=bump.scheme,
-            d_fva_indep=(reports[up].fva_indep - lo.fva_indep) / den,
-            d_fva_wwr=(reports[up].fva_wwr - lo.fva_wwr) / den,
+            d_fva_indep=(reports[up].fva_indep - reports[dn].fva_indep) / den,
+            d_fva_wwr=(reports[up].fva_wwr - reports[dn].fva_wwr) / den,
             method=settings.method))
     return rows
 
 
 def fd_sensitivity(inputs: RunInputs, settings: RunSettings,
-                   bump: BumpSpec,
-                   base_report: Optional[FvaReport] = None) -> SensitivityRow:
+                   bump: BumpSpec) -> SensitivityRow:
     """First-order difference of FVA under one bump, common random numbers."""
-    return fd_sensitivities(inputs, settings, [bump], base_report)[0]
+    return fd_sensitivities(inputs, settings, [bump])[0]
 
 
 def cross_gamma(inputs: RunInputs, settings: RunSettings,

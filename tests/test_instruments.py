@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from wwrfva import instruments
 from wwrfva.fva import build_correlation_for, build_model_set
-from wwrfva.instruments import (FxForward, Portfolio, Swap, fx_forward_positive_indicator,
+from wwrfva.instruments import (FxForward, Portfolio, PortfolioValuation, Swap,
+                                fx_forward_positive_indicator,
                                 fx_forward_terms, fx_forward_value_projected,
                                 load_portfolio, positive_indicator,
                                 static_portfolio_value,
                                 swap_value_y, swap_weights, value_matrix, ystar)
 from wwrfva.mc import SimGrid, simulate
 from wwrfva.models import hw_terms
+from wwrfva.sensitivities import apply_bump, parse_bump
 
 
 @pytest.fixture()
@@ -220,3 +223,36 @@ def test_portfolio_date0_matches_static_valuation(setup42):
     static = static_portfolio_value(p, models)
     vm = value_matrix(p, models, cube)
     assert np.allclose(vm[0], static, rtol=1e-10)
+
+
+def test_valuation_terms_read_only_their_key(setup42, monkeypatch):
+    # legs of equal key share one valuation's rows, so its term builders
+    # must not reach an input that the key leaves out
+    inputs, models, corr = setup42
+    fwd = FxForward(currency="USD", notional=100.0, strike=0.9, maturity=5.0,
+                    phi=1)
+    p = Portfolio(instruments=tuple(inputs.portfolio.instruments) + (fwd,))
+    dates = np.linspace(0.0, 5.0, 6)
+    v = PortfolioValuation(p, models, dates)
+    assert v.key == PortfolioValuation.key_of(p, models, dates)
+    assert sorted(v.models.rates) == sorted(p.currencies | {models.domestic})
+    assert v.models.fx == {} and v.models.credit == {}
+
+    def key_after(text):
+        bumped = apply_bump(inputs, parse_bump(text, inputs), +1.0)
+        return PortfolioValuation.key_of(p, build_model_set(bumped), dates)
+
+    assert key_after("fx_spot:USD") == v.key
+    assert key_after("credit_parallel:C") == v.key
+    assert key_after("ir_parallel:USD") != v.key
+    assert key_after("sigma_r:GBP") != v.key
+
+    builder = instruments._fx_forward_path_terms
+
+    def reads_fx(fwd, models, dates):
+        models.fx[fwd.currency]
+        return builder(fwd, models, dates)
+
+    monkeypatch.setattr(instruments, "_fx_forward_path_terms", reads_fx)
+    with pytest.raises(KeyError):
+        PortfolioValuation(p, models, dates)
