@@ -88,8 +88,8 @@ def _run(args) -> int:
     from .fva import (load_run_config, run_fva, validate_inputs,
                       write_profile_csv, write_report_json)
 
-    if args.verb == "sensi" and args.benchmark:
-        raise ValueError("sensi does not run the Monte Carlo benchmark; "
+    if args.benchmark and args.verb not in ("fva", "export-profile"):
+        raise ValueError(f"{args.verb} does not run the Monte Carlo benchmark; "
                          "drop --benchmark")
     inputs, settings = load_run_config(args.config)
     settings = _apply_overrides(settings, args)

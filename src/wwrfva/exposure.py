@@ -44,10 +44,10 @@ from .models import ModelSet, cir_terms, hw_terms, sigma_ratio
 N_BATCHES = 50  # batch count of every Monte Carlo standard error
 
 
-def _batch_se(values: np.ndarray, n_batches: int) -> float:
+def _batch_se(values: np.ndarray) -> float:
     """SE of the mean from batch means (values is per-path, 1-D)."""
     n = len(values)
-    nb = min(n_batches, n)
+    nb = min(N_BATCHES, n)
     cut = (n // nb) * nb
     means = values[:cut].reshape(nb, -1).mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(nb))
@@ -57,20 +57,19 @@ def _batch_se(values: np.ndarray, n_batches: int) -> float:
 # per-date kernels: the estimators at one monitoring date, fed either by a
 # live simulation stream or by one date of a stored cube
 
-def exposure_at(st: DateState, value_row: np.ndarray,
-                n_batches: int = N_BATCHES) -> tuple[np.ndarray, float, float]:
+def exposure_at(st: DateState, value_row: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Discounted positive exposure e^{-int r}(V)+ per path at the state's
     date, with its mean and batch SE."""
     h = st.discount * np.maximum(value_row, 0.0)
-    return h, h.mean(), _batch_se(h, n_batches)
+    return h, h.mean(), _batch_se(h)
 
 
-def y_moments_at(y: np.ndarray, value_row: np.ndarray, pows: np.ndarray,
-                 n_batches: int = N_BATCHES) -> tuple[np.ndarray, np.ndarray]:
+def y_moments_at(y: np.ndarray, value_row: np.ndarray,
+                 pows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means and batch SEs of y^l (V)+ for l = 0 .. len(pows) - 1 at one
     date; `pows` is scratch space of shape (l_max + 1, n_paths)."""
     n = len(y)
-    nb = min(n_batches, n)
+    nb = min(N_BATCHES, n)
     cut = (n // nb) * nb
     np.maximum(value_row, 0.0, out=pows[0])
     for l in range(1, len(pows)):
@@ -79,8 +78,8 @@ def y_moments_at(y: np.ndarray, value_row: np.ndarray, pows: np.ndarray,
     return pows.mean(axis=1), batch.std(axis=1, ddof=1) / math.sqrt(nb)
 
 
-def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float, c: WwrCoeffs,
-              n_batches: int = N_BATCHES) -> tuple[float, float]:
+def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float,
+              c: WwrCoeffs) -> tuple[float, float]:
     """Covariance of the discounted positive exposure `h` (mean `disc_epe`)
     with the survival-weighted funding spread at one date after 0, with its
     batch SE; reads the state's credit drivers and the coefficients at the
@@ -88,7 +87,7 @@ def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float, c: WwrCoeffs,
     surv = c.H_IC[st.index] * np.exp(-st.Y_I - st.Y_C)
     spread = c.mu_S[st.index] + c.lgd * st.y_I
     term = (h - disc_epe) * surv * spread
-    return term.mean(), _batch_se(term, n_batches)
+    return term.mean(), _batch_se(term)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +111,7 @@ class BaseMoments:
     y_moment_seconds: float = 0.0
 
 
-def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray,
-                        n_batches: int = N_BATCHES) -> BaseMoments:
+def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray) -> BaseMoments:
     """Average e^{-int r}(V)+ over the market paths; no driver moments.
 
     This is all that the benchmark and the closed-form approximation read
@@ -123,23 +121,21 @@ def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray,
     disc_epe = np.zeros(n_dates)
     disc_epe_se = np.zeros(n_dates)
     for i in range(n_dates):
-        _, disc_epe[i], disc_epe_se[i] = exposure_at(cube.state(i), value_mat[i],
-                                                     n_batches)
+        _, disc_epe[i], disc_epe_se[i] = exposure_at(cube.state(i), value_mat[i])
     return BaseMoments(dates=cube.dates.copy(), disc_epe=disc_epe,
                        disc_epe_se=disc_epe_se, y_moments=np.zeros((0, n_dates)),
                        y_moments_se=np.zeros((0, n_dates)))
 
 
 def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
-                 n_r: int, value_mat: Optional[np.ndarray] = None,
-                 n_batches: int = N_BATCHES) -> BaseMoments:
+                 n_r: int, value_mat: Optional[np.ndarray] = None) -> BaseMoments:
     """Average e^{-int r}(V)+ and y^l (V)+ over the market paths."""
     if n_r < 0:
         raise ValueError("n_r must be >= 0")
     from .instruments import value_matrix
     if value_mat is None:
         value_mat = value_matrix(p, models, cube)
-    bm = discounted_exposure(cube, value_mat, n_batches)
+    bm = discounted_exposure(cube, value_mat)
     n_dates = len(cube.dates)
     l_max = n_r + 2
     moms = np.zeros((l_max + 1, n_dates))
@@ -148,8 +144,7 @@ def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     pows = np.empty((l_max + 1, cube.n_paths))
     t0 = time.perf_counter()
     for i in range(n_dates):
-        moms[:, i], moms_se[:, i] = y_moments_at(y_dom[i], value_mat[i], pows,
-                                                 n_batches)
+        moms[:, i], moms_se[:, i] = y_moments_at(y_dom[i], value_mat[i], pows)
     return dataclasses.replace(bm, y_moments=moms, y_moments_se=moms_se,
                                y_moment_seconds=time.perf_counter() - t0)
 
@@ -267,8 +262,7 @@ def epe_indep(bm: BaseMoments, coeffs: WwrCoeffs, models: ModelSet) -> np.ndarra
 
 def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
                bm: BaseMoments, coeffs: WwrCoeffs,
-               value_mat: Optional[np.ndarray] = None,
-               n_batches: int = N_BATCHES) -> tuple[np.ndarray, np.ndarray]:
+               value_mat: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Benchmark WWR exposure from jointly simulated credit paths.
 
     Covariance of the discounted positive exposure with the survival-
@@ -287,8 +281,8 @@ def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     ses = np.zeros(n)
     for i in range(1, n):
         st = cube.state(i)
-        h = exposure_at(st, value_mat[i], n_batches)[0]
-        vals[i], ses[i] = wwr_mc_at(st, h, bm.disc_epe[i], coeffs, n_batches)
+        h = exposure_at(st, value_mat[i])[0]
+        vals[i], ses[i] = wwr_mc_at(st, h, bm.disc_epe[i], coeffs)
     return vals, ses
 
 

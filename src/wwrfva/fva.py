@@ -216,7 +216,6 @@ class FvaReport:
     profile: Optional[ExposureProfile] = None
     benchmark_profile: Optional[ExposureProfile] = None
     truncated_fraction: float = 0.0
-    settings: Optional[RunSettings] = None
     config_echo: dict = field(default_factory=dict)
     version: str = __version__
 
@@ -372,7 +371,7 @@ class _Leg:
         report = FvaReport(
             fva_indep=fva_i, fva_wwr=fva_w, method=settings.method,
             runtime_wwr_seconds=wwr_seconds, profile=profile,
-            truncated_fraction=self.stream.truncated_fraction, settings=settings,
+            truncated_fraction=self.stream.truncated_fraction,
             config_echo=_settings_echo(settings))
 
         if need_full:

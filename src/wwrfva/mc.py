@@ -17,21 +17,22 @@ of a curve sensitivity, and yields each stream's own states. `simulate` collects
 `ScenarioCube` for the callers that need every date at once (the bounds
 report, the cube export and tests).
 
-The standard normals are drawn ahead on one worker thread: while the
-stream runs the substeps of one monitoring interval, the worker fills
-the next interval's draws into a second buffer set (numpy's generators
-release the GIL while they fill). One fill of (substeps, factors, paths)
-gives the same numbers as that many successive (factors, paths) draws,
-so the paths are bit for bit those of a serial loop.
+The standard normals are drawn ahead on a one-thread
+`concurrent.futures.ThreadPoolExecutor`: while the stream runs the
+substeps of one monitoring interval, the executor's worker fills the
+next interval's draws into a second buffer set (numpy's generators
+release the GIL while they fill). One worker runs the fills in the order
+they were submitted, and one fill of (substeps, factors, paths) gives
+the same numbers as that many successive (factors, paths) draws, so the
+paths are bit for bit those of a serial loop.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import queue
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -251,30 +252,6 @@ def _generators(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
 
 
-def _fill_ahead(rng_mkt, rng_credit, mkt_bufs, cred_bufs, n_intervals,
-                free: queue.Queue, filled: queue.Queue, stop: threading.Event) -> None:
-    """Worker: fill one interval's draws per buffer slot taken from `free`
-    and hand back (slot, CPU seconds of the credit fill) through `filled`.
-
-    It ends after `n_intervals` fills, on a None slot or once `stop` is set;
-    an exception it raises is handed to the consumer instead of a slot.
-    """
-    try:
-        for _ in range(n_intervals):
-            slot = free.get()
-            if slot is None or stop.is_set():
-                return
-            rng_mkt.standard_normal(out=mkt_bufs[slot])
-            seconds = 0.0
-            if cred_bufs is not None:
-                t0 = time.thread_time()
-                rng_credit.standard_normal(out=cred_bufs[slot])
-                seconds = time.thread_time() - t0
-            filled.put((slot, seconds))
-    except BaseException as exc:  # noqa: BLE001 - re-raised by the consumer
-        filled.put(exc)
-
-
 def exact_key(*parts) -> bytes:
     """Bytes that are equal for two argument lists only if their strings and
     integers are equal and their floats and arrays bitwise equal (shapes
@@ -312,16 +289,19 @@ class PathStream:
     with dates. After the last date, `truncated_fraction` and
     `credit_seconds` describe the pass.
 
-    Each pass starts one worker thread that draws the standard normals
-    one monitoring interval ahead into a ring of two preallocated buffer
-    sets: (substeps, market factors, paths) and, in full mode, (substeps,
-    credit factors, paths). The worker only fills buffers; the correlation
-    products, the process updates and the finite checks stay in the
-    iterating thread, in the serial order, so the yielded states are bit
-    for bit those of drawing each substep in turn. However the iteration
-    ends (last date, `close()`, a `break`, an exception in the consumer or
-    in the stream), the worker is stopped and joined; an exception raised
-    in the worker is re-raised in the consumer.
+    Each pass owns a `ThreadPoolExecutor` with one worker that draws the
+    standard normals into a ring of two preallocated buffer sets:
+    (substeps, market factors, paths) and, in full mode, (substeps, credit
+    factors, paths). The first two intervals are submitted before date 0
+    is yielded; once an interval's substeps have run, the interval two
+    ahead is submitted into the slot just read. The worker only fills
+    buffers; the correlation products, the process updates and the finite
+    checks stay in the iterating thread, in the serial order, so the
+    yielded states are bit for bit those of drawing each substep in turn.
+    However the iteration ends (last date, `close()`, a `break`, an
+    exception in the consumer or in the stream), pending fills are
+    cancelled and the worker is joined; an exception raised in the worker
+    is re-raised in the consumer when it reads that interval's result.
 
     `credit_seconds` is the credit Euler time of the iterating thread plus
     the worker's busy time filling the credit draws, taken as the worker's
@@ -465,56 +445,53 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
     x_cred = np.repeat(s0.x0_c, n_paths, axis=1)
     intx_cred = np.zeros((n_cred, n_paths))
 
-    # the draw ring: the worker fills one slot's buffers while the loop
-    # reads the other's; `free` and `filled` pass slot numbers between them
+    # the draw ring: interval i is drawn into slot (i - 1) % 2, so the worker
+    # fills one slot's buffers while the loop reads the other's
     mkt_bufs = [np.empty((nsub, n_mkt, n_paths)) for _ in range(2)]
-    cred_bufs = ([np.empty((nsub, n_cred, n_paths)) for _ in range(2)]
-                 if entities else None)
-    free, filled, stop = queue.Queue(), queue.Queue(), threading.Event()
-    for slot in range(2):
-        free.put(slot)
-    worker = threading.Thread(
-        target=_fill_ahead, name="PathStream draws", daemon=True,
-        args=(*_generators(s0.seed), mkt_bufs, cred_bufs, n_dates - 1,
-              free, filled, stop))
-    worker.start()
+    cred_bufs = [np.empty((nsub, n_cred, n_paths)) for _ in range(2)]
+    rng_mkt, rng_credit = _generators(s0.seed)
 
+    def fill(slot):
+        """Draw one interval into `slot`; return the credit fill's CPU seconds."""
+        rng_mkt.standard_normal(out=mkt_bufs[slot])
+        if not entities:
+            return 0.0
+        t0 = time.thread_time()
+        rng_credit.standard_normal(out=cred_bufs[slot])
+        return time.thread_time() - t0
+
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="PathStream draws")
     n_truncated = 0
     credit_seconds = 0.0
     try:
-        made = [state(o, 0, np.repeat(o.log_spot, n_paths, axis=1), intx_cred.copy(),
-                      np.zeros(n_paths) if k_I is not None else None)
-                for o in overlays]
-        yield tuple(made[k] for k in at)
-
-        for i in range(1, n_dates):
-            item = filled.get()
-            if isinstance(item, BaseException):
-                raise item
-            slot, fill_seconds = item
-            credit_seconds += fill_seconds
-            dt = dts[i - 1]
-            sq_dt = np.sqrt(dt)
-            for k in range(nsub):
-                z_mkt = mkt_bufs[slot][k]
-                eps_mkt = L_mm @ z_mkt
-                y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
-                Y += 0.5 * dt * (y + y_new)
-                y = y_new
-                w_fx += sq_dt * eps_mkt[n_ccy:]
-                if entities:
-                    tc = time.perf_counter()
-                    z_cred = cred_bufs[slot][k]
-                    eps_cred = L_cm @ z_mkt + L_cc @ z_cred
-                    xp = np.maximum(x_cred, 0.0)
-                    x_new = (x_cred + a_c * (theta_c - xp) * dt
-                             + sigma_c * np.sqrt(xp * dt) * eps_cred)
-                    n_truncated += int(np.count_nonzero(x_new < 0.0))
-                    xp_new = np.maximum(x_new, 0.0)
-                    intx_cred += 0.5 * dt * (xp + xp_new)
-                    x_cred = x_new
-                    credit_seconds += time.perf_counter() - tc
-            free.put(slot)
+        ahead = [pool.submit(fill, slot) for slot in range(min(2, n_dates - 1))]
+        for i in range(n_dates):
+            if i > 0:
+                slot = (i - 1) % 2
+                credit_seconds += ahead[slot].result()
+                dt = dts[i - 1]
+                sq_dt = np.sqrt(dt)
+                for k in range(nsub):
+                    z_mkt = mkt_bufs[slot][k]
+                    eps_mkt = L_mm @ z_mkt
+                    y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
+                    Y += 0.5 * dt * (y + y_new)
+                    y = y_new
+                    w_fx += sq_dt * eps_mkt[n_ccy:]
+                    if entities:
+                        tc = time.perf_counter()
+                        z_cred = cred_bufs[slot][k]
+                        eps_cred = L_cm @ z_mkt + L_cc @ z_cred
+                        xp = np.maximum(x_cred, 0.0)
+                        x_new = (x_cred + a_c * (theta_c - xp) * dt
+                                 + sigma_c * np.sqrt(xp * dt) * eps_cred)
+                        n_truncated += int(np.count_nonzero(x_new < 0.0))
+                        xp_new = np.maximum(x_new, 0.0)
+                        intx_cred += 0.5 * dt * (xp + xp_new)
+                        x_cred = x_new
+                        credit_seconds += time.perf_counter() - tc
+                if i + 2 < n_dates:
+                    ahead[slot] = pool.submit(fill, slot)
 
             _check_finite(i, "y", y, ccys)
             _check_finite(i, "Y", Y, ccys)
@@ -527,9 +504,7 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
                 made.append(state(o, i, ln_fx, intx_cred - o.M_cred[:, i:i + 1], y_I))
             yield tuple(made[k] for k in at)
     finally:
-        stop.set()
-        free.put(None)
-        worker.join()
+        pool.shutdown(wait=True, cancel_futures=True)
         for s in streams:
             s.credit_seconds = credit_seconds
 

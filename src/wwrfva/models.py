@@ -260,15 +260,14 @@ def _hw_int_b(p: Hw1fParams, t, u):
             - a_t + a_u - p.x0 * (b_u - b_t))
 
 
-def hw_terms(p: Hw1fParams, t, u, x_t: Optional[float] = None) -> HwTerms:
+def hw_terms(p: Hw1fParams, t, u) -> HwTerms:
     """All closed-form quantities of the Gaussian rate factor over (t, u).
 
-    `x_t` defaults to p.x0, which is only correct for t = 0; pass the state
-    explicitly when conditioning on a later time.
+    The state at t is taken as p.x0, the model's state at t = 0; only `mu`,
+    `M` and `H` depend on it.
     """
     t, u = _ordered(t, u)
-    if x_t is None:
-        x_t = p.x0
+    x_t = p.x0
     tau = u - t
     B = bfac(p.a, tau)
     A = hw_a(p.a, p.sigma, tau)
@@ -324,13 +323,11 @@ _CIR_SERIES = np.column_stack([
     _series(lambda n: (-1) ** n * (n - 2 ** (n - 1)), 2)])
 
 
-def cir_terms(p: CirppParams, t, u, x_t: Optional[float] = None) -> CirTerms:
-    """All closed-form quantities of the square-root credit factor over (t, u)."""
+def cir_terms(p: CirppParams, t, u) -> CirTerms:
+    """All closed-form quantities of the square-root credit factor over (t, u),
+    with the state at t taken as p.x0."""
     t, u = _ordered(t, u)
-    if x_t is None:
-        x_t = p.x0
-    if np.any(np.asarray(x_t) < 0.0):
-        raise ValueError("x_t must be nonnegative")
+    x_t = p.x0
     tau = u - t
     a, th, sg = p.a, p.theta, p.sigma
     x = a * tau

@@ -92,15 +92,18 @@ def test_sensi_requires_bump(tmp_path, capsys):
 
 
 def test_sensi_rejects_benchmark(tmp_path, capsys):
-    # the legs never run the benchmark, so the flag would be ignored
-    rc = main(["sensi", *CFG, *SMALL, "--benchmark", "--out", str(tmp_path),
-               "--bump", "ir_parallel:EUR"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ValueError: sensi does not run the Monte Carlo "
-                          "benchmark")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "sensi.csv").exists()
+    # only fva and export-profile run the benchmark; elsewhere the flag
+    # would be ignored
+    for verb, extra, output in (("sensi", ["--bump", "ir_parallel:EUR"], "sensi.csv"),
+                                ("bounds", [], "bounds.csv"),
+                                ("export-cube", [], "cube_base.bin")):
+        rc = main([verb, *CFG, *SMALL, "--benchmark", "--out", str(tmp_path), *extra])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {verb} does not run the Monte "
+                              "Carlo benchmark")
+        assert err.count("\n") == 1
+        assert not (tmp_path / output).exists()
 
 
 def test_bounds_verb(tmp_path, capsys):

@@ -380,11 +380,15 @@ def collect(stream):
 @pytest.mark.parametrize("cfg", ["single_swap.cfg", "portfolio.cfg"])
 def test_draw_ahead_equals_serial_draws(cfg, mode, nsub, n_paths):
     models, corr = fixture_models(cfg)
-    stream = PathStream(models, corr, SimGrid.regular(4, 3.0, nsub), n_paths, 5, mode)
-    *ref_rows, ref_truncated = serial_reference(stream)
-    first = collect(stream)
-    assert first == (ref_rows, ref_truncated)
-    assert collect(stream) == first
+    # 12 intervals; 1, where fewer than two fills are submitted up front;
+    # 2, where no slot is ever refilled
+    for n_intervals in (12, 1, 2):
+        grid = SimGrid.regular(4, n_intervals / 4, nsub)
+        stream = PathStream(models, corr, grid, n_paths, 5, mode)
+        *ref_rows, ref_truncated = serial_reference(stream)
+        first = collect(stream)
+        assert first == (ref_rows, ref_truncated)
+        assert collect(stream) == first
 
 
 class SlowCredit:
