@@ -14,11 +14,27 @@ and 5,000 paths it writes, one subdirectory per case:
   bounds_single_swap   bounds.csv;
   cube_<cfg>           the export-cube files in base and full mode.
 
+A change that states a tolerance instead compares the two sets with
+`--compare PARENT_DIR CHANGE_DIR`, which prints the worst error of each
+check and exits non-zero if any fails:
+
+  cube_*/*.bin         byte-identical;
+  profile.csv          each numeric column within PROFILE_TOL x that
+                       column's max |value| in the parent;
+  fva_report.json      each number within REPORT_TOL relative, all else equal;
+  sensi.csv            first-order rows within SENSI_TOL relative, the
+                       cross row within CROSS_TOL (a 1e-8 second difference
+                       amplifies round-off);
+  bounds.csv           within BOUNDS_TOL relative.
+
 Usage: python3 scripts/golden_outputs.py OUT_DIR
+       python3 scripts/golden_outputs.py --compare PARENT_DIR CHANGE_DIR
 """
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
 
@@ -44,6 +60,11 @@ CROSS = ("ir_parallel:EUR", "credit_parallel:C")
 # fields that measure the host, not the computation
 TIMING_FIELDS = ("runtime_wwr_seconds", "runtime_benchmark_wwr_seconds",
                  "peak_rss_mb")
+PROFILE_TOL = 1e-13
+REPORT_TOL = 1e-13
+SENSI_TOL = 1e-12
+CROSS_TOL = 1e-9
+BOUNDS_TOL = 1e-12
 
 
 def run(verb: str, cfg: str, out: str, *extra: str) -> None:
@@ -53,11 +74,113 @@ def run(verb: str, cfg: str, out: str, *extra: str) -> None:
         raise SystemExit(f"failed: {' '.join(argv)}")
 
 
+def _rel(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0 when both are 0."""
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def _csv_cells(path_a: str, path_b: str) -> list[tuple[dict, str, float, float]]:
+    """(parent row, column, parent value, change value) per numeric cell of
+    two CSV files; their shapes and text cells must be equal."""
+    with open(path_a, encoding="utf-8", newline="") as fa, \
+            open(path_b, encoding="utf-8", newline="") as fb:
+        rows_a, rows_b = list(csv.DictReader(fa)), list(csv.DictReader(fb))
+    if [list(r) for r in rows_a] != [list(r) for r in rows_b]:
+        raise ValueError("the two files differ in shape")
+    cells = []
+    for ra, rb in zip(rows_a, rows_b):
+        for col, a in ra.items():
+            xa, xb = _number(a), _number(rb[col])
+            if xa is None or xb is None:
+                if a != rb[col]:
+                    raise ValueError(f"column {col}: {a!r} against {rb[col]!r}")
+            else:
+                cells.append((ra, col, xa, xb))
+    return cells
+
+
+def _checks(name: str, a: str, b: str) -> list[tuple[str, float, float]]:
+    """(check, error, tolerance) for one file of the set."""
+    if name.endswith(".bin"):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            return [("bytes", 0.0 if fa.read() == fb.read() else 1.0, 0.0)]
+    if name == "fva_report.json":
+        with open(a, encoding="utf-8") as fa, open(b, encoding="utf-8") as fb:
+            ja, jb = json.load(fa), json.load(fb)
+        floats = [k for k in ja if isinstance(ja[k], float) and isinstance(jb.get(k), float)]
+        if sorted(ja) != sorted(jb) or any(ja[k] != jb[k] for k in ja if k not in floats):
+            raise ValueError("non-numeric fields differ")
+        return [(k, _rel(ja[k], jb[k]), REPORT_TOL) for k in floats]
+    cells = _csv_cells(a, b)
+    if name == "profile.csv":
+        scale = {}
+        for _, col, xa, _ in cells:
+            scale[col] = max(scale.get(col, 0.0), abs(xa))
+        return [(col, abs(xa - xb) / scale[col] if scale[col] else abs(xa - xb),
+                 PROFILE_TOL) for _, col, xa, xb in cells]
+    if name == "sensi.csv":
+        return [(f"{row['target']} {col}", _rel(xa, xb),
+                 CROSS_TOL if row["scheme"] == "cross" else SENSI_TOL)
+                for row, col, xa, xb in cells]
+    if name == "bounds.csv":
+        return [(col, _rel(xa, xb), BOUNDS_TOL) for _, col, xa, xb in cells]
+    raise ValueError("no comparison rule for this file")
+
+
+def _ratio(check: tuple[str, float, float]) -> float:
+    """Error over tolerance; a zero tolerance allows no error at all."""
+    _, err, tol = check
+    return err / tol if tol else (math.inf if err else 0.0)
+
+
+def _files(root: str) -> list[str]:
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, names in os.walk(root) for f in names)
+
+
+def compare(parent: str, change: str) -> int:
+    """Compare two output sets with the tolerances above; 1 if any fails."""
+    files = _files(parent)
+    if files != _files(change):
+        print(f"FAIL the sets hold different files: {files} against {_files(change)}")
+        return 1
+    failed = 0
+    for rel_path in files:
+        try:
+            checks = _checks(os.path.basename(rel_path), os.path.join(parent, rel_path),
+                             os.path.join(change, rel_path))
+        except ValueError as exc:
+            failed += 1
+            print(f"FAIL {rel_path}: {exc}")
+            continue
+        worst = max(checks, key=_ratio)
+        ok = _ratio(worst) <= 1.0
+        failed += not ok
+        check, err, tol = worst
+        print(f"{'ok  ' if ok else 'FAIL'} {rel_path}: worst {check} {err:.3g} (tol {tol:g})")
+    print(f"{len(files) - failed} of {len(files)} files within tolerance")
+    return 1 if failed else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("out_dir")
-    root = ap.parse_args().out_dir
+    ap.add_argument("out_dir", nargs="?")
+    ap.add_argument("--compare", nargs=2, metavar=("PARENT_DIR", "CHANGE_DIR"))
+    args = ap.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.out_dir is None:
+        ap.error("give OUT_DIR or --compare PARENT_DIR CHANGE_DIR")
+    root = args.out_dir
     for cfg, methods in FVA_CASES.items():
         for method in methods:
             out = os.path.join(root, f"fva_{cfg}_{method}")

@@ -37,9 +37,9 @@ from .curves import MarketData, load_market_data
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        exposure_at, wwr_mc_at, y_moments_at)
-from .instruments import Portfolio, PortfolioValuation, load_portfolio
+from .instruments import FxForward, Portfolio, PortfolioValuation, load_portfolio
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
-                 factor_labels, shared_pass)
+                 factor_labels, fx_factor, rate_factor, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                      QuantoAdjust)
 
@@ -140,6 +140,10 @@ def validate_inputs(inputs: RunInputs, settings: RunSettings) -> None:
             raise ValueError("approx_analytic requires a single-swap portfolio")
         if s.currency != inputs.market.domestic:
             raise ValueError("approx_analytic requires a domestic-currency swap")
+    for inst in inputs.portfolio.instruments:
+        if isinstance(inst, FxForward) and inst.currency == inputs.market.domestic:
+            raise ValueError(f"{inst} is in the domestic currency; an FX forward "
+                             "must buy or sell a foreign one")
     for ccy in inputs.portfolio.currencies:
         inputs.market.rate_curve(ccy)
         if ccy not in inputs.rate_params:
@@ -150,7 +154,6 @@ def validate_inputs(inputs: RunInputs, settings: RunSettings) -> None:
 
 def build_model_set(inputs: RunInputs) -> ModelSet:
     """Wire parameter records and curves into process objects."""
-    from .mc import fx_factor, rate_factor
     dom = inputs.market.domestic
     rates: dict[str, Hw1fParams] = {}
     for ccy, rp in inputs.rate_params.items():
@@ -279,13 +282,13 @@ def run_fva_legs(legs: Sequence[RunInputs], settings: RunSettings) -> list[FvaRe
 
     Within a pass, legs whose date states and valuation terms are bitwise
     equal share one value row, its discounted exposure and its driver
-    moments; each leg keeps its own coefficients, credit covariance and
-    report. Every report is bit for bit the one `run_fva` gives alone on
-    a pass of its own. Nothing is kept across calls: a pass holds one
-    date's drivers per distinct overlay, as a single run does.
+    moments, and all legs share the rows of equal currency books; each
+    leg keeps its own coefficients, credit covariance and report. Every
+    report is bit for bit the one `run_fva` gives alone on a pass of its
+    own. Nothing is kept across calls: a pass holds one date's drivers
+    per distinct overlay, as a single run does.
     """
-    valuations: dict[bytes, PortfolioValuation] = {}
-    runs = [_Leg(inputs, settings, valuations) for inputs in legs]
+    runs = [_Leg(inputs, settings) for inputs in legs]
     groups: dict[bytes, list[_Leg]] = {}
     for run in runs:
         groups.setdefault(run.stream.key, []).append(run)
@@ -296,12 +299,9 @@ def run_fva_legs(legs: Sequence[RunInputs], settings: RunSettings) -> list[FvaRe
 
 class _Leg:
     """One input set of `run_fva_legs`: its deterministic set-up, its
-    stream, and the per-date estimates that the pass fills in. Legs of
-    equal `PortfolioValuation.key_of` share one `PortfolioValuation` from
-    `valuations`."""
+    stream, and the per-date estimates that the pass fills in."""
 
-    def __init__(self, inputs: RunInputs, settings: RunSettings,
-                 valuations: dict[bytes, PortfolioValuation]):
+    def __init__(self, inputs: RunInputs, settings: RunSettings):
         validate_inputs(inputs, settings)
         self.models = models = build_model_set(inputs)
         self.corr = build_correlation_for(models, inputs.correlations)
@@ -313,10 +313,7 @@ class _Leg:
         need_full = settings.method == "mc" or settings.benchmark
         self.stream = PathStream(models, self.corr, grid, settings.n_paths,
                                  settings.seed, "full" if need_full else "base")
-        key = PortfolioValuation.key_of(inputs.portfolio, models, dates)
-        if key not in valuations:
-            valuations[key] = PortfolioValuation(inputs.portfolio, models, dates)
-        self.valuation = valuations[key]
+        self.valuation = PortfolioValuation(inputs.portfolio, models, dates)
         self.coeffs = coeffs_for_dates(models, self.corr, dates, settings.n_r)
         # Only the generic method reads the sampled driver moments, so only
         # it computes them.
@@ -399,8 +396,8 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     Legs with bitwise-equal overlays (hence the same date state) and
     valuation inputs value each date once; the exposure and the driver
     moments of that row serve all of them, and each of them is charged
-    the moments' time. The credit covariance reads each leg's own
-    coefficients.
+    the moments' time. All legs share each date's row of a currency book
+    of equal key. The credit covariance reads each leg's own coefficients.
     """
     is_generic = settings.method == "approx_generic"
     need_full = legs[0].stream.mode == "full"
@@ -411,10 +408,11 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
         twins.setdefault((leg.stream.overlay_key, leg.valuation.key), []).append(k)
     pows = np.empty((len(legs[0].moms), settings.n_paths))
     for states in shared_pass([leg.stream for leg in legs]):
+        local_rows = {} if len(twins) > 1 else None
         for ks in twins.values():
             st = states[ks[0]]
             i = st.index
-            v = legs[ks[0]].valuation.row(st)
+            v = legs[ks[0]].valuation.row(st, local_rows)
             h, epe, epe_se = exposure_at(st, v)
             if is_generic:
                 t0 = time.perf_counter()

@@ -1,12 +1,14 @@
 """Instruments and their valuation as functions of the rate drivers.
 
-A swap's value at a monitoring date u is an explicit function of the
-zero-mean rate driver y of its currency: V(u; y) = phi * N * (-1_{u>T0}
-+ sum_k wbar_k exp(-y B_k)). Both the Monte Carlo benchmark and the
-analytic approximation price through this single function, so the two
-branches cannot drift apart. The positivity boundary ystar is the
-unique root of a monotone auxiliary function (a Jamshidian-style
-decomposition), found by bracketed bisection plus Newton polish.
+Every zero-coupon bond of a currency is one exponential in the zero-mean
+rate driver y of that currency. A swap's value at a monitoring date u is
+V(u; y) = phi * N * (-1_{u>T0} + sum_k wbar_k exp(-y B_k)), and each bond
+leg of an FX forward is one such term. Pathwise valuation merges each
+currency's instruments into one `CurrencyBook` on the union of their
+payment dates, valued by one kernel (`book_value`); `swap_value_y` is its
+one-swap case. A swap's positivity boundary ystar is the unique root of a
+monotone auxiliary function (a Jamshidian-style decomposition), found by
+bracketed bisection plus Newton polish.
 
 FX forwards are valued exactly on paths from the two reconstructed
 zero-coupon bonds and the FX level; their positivity region under the
@@ -66,6 +68,13 @@ class Swap:
     def accruals(self) -> np.ndarray:
         return np.diff(np.asarray(self.schedule))
 
+    @property
+    def cashflows(self) -> np.ndarray:
+        """Receiver's coefficients of the bonds P(., T_0) .. P(., T_m)."""
+        w = np.append(-1.0, self.fixed_rate * self.accruals)
+        w[-1] += 1.0
+        return w
+
     @classmethod
     def regular(cls, currency: str, notional: float, fixed_rate: float,
                 expiry: float, maturity: float, frequency: int = 1,
@@ -112,6 +121,8 @@ class Portfolio:
     def __post_init__(self):
         if not self.instruments:
             raise ValueError("portfolio is empty")
+        if not all(isinstance(inst, (Swap, FxForward)) for inst in self.instruments):
+            raise TypeError("instruments must be swaps or FX forwards")
 
     @property
     def currencies(self) -> set[str]:
@@ -170,6 +181,14 @@ class SwapWeights:
     pay_times: np.ndarray     # live payment dates
 
 
+def _bond_terms(rp: Hw1fParams, t: float, u: np.ndarray, pay: np.ndarray):
+    """B(u, T) and exp(A_bar(u, T) - mu(t, u) B(u, T)) of the bonds P(u, T) on
+    the (date, payment date) grid; payments already made collapse onto u."""
+    mu = hw_terms(rp, t, u).mu
+    terms = hw_terms(rp, u[:, None], np.maximum(pay, u[:, None]))
+    return terms.B, np.exp(terms.A_bar - mu[:, None] * terms.B)
+
+
 def swap_weights_on_dates(s: Swap, rp: Hw1fParams, t: float,
                           dates) -> list[SwapWeights]:
     """swap_weights at every monitoring date in `dates`, from one closed-form
@@ -178,37 +197,19 @@ def swap_weights_on_dates(s: Swap, rp: Hw1fParams, t: float,
     u = np.asarray(dates, dtype=float)
     if np.any(u > pay[-1]):
         raise ValueError(f"monitoring date {u.max()} is past swap maturity {pay[-1]}")
-    m = len(pay) - 1
-    tau = s.accruals
-    w = np.empty(m + 1)
-    w[0] = -1.0
-    w[1:m] = s.fixed_rate * tau[:-1]
-    w[m] = 1.0 + s.fixed_rate * tau[-1]
+    w = s.cashflows
     # first live index: 0 up to and including expiry, else the next payment date
     started = u > pay[0]
     beta = np.where(started, np.searchsorted(pay, u, side="left"), 0)
-    mu = hw_terms(rp, t, u).mu
-    # payments already made collapse onto the monitoring date and are cut below
-    terms = hw_terms(rp, u[:, None], np.maximum(pay, u[:, None]))
-    wbar = w * np.exp(terms.A_bar - mu[:, None] * terms.B)
+    B, disc = _bond_terms(rp, t, u, pay)
     return [SwapWeights(beta=int(b), const=-1.0 if st else 0.0, w=w[b:],
-                        wbar=wbar[i, b:], B=terms.B[i, b:], pay_times=pay[b:])
+                        wbar=w[b:] * disc[i, b:], B=B[i, b:], pay_times=pay[b:])
             for i, (b, st) in enumerate(zip(beta, started))]
 
 
 def swap_weights(s: Swap, rp: Hw1fParams, t: float, u: float) -> SwapWeights:
     """Weights of the value function V(u; y) given time-t information."""
     return swap_weights_on_dates(s, rp, t, [u])[0]
-
-
-def swap_value_y(s: Swap, sw: SwapWeights, y):
-    """Swap value at the monitoring date as a function of the rate driver y."""
-    y = np.asarray(y, dtype=float)
-    # paths x live payments, the largest temporary of a valuation: one copy
-    expo = np.multiply.outer(y, -sw.B)
-    np.exp(expo, out=expo)
-    val = s.phi * s.notional * (sw.const + expo @ sw.wbar)
-    return float(val) if val.ndim == 0 else val
 
 
 def _d_parts(sw: SwapWeights):
@@ -303,25 +304,19 @@ class FxForwardTerms:
     constant_indicator: Optional[int]  # set when |eta| is degenerate
 
 
-def _fx_forward_bonds(fwd: FxForward, models: ModelSet, t, u):
-    """Domestic and foreign rate terms over (t, u) and over (u, T) of one
-    forward: the bond exponents of both legs at the monitoring dates u."""
-    rp_d, rp_f = models.rates[models.domestic], models.rates[fwd.currency]
-    return (hw_terms(rp_d, t, u), hw_terms(rp_f, t, u),
-            hw_terms(rp_d, u, fwd.maturity), hw_terms(rp_f, u, fwd.maturity))
-
-
 def fx_forward_terms(fwd: FxForward, models: ModelSet, corr: CorrelationMatrix,
                      t: float, u: float) -> FxForwardTerms:
     if u > fwd.maturity:
         raise ValueError("monitoring date past forward maturity")
     dom = models.domestic
     f = fwd.currency
-    td_u, tf_u, td_T, tf_T = _fx_forward_bonds(fwd, models, t, u)
+    rp_d, rp_f = models.rates[dom], models.rates[f]
+    td_u, tf_u = hw_terms(rp_d, t, u), hw_terms(rp_f, t, u)
+    td_T, tf_T = hw_terms(rp_d, u, fwd.maturity), hw_terms(rp_f, u, fwd.maturity)
     fx = models.fx[f]
     rho_d_fx = corr.entry(rate_factor(dom), fx_factor(f))
     rho_d_f = corr.entry(rate_factor(dom), rate_factor(f))
-    mu_fx = fx_terms(models.rates[dom], models.rates[f], fx, rho_d_f, rho_d_fx,
+    mu_fx = fx_terms(rp_d, rp_f, fx, rho_d_f, rho_d_fx,
                      corr.entry(rate_factor(f), fx_factor(f)), t, u).mu_fx
     w1 = math.exp(mu_fx + tf_T.A_bar - tf_u.mu * tf_T.B)
     p_d = math.exp(td_T.A_bar - td_u.mu * td_T.B)
@@ -373,70 +368,92 @@ def fx_forward_positive_indicator(fwd: FxForward, terms: FxForwardTerms, y):
 # ---------------------------------------------------------------------------
 # pathwise portfolio valuation, one monitoring date at a time
 #
-# Each instrument's deterministic terms are computed once over all dates;
-# the pathwise values then follow one date's simulated drivers at a time.
+# Each currency's instruments merge into one book, whose deterministic terms
+# are computed once over all dates.
 
-def _swap_terms(s: Swap, models: ModelSet, dates: np.ndarray) -> list[SwapWeights]:
-    return swap_weights_on_dates(s, models.rates[s.currency], 0.0,
-                                 dates[dates <= s.maturity])
+@dataclass(frozen=True)
+class CurrencyBook:
+    """One currency's instruments as a function of its rate driver: at date
+    i, V_i(y) = const[i] + sum_{k >= start[i]} W[i, k] exp(-B[i, k] y) in
+    units of `currency`, over the union of their payment dates k."""
 
-
-def _swap_value(s: Swap, models: ModelSet, sw: SwapWeights, st: DateState):
-    vals = swap_value_y(s, sw, st.y_r[s.currency])
-    if s.currency != models.domestic:
-        vals = vals * np.exp(st.ln_fx[s.currency])
-    return vals
-
-
-def _fx_forward_path_terms(fwd: FxForward, models: ModelSet, dates: np.ndarray):
-    """Per live date: (A_bar, mu, B) of the domestic and of the foreign bond."""
-    td_u, tf_u, td_T, tf_T = _fx_forward_bonds(fwd, models, 0.0,
-                                               dates[dates <= fwd.maturity])
-    return list(zip(td_T.A_bar, td_u.mu, td_T.B, tf_T.A_bar, tf_u.mu, tf_T.B))
+    currency: str
+    key: bytes             # mc.exact_key of every input of the terms
+    const: np.ndarray      # per date
+    W: np.ndarray          # dates x payment dates
+    B: np.ndarray          # dates x payment dates
+    start: np.ndarray      # per date: the first payment column at or after it
 
 
-def _fx_forward_value(fwd: FxForward, models: ModelSet, terms, st: DateState):
-    """Exact pathwise value from reconstructed bonds and the FX level (domestic)."""
-    a_d, mu_d, b_d, a_f, mu_f, b_f = terms
-    p_d = np.exp(a_d - (mu_d + st.y_r[models.domestic]) * b_d)
-    p_f = np.exp(a_f - (mu_f + st.y_r[fwd.currency]) * b_f)
-    x_u = np.exp(st.ln_fx[fwd.currency])
-    return fwd.phi * fwd.notional * (p_f * x_u - p_d * fwd.strike)
+def book_value(const, W, B, y):
+    """The valuation kernel: const + sum_k W_k exp(-B_k y) for each y."""
+    # paths x live payments, the largest temporary of a valuation: one copy
+    expo = np.multiply.outer(y, -B)
+    np.exp(expo, out=expo)
+    return const + expo @ W
+
+
+def swap_value_y(s: Swap, sw: SwapWeights, y):
+    """Swap value at the monitoring date as a function of the rate driver y:
+    the one-swap book."""
+    scale = s.phi * s.notional
+    val = book_value(scale * sw.const, scale * sw.wbar, sw.B, y)
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def _book_terms(ccy: str, p: Portfolio, models: ModelSet,
+                dates: np.ndarray) -> Optional[CurrencyBook]:
+    """The book of currency `ccy` on `dates`, or None if nothing pays in it:
+    its swaps and its FX forwards' foreign legs, and in the domestic book
+    every forward's strike leg."""
+    insts, times, coefs = [], [], []
+    const = np.zeros(len(dates))
+    for inst in p.instruments:
+        if isinstance(inst, Swap) and inst.currency == ccy:
+            pays, coef = inst.schedule, inst.phi * inst.notional * inst.cashflows
+            # past expiry and up to maturity, the expiry payment is a constant
+            const[(dates > inst.expiry) & (dates <= inst.maturity)] += coef[0]
+        elif isinstance(inst, FxForward) and ccy in (inst.currency, models.domestic):
+            leg = 1.0 if ccy == inst.currency else -inst.strike
+            pays, coef = (inst.maturity,), [inst.phi * inst.notional * leg]
+        else:
+            continue
+        insts.append(inst)
+        times.append(pays)
+        coefs.append(coef)
+    if not insts:
+        return None
+    pay, col = np.unique(np.concatenate(times), return_inverse=True)
+    coef = np.bincount(col, weights=np.concatenate(coefs))
+    rp = models.rates[ccy]
+    B, disc = _bond_terms(rp, 0.0, dates, pay)
+    return CurrencyBook(ccy, exact_key(ccy, models.domestic, insts, rp, dates), const,
+                        coef * disc, B, np.searchsorted(pay, dates, side="left"))
 
 
 class PortfolioValuation:
-    """Pathwise portfolio values in the domestic currency, date by date.
-
-    The instruments' deterministic terms are computed once over `dates`;
-    `row` then values one date's simulated drivers.
+    """Pathwise portfolio values in the domestic currency, date by date,
+    from one `CurrencyBook` per currency.
 
     The term builders see only what `key` holds as exact bytes
     (`mc.exact_key`): the instruments, the domestic currency, the rate
     models of the portfolio's currencies and the dates. They get a model
     set cut down to those rate models, with no FX or credit models, so no
     other input can reach them; two valuations of equal key give
-    bitwise-equal rows on one date state.
+    bitwise-equal rows on one date state, and so do two books of equal key.
     """
 
     def __init__(self, p: Portfolio, models: ModelSet, dates):
         self.key, self.models, dates = self._inputs(p, models, dates)
-        self.parts = []
-        for inst in p.instruments:
-            if isinstance(inst, Swap):
-                self.parts.append((inst, _swap_value, _swap_terms(inst, self.models, dates)))
-            elif isinstance(inst, FxForward):
-                self.parts.append((inst, _fx_forward_value,
-                                   _fx_forward_path_terms(inst, self.models, dates)))
-            else:
-                raise TypeError(f"unknown instrument {type(inst)!r}")
+        books = (_book_terms(c, p, self.models, dates) for c in sorted(self.models.rates))
+        self.books = [b for b in books if b is not None]
 
     @staticmethod
     def _inputs(p: Portfolio, models: ModelSet, dates):
         """(key, cut-down model set, dates) of the valuation of `p` on `dates`."""
-        for inst in p.instruments:
-            if (isinstance(inst, Swap) and inst.currency != models.domestic
-                    and inst.currency not in models.fx):
-                raise KeyError(f"no FX model for {inst.currency}")
+        for ccy in sorted(p.currencies - {models.domestic}):
+            if ccy not in models.fx:
+                raise KeyError(f"no FX model for {ccy}")
         ccys = sorted(p.currencies | {models.domestic})
         rates = {c: models.rates[c] for c in ccys}
         dates = np.asarray(dates, dtype=float)
@@ -449,13 +466,23 @@ class PortfolioValuation:
         computing its terms."""
         return cls._inputs(p, models, dates)[0]
 
-    def row(self, st: DateState) -> np.ndarray:
-        """Portfolio value per path at the state's date: the live instruments
-        summed in portfolio order, starting from zeros."""
+    def row(self, st: DateState, local_rows: Optional[dict] = None) -> np.ndarray:
+        """Portfolio value per path at the state's date: the books in currency
+        order, each times its FX level if foreign, summed from zeros. A book
+        whose key is in `local_rows` (this date's local-currency book rows)
+        is not valued again; one valued here is added to it."""
+        local_rows = {} if local_rows is None else local_rows
+        i = st.index
         out = np.zeros(len(st.Y_r[st.domestic]))
-        for inst, value, terms in self.parts:
-            if st.index < len(terms):
-                out += value(inst, self.models, terms[st.index], st)
+        for book in self.books:
+            if book.key not in local_rows:
+                k = book.start[i]  # past every payment, no column is left
+                local_rows[book.key] = book_value(book.const[i], book.W[i, k:],
+                                                  book.B[i, k:], st.y_r[book.currency])
+            local = local_rows[book.key]
+            if book.currency != st.domestic:
+                local = local * np.exp(st.ln_fx[book.currency])
+            out += local
         return out
 
 
@@ -466,28 +493,3 @@ def value_matrix(p: Portfolio, models: ModelSet, cube: ScenarioCube) -> np.ndarr
     for i in range(len(cube.dates)):
         out[i] = valuation.row(cube.state(i))
     return out
-
-
-def static_portfolio_value(p: Portfolio, models: ModelSet) -> float:
-    """Date-0 portfolio value from the curves alone (no simulation)."""
-    total = 0.0
-    for inst in p.instruments:
-        if isinstance(inst, Swap):
-            curve = models.rates[inst.currency].curve
-            pay = np.asarray(inst.schedule)
-            tau = inst.accruals
-            v = (-curve.discount(pay[0]) + curve.discount(pay[-1])
-                 + inst.fixed_rate * float(np.sum(tau * curve.discount(pay[1:]))))
-            v *= inst.phi * inst.notional
-            if inst.currency != models.domestic:
-                v *= models.fx[inst.currency].spot
-            total += v
-        elif isinstance(inst, FxForward):
-            dom_curve = models.rates[models.domestic].curve
-            f_curve = models.rates[inst.currency].curve
-            total += inst.phi * inst.notional * (
-                f_curve.discount(inst.maturity) * models.fx[inst.currency].spot
-                - dom_curve.discount(inst.maturity) * inst.strike)
-        else:
-            raise TypeError(f"unknown instrument {type(inst)!r}")
-    return total

@@ -19,7 +19,7 @@ from wwrfva.exposure import (base_moments, coeffs_for_dates, epe_indep,
                              epe_wwr_approx_swap_analytic, epe_wwr_mc)
 from wwrfva.fva import (build_correlation_for, build_model_set, load_run_config,
                         make_grid)
-from wwrfva.instruments import value_matrix
+from wwrfva.instruments import Swap, value_matrix
 from wwrfva.mc import simulate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -27,6 +27,30 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+def static_portfolio_value(p, models) -> float:
+    """Date-0 portfolio value from the curves alone (no simulation): an
+    oracle for the pathwise valuation at date 0."""
+    total = 0.0
+    for inst in p.instruments:
+        if isinstance(inst, Swap):
+            curve = models.rates[inst.currency].curve
+            pay = np.asarray(inst.schedule)
+            tau = inst.accruals
+            v = (-curve.discount(pay[0]) + curve.discount(pay[-1])
+                 + inst.fixed_rate * float(np.sum(tau * curve.discount(pay[1:]))))
+            v *= inst.phi * inst.notional
+            if inst.currency != models.domestic:
+                v *= models.fx[inst.currency].spot
+            total += v
+        else:
+            dom_curve = models.rates[models.domestic].curve
+            f_curve = models.rates[inst.currency].curve
+            total += inst.phi * inst.notional * (
+                f_curve.discount(inst.maturity) * models.fx[inst.currency].spot
+                - dom_curve.discount(inst.maturity) * inst.strike)
+    return total
 
 
 @pytest.fixture()

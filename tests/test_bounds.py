@@ -37,7 +37,7 @@ def rig(request):
 def test_cv_dominates_static_square(rig):
     inputs, models, *_ = rig
     s = inputs.portfolio.single_swap
-    from wwrfva.instruments import static_portfolio_value
+    from conftest import static_portfolio_value
     v0 = static_portfolio_value(inputs.portfolio, models)
     # at u -> 0 the value is deterministic, so C_V >= V(0)^2
     assert swap_cv_bound(s, models, 0.0, 1e-6) >= v0 * v0 * (1.0 - 1e-9)

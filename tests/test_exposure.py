@@ -181,7 +181,7 @@ def test_array_assembly_equals_per_date_dot_loop(small_run):
 
 def test_base_moments_date0(small_run):
     inputs, models, corr, base, full, vm, bm, coeffs = small_run
-    from wwrfva.instruments import static_portfolio_value
+    from conftest import static_portfolio_value
     v0 = static_portfolio_value(inputs.portfolio, models)
     assert v0 > 0.0  # fixture chosen in the money
     assert bm.disc_epe[0] == pytest.approx(v0, rel=1e-10)

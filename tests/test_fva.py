@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wwrfva import instruments
 from wwrfva.exposure import (ExposureProfile, base_moments, coeffs_for_dates,
                              discounted_exposure, epe_indep,
                              epe_wwr_approx_generic,
@@ -99,6 +100,17 @@ def test_foreign_currency_without_fx_model_rejected(tmp_path, instrument):
     bad.write_text(bad.read_text().replace(fixture_path("portfolio_swaps.yaml"),
                                            str(book)))
     with pytest.raises(ValueError, match="no FX model parameters for currency GBP"):
+        load_run_config(bad)
+
+
+def test_domestic_currency_fx_forward_rejected(tmp_path):
+    book = tmp_path / "book.yaml"
+    book.write_text("instruments:\n- {type: fx_forward, currency: EUR, notional: 100.0,"
+                    " strike: 1.1, maturity: 3.0}\n")
+    bad = _patched_config("portfolio.cfg", tmp_path, "", "")
+    bad.write_text(bad.read_text().replace(fixture_path("portfolio_swaps.yaml"),
+                                           str(book)))
+    with pytest.raises(ValueError, match=r"FxForward\(currency='EUR'.*domestic currency"):
         load_run_config(bad)
 
 
@@ -392,3 +404,27 @@ def test_run_fva_legs_fuses_exactly_the_legs_of_one_key(monkeypatch, b42, method
     # base mode: only the two rate-vol legs leave the base pass; full mode:
     # the rate-credit correlation legs also move the credit Cholesky rows
     assert len(passes) == (3 if method == "approx_generic" else 5)
+
+
+def test_run_fva_legs_value_a_book_their_bump_leaves_alone_once(monkeypatch, b42):
+    # a domestic-curve bump moves the EUR book only: its two legs share the
+    # USD and GBP books' local rows and convert them at their own FX levels
+    inputs, settings = b42
+    settings = small_settings(settings, n_paths=400, dates_per_year=2, substeps=1)
+    legs = bumped_legs(inputs, ["ir_parallel:EUR"])[1:]
+    kernel = instruments.book_value
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(instruments, "book_value", counted)
+    alone = [run_fva(leg, settings) for leg in legs]
+    n_dates = len(alone[0].profile.dates)
+    assert len(calls) == 6 * n_dates
+    calls.clear()
+    shared = run_fva_legs(legs, settings)
+    assert len(calls) == 4 * n_dates
+    for a, b in zip(alone, shared):
+        assert report_bits(a) == report_bits(b)

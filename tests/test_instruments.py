@@ -9,11 +9,12 @@ from wwrfva.instruments import (FxForward, Portfolio, PortfolioValuation, Swap,
                                 fx_forward_positive_indicator,
                                 fx_forward_terms, fx_forward_value_projected,
                                 load_portfolio, positive_indicator,
-                                static_portfolio_value,
                                 swap_value_y, swap_weights, value_matrix, ystar)
 from wwrfva.mc import SimGrid, simulate
 from wwrfva.models import hw_terms
 from wwrfva.sensitivities import apply_bump, parse_bump
+
+from conftest import static_portfolio_value
 
 
 @pytest.fixture()
@@ -247,12 +248,13 @@ def test_valuation_terms_read_only_their_key(setup42, monkeypatch):
     assert key_after("ir_parallel:USD") != v.key
     assert key_after("sigma_r:GBP") != v.key
 
-    builder = instruments._fx_forward_path_terms
+    builder = instruments._book_terms
 
-    def reads_fx(fwd, models, dates):
-        models.fx[fwd.currency]
-        return builder(fwd, models, dates)
+    def reads_fx(ccy, p, models, dates):
+        if ccy != models.domestic:
+            models.fx[ccy]
+        return builder(ccy, p, models, dates)
 
-    monkeypatch.setattr(instruments, "_fx_forward_path_terms", reads_fx)
+    monkeypatch.setattr(instruments, "_book_terms", reads_fx)
     with pytest.raises(KeyError):
         PortfolioValuation(p, models, dates)

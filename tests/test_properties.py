@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from wwrfva.curves import Curve
 from wwrfva.exposure import normal_moments, truncated_normal_moments
-from wwrfva.instruments import (Swap, positive_indicator, swap_value_y,
-                                swap_weights, swap_weights_on_dates, ystar)
-from wwrfva.mc import build_correlation
-from wwrfva.models import (CirppParams, GbmFxParams, Hw1fParams, QuantoAdjust,
-                           bfac, cir_terms, fx_terms, hw_terms, int_bfac)
+from wwrfva.instruments import (FxForward, Portfolio, PortfolioValuation, Swap,
+                                positive_indicator, swap_value_y, swap_weights,
+                                swap_weights_on_dates, ystar)
+from wwrfva.mc import DateState, build_correlation
+from wwrfva.models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
+                           QuantoAdjust, bfac, cir_terms, fx_terms, hw_terms,
+                           int_bfac)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -138,6 +140,91 @@ def test_root_and_indicator_consistency(s, u_frac, data):
     assert np.array_equal(ind[clear], vals[clear] > 0.0)
     if math.isfinite(star):
         assert abs(swap_value_y(s, sw, star)) <= 1e-6 * scale
+
+
+# ---------------------------------------------------------------------------
+# currency books against the per-instrument closed forms
+
+BOOK_MODELS = ModelSet(
+    domestic="EUR",
+    rates={
+        "EUR": Hw1fParams(x0=0.001, a=0.03, sigma=0.006, curve=Curve(
+            label="EUR", times=(1.0, 10.0, 30.0), zero_rates=(0.004, 0.008, 0.012))),
+        "USD": Hw1fParams(x0=0.0, a=1e-5, sigma=0.008, curve=Curve(
+            label="USD", times=(1.0, 30.0), zero_rates=(0.02, 0.025)),
+            quanto=QuantoAdjust(rho_rf_fx=0.25, sigma_fx=0.15)),
+        "GBP": Hw1fParams(x0=-0.002, a=0.1, sigma=0.007, curve=Curve(
+            label="GBP", times=(2.0, 30.0), zero_rates=(0.015, 0.02)),
+            quanto=QuantoAdjust(rho_rf_fx=-0.2, sigma_fx=0.12))},
+    fx={"USD": GbmFxParams(spot=0.9, sigma_fx=0.15),
+        "GBP": GbmFxParams(spot=1.15, sigma_fx=0.12)},
+    credit={})
+
+BOOK_SWAPS = st.builds(
+    lambda ccy, K, expiry, years, freq, d: Swap.regular(
+        currency=ccy, notional=100.0, fixed_rate=K, expiry=expiry,
+        maturity=expiry + years, frequency=freq, direction=d),
+    ccy=st.sampled_from(["EUR", "USD", "GBP"]), K=st.floats(0.0, 0.05),
+    expiry=st.sampled_from([0.5, 1.0, 2.0, 3.5]), years=st.integers(1, 8),
+    freq=st.sampled_from([1, 2]), d=st.sampled_from(["payer", "receiver"]))
+BOOK_FORWARDS = st.builds(
+    FxForward, currency=st.sampled_from(["USD", "GBP"]),
+    notional=st.floats(10.0, 200.0), strike=st.floats(0.7, 1.4),
+    maturity=st.sampled_from([0.5, 1.5, 2.0, 4.0, 7.25]), phi=st.sampled_from([-1, 1]))
+
+
+def _bond(ccy, u, T, y):
+    rp = BOOK_MODELS.rates[ccy]
+    h = hw_terms(rp, u, T)
+    return np.exp(h.A_bar - (hw_terms(rp, 0.0, u).mu + y) * h.B)
+
+
+def _instrument_legs(inst, u, y, x):
+    """Domestic value per path of each cash flow of one instrument still to
+    come at u, from the closed-form bonds; the instrument's value is their sum."""
+    if u > inst.maturity:
+        return []
+    if isinstance(inst, FxForward):
+        c = inst.currency
+        return [inst.phi * inst.notional * _bond(c, u, inst.maturity, y[c]) * x[c],
+                -inst.phi * inst.notional * inst.strike
+                * _bond("EUR", u, inst.maturity, y["EUR"])]
+    c, pay = inst.currency, inst.schedule
+    w = np.append(-1.0, inst.fixed_rate * inst.accruals)
+    w[-1] += 1.0
+    fx = x[c] if c != BOOK_MODELS.domestic else 1.0
+    legs = [-inst.phi * inst.notional * fx] if u > pay[0] else []
+    # the expiry payment too, up to expiry
+    return legs + [inst.phi * inst.notional * w[k] * _bond(c, u, pay[k], y[c]) * fx
+                   for k in range(len(pay)) if pay[k] >= u]
+
+
+@settings(deadline=None, max_examples=30)
+@given(swaps=st.lists(BOOK_SWAPS, min_size=0, max_size=5),
+       forwards=st.lists(BOOK_FORWARDS, min_size=0, max_size=3), data=st.data())
+def test_currency_books_match_per_instrument_values(swaps, forwards, data):
+    insts = tuple(swaps + forwards)
+    assume(insts)
+    p = Portfolio(instruments=insts)
+    # dates before, at and after expiries and payment dates
+    events = sorted({t for i in insts for t in getattr(i, "schedule", (i.maturity,))})
+    picked = data.draw(st.lists(st.sampled_from(events), min_size=1, max_size=4))
+    shifts = data.draw(st.lists(st.sampled_from([-0.1, 0.0, 0.05]),
+                                min_size=len(picked), max_size=len(picked)))
+    dates = np.unique(np.append(0.0, np.clip(np.add(picked, shifts), 0.0, None)))
+    valuation = PortfolioValuation(p, BOOK_MODELS, dates)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for i, u in enumerate(dates):
+        y = {c: rng.normal(0.0, 0.02, 7) for c in BOOK_MODELS.rates}
+        ln_fx = {c: rng.normal(np.log(BOOK_MODELS.fx[c].spot), 0.2, 7)
+                 for c in BOOK_MODELS.fx}
+        st_i = DateState(i, "EUR", 1.0, y, {c: np.zeros(7) for c in y}, ln_fx)
+        x = {c: np.exp(v) for c, v in ln_fx.items()}
+        legs = [leg for inst in insts for leg in _instrument_legs(inst, u, y, x)]
+        want = sum(legs, np.zeros(7))
+        # relative to the legs' gross: a swap's legs cancel to far below it
+        gross = sum((np.abs(leg) for leg in legs), np.zeros(7))
+        assert np.all(np.abs(valuation.row(st_i) - want) <= 1e-12 * gross), u
 
 
 # ---------------------------------------------------------------------------
