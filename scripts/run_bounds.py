@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Error-bound study on the single-swap fixture.
 
-Simulates the full cube, writes bounds.csv with per-date truncation
-bounds, the directly measured expansion errors, and the normality
-distances of the integrated credit drivers, then prints a compact
-summary (worst bound/measured ratios per family).
+Runs the `bounds` verb, which streams one full-mode simulation date by
+date and writes bounds.csv with per-date truncation bounds, the directly
+measured expansion errors, and the normality distances of the integrated
+credit drivers, then prints a compact summary (worst bound/measured
+ratios per family).
 """
 
 import argparse

@@ -11,23 +11,24 @@ Three layers:
   drivers are from the matched normal (the approximation treats them as
   exact normals).
 
-Higher moments of the credit drivers have no closed form; they are
-estimated once per run from a dedicated jointly simulated cube and
-cached in a CreditMomentTable.
+Every path average, including the higher credit-driver moments that
+have no closed form (a CreditMomentTable), reads one `mc.DateState` and
+its value row: `bound_rows` takes them from a live full-mode stream one
+date at a time, and the cube functions from the dates of a stored cube.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .exposure import WwrCoeffs, normal_moments
 from .instruments import Swap, SwapWeights, swap_weights, swap_weights_on_dates
-from .mc import ScenarioCube
+from .mc import DateState, ScenarioCube
 from .models import ModelSet, cir_terms, hw_terms
 
 # Tail probability defining the clipped domain on which the exponential
@@ -36,9 +37,8 @@ TAIL_CLIP = 1e-4
 # The standard normal quantile leaving TAIL_CLIP in the two tails together.
 _Z_CLIP = float(ndtri(1.0 - 0.5 * TAIL_CLIP))
 
-# Dates per slab in credit_moment_table: 8 dates of 20k paths keep each
-# temporary at 1.3 MB.
-_DATE_BLOCK = 8
+# Fewest paths for stable higher moments and distance estimates.
+_MIN_PATHS = 1000
 
 # Order n of the report's eps1 rows; they read credit moments up to 4 (n + 1).
 _EPS1_ORDER = 1
@@ -99,47 +99,60 @@ class CreditMomentTable:
     clip_mass: float = TAIL_CLIP
 
 
+def _require_full(sim, what: str) -> None:
+    """Refuse a PathStream or ScenarioCube without credit or enough paths."""
+    if sim.mode != "full":
+        raise ValueError(f"{what} need a full-mode simulation")
+    if sim.n_paths < _MIN_PATHS:
+        raise ValueError(f"too few paths for {what}: {sim.n_paths} < {_MIN_PATHS}")
+
+
+def _empty_table(sim, max_order: int) -> CreditMomentTable:
+    """A CreditMomentTable of zeros on the dates and paths of `sim`."""
+    n, k = len(sim.dates), max_order + 1
+    return CreditMomentTable(
+        dates=np.array(sim.dates), max_order=max_order, n_paths=sim.n_paths,
+        Y_I=np.zeros((k, n)), Y_C=np.zeros((k, n)), YI_yI=np.zeros((k, n)),
+        y_I=np.zeros((9, n)), S=np.zeros((k, n)),
+        S2_x={"1": np.zeros(n), "y_I": np.zeros(n)},
+        S4_x={"1": np.zeros(n), "y_I": np.zeros(n)}, q_abs_s=np.zeros(n))
+
+
+def _credit_moments_at(tab: CreditMomentTable, st: DateState) -> None:
+    """Fill the column of the state's date in `tab` from its credit drivers."""
+    i = st.index
+    yi, YI, YC = st.y_I, st.Y_I, st.Y_C
+    s = YI + YC
+    pI = np.ones_like(YI)
+    pC = np.ones_like(YC)
+    pS = np.ones_like(s)
+    py = np.ones_like(yi)
+    for j in range(tab.max_order + 1):
+        tab.Y_I[j, i] = pI.mean()
+        tab.Y_C[j, i] = pC.mean()
+        tab.S[j, i] = pS.mean()
+        tab.YI_yI[j, i] = (pI * yi).mean()
+        if j <= 8:
+            tab.y_I[j, i] = py.mean()
+            py = py * yi
+        pI = pI * YI
+        pC = pC * YC
+        pS = pS * s
+    s2 = s * s
+    yi2 = yi * yi
+    tab.S2_x["1"][i] = s2.mean()
+    tab.S4_x["1"][i] = (s2 * s2).mean()
+    tab.S2_x["y_I"][i] = (yi2 * s2).mean()
+    tab.S4_x["y_I"][i] = (yi2 * yi2 * s2 * s2).mean()
+    tab.q_abs_s[i] = np.quantile(np.abs(s), 1.0 - TAIL_CLIP) if i else 0.0
+
+
 def credit_moment_table(cube: ScenarioCube, max_order: int = 16) -> CreditMomentTable:
     """Estimate all credit moments the bounds need from a full cube."""
-    if cube.mode != "full" or cube.y_I is None:
-        raise ValueError("credit moments need a full-mode cube")
-    if cube.n_paths < 1000:
-        raise ValueError("too few paths for stable higher moments")
-    n = len(cube.dates)
-    k = max_order + 1
-    tab = CreditMomentTable(
-        dates=cube.dates.copy(), max_order=max_order, n_paths=cube.n_paths,
-        Y_I=np.zeros((k, n)), Y_C=np.zeros((k, n)), YI_yI=np.zeros((k, n)),
-        y_I=np.zeros((9, n)), S=np.zeros((k, n)), q_abs_s=np.zeros(n))
-    tab.S2_x = {"1": np.zeros(n), "y_I": np.zeros(n)}
-    tab.S4_x = {"1": np.zeros(n), "y_I": np.zeros(n)}
-    for lo in range(0, n, _DATE_BLOCK):
-        d = slice(lo, lo + _DATE_BLOCK)
-        yi, YI, YC = cube.y_I[d], cube.Y_I[d], cube.Y_C[d]
-        s = YI + YC
-        pI = np.ones_like(YI)
-        pC = np.ones_like(YC)
-        pS = np.ones_like(s)
-        py = np.ones_like(yi)
-        for j in range(k):
-            tab.Y_I[j, d] = pI.mean(axis=1)
-            tab.Y_C[j, d] = pC.mean(axis=1)
-            tab.S[j, d] = pS.mean(axis=1)
-            tab.YI_yI[j, d] = (pI * yi).mean(axis=1)
-            if j <= 8:
-                tab.y_I[j, d] = py.mean(axis=1)
-                py = py * yi
-            pI = pI * YI
-            pC = pC * YC
-            pS = pS * s
-        s2 = s * s
-        yi2 = yi * yi
-        tab.S2_x["1"][d] = s2.mean(axis=1)
-        tab.S4_x["1"][d] = (s2 * s2).mean(axis=1)
-        tab.S2_x["y_I"][d] = (yi2 * s2).mean(axis=1)
-        tab.S4_x["y_I"][d] = (yi2 * yi2 * s2 * s2).mean(axis=1)
-        tab.q_abs_s[d] = np.quantile(np.abs(s), 1.0 - TAIL_CLIP, axis=1)
-    tab.q_abs_s[0] = 0.0
+    _require_full(cube, "credit moments")
+    tab = _empty_table(cube, max_order)
+    for i in range(len(cube.dates)):
+        _credit_moments_at(tab, cube.state(i))
     return tab
 
 
@@ -325,26 +338,25 @@ def measured_errors(cube: ScenarioCube, models: ModelSet, value_mat: np.ndarray,
     survival-expansion tail; eps2/eps3 are the rate-expansion tails
     against the plain positive exposure.
     """
-    if cube.mode != "full" or cube.y_I is None:
-        raise ValueError("measured errors need a full-mode cube")
+    _require_full(cube, "measured errors")
     _, h_ric, h_ic, *_ = _date_terms(models, float(cube.dates[i]))
-    return _measured_errors(cube, value_mat, i, n_r, (x,), h_ric, h_ic)[x]
+    return _measured_errors(cube.state(i), value_mat[i], n_r, (x,), h_ric, h_ic)[x]
 
 
-def _measured_errors(cube: ScenarioCube, value_mat: np.ndarray, i: int,
-                     n_r: int, xs: tuple[str, ...], h_ric: float,
+def _measured_errors(st: DateState, value_row: np.ndarray, n_r: int,
+                     xs: tuple[str, ...], h_ric: float,
                      h_ic: float) -> dict[str, dict[str, float]]:
-    """measured_errors for each x in xs, sharing the exposure, the pathwise
-    discount and both tail series; any x but "y_I" weighs by one."""
-    pos = np.maximum(value_mat[i], 0.0)
-    h = cube.pathwise_discount(i) * pos
+    """measured_errors at the state's date for each x in xs, sharing the
+    exposure, the discount and both tail series; x other than "y_I" weighs 1."""
+    pos = np.maximum(value_row, 0.0)
+    h = st.discount * pos
     h_mean = h.mean()
-    s = cube.Y_I[i] + cube.Y_C[i]
+    s = st.Y_I + st.Y_C
     tail_s = _tail_terms(s, 2)
-    tail_r = _tail_terms(cube.Y_r[cube.domestic][i], n_r + 1)
+    tail_r = _tail_terms(st.Y_r[st.domestic], n_r + 1)
     out = {}
     for x in xs:
-        t2, tr = ((tail_s * cube.y_I[i], tail_r * cube.y_I[i]) if x == "y_I"
+        t2, tr = ((tail_s * st.y_I, tail_r * st.y_I) if x == "y_I"
                   else (tail_s, tail_r))
         e1 = h_ic * (np.mean(h * t2) - h_mean * np.mean(t2))
         e2 = h_ric * np.mean(tr * (-s) * pos)
@@ -360,21 +372,13 @@ def gaussian_distance(cube: ScenarioCube, factor: str, i: int,
                       models: ModelSet) -> tuple[float, float]:
     """(Cramer-von Mises statistic, 1-Wasserstein distance) of an
     integrated credit driver against the matched centered normal."""
-    if cube.mode != "full" or cube.Y_I is None:
-        raise ValueError("distance diagnostics need a full-mode cube")
-    if cube.n_paths < 1000:
-        raise ValueError("too few paths for a stable distance estimate")
+    _require_full(cube, "distance diagnostics")
     if i < 1:
         raise ValueError("date 0 is degenerate")
-    if factor == "Y_I":
-        sample = cube.Y_I[i]
-        ent = "I"
-    elif factor == "Y_C":
-        sample = cube.Y_C[i]
-        ent = "C"
-    else:
+    if factor not in ("Y_I", "Y_C"):
         raise ValueError("factor must be Y_I or Y_C")
-    var = cir_terms(models.credit[ent], 0.0, float(cube.dates[i])).var_Y
+    sample = getattr(cube.state(i), factor)
+    var = cir_terms(models.credit[factor[-1]], 0.0, float(cube.dates[i])).var_Y
     return _normal_distance(sample, math.sqrt(var), _plotting_positions(len(sample)))
 
 
@@ -416,30 +420,47 @@ def bound_report(s: Swap, models: ModelSet, cube_full: ScenarioCube,
                  orders: tuple[int, ...] = (1, 2, 3),
                  tab: Optional[CreditMomentTable] = None) -> list[BoundRow]:
     """Per-date, per-family truncation bounds with their measured errors,
-    plus the normality distances of both credit drivers."""
-    if tab is None:
-        tab = credit_moment_table(cube_full, max_order=4 * (_EPS1_ORDER + 1))
-    if cube_full.mode != "full" or cube_full.y_I is None:
-        raise ValueError("the bound report needs a full-mode cube")
-    if cube_full.n_paths < 1000:
-        raise ValueError("too few paths for a stable distance estimate")
+    plus the normality distances of both credit drivers: `bound_rows` on
+    the cube's dates `date_indices` (default: all after date 0)."""
     if date_indices is None:
-        date_indices = list(range(1, len(cube_full.dates)))
+        date_indices = range(1, len(cube_full.dates))
     if any(i < 1 for i in date_indices):
         raise ValueError("date 0 is degenerate")
-    # every closed form once over the selected dates
-    dates = cube_full.dates[list(date_indices)]
+    return bound_rows(s, models, cube_full,
+                      ((cube_full.state(i), value_mat[i]) for i in date_indices),
+                      n_r, orders, tab)
+
+
+def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
+               n_r: int, orders: tuple[int, ...] = (1, 2, 3),
+               tab: Optional[CreditMomentTable] = None) -> list[BoundRow]:
+    """The bound report's rows at each date after 0 of `pairs`, which yields
+    (DateState, value row) in date order, each one used up before the next
+    is read. Of `sim` (a PathStream or ScenarioCube) only the mode, path
+    count and dates are read. Without `tab`, each date's credit moments
+    come from its own state."""
+    _require_full(sim, "bound rows")
+    fill = tab is None
+    if fill:
+        tab = _empty_table(sim, 4 * (_EPS1_ORDER + 1))
+    # every closed form once over the dates after 0
+    dates = np.asarray(sim.dates)[1:]
     rp = models.rates[s.currency]
     sws = swap_weights_on_dates(s, rp, 0.0, dates)
     var_y = hw_terms(rp, 0.0, dates).var_y
     var_Yr, h_ric, h_ic, var_YI, var_YC = _date_terms(models, dates)
-    positions = _plotting_positions(cube_full.n_paths)
+    positions = _plotting_positions(sim.n_paths)
     rows: list[BoundRow] = []
-    for k, i in enumerate(date_indices):
+    for st, value_row in pairs:
+        i = st.index
+        if fill:
+            _credit_moments_at(tab, st)
+        if i == 0:
+            continue
+        k = i - 1
         u = float(dates[k])
         c_v = _cv_bound(s, sws[k], var_y[k])
-        meas = _measured_errors(cube_full, value_mat, i, n_r, X_CHOICES,
-                                h_ric[k], h_ic[k])
+        meas = _measured_errors(st, value_row, n_r, X_CHOICES, h_ric[k], h_ic[k])
         for x in X_CHOICES:
             for fam in FAMILIES:
                 if fam == "eps3" and x == "1":
@@ -456,8 +477,8 @@ def bound_report(s: Swap, models: ModelSet, cube_full: ScenarioCube,
                 bound=_truncation_bound(fam_extra, i, c_v, "eps3", "y_I", tab,
                                         var_Yr[k], h_ric[k])))
         for factor, var in (("Y_I", var_YI[k]), ("Y_C", var_YC[k])):
-            cvm, w1 = _normal_distance(getattr(cube_full, factor)[i],
-                                       math.sqrt(var), positions)
+            cvm, w1 = _normal_distance(getattr(st, factor), math.sqrt(var),
+                                       positions)
             rows.append(BoundRow(date=u, family=f"dist_{factor}", x="", n=0,
                                  bound=0.0, cvm=cvm, wasserstein=w1))
     return rows

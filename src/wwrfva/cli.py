@@ -134,20 +134,22 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "bounds":
-        from .bounds import bound_report, write_bounds_csv
+        from .bounds import bound_rows, write_bounds_csv
         from .fva import build_correlation_for, build_model_set, make_grid
-        from .instruments import value_matrix
-        from .mc import simulate
+        from .instruments import PortfolioValuation
+        from .mc import PathStream
         s = inputs.portfolio.single_swap
         if s is None:
             raise ValueError("bounds report needs a single-swap portfolio")
         models = build_model_set(inputs)
         corr = build_correlation_for(models, inputs.correlations)
-        cube = simulate(models, corr, make_grid(inputs, settings),
-                        settings.n_paths, settings.seed, "full")
-        vm = value_matrix(inputs.portfolio, models, cube)
         orders = tuple(int(x) for x in args.orders.split(","))
-        rows = bound_report(s, models, cube, vm, settings.n_r, orders=orders)
+        stream = PathStream(models, corr, make_grid(inputs, settings),
+                            settings.n_paths, settings.seed, "full")
+        valuation = PortfolioValuation(inputs.portfolio, models, stream.dates)
+        rows = bound_rows(s, models, stream,
+                          ((st, valuation.row(st)) for st in stream),
+                          settings.n_r, orders)
         write_bounds_csv(rows, os.path.join(args.out, "bounds.csv"))
         print(f"wrote {len(rows)} bound rows")
         return 0

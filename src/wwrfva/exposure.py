@@ -13,8 +13,8 @@ form from normal and truncated-normal moments (analytic method).
 Every path average is a per-date kernel (`exposure_at`, `y_moments_at`,
 `wwr_mc_at`) that reads one date's simulated drivers and portfolio
 values. `run_fva` feeds the kernels from the live simulation stream;
-`discounted_exposure`, `base_moments` and `epe_wwr_mc` feed them the
-dates of a stored cube.
+`base_moments` and `epe_wwr_mc` feed them the dates of a stored cube,
+for tests and for the benchmark's traced replica of a run.
 
 The projection coefficients are deterministic. `coeffs_for_dates` gives
 one `WwrCoeffs` record of arrays over the monitoring dates, whose row 0
@@ -24,7 +24,6 @@ sign diagnostic are each one array expression over all dates.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -111,42 +110,28 @@ class BaseMoments:
     y_moment_seconds: float = 0.0
 
 
-def discounted_exposure(cube: ScenarioCube, value_mat: np.ndarray) -> BaseMoments:
-    """Average e^{-int r}(V)+ over the market paths; no driver moments.
-
-    This is all that the benchmark and the closed-form approximation read
-    of the market paths; the returned y_moments have no rows.
-    """
-    n_dates = len(cube.dates)
-    disc_epe = np.zeros(n_dates)
-    disc_epe_se = np.zeros(n_dates)
-    for i in range(n_dates):
-        _, disc_epe[i], disc_epe_se[i] = exposure_at(cube.state(i), value_mat[i])
-    return BaseMoments(dates=cube.dates.copy(), disc_epe=disc_epe,
-                       disc_epe_se=disc_epe_se, y_moments=np.zeros((0, n_dates)),
-                       y_moments_se=np.zeros((0, n_dates)))
-
-
 def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
                  n_r: int, value_mat: Optional[np.ndarray] = None) -> BaseMoments:
-    """Average e^{-int r}(V)+ and y^l (V)+ over the market paths."""
+    """Average e^{-int r}(V)+ and y^l (V)+ over the market paths of a cube."""
     if n_r < 0:
         raise ValueError("n_r must be >= 0")
     from .instruments import value_matrix
     if value_mat is None:
         value_mat = value_matrix(p, models, cube)
-    bm = discounted_exposure(cube, value_mat)
     n_dates = len(cube.dates)
-    l_max = n_r + 2
-    moms = np.zeros((l_max + 1, n_dates))
-    moms_se = np.zeros((l_max + 1, n_dates))
-    y_dom = cube.y_r[cube.domestic]
-    pows = np.empty((l_max + 1, cube.n_paths))
-    t0 = time.perf_counter()
+    disc_epe, disc_epe_se = np.zeros((2, n_dates))
+    moms, moms_se = np.zeros((2, n_r + 3, n_dates))
+    pows = np.empty((n_r + 3, cube.n_paths))
+    seconds = 0.0
     for i in range(n_dates):
-        moms[:, i], moms_se[:, i] = y_moments_at(y_dom[i], value_mat[i], pows)
-    return dataclasses.replace(bm, y_moments=moms, y_moments_se=moms_se,
-                               y_moment_seconds=time.perf_counter() - t0)
+        st = cube.state(i)
+        _, disc_epe[i], disc_epe_se[i] = exposure_at(st, value_mat[i])
+        t0 = time.perf_counter()
+        moms[:, i], moms_se[:, i] = y_moments_at(st.y_r[st.domestic], value_mat[i], pows)
+        seconds += time.perf_counter() - t0
+    return BaseMoments(dates=cube.dates.copy(), disc_epe=disc_epe,
+                       disc_epe_se=disc_epe_se, y_moments=moms,
+                       y_moments_se=moms_se, y_moment_seconds=seconds)
 
 
 # ---------------------------------------------------------------------------

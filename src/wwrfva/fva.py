@@ -11,13 +11,15 @@ run's one simulation) and a WWR part computed by the configured method:
 
 The simulation is streamed: each monitoring date is valued and averaged
 as soon as it is simulated, so a run's memory scales with paths x
-factors, not with dates; only the bounds report and the cube export
-store every date. `run_fva_legs` runs several input sets (the legs of a
-sensitivity) on as few passes as their simulation inputs allow.
+factors, not with dates; only the cube export stores every date.
+`run_fva_legs` runs several input sets (the legs of a sensitivity) on
+as few passes as their simulation inputs allow.
 
 Timings isolate the WWR stage: for the benchmark that is the credit
 part of the simulation plus the covariance estimator; for the
-approximation it is the driver moments and the assembly.
+approximation it is the driver moments and the assembly. Each is CPU
+time of the thread that runs it (`time.thread_time`): the draw worker's
+and the BLAS threads' contention for the cores is not charged to it.
 """
 
 from __future__ import annotations
@@ -207,6 +209,8 @@ def integrate_profile(profile: ExposureProfile) -> tuple[float, float]:
 
 @dataclass
 class FvaReport:
+    """One run's FVA split and diagnostics; its runtimes are thread CPU times."""
+
     fva_indep: float
     fva_wwr: float
     method: str
@@ -352,13 +356,13 @@ class _Leg:
         if is_mc:
             wwr, wwr_seconds = wwr_mc, bench_seconds
         else:
-            t0 = time.perf_counter()
+            t0 = time.thread_time()
             if settings.method == "approx_generic":
                 wwr = epe_wwr_approx_generic(coeffs, bm)
             else:
                 wwr = epe_wwr_approx_swap_analytic(self.portfolio.single_swap, models,
                                                    coeffs, bm, settings.n_r, settings.n_a)
-            wwr_seconds = bm.y_moment_seconds + (time.perf_counter() - t0)
+            wwr_seconds = bm.y_moment_seconds + (time.thread_time() - t0)
         profile = ExposureProfile(dates=dates.copy(), epe_indep=indep, epe_wwr=wwr,
                                   method=settings.method,
                                   se_wwr=se_mc if is_mc else None,
@@ -415,9 +419,9 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
             v = legs[ks[0]].valuation.row(st, local_rows)
             h, epe, epe_se = exposure_at(st, v)
             if is_generic:
-                t0 = time.perf_counter()
+                t0 = time.thread_time()
                 moms, moms_se = y_moments_at(st.y_r[dom], v, pows)
-                seconds = time.perf_counter() - t0
+                seconds = time.thread_time() - t0
             for k in ks:
                 leg = legs[k]
                 leg.disc_epe[i], leg.disc_epe_se[i] = epe, epe_se
@@ -425,9 +429,9 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
                     leg.moms[:, i], leg.moms_se[:, i] = moms, moms_se
                     leg.moment_seconds += seconds
                 if need_full and i > 0:
-                    t0 = time.perf_counter()
+                    t0 = time.thread_time()
                     leg.wwr_mc[i], leg.se_mc[i] = wwr_mc_at(st, h, epe, leg.coeffs)
-                    leg.cov_seconds += time.perf_counter() - t0
+                    leg.cov_seconds += time.thread_time() - t0
 
 
 # ---------------------------------------------------------------------------

@@ -444,27 +444,17 @@ class PortfolioValuation:
     """
 
     def __init__(self, p: Portfolio, models: ModelSet, dates):
-        self.key, self.models, dates = self._inputs(p, models, dates)
-        books = (_book_terms(c, p, self.models, dates) for c in sorted(self.models.rates))
-        self.books = [b for b in books if b is not None]
-
-    @staticmethod
-    def _inputs(p: Portfolio, models: ModelSet, dates):
-        """(key, cut-down model set, dates) of the valuation of `p` on `dates`."""
         for ccy in sorted(p.currencies - {models.domestic}):
             if ccy not in models.fx:
                 raise KeyError(f"no FX model for {ccy}")
         ccys = sorted(p.currencies | {models.domestic})
         rates = {c: models.rates[c] for c in ccys}
         dates = np.asarray(dates, dtype=float)
-        key = exact_key(dates, models.domestic, p.instruments, [rates[c] for c in ccys])
-        return key, ModelSet(models.domestic, rates, fx={}, credit={}), dates
-
-    @classmethod
-    def key_of(cls, p: Portfolio, models: ModelSet, dates) -> bytes:
-        """The `key` of `PortfolioValuation(p, models, dates)`, without
-        computing its terms."""
-        return cls._inputs(p, models, dates)[0]
+        self.key = exact_key(dates, models.domestic, p.instruments,
+                             [rates[c] for c in ccys])
+        self.models = ModelSet(models.domestic, rates, fx={}, credit={})
+        books = (_book_terms(c, p, self.models, dates) for c in ccys)
+        self.books = [b for b in books if b is not None]
 
     def row(self, st: DateState, local_rows: Optional[dict] = None) -> np.ndarray:
         """Portfolio value per path at the state's date: the books in currency

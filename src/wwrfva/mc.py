@@ -13,9 +13,10 @@ full simulation where a credit-free run would read a base one.
 at a time, so a run that consumes them date by date holds no array that
 grows with the number of dates. `shared_pass` runs one simulation for
 several streams whose random part reads the same inputs, such as the legs
-of a curve sensitivity, and yields each stream's own states. `simulate` collects the stream into a
-`ScenarioCube` for the callers that need every date at once (the bounds
-report, the cube export and tests).
+of a curve sensitivity, and yields each stream's own states. `simulate`
+collects the stream into a `ScenarioCube` for the callers that need every
+date at once: the cube export, tests, and the cube forms of the exposure
+and bounds functions. The `bounds` verb reads the stream itself.
 
 The standard normals are drawn ahead on a one-thread
 `concurrent.futures.ThreadPoolExecutor`: while the stream runs the
@@ -205,10 +206,6 @@ class ScenarioCube:
                          {c: a[i] for c, a in self.Y_r.items()},
                          {c: a[i] for c, a in self.ln_fx.items()}, *credit)
 
-    def pathwise_discount(self, date_index: int) -> np.ndarray:
-        """H_r(0,u) * exp(-Y_r(0,u)) for the domestic rate, per path."""
-        return self.state(date_index).discount
-
 
 def _cube_from_slabs(slabs: dict[str, np.ndarray], **fields) -> ScenarioCube:
     """A cube from its slabs named as `_slabs` names them."""
@@ -303,12 +300,12 @@ class PathStream:
     cancelled and the worker is joined; an exception raised in the worker
     is re-raised in the consumer when it reads that interval's result.
 
-    `credit_seconds` is the credit Euler time of the iterating thread plus
-    the worker's busy time filling the credit draws, taken as the worker's
-    CPU time: a wall clock around the fill would also count the wait to
-    reacquire the GIL after it. That fill time overlaps the loop, so the
-    sum may exceed the credit stage's share of wall time; it stands for
-    what the credit simulation costs when its draws run serially.
+    `credit_seconds` is the CPU time of the iterating thread in the credit
+    Euler steps (not of OpenBLAS's own threads) plus that of the worker
+    filling the credit draws: a wall clock would also count each thread's
+    waits for the GIL or a core while the other runs. The fill overlaps
+    the loop, so the sum may exceed the credit stage's share of wall time;
+    it stands for what the credit simulation costs when run serially.
     """
 
     def __init__(self, models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
@@ -479,7 +476,7 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
                     y = y_new
                     w_fx += sq_dt * eps_mkt[n_ccy:]
                     if entities:
-                        tc = time.perf_counter()
+                        tc = time.thread_time()
                         z_cred = cred_bufs[slot][k]
                         eps_cred = L_cm @ z_mkt + L_cc @ z_cred
                         xp = np.maximum(x_cred, 0.0)
@@ -489,7 +486,7 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
                         xp_new = np.maximum(x_new, 0.0)
                         intx_cred += 0.5 * dt * (xp + xp_new)
                         x_cred = x_new
-                        credit_seconds += time.perf_counter() - tc
+                        credit_seconds += time.thread_time() - tc
                 if i + 2 < n_dates:
                     ahead[slot] = pool.submit(fill, slot)
 

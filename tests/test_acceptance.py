@@ -41,7 +41,7 @@ def test_criterion_1_market_fit(acc):
     curve = acc.inputs.market.rate_curve("EUR")
     sqrt_n = math.sqrt(cube.n_paths)
     for i in range(1, len(cube.dates)):
-        disc = cube.pathwise_discount(i)
+        disc = cube.state(i).discount
         se = disc.std() / sqrt_n
         assert abs(disc.mean() - curve.discount(cube.dates[i])) <= 3.0 * se, i
     for ent, slab in (("I", cube.Y_I), ("C", cube.Y_C)):

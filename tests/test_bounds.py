@@ -1,17 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from wwrfva.bounds import (TAIL_CLIP, X_CHOICES, bound_report, c1_const,
+from wwrfva.bounds import (TAIL_CLIP, X_CHOICES, bound_report, bound_rows, c1_const,
                            c2_const, c4_const, credit_moment_table, explicit_e1_bound,
                            gaussian_distance, measured_errors, swap_cv_bound,
                            tail_envelope_constant, truncation_bound,
                            write_bounds_csv)
 from wwrfva.exposure import base_moments, coeffs_for_dates
 from wwrfva.fva import build_correlation_for, build_model_set
-from wwrfva.instruments import value_matrix
-from wwrfva.mc import SimGrid, simulate
+from wwrfva.instruments import PortfolioValuation, value_matrix
+from wwrfva.mc import PathStream, SimGrid, simulate
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,6 @@ def test_cv_dominates_empirical_square(rig):
 
 def test_cv_collapses_with_vanishing_vol(rig):
     inputs, models, *_ = rig
-    import dataclasses
     s = inputs.portfolio.single_swap
     from wwrfva.instruments import swap_value_y, swap_weights
     tiny = dataclasses.replace(models.rates["EUR"], sigma=1e-12)
@@ -236,7 +236,6 @@ def test_gaussian_distance_null_calibration(rig):
     from wwrfva.models import cir_terms
     i = 40
     sd = math.sqrt(cir_terms(models.credit["I"], 0.0, float(full.dates[i])).var_Y)
-    import dataclasses
     fake = dataclasses.replace(full)
     fake.Y_I = full.Y_I.copy()
     fake.Y_I[i] = rng.normal(0.0, sd, full.n_paths)
@@ -326,3 +325,30 @@ def test_bound_report_guards(rig):
     base = simulate(models, corr, SimGrid.regular(4, 30.0, 2), 2000, 1, "base")
     with pytest.raises(ValueError):
         bound_report(s, models, base, vm, 5, date_indices=[5], tab=tab)
+
+    # a stream is refused before any of its dates is read
+    def never():
+        raise AssertionError("a pair was read")
+        yield
+
+    for n_paths, mode, match in ((500, "full", "too few paths"),
+                                 (2000, "base", "full-mode")):
+        stream = PathStream(models, corr, SimGrid.regular(2, 30.0, 1), n_paths, 1, mode)
+        with pytest.raises(ValueError, match=match):
+            bound_rows(s, models, stream, never(), 5)
+
+
+def test_streamed_bound_rows_equal_the_cube_report(rig):
+    # the bounds verb's path: one live date state at a time, no cube
+    inputs, models, corr, full, vm, *_ = rig
+    s = inputs.portfolio.single_swap
+    grid = SimGrid.regular(4, 30.0, 2)
+    stream = PathStream(models, corr, grid, full.n_paths, full.seed, "full")
+    valuation = PortfolioValuation(inputs.portfolio, models, stream.dates)
+    streamed = bound_rows(s, models, stream,
+                          ((st, valuation.row(st)) for st in stream), 5, (1, 2))
+    stored = bound_report(s, models, full, vm, 5, orders=(1, 2))
+    assert len(streamed) == len(stored) == (len(full.dates) - 1) * (5 + 2 + 2)
+    # repr is exact for floats and treats NaN as equal to itself
+    for got, want in zip(streamed, stored):
+        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))

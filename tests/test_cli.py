@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wwrfva import instruments, mc
 from wwrfva.cli import main
 from wwrfva.fva import read_profile_csv
 from wwrfva.mc import load_cube
@@ -113,6 +114,31 @@ def test_bounds_verb(tmp_path, capsys):
     lines = (tmp_path / "bounds.csv").read_text().strip().splitlines()
     assert lines[0].startswith("date,family")
     assert len(lines) > 60
+
+
+def test_bounds_verb_streams(tmp_path, monkeypatch):
+    # the verb reads one date state at a time: no cube, no value matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bounds verb stored every date")
+
+    monkeypatch.setattr(mc, "simulate", refuse)
+    monkeypatch.setattr(instruments, "value_matrix", refuse)
+    rc = main(["bounds", *CFG, *SMALL, "--out", str(tmp_path), "--orders", "1"])
+    assert rc == 0
+    assert len((tmp_path / "bounds.csv").read_text().splitlines()) == 1 + 60 * 8
+
+
+def test_bounds_too_few_paths_rejected_before_drawing(tmp_path, monkeypatch, capsys):
+    def no_draws(seed):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(mc, "_generators", no_draws)
+    rc = main(["bounds", *CFG, "--paths", "500", "--dates-per-year", "2",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ValueError: too few paths") and "\n" not in err
+    assert not (tmp_path / "bounds.csv").exists()
 
 
 def test_export_profile_only(tmp_path):

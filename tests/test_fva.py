@@ -1,15 +1,15 @@
 import dataclasses
 import json
 import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from wwrfva import instruments
+from wwrfva import fva, instruments
 from wwrfva.exposure import (ExposureProfile, base_moments, coeffs_for_dates,
-                             discounted_exposure, epe_indep,
-                             epe_wwr_approx_generic,
+                             epe_indep, epe_wwr_approx_generic,
                              epe_wwr_approx_swap_analytic, epe_wwr_mc)
 from wwrfva.fva import (FvaReport, RunSettings, build_correlation_for,
                         build_model_set, integrate_profile, load_run_config,
@@ -263,6 +263,27 @@ def test_benchmark_run_simulates_once(monkeypatch, cfg, method):
     assert np.array_equal(bench.profile.epe_wwr, plain.profile.epe_wwr)
 
 
+def test_stage_timers_charge_thread_cpu_time(monkeypatch, b41):
+    # a stage timer must not count the time its thread waits for a core
+    # while the draw worker or the BLAS threads run; a sleep in the moment
+    # kernel stands for such a wait
+    inputs, settings = b41
+    settings = small_settings(settings, n_paths=500, dates_per_year=1, substeps=1,
+                              method="approx_generic")
+    kernel = fva.y_moments_at
+    slept = []
+
+    def sleepy(*args):
+        time.sleep(0.02)
+        slept.append(0.02)
+        return kernel(*args)
+
+    monkeypatch.setattr(fva, "y_moments_at", sleepy)
+    rep = run_fva(inputs, settings)
+    assert len(slept) == len(rep.profile.dates)
+    assert rep.runtime_wwr_seconds < sum(slept)
+
+
 def _composed_run(inputs, settings):
     """run_fva's profiles composed from the cube-based functions."""
     models = build_model_set(inputs)
@@ -272,10 +293,8 @@ def _composed_run(inputs, settings):
     cube = simulate(models, corr, make_grid(inputs, settings), settings.n_paths,
                     settings.seed, "full" if need_full else "base")
     vm = value_matrix(p, models, cube)
-    if settings.method == "approx_generic":
-        bm = base_moments(cube, p, models, settings.n_r, value_mat=vm)
-    else:
-        bm = discounted_exposure(cube, vm)
+    # the run reads the driver moments only under approx_generic
+    bm = base_moments(cube, p, models, settings.n_r, value_mat=vm)
     coeffs = coeffs_for_dates(models, corr, cube.dates, settings.n_r)
     wwr_mc = se_mc = None
     if need_full:

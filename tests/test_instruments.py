@@ -235,13 +235,13 @@ def test_valuation_terms_read_only_their_key(setup42, monkeypatch):
     p = Portfolio(instruments=tuple(inputs.portfolio.instruments) + (fwd,))
     dates = np.linspace(0.0, 5.0, 6)
     v = PortfolioValuation(p, models, dates)
-    assert v.key == PortfolioValuation.key_of(p, models, dates)
+    assert v.key == PortfolioValuation(p, models, dates).key
     assert sorted(v.models.rates) == sorted(p.currencies | {models.domestic})
     assert v.models.fx == {} and v.models.credit == {}
 
     def key_after(text):
         bumped = apply_bump(inputs, parse_bump(text, inputs), +1.0)
-        return PortfolioValuation.key_of(p, build_model_set(bumped), dates)
+        return PortfolioValuation(p, build_model_set(bumped), dates).key
 
     assert key_after("fx_spot:USD") == v.key
     assert key_after("credit_parallel:C") == v.key

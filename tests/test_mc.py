@@ -120,7 +120,7 @@ def test_discount_reprices_curve_within_noise(setup41):
     cube = small_cube(models, corr, "base", n_paths=50000)
     curve = inputs.market.rate_curve("EUR")
     for i in range(1, len(cube.dates), 8):
-        disc = cube.pathwise_discount(i)
+        disc = cube.state(i).discount
         se = disc.std() / math.sqrt(cube.n_paths)
         assert disc.mean() == pytest.approx(curve.discount(cube.dates[i]),
                                             abs=3.5 * se)
