@@ -25,7 +25,8 @@ check and exits non-zero if any fails:
   sensi.csv            first-order rows within SENSI_TOL relative, the
                        cross row within CROSS_TOL (a 1e-8 second difference
                        amplifies round-off);
-  bounds.csv           within BOUNDS_TOL relative.
+  bounds.csv           within BOUNDS_TOL relative; the worst cell is named
+                       with its row's (date, family, x, n).
 
 Usage: python3 scripts/golden_outputs.py OUT_DIR
        python3 scripts/golden_outputs.py --compare PARENT_DIR CHANGE_DIR
@@ -131,7 +132,9 @@ def _checks(name: str, a: str, b: str) -> list[tuple[str, float, float]]:
                  CROSS_TOL if row["scheme"] == "cross" else SENSI_TOL)
                 for row, col, xa, xb in cells]
     if name == "bounds.csv":
-        return [(col, _rel(xa, xb), BOUNDS_TOL) for _, col, xa, xb in cells]
+        return [(f"{col} at (date, family, x, n) = ({row['date']}, {row['family']}, "
+                 f"{row['x']}, {row['n']})", _rel(xa, xb), BOUNDS_TOL)
+                for row, col, xa, xb in cells]
     raise ValueError("no comparison rule for this file")
 
 

@@ -3,7 +3,8 @@
 Three layers:
 
 * a product-level second-moment bound C_V on E[((V)+)^2] for a single
-  swap, assembled in closed form from the value-function weights;
+  swap, assembled in closed form from the swap's book row
+  (`instruments.swap_book`);
 * truncation bounds on the tail of each Taylor series that the
   approximation drops, per error family, compared against the same
   errors measured directly on the jointly simulated paths;
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .exposure import WwrCoeffs, normal_moments
-from .instruments import Swap, SwapWeights, swap_weights, swap_weights_on_dates
+from .instruments import Swap, swap_book
 from .mc import DateState, ScenarioCube
 from .models import ModelSet, cir_terms, hw_terms
 
@@ -50,7 +51,7 @@ X_CHOICES = ("1", "y_I")
 # ---------------------------------------------------------------------------
 # product-level second-moment bound
 
-def swap_cv_bound(s: Swap, models: ModelSet, t: float, u: float) -> float:
+def swap_cv_bound(s: Swap, models: ModelSet, u: float) -> float:
     """Closed-form upper bound on E[((V(u))+)^2] for a single swap.
 
     The square of the value function is expanded; the pure cross terms
@@ -59,17 +60,14 @@ def swap_cv_bound(s: Swap, models: ModelSet, t: float, u: float) -> float:
     the zero-mean rate driver.
     """
     rp = models.rates[s.currency]
-    return _cv_bound(s, swap_weights(s, rp, t, u), hw_terms(rp, t, u).var_y)
+    return _cv_bound(*swap_book(s, rp, [u]).at(0), hw_terms(rp, 0.0, u).var_y)
 
 
-def _cv_bound(s: Swap, sw: SwapWeights, var: float) -> float:
-    """swap_cv_bound from the date's swap weights and rate-driver variance."""
-    n_live = len(sw.wbar)
-    const = sw.const
-    sq = (const * const
-          + 2.0 * const * float(np.sum(sw.wbar * np.exp(0.5 * sw.B ** 2 * var)))
-          + n_live * float(np.sum(sw.wbar ** 2 * np.exp(2.0 * sw.B ** 2 * var))))
-    return s.notional * s.notional * sq
+def _cv_bound(const: float, W: np.ndarray, B: np.ndarray, var: float) -> float:
+    """swap_cv_bound from the date's book row and rate-driver variance."""
+    return float(const * const
+                 + 2.0 * const * float(np.sum(W * np.exp(0.5 * B ** 2 * var)))
+                 + len(W) * float(np.sum(W ** 2 * np.exp(2.0 * B ** 2 * var))))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +444,7 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
     # every closed form once over the dates after 0
     dates = np.asarray(sim.dates)[1:]
     rp = models.rates[s.currency]
-    sws = swap_weights_on_dates(s, rp, 0.0, dates)
+    book = swap_book(s, rp, dates)
     var_y = hw_terms(rp, 0.0, dates).var_y
     var_Yr, h_ric, h_ic, var_YI, var_YC = _date_terms(models, dates)
     positions = _plotting_positions(sim.n_paths)
@@ -459,7 +457,7 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
             continue
         k = i - 1
         u = float(dates[k])
-        c_v = _cv_bound(s, sws[k], var_y[k])
+        c_v = _cv_bound(*book.at(k), var_y[k])
         meas = _measured_errors(st, value_row, n_r, X_CHOICES, h_ric[k], h_ic[k])
         for x in X_CHOICES:
             for fam in FAMILIES:

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import factorial, log_ndtr, ndtr
 
-from .instruments import Portfolio, Swap, swap_weights_on_dates, ystar as swap_ystar
+from .instruments import Portfolio, Swap, swap_book, ystar as swap_ystar
 from .mc import CorrelationMatrix, DateState, ScenarioCube, credit_factor, rate_factor
 from .models import ModelSet, cir_terms, hw_terms, sigma_ratio
 
@@ -365,35 +365,35 @@ def epe_wwr_approx_generic(coeffs: WwrCoeffs,
 
 
 def _analytic_moments_on_dates(s: Swap, models: ModelSet, dates, n_a: int,
-                               l_max: int, t: float = 0.0) -> np.ndarray:
+                               l_max: int) -> np.ndarray:
     """Closed-form E[y^l (V(u))+], l = 0..l_max, of a single swap at every
     date u in `dates`: one row per date, zero past maturity.
 
     Expands each discount-like factor to order n_a in the rate driver and
     integrates against the normal density restricted to the positivity
-    region bounded by the swap's root. The swap weights and driver
-    variances come from one closed-form call.
+    region bounded by the swap's root. The swap's book and the driver
+    variances come from one closed-form call each.
     """
     rp = models.rates[s.currency]
     if s.currency != models.domestic:
         raise ValueError("analytic moments require a domestic-currency swap")
-    dates = np.asarray(dates, dtype=float)
-    out = np.zeros((len(dates), l_max + 1))
-    live = np.flatnonzero(dates <= s.maturity)
-    var = hw_terms(rp, t, dates[live]).var_y
+    var = hw_terms(rp, 0.0, np.asarray(dates, dtype=float)).var_y
     if np.any(var <= 0.0):
-        raise ValueError("driver variance must be positive (u > t required)")
+        raise ValueError("driver variance must be positive (u > 0 required)")
+    book = swap_book(s, rp, dates)
+    out = np.empty((len(var), l_max + 1))
     top = n_a + l_max
     a = np.arange(n_a + 1)
     inv_fact = 1.0 / factorial(a)
     shift = a[:, None] + np.arange(l_max + 1)
-    for i, v, sw in zip(live, var, swap_weights_on_dates(s, rp, t, dates[live])):
-        tm = truncated_normal_moments(v, swap_ystar(s, sw, math.sqrt(v)), top)
+    for i, v in enumerate(var):
+        const, W, B = row = book.at(i)
+        tm = truncated_normal_moments(v, swap_ystar(row, math.sqrt(v)), top)
         # G_n: moment of y^n over the positivity region of this swap
         g = normal_moments(v, top) - tm.partial if s.phi == -1 else tm.partial
-        # sum_k wbar_k sum_a (-B_k)^a / a! G_{a+l}, for every l at once
-        coef = (-sw.B[:, None]) ** a * inv_fact
-        out[i] = s.phi * s.notional * (sw.const * g[:l_max + 1] + sw.wbar @ coef @ g[shift])
+        # sum_k W_k sum_a (-B_k)^a / a! G_{a+l}, for every l at once
+        coef = (-B[:, None]) ** a * inv_fact
+        out[i] = const * g[:l_max + 1] + W @ coef @ g[shift]
     return out
 
 

@@ -93,12 +93,33 @@ class RunInputs:
         return copy.deepcopy(self)
 
 
+# The settings each config section may hold, by type; their defaults are
+# RunSettings'. A model record may hold only its parameters. The loader
+# refuses any other key rather than run on a default.
+_SETTINGS = {"grid": {"dates_per_year": int, "substeps_per_interval": int,
+                      "horizon": float},
+             "simulation": {"n_paths": int, "seed": int},
+             "orders": {"n_r": int, "n_a": int}}
+_MODEL_PARAMS = {"rates": ("x0", "a", "sigma"), "fx": ("sigma_fx",),
+                 "credit": ("x0", "a", "theta", "sigma", "lgd")}
+_CONFIG_KEYS = ("market", "portfolio", "method", "models", "correlations", *_SETTINGS)
+
+
+def _check_keys(where: str, record, allowed) -> None:
+    """Refuse a config mapping with a key outside `allowed`, or a non-mapping."""
+    if not isinstance(record, dict):
+        raise ValueError(f"config {where}: expected a mapping")
+    unknown = sorted(set(record) - set(allowed), key=str)
+    if unknown:
+        raise ValueError(f"config {where}: unknown key(s) "
+                         f"{', '.join(map(repr, unknown))}; allowed: {', '.join(allowed)}")
+
+
 def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     """Read a run configuration file (YAML); data paths resolve relative to it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config {path}: expected a mapping")
+    _check_keys(path, doc, _CONFIG_KEYS)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -107,19 +128,15 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     market = load_market_data(resolve(doc["market"]))
     portfolio = load_portfolio(resolve(doc["portfolio"]))
     models = doc.get("models", {})
-    grid = doc.get("grid", {})
-    sim = doc.get("simulation", {})
-    orders = doc.get("orders", {})
-    settings = RunSettings(
-        method=str(doc.get("method", "approx_generic")),
-        n_paths=int(sim.get("n_paths", 100_000)),
-        seed=int(sim.get("seed", 1)),
-        dates_per_year=int(grid.get("dates_per_year", 10)),
-        substeps_per_interval=int(grid.get("substeps_per_interval", 4)),
-        horizon=(float(grid["horizon"]) if "horizon" in grid else None),
-        n_r=int(orders.get("n_r", 5)),
-        n_a=int(orders.get("n_a", 5)),
-    )
+    _check_keys("models", models, _MODEL_PARAMS)
+    for kind, allowed in _MODEL_PARAMS.items():
+        for name, record in (models.get(kind) or {}).items():
+            _check_keys(f"models.{kind}.{name}", record, allowed)
+    fields = {"method": str(doc["method"])} if "method" in doc else {}
+    for section, types in _SETTINGS.items():
+        _check_keys(section, doc.get(section, {}), types)
+        fields.update((k, types[k](v)) for k, v in doc.get(section, {}).items())
+    settings = RunSettings(**fields)
     inputs = RunInputs(
         market=market,
         rate_params={k: dict(v) for k, v in (models.get("rates") or {}).items()},
@@ -412,7 +429,7 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
         twins.setdefault((leg.stream.overlay_key, leg.valuation.key), []).append(k)
     pows = np.empty((len(legs[0].moms), settings.n_paths))
     for states in shared_pass([leg.stream for leg in legs]):
-        local_rows = {} if len(twins) > 1 else None
+        local_rows = {}
         for ks in twins.values():
             st = states[ks[0]]
             i = st.index

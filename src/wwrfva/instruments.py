@@ -1,14 +1,13 @@
 """Instruments and their valuation as functions of the rate drivers.
 
 Every zero-coupon bond of a currency is one exponential in the zero-mean
-rate driver y of that currency. A swap's value at a monitoring date u is
-V(u; y) = phi * N * (-1_{u>T0} + sum_k wbar_k exp(-y B_k)), and each bond
-leg of an FX forward is one such term. Pathwise valuation merges each
-currency's instruments into one `CurrencyBook` on the union of their
-payment dates, valued by one kernel (`book_value`); `swap_value_y` is its
-one-swap case. A swap's positivity boundary ystar is the unique root of a
-monotone auxiliary function (a Jamshidian-style decomposition), found by
-bracketed bisection plus Newton polish.
+rate driver y of that currency. Each currency's instruments therefore merge
+into one `CurrencyBook` on the union of their payment dates: at a monitoring
+date u, V(u; y) = const + sum_k W_k exp(-y B_k), valued pathwise by one
+kernel (`book_value`). A single swap's book (`swap_book`) is also the value
+function its closed forms read; its positivity boundary ystar is the unique
+root of a monotone auxiliary function (a Jamshidian-style decomposition),
+found by bracketed bisection plus Newton polish.
 
 FX forwards are valued exactly on paths from the two reconstructed
 zero-coupon bonds and the FX level; their positivity region under the
@@ -167,88 +166,46 @@ def load_portfolio(path) -> Portfolio:
 
 
 # ---------------------------------------------------------------------------
-# swap valuation in terms of the rate driver
+# swap positivity boundary in terms of the rate driver
 
-@dataclass(frozen=True)
-class SwapWeights:
-    """Deterministic valuation bundle of one swap at one monitoring date."""
-
-    beta: int                 # index of the first live payment date
-    const: float              # -1 if u is past expiry, else 0
-    w: np.ndarray             # raw weights, live dates only (k >= beta)
-    wbar: np.ndarray          # weights with deterministic exponent folded in
-    B: np.ndarray             # driver loadings B(u, T_k), live dates only
-    pay_times: np.ndarray     # live payment dates
-
-
-def _bond_terms(rp: Hw1fParams, t: float, u: np.ndarray, pay: np.ndarray):
-    """B(u, T) and exp(A_bar(u, T) - mu(t, u) B(u, T)) of the bonds P(u, T) on
-    the (date, payment date) grid; payments already made collapse onto u."""
-    mu = hw_terms(rp, t, u).mu
-    terms = hw_terms(rp, u[:, None], np.maximum(pay, u[:, None]))
-    return terms.B, np.exp(terms.A_bar - mu[:, None] * terms.B)
-
-
-def swap_weights_on_dates(s: Swap, rp: Hw1fParams, t: float,
-                          dates) -> list[SwapWeights]:
-    """swap_weights at every monitoring date in `dates`, from one closed-form
-    call over the (date, payment date) grid."""
-    pay = np.asarray(s.schedule)
-    u = np.asarray(dates, dtype=float)
-    if np.any(u > pay[-1]):
-        raise ValueError(f"monitoring date {u.max()} is past swap maturity {pay[-1]}")
-    w = s.cashflows
-    # first live index: 0 up to and including expiry, else the next payment date
-    started = u > pay[0]
-    beta = np.where(started, np.searchsorted(pay, u, side="left"), 0)
-    B, disc = _bond_terms(rp, t, u, pay)
-    return [SwapWeights(beta=int(b), const=-1.0 if st else 0.0, w=w[b:],
-                        wbar=w[b:] * disc[i, b:], B=B[i, b:], pay_times=pay[b:])
-            for i, (b, st) in enumerate(zip(beta, started))]
-
-
-def swap_weights(s: Swap, rp: Hw1fParams, t: float, u: float) -> SwapWeights:
-    """Weights of the value function V(u; y) given time-t information."""
-    return swap_weights_on_dates(s, rp, t, [u])[0]
-
-
-def _d_parts(sw: SwapWeights):
-    """Coefficients c_k > 0 and exponents b_k > 0 of the monotone root function.
+def _d_parts(const: float, W: np.ndarray, B: np.ndarray):
+    """Coefficients c_k > 0 and exponents b_k > 0 of the monotone root
+    function of one swap's book row (`CurrencyBook.at`).
 
     The value is zero iff d(y) := sum_k c_k exp(-y b_k) equals 1; d is
     strictly decreasing, so the root (if the sum is nonempty) is unique.
     """
-    if sw.const == 0.0:
-        # normalize by the (negative) expiry-date term
-        c = sw.wbar[1:] / (-sw.wbar[0])
-        b = sw.B[1:] - sw.B[0]
-    else:
-        c = sw.wbar.copy()
-        b = sw.B.copy()
-    return c, b
+    if const != 0.0:
+        # past expiry: normalise by minus the constant
+        return W / -const, B
+    if len(W) == 0:
+        # past maturity: the zero function, with d = 0
+        return W, B
+    # before expiry: normalise by minus the expiry-date term
+    return W[1:] / -W[0], B[1:] - B[0]
 
 
-def ystar(s: Swap, sw: SwapWeights, sd_y: float) -> float:
-    """Positivity boundary: the y with V(u; y) = 0, or +/-inf when one-signed.
+def ystar(row: tuple, sd_y: float) -> float:
+    """Positivity boundary of a swap's book row: the y with V(u; y) = 0, or
+    +/-inf when one-signed.
 
     Returns +inf when the value is positive for every y (indicator constant 1
     for a receiver) and -inf when never positive.
     """
-    c, b = _d_parts(sw)
-    if len(c) == 0 or np.all(c == 0.0):
-        # no live cash flows beyond the normalizer: d = 0 < 1 everywhere
-        return -math.inf
+    c, b = _d_parts(*row)
     if np.any(c < 0.0):
         raise ValueError("negative weights: root function not monotone")
+    c, b = c[c > 0.0], b[c > 0.0]
+    if len(c) == 0:
+        # no live cash flows beyond the normalizer: d = 0 < 1 everywhere
+        return -math.inf
 
     def log_d(y: float) -> float:
-        z = np.log(c[c > 0.0]) - y * b[c > 0.0]
+        z = np.log(c) - y * b
         zmax = z.max()
         return zmax + math.log(np.exp(z - zmax).sum())
 
     f0 = log_d(0.0)
-    lo = hi = 0.0
-    flo = fhi = f0
     k = 1.0
     while k <= 64.0:
         lo, hi = -k * sd_y, k * sd_y
@@ -271,11 +228,10 @@ def ystar(s: Swap, sw: SwapWeights, sd_y: float) -> float:
     root = 0.5 * (lo + hi)
     # Newton polish on log d (monotone decreasing, nearly linear)
     for _ in range(3):
-        mask = c > 0.0
-        e = c[mask] * np.exp(-root * b[mask])
+        e = c * np.exp(-root * b)
         sd_ = e.sum()
         val = math.log(sd_)
-        deriv = -(b[mask] * e).sum() / sd_
+        deriv = -(b * e).sum() / sd_
         root -= val / deriv
     return root
 
@@ -384,6 +340,12 @@ class CurrencyBook:
     B: np.ndarray          # dates x payment dates
     start: np.ndarray      # per date: the first payment column at or after it
 
+    def at(self, i: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """(const, W, B) at date i on its live payment columns; past every
+        payment, no column is left."""
+        k = self.start[i]
+        return self.const[i], self.W[i, k:], self.B[i, k:]
+
 
 def book_value(const, W, B, y):
     """The valuation kernel: const + sum_k W_k exp(-B_k y) for each y."""
@@ -391,14 +353,6 @@ def book_value(const, W, B, y):
     expo = np.multiply.outer(y, -B)
     np.exp(expo, out=expo)
     return const + expo @ W
-
-
-def swap_value_y(s: Swap, sw: SwapWeights, y):
-    """Swap value at the monitoring date as a function of the rate driver y:
-    the one-swap book."""
-    scale = s.phi * s.notional
-    val = book_value(scale * sw.const, scale * sw.wbar, sw.B, y)
-    return float(val) if np.ndim(val) == 0 else val
 
 
 def _book_terms(ccy: str, p: Portfolio, models: ModelSet,
@@ -426,9 +380,22 @@ def _book_terms(ccy: str, p: Portfolio, models: ModelSet,
     pay, col = np.unique(np.concatenate(times), return_inverse=True)
     coef = np.bincount(col, weights=np.concatenate(coefs))
     rp = models.rates[ccy]
-    B, disc = _bond_terms(rp, 0.0, dates, pay)
+    # the bonds P(u, T) on the (date, payment date) grid, whose exponents
+    # are B(u, T) and A_bar(u, T) - mu(0, u) B(u, T); payments already made
+    # collapse onto u
+    mu = hw_terms(rp, 0.0, dates).mu
+    bond = hw_terms(rp, dates[:, None], np.maximum(pay, dates[:, None]))
+    disc = np.exp(bond.A_bar - mu[:, None] * bond.B)
     return CurrencyBook(ccy, exact_key(ccy, models.domestic, insts, rp, dates), const,
-                        coef * disc, B, np.searchsorted(pay, dates, side="left"))
+                        coef * disc, bond.B, np.searchsorted(pay, dates, side="left"))
+
+
+def swap_book(s: Swap, rp: Hw1fParams, dates) -> CurrencyBook:
+    """The book of the one swap `s` on `dates`, under its currency's rate
+    model `rp`: the value function that every single-swap closed form reads."""
+    models = ModelSet(s.currency, {s.currency: rp}, fx={}, credit={})
+    return _book_terms(s.currency, Portfolio((s,)), models,
+                       np.asarray(dates, dtype=float))
 
 
 class PortfolioValuation:
@@ -466,9 +433,7 @@ class PortfolioValuation:
         out = np.zeros(len(st.Y_r[st.domestic]))
         for book in self.books:
             if book.key not in local_rows:
-                k = book.start[i]  # past every payment, no column is left
-                local_rows[book.key] = book_value(book.const[i], book.W[i, k:],
-                                                  book.B[i, k:], st.y_r[book.currency])
+                local_rows[book.key] = book_value(*book.at(i), st.y_r[book.currency])
             local = local_rows[book.key]
             if book.currency != st.domestic:
                 local = local * np.exp(st.ln_fx[book.currency])

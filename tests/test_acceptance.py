@@ -167,18 +167,18 @@ def test_criterion_7_indicator_oracles(acc, b42):
     from wwrfva.instruments import (FxForward, fx_forward_positive_indicator,
                                     fx_forward_terms,
                                     fx_forward_value_projected,
-                                    positive_indicator, swap_value_y,
-                                    swap_weights, ystar)
+                                    book_value, positive_indicator, swap_book,
+                                    ystar)
     models = acc.models
     s = acc.swap
     rng = np.random.default_rng(17)
     for u in (0.5, 2.0, 8.0, 15.0, 25.0, 29.5):
-        sw = swap_weights(s, models.rates["EUR"], 0.0, u)
+        row = swap_book(s, models.rates["EUR"], [u]).at(0)
         sd = math.sqrt(hw_terms(models.rates["EUR"], 0.0, u).var_y)
         ys = rng.normal(0.0, 4.0 * sd, 10000)
-        star = ystar(s, sw, sd)
+        star = ystar(row, sd)
         ind = positive_indicator(s, ys, star).astype(bool)
-        vals = swap_value_y(s, sw, ys)
+        vals = book_value(*row, ys)
         assert np.sum(ind != (vals > 0.0)) == 0, u
 
     inputs42, _ = b42
@@ -205,14 +205,14 @@ def test_criterion_8_error_bounds(acc):
     tab = credit_moment_table(cube)
     for i in range(1, len(cube.dates)):
         u = float(cube.dates[i])
-        c_v = swap_cv_bound(s, models, 0.0, u)
+        c_v = swap_cv_bound(s, models, u)
         emp = float(np.mean(np.maximum(vm[i], 0.0) ** 2))
         # float allowance: at the last live date the Cauchy-Schwarz step is
         # an equality and the bound is tight to rounding
         assert emp <= c_v * (1.0 + 1e-9), i
     for i in range(1, len(cube.dates), 10):
         u = float(cube.dates[i])
-        c_v = swap_cv_bound(s, models, 0.0, u)
+        c_v = swap_cv_bound(s, models, u)
         for x in ("1", "y_I"):
             meas = measured_errors(cube, models, vm, i, 5, x)["eps1"]
             b = explicit_e1_bound(models, acc.coeffs5, c_v,

@@ -41,7 +41,7 @@ def test_cv_dominates_static_square(rig):
     from conftest import static_portfolio_value
     v0 = static_portfolio_value(inputs.portfolio, models)
     # at u -> 0 the value is deterministic, so C_V >= V(0)^2
-    assert swap_cv_bound(s, models, 0.0, 1e-6) >= v0 * v0 * (1.0 - 1e-9)
+    assert swap_cv_bound(s, models, 1e-6) >= v0 * v0 * (1.0 - 1e-9)
 
 
 def test_cv_dominates_empirical_square(rig):
@@ -51,23 +51,21 @@ def test_cv_dominates_empirical_square(rig):
     # equality and pure MC noise can cross the bound at this path count
     for i in range(1, len(full.dates) - 4, 7):
         emp = float(np.mean(np.maximum(vm[i], 0.0) ** 2))
-        cv = swap_cv_bound(s, models, 0.0, float(full.dates[i]))
+        cv = swap_cv_bound(s, models, float(full.dates[i]))
         assert emp <= cv * (1.0 + 1e-9), i
 
 
 def test_cv_collapses_with_vanishing_vol(rig):
     inputs, models, *_ = rig
     s = inputs.portfolio.single_swap
-    from wwrfva.instruments import swap_value_y, swap_weights
+    from wwrfva.instruments import book_value, swap_book
     tiny = dataclasses.replace(models.rates["EUR"], sigma=1e-12)
     models2 = dataclasses.replace(models, rates={"EUR": tiny})
     # one live payment left: the Cauchy-Schwarz step is an equality, so
     # the bound collapses exactly onto the deterministic squared value
     u = 29.5
-    sw = swap_weights(s, tiny, 0.0, u)
-    det = swap_value_y(s, sw, 0.0)
-    assert swap_cv_bound(s, models2, 0.0, u) == pytest.approx(det * det,
-                                                              rel=1e-6)
+    det = book_value(*swap_book(s, tiny, [u]).at(0), 0.0)
+    assert swap_cv_bound(s, models2, u) == pytest.approx(det * det, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,7 @@ def test_explicit_bound_dominates_measured_eps1(rig):
     s = inputs.portfolio.single_swap
     for i in (5, 20, 60, 100):
         u = float(full.dates[i])
-        c_v = swap_cv_bound(s, models, 0.0, u)
+        c_v = swap_cv_bound(s, models, u)
         for x in ("1", "y_I"):
             meas = measured_errors(full, models, vm, i, 5, x)["eps1"]
             b = explicit_e1_bound(models, coeffs, c_v, bm.disc_epe[i],
@@ -184,7 +182,7 @@ def test_generic_bounds_dominate_all_families(rig):
     s = inputs.portfolio.single_swap
     for i in (5, 20, 60, 100):
         u = float(full.dates[i])
-        c_v = swap_cv_bound(s, models, 0.0, u)
+        c_v = swap_cv_bound(s, models, u)
         meas = measured_errors(full, models, vm, i, 5, "y_I")
         assert abs(meas["eps1"]) <= truncation_bound(1, i, models, c_v,
                                                      "eps1", "y_I", tab)
@@ -198,7 +196,7 @@ def test_bound_decreases_factorially_in_order(rig):
     inputs, models, corr, full, vm, tab, coeffs, bm = rig
     s = inputs.portfolio.single_swap
     i = 40
-    c_v = swap_cv_bound(s, models, 0.0, float(full.dates[i]))
+    c_v = swap_cv_bound(s, models, float(full.dates[i]))
     vals = [truncation_bound(n, i, models, c_v, "eps3", "y_I", tab)
             for n in range(7)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -309,7 +307,7 @@ def test_bound_report_rows_equal_the_row_functions(rig):
             cvm, w1 = gaussian_distance(full, r.family[5:], i, models)
             assert close(r.cvm, cvm) and close(r.wasserstein, w1), (i, r.family)
             continue
-        c_v = swap_cv_bound(s, models, 0.0, r.date)
+        c_v = swap_cv_bound(s, models, r.date)
         assert close(r.bound, truncation_bound(r.n, i, models, c_v, r.family,
                                                r.x, tab)), (i, r.family, r.x, r.n)
         if r.measured is not None:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -126,6 +127,27 @@ def test_bounds_verb_streams(tmp_path, monkeypatch):
     rc = main(["bounds", *CFG, *SMALL, "--out", str(tmp_path), "--orders", "1"])
     assert rc == 0
     assert len((tmp_path / "bounds.csv").read_text().splitlines()) == 1 + 60 * 8
+
+
+def test_bounds_verb_past_maturity(tmp_path):
+    # a horizon past the swap's maturity: the swap is worth 0 there, and so
+    # are its rows' bounds and measured errors
+    cfg = tmp_path / "long.cfg"
+    with open(fixture_path("single_swap.cfg")) as fh:
+        text = fh.read()
+    cfg.write_text(text.replace("market: ", f"market: {fixture_path('')}")
+                   .replace("portfolio: ", f"portfolio: {fixture_path('')}")
+                   .replace("grid:\n", "grid:\n  horizon: 32.0\n"))
+    rc = main(["bounds", "--config", str(cfg), "--paths", "2000",
+               "--dates-per-year", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "bounds.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if float(r["date"]) > 30.0]
+    assert sorted({float(r["date"]) for r in rows}) == [30.5, 31.0, 31.5, 32.0]
+    measured = [r for r in rows if r["measured_error"]]
+    assert len(measured) == 4 * 5
+    assert all(float(r["bound"]) == 0.0 for r in rows)
+    assert all(float(r["measured_error"]) == 0.0 for r in measured)
 
 
 def test_bounds_too_few_paths_rejected_before_drawing(tmp_path, monkeypatch, capsys):

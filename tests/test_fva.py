@@ -86,6 +86,24 @@ def test_credit_entities_must_be_investor_and_counterparty(tmp_path, old, new, f
         load_run_config(bad)
 
 
+@pytest.mark.parametrize("cfg, old, new, where, key", [
+    ("single_swap.cfg", "method: ", "methd: mc\nmethod: ", "single_swap.cfg", "methd"),
+    ("single_swap.cfg", "models:\n", "models:\n  rate: {}\n", "models", "rate"),
+    ("single_swap.cfg", "EUR: {x0:", "EUR: {xo:", "models.rates.EUR", "xo"),
+    ("portfolio.cfg", "USD: {sigma_fx:", "USD: {sigma:", "models.fx.USD", "sigma"),
+    ("single_swap.cfg", "lgd: 0.6}", "lgd_: 0.6}", "models.credit.I", "lgd_"),
+    ("single_swap.cfg", "grid:\n", "grid:\n  horizn: 32.0\n", "grid", "horizn"),
+    ("single_swap.cfg", "n_paths:", "n_path:", "simulation", "n_path"),
+    ("single_swap.cfg", "n_a:", "na:", "orders", "na"),
+], ids=["top", "models", "rates", "fx", "credit", "grid", "simulation", "orders"])
+def test_unknown_config_key_rejected(tmp_path, cfg, old, new, where, key):
+    # a misspelt key would otherwise fall back to its default unnoticed
+    bad = _patched_config(cfg, tmp_path, old, new)
+    msg = f"{where}: unknown key(s) '{key}'"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        load_run_config(bad)
+
+
 @pytest.mark.parametrize("instrument", [
     "{type: swap, currency: GBP, notional: 100.0, fixed_rate: 0.02,"
     " expiry: 1.0, maturity: 5.0, frequency: 1}",

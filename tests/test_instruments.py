@@ -8,8 +8,8 @@ from wwrfva.fva import build_correlation_for, build_model_set
 from wwrfva.instruments import (FxForward, Portfolio, PortfolioValuation, Swap,
                                 fx_forward_positive_indicator,
                                 fx_forward_terms, fx_forward_value_projected,
-                                load_portfolio, positive_indicator,
-                                swap_value_y, swap_weights, value_matrix, ystar)
+                                book_value, load_portfolio, positive_indicator,
+                                swap_book, value_matrix, ystar)
 from wwrfva.mc import SimGrid, simulate
 from wwrfva.models import hw_terms
 from wwrfva.sensitivities import apply_bump, parse_bump
@@ -33,10 +33,14 @@ def setup42(b42):
     return inputs, models, corr
 
 
-def receiver(K=0.013, expiry=1.0, maturity=30.0):
+def receiver(K=0.013, expiry=1.0, maturity=30.0, direction="receiver"):
     return Swap.regular(currency="EUR", notional=10000.0, fixed_rate=K,
                         expiry=expiry, maturity=maturity, frequency=1,
-                        direction="receiver")
+                        direction=direction)
+
+
+def payer(**kw):
+    return receiver(direction="payer", **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +86,7 @@ def test_date0_value_matches_zcb_sum(setup41):
     inputs, models, _ = setup41
     s = receiver()
     curve = inputs.market.rate_curve("EUR")
-    sw = swap_weights(s, models.rates["EUR"], 0.0, 0.0)
-    v = swap_value_y(s, sw, 0.0)
+    v = book_value(*swap_book(s, models.rates["EUR"], [0.0]).at(0), 0.0)
     # direct curve valuation: -P(T0) + K sum tau P(Tk) + P(Tm)
     direct = -curve.discount(1.0) + curve.discount(30.0)
     for k in range(2, 31):
@@ -94,16 +97,13 @@ def test_date0_value_matches_zcb_sum(setup41):
 
 def test_payer_receiver_parity(setup41):
     _, models, _ = setup41
-    rec = receiver()
-    pay = Swap.regular(currency="EUR", notional=10000.0, fixed_rate=0.013,
-                       expiry=1.0, maturity=30.0, frequency=1,
-                       direction="payer")
-    for u in (0.0, 0.5, 7.3, 29.0):
-        sw_r = swap_weights(rec, models.rates["EUR"], 0.0, u)
-        sw_p = swap_weights(pay, models.rates["EUR"], 0.0, u)
+    dates = (0.0, 0.5, 7.3, 29.0)
+    rec = swap_book(receiver(), models.rates["EUR"], dates)
+    pay = swap_book(payer(), models.rates["EUR"], dates)
+    for i in range(len(dates)):
         ys = np.linspace(-0.02, 0.02, 7)
-        assert np.allclose(swap_value_y(rec, sw_r, ys),
-                           -swap_value_y(pay, sw_p, ys), rtol=1e-12)
+        assert np.allclose(book_value(*rec.at(i), ys),
+                           -book_value(*pay.at(i), ys), rtol=1e-12)
 
 
 def test_weights_zero_fixed_rate():
@@ -113,15 +113,25 @@ def test_weights_zero_fixed_rate():
     from wwrfva.models import Hw1fParams
     rp = Hw1fParams(x0=0.0, a=0.01, sigma=0.005,
                     curve=Curve(label="f", times=(1.0,), zero_rates=(0.01,)))
-    sw = swap_weights(s, rp, 0.0, 0.0)
-    assert np.allclose(sw.w[1:-1], 0.0)
-    assert sw.w[0] == -1.0 and sw.w[-1] == 1.0
+    w = s.cashflows
+    assert np.allclose(w[1:-1], 0.0)
+    assert w[0] == -1.0 and w[-1] == 1.0
+    const, W, _ = swap_book(s, rp, [0.0]).at(0)
+    assert const == 0.0 and np.all(W[1:-1] == 0.0)
+    assert W[0] < 0.0 < W[-1]
 
 
-def test_monitoring_past_maturity_rejected(setup41):
+def test_book_row_past_maturity_is_the_zero_function(setup41):
     _, models, _ = setup41
-    with pytest.raises(ValueError):
-        swap_weights(receiver(maturity=5.0), models.rates["EUR"], 0.0, 6.0)
+    rp = models.rates["EUR"]
+    sd = math.sqrt(hw_terms(rp, 0.0, 6.0).var_y)
+    ys = np.linspace(-4.0, 4.0, 9) * sd
+    for s in (receiver(maturity=5.0), payer(maturity=5.0)):
+        row = swap_book(s, rp, [6.0]).at(0)
+        const, W, B = row
+        assert const == 0.0 and len(W) == 0 and len(B) == 0
+        assert np.array_equal(book_value(*row, ys), np.zeros(len(ys)))
+        assert ystar(row, sd) == -math.inf
 
 
 def test_positivity_indicator_brute_force(setup41):
@@ -129,39 +139,34 @@ def test_positivity_indicator_brute_force(setup41):
     s = receiver()
     rng = np.random.default_rng(5)
     for u in (0.5, 1.0, 4.1, 15.0, 29.5):
-        sw = swap_weights(s, models.rates["EUR"], 0.0, u)
+        row = swap_book(s, models.rates["EUR"], [u]).at(0)
         sd = math.sqrt(hw_terms(models.rates["EUR"], 0.0, max(u, 1e-9)).var_y)
         ys = rng.normal(0.0, 4.0 * sd, 10000)
-        star = ystar(s, sw, sd)
+        star = ystar(row, sd)
         ind = positive_indicator(s, ys, star)
-        vals = swap_value_y(s, sw, ys)
+        vals = book_value(*row, ys)
         assert np.array_equal(ind.astype(bool), vals > 0.0), u
 
 
 def test_payer_and_receiver_share_root(setup41):
     _, models, _ = setup41
-    rec = receiver()
-    pay = Swap.regular(currency="EUR", notional=10000.0, fixed_rate=0.013,
-                       expiry=1.0, maturity=30.0, frequency=1,
-                       direction="payer")
     u = 7.0
     sd = math.sqrt(hw_terms(models.rates["EUR"], 0.0, u).var_y)
-    sw_r = swap_weights(rec, models.rates["EUR"], 0.0, u)
-    sw_p = swap_weights(pay, models.rates["EUR"], 0.0, u)
-    assert ystar(rec, sw_r, sd) == pytest.approx(ystar(pay, sw_p, sd),
-                                                 rel=1e-9)
+    row_r = swap_book(receiver(), models.rates["EUR"], [u]).at(0)
+    row_p = swap_book(payer(), models.rates["EUR"], [u]).at(0)
+    assert ystar(row_r, sd) == pytest.approx(ystar(row_p, sd), rel=1e-9)
 
 
 def test_root_is_a_zero_of_the_value(setup41):
     _, models, _ = setup41
     s = receiver()
     for u in (0.5, 7.0, 20.0):
-        sw = swap_weights(s, models.rates["EUR"], 0.0, u)
+        row = swap_book(s, models.rates["EUR"], [u]).at(0)
         sd = math.sqrt(hw_terms(models.rates["EUR"], 0.0, u).var_y)
-        star = ystar(s, sw, sd)
+        star = ystar(row, sd)
         if math.isfinite(star):
-            v = swap_value_y(s, sw, star)
-            scale = s.notional * float(np.abs(sw.wbar).sum())
+            v = book_value(*row, star)
+            scale = float(np.abs(row[1]).sum())
             assert abs(v) < 1e-6 * scale
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from wwrfva.curves import Curve
 from wwrfva.exposure import normal_moments, truncated_normal_moments
 from wwrfva.instruments import (FxForward, Portfolio, PortfolioValuation, Swap,
-                                positive_indicator, swap_value_y, swap_weights,
-                                swap_weights_on_dates, ystar)
+                                book_value, positive_indicator, swap_book, ystar)
 from wwrfva.mc import DateState, build_correlation
 from wwrfva.models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                            QuantoAdjust, bfac, cir_terms, fx_terms, hw_terms,
@@ -128,18 +127,19 @@ def test_root_and_indicator_consistency(s, u_frac, data):
     curve = Curve(label="EUR", times=(1.0, 30.0), zero_rates=(0.01, 0.015))
     rp = Hw1fParams(x0=0.0, a=0.03, sigma=0.004, curve=curve)
     u = u_frac * s.maturity
-    sw = swap_weights(s, rp, 0.0, u)
+    row = swap_book(s, rp, [u]).at(0)
+    const, W, _ = row
     sd = math.sqrt(hw_terms(rp, 0.0, u).var_y)
-    star = ystar(s, sw, sd)
+    star = ystar(row, sd)
     ys = np.array(data.draw(st.lists(st.floats(-8.0, 8.0, **finite),
                                      min_size=5, max_size=30))) * sd
-    vals = swap_value_y(s, sw, ys)
+    vals = book_value(*row, ys)
     ind = positive_indicator(s, ys, star).astype(bool)
-    scale = s.notional * (abs(sw.const) + float(np.abs(sw.wbar).sum()))
+    scale = abs(const) + float(np.abs(W).sum())
     clear = np.abs(vals) > 1e-9 * scale  # ignore knife-edge states
     assert np.array_equal(ind[clear], vals[clear] > 0.0)
     if math.isfinite(star):
-        assert abs(swap_value_y(s, sw, star)) <= 1e-6 * scale
+        assert abs(book_value(*row, star)) <= 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +293,30 @@ def test_fx_terms_array_call_matches_scalar_calls(a_d, a_f, data):
 
 
 @settings(deadline=None, max_examples=40)
-@given(s=SWAPS, a=st.sampled_from(REVERSIONS),
-       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
-def test_swap_weights_on_dates_match_per_payment_scalar_calls(s, a, fracs):
+@given(s=SWAPS, a=st.sampled_from(REVERSIONS), data=st.data())
+def test_swap_book_rows_match_per_payment_scalar_calls(s, a, data):
     rp = _hw(a, False)
-    dates = np.array(fracs) * s.maturity
-    for u, sw in zip(dates, swap_weights_on_dates(s, rp, 0.0, dates)):
+    fracs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    on = data.draw(st.lists(st.sampled_from(s.schedule), min_size=1, max_size=3))
+    # anywhere up to maturity, at payment dates and just after them
+    dates = np.concatenate([np.array(fracs) * s.maturity, on, np.add(on, 0.05)])
+    book = swap_book(s, rp, dates)
+    phi_n = s.phi * s.notional
+    for i, u in enumerate(dates):
+        const, W, B = book.at(i)
+        live = [k for k, T in enumerate(s.schedule) if T >= u]
+        assert const == (-phi_n if s.expiry < u <= s.maturity else 0.0)
         mu = hw_terms(rp, 0.0, u).mu
-        per_pay = [hw_terms(rp, u, T) for T in sw.pay_times]
-        B = np.array([h.B for h in per_pay])
-        np.testing.assert_allclose(sw.B, B, rtol=1e-12, atol=0.0)
+        per_pay = [hw_terms(rp, u, s.schedule[k]) for k in live]
+        want_B = np.array([h.B for h in per_pay])
+        np.testing.assert_allclose(B, want_B, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
-            sw.wbar, sw.w * np.exp(np.array([h.A_bar for h in per_pay]) - mu * B),
+            W, phi_n * s.cashflows[live]
+            * np.exp(np.array([h.A_bar for h in per_pay]) - mu * want_B),
             rtol=1e-12, atol=0.0)
-        one = swap_weights(s, rp, 0.0, u)
-        assert (one.beta, one.const) == (sw.beta, sw.const)
-        np.testing.assert_array_equal(one.wbar, sw.wbar)
+        one = swap_book(s, rp, [u]).at(0)
+        assert one[0] == const
+        np.testing.assert_array_equal(one[1], W)
 
 
 def test_array_call_with_one_reversed_pair_raises():
