@@ -99,7 +99,23 @@ class MarketData:
             raise KeyError(f"no credit curve for entity {entity}") from None
 
 
+def check_keys(where: str, record, allowed) -> None:
+    """Refuse an input mapping with a key outside `allowed`, or a non-mapping:
+    the loaders refuse a misspelt key rather than run without it."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected a mapping")
+    unknown = sorted(set(record) - set(allowed), key=str)
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                         f"allowed: {', '.join(allowed)}")
+
+
+_MARKET_KEYS = ("domestic", "curves", "credit_curves", "fx_spots")
+_CURVE_KEYS = ("label", "times", "zero_rates")
+
+
 def _parse_curve(entry: dict) -> Curve:
+    check_keys("curve entry", entry, _CURVE_KEYS)
     try:
         return Curve(
             label=str(entry["label"]),
@@ -119,6 +135,7 @@ def load_market_data(path) -> MarketData:
             raise ValueError(f"malformed market data file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"market data file {path}: expected a mapping at top level")
+    check_keys(f"market data file {path}", doc, _MARKET_KEYS)
 
     domestic = doc.get("domestic")
     if not domestic:

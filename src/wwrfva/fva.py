@@ -35,7 +35,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .curves import MarketData, load_market_data
+from .curves import MarketData, check_keys, load_market_data
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        exposure_at, wwr_mc_at, y_moments_at)
@@ -105,21 +105,11 @@ _MODEL_PARAMS = {"rates": ("x0", "a", "sigma"), "fx": ("sigma_fx",),
 _CONFIG_KEYS = ("market", "portfolio", "method", "models", "correlations", *_SETTINGS)
 
 
-def _check_keys(where: str, record, allowed) -> None:
-    """Refuse a config mapping with a key outside `allowed`, or a non-mapping."""
-    if not isinstance(record, dict):
-        raise ValueError(f"config {where}: expected a mapping")
-    unknown = sorted(set(record) - set(allowed), key=str)
-    if unknown:
-        raise ValueError(f"config {where}: unknown key(s) "
-                         f"{', '.join(map(repr, unknown))}; allowed: {', '.join(allowed)}")
-
-
 def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     """Read a run configuration file (YAML); data paths resolve relative to it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
-    _check_keys(path, doc, _CONFIG_KEYS)
+    check_keys(f"config {path}", doc, _CONFIG_KEYS)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -128,13 +118,13 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     market = load_market_data(resolve(doc["market"]))
     portfolio = load_portfolio(resolve(doc["portfolio"]))
     models = doc.get("models", {})
-    _check_keys("models", models, _MODEL_PARAMS)
+    check_keys("config models", models, _MODEL_PARAMS)
     for kind, allowed in _MODEL_PARAMS.items():
         for name, record in (models.get(kind) or {}).items():
-            _check_keys(f"models.{kind}.{name}", record, allowed)
+            check_keys(f"config models.{kind}.{name}", record, allowed)
     fields = {"method": str(doc["method"])} if "method" in doc else {}
     for section, types in _SETTINGS.items():
-        _check_keys(section, doc.get(section, {}), types)
+        check_keys(f"config {section}", doc.get(section, {}), types)
         fields.update((k, types[k](v)) for k, v in doc.get(section, {}).items())
     settings = RunSettings(**fields)
     inputs = RunInputs(

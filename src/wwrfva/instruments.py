@@ -7,7 +7,7 @@ date u, V(u; y) = const + sum_k W_k exp(-y B_k), valued pathwise by one
 kernel (`book_value`). A single swap's book (`swap_book`) is also the value
 function its closed forms read; its positivity boundary ystar is the unique
 root of a monotone auxiliary function (a Jamshidian-style decomposition),
-found by bracketed bisection plus Newton polish.
+found by a doubling bracket search and Newton's method from its left end.
 
 FX forwards are valued exactly on paths from the two reconstructed
 zero-coupon bonds and the FX level; their positivity region under the
@@ -24,6 +24,7 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
+from .curves import check_keys
 from .mc import (CorrelationMatrix, DateState, ScenarioCube, exact_key, fx_factor,
                  rate_factor)
 from .models import Hw1fParams, ModelSet, fx_terms, hw_terms, sigma_ratio
@@ -139,6 +140,13 @@ class Portfolio:
         return None
 
 
+_INSTRUMENT_KEYS = {
+    "swap": ("type", "currency", "notional", "fixed_rate", "expiry", "maturity",
+             "frequency", "direction"),
+    "fx_forward": ("type", "currency", "notional", "strike", "maturity", "direction"),
+}
+
+
 def load_portfolio(path) -> Portfolio:
     """Read a portfolio file (YAML list under 'instruments')."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -146,8 +154,12 @@ def load_portfolio(path) -> Portfolio:
     if not isinstance(doc, dict) or "instruments" not in doc:
         raise ValueError(f"portfolio file {path}: expected an 'instruments' list")
     out: list[Instrument] = []
-    for entry in doc["instruments"]:
+    for n, entry in enumerate(doc["instruments"]):
         kind = entry.get("type")
+        if kind not in _INSTRUMENT_KEYS:
+            raise ValueError(f"unknown instrument type {kind!r}")
+        check_keys(f"portfolio file {path}: instrument {n} ({kind})", entry,
+                   _INSTRUMENT_KEYS[kind])
         if kind == "swap":
             out.append(Swap.regular(
                 currency=str(entry["currency"]), notional=float(entry["notional"]),
@@ -155,13 +167,11 @@ def load_portfolio(path) -> Portfolio:
                 maturity=float(entry["maturity"]),
                 frequency=int(entry.get("frequency", 1)),
                 direction=str(entry.get("direction", "receiver"))))
-        elif kind == "fx_forward":
+        else:
             out.append(FxForward(
                 currency=str(entry["currency"]), notional=float(entry["notional"]),
                 strike=float(entry["strike"]), maturity=float(entry["maturity"]),
                 phi={"buy": 1, "sell": -1}[str(entry.get("direction", "buy"))]))
-        else:
-            raise ValueError(f"unknown instrument type {kind!r}")
     return Portfolio(instruments=tuple(out))
 
 
@@ -200,39 +210,38 @@ def ystar(row: tuple, sd_y: float) -> float:
         # no live cash flows beyond the normalizer: d = 0 < 1 everywhere
         return -math.inf
 
-    def log_d(y: float) -> float:
-        z = np.log(c) - y * b
-        zmax = z.max()
-        return zmax + math.log(np.exp(z - zmax).sum())
+    logc = np.log(c)
 
-    f0 = log_d(0.0)
+    def log_d(y: float):
+        """log d(y), and its terms c_k exp(-y b_k) up to a common factor."""
+        z = logc - y * b
+        zmax = z.max()
+        e = np.exp(z - zmax)
+        return zmax + math.log(e.sum()), e
+
+    f0 = log_d(0.0)[0]
     k = 1.0
     while k <= 64.0:
         lo, hi = -k * sd_y, k * sd_y
-        flo, fhi = log_d(lo), log_d(hi)
-        if flo >= 0.0 >= fhi:
+        if log_d(lo)[0] >= 0.0 >= log_d(hi)[0]:
             break
         k *= 2.0
     else:
         # no sign change in the widest bracket: positivity is constant
         return math.inf if f0 > 0.0 else -math.inf
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if log_d(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-8:
+    # log d is convex and decreasing, so Newton from the bracket's left end
+    # (log d >= 0) stays at or left of the root and rises to it; a step
+    # that is no longer positive means rounding has reached the root
+    root = lo
+    for _ in range(100):
+        f, e = log_d(root)
+        step = f * e.sum() / (b @ e)
+        if not step > 0.0:
             break
-    root = 0.5 * (lo + hi)
-    # Newton polish on log d (monotone decreasing, nearly linear)
-    for _ in range(3):
-        e = c * np.exp(-root * b)
-        sd_ = e.sum()
-        val = math.log(sd_)
-        deriv = -(b * e).sum() / sd_
-        root -= val / deriv
+        root += step
+        if step <= 1e-15 * max(1.0, abs(root)):
+            break
     return root
 
 
@@ -349,10 +358,12 @@ class CurrencyBook:
 
 def book_value(const, W, B, y):
     """The valuation kernel: const + sum_k W_k exp(-B_k y) for each y."""
-    # paths x live payments, the largest temporary of a valuation: one copy
-    expo = np.multiply.outer(y, -B)
+    # live payments x paths, the largest temporary of a valuation: one copy,
+    # with the paths on the contiguous axis so each elementwise pass runs
+    # over a whole row of paths
+    expo = np.multiply.outer(-B, y)
     np.exp(expo, out=expo)
-    return const + expo @ W
+    return const + W @ expo
 
 
 def _book_terms(ccy: str, p: Portfolio, models: ModelSet,

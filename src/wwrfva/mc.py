@@ -366,12 +366,12 @@ class PathStream:
         self.overlay_key = exact_key(self.h_dom, self.fx_rows, self.sigma_fx, self.mu_fx,
                                      self.log_spot, self.M_cred, self.mu_I)
 
-        # rows alive at once: the process states, one substep's correlated
-        # draws and their temporaries, and one date's derived rows (log-FX,
-        # credit drivers, discount); a shared pass holds the derived rows
-        # once per distinct overlay
+        # rows alive at once: the process states and the credit floor, one
+        # substep's correlated draws and their temporaries, and one date's
+        # derived rows (log-FX, credit drivers, discount); a shared pass
+        # holds the derived rows once per distinct overlay
         self.overlay_rows = n_fx + n_cred + 2
-        rows = (2 * n_ccy + n_fx + 2 * n_cred) + 2 * (n_ccy + n_fx + n_cred) \
+        rows = (2 * n_ccy + n_fx + 3 * n_cred) + 2 * (n_ccy + n_fx + n_cred) \
             + self.overlay_rows
         # plus the draw ring: two intervals of standard normals
         rows += 2 * grid.substeps_per_interval * (n_ccy + n_fx + n_cred)
@@ -440,6 +440,7 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
     Y = np.zeros((n_ccy, n_paths))          # trapezoidal integral of y
     w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
     x_cred = np.repeat(s0.x0_c, n_paths, axis=1)
+    xp_cred = np.maximum(x_cred, 0.0)       # its floor, carried across substeps
     intx_cred = np.zeros((n_cred, n_paths))
 
     # the draw ring: interval i is drawn into slot (i - 1) % 2, so the worker
@@ -479,13 +480,12 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
                         tc = time.thread_time()
                         z_cred = cred_bufs[slot][k]
                         eps_cred = L_cm @ z_mkt + L_cc @ z_cred
-                        xp = np.maximum(x_cred, 0.0)
-                        x_new = (x_cred + a_c * (theta_c - xp) * dt
-                                 + sigma_c * np.sqrt(xp * dt) * eps_cred)
+                        x_new = (x_cred + a_c * (theta_c - xp_cred) * dt
+                                 + sigma_c * np.sqrt(xp_cred * dt) * eps_cred)
                         n_truncated += int(np.count_nonzero(x_new < 0.0))
                         xp_new = np.maximum(x_new, 0.0)
-                        intx_cred += 0.5 * dt * (xp + xp_new)
-                        x_cred = x_new
+                        intx_cred += 0.5 * dt * (xp_cred + xp_new)
+                        x_cred, xp_cred = x_new, xp_new
                         credit_seconds += time.thread_time() - tc
                 if i + 2 < n_dates:
                     ahead[slot] = pool.submit(fill, slot)
@@ -496,7 +496,7 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
             for o in overlays:
                 ln_fx = o.mu_fx[:, i:i + 1] + Y[0] - Y[o.fx_rows] + o.sigma_fx * w_fx
                 _check_finite(i, "lnfx", ln_fx, fx_ccys)
-                y_I = (np.maximum(x_cred[k_I], 0.0) - o.mu_I[i]
+                y_I = (xp_cred[k_I] - o.mu_I[i]
                        if k_I is not None else None)
                 made.append(state(o, i, ln_fx, intx_cred - o.M_cred[:, i:i + 1], y_I))
             yield tuple(made[k] for k in at)

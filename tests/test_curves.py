@@ -88,6 +88,23 @@ def test_load_market_data_roundtrip(tmp_path):
     assert m.fx_spots["USD"] == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize("extra, key", [
+    ("fx_spot: {USD: 0.9}\n", "fx_spot"),
+    ("- {label: USD, times: [1.0], zero_rates: [0.01], rates: [0.02]}\n", "rates"),
+    ("credit_curves:\n- {label: I, times: [1.0], zero_rate: [0.002]}\n", "zero_rate"),
+], ids=["top-level", "curve", "credit-curve"])
+def test_load_market_data_unknown_key_rejected(tmp_path, extra, key):
+    # a misspelt key must not load as if it were absent; `extra` follows
+    # the curves list, so a list item continues it
+    path = tmp_path / "m.yaml"
+    path.write_text("domestic: EUR\n"
+                    "curves:\n"
+                    "- {label: EUR, times: [1.0, 5.0], zero_rates: [0.01, 0.02]}\n"
+                    + extra)
+    with pytest.raises(ValueError, match=f"unknown key.*'{key}'"):
+        load_market_data(path)
+
+
 def test_load_market_data_missing_domestic(tmp_path):
     path = tmp_path / "m.yaml"
     path.write_text("domestic: EUR\ncurves: []\n")

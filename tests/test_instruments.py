@@ -79,6 +79,23 @@ def test_load_portfolio(tmp_path):
     assert p.single_swap is None
 
 
+@pytest.mark.parametrize("entry, key", [
+    ("{type: swap, currency: EUR, notional: 1.0, fixed_rate: 0.01, expiry: 1.0,"
+     " maturity: 5.0, frequncy: 2}", "frequncy"),
+    ("{type: fx_forward, currency: USD, notional: 1.0, strike: 0.9,"
+     " maturity: 3.0, frequency: 1}", "frequency"),
+], ids=["swap", "fx_forward"])
+def test_unknown_instrument_key_rejected(tmp_path, entry, key):
+    # a misspelt key must not fall back to a default, e.g. annual payments
+    path = tmp_path / "p.yaml"
+    path.write_text("instruments:\n"
+                    "- {type: swap, currency: EUR, notional: 1.0, fixed_rate: 0.01,"
+                    " expiry: 1.0, maturity: 5.0}\n"
+                    f"- {entry}\n")
+    with pytest.raises(ValueError, match=f"instrument 1 .*unknown key.*'{key}'"):
+        load_portfolio(path)
+
+
 # ---------------------------------------------------------------------------
 # swap valuation
 

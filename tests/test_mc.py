@@ -256,7 +256,8 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
     p_models, p_corr = fixture_models("portfolio.cfg")
     n, nsub = 5000, 3
     stream = PathStream(p_models, p_corr, SimGrid.regular(4, 10.0, nsub), n, 7, "full")
-    states = 2 * 3 + 2 + 2 * 2          # y and Y per currency, FX level, credit
+    states = 2 * 3 + 2 + 3 * 2          # y and Y per currency, FX level, credit
+                                        # state, its integral and its floor
     draws = 2 * (3 + 2 + 2)             # one substep's draws and temporaries
     derived = 2 + 2 + 2                 # log-FX, credit drivers, discount
     ring = 2 * nsub * (5 + 2) * n * 8   # 2 x substeps x factors x paths x 8 B
@@ -268,7 +269,7 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
     # room for the streamed state but not for the cube
     monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
                         lambda: stream.state_bytes + stream.cube_bytes // 2)
-    with pytest.raises(ValueError, match=r"scenario cube .* needs 9\.3 MB, more "
+    with pytest.raises(ValueError, match=r"scenario cube .* needs 9\.4 MB, more "
                                          r"than the \d\.\d MB of physical memory"):
         simulate(models, corr, grid, 5000, 7, "full")
     assert sum(1 for _ in PathStream(models, corr, grid, 5000, 7, "full")) == grid.n_dates

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -140,6 +141,77 @@ def test_root_and_indicator_consistency(s, u_frac, data):
     assert np.array_equal(ind[clear], vals[clear] > 0.0)
     if math.isfinite(star):
         assert abs(book_value(*row, star)) <= 1e-6 * scale
+
+
+ROOT_RP = Hw1fParams(x0=0.0, a=0.03, sigma=0.004,
+                     curve=Curve(label="EUR", times=(1.0, 30.0), zero_rates=(0.01, 0.015)))
+
+
+def _check_root_against_mpmath(s, u):
+    """ystar of the swap's book row at u against a 50-digit root of the same
+    row; returns the root in units of the driver's SD, or +/-inf."""
+    row = swap_book(s, ROOT_RP, [u]).at(0)
+    const, W, B = row
+    sd = math.sqrt(hw_terms(ROOT_RP, 0.0, u).var_y)
+    star = ystar(row, sd)
+    with mpmath.workdps(50):
+        c0 = mpmath.mpf(float(const))
+        terms = [(mpmath.mpf(float(w)), mpmath.mpf(float(b))) for w, b in zip(W, B)]
+
+        def value(y):
+            return c0 + mpmath.fsum(w * mpmath.exp(-b * y) for w, b in terms)
+
+        if not math.isfinite(star):
+            # no sign change in the widest bracket the search tries
+            assert value(-64 * sd) * value(64 * sd) > 0
+            return star
+        ref = float(mpmath.findroot(value, mpmath.mpf(star)))
+    assert abs(star - ref) <= 1e-13 * max(1.0, abs(ref))
+    return ref / sd
+
+
+@settings(deadline=None, max_examples=60)
+@given(s=SWAPS, u_frac=st.floats(0.01, 0.99))
+def test_root_matches_a_50_digit_reference(s, u_frac):
+    # u_frac covers dates before and after expiry
+    _check_root_against_mpmath(s, u_frac * s.maturity)
+
+
+@pytest.mark.parametrize("K, expiry, u, direction", [
+    (0.06, 1.0, 0.5, "receiver"), (0.06, 1.0, 3.0, "payer"),
+    (0.0, 2.0, 0.1, "payer"), (0.0, 2.0, 0.1, "receiver")])
+def test_root_matches_a_50_digit_reference_deep_in_or_out_of_the_money(
+        K, expiry, u, direction):
+    s = Swap.regular(currency="EUR", notional=100.0, fixed_rate=K, expiry=expiry,
+                     maturity=expiry + 10.0, direction=direction)
+    # |root| > 4 SD: the bracket search doubles to k >= 8 before Newton starts
+    assert 4.0 < abs(_check_root_against_mpmath(s, u)) < 64.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(s=SWAPS, u_frac=st.floats(0.01, 1.2),
+       z=st.lists(st.floats(-8.0, 8.0, **finite), min_size=1, max_size=20))
+def test_book_value_matches_an_fsum_reference(s, u_frac, z):
+    # dates before and after expiry, and past maturity (a row with no column)
+    u = u_frac * s.maturity
+    row = swap_book(s, ROOT_RP, [u]).at(0)
+    const, W, B = row
+    ys = np.array(z) * math.sqrt(hw_terms(ROOT_RP, 0.0, u).var_y)
+
+    def check(y, v):
+        terms = [float(w) * math.exp(-float(b) * y) for w, b in zip(W, B)]
+        scale = abs(const) + math.fsum(abs(t) for t in terms)
+        assert abs(v - math.fsum([const, *terms])) <= 1e-14 * scale
+
+    vals = book_value(*row, ys)
+    assert vals.shape == ys.shape
+    for y, v in zip(ys, vals):
+        check(y, v)
+    scalar = book_value(*row, float(ys[0]))
+    assert np.ndim(scalar) == 0
+    check(float(ys[0]), scalar)
+    if u > s.maturity:
+        assert len(W) == 0 and np.array_equal(vals, np.zeros(len(ys)))
 
 
 # ---------------------------------------------------------------------------
