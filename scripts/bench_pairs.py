@@ -5,9 +5,22 @@ Runs `perfbench/run.py --trace 0` on one workload in PARENT_DIR and in
 CHANGE_DIR, one seed per pair (FIRST_SEED, FIRST_SEED + 1, ...), and swaps
 which side runs first from one pair to the next: on a host whose speed
 drifts, a fixed order biases every pair the same way. It reads each run's
-final JSON line, prints each pair's end-to-end metrics, the medians of
-both sides, the parent's wall_s interquartile range and "change lower in
-k/N", and writes the same data to FILE as JSON.
+final JSON line and prints each pair's end-to-end metrics.
+
+The end-to-end metrics, with the direction that is better and the
+relative bound of each, are read from PARENT_DIR's BENCHMARK.json. Per
+metric it prints both medians, the relative change of the medians, the
+parent's relative interquartile range, in how many pairs the change read
+better, and a verdict:
+
+  worse         the change's median is worse than the parent's by more
+                than the bound;
+  unresolved    otherwise, when the parent's relative IQR exceeds the
+                bound and not every change run beats every parent run;
+  within bound  otherwise.
+
+It writes the pairs and the verdicts to FILE as JSON, and exits non-zero
+when a metric reads worse or a pair failed.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
            --pairs N --seconds S --out FILE [--first-seed K]
@@ -15,15 +28,54 @@ Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 from statistics import median, quantiles
 
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+
+def end_to_end_metrics(checkout: str) -> list[dict]:
+    """The `end_to_end` entries (name, better, bound) of a checkout's
+    BENCHMARK.json."""
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)["end_to_end"]
 
 
-def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> dict:
+    """Compare one metric's runs, `parent[j]` and `change[j]` from pair j.
+
+    `better` is "lower" or "higher"; `bound` is the largest relative
+    worsening of the median that counts as no regression.
+    """
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
+    worse_sign = 1.0 if better == "lower" else -1.0
+    p_med, c_med = median(parent), median(change)
+    rel_change = (c_med - p_med) / abs(p_med)
+    rel_iqr = math.inf  # one run gives no spread, which rules nothing out
+    if len(parent) >= 2:
+        q = quantiles(parent, n=4)
+        rel_iqr = (q[2] - q[0]) / abs(p_med)
+
+    def beats(c, p):
+        return worse_sign * (c - p) < 0.0
+
+    if worse_sign * rel_change > bound:
+        v = "worse"
+    elif rel_iqr > bound and not all(beats(c, p) for c in change for p in parent):
+        v = "unresolved"
+    else:
+        v = "within bound"
+    return {"parent_median": p_med, "change_median": c_med,
+            "rel_change": rel_change, "parent_rel_iqr": rel_iqr,
+            "change_better": sum(beats(c, p) for p, c in zip(parent, change)),
+            "pairs": len(parent), "better": better, "bound": bound, "verdict": v}
+
+
+def run(checkout: str, workload: str, seed: int, seconds: float,
+        metrics: list[str]) -> dict:
     """One perfbench run in `checkout`: its final JSON line, or an error."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -34,8 +86,8 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, json.JSONDecodeError):
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     res["metrics"] = {k: v["value"] for k, v in res["metrics"].items()}
-    if any(m not in res["metrics"] for m in METRICS):
-        return {"error": f"no {', '.join(METRICS)} in {lines[-1]}"}
+    if any(m not in res["metrics"] for m in metrics):
+        return {"error": f"no {', '.join(metrics)} in {lines[-1]}"}
     return res
 
 
@@ -53,43 +105,45 @@ def main() -> int:
 
     sides = {"parent": os.path.abspath(args.parent_dir),
              "change": os.path.abspath(args.change_dir)}
+    specs = end_to_end_metrics(sides["parent"])
+    names = [s["name"] for s in specs]
     pairs = []
     for j in range(args.pairs):
         seed = args.first_seed + j
         order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run(sides[side], args.workload, seed, args.seconds)
+            pair[side] = run(sides[side], args.workload, seed, args.seconds, names)
         pairs.append(pair)
         cells = []
         for side in ("parent", "change"):
             r = pair[side]
             cells.append(r["error"] if "error" in r else
-                         " ".join(f"{m} {r['metrics'][m]:.4g}" for m in METRICS)
+                         " ".join(f"{m} {r['metrics'][m]:.4g}" for m in names)
                          + f" failed {r['failed']}/{r['attempted']}")
         print(f"pair {j + 1} seed {seed} ({order[0]} first): parent {cells[0]}"
               f" | change {cells[1]}", flush=True)
 
     ok = [p for p in pairs if "error" not in p["parent"] and "error" not in p["change"]]
-    summary = {"workload": args.workload, "seconds": args.seconds,
-               "pairs_run": len(ok), "pairs_asked": args.pairs}
-    for m in METRICS:
-        for side in ("parent", "change"):
-            summary[f"{side}_median_{m}"] = (median(p[side]["metrics"][m] for p in ok)
-                                             if ok else float("nan"))
-    walls = [p["parent"]["metrics"]["wall_s"] for p in ok]
-    q = quantiles(walls, n=4) if len(walls) >= 2 else [float("nan")] * 3
-    summary["parent_wall_s_iqr"] = q[2] - q[0]
-    summary["change_lower"] = sum(p["change"]["metrics"]["wall_s"]
-                                  < p["parent"]["metrics"]["wall_s"] for p in ok)
-    for m in METRICS:
-        print(f"{m}: parent median {summary[f'parent_median_{m}']:.4g}, "
-              f"change median {summary[f'change_median_{m}']:.4g}")
-    print(f"parent wall_s IQR {summary['parent_wall_s_iqr']:.4g}; "
-          f"change lower in {summary['change_lower']}/{len(ok)}")
+    verdicts = {}
+    if ok:
+        for s in specs:
+            m = s["name"]
+            verdicts[m] = v = verdict([p["parent"]["metrics"][m] for p in ok],
+                                      [p["change"]["metrics"][m] for p in ok],
+                                      s["better"], s["bound"])
+            print(f"{m}: parent median {v['parent_median']:.4g}, change median "
+                  f"{v['change_median']:.4g} ({100 * v['rel_change']:+.1f} %), parent "
+                  f"IQR {100 * v['parent_rel_iqr']:.1f} %, change {s['better']} in "
+                  f"{v['change_better']}/{len(ok)}, bound {100 * s['bound']:.0f} %: "
+                  f"{v['verdict']}")
+    print(f"pairs run {len(ok)}/{args.pairs}")
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"summary": summary, "pairs": pairs}, fh, indent=1)
-    return 0 if len(ok) == args.pairs else 1
+        json.dump({"workload": args.workload, "seconds": args.seconds,
+                   "pairs_run": len(ok), "pairs_asked": args.pairs,
+                   "verdicts": verdicts, "pairs": pairs}, fh, indent=1)
+    worse = any(v["verdict"] == "worse" for v in verdicts.values())
+    return 0 if len(ok) == args.pairs and not worse else 1
 
 
 if __name__ == "__main__":

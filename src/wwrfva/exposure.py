@@ -12,9 +12,12 @@ form from normal and truncated-normal moments (analytic method).
 
 Every path average is a per-date kernel (`exposure_at`, `y_moments_at`,
 `wwr_mc_at`) that reads one date's simulated drivers and portfolio
-values. `run_fva` feeds the kernels from the live simulation stream;
-`base_moments` and `epe_wwr_mc` feed them the dates of a stored cube,
-for tests and for the benchmark's traced replica of a run.
+values. `BaseMoments.enter` alone fills a date's discounted exposure and
+driver moments from the first two: `run_fva` calls it on the live
+simulation stream, and `base_moments` on the dates of a stored cube.
+`wwr_mc_at` is called by `run_fva` on the stream and by `epe_wwr_mc` on
+a cube. The cube forms serve tests and the benchmark's traced replica
+of a run.
 
 The projection coefficients are deterministic. `coeffs_for_dates` gives
 one `WwrCoeffs` record of arrays over the monitoring dates, whose row 0
@@ -64,17 +67,13 @@ def exposure_at(st: DateState, value_row: np.ndarray) -> tuple[np.ndarray, float
 
 
 def y_moments_at(y: np.ndarray, value_row: np.ndarray,
-                 pows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and batch SEs of y^l (V)+ for l = 0 .. len(pows) - 1 at one
-    date; `pows` is scratch space of shape (l_max + 1, n_paths)."""
-    n = len(y)
-    nb = min(N_BATCHES, n)
-    cut = (n // nb) * nb
+                 pows: np.ndarray) -> np.ndarray:
+    """Means of y^l (V)+ for l = 0 .. len(pows) - 1 at one date; `pows` is
+    scratch space of shape (l_max + 1, n_paths), l_max >= 0."""
     np.maximum(value_row, 0.0, out=pows[0])
     for l in range(1, len(pows)):
         np.multiply(pows[l - 1], y, out=pows[l])
-    batch = pows[:, :cut].reshape(len(pows), nb, -1).mean(axis=2)
-    return pows.mean(axis=1), batch.std(axis=1, ddof=1) / math.sqrt(nb)
+    return pows.mean(axis=1)
 
 
 def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float,
@@ -104,10 +103,33 @@ class BaseMoments:
     disc_epe: np.ndarray
     disc_epe_se: np.ndarray
     y_moments: np.ndarray
-    y_moments_se: np.ndarray
+    # the engine leaves it None; perfbench passes it by keyword
+    y_moments_se: Optional[np.ndarray] = None
     # time spent on the driver-weighted moments only; the discounted
     # exposure is shared with the coupling-free part of the computation
     y_moment_seconds: float = 0.0
+
+    @classmethod
+    def empty(cls, dates: np.ndarray, n_moments: int) -> BaseMoments:
+        """A zero record over `dates` with `n_moments` moment rows (0 when
+        the method reads no driver moments)."""
+        n = len(dates)
+        return cls(dates=dates.copy(), disc_epe=np.zeros(n), disc_epe_se=np.zeros(n),
+                   y_moments=np.zeros((n_moments, n)))
+
+    def enter(self, st: DateState, value_row: np.ndarray,
+              pows: np.ndarray) -> np.ndarray:
+        """Fill the state's date from its value row; return the per-path
+        discounted positive exposure. The driver moments, their thread CPU
+        time added to `y_moment_seconds`, are filled only when the scratch
+        `pows` (moment rows x paths) has rows."""
+        i = st.index
+        h, self.disc_epe[i], self.disc_epe_se[i] = exposure_at(st, value_row)
+        if len(pows):
+            t0 = time.thread_time()
+            self.y_moments[:, i] = y_moments_at(st.y_r[st.domestic], value_row, pows)
+            self.y_moment_seconds += time.thread_time() - t0
+        return h
 
 
 def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
@@ -118,20 +140,11 @@ def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     from .instruments import value_matrix
     if value_mat is None:
         value_mat = value_matrix(p, models, cube)
-    n_dates = len(cube.dates)
-    disc_epe, disc_epe_se = np.zeros((2, n_dates))
-    moms, moms_se = np.zeros((2, n_r + 3, n_dates))
+    bm = BaseMoments.empty(cube.dates, n_r + 3)
     pows = np.empty((n_r + 3, cube.n_paths))
-    seconds = 0.0
-    for i in range(n_dates):
-        st = cube.state(i)
-        _, disc_epe[i], disc_epe_se[i] = exposure_at(st, value_mat[i])
-        t0 = time.perf_counter()
-        moms[:, i], moms_se[:, i] = y_moments_at(st.y_r[st.domestic], value_mat[i], pows)
-        seconds += time.perf_counter() - t0
-    return BaseMoments(dates=cube.dates.copy(), disc_epe=disc_epe,
-                       disc_epe_se=disc_epe_se, y_moments=moms,
-                       y_moments_se=moms_se, y_moment_seconds=seconds)
+    for i in range(len(cube.dates)):
+        bm.enter(cube.state(i), value_mat[i], pows)
+    return bm
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +172,7 @@ class WwrCoeffs:
     lgd: float
 
 
-def mu_spread(models: ModelSet, u, u_prev, t: float = 0.0):
+def mu_spread(models: ModelSet, u, u_prev):
     """Expected instantaneous funding spread LGD_I (mu_I + b_I) at u.
 
     The deterministic shift b_I has a closed-form integral but no closed
@@ -172,27 +185,27 @@ def mu_spread(models: ModelSet, u, u_prev, t: float = 0.0):
     u_prev = np.asarray(u_prev, dtype=float)
     if np.any(u <= u_prev):
         raise ValueError("u must exceed u_prev")
-    ci = cir_terms(p, t, u)
-    ib_prev = np.where(u_prev > t, cir_terms(p, t, np.maximum(u_prev, t)).int_b, 0.0)
+    ci = cir_terms(p, 0.0, u)
+    ib_prev = np.where(u_prev > 0.0, cir_terms(p, 0.0, np.maximum(u_prev, 0.0)).int_b, 0.0)
     b_bar = (ci.int_b - ib_prev) / (u - u_prev)
     out = p.lgd * (ci.mu + b_bar)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def wwr_coeffs(models: ModelSet, corr: CorrelationMatrix, t: float, u,
-               u_prev, n_r: int) -> WwrCoeffs:
+def wwr_coeffs(models: ModelSet, corr: CorrelationMatrix, u, u_prev,
+               n_r: int) -> WwrCoeffs:
     """All deterministic pieces of the approximation at monitoring date u.
 
     With arrays of dates `u` and `u_prev` every field becomes an array over
     the dates, and beta gains a leading date axis.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u <= t):
-        raise ValueError("u must exceed t (variance ratios undefined at u = t)")
+    if np.any(u <= 0.0):
+        raise ValueError("u must exceed 0 (variance ratios undefined at u = 0)")
     dom = models.domestic
-    rt = hw_terms(models.rates[dom], t, u)
-    ci = cir_terms(models.credit["I"], t, u)
-    cc = cir_terms(models.credit["C"], t, u)
+    rt = hw_terms(models.rates[dom], 0.0, u)
+    ci = cir_terms(models.credit["I"], 0.0, u)
+    cc = cir_terms(models.credit["C"], 0.0, u)
     rho_rI = corr.entry(rate_factor(dom), credit_factor("I"))
     rho_rC = corr.entry(rate_factor(dom), credit_factor("C"))
     s_yI = sigma_ratio(ci.var_y, rt.var_y)
@@ -208,7 +221,7 @@ def wwr_coeffs(models: ModelSet, corr: CorrelationMatrix, t: float, u,
     return WwrCoeffs(
         gamma=gamma, alpha=alpha, nu=nu, beta=beta,
         H_rIC=rt.H * ci.H * cc.H, H_IC=ci.H * cc.H,
-        mu_S=mu_spread(models, u, u_prev, t),
+        mu_S=mu_spread(models, u, u_prev),
         exp_YIyI=ci.exp_Yy,
         P_I=models.credit["I"].curve.discount(u),
         P_C=models.credit["C"].curve.discount(u),
@@ -224,7 +237,7 @@ def coeffs_for_dates(models: ModelSet, corr: CorrelationMatrix,
     discount factors, beta = [1, 0, ...], and the first interval's spread.
     """
     dates = np.asarray(dates, dtype=float)
-    c = wwr_coeffs(models, corr, 0.0, dates[1:], dates[:-1], n_r)
+    c = wwr_coeffs(models, corr, dates[1:], dates[:-1], n_r)
     row0 = dict(gamma=0.0, alpha=0.0, nu=0.0, beta=np.eye(1, n_r + 1)[0],
                 H_rIC=1.0, H_IC=1.0, mu_S=c.mu_S[0], exp_YIyI=0.0, P_I=1.0, P_C=1.0)
     return WwrCoeffs(lgd=c.lgd, **{k: np.concatenate(([v], getattr(c, k)))
@@ -458,6 +471,9 @@ class ExposureProfile:
     epe_wwr: np.ndarray
     method: str
     se_wwr: Optional[np.ndarray] = None
+    # the per-date batch SE of the discounted EPE (`disc_epe_se`), which
+    # `epe_indep` scales linearly; not the SE of `epe_indep` itself, and
+    # perfbench's `_fva_indep_sum_se` relies on that
     se_indep: Optional[np.ndarray] = None
 
     def __post_init__(self):

@@ -38,7 +38,7 @@ from . import __version__
 from .curves import MarketData, check_keys, load_market_data
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
-                       exposure_at, wwr_mc_at, y_moments_at)
+                       wwr_mc_at)
 from .instruments import FxForward, Portfolio, PortfolioValuation, load_portfolio
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
                  factor_labels, fx_factor, rate_factor, shared_pass)
@@ -68,6 +68,8 @@ class RunSettings:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be at least 2 (a Monte Carlo standard "
                              f"error needs two paths), got {self.n_paths}")
@@ -125,7 +127,8 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     fields = {"method": str(doc["method"])} if "method" in doc else {}
     for section, types in _SETTINGS.items():
         check_keys(f"config {section}", doc.get(section, {}), types)
-        fields.update((k, types[k](v)) for k, v in doc.get(section, {}).items())
+        fields.update((k, _setting(f"{section}.{k}", v, types[k]))
+                      for k, v in doc.get(section, {}).items())
     settings = RunSettings(**fields)
     inputs = RunInputs(
         market=market,
@@ -137,6 +140,17 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     )
     validate_inputs(inputs, settings)
     return inputs, settings
+
+
+def _setting(name: str, v, kind: type):
+    """A config setting as `kind`: an int, or for an int setting an integral
+    float such as 2000.0; a float setting takes an int or a float. Refuses
+    a bool, a string and a float that `int` would truncate."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if number and (kind is float or isinstance(v, int) or v.is_integer()):
+        return kind(v)
+    wanted = "a number" if kind is float else "an integer"
+    raise ValueError(f"config {name} must be {wanted}, got {v!r}")
 
 
 def validate_inputs(inputs: RunInputs, settings: RunSettings) -> None:
@@ -329,11 +343,9 @@ class _Leg:
         # Only the generic method reads the sampled driver moments, so only
         # it computes them.
         n_moments = settings.n_r + 3 if settings.method == "approx_generic" else 0
-        self.disc_epe, self.disc_epe_se = np.zeros(n_dates), np.zeros(n_dates)
-        self.moms = np.zeros((n_moments, n_dates))
-        self.moms_se = np.zeros((n_moments, n_dates))
+        self.bm = BaseMoments.empty(dates, n_moments)
         self.wwr_mc, self.se_mc = np.zeros(n_dates), np.zeros(n_dates)
-        self.moment_seconds = self.cov_seconds = 0.0
+        self.cov_seconds = 0.0
 
     def report(self, settings: RunSettings) -> FvaReport:
         """The leg's profiles, integrals and benchmark comparison, once the
@@ -347,13 +359,9 @@ class _Leg:
         assembly; the benchmark's is the credit simulation plus the
         covariance estimator.
         """
-        dates, coeffs, models = self.dates, self.coeffs, self.models
+        dates, coeffs, models, bm = self.dates, self.coeffs, self.models, self.bm
         is_mc = settings.method == "mc"
         need_full = self.stream.mode == "full"
-        bm = BaseMoments(dates=dates.copy(), disc_epe=self.disc_epe,
-                         disc_epe_se=self.disc_epe_se, y_moments=self.moms,
-                         y_moments_se=self.moms_se,
-                         y_moment_seconds=self.moment_seconds)
         wwr_mc, se_mc = self.wwr_mc, self.se_mc
 
         indep = epe_indep(bm, coeffs, models)
@@ -405,39 +413,31 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     """Feed one shared simulation pass to legs of equal stream key.
 
     Legs with bitwise-equal overlays (hence the same date state) and
-    valuation inputs value each date once; the exposure and the driver
-    moments of that row serve all of them, and each of them is charged
-    the moments' time. All legs share each date's row of a currency book
-    of equal key. The credit covariance reads each leg's own coefficients.
+    valuation inputs share one `BaseMoments` record: each date is valued
+    and entered once for all of them, and each of them is charged the
+    moments' time. All legs share each date's row of a currency book of
+    equal key. The credit covariance reads each leg's own coefficients.
     """
-    is_generic = settings.method == "approx_generic"
     need_full = legs[0].stream.mode == "full"
-    dom = legs[0].models.domestic
     # leg indices per distinct (overlay, valuation); the first one values
     twins: dict[tuple, list[int]] = {}
     for k, leg in enumerate(legs):
         twins.setdefault((leg.stream.overlay_key, leg.valuation.key), []).append(k)
-    pows = np.empty((len(legs[0].moms), settings.n_paths))
+    for ks in twins.values():
+        for k in ks[1:]:
+            legs[k].bm = legs[ks[0]].bm
+    pows = np.empty((len(legs[0].bm.y_moments), settings.n_paths))
     for states in shared_pass([leg.stream for leg in legs]):
         local_rows = {}
         for ks in twins.values():
-            st = states[ks[0]]
+            st, bm = states[ks[0]], legs[ks[0]].bm
             i = st.index
-            v = legs[ks[0]].valuation.row(st, local_rows)
-            h, epe, epe_se = exposure_at(st, v)
-            if is_generic:
-                t0 = time.thread_time()
-                moms, moms_se = y_moments_at(st.y_r[dom], v, pows)
-                seconds = time.thread_time() - t0
-            for k in ks:
-                leg = legs[k]
-                leg.disc_epe[i], leg.disc_epe_se[i] = epe, epe_se
-                if is_generic:
-                    leg.moms[:, i], leg.moms_se[:, i] = moms, moms_se
-                    leg.moment_seconds += seconds
-                if need_full and i > 0:
+            h = bm.enter(st, legs[ks[0]].valuation.row(st, local_rows), pows)
+            if need_full and i > 0:
+                for k in ks:
+                    leg = legs[k]
                     t0 = time.thread_time()
-                    leg.wwr_mc[i], leg.se_mc[i] = wwr_mc_at(st, h, epe, leg.coeffs)
+                    leg.wwr_mc[i], leg.se_mc[i] = wwr_mc_at(st, h, bm.disc_epe[i], leg.coeffs)
                     leg.cov_seconds += time.thread_time() - t0
 
 

@@ -270,33 +270,32 @@ class FxForwardTerms:
 
 
 def fx_forward_terms(fwd: FxForward, models: ModelSet, corr: CorrelationMatrix,
-                     t: float, u: float) -> FxForwardTerms:
+                     u: float) -> FxForwardTerms:
     if u > fwd.maturity:
         raise ValueError("monitoring date past forward maturity")
     dom = models.domestic
     f = fwd.currency
     rp_d, rp_f = models.rates[dom], models.rates[f]
-    td_u, tf_u = hw_terms(rp_d, t, u), hw_terms(rp_f, t, u)
+    td_u, tf_u = hw_terms(rp_d, 0.0, u), hw_terms(rp_f, 0.0, u)
     td_T, tf_T = hw_terms(rp_d, u, fwd.maturity), hw_terms(rp_f, u, fwd.maturity)
     fx = models.fx[f]
     rho_d_fx = corr.entry(rate_factor(dom), fx_factor(f))
     rho_d_f = corr.entry(rate_factor(dom), rate_factor(f))
     mu_fx = fx_terms(rp_d, rp_f, fx, rho_d_f, rho_d_fx,
-                     corr.entry(rate_factor(f), fx_factor(f)), t, u).mu_fx
+                     corr.entry(rate_factor(f), fx_factor(f)), 0.0, u).mu_fx
     w1 = math.exp(mu_fx + tf_T.A_bar - tf_u.mu * tf_T.B)
     p_d = math.exp(td_T.A_bar - td_u.mu * td_T.B)
     w2 = fwd.strike * p_d
     delta = w1 / p_d
-    tau = u - t
 
-    if tau <= 0.0:
+    if u <= 0.0:
         # degenerate at the valuation date: value sign is deterministic
         log_m = math.log(fwd.strike / delta)
         return FxForwardTerms(delta=delta, w1=w1, w2=w2, eta=0.0, B_dom=td_T.B,
                               ystar=0.0, constant_indicator=int(log_m <= 0.0))
 
     sd_yd = math.sqrt(td_u.var_y)
-    sig_fx_noise = fx.sigma_fx * math.sqrt(tau) / sd_yd
+    sig_fx_noise = fx.sigma_fx * math.sqrt(u) / sd_yd
     eta = (rho_d_fx * sig_fx_noise
            - rho_d_f * (sigma_ratio(tf_u.var_Y, td_u.var_y)
                         + tf_T.B * sigma_ratio(tf_u.var_y, td_u.var_y))

@@ -188,7 +188,7 @@ def test_criterion_7_indicator_oracles(acc, b42):
         for phi, strike in ((1, 0.95), (-1, 0.85), (1, 0.80)):
             fwd = FxForward(currency="USD", notional=100.0, strike=strike,
                             maturity=5.0, phi=phi)
-            terms = fx_forward_terms(fwd, models42, corr42, 0.0, u)
+            terms = fx_forward_terms(fwd, models42, corr42, u)
             sd = math.sqrt(hw_terms(models42.rates["EUR"], 0.0, u).var_y)
             ys = rng.normal(0.0, 4.0 * sd, 10000)
             vals = phi * fx_forward_value_projected(terms, ys)

@@ -87,6 +87,14 @@ def test_single_path_rejected(tmp_path, capsys):
     assert not (tmp_path / "out" / "fva_report.json").exists()
 
 
+def test_negative_seed_rejected(tmp_path, capsys):
+    # numpy would refuse it only at the start of the pass, naming no setting
+    rc = main(["fva", *CFG, *SMALL, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: ValueError: seed must be non-negative")
+
+
 def test_sensi_requires_bump(tmp_path, capsys):
     rc = main(["sensi", *CFG, *SMALL, "--out", str(tmp_path)])
     assert rc == 1

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from wwrfva import exposure
 from wwrfva.exposure import (WwrCoeffs, _assemble_wwr, base_moments,
                              coeffs_for_dates, epe_indep,
                              epe_wwr_approx_generic,
@@ -91,13 +93,13 @@ def test_coeffs_zero_correlation(setup41):
     inputs, models, _ = setup41
     from wwrfva.mc import build_correlation, factor_labels
     corr0 = build_correlation(factor_labels(models), {})
-    c = wwr_coeffs(models, corr0, 0.0, 5.0, 4.9, 5)
+    c = wwr_coeffs(models, corr0, 5.0, 4.9, 5)
     assert c.gamma == 0.0 and c.alpha == 0.0 and c.nu == 0.0
 
 
 def test_coeffs_signs_negative_correlation(setup41):
     _, models, corr = setup41
-    c = wwr_coeffs(models, corr, 0.0, 5.0, 4.9, 5)
+    c = wwr_coeffs(models, corr, 5.0, 4.9, 5)
     assert c.gamma < 0.0 and c.alpha > 0.0 and c.nu < 0.0
 
 
@@ -105,7 +107,7 @@ def test_beta_first_terms(setup41):
     _, models, corr = setup41
     from wwrfva.models import hw_terms
     u = 5.0
-    c = wwr_coeffs(models, corr, 0.0, u, 4.9, 5)
+    c = wwr_coeffs(models, corr, u, 4.9, 5)
     assert c.beta[0] == 1.0
     t = hw_terms(models.rates["EUR"], 0.0, u)
     sigma_Yr = math.sqrt(t.var_Y / t.var_y)
@@ -115,7 +117,7 @@ def test_beta_first_terms(setup41):
 def test_coeffs_rejects_degenerate_interval(setup41):
     _, models, corr = setup41
     with pytest.raises(ValueError):
-        wwr_coeffs(models, corr, 0.0, 0.0, 0.0, 5)
+        wwr_coeffs(models, corr, 0.0, 0.0, 5)
 
 
 def test_coeffs_for_dates_row0_is_the_date0_limit(small_run):
@@ -135,7 +137,7 @@ def test_coeffs_for_dates_rows_match_scalar_calls(small_run):
     inputs, models, corr, base, full, vm, bm, c = small_run
     dates = base.dates
     for i in range(1, len(dates)):
-        ref = wwr_coeffs(models, corr, 0.0, dates[i], dates[i - 1], 5)
+        ref = wwr_coeffs(models, corr, dates[i], dates[i - 1], 5)
         assert c.lgd == ref.lgd
         for f in dataclasses.fields(WwrCoeffs):
             if f.name != "lgd":
@@ -186,6 +188,25 @@ def test_base_moments_date0(small_run):
     assert v0 > 0.0  # fixture chosen in the money
     assert bm.disc_epe[0] == pytest.approx(v0, rel=1e-10)
     assert np.allclose(bm.y_moments[1:, 0], 0.0)
+
+
+def test_base_moments_timer_charges_thread_cpu_time(monkeypatch, setup41):
+    # the cube form times the driver moments on the streamed run's clock; a
+    # sleep in the moment kernel stands for a wait for a core
+    inputs, models, corr = setup41
+    cube = simulate(models, corr, SimGrid.regular(1, 30.0, 1), 500, 1, "base")
+    kernel = exposure.y_moments_at
+    slept = []
+
+    def sleepy(*args):
+        time.sleep(0.02)
+        slept.append(0.02)
+        return kernel(*args)
+
+    monkeypatch.setattr(exposure, "y_moments_at", sleepy)
+    bm = base_moments(cube, inputs.portfolio, models, 5)
+    assert len(slept) == len(cube.dates)
+    assert bm.y_moment_seconds < sum(slept)
 
 
 def test_receiver_first_moment_negative_at_interior_dates(small_run):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wwrfva import fva, instruments
+from wwrfva import exposure, fva, instruments
 from wwrfva.exposure import (ExposureProfile, base_moments, coeffs_for_dates,
                              epe_indep, epe_wwr_approx_generic,
                              epe_wwr_approx_swap_analytic, epe_wwr_mc)
@@ -102,6 +102,35 @@ def test_unknown_config_key_rejected(tmp_path, cfg, old, new, where, key):
     msg = f"{where}: unknown key(s) '{key}'"
     with pytest.raises(ValueError, match=re.escape(msg)):
         load_run_config(bad)
+
+
+@pytest.mark.parametrize("old, new, name, value", [
+    ("n_paths: 100000", "n_paths: 2000.7", "simulation.n_paths", "2000.7"),
+    ("dates_per_year: 10", "dates_per_year: 10.9", "grid.dates_per_year", "10.9"),
+    ("seed: 1", "seed: true", "simulation.seed", "True"),
+    ("n_paths: 100000", "n_paths: 1e5", "simulation.n_paths", "'1e5'"),
+], ids=["fractional_paths", "fractional_dates", "bool_seed", "string_paths"])
+def test_setting_that_int_would_misread_rejected(tmp_path, old, new, name, value):
+    # int() would truncate the float, read true as 1, or fail on the string
+    # (PyYAML reads 1e5 as one) without naming the key
+    bad = _patched_config("single_swap.cfg", tmp_path, old, new)
+    msg = f"config {name} must be an integer, got {value}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        load_run_config(bad)
+
+
+def test_integral_float_and_int_horizon_settings_accepted(tmp_path):
+    bad = _patched_config("single_swap.cfg", tmp_path, "n_paths: 100000",
+                          "n_paths: 2000.0")
+    bad.write_text(bad.read_text().replace("grid:\n", "grid:\n  horizon: 30\n"))
+    _, settings = load_run_config(bad)
+    assert settings.n_paths == 2000 and type(settings.n_paths) is int
+    assert settings.horizon == 30.0 and type(settings.horizon) is float
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        RunSettings(seed=-1)
 
 
 @pytest.mark.parametrize("instrument", [
@@ -288,7 +317,7 @@ def test_stage_timers_charge_thread_cpu_time(monkeypatch, b41):
     inputs, settings = b41
     settings = small_settings(settings, n_paths=500, dates_per_year=1, substeps=1,
                               method="approx_generic")
-    kernel = fva.y_moments_at
+    kernel = exposure.y_moments_at
     slept = []
 
     def sleepy(*args):
@@ -296,7 +325,7 @@ def test_stage_timers_charge_thread_cpu_time(monkeypatch, b41):
         slept.append(0.02)
         return kernel(*args)
 
-    monkeypatch.setattr(fva, "y_moments_at", sleepy)
+    monkeypatch.setattr(exposure, "y_moments_at", sleepy)
     rep = run_fva(inputs, settings)
     assert len(slept) == len(rep.profile.dates)
     assert rep.runtime_wwr_seconds < sum(slept)

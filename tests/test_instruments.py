@@ -194,7 +194,7 @@ def test_fx_forward_delta_is_market_forward(setup42):
     inputs, models, corr = setup42
     fwd = FxForward(currency="USD", notional=100.0, strike=0.9, maturity=5.0,
                     phi=1)
-    terms = fx_forward_terms(fwd, models, corr, 0.0, 0.0)
+    terms = fx_forward_terms(fwd, models, corr, 0.0)
     eur = inputs.market.rate_curve("EUR")
     usd = inputs.market.rate_curve("USD")
     fwd_mkt = 0.91802 * usd.discount(5.0) / eur.discount(5.0)
@@ -208,7 +208,7 @@ def test_fx_forward_indicator_matches_projected_sign(setup42):
         for phi, strike in ((1, 0.95), (-1, 0.85)):
             fwd = FxForward(currency="USD", notional=100.0, strike=strike,
                             maturity=5.0, phi=phi)
-            terms = fx_forward_terms(fwd, models, corr, 0.0, u)
+            terms = fx_forward_terms(fwd, models, corr, u)
             ys = rng.normal(0.0, 3.0, 10000) * math.sqrt(
                 hw_terms(models.rates["EUR"], 0.0, u).var_y)
             vals = phi * fx_forward_value_projected(terms, ys)
