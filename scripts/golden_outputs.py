@@ -41,15 +41,18 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from wwrfva import METHODS  # noqa: E402
 from wwrfva.cli import main as cli_main  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "..", "fixtures")
 
+# approx_analytic takes a single swap only
+PORTFOLIO_METHODS = tuple(m for m in METHODS if m != "approx_analytic")
 FVA_CASES = {
-    "single_swap": ("mc", "approx_generic", "approx_analytic"),
-    "portfolio": ("mc", "approx_generic"),
-    "portfolio_stressed": ("mc", "approx_generic"),
+    "single_swap": METHODS,
+    "portfolio": PORTFOLIO_METHODS,
+    "portfolio_stressed": PORTFOLIO_METHODS,
 }
 # Bumps that share a simulation pass and one valuation (credit curve,
 # rate-credit correlation in base mode), share the pass only (domestic and

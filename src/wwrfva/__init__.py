@@ -8,3 +8,6 @@ sensitivities are included.
 """
 
 __version__ = "0.1.0"
+
+# The run methods: the Monte Carlo benchmark and the two approximations.
+METHODS = ("mc", "approx_generic", "approx_analytic")

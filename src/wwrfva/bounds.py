@@ -94,7 +94,6 @@ class CreditMomentTable:
     S2_x: dict = field(default_factory=dict)   # x -> E[x^2 S^2] per date
     S4_x: dict = field(default_factory=dict)   # x -> E[x^4 S^4] per date
     q_abs_s: np.ndarray = None
-    clip_mass: float = TAIL_CLIP
 
 
 def _require_full(sim, what: str) -> None:

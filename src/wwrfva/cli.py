@@ -15,7 +15,7 @@ import dataclasses
 import os
 import sys
 
-from . import __version__
+from . import METHODS, __version__
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,17 +26,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
 
+    # Each setting flag's dest is the RunSettings field it overrides; an
+    # absent flag stays None and leaves the config's value.
     def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--method",
-                       choices=["mc", "approx_generic", "approx_analytic"])
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--seed", type=int)
-        p.add_argument("--paths", type=int, help="number of simulated paths")
+        p.add_argument("--paths", dest="n_paths", metavar="PATHS", type=int,
+                       help="number of simulated paths")
         p.add_argument("--dates-per-year", type=int)
         p.add_argument("--n-r", type=int, help="rate expansion order")
         p.add_argument("--n-a", type=int, help="payment-date expansion order")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--benchmark", action="store_true",
+        p.add_argument("--benchmark", action="store_const", const=True,
                        help="also run the Monte Carlo benchmark")
 
     p_fva = sub.add_parser("fva", help="compute FVA and its WWR split")
@@ -66,21 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(settings, args):
-    over = {}
-    if args.method is not None:
-        over["method"] = args.method
-    if args.seed is not None:
-        over["seed"] = args.seed
-    if args.paths is not None:
-        over["n_paths"] = args.paths
-    if args.dates_per_year is not None:
-        over["dates_per_year"] = args.dates_per_year
-    if args.n_r is not None:
-        over["n_r"] = args.n_r
-    if args.n_a is not None:
-        over["n_a"] = args.n_a
-    if args.benchmark:
-        over["benchmark"] = True
+    over = {f.name: getattr(args, f.name) for f in dataclasses.fields(settings)
+            if getattr(args, f.name, None) is not None}
     return dataclasses.replace(settings, **over)
 
 

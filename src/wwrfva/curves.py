@@ -61,6 +61,11 @@ class Curve:
         return replace(self, zero_rates=tuple(r + shift for r in self.zero_rates))
 
     def bumped_pillar(self, index: int, shift: float) -> "Curve":
+        """Additive bump of the zero rate at pillar `index` (0-based)."""
+        n = len(self.zero_rates)
+        if not 0 <= index < n:
+            raise ValueError(f"curve {self.label} has {n} pillars: a pillar index "
+                             f"must be in 0..{n - 1}, got {index}")
         rates = list(self.zero_rates)
         rates[index] += shift
         return replace(self, zero_rates=tuple(rates))

@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import factorial, log_ndtr, ndtr
 
+from . import METHODS
 from .instruments import Portfolio, Swap, swap_book, ystar as swap_ystar
 from .mc import CorrelationMatrix, DateState, ScenarioCube, credit_factor, rate_factor
 from .models import ModelSet, cir_terms, hw_terms, sigma_ratio
@@ -477,7 +478,7 @@ class ExposureProfile:
     se_indep: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.method not in ("mc", "approx_generic", "approx_analytic"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
     @property

@@ -24,6 +24,8 @@ and the BLAS threads' contention for the cores is not charged to it.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import os
 import resource
 import sys
@@ -34,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 import yaml
 
-from . import __version__
+from . import METHODS, __version__
 from .curves import MarketData, check_keys, load_market_data
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
@@ -44,8 +46,6 @@ from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
                  factor_labels, fx_factor, rate_factor, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                      QuantoAdjust)
-
-METHODS = ("mc", "approx_generic", "approx_analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,9 @@ class RunSettings:
             raise ValueError("dates_per_year must be positive")
         if not (0 <= self.n_r <= 20 and 0 <= self.n_a <= 20):
             raise ValueError("truncation orders must be in 0..20")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"grid.horizon must be finite and positive, "
+                             f"got {self.horizon!r}")
 
 
 @dataclass
@@ -112,6 +115,11 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     check_keys(f"config {path}", doc, _CONFIG_KEYS)
+    for key in ("market", "portfolio"):
+        if key not in doc:
+            raise ValueError(f"config {path}: missing key {key!r}")
+        if not isinstance(doc[key], str):
+            raise ValueError(f"config {path}: {key!r} must name a file, got {doc[key]!r}")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -255,34 +263,16 @@ class FvaReport:
     def wwr_pct(self) -> float:
         return 100.0 * self.fva_wwr / self.fva_indep if self.fva_indep else 0.0
 
+    # the fields that vary from run to run at equal inputs
+    TIMINGS = ("runtime_wwr_seconds", "runtime_benchmark_wwr_seconds", "peak_rss_mb")
+
     def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "version": self.version,
-            "method": self.method,
-            "fva_indep": self.fva_indep,
-            "fva_wwr": self.fva_wwr,
-            "fva_total": self.fva_total,
-            "wwr_pct": self.wwr_pct,
-            "wwr_rd_vs_mc": self.wwr_rd_vs_mc,
-            "fva_wwr_mc": self.fva_wwr_mc,
-            "fva_wwr_mc_se": self.fva_wwr_mc_se,
-            "truncated_fraction": self.truncated_fraction,
-            "config_echo": self.config_echo,
-        }
-        if include_timings:
-            out["runtime_wwr_seconds"] = self.runtime_wwr_seconds
-            out["runtime_benchmark_wwr_seconds"] = self.runtime_benchmark_wwr_seconds
-            out["peak_rss_mb"] = self.peak_rss_mb
+        """Every field but the two profiles, plus `fva_total` and `wwr_pct`."""
+        skip = {"profile", "benchmark_profile", *(() if include_timings else self.TIMINGS)}
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+               if f.name not in skip}
+        out.update(fva_total=self.fva_total, wwr_pct=self.wwr_pct)
         return out
-
-
-def _settings_echo(settings: RunSettings) -> dict:
-    return {
-        "method": settings.method, "n_paths": settings.n_paths,
-        "seed": settings.seed, "dates_per_year": settings.dates_per_year,
-        "substeps_per_interval": settings.substeps_per_interval,
-        "horizon": settings.horizon, "n_r": settings.n_r, "n_a": settings.n_a,
-    }
 
 
 def _peak_rss_mb() -> float:
@@ -388,7 +378,8 @@ class _Leg:
             fva_indep=fva_i, fva_wwr=fva_w, method=settings.method,
             runtime_wwr_seconds=wwr_seconds, profile=profile,
             truncated_fraction=self.stream.truncated_fraction,
-            config_echo=_settings_echo(settings))
+            config_echo={k: v for k, v in dataclasses.asdict(settings).items()
+                         if k != "benchmark"})
 
         if need_full:
             # the one MC profile: the run's own under "mc", else the benchmark's

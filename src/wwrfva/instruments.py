@@ -145,33 +145,49 @@ _INSTRUMENT_KEYS = {
              "frequency", "direction"),
     "fx_forward": ("type", "currency", "notional", "strike", "maturity", "direction"),
 }
+_OPTIONAL_KEYS = ("frequency", "direction")
+# each type's directions and their signs phi; the first is the default
+_DIRECTIONS = {"swap": {"receiver": 1, "payer": -1},
+               "fx_forward": {"buy": 1, "sell": -1}}
 
 
 def load_portfolio(path) -> Portfolio:
     """Read a portfolio file (YAML list under 'instruments')."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict) or "instruments" not in doc:
-        raise ValueError(f"portfolio file {path}: expected an 'instruments' list")
+    if not (isinstance(doc, dict) and isinstance(doc.get("instruments"), list)
+            and doc["instruments"]):
+        raise ValueError(f"portfolio file {path}: expected a non-empty 'instruments' list")
     out: list[Instrument] = []
     for n, entry in enumerate(doc["instruments"]):
+        where = f"portfolio file {path}: instrument {n}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected a mapping, got {entry!r}")
         kind = entry.get("type")
         if kind not in _INSTRUMENT_KEYS:
-            raise ValueError(f"unknown instrument type {kind!r}")
-        check_keys(f"portfolio file {path}: instrument {n} ({kind})", entry,
-                   _INSTRUMENT_KEYS[kind])
+            raise ValueError(f"{where}: unknown instrument type {kind!r}")
+        where += f" ({kind})"
+        check_keys(where, entry, _INSTRUMENT_KEYS[kind])
+        missing = [k for k in _INSTRUMENT_KEYS[kind]
+                   if k not in entry and k not in _OPTIONAL_KEYS]
+        if missing:
+            raise ValueError(f"{where}: missing key(s) {', '.join(map(repr, missing))}")
+        directions = _DIRECTIONS[kind]
+        direction = str(entry.get("direction", next(iter(directions))))
+        if direction not in directions:
+            raise ValueError(f"{where}: direction must be "
+                             f"{' or '.join(map(repr, directions))}, got {direction!r}")
         if kind == "swap":
             out.append(Swap.regular(
                 currency=str(entry["currency"]), notional=float(entry["notional"]),
                 fixed_rate=float(entry["fixed_rate"]), expiry=float(entry["expiry"]),
                 maturity=float(entry["maturity"]),
-                frequency=int(entry.get("frequency", 1)),
-                direction=str(entry.get("direction", "receiver"))))
+                frequency=int(entry.get("frequency", 1)), direction=direction))
         else:
             out.append(FxForward(
                 currency=str(entry["currency"]), notional=float(entry["notional"]),
                 strike=float(entry["strike"]), maturity=float(entry["maturity"]),
-                phi={"buy": 1, "sell": -1}[str(entry.get("direction", "buy"))]))
+                phi=directions[direction]))
     return Portfolio(instruments=tuple(out))
 
 

@@ -78,11 +78,13 @@ def build_correlation(labels, entries: dict[str, float]) -> CorrelationMatrix:
     """Build and validate the factor correlation matrix.
 
     `entries` maps "factor_a:factor_b" to a correlation; unlisted pairs are 0.
+    A pair may be listed once, in either order.
     """
     labels = tuple(labels)
     n = len(labels)
     idx = {lab: i for i, lab in enumerate(labels)}
     mat = np.eye(n)
+    seen: dict[frozenset, str] = {}
     for key, rho in entries.items():
         try:
             a, b = key.split(":")
@@ -90,6 +92,13 @@ def build_correlation(labels, entries: dict[str, float]) -> CorrelationMatrix:
             raise ValueError(f"correlation key {key!r} must be 'factor_a:factor_b'") from None
         if a not in idx or b not in idx:
             raise ValueError(f"correlation key {key!r} names an undeclared factor")
+        if a == b:
+            raise ValueError(f"correlation key {key!r} pairs a factor with itself")
+        pair = frozenset((a, b))
+        if pair in seen:
+            raise ValueError(f"correlation keys {seen[pair]!r} and {key!r} "
+                             "name the same factor pair")
+        seen[pair] = key
         if not -1.0 <= rho <= 1.0:
             raise ValueError(f"correlation {key} = {rho} outside [-1, 1]")
         mat[idx[a], idx[b]] = rho
@@ -358,13 +367,12 @@ class PathStream:
                      corr.entry(rate_factor(dom), fx_factor(c)),
                      corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
             for c in self.fx_ccys]).reshape(n_fx, len(dates))
-        self.log_spot = np.array([np.log(models.fx[c].spot) for c in self.fx_ccys])[:, None]
         cred_terms = [cir_terms(p, 0.0, dates) for p in credit]
         self.M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, len(dates))
         # only the investor's intensity driver itself reaches the state
         self.mu_I = cred_terms[self.entities.index("I")].mu if "I" in self.entities else None
         self.overlay_key = exact_key(self.h_dom, self.fx_rows, self.sigma_fx, self.mu_fx,
-                                     self.log_spot, self.M_cred, self.mu_I)
+                                     self.M_cred, self.mu_I)
 
         # rows alive at once: the process states and the credit floor, one
         # substep's correlated draws and their temporaries, and one date's

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from wwrfva import instruments, mc
-from wwrfva.cli import main
-from wwrfva.fva import read_profile_csv
+from wwrfva.cli import _apply_overrides, build_parser, main
+from wwrfva.fva import RunSettings, read_profile_csv
 from wwrfva.mc import load_cube
 
 from conftest import fixture_path
@@ -196,6 +196,21 @@ def test_override_precedence(tmp_path):
     echo = doc["config_echo"]
     assert echo["seed"] == 9 and echo["n_r"] == 3
     assert echo["n_paths"] == 2000
+    # every setting but `benchmark`
+    assert set(echo) == {"method", "n_paths", "seed", "dates_per_year",
+                         "substeps_per_interval", "horizon", "n_r", "n_a"}
+
+
+def test_each_flag_overrides_its_setting():
+    base = RunSettings()
+    args = build_parser().parse_args(["fva", *CFG])
+    assert _apply_overrides(base, args) == base
+    args = build_parser().parse_args(
+        ["fva", *CFG, "--method", "mc", "--seed", "3", "--paths", "500",
+         "--dates-per-year", "2", "--n-r", "4", "--n-a", "6", "--benchmark"])
+    assert _apply_overrides(base, args) == RunSettings(
+        method="mc", seed=3, n_paths=500, dates_per_year=2, n_r=4, n_a=6,
+        benchmark=True)
 
 
 def test_bad_config_is_reported(tmp_path, capsys):

@@ -133,6 +133,33 @@ def test_negative_seed_rejected():
         RunSettings(seed=-1)
 
 
+@pytest.mark.parametrize("key", ["market", "portfolio"])
+def test_missing_data_file_key_rejected(tmp_path, key):
+    bad = _patched_config("single_swap.cfg", tmp_path, f"{key}: {fixture_path('')}",
+                          f"# {key}: ")
+    with pytest.raises(ValueError, match=re.escape(f"config {bad}: missing key '{key}'")):
+        load_run_config(bad)
+
+
+@pytest.mark.parametrize("value", [".inf", ".nan", "-.inf", "0.0"])
+def test_horizon_must_be_finite_and_positive(tmp_path, value):
+    # .inf and .nan would fail later in SimGrid.regular, naming no setting
+    bad = _patched_config("single_swap.cfg", tmp_path, "grid:\n",
+                          f"grid:\n  horizon: {value}\n")
+    with pytest.raises(ValueError, match="grid.horizon must be finite and positive"):
+        load_run_config(bad)
+
+
+def test_correlation_pair_listed_twice_rejected(tmp_path):
+    # the USD quanto drift would read 0.25 (r_USD:fx_USD) and the simulated
+    # correlation 0.4, the last one listed
+    bad = _patched_config("portfolio.cfg", tmp_path, "grid:\n",
+                          "  fx_USD:r_USD: 0.4\ngrid:\n")
+    inputs, _ = load_run_config(bad)
+    with pytest.raises(ValueError, match="'r_USD:fx_USD' and 'fx_USD:r_USD'"):
+        build_correlation_for(build_model_set(inputs), inputs.correlations)
+
+
 @pytest.mark.parametrize("instrument", [
     "{type: swap, currency: GBP, notional: 100.0, fixed_rate: 0.02,"
     " expiry: 1.0, maturity: 5.0, frequency: 1}",
@@ -233,6 +260,12 @@ def test_report_json(tmp_path):
     assert doc["fva_total"] == pytest.approx(11.0)
     assert doc["wwr_pct"] == pytest.approx(10.0)
     assert "runtime_wwr_seconds" in doc
+    timings = {"runtime_wwr_seconds", "runtime_benchmark_wwr_seconds", "peak_rss_mb"}
+    keys = {"version", "method", "fva_indep", "fva_wwr", "fva_total", "wwr_pct",
+            "wwr_rd_vs_mc", "fva_wwr_mc", "fva_wwr_mc_se", "truncated_fraction",
+            "config_echo"}
+    assert set(doc) == keys | timings
+    assert set(rep.to_dict(include_timings=False)) == keys
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,24 @@ def test_load_portfolio(tmp_path):
     assert p.single_swap is None
 
 
+@pytest.mark.parametrize("text, match", [
+    ("instruments:\n", "expected a non-empty 'instruments' list"),
+    ("instruments: []\n", "expected a non-empty 'instruments' list"),
+    ("instruments:\n- swap\n", "instrument 0: expected a mapping"),
+    ("instruments:\n- {type: swap, currency: EUR, fixed_rate: 0.01, expiry: 1.0,"
+     " maturity: 5.0}\n", "instrument 0 \\(swap\\): missing key\\(s\\) 'notional'"),
+    ("instruments:\n- {type: fx_forward, currency: USD, notional: 1.0, strike: 0.9,"
+     " maturity: 3.0, direction: purchase}\n",
+     "instrument 0 \\(fx_forward\\): direction must be 'buy' or 'sell', got 'purchase'"),
+    ("instruments:\n- {currency: USD}\n", "instrument 0: unknown instrument type None"),
+], ids=["none", "empty", "not_mapping", "no_notional", "bad_direction", "no_type"])
+def test_malformed_portfolio_rejected(tmp_path, text, match):
+    path = tmp_path / "p.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"portfolio file {path}: {match}"):
+        load_portfolio(path)
+
+
 @pytest.mark.parametrize("entry, key", [
     ("{type: swap, currency: EUR, notional: 1.0, fixed_rate: 0.01, expiry: 1.0,"
      " maturity: 5.0, frequncy: 2}", "frequncy"),

@@ -55,6 +55,12 @@ def test_build_correlation_rejects_out_of_range():
         build_correlation(["a", "b"], {"a:b": 1.5})
 
 
+def test_build_correlation_rejects_self_pair():
+    # it would overwrite the factor's unit variance
+    with pytest.raises(ValueError, match="'a:a' pairs a factor with itself"):
+        build_correlation(["a", "b"], {"a:a": 0.5})
+
+
 def test_build_correlation_rejects_credit_credit():
     with pytest.raises(ValueError):
         build_correlation(["lambda_I", "lambda_C"], {"lambda_I:lambda_C": 0.2})

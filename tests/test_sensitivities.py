@@ -119,6 +119,15 @@ def test_ir_pillar_bump_is_local(b41):
     assert bumped.zero_rates[-1] == base.zero_rates[-1]
 
 
+@pytest.mark.parametrize("index", [-1, 6, 99])
+def test_ir_pillar_index_out_of_range_rejected(b41, index):
+    # -1 would bump the last pillar unnoticed, 99 fail with a bare IndexError
+    inputs, _ = b41
+    bump = parse_bump(f"ir_pillar:EUR@{index}", inputs)
+    with pytest.raises(ValueError, match=rf"6 pillars: .* 0\.\.5, got {index}"):
+        apply_bump(inputs, bump, +1.0)
+
+
 def test_credit_and_param_bumps(b41):
     inputs, _ = b41
     up = apply_bump(inputs, BumpSpec(target="credit_parallel", qualifier="C",
