@@ -25,18 +25,18 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .exposure import WwrCoeffs, normal_moments
 from .instruments import Swap, swap_book
 from .mc import DateState, ScenarioCube
 from .models import ModelSet, cir_terms, hw_terms
+from .normal import ndtr, ndtri
 
 # Tail probability defining the clipped domain on which the exponential
 # envelope of the Taylor tail is evaluated; the clipped mass is reported.
 TAIL_CLIP = 1e-4
 # The standard normal quantile leaving TAIL_CLIP in the two tails together.
-_Z_CLIP = float(ndtri(1.0 - 0.5 * TAIL_CLIP))
+_Z_CLIP = ndtri(1.0 - 0.5 * TAIL_CLIP)
 
 # Fewest paths for stable higher moments and distance estimates.
 _MIN_PATHS = 1000

@@ -104,31 +104,43 @@ class MarketData:
             raise KeyError(f"no credit curve for entity {entity}") from None
 
 
-def check_keys(where: str, record, allowed) -> None:
-    """Refuse an input mapping with a key outside `allowed`, or a non-mapping:
-    the loaders refuse a misspelt key rather than run without it."""
+def check_keys(where: str, record, allowed, required=()) -> None:
+    """Refuse an input mapping with a key outside `allowed` or without one
+    of `required`, or a non-mapping: the loaders refuse a misspelt or
+    missing key rather than run without it."""
     if not isinstance(record, dict):
         raise ValueError(f"{where}: expected a mapping")
     unknown = sorted(set(record) - set(allowed), key=str)
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
                          f"allowed: {', '.join(allowed)}")
+    missing = [k for k in required if k not in record]
+    if missing:
+        raise ValueError(f"{where}: missing key(s) {', '.join(map(repr, missing))}")
+
+
+def number(where: str, key, value) -> float:
+    """An input value as a float, refusing a bool or anything `float` does
+    not take with a message that names where the value sits."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{where}: {key} must be a number, got {value!r}")
 
 
 _MARKET_KEYS = ("domestic", "curves", "credit_curves", "fx_spots")
 _CURVE_KEYS = ("label", "times", "zero_rates")
 
 
-def _parse_curve(entry: dict) -> Curve:
-    check_keys("curve entry", entry, _CURVE_KEYS)
-    try:
-        return Curve(
-            label=str(entry["label"]),
-            times=tuple(float(t) for t in entry["times"]),
-            zero_rates=tuple(float(r) for r in entry["zero_rates"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"curve entry missing key {exc}") from None
+def _parse_curve(where: str, entry: dict) -> Curve:
+    check_keys(where, entry, _CURVE_KEYS, required=_CURVE_KEYS)
+    return Curve(
+        label=str(entry["label"]),
+        times=tuple(number(where, "times", t) for t in entry["times"]),
+        zero_rates=tuple(number(where, "zero_rates", r) for r in entry["zero_rates"]),
+    )
 
 
 def load_market_data(path) -> MarketData:
@@ -147,18 +159,19 @@ def load_market_data(path) -> MarketData:
         raise ValueError("market data: 'domestic' currency missing")
 
     curves = {}
-    for entry in doc.get("curves", []):
-        c = _parse_curve(entry)
+    for n, entry in enumerate(doc.get("curves", [])):
+        c = _parse_curve(f"market data file {path}: curves entry {n}", entry)
         curves[c.label] = c
     if domestic not in curves:
         raise ValueError(f"market data: no curve for domestic currency {domestic}")
 
     credit = {}
-    for entry in doc.get("credit_curves", []):
-        c = _parse_curve(entry)
+    for n, entry in enumerate(doc.get("credit_curves", [])):
+        c = _parse_curve(f"market data file {path}: credit_curves entry {n}", entry)
         credit[c.label] = c
 
-    fx_spots = {str(k): float(v) for k, v in (doc.get("fx_spots") or {}).items()}
+    fx_spots = {str(k): number(f"market data file {path}: fx_spots", k, v)
+                for k, v in (doc.get("fx_spots") or {}).items()}
     foreign = {ccy: c for ccy, c in curves.items() if ccy != domestic}
     return MarketData(
         domestic=domestic,

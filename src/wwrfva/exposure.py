@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import factorial, log_ndtr, ndtr
 
 from . import METHODS
 from .instruments import Portfolio, Swap, swap_book, ystar as swap_ystar
 from .mc import CorrelationMatrix, DateState, ScenarioCube, credit_factor, rate_factor
 from .models import ModelSet, cir_terms, hw_terms, sigma_ratio
+from .normal import factorial, log_ndtr, ndtr
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +331,9 @@ def truncated_normal_moments(variance: float, ystar_value: float,
         zeros = np.zeros(l_max + 1)
         return TruncatedMoments(m_check=zeros, big_f=0.0, partial=zeros.copy(),
                                 underflow=True)
-    big_f = float(ndtr(z))
+    big_f = ndtr(z)
     log_pdf = -(z * z) / 2.0 - _LOG_SQRT_2PI
-    mills = float(np.exp(log_pdf - log_ndtr(z)))  # f(z)/F(z), stable
+    mills = math.exp(log_pdf - log_ndtr(z))  # f(z)/F(z), stable
     m_check = np.zeros(l_max + 1)
     m_check[0] = 1.0
     prev2, prev1 = 0.0, 1.0  # m_check[-1], m_check[0]

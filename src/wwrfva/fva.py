@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from . import METHODS, __version__
-from .curves import MarketData, check_keys, load_market_data
+from .curves import MarketData, check_keys, load_market_data, number
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        wwr_mc_at)
@@ -84,7 +84,8 @@ class RunSettings:
 
 @dataclass
 class RunInputs:
-    """Loaded market data, model parameters, correlations and portfolio."""
+    """Loaded market data, model parameters and correlations (floats) and
+    portfolio."""
 
     market: MarketData
     rate_params: dict[str, dict]     # ccy -> {x0, a, sigma}
@@ -107,6 +108,9 @@ _SETTINGS = {"grid": {"dates_per_year": int, "substeps_per_interval": int,
              "orders": {"n_r": int, "n_a": int}}
 _MODEL_PARAMS = {"rates": ("x0", "a", "sigma"), "fx": ("sigma_fx",),
                  "credit": ("x0", "a", "theta", "sigma", "lgd")}
+# the parameters without a default in build_model_set
+_MODEL_REQUIRED = {"rates": ("a", "sigma"), "fx": ("sigma_fx",),
+                   "credit": ("x0", "a", "theta", "sigma")}
 _CONFIG_KEYS = ("market", "portfolio", "method", "models", "correlations", *_SETTINGS)
 
 
@@ -129,9 +133,12 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     portfolio = load_portfolio(resolve(doc["portfolio"]))
     models = doc.get("models", {})
     check_keys("config models", models, _MODEL_PARAMS)
+    params = {kind: {} for kind in _MODEL_PARAMS}
     for kind, allowed in _MODEL_PARAMS.items():
         for name, record in (models.get(kind) or {}).items():
-            check_keys(f"config models.{kind}.{name}", record, allowed)
+            where = f"config {path}: models.{kind}.{name}"
+            check_keys(where, record, allowed, _MODEL_REQUIRED[kind])
+            params[kind][name] = {k: number(where, k, v) for k, v in record.items()}
     fields = {"method": str(doc["method"])} if "method" in doc else {}
     for section, types in _SETTINGS.items():
         check_keys(f"config {section}", doc.get(section, {}), types)
@@ -140,10 +147,10 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     settings = RunSettings(**fields)
     inputs = RunInputs(
         market=market,
-        rate_params={k: dict(v) for k, v in (models.get("rates") or {}).items()},
-        fx_params={k: dict(v) for k, v in (models.get("fx") or {}).items()},
-        credit_params={k: dict(v) for k, v in (models.get("credit") or {}).items()},
-        correlations={str(k): float(v) for k, v in (doc.get("correlations") or {}).items()},
+        rate_params=params["rates"], fx_params=params["fx"],
+        credit_params=params["credit"],
+        correlations={str(k): number(f"config {path}: correlations", k, v)
+                      for k, v in (doc.get("correlations") or {}).items()},
         portfolio=portfolio,
     )
     validate_inputs(inputs, settings)
@@ -194,17 +201,16 @@ def build_model_set(inputs: RunInputs) -> ModelSet:
             key_b = f"{fx_factor(ccy)}:{rate_factor(ccy)}"
             rho = inputs.correlations.get(key_a, inputs.correlations.get(key_b, 0.0))
             quanto = QuantoAdjust(rho_rf_fx=rho,
-                                  sigma_fx=float(inputs.fx_params[ccy]["sigma_fx"]))
+                                  sigma_fx=inputs.fx_params[ccy]["sigma_fx"])
         rates[ccy] = Hw1fParams(
-            x0=float(rp.get("x0", 0.0)), a=float(rp["a"]), sigma=float(rp["sigma"]),
+            x0=rp.get("x0", 0.0), a=rp["a"], sigma=rp["sigma"],
             curve=inputs.market.rate_curve(ccy), quanto=quanto)
     fx = {ccy: GbmFxParams(spot=inputs.market.fx_spots[ccy],
-                           sigma_fx=float(fp["sigma_fx"]))
+                           sigma_fx=fp["sigma_fx"])
           for ccy, fp in inputs.fx_params.items()}
     credit = {ent: CirppParams(
-        x0=float(cp["x0"]), a=float(cp["a"]), theta=float(cp["theta"]),
-        sigma=float(cp["sigma"]), lgd=float(cp.get("lgd", 0.6)),
-        curve=inputs.market.credit_curve(ent))
+        x0=cp["x0"], a=cp["a"], theta=cp["theta"], sigma=cp["sigma"],
+        lgd=cp.get("lgd", 0.6), curve=inputs.market.credit_curve(ent))
         for ent, cp in inputs.credit_params.items()}
     return ModelSet(domestic=dom, rates=rates, fx=fx, credit=credit)
 

@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
-from .curves import check_keys
+from .curves import check_keys, number
 from .mc import (CorrelationMatrix, DateState, ScenarioCube, exact_key, fx_factor,
                  rate_factor)
 from .models import Hw1fParams, ModelSet, fx_terms, hw_terms, sigma_ratio
@@ -146,6 +146,7 @@ _INSTRUMENT_KEYS = {
     "fx_forward": ("type", "currency", "notional", "strike", "maturity", "direction"),
 }
 _OPTIONAL_KEYS = ("frequency", "direction")
+_NUMBER_KEYS = ("notional", "fixed_rate", "expiry", "maturity", "strike")
 # each type's directions and their signs phi; the first is the default
 _DIRECTIONS = {"swap": {"receiver": 1, "payer": -1},
                "fx_forward": {"buy": 1, "sell": -1}}
@@ -167,26 +168,24 @@ def load_portfolio(path) -> Portfolio:
         if kind not in _INSTRUMENT_KEYS:
             raise ValueError(f"{where}: unknown instrument type {kind!r}")
         where += f" ({kind})"
-        check_keys(where, entry, _INSTRUMENT_KEYS[kind])
-        missing = [k for k in _INSTRUMENT_KEYS[kind]
-                   if k not in entry and k not in _OPTIONAL_KEYS]
-        if missing:
-            raise ValueError(f"{where}: missing key(s) {', '.join(map(repr, missing))}")
+        keys = _INSTRUMENT_KEYS[kind]
+        check_keys(where, entry, keys, [k for k in keys if k not in _OPTIONAL_KEYS])
         directions = _DIRECTIONS[kind]
         direction = str(entry.get("direction", next(iter(directions))))
         if direction not in directions:
             raise ValueError(f"{where}: direction must be "
                              f"{' or '.join(map(repr, directions))}, got {direction!r}")
+        num = {k: number(where, k, entry[k]) for k in _NUMBER_KEYS if k in entry}
         if kind == "swap":
             out.append(Swap.regular(
-                currency=str(entry["currency"]), notional=float(entry["notional"]),
-                fixed_rate=float(entry["fixed_rate"]), expiry=float(entry["expiry"]),
-                maturity=float(entry["maturity"]),
+                currency=str(entry["currency"]), notional=num["notional"],
+                fixed_rate=num["fixed_rate"], expiry=num["expiry"],
+                maturity=num["maturity"],
                 frequency=int(entry.get("frequency", 1)), direction=direction))
         else:
             out.append(FxForward(
-                currency=str(entry["currency"]), notional=float(entry["notional"]),
-                strike=float(entry["strike"]), maturity=float(entry["maturity"]),
+                currency=str(entry["currency"]), notional=num["notional"],
+                strike=num["strike"], maturity=num["maturity"],
                 phi=directions[direction]))
     return Portfolio(instruments=tuple(out))
 

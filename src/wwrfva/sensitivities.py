@@ -69,14 +69,14 @@ def default_size(target: str, qualifier: str, inputs: RunInputs) -> float:
     if target == "fx_spot":
         return DEFAULT_SPOT_REL * _entry(inputs.market.fx_spots, qualifier, "fx spot")
     if target == "sigma_r":
-        return DEFAULT_VOL_REL * float(_entry(inputs.rate_params, qualifier,
-                                              "rate model")["sigma"])
+        return DEFAULT_VOL_REL * _entry(inputs.rate_params, qualifier,
+                                        "rate model")["sigma"]
     if target == "sigma_fx":
-        return DEFAULT_VOL_REL * float(_entry(inputs.fx_params, qualifier,
-                                              "FX model")["sigma_fx"])
+        return DEFAULT_VOL_REL * _entry(inputs.fx_params, qualifier,
+                                        "FX model")["sigma_fx"]
     if target == "sigma_lambda":
-        return DEFAULT_VOL_REL * float(_entry(inputs.credit_params, qualifier,
-                                              "credit model")["sigma"])
+        return DEFAULT_VOL_REL * _entry(inputs.credit_params, qualifier,
+                                        "credit model")["sigma"]
     raise ValueError(f"unknown bump target {target!r}")
 
 
@@ -116,7 +116,11 @@ def parse_bump(text: str, inputs: RunInputs) -> BumpSpec:
     pillar = None
     if target == "ir_pillar" and "@" in qualifier:
         qualifier, pil = qualifier.rsplit("@", 1)
-        pillar = int(pil)
+        try:
+            pillar = int(pil)
+        except ValueError:
+            raise ValueError(f"bump {text!r}: an ir_pillar qualifier must read "
+                             f"CCY@INDEX with an integer INDEX, got {pil!r}") from None
     if target == "correlation":
         qualifier = qualifier.replace("/", ":")
     if size is None:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,24 @@ def test_load_market_data_unknown_key_rejected(tmp_path, extra, key):
                     "- {label: EUR, times: [1.0, 5.0], zero_rates: [0.01, 0.02]}\n"
                     + extra)
     with pytest.raises(ValueError, match=f"unknown key.*'{key}'"):
+        load_market_data(path)
+
+
+@pytest.mark.parametrize("extra, msg", [
+    ("fx_spots: {USD: high}\n", "fx_spots: USD must be a number, got 'high'"),
+    ("- {label: USD, times: [1.0, x], zero_rates: [0.01, 0.02]}\n",
+     "curves entry 1: times must be a number, got 'x'"),
+    ("credit_curves:\n- {label: I, times: [1.0]}\n",
+     "credit_curves entry 0: missing key(s) 'zero_rates'"),
+], ids=["fx_spot", "curve_time", "credit_curve_rates"])
+def test_load_market_data_bad_value_rejected(tmp_path, extra, msg):
+    # these used to fail with a bare float() error or without naming the file
+    path = tmp_path / "m.yaml"
+    path.write_text("domestic: EUR\n"
+                    "curves:\n"
+                    "- {label: EUR, times: [1.0, 5.0], zero_rates: [0.01, 0.02]}\n"
+                    + extra)
+    with pytest.raises(ValueError, match=re.escape(f"market data file {path}: {msg}")):
         load_market_data(path)
 
 

@@ -141,6 +141,35 @@ def test_missing_data_file_key_rejected(tmp_path, key):
         load_run_config(bad)
 
 
+@pytest.mark.parametrize("cfg, old, new, where, key", [
+    ("single_swap.cfg", ", sigma: 0.00284}", "}", "models.rates.EUR", "sigma"),
+    ("single_swap.cfg", "EUR: {x0: 0.0, a: 1.0e-5,", "EUR: {x0: 0.0,",
+     "models.rates.EUR", "a"),
+    ("portfolio.cfg", "GBP: {sigma_fx: 0.15}", "GBP: {}", "models.fx.GBP", "sigma_fx"),
+    ("single_swap.cfg", "theta: 0.015390, ", "", "models.credit.I", "theta"),
+    ("single_swap.cfg", "C: {x0: 0.0063774, ", "C: {", "models.credit.C", "x0"),
+], ids=["rate_sigma", "rate_a", "fx_sigma", "credit_theta", "credit_x0"])
+def test_missing_model_parameter_rejected(tmp_path, cfg, old, new, where, key):
+    # it used to fail in build_model_set with a bare KeyError: 'sigma'
+    bad = _patched_config(cfg, tmp_path, old, new)
+    with pytest.raises(ValueError, match=re.escape(f"config {bad}: {where}: "
+                                                   f"missing key(s) '{key}'")):
+        load_run_config(bad)
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("r_EUR:lambda_I: -0.35", "r_EUR:lambda_I: strong", "correlations: r_EUR:lambda_I"),
+    ("sigma: 0.00284", "sigma: high", "models.rates.EUR: sigma"),
+    ("lgd: 0.6}\n    C:", "lgd: [0.6]}\n    C:", "models.credit.I: lgd"),
+    ("sigma: 0.02,", "sigma: true,", "models.credit.I: sigma"),
+], ids=["correlation", "rate_sigma", "credit_lgd_list", "credit_sigma_bool"])
+def test_non_numeric_config_value_rejected(tmp_path, old, new, where):
+    # float() used to fail with a bare "could not convert string to float"
+    bad = _patched_config("single_swap.cfg", tmp_path, old, new)
+    with pytest.raises(ValueError, match=re.escape(f"config {bad}: {where} must be a number")):
+        load_run_config(bad)
+
+
 @pytest.mark.parametrize("value", [".inf", ".nan", "-.inf", "0.0"])
 def test_horizon_must_be_finite_and_positive(tmp_path, value):
     # .inf and .nan would fail later in SimGrid.regular, naming no setting

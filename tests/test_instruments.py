@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,24 @@ def test_malformed_portfolio_rejected(tmp_path, text, match):
     path = tmp_path / "p.yaml"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"portfolio file {path}: {match}"):
+        load_portfolio(path)
+
+
+@pytest.mark.parametrize("entry, kind, key, value", [
+    ("{type: swap, currency: EUR, notional: abc, fixed_rate: 0.01, expiry: 1.0,"
+     " maturity: 5.0}", "swap", "notional", "'abc'"),
+    ("{type: swap, currency: EUR, notional: 1.0, fixed_rate: 0.01, expiry: 1.0,"
+     " maturity: null}", "swap", "maturity", "None"),
+    ("{type: fx_forward, currency: USD, notional: 1.0, strike: [0.9],"
+     " maturity: 3.0}", "fx_forward", "strike", "[0.9]"),
+], ids=["string", "null", "list"])
+def test_non_numeric_instrument_value_rejected(tmp_path, entry, kind, key, value):
+    # float() used to fail with a bare "could not convert string to float"
+    path = tmp_path / "p.yaml"
+    path.write_text("instruments:\n- {type: swap, currency: EUR, notional: 1.0,"
+                    f" fixed_rate: 0.01, expiry: 1.0, maturity: 5.0}}\n- {entry}\n")
+    msg = f"portfolio file {path}: instrument 1 ({kind}): {key} must be a number, got {value}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
         load_portfolio(path)
 
 

@@ -128,6 +128,14 @@ def test_ir_pillar_index_out_of_range_rejected(b41, index):
         apply_bump(inputs, bump, +1.0)
 
 
+@pytest.mark.parametrize("text", ["ir_pillar:EUR@x", "ir_pillar:EUR@", "ir_pillar:EUR@1.5"])
+def test_ir_pillar_index_must_be_an_integer(b41, text):
+    # int() used to fail with a bare "invalid literal for int()"
+    inputs, _ = b41
+    with pytest.raises(ValueError, match=rf"bump '{text}': .* CCY@INDEX"):
+        parse_bump(text, inputs)
+
+
 def test_credit_and_param_bumps(b41):
     inputs, _ = b41
     up = apply_bump(inputs, BumpSpec(target="credit_parallel", qualifier="C",
