@@ -19,6 +19,11 @@ better, and a verdict:
                 bound and not every change run beats every parent run;
   within bound  otherwise.
 
+It also prints whether the metric shows a gain: at least ten pairs, the
+change better in at least nine tenths of them (ties count for neither),
+and the medians apart, in the better direction, by more than the parent's
+interquartile range.
+
 It writes the pairs and the verdicts to FILE as JSON, and exits non-zero
 when a metric reads worse or a pair failed.
 
@@ -33,6 +38,8 @@ import os
 import subprocess
 import sys
 from statistics import median, quantiles
+
+GAIN_PAIRS = 10  # the fewest pairs a gain may rest on
 
 
 def end_to_end_metrics(checkout: str) -> list[dict]:
@@ -68,10 +75,13 @@ def verdict(parent: list[float], change: list[float], better: str,
         v = "unresolved"
     else:
         v = "within bound"
+    wins = sum(beats(c, p) for p, c in zip(parent, change))
+    gain = (len(parent) >= GAIN_PAIRS and 10 * wins >= 9 * len(parent)
+            and -worse_sign * rel_change > rel_iqr)
     return {"parent_median": p_med, "change_median": c_med,
             "rel_change": rel_change, "parent_rel_iqr": rel_iqr,
-            "change_better": sum(beats(c, p) for p, c in zip(parent, change)),
-            "pairs": len(parent), "better": better, "bound": bound, "verdict": v}
+            "change_better": wins, "pairs": len(parent), "better": better,
+            "bound": bound, "verdict": v, "gain": gain}
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float,
@@ -136,7 +146,7 @@ def main() -> int:
                   f"{v['change_median']:.4g} ({100 * v['rel_change']:+.1f} %), parent "
                   f"IQR {100 * v['parent_rel_iqr']:.1f} %, change {s['better']} in "
                   f"{v['change_better']}/{len(ok)}, bound {100 * s['bound']:.0f} %: "
-                  f"{v['verdict']}")
+                  f"{v['verdict']}; gain {'holds' if v['gain'] else 'not shown'}")
     print(f"pairs run {len(ok)}/{args.pairs}")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"workload": args.workload, "seconds": args.seconds,

@@ -130,6 +130,16 @@ def number(where: str, key, value) -> float:
     raise ValueError(f"{where}: {key} must be a number, got {value!r}")
 
 
+def integer(where: str, key, value) -> int:
+    """An input value as an int: an int, or an integral float such as 2000.0.
+    Refuses a bool, a string and a float that `int` would truncate, with a
+    message that names where the value sits."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or value.is_integer())):
+        return int(value)
+    raise ValueError(f"{where}: {key} must be an integer, got {value!r}")
+
+
 _MARKET_KEYS = ("domestic", "curves", "credit_curves", "fx_spots")
 _CURVE_KEYS = ("label", "times", "zero_rates")
 

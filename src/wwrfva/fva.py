@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from . import METHODS, __version__
-from .curves import MarketData, check_keys, load_market_data, number
+from .curves import MarketData, check_keys, integer, load_market_data, number
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        wwr_mc_at)
@@ -99,13 +99,13 @@ class RunInputs:
         return copy.deepcopy(self)
 
 
-# The settings each config section may hold, by type; their defaults are
-# RunSettings'. A model record may hold only its parameters. The loader
-# refuses any other key rather than run on a default.
-_SETTINGS = {"grid": {"dates_per_year": int, "substeps_per_interval": int,
-                      "horizon": float},
-             "simulation": {"n_paths": int, "seed": int},
-             "orders": {"n_r": int, "n_a": int}}
+# The settings each config section may hold, with the reader of each; their
+# defaults are RunSettings'. A model record may hold only its parameters.
+# The loader refuses any other key rather than run on a default.
+_SETTINGS = {"grid": {"dates_per_year": integer, "substeps_per_interval": integer,
+                      "horizon": number},
+             "simulation": {"n_paths": integer, "seed": integer},
+             "orders": {"n_r": integer, "n_a": integer}}
 _MODEL_PARAMS = {"rates": ("x0", "a", "sigma"), "fx": ("sigma_fx",),
                  "credit": ("x0", "a", "theta", "sigma", "lgd")}
 # the parameters without a default in build_model_set
@@ -135,14 +135,18 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     check_keys("config models", models, _MODEL_PARAMS)
     params = {kind: {} for kind in _MODEL_PARAMS}
     for kind, allowed in _MODEL_PARAMS.items():
-        for name, record in (models.get(kind) or {}).items():
+        section = models.get(kind) or {}
+        if not isinstance(section, dict):
+            raise ValueError(f"config {path}: models.{kind}: expected a mapping "
+                             f"of names to records, got {section!r}")
+        for name, record in section.items():
             where = f"config {path}: models.{kind}.{name}"
             check_keys(where, record, allowed, _MODEL_REQUIRED[kind])
             params[kind][name] = {k: number(where, k, v) for k, v in record.items()}
     fields = {"method": str(doc["method"])} if "method" in doc else {}
-    for section, types in _SETTINGS.items():
-        check_keys(f"config {section}", doc.get(section, {}), types)
-        fields.update((k, _setting(f"{section}.{k}", v, types[k]))
+    for section, readers in _SETTINGS.items():
+        check_keys(f"config {section}", doc.get(section, {}), readers)
+        fields.update((k, readers[k](f"config {path}", f"{section}.{k}", v))
                       for k, v in doc.get(section, {}).items())
     settings = RunSettings(**fields)
     inputs = RunInputs(
@@ -155,17 +159,6 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     )
     validate_inputs(inputs, settings)
     return inputs, settings
-
-
-def _setting(name: str, v, kind: type):
-    """A config setting as `kind`: an int, or for an int setting an integral
-    float such as 2000.0; a float setting takes an int or a float. Refuses
-    a bool, a string and a float that `int` would truncate."""
-    number = isinstance(v, (int, float)) and not isinstance(v, bool)
-    if number and (kind is float or isinstance(v, int) or v.is_integer()):
-        return kind(v)
-    wanted = "a number" if kind is float else "an integer"
-    raise ValueError(f"config {name} must be {wanted}, got {v!r}")
 
 
 def validate_inputs(inputs: RunInputs, settings: RunSettings) -> None:

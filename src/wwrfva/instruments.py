@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
-from .curves import check_keys, number
+from .curves import check_keys, integer, number
 from .mc import (CorrelationMatrix, DateState, ScenarioCube, exact_key, fx_factor,
                  rate_factor)
 from .models import Hw1fParams, ModelSet, fx_terms, hw_terms, sigma_ratio
@@ -181,7 +181,8 @@ def load_portfolio(path) -> Portfolio:
                 currency=str(entry["currency"]), notional=num["notional"],
                 fixed_rate=num["fixed_rate"], expiry=num["expiry"],
                 maturity=num["maturity"],
-                frequency=int(entry.get("frequency", 1)), direction=direction))
+                frequency=integer(where, "frequency", entry.get("frequency", 1)),
+                direction=direction))
         else:
             out.append(FxForward(
                 currency=str(entry["currency"]), notional=num["notional"],

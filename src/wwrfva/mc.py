@@ -18,6 +18,13 @@ collects the stream into a `ScenarioCube` for the callers that need every
 date at once: the cube export, tests, and the cube forms of the exposure
 and bounds functions. The `bounds` verb reads the stream itself.
 
+Each substep runs in place on rows that the pass allocates once, in the
+evaluation order of the update formulas, so it gives their values bit
+for bit. A Cholesky block with one column, such as
+every market block of a single-currency book, is applied as a broadcast
+product: numpy's matmul would send it to its unblocked loop, several
+times slower, for the same bits (`_correlate`).
+
 The standard normals are drawn ahead on a one-thread
 `concurrent.futures.ThreadPoolExecutor`: while the stream runs the
 substeps of one monitoring interval, the executor's worker fills the
@@ -265,6 +272,12 @@ def exact_key(*parts) -> bytes:
     return pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+# What a pass allocates besides its rows: the draw worker's thread and
+# futures, array headers, date states and the interpreter's free lists;
+# 28-42 KB under tracemalloc on CPython 3.11, whatever the path count.
+PASS_OBJECT_BYTES = 64 * 1024
+
+
 class PathStream:
     """All drivers simulated jointly under the domestic risk-neutral measure,
     one monitoring date at a time.
@@ -289,11 +302,14 @@ class PathStream:
 
     Iterating runs the simulation once from `seed` and yields one DateState
     per monitoring date, date 0 first; a second iteration repeats it. Its
-    arrays are the live simulation state: a yielded state is valid only
-    until the next one is requested, because the integrated rate drivers
-    are updated in place. Memory therefore scales with paths x factors, not
-    with dates. After the last date, `truncated_fraction` and
-    `credit_seconds` describe the pass.
+    rate drivers are the live simulation state: a yielded state is valid
+    only until the next one is requested, because the integrated drivers
+    `Y_r` are updated in place and the rate noise `y_r` lives in one of two
+    buffers that the substeps write in turn. Memory therefore scales with
+    paths x factors, not with dates: `state_bytes` counts the rows a pass
+    allocates, once, for its substeps, and the derived rows of the state it
+    builds and the one its consumer holds. After the last date,
+    `truncated_fraction` and `credit_seconds` describe the pass.
 
     Each pass owns a `ThreadPoolExecutor` with one worker that draws the
     standard normals into a ring of two preallocated buffer sets:
@@ -374,16 +390,20 @@ class PathStream:
         self.overlay_key = exact_key(self.h_dom, self.fx_rows, self.sigma_fx, self.mu_fx,
                                      self.M_cred, self.mu_I)
 
-        # rows alive at once: the process states and the credit floor, one
-        # substep's correlated draws and their temporaries, and one date's
-        # derived rows (log-FX, credit drivers, discount); a shared pass
-        # holds the derived rows once per distinct overlay
-        self.overlay_rows = n_fx + n_cred + 2
-        rows = (2 * n_ccy + n_fx + 3 * n_cred) + 2 * (n_ccy + n_fx + n_cred) \
-            + self.overlay_rows
-        # plus the draw ring: two intervals of standard normals
-        rows += 2 * grid.substeps_per_interval * (n_ccy + n_fx + n_cred)
-        self.state_bytes = 8 * n_paths * rows
+        # rows alive at once, the pass's own allocated once: the process
+        # states y (and its successor), Y and the FX level; in full mode the
+        # credit state and its floor (each with its successor) and its
+        # integral; one substep's correlated draws and one credit scratch
+        # row; and the draw ring, two intervals of standard normals. Then
+        # the derived rows (log-FX, credit drivers, investor's driver and the
+        # discount its consumer derives) of two dates, the one being built
+        # and the one its consumer still holds; a shared pass holds them once
+        # per distinct overlay. Plus a boolean mask row per path.
+        self.overlay_rows = 2 * (n_fx + n_cred + ("I" in self.entities) + 1)
+        rows = (3 * n_ccy + n_fx) + 5 * n_cred + (n_mkt + 2 * n_cred) \
+            + 2 * grid.substeps_per_interval * (n_mkt + n_cred) + self.overlay_rows
+        self.state_bytes = (8 * n_paths * rows + n_paths * max(n_ccy, n_fx, n_cred)
+                            + PASS_OBJECT_BYTES)
         # the cube's slabs: y and Y per currency, log-FX, and in full mode
         # the investor's driver plus the integrated I and C drivers
         n_slabs = (2 * n_ccy + n_fx + 2 * ("I" in self.entities)
@@ -438,18 +458,37 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
     a_c, theta_c, sigma_c = s0.a_c, s0.theta_c, s0.sigma_c
     k_I = entities.index("I") if "I" in entities else None
 
-    def state(o, i, ln_fx, Y_cred, y_I):
-        Y_c = dict(zip(entities, Y_cred))
+    # every row the substeps write is allocated here, once per pass; each
+    # update runs in place, in the evaluation order of the formula above it
+    y, y_new = np.zeros((n_ccy, n_paths)), np.empty((n_ccy, n_paths))  # OU noise
+    Y = np.zeros((n_ccy, n_paths))          # trapezoidal integral of y
+    w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
+    eps_mkt = np.empty((n_mkt, n_paths))    # correlated market draws
+    eps_r, eps_fx = eps_mkt[:n_ccy], eps_mkt[n_ccy:]
+    x_cred = np.repeat(s0.x0_c, n_paths, axis=1)
+    x_new = np.empty((n_cred, n_paths))
+    xp_cred = np.maximum(x_cred, 0.0)       # its floor, carried across substeps
+    xp_new = np.empty((n_cred, n_paths))
+    intx_cred = np.zeros((n_cred, n_paths))
+    eps_cred = np.empty((n_cred, n_paths))  # correlated credit draws
+    tmp = np.empty((n_cred, n_paths))       # credit scratch
+    mask = np.empty((max(n_ccy, n_fx, n_cred), n_paths), dtype=bool)
+
+    def state(o, i):
+        """Overlay o's DateState at date i."""
+        # ln_fx = mu_fx + Y[0] - Y[fx_rows] + sigma_fx * w_fx, its first three
+        # terms summed in eps_fx, free between substeps
+        np.add(o.mu_fx[:, i:i + 1], Y[0], out=eps_fx)
+        for r, k in enumerate(o.fx_rows):
+            eps_fx[r] -= Y[k]
+        ln_fx = np.multiply(o.sigma_fx, w_fx)
+        ln_fx += eps_fx
+        _check_finite(i, "lnfx", ln_fx, fx_ccys, mask)
+        y_I = xp_cred[k_I] - o.mu_I[i] if k_I is not None else None
+        Y_c = dict(zip(entities, intx_cred - o.M_cred[:, i:i + 1]))
         return DateState(i, dom, o.h_dom[i], dict(zip(ccys, y)),
                          dict(zip(ccys, Y)), dict(zip(fx_ccys, ln_fx)),
                          y_I, Y_c.get("I"), Y_c.get("C"))
-
-    y = np.zeros((n_ccy, n_paths))          # OU noise per currency
-    Y = np.zeros((n_ccy, n_paths))          # trapezoidal integral of y
-    w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
-    x_cred = np.repeat(s0.x0_c, n_paths, axis=1)
-    xp_cred = np.maximum(x_cred, 0.0)       # its floor, carried across substeps
-    intx_cred = np.zeros((n_cred, n_paths))
 
     # the draw ring: interval i is drawn into slot (i - 1) % 2, so the worker
     # fills one slot's buffers while the loop reads the other's
@@ -476,37 +515,55 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
                 slot = (i - 1) % 2
                 credit_seconds += ahead[slot].result()
                 dt = dts[i - 1]
-                sq_dt = np.sqrt(dt)
+                sq_dt, half_dt = np.sqrt(dt), 0.5 * dt
+                decay_i, shock_i = decay[:, i - 1:i], shock_sd[:, i - 1:i]
                 for k in range(nsub):
                     z_mkt = mkt_bufs[slot][k]
-                    eps_mkt = L_mm @ z_mkt
-                    y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
-                    Y += 0.5 * dt * (y + y_new)
-                    y = y_new
-                    w_fx += sq_dt * eps_mkt[n_ccy:]
+                    _correlate(L_mm, z_mkt, eps_mkt)
+                    # y_new = y * decay + shock_sd * eps_r
+                    np.multiply(y, decay_i, out=y_new)
+                    eps_r *= shock_i
+                    y_new += eps_r
+                    # Y += 0.5 * dt * (y + y_new); y is free once it is read
+                    np.add(y, y_new, out=y)
+                    y *= half_dt
+                    Y += y
+                    y, y_new = y_new, y
+                    # w_fx += sq_dt * eps_fx
+                    eps_fx *= sq_dt
+                    w_fx += eps_fx
                     if entities:
                         tc = time.thread_time()
-                        z_cred = cred_bufs[slot][k]
-                        eps_cred = L_cm @ z_mkt + L_cc @ z_cred
-                        x_new = (x_cred + a_c * (theta_c - xp_cred) * dt
-                                 + sigma_c * np.sqrt(xp_cred * dt) * eps_cred)
-                        n_truncated += int(np.count_nonzero(x_new < 0.0))
-                        xp_new = np.maximum(x_new, 0.0)
-                        intx_cred += 0.5 * dt * (xp_cred + xp_new)
-                        x_cred, xp_cred = x_new, xp_new
+                        _correlate(L_cm, z_mkt, eps_cred)
+                        _correlate(L_cc, cred_bufs[slot][k], tmp)
+                        eps_cred += tmp
+                        # x_new = (x_cred + a_c * (theta_c - xp_cred) * dt
+                        #          + sigma_c * sqrt(xp_cred * dt) * eps_cred)
+                        np.subtract(theta_c, xp_cred, out=tmp)
+                        tmp *= a_c
+                        tmp *= dt
+                        np.add(x_cred, tmp, out=x_new)
+                        np.multiply(xp_cred, dt, out=tmp)
+                        np.sqrt(tmp, out=tmp)
+                        tmp *= sigma_c
+                        eps_cred *= tmp
+                        x_new += eps_cred
+                        np.less(x_new, 0.0, out=mask[:n_cred])
+                        n_truncated += int(np.count_nonzero(mask[:n_cred]))
+                        np.maximum(x_new, 0.0, out=xp_new)
+                        # intx_cred += 0.5 * dt * (xp_cred + xp_new)
+                        np.add(xp_cred, xp_new, out=tmp)
+                        tmp *= half_dt
+                        intx_cred += tmp
+                        x_cred, x_new = x_new, x_cred
+                        xp_cred, xp_new = xp_new, xp_cred
                         credit_seconds += time.thread_time() - tc
                 if i + 2 < n_dates:
                     ahead[slot] = pool.submit(fill, slot)
 
-            _check_finite(i, "y", y, ccys)
-            _check_finite(i, "Y", Y, ccys)
-            made = []
-            for o in overlays:
-                ln_fx = o.mu_fx[:, i:i + 1] + Y[0] - Y[o.fx_rows] + o.sigma_fx * w_fx
-                _check_finite(i, "lnfx", ln_fx, fx_ccys)
-                y_I = (xp_cred[k_I] - o.mu_I[i]
-                       if k_I is not None else None)
-                made.append(state(o, i, ln_fx, intx_cred - o.M_cred[:, i:i + 1], y_I))
+            _check_finite(i, "y", y, ccys, mask)
+            _check_finite(i, "Y", Y, ccys, mask)
+            made = [state(o, i) for o in overlays]
             yield tuple(made[k] for k in at)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -518,10 +575,28 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
         s.truncated_fraction = n_truncated / credit_steps if credit_steps else 0.0
 
 
-def _check_finite(i: int, name: str, rows: np.ndarray, keys) -> None:
-    """Raise naming the first non-finite entry of `rows` (one row per key)."""
-    if not np.all(np.isfinite(rows)):
-        k, path = np.argwhere(~np.isfinite(rows))[0]
+def _correlate(L: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+    """out = L @ z, bit for bit, for a Cholesky block L and draws z.
+
+    numpy's matmul sends a product whose inner dimension is 1 to an
+    unblocked loop that starts each entry at +0.0 and adds L[i, 0] * z[0, j];
+    the broadcast product plus 0.0 is that sum, several times faster. The
+    0.0 turns the -0.0 of a zero entry of L times a negative draw into the
+    +0.0 that `@` gives.
+    """
+    if L.shape[1] == 1:
+        np.multiply(L, z, out=out)
+        out += 0.0
+    else:
+        np.matmul(L, z, out=out)
+
+
+def _check_finite(i: int, name: str, rows: np.ndarray, keys, mask: np.ndarray) -> None:
+    """Raise naming the first non-finite entry of `rows` (one row per key);
+    `mask` is boolean scratch with at least as many rows."""
+    finite = np.isfinite(rows, out=mask[:len(rows)])
+    if not finite.all():
+        k, path = np.argwhere(~finite)[0]
         raise FloatingPointError(
             f"non-finite {name}[{keys[k]}] at date index {i}, path {path}")
 

@@ -1,4 +1,5 @@
-"""The no-regression verdict of scripts/bench_pairs.py on synthetic runs."""
+"""The no-regression verdict and the gain rule of scripts/bench_pairs.py on
+synthetic runs."""
 
 import importlib.util
 import math
@@ -49,3 +50,22 @@ def test_verdict_with_one_pair_is_unresolved_unless_better():
 def test_verdict_rejects_unknown_direction():
     with pytest.raises(ValueError, match="better"):
         verdict(PARENT, PARENT, "smaller", 0.25)
+
+
+PARENT10 = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]  # IQR 2.25 %
+
+
+@pytest.mark.parametrize("change, better, expected", [
+    ([0.90] * 10, "lower", True),
+    ([0.90] * 9 + [1.10], "lower", True),
+    ([0.90] * 8 + [1.10] * 2, "lower", False),
+    ([0.90] * 8 + [1.01, 0.99], "lower", False),
+    ([0.99, 1.01, 0.97, 1.00, 0.98, 1.02, 0.96, 0.99, 1.00, 0.98], "lower", False),
+    ([0.90] * 9, "lower", False),
+    ([1.10] * 10, "higher", True),
+    ([0.90] * 10, "higher", False),
+], ids=["every_pair", "nine_of_ten", "eight_of_ten", "tie_counts_for_neither",
+        "within_parent_iqr", "nine_pairs", "higher_is_better", "wrong_direction"])
+def test_gain_rule(change, better, expected):
+    parent = PARENT10[:len(change)]
+    assert verdict(parent, change, better, 0.25)["gain"] is expected

@@ -114,8 +114,24 @@ def test_setting_that_int_would_misread_rejected(tmp_path, old, new, name, value
     # int() would truncate the float, read true as 1, or fail on the string
     # (PyYAML reads 1e5 as one) without naming the key
     bad = _patched_config("single_swap.cfg", tmp_path, old, new)
-    msg = f"config {name} must be an integer, got {value}"
+    msg = f"config {bad}: {name} must be an integer, got {value}"
     with pytest.raises(ValueError, match=re.escape(msg)):
+        load_run_config(bad)
+
+
+@pytest.mark.parametrize("old, new, kind", [
+    ("    EUR: {x0: 0.0,", "    - {x0: 0.0,", "rates"),
+    ("    USD: {sigma_fx: 0.15}\n    GBP:", "    - {sigma_fx: 0.15}\n    -", "fx"),
+    ("    I: {x0: 0.0016939, a: 0.05, theta: 0.015390, sigma: 0.02, lgd: 0.6}\n    C:",
+     "    - {x0: 0.0016939, a: 0.05, theta: 0.015390, sigma: 0.02, lgd: 0.6}\n    -",
+     "credit"),
+], ids=["rates", "fx", "credit"])
+def test_model_section_that_is_not_a_mapping_rejected(tmp_path, old, new, kind):
+    # a list used to fail with "'list' object has no attribute 'items'"
+    cfg = "portfolio.cfg" if kind == "fx" else "single_swap.cfg"
+    bad = _patched_config(cfg, tmp_path, old, new)
+    with pytest.raises(ValueError, match=re.escape(f"config {bad}: models.{kind}: "
+                                                   "expected a mapping")):
         load_run_config(bad)
 
 

@@ -116,6 +116,30 @@ def test_non_numeric_instrument_value_rejected(tmp_path, entry, kind, key, value
         load_portfolio(path)
 
 
+@pytest.mark.parametrize("value", ["2.5", "abc", "true"])
+def test_non_integral_swap_frequency_rejected(tmp_path, value):
+    # int() used to read 2.5 as 2 without a word and fail on abc naming no key
+    path = tmp_path / "p.yaml"
+    path.write_text("instruments:\n- {type: fx_forward, currency: USD, notional: 1.0,"
+                    " strike: 0.9, maturity: 3.0}\n- {type: swap, currency: EUR,"
+                    " notional: 1.0, fixed_rate: 0.01, expiry: 1.0, maturity: 5.0,"
+                    f" frequency: {value}}}\n")
+    got = {"2.5": "2.5", "abc": "'abc'", "true": "True"}[value]
+    msg = (f"portfolio file {path}: instrument 1 (swap): frequency must be an integer,"
+           f" got {got}")
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        load_portfolio(path)
+
+
+def test_integral_float_swap_frequency_accepted(tmp_path):
+    path = tmp_path / "p.yaml"
+    path.write_text("instruments:\n- {type: swap, currency: EUR, notional: 1.0,"
+                    " fixed_rate: 0.01, expiry: 1.0, maturity: 5.0, frequency: 2.0}\n")
+    assert load_portfolio(path).single_swap == Swap.regular(
+        currency="EUR", notional=1.0, fixed_rate=0.01, expiry=1.0, maturity=5.0,
+        frequency=2)
+
+
 @pytest.mark.parametrize("entry, key", [
     ("{type: swap, currency: EUR, notional: 1.0, fixed_rate: 0.01, expiry: 1.0,"
      " maturity: 5.0, frequncy: 2}", "frequncy"),

@@ -2,14 +2,16 @@ import dataclasses
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import wwrfva.mc
-from wwrfva.fva import build_correlation_for, build_model_set, load_run_config
-from wwrfva.mc import (PathStream, SimGrid, _slabs, build_correlation,
-                       dump_cube, factor_labels, fx_factor, load_cube,
+from wwrfva.fva import (build_correlation_for, build_model_set, load_run_config,
+                        make_grid)
+from wwrfva.mc import (PathStream, SimGrid, _correlate, _slabs, build_correlation,
+                       credit_factor, dump_cube, factor_labels, fx_factor, load_cube,
                        rate_factor, shared_pass, simulate)
 from wwrfva.sensitivities import apply_bump, parse_bump
 from wwrfva.models import bfac, cir_terms, fx_terms, hw_terms
@@ -34,6 +36,18 @@ def fixture_models(cfg):
     inputs, _ = load_run_config(fixture_path(cfg))
     models = build_model_set(inputs)
     return models, build_correlation_for(models, inputs.correlations)
+
+
+def uncorrelated_credit_models(cfg):
+    """`cfg`'s models with every market-credit correlation at 0, so that
+    the Cholesky block L_cm is exactly zero."""
+    inputs, _ = load_run_config(fixture_path(cfg))
+    models = build_model_set(inputs)
+    credit = {credit_factor(z) for z in models.credit}
+    corrs = {k: 0.0 if len(credit.intersection(k.split(":"))) == 1 else v
+             for k, v in inputs.correlations.items()}
+    assert corrs != inputs.correlations
+    return models, build_correlation_for(models, corrs)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +276,17 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
     p_models, p_corr = fixture_models("portfolio.cfg")
     n, nsub = 5000, 3
     stream = PathStream(p_models, p_corr, SimGrid.regular(4, 10.0, nsub), n, 7, "full")
-    states = 2 * 3 + 2 + 3 * 2          # y and Y per currency, FX level, credit
-                                        # state, its integral and its floor
-    draws = 2 * (3 + 2 + 2)             # one substep's draws and temporaries
-    derived = 2 + 2 + 2                 # log-FX, credit drivers, discount
+    states = 3 * 3 + 2 + 5 * 2          # y, its successor and Y per currency,
+                                        # FX level; credit state and floor, each
+                                        # with its successor, and its integral
+    draws = (3 + 2) + 2 + 2             # one substep's market and credit draws,
+                                        # one credit scratch row
+    derived = 2 * (2 + 2 + 1 + 1)       # log-FX, credit drivers, investor's
+                                        # driver, discount; two dates
     ring = 2 * nsub * (5 + 2) * n * 8   # 2 x substeps x factors x paths x 8 B
-    assert stream.state_bytes == 8 * n * (states + draws + derived) + ring
+    mask = 3 * n                        # one byte per path, max(3, 2, 2) rows
+    assert stream.state_bytes == (8 * n * (states + draws + derived) + ring + mask
+                                  + wwrfva.mc.PASS_OBJECT_BYTES)
     _, models, corr = setup41
     grid = SimGrid.regular(4, 10.0, 2)
     stream = PathStream(models, corr, grid, 5000, 7, "full")
@@ -275,7 +294,7 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
     # room for the streamed state but not for the cube
     monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
                         lambda: stream.state_bytes + stream.cube_bytes // 2)
-    with pytest.raises(ValueError, match=r"scenario cube .* needs 9\.4 MB, more "
+    with pytest.raises(ValueError, match=r"scenario cube .* needs 9\.8 MB, more "
                                          r"than the \d\.\d MB of physical memory"):
         simulate(models, corr, grid, 5000, 7, "full")
     assert sum(1 for _ in PathStream(models, corr, grid, 5000, 7, "full")) == grid.n_dates
@@ -283,6 +302,48 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
                         lambda: stream.state_bytes - 1)
     with pytest.raises(ValueError, match="simulation state needs"):
         PathStream(models, corr, grid, 5000, 7, "full")
+
+
+@pytest.mark.parametrize("cfg", ["single_swap.cfg", "portfolio.cfg"])
+def test_state_bytes_bound_the_traced_pass(cfg):
+    # every row the substeps write is allocated once per pass, so a full
+    # pass adds no more than its count to the traced memory; the consumer
+    # holds each state, with its discount, until it asks for the next
+    inputs, settings = load_run_config(fixture_path(cfg))
+    models = build_model_set(inputs)
+    n = 1000
+    stream = PathStream(models, build_correlation_for(models, inputs.correlations),
+                        make_grid(inputs, settings), n, 3, "full")
+
+    def consume():
+        for st in stream:
+            st.discount
+
+    consume()  # lazy imports and one-off caches belong to no pass
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        consume()
+        traced = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert traced <= stream.state_bytes
+    # the count is exact to a row: the discount of the state being built
+    assert stream.state_bytes - traced < wwrfva.mc.PASS_OBJECT_BYTES + 2 * 8 * n
+
+
+@pytest.mark.parametrize("L", [[[1.0]], [[0.0], [0.3]], [[-0.35], [0.0]], [[0.6, 0.8]],
+                               [[1.0, 0.0], [0.5, 0.0]]])
+def test_correlate_equals_matmul_to_the_signed_zero(L):
+    L = np.array(L)
+    z = np.random.default_rng(2).standard_normal((L.shape[1], 64))
+    z[:, :4] = np.array([-0.0, 0.0, -1.5, 1.5])
+    out = np.empty((L.shape[0], 64))
+    _correlate(L, z, out)
+    assert out.tobytes() == (L @ z).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +445,14 @@ def collect(stream):
 @pytest.mark.parametrize("n_paths", [1, 1000])
 @pytest.mark.parametrize("nsub", [1, 4])
 @pytest.mark.parametrize("mode", ["base", "full"])
-@pytest.mark.parametrize("cfg", ["single_swap.cfg", "portfolio.cfg"])
+@pytest.mark.parametrize("cfg", ["single_swap.cfg", "portfolio.cfg",
+                                 "single_swap.cfg uncorrelated"])
 def test_draw_ahead_equals_serial_draws(cfg, mode, nsub, n_paths):
-    models, corr = fixture_models(cfg)
+    if cfg.endswith(" uncorrelated"):
+        # a zero one-column L_cm times a negative draw: -0.0 unless normalised
+        models, corr = uncorrelated_credit_models(cfg.split()[0])
+    else:
+        models, corr = fixture_models(cfg)
     # 12 intervals; 1, where fewer than two fills are submitted up front;
     # 2, where no slot is ever refilled
     for n_intervals in (12, 1, 2):
