@@ -177,12 +177,14 @@ def load_portfolio(path) -> Portfolio:
                              f"{' or '.join(map(repr, directions))}, got {direction!r}")
         num = {k: number(where, k, entry[k]) for k in _NUMBER_KEYS if k in entry}
         if kind == "swap":
+            frequency = integer(where, "frequency", entry.get("frequency", 1))
+            if frequency < 1:
+                raise ValueError(f"{where}: frequency must be at least 1 payment "
+                                 f"a year, got {frequency}")
             out.append(Swap.regular(
                 currency=str(entry["currency"]), notional=num["notional"],
                 fixed_rate=num["fixed_rate"], expiry=num["expiry"],
-                maturity=num["maturity"],
-                frequency=integer(where, "frequency", entry.get("frequency", 1)),
-                direction=direction))
+                maturity=num["maturity"], frequency=frequency, direction=direction))
         else:
             out.append(FxForward(
                 currency=str(entry["currency"]), notional=num["notional"],

@@ -1,13 +1,23 @@
 """Correlated path engine.
 
-One correlated standard-normal vector per substep drives all factors.
-Factor order is market first (rates, then FX), credit last; with a
-lower-triangular Cholesky factor the market paths depend only on the
-market draws, so a base-mode and a full-mode simulation with the same
-seed share bit-identical rate and FX paths. Credit draws come from a
-dedicated second stream and are only consumed in full mode. `run_fva`
-relies on this: it simulates once and reads the market drivers of a
-full simulation where a credit-free run would read a base one.
+The market drivers are jointly Gaussian over any monitoring interval, so
+each interval draws them in one step from their exact joint law: per
+currency the rate noise's stochastic integral I and that of its integral
+J, and per FX factor its Brownian increment, `2 n_ccy + n_fx` normals in
+all. The credit intensities take `substeps_per_interval` full-truncation
+Euler steps per interval with exact mean reversion in the drift; their
+Brownian increments are drawn conditionally on the interval's market
+vector, `substeps x n_credit` more normals. The benchmarked portfolio
+thus draws 16 normals per interval in full mode and 8 in base mode.
+
+Factor order is market first (rates, then FX), credit last. The market
+vector's Cholesky factor is taken from the market block alone and its
+normals come from their own generator, so a base-mode and a full-mode
+simulation with the same seed, at any substep count, share bit-identical
+rate and FX paths. Credit draws come from a dedicated second stream and
+are only consumed in full mode. `run_fva` relies on this: it simulates
+once and reads the market drivers of a full simulation where a
+credit-free run would read a base one.
 
 `PathStream` is the simulation: it yields one monitoring date's drivers
 at a time, so a run that consumes them date by date holds no array that
@@ -18,21 +28,19 @@ collects the stream into a `ScenarioCube` for the callers that need every
 date at once: the cube export, tests, and the cube forms of the exposure
 and bounds functions. The `bounds` verb reads the stream itself.
 
-Each substep runs in place on rows that the pass allocates once, in the
+Each interval runs in place on rows that the pass allocates once, in the
 evaluation order of the update formulas, so it gives their values bit
-for bit. A Cholesky block with one column, such as
-every market block of a single-currency book, is applied as a broadcast
-product: numpy's matmul would send it to its unblocked loop, several
-times slower, for the same bits (`_correlate`).
+for bit. The Cholesky products run on column blocks of paths small
+enough for OpenBLAS to keep each on one thread (`_correlate`), so they
+do not compete with the draw worker for a core.
 
 The standard normals are drawn ahead on a one-thread
-`concurrent.futures.ThreadPoolExecutor`: while the stream runs the
-substeps of one monitoring interval, the executor's worker fills the
-next interval's draws into a second buffer set (numpy's generators
-release the GIL while they fill). One worker runs the fills in the order
-they were submitted, and one fill of (substeps, factors, paths) gives
-the same numbers as that many successive (factors, paths) draws, so the
-paths are bit for bit those of a serial loop.
+`concurrent.futures.ThreadPoolExecutor`: while the stream runs one
+monitoring interval, the executor's worker fills the next interval's
+draws into a second buffer (numpy's generators release the GIL while
+they fill). One worker runs the fills in the order they were submitted,
+so the paths are bit for bit those of a serial loop that draws each
+interval's market and then its credit normals in turn.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .models import ModelSet, bfac, cir_terms, fx_terms, hw_terms
+from .models import ModelSet, bfac, cir_terms, fx_terms, hw_terms, interval_covariance
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +77,6 @@ def credit_factor(entity: str) -> str:
 class CorrelationMatrix:
     labels: tuple[str, ...]
     matrix: np.ndarray
-    cholesky: np.ndarray
 
     def index(self, label: str) -> int:
         try:
@@ -113,15 +120,22 @@ def build_correlation(labels, entries: dict[str, float]) -> CorrelationMatrix:
     li, lc = idx.get(credit_factor("I")), idx.get(credit_factor("C"))
     if li is not None and lc is not None and mat[li, lc] != 0.0:
         raise ValueError("the two credit factors must be uncorrelated")
+    _cholesky(mat, "correlation matrix")
+    return CorrelationMatrix(labels=labels, matrix=mat)
+
+
+def _cholesky(C: np.ndarray, what: str) -> np.ndarray:
+    """Cholesky factors of a stack of covariance matrices that are positive
+    semi-definite to rounding: where one is singular, of C plus 1e-12 of
+    its variances on the diagonal."""
     try:
-        chol = np.linalg.cholesky(mat)
+        return np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
-        # allow a PSD matrix that is singular to rounding level
+        var = np.diagonal(C, axis1=-2, axis2=-1)
         try:
-            chol = np.linalg.cholesky(mat + 1e-12 * np.eye(n))
+            return np.linalg.cholesky(C + 1e-12 * var[..., None] * np.eye(var.shape[-1]))
         except np.linalg.LinAlgError:
-            raise ValueError("correlation matrix is not positive semi-definite") from None
-    return CorrelationMatrix(labels=labels, matrix=mat, cholesky=chol)
+            raise ValueError(f"{what} is not positive semi-definite") from None
 
 
 def factor_labels(models: ModelSet) -> list[str]:
@@ -272,6 +286,19 @@ def exact_key(*parts) -> bytes:
     return pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+# OpenBLAS runs a product on one thread while m * n * k is at most this
+# (its gemm threading threshold); a second thread would compete with the
+# draw worker for a core.
+BLAS_ONE_THREAD = 2 ** 18
+
+
+def _correlate(L: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+    """out = L @ z, on column blocks of z small enough for one BLAS thread."""
+    width = max(1, BLAS_ONE_THREAD // L.size)
+    for j in range(0, z.shape[1], width):
+        np.matmul(L, z[:, j:j + width], out=out[:, j:j + width])
+
+
 # What a pass allocates besides its rows: the draw worker's thread and
 # futures, array headers, date states and the interpreter's free lists;
 # 28-42 KB under tracemalloc on CPython 3.11, whatever the path count.
@@ -282,48 +309,65 @@ class PathStream:
     """All drivers simulated jointly under the domestic risk-neutral measure,
     one monitoring date at a time.
 
-    Rate noise uses the exact conditional transition per substep; credit uses
-    full-truncation Euler; running integrals are trapezoidal on substeps.
-    The state of each process is one stacked (n_factors, n_paths) array whose
-    rows follow the factor order, so the correlated draws feed it directly.
+    Each monitoring interval [t, t + D] takes the exact joint Gaussian
+    transition of the market drivers. With the interval vector V of
+    `models.interval_covariance` drawn as V = L_VV z_V from 2 n_ccy + n_fx
+    normals z_V:
+        y <- e^{-a D} y + sigma I,   Y <- Y + B(D) y + sigma J   (old y),
+        w_fx <- w_fx + dW_fx.
+    In full mode the credit states take `substeps_per_interval` Euler steps
+    of length h = D / substeps with full truncation, a drift with exact
+    mean reversion and a trapezoidal integral:
+        x <- x + (theta - x+) (1 - e^{-a h}) + sigma sqrt(x+ h) eps_k.
+    The increments eps are drawn conditionally on V from substeps x credit
+    entities more normals z_C, as eps = L_EV z_V + L_EE z_C with
+    L_EV = C_EV L_VV^{-T} and L_EE = chol(C_EE - L_EV L_EV^T): the credit
+    rows of the joint covariance's Cholesky factor. One set of factors is
+    built per distinct interval length, with the shock scales sigma (rates)
+    and sigma sqrt(h) (credit) folded into its rows. L_VV is the factor of
+    the market block alone, so the market paths are the same in base and
+    full mode and at every substep count.
+    The state of each process is one stacked (n_factors, n_paths) array.
 
     A stream has two parts. The noise recursion (the rate noise `y` and its
     integral `Y`, the FX Brownian level `w_fx`, and in full mode the credit
     state and its integral) reads only the inputs that `key` holds as exact
-    bytes: the rate transition coefficients, the Cholesky blocks it uses, the
-    credit parameters in full mode, the substep sizes, paths, seed and mode.
-    The overlay turns that state into a date's drivers with this model set's
-    deterministic terms: the domestic discount-like factor, the FX means, log
-    spots and volatilities, and in full mode the credit means and mean
-    integrals. Rate curves, FX spots and FX volatilities move only the
-    overlay; credit curves, and in base mode the credit parameters and the
-    market-credit correlations, do not enter the stream at all. Model sets
-    that differ only in these share one pass (`shared_pass`).
+    bytes: the interval lengths, the rate transition coefficients and
+    factors, in full mode the credit factors and parameters, the substep
+    count, paths, seed and mode. The overlay turns that state into a date's
+    drivers with this model set's deterministic terms: the domestic
+    discount-like factor, the FX means, log spots and volatilities, and in
+    full mode the credit means and mean integrals. Rate curves, FX spots and
+    FX volatilities move only the overlay; credit curves, and in base mode
+    the credit parameters and the market-credit correlations, do not enter
+    the stream at all. Model sets that differ only in these share one pass
+    (`shared_pass`).
 
     Iterating runs the simulation once from `seed` and yields one DateState
     per monitoring date, date 0 first; a second iteration repeats it. Its
     rate drivers are the live simulation state: a yielded state is valid
     only until the next one is requested, because the integrated drivers
     `Y_r` are updated in place and the rate noise `y_r` lives in one of two
-    buffers that the substeps write in turn. Memory therefore scales with
+    buffers that the intervals write in turn. Memory therefore scales with
     paths x factors, not with dates: `state_bytes` counts the rows a pass
-    allocates, once, for its substeps, and the derived rows of the state it
+    allocates, once, for its updates, and the derived rows of the state it
     builds and the one its consumer holds. After the last date,
     `truncated_fraction` and `credit_seconds` describe the pass.
 
     Each pass owns a `ThreadPoolExecutor` with one worker that draws the
-    standard normals into a ring of two preallocated buffer sets:
-    (substeps, market factors, paths) and, in full mode, (substeps, credit
-    factors, paths). The first two intervals are submitted before date 0
-    is yielded; once an interval's substeps have run, the interval two
-    ahead is submitted into the slot just read. The worker only fills
-    buffers; the correlation products, the process updates and the finite
-    checks stay in the iterating thread, in the serial order, so the
-    yielded states are bit for bit those of drawing each substep in turn.
-    However the iteration ends (last date, `close()`, a `break`, an
-    exception in the consumer or in the stream), pending fills are
-    cancelled and the worker is joined; an exception raised in the worker
-    is re-raised in the consumer when it reads that interval's result.
+    standard normals into a ring of two preallocated buffers of
+    (2 n_ccy + n_fx + substeps x credit entities, paths): z_V from the
+    market generator, then z_C from the credit generator. The first two
+    intervals are submitted before date 0 is yielded; once an interval has
+    run, the interval two ahead is submitted into the slot just read. The
+    worker only fills buffers; the Cholesky products, the process updates
+    and the finite checks stay in the iterating thread, in the serial
+    order, so the yielded states are bit for bit those of drawing each
+    interval in turn. However the iteration ends (last date, `close()`, a
+    `break`, an exception in the consumer or in the stream), pending fills
+    are cancelled and the worker is joined; an exception raised in the
+    worker is re-raised in the consumer when it reads that interval's
+    result.
 
     `credit_seconds` is the CPU time of the iterating thread in the credit
     Euler steps (not of OpenBLAS's own threads) plus that of the worker
@@ -350,27 +394,36 @@ class PathStream:
         self.fx_ccys = list(models.fx)
         self.entities = list(models.credit) if mode == "full" else []
         n_ccy, n_fx, n_cred = len(self.ccys), len(self.fx_ccys), len(self.entities)
-        n_mkt = n_ccy + n_fx
+        n_mkt, nsub = n_ccy + n_fx, grid.substeps_per_interval
+        self.n_V = n_V = 2 * n_ccy + n_fx
+        n_E = nsub * n_cred
 
-        # the noise recursion's inputs
-        self.dts = np.diff(dates) / grid.substeps_per_interval
+        # the noise recursion's inputs, one entry per distinct interval
+        # length; interval i - 1 (ending at date i) has length lengths[which]
+        lengths, self.which = np.unique(np.diff(dates), return_inverse=True)
         rates = [models.rates[c] for c in self.ccys]
-        a_r = np.array([p.a for p in rates])[:, None]
-        self.decay = np.exp(-a_r * self.dts)
-        self.shock_sd = (np.array([p.sigma for p in rates])[:, None]
-                         * np.sqrt(bfac(2.0 * a_r, self.dts)))
-        L = corr.cholesky
-        self.L_mm = np.ascontiguousarray(L[:n_mkt, :n_mkt])
-        self.L_cm = np.ascontiguousarray(L[n_mkt:n_mkt + n_cred, :n_mkt])
-        self.L_cc = np.ascontiguousarray(L[n_mkt:n_mkt + n_cred, n_mkt:n_mkt + n_cred])
+        a_r = np.array([p.a for p in rates])
+        sigma_r = np.array([p.sigma for p in rates])
+        R = corr.matrix[:n_mkt + n_cred, :n_mkt + n_cred]
+        C = interval_covariance(a_r, R, n_fx, lengths, nsub)
+        self.decay = np.exp(-a_r[:, None] * lengths[:, None, None])
+        self.B_r = np.asarray(bfac(a_r[:, None], lengths[:, None, None]))
+        # L_VV from V's block alone, its rows scaled to the shocks (sigma I,
+        # sigma J, dW_fx); E's rows of the joint factor are (L_EV, L_EE)
+        self.L_V = np.r_[sigma_r, sigma_r, np.ones(n_fx)][:, None] \
+            * _cholesky(C[:, :n_V, :n_V], "interval covariance")
         credit = [models.credit[z] for z in self.entities]
-        self.x0_c, self.a_c, self.theta_c, self.sigma_c = (
+        self.x0_c, a_c, self.theta_c, sigma_c = (
             np.array([getattr(p, f) for p in credit])[:, None]
             for f in ("x0", "a", "theta", "sigma"))
-        self.key = exact_key(tuple(labels), mode, n_paths, seed,
-                             grid.substeps_per_interval, self.dts, self.decay,
-                             self.shock_sd, self.L_mm, self.L_cm, self.L_cc,
-                             self.x0_c, self.a_c, self.theta_c, self.sigma_c)
+        self.h = lengths / nsub
+        self.revert = -np.expm1(-a_c * self.h[:, None, None])
+        # E's rows scaled to the credit shocks sigma_c sqrt(h) eps
+        shock = np.tile(sigma_c[:, 0], nsub) * np.sqrt(self.h)[:, None]
+        self.L_E = _cholesky(C, "interval covariance")[:, n_V:] * shock[..., None]
+        self.key = exact_key(tuple(labels), mode, n_paths, seed, nsub, self.which,
+                             lengths, self.decay, self.B_r, self.L_V, self.L_E,
+                             self.x0_c, self.theta_c, self.revert)
 
         # the overlay: FX log level = mean + Y_dom - Y_ccy + sigma_fx * Brownian
         # level; credit centred by the closed-form mean and mean integral
@@ -392,16 +445,16 @@ class PathStream:
 
         # rows alive at once, the pass's own allocated once: the process
         # states y (and its successor), Y and the FX level; in full mode the
-        # credit state and its floor (each with its successor) and its
-        # integral; one substep's correlated draws and one credit scratch
-        # row; and the draw ring, two intervals of standard normals. Then
-        # the derived rows (log-FX, credit drivers, investor's driver and the
+        # credit state, its floor and its integral; the interval's market
+        # shocks V, one substep's credit shocks and one credit scratch row;
+        # and the draw ring, two intervals of standard normals. Then the
+        # derived rows (log-FX, credit drivers, investor's driver and the
         # discount its consumer derives) of two dates, the one being built
-        # and the one its consumer still holds; a shared pass holds them once
-        # per distinct overlay. Plus a boolean mask row per path.
+        # and the one its consumer still holds; a shared pass holds them
+        # once per distinct overlay. Plus a boolean mask row per path.
         self.overlay_rows = 2 * (n_fx + n_cred + ("I" in self.entities) + 1)
-        rows = (3 * n_ccy + n_fx) + 5 * n_cred + (n_mkt + 2 * n_cred) \
-            + 2 * grid.substeps_per_interval * (n_mkt + n_cred) + self.overlay_rows
+        rows = (3 * n_ccy + n_fx) + 3 * n_cred + (n_V + 2 * n_cred) \
+            + 2 * (n_V + n_E) + self.overlay_rows
         self.state_bytes = (8 * n_paths * rows + n_paths * max(n_ccy, n_fx, n_cred)
                             + PASS_OBJECT_BYTES)
         # the cube's slabs: y and Y per currency, log-FX, and in full mode
@@ -450,39 +503,36 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
 
     dom, ccys, fx_ccys, entities = s0.models.domestic, s0.ccys, s0.fx_ccys, s0.entities
     n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
-    n_mkt = n_ccy + n_fx
+    n_V = s0.n_V
     n_dates = len(s0.dates)
     nsub = s0.grid.substeps_per_interval
-    dts, decay, shock_sd = s0.dts, s0.decay, s0.shock_sd
-    L_mm, L_cm, L_cc = s0.L_mm, s0.L_cm, s0.L_cc
-    a_c, theta_c, sigma_c = s0.a_c, s0.theta_c, s0.sigma_c
+    which, decay, B_r, L_V, L_E = s0.which, s0.decay, s0.B_r, s0.L_V, s0.L_E
+    theta_c, revert, h = s0.theta_c, s0.revert, s0.h
     k_I = entities.index("I") if "I" in entities else None
 
-    # every row the substeps write is allocated here, once per pass; each
+    # every row the updates write is allocated here, once per pass; each
     # update runs in place, in the evaluation order of the formula above it
     y, y_new = np.zeros((n_ccy, n_paths)), np.empty((n_ccy, n_paths))  # OU noise
-    Y = np.zeros((n_ccy, n_paths))          # trapezoidal integral of y
+    Y = np.zeros((n_ccy, n_paths))          # integral of y
     w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
-    eps_mkt = np.empty((n_mkt, n_paths))    # correlated market draws
-    eps_r, eps_fx = eps_mkt[:n_ccy], eps_mkt[n_ccy:]
+    V = np.empty((n_V, n_paths))            # the interval's market shocks
+    sI, sJ, dW_fx = V[:n_ccy], V[n_ccy:2 * n_ccy], V[2 * n_ccy:]
     x_cred = np.repeat(s0.x0_c, n_paths, axis=1)
-    x_new = np.empty((n_cred, n_paths))
     xp_cred = np.maximum(x_cred, 0.0)       # its floor, carried across substeps
-    xp_new = np.empty((n_cred, n_paths))
     intx_cred = np.zeros((n_cred, n_paths))
-    eps_cred = np.empty((n_cred, n_paths))  # correlated credit draws
+    eps_cred = np.empty((n_cred, n_paths))  # a substep's credit shocks, then floor
     tmp = np.empty((n_cred, n_paths))       # credit scratch
     mask = np.empty((max(n_ccy, n_fx, n_cred), n_paths), dtype=bool)
 
     def state(o, i):
         """Overlay o's DateState at date i."""
         # ln_fx = mu_fx + Y[0] - Y[fx_rows] + sigma_fx * w_fx, its first three
-        # terms summed in eps_fx, free between substeps
-        np.add(o.mu_fx[:, i:i + 1], Y[0], out=eps_fx)
+        # terms summed in dW_fx, free between intervals
+        np.add(o.mu_fx[:, i:i + 1], Y[0], out=dW_fx)
         for r, k in enumerate(o.fx_rows):
-            eps_fx[r] -= Y[k]
+            dW_fx[r] -= Y[k]
         ln_fx = np.multiply(o.sigma_fx, w_fx)
-        ln_fx += eps_fx
+        ln_fx += dW_fx
         _check_finite(i, "lnfx", ln_fx, fx_ccys, mask)
         y_I = xp_cred[k_I] - o.mu_I[i] if k_I is not None else None
         Y_c = dict(zip(entities, intx_cred - o.M_cred[:, i:i + 1]))
@@ -491,18 +541,18 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
                          y_I, Y_c.get("I"), Y_c.get("C"))
 
     # the draw ring: interval i is drawn into slot (i - 1) % 2, so the worker
-    # fills one slot's buffers while the loop reads the other's
-    mkt_bufs = [np.empty((nsub, n_mkt, n_paths)) for _ in range(2)]
-    cred_bufs = [np.empty((nsub, n_cred, n_paths)) for _ in range(2)]
+    # fills one slot while the loop reads the other; a slot's first n_V rows
+    # are z_V, the rest z_C, substep-major
+    ring = [np.empty((n_V + nsub * n_cred, n_paths)) for _ in range(2)]
     rng_mkt, rng_credit = _generators(s0.seed)
 
     def fill(slot):
         """Draw one interval into `slot`; return the credit fill's CPU seconds."""
-        rng_mkt.standard_normal(out=mkt_bufs[slot])
+        rng_mkt.standard_normal(out=ring[slot][:n_V])
         if not entities:
             return 0.0
         t0 = time.thread_time()
-        rng_credit.standard_normal(out=cred_bufs[slot])
+        rng_credit.standard_normal(out=ring[slot][n_V:])
         return time.thread_time() - t0
 
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="PathStream draws")
@@ -514,50 +564,45 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
             if i > 0:
                 slot = (i - 1) % 2
                 credit_seconds += ahead[slot].result()
-                dt = dts[i - 1]
-                sq_dt, half_dt = np.sqrt(dt), 0.5 * dt
-                decay_i, shock_i = decay[:, i - 1:i], shock_sd[:, i - 1:i]
-                for k in range(nsub):
-                    z_mkt = mkt_bufs[slot][k]
-                    _correlate(L_mm, z_mkt, eps_mkt)
-                    # y_new = y * decay + shock_sd * eps_r
-                    np.multiply(y, decay_i, out=y_new)
-                    eps_r *= shock_i
-                    y_new += eps_r
-                    # Y += 0.5 * dt * (y + y_new); y is free once it is read
-                    np.add(y, y_new, out=y)
-                    y *= half_dt
-                    Y += y
-                    y, y_new = y_new, y
-                    # w_fx += sq_dt * eps_fx
-                    eps_fx *= sq_dt
-                    w_fx += eps_fx
-                    if entities:
-                        tc = time.thread_time()
-                        _correlate(L_cm, z_mkt, eps_cred)
-                        _correlate(L_cc, cred_bufs[slot][k], tmp)
-                        eps_cred += tmp
-                        # x_new = (x_cred + a_c * (theta_c - xp_cred) * dt
-                        #          + sigma_c * sqrt(xp_cred * dt) * eps_cred)
+                z, u = ring[slot], which[i - 1]
+                _correlate(L_V[u], z[:n_V], V)
+                # y_new = decay * y + sigma * I
+                np.multiply(y, decay[u], out=y_new)
+                y_new += sI
+                # Y += B * y + sigma * J; y is free once it is read
+                y *= B_r[u]
+                Y += y
+                Y += sJ
+                y, y_new = y_new, y
+                # w_fx += dW_fx
+                w_fx += dW_fx
+                if entities:
+                    tc = time.thread_time()
+                    revert_u, half_h = revert[u], 0.5 * h[u]
+                    for k in range(nsub):
+                        # the credit shocks sigma_c * sqrt(h) * eps_k: L_E's
+                        # columns past z_C of substep k are zero
+                        top = n_V + (k + 1) * n_cred
+                        _correlate(L_E[u, k * n_cred:(k + 1) * n_cred, :top], z[:top],
+                                   eps_cred)
+                        # x_cred = (x_cred + (theta_c - xp_cred) * revert
+                        #           + sqrt(xp_cred) * eps_cred)
                         np.subtract(theta_c, xp_cred, out=tmp)
-                        tmp *= a_c
-                        tmp *= dt
-                        np.add(x_cred, tmp, out=x_new)
-                        np.multiply(xp_cred, dt, out=tmp)
-                        np.sqrt(tmp, out=tmp)
-                        tmp *= sigma_c
+                        tmp *= revert_u
+                        x_cred += tmp
+                        np.sqrt(xp_cred, out=tmp)
                         eps_cred *= tmp
-                        x_new += eps_cred
-                        np.less(x_new, 0.0, out=mask[:n_cred])
+                        x_cred += eps_cred
+                        np.less(x_cred, 0.0, out=mask[:n_cred])
                         n_truncated += int(np.count_nonzero(mask[:n_cred]))
-                        np.maximum(x_new, 0.0, out=xp_new)
-                        # intx_cred += 0.5 * dt * (xp_cred + xp_new)
-                        np.add(xp_cred, xp_new, out=tmp)
-                        tmp *= half_dt
+                        # intx_cred += 0.5 * h * (xp_cred + max(x_cred, 0)); the
+                        # shocks' row, free once read, takes the new floor
+                        np.maximum(x_cred, 0.0, out=eps_cred)
+                        np.add(xp_cred, eps_cred, out=tmp)
+                        tmp *= half_h
                         intx_cred += tmp
-                        x_cred, x_new = x_new, x_cred
-                        xp_cred, xp_new = xp_new, xp_cred
-                        credit_seconds += time.thread_time() - tc
+                        xp_cred, eps_cred = eps_cred, xp_cred
+                    credit_seconds += time.thread_time() - tc
                 if i + 2 < n_dates:
                     ahead[slot] = pool.submit(fill, slot)
 
@@ -573,22 +618,6 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
     credit_steps = n_cred * n_paths * nsub * (n_dates - 1)
     for s in streams:
         s.truncated_fraction = n_truncated / credit_steps if credit_steps else 0.0
-
-
-def _correlate(L: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
-    """out = L @ z, bit for bit, for a Cholesky block L and draws z.
-
-    numpy's matmul sends a product whose inner dimension is 1 to an
-    unblocked loop that starts each entry at +0.0 and adds L[i, 0] * z[0, j];
-    the broadcast product plus 0.0 is that sum, several times faster. The
-    0.0 turns the -0.0 of a zero entry of L times a negative draw into the
-    +0.0 that `@` gives.
-    """
-    if L.shape[1] == 1:
-        np.multiply(L, z, out=out)
-        out += 0.0
-    else:
-        np.matmul(L, z, out=out)
 
 
 def _check_finite(i: int, name: str, rows: np.ndarray, keys, mask: np.ndarray) -> None:

@@ -403,6 +403,78 @@ def fx_terms(dom: Hw1fParams, fgn: Hw1fParams, fx: GbmFxParams,
     return _bundle(FxTerms, mu_fx=mu_fx, var_lnfx=np.maximum(var, 0.0))
 
 
+# ---------------------------------------------------------------------------
+# one monitoring interval as one Gaussian vector
+
+# The 10-point Gauss-Legendre rule on [-1, 1]. It integrates polynomials of
+# degree 19 exactly, so the smooth kernels below to rounding whenever
+# a * length is of order one or less.
+GL_NODES = np.array([
+    -0.9739065285171717200779640, -0.8650633666889845107320967,
+    -0.6794095682990244062343274, -0.4333953941292471907992659,
+    -0.1488743389816312108848260, 0.1488743389816312108848260,
+    0.4333953941292471907992659, 0.6794095682990244062343274,
+    0.8650633666889845107320967, 0.9739065285171717200779640])
+GL_WEIGHTS = np.array([
+    0.0666713443086881375935688, 0.1494513491505805931457763,
+    0.2190863625159820439955349, 0.2692667193099963550912269,
+    0.2955242247147528701738930, 0.2955242247147528701738930,
+    0.2692667193099963550912269, 0.2190863625159820439955349,
+    0.1494513491505805931457763, 0.0666713443086881375935688])
+
+
+def _kernels(a_r: np.ndarray, n_fx: int, tau: np.ndarray) -> np.ndarray:
+    """The market vector's kernels at times `tau` (..., q) before the
+    interval's end: e^{-a tau} per currency, B(tau) per currency, 1 per FX
+    factor; shape (..., 2 n_ccy + n_fx, q)."""
+    a = np.asarray(a_r, dtype=float)[:, None]
+    tau = np.asarray(tau, dtype=float)[..., None, :]
+    ones = np.ones(tau.shape[:-2] + (n_fx, tau.shape[-1]))
+    return np.concatenate([np.exp(-a * tau), bfac(a, tau), ones], axis=-2)
+
+
+def interval_covariance(a_r, R, n_fx: int, lengths, nsub: int) -> np.ndarray:
+    """The joint covariance of one monitoring interval's Gaussian increments
+    (V, E), per interval length: shape (n lengths, n_V + n_E, n_V + n_E).
+
+    Over [t, t + D], with the factors' Brownian motions W correlated by R
+    (factor order: rates, FX, credit) and h = D / nsub:
+      V = (I_c per currency, J_c per currency, dW_f per FX factor), with
+          I_c = int e^{-a_c (t + D - s)} dW_c(s), J_c = int B_c(t + D - s) dW_c(s);
+      E = (eps_{k,e} per substep k, per credit entity e, substep-major),
+          eps_{k,e} = (W_e(t + (k+1) h) - W_e(t + k h)) / sqrt(h).
+    Each covariance is R's entry times the integral of the product of the
+    two kernels. V's block takes the Gauss-Legendre rule over the whole
+    interval, so it does not depend on nsub; V's covariances with E take it
+    on each substep; E's block is R's credit block per substep.
+    """
+    a_r, R = np.asarray(a_r, dtype=float), np.asarray(R, dtype=float)
+    lengths = np.asarray(lengths, dtype=float)
+    n_ccy = len(a_r)
+    n_mkt = n_ccy + n_fx
+    # the factor each row of V integrates
+    factor = np.r_[np.arange(n_ccy), np.arange(n_ccy), np.arange(n_ccy, n_mkt)]
+    n_V, n_E = len(factor), nsub * (len(R) - n_mkt)
+    C = np.empty((len(lengths), n_V + n_E, n_V + n_E))
+    # the rules' sums are elementwise: the arrays are tiny, and stacked BLAS
+    # products here added about 0.2 MB of resident library code to a run
+    half = 0.5 * lengths[:, None]
+    F = _kernels(a_r, n_fx, half * (1.0 + GL_NODES))
+    FF = F[:, :, None, :] * F[:, None, :, :]
+    C[:, :n_V, :n_V] = ((FF * (half * GL_WEIGHTS)[:, None, None, :]).sum(axis=-1)
+                        * R[np.ix_(factor, factor)])
+    # substep k spans (nsub - 1 - k) h <= tau <= (nsub - k) h; the integral
+    # of a kernel over it, divided by sqrt(h)
+    h = lengths / nsub
+    tau = h[:, None, None] * (np.arange(nsub)[::-1, None] + 0.5 * (1.0 + GL_NODES))
+    G = ((_kernels(a_r, n_fx, tau) * (0.5 * GL_WEIGHTS)).sum(axis=-1)
+         * np.sqrt(h)[:, None, None])
+    C[:, n_V:, :n_V] = (G[:, :, None, :] * R[n_mkt:, factor]).reshape(len(lengths), n_E, n_V)
+    C[:, :n_V, n_V:] = C[:, n_V:, :n_V].swapaxes(-1, -2)
+    C[:, n_V:, n_V:] = np.kron(np.eye(nsub), R[n_mkt:, n_mkt:])
+    return C
+
+
 def sigma_ratio(var_x, var_y_r):
     """Scaling sqrt(Var[x]/Var[y_r]) mapping any driver onto the rate driver."""
     var_x = np.asarray(var_x, dtype=float)

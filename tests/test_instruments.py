@@ -131,6 +131,21 @@ def test_non_integral_swap_frequency_rejected(tmp_path, value):
         load_portfolio(path)
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "0.0"])
+def test_swap_frequency_below_one_rejected(tmp_path, value):
+    # Swap.regular used to fail with "maturity - expiry must be a whole number
+    # of periods", naming no file, instrument or key
+    path = tmp_path / "p.yaml"
+    path.write_text("instruments:\n- {type: fx_forward, currency: USD, notional: 1.0,"
+                    " strike: 0.9, maturity: 3.0}\n- {type: swap, currency: EUR,"
+                    " notional: 1.0, fixed_rate: 0.01, expiry: 1.0, maturity: 5.0,"
+                    f" frequency: {value}}}\n")
+    msg = (f"portfolio file {path}: instrument 1 (swap): frequency must be at least 1"
+           f" payment a year, got {int(float(value))}")
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        load_portfolio(path)
+
+
 def test_integral_float_swap_frequency_accepted(tmp_path):
     path = tmp_path / "p.yaml"
     path.write_text("instruments:\n- {type: swap, currency: EUR, notional: 1.0,"

@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import math
 import threading
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from wwrfva.mc import (PathStream, SimGrid, _correlate, _slabs, build_correlatio
                        credit_factor, dump_cube, factor_labels, fx_factor, load_cube,
                        rate_factor, shared_pass, simulate)
 from wwrfva.sensitivities import apply_bump, parse_bump
-from wwrfva.models import bfac, cir_terms, fx_terms, hw_terms
+from wwrfva.models import (GL_NODES, GL_WEIGHTS, cir_terms, fx_terms, hw_terms,
+                           interval_covariance)
 
 from conftest import fixture_path
 
@@ -276,14 +279,16 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
     p_models, p_corr = fixture_models("portfolio.cfg")
     n, nsub = 5000, 3
     stream = PathStream(p_models, p_corr, SimGrid.regular(4, 10.0, nsub), n, 7, "full")
-    states = 3 * 3 + 2 + 5 * 2          # y, its successor and Y per currency,
-                                        # FX level; credit state and floor, each
-                                        # with its successor, and its integral
-    draws = (3 + 2) + 2 + 2             # one substep's market and credit draws,
-                                        # one credit scratch row
+    states = 3 * 3 + 2 + 3 * 2          # y, its successor and Y per currency,
+                                        # FX level; credit state, its floor and
+                                        # its integral
+    draws = (2 * 3 + 2) + 2 + 2         # the interval's market shocks, one
+                                        # substep's credit shocks, one credit
+                                        # scratch row
     derived = 2 * (2 + 2 + 1 + 1)       # log-FX, credit drivers, investor's
                                         # driver, discount; two dates
-    ring = 2 * nsub * (5 + 2) * n * 8   # 2 x substeps x factors x paths x 8 B
+    ring = 2 * (2 * 3 + 2 + nsub * 2) * n * 8  # 2 x (market and credit normals
+                                               # of an interval) x paths x 8 B
     mask = 3 * n                        # one byte per path, max(3, 2, 2) rows
     assert stream.state_bytes == (8 * n * (states + draws + derived) + ring + mask
                                   + wwrfva.mc.PASS_OBJECT_BYTES)
@@ -294,7 +299,7 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
     # room for the streamed state but not for the cube
     monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
                         lambda: stream.state_bytes + stream.cube_bytes // 2)
-    with pytest.raises(ValueError, match=r"scenario cube .* needs 9\.8 MB, more "
+    with pytest.raises(ValueError, match=r"scenario cube .* needs 9\.7 MB, more "
                                          r"than the \d\.\d MB of physical memory"):
         simulate(models, corr, grid, 5000, 7, "full")
     assert sum(1 for _ in PathStream(models, corr, grid, 5000, 7, "full")) == grid.n_dates
@@ -346,34 +351,112 @@ def test_correlate_equals_matmul_to_the_signed_zero(L):
     assert out.tobytes() == (L @ z).tobytes()
 
 
-# ---------------------------------------------------------------------------
-# draw-ahead worker
+@pytest.mark.parametrize("shape", [(8, 8), (2, 10), (2, 2)])
+def test_correlate_blocks_equal_the_whole_product(shape):
+    # each block is small enough for one BLAS thread, and its columns are
+    # bit for bit those of the product over every path
+    rng = np.random.default_rng(3)
+    L = rng.standard_normal(shape)
+    z = rng.standard_normal((shape[1], 70001))
+    out = np.empty((shape[0], z.shape[1]))
+    _correlate(L, z, out)
+    assert out.tobytes() == (L @ z).tobytes()
 
-def serial_reference(stream):
-    """The simulation as a serial loop that draws each substep's normals in
-    turn, as the stream did before its draws moved to a worker thread.
-    Yields each date's slabs (copies), then the truncated fraction."""
+
+# ---------------------------------------------------------------------------
+# the interval scheme against an independent oracle
+
+_KINDS = {"I": lambda a, t: mpmath.exp(-a * t),          # e^{-a tau}
+          "J": lambda a, t: -mpmath.expm1(-a * t) / a,   # B(tau)
+          "W": lambda a, t: mpmath.mpf(1)}
+
+
+@functools.lru_cache(maxsize=None)
+def mp_integral(kinds, a, lo, hi):
+    """int_lo^hi of the product of the kernels `kinds` (reversions `a`) by
+    mpmath quadrature at 30 digits."""
+    with mpmath.workdps(30):
+        def f(t):
+            out = mpmath.mpf(1)
+            for kind, ak in zip(kinds, a):
+                out *= _KINDS[kind](mpmath.mpf(ak), t)
+            return out
+        return mpmath.quad(f, [mpmath.mpf(lo), mpmath.mpf(hi)])
+
+
+def mp_covariance(a_r, R, n_fx, length, nsub):
+    """The blocks (C_VV, C_EV, C_EE) of `models.interval_covariance` for one
+    interval length, each integral by mpmath quadrature."""
+    n_ccy = len(a_r)
+    n_mkt = n_ccy + n_fx
+    n_cred = len(R) - n_mkt
+    rows = ([("I", a, c) for c, a in enumerate(a_r)]
+            + [("J", a, c) for c, a in enumerate(a_r)]
+            + [("W", 0.0, n_ccy + f) for f in range(n_fx)])
+    C_VV = np.array([[R[fi, fj] * float(mp_integral((ki, kj), (ai, aj), 0.0, length))
+                      for kj, aj, fj in rows] for ki, ai, fi in rows])
+    with mpmath.workdps(30):
+        h = mpmath.mpf(length) / nsub
+        C_EV = np.array([[R[n_mkt + e, fi] * float(
+            mp_integral((ki,), (ai,), (nsub - 1 - k) * h, (nsub - k) * h) / mpmath.sqrt(h))
+            for ki, ai, fi in rows] for k in range(nsub) for e in range(n_cred)])
+    C_EE = np.kron(np.eye(nsub), R[n_mkt:, n_mkt:])
+    return C_VV, C_EV.reshape(nsub * n_cred, len(rows)), C_EE
+
+
+def mp_factors(stream):
+    """Per interval length of `stream`, its factors built from mpmath: the
+    rate coefficients (e^{-a D}, B(D)), the market factor scaled to the
+    shocks, the credit factor scaled to the shocks and 1 - e^{-a h}."""
+    models, n_cred = stream.models, len(stream.entities)
+    rates = [models.rates[c] for c in stream.ccys]
+    credit = [models.credit[z] for z in stream.entities]
+    n_fx, nsub = len(stream.fx_ccys), stream.grid.substeps_per_interval
+    R = stream.corr.matrix[:len(rates) + n_fx + n_cred, :len(rates) + n_fx + n_cred]
+    out = []
+    for length in np.unique(np.diff(stream.dates)):
+        C_VV, C_EV, C_EE = mp_covariance([p.a for p in rates], R, n_fx, length, nsub)
+        L_VV = np.linalg.cholesky(C_VV)
+        with mpmath.workdps(30):
+            D, h = mpmath.mpf(length), mpmath.mpf(length) / nsub
+            decay = np.array([[float(mpmath.exp(-p.a * D))] for p in rates])
+            B = np.array([[float(-mpmath.expm1(-p.a * D) / p.a)] for p in rates])
+            revert = np.array([[float(-mpmath.expm1(-p.a * h))] for p in credit])
+            shock = np.tile([float(p.sigma * mpmath.sqrt(h)) for p in credit], nsub)
+        sigma = [p.sigma for p in rates]
+        L_V = np.array(sigma + sigma + [1.0] * n_fx)[:, None] * L_VV
+        L_E = np.zeros((nsub * n_cred, len(L_VV) + nsub * n_cred))
+        if n_cred:
+            L_EV = np.linalg.solve(L_VV, C_EV.T).T
+            L_EE = np.linalg.cholesky(C_EE - L_EV @ L_EV.T)
+            L_E = shock[:, None] * np.hstack([L_EV, L_EE])
+        out.append((decay, B, L_V, L_E, revert, float(length / nsub)))
+    return out
+
+
+def stream_factors(stream):
+    """The same factors as `stream` built them."""
+    return [(stream.decay[u], stream.B_r[u], stream.L_V[u], stream.L_E[u],
+             stream.revert[u], stream.h[u]) for u in range(len(stream.h))]
+
+
+def serial_reference(stream, factors):
+    """The interval scheme as a serial loop that draws each interval's market
+    and then its credit normals in turn, with the given `factors` (one
+    entry per distinct interval length, as `mp_factors` builds them).
+    Yields each date's slabs as bytes, then the truncated fraction."""
     models, corr, n_paths = stream.models, stream.corr, stream.n_paths
     dom = models.domestic
     ccys = [dom] + models.foreign_currencies
     fx_ccys = list(models.fx)
     entities = stream.entities
     n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
-    n_mkt = n_ccy + n_fx
-    L = corr.cholesky
-    L_mm = np.ascontiguousarray(L[:n_mkt, :n_mkt])
-    L_cm = np.ascontiguousarray(L[n_mkt:, :n_mkt])
-    L_cc = np.ascontiguousarray(L[n_mkt:, n_mkt:])
-    ss_mkt, ss_credit = np.random.SeedSequence(stream.seed).spawn(2)
-    rng_mkt = np.random.default_rng(ss_mkt)
-    rng_credit = np.random.default_rng(ss_credit)
+    n_V = 2 * n_ccy + n_fx
+    rng_mkt, rng_credit = (np.random.default_rng(s)
+                           for s in np.random.SeedSequence(stream.seed).spawn(2))
     dates = stream.dates
     n_dates, nsub = len(dates), stream.grid.substeps_per_interval
-    dts = np.diff(dates) / nsub
-    rates = [models.rates[c] for c in ccys]
-    a_r = np.array([p.a for p in rates])[:, None]
-    decay = np.exp(-a_r * dts)
-    shock_sd = np.array([p.sigma for p in rates])[:, None] * np.sqrt(bfac(2.0 * a_r, dts))
+    _, which = np.unique(np.diff(dates), return_inverse=True)
     fx_rows = [ccys.index(c) for c in fx_ccys]
     sigma_fx = np.array([models.fx[c].sigma_fx for c in fx_ccys])[:, None]
     mu_fx = np.array([
@@ -385,9 +468,7 @@ def serial_reference(stream):
     credit = [models.credit[z] for z in entities]
     cred_terms = [cir_terms(p, 0.0, dates) for p in credit]
     M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, n_dates)
-    a_c = np.array([p.a for p in credit])[:, None]
     theta_c = np.array([p.theta for p in credit])[:, None]
-    sigma_c = np.array([p.sigma for p in credit])[:, None]
     k_I = entities.index("I") if "I" in entities else None
 
     def slabs(ln_fx, Y_cred, y_I):
@@ -409,24 +490,21 @@ def serial_reference(stream):
     yield slabs(np.repeat(log_spot, n_paths, axis=1), intx_cred.copy(),
                 np.zeros(n_paths) if k_I is not None else None)
     for i in range(1, n_dates):
-        dt = dts[i - 1]
-        sq_dt = np.sqrt(dt)
-        for _ in range(nsub):
-            z_mkt = rng_mkt.standard_normal((n_mkt, n_paths))
-            eps_mkt = L_mm @ z_mkt
-            y_new = y * decay[:, i - 1:i] + shock_sd[:, i - 1:i] * eps_mkt[:n_ccy]
-            Y += 0.5 * dt * (y + y_new)
-            y = y_new
-            w_fx += sq_dt * eps_mkt[n_ccy:]
-            if entities:
-                z_cred = rng_credit.standard_normal((n_cred, n_paths))
-                eps_cred = L_cm @ z_mkt + L_cc @ z_cred
+        decay, B, L_V, L_E, revert, h = factors[which[i - 1]]
+        z = rng_mkt.standard_normal((n_V, n_paths))
+        V = L_V @ z
+        Y = Y + B * y + V[n_ccy:2 * n_ccy]
+        y = y * decay + V[:n_ccy]
+        w_fx += V[2 * n_ccy:]
+        if entities:
+            z = np.vstack([z, rng_credit.standard_normal((nsub * n_cred, n_paths))])
+            for k in range(nsub):
+                top = n_V + (k + 1) * n_cred
+                eps = L_E[k * n_cred:(k + 1) * n_cred, :top] @ z[:top]
                 xp = np.maximum(x_cred, 0.0)
-                x_new = (x_cred + a_c * (theta_c - xp) * dt
-                         + sigma_c * np.sqrt(xp * dt) * eps_cred)
+                x_new = x_cred + (theta_c - xp) * revert + np.sqrt(xp) * eps
                 n_truncated += int(np.count_nonzero(x_new < 0.0))
-                xp_new = np.maximum(x_new, 0.0)
-                intx_cred += 0.5 * dt * (xp + xp_new)
+                intx_cred += 0.5 * h * (xp + np.maximum(x_new, 0.0))
                 x_cred = x_new
         ln_fx = mu_fx[:, i:i + 1] + Y[0] - Y[fx_rows] + sigma_fx * w_fx
         y_I = (np.maximum(x_cred[k_I], 0.0) - cred_terms[k_I].mu[i]
@@ -442,6 +520,10 @@ def collect(stream):
     return rows, stream.truncated_fraction
 
 
+def as_arrays(rows):
+    return [{k: np.frombuffer(v) for k, v in r.items()} for r in rows]
+
+
 @pytest.mark.parametrize("n_paths", [1, 1000])
 @pytest.mark.parametrize("nsub", [1, 4])
 @pytest.mark.parametrize("mode", ["base", "full"])
@@ -449,7 +531,7 @@ def collect(stream):
                                  "single_swap.cfg uncorrelated"])
 def test_draw_ahead_equals_serial_draws(cfg, mode, nsub, n_paths):
     if cfg.endswith(" uncorrelated"):
-        # a zero one-column L_cm times a negative draw: -0.0 unless normalised
+        # a zero market-credit block: the credit shocks read z_C alone
         models, corr = uncorrelated_credit_models(cfg.split()[0])
     else:
         models, corr = fixture_models(cfg)
@@ -458,11 +540,65 @@ def test_draw_ahead_equals_serial_draws(cfg, mode, nsub, n_paths):
     for n_intervals in (12, 1, 2):
         grid = SimGrid.regular(4, n_intervals / 4, nsub)
         stream = PathStream(models, corr, grid, n_paths, 5, mode)
-        *ref_rows, ref_truncated = serial_reference(stream)
         first = collect(stream)
-        assert first == (ref_rows, ref_truncated)
         assert collect(stream) == first
+        # drawn ahead, the stream's states are bit for bit those of the
+        # serial loop with its own factors
+        *rows, truncated = serial_reference(stream, stream_factors(stream))
+        assert first == (rows, truncated)
+        # and those factors are the scheme's, built independently
+        *rows, truncated = serial_reference(stream, mp_factors(stream))
+        assert first[1] == truncated
+        for got, want in zip(as_arrays(first[0]), as_arrays(rows), strict=True):
+            assert list(got) == list(want)
+            for k in got:
+                np.testing.assert_allclose(got[k], want[k], rtol=1e-11, atol=1e-14,
+                                           err_msg=k)
 
+
+def test_gauss_legendre_rule():
+    x, w = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(GL_NODES, x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(GL_WEIGHTS, w, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("nsub", [1, 4])
+@pytest.mark.parametrize("length", [0.1, 1.0])
+def test_interval_covariance_against_mpmath(length, nsub):
+    # portfolio.cfg's correlations with reversions from 1e-5 to 1
+    models, corr = fixture_models("portfolio.cfg")
+    a_r = (1e-5, 0.3, 1.0)
+    (got,) = interval_covariance(a_r, corr.matrix, 2, [length], nsub)
+    C_VV, C_EV, C_EE = mp_covariance(a_r, corr.matrix, 2, length, nsub)
+    np.testing.assert_allclose(got, np.block([[C_VV, C_EV.T], [C_EV, C_EE]]),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mode", ["base", "full"])
+def test_market_slabs_independent_of_substeps(mode):
+    # the market transition is exact over each interval, so the substeps,
+    # which the credit Euler alone takes, leave the market paths alone
+    models, corr = fixture_models("portfolio.cfg")
+    one, four = (simulate(models, corr, SimGrid.regular(4, 10.0, nsub), 2000, 7, mode)
+                 for nsub in (1, 4))
+    for name in ("y_r", "Y_r", "ln_fx"):
+        for key, slab in getattr(one, name).items():
+            assert slab.tobytes() == getattr(four, name)[key].tobytes(), (name, key)
+
+
+def test_credit_drift_reverts_at_the_exact_rate(setup41):
+    # with no noise the Euler step x + (theta - x)(1 - e^{-a h}) is the
+    # exact mean, even at one step a year; a drift a (theta - x) h was
+    # 1.1e-4 off at year 10
+    _, models, corr = setup41
+    quiet = dataclasses.replace(models, credit={
+        z: dataclasses.replace(p, sigma=1e-10) for z, p in models.credit.items()})
+    cube = simulate(quiet, corr, SimGrid.regular(1, 30.0, 1), 100, 7, "full")
+    assert np.max(np.abs(cube.y_I)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# draw-ahead worker
 
 class SlowCredit:
     """A generator wrapper whose every fill first spends `delay` seconds of
