@@ -7,8 +7,8 @@ and 5,000 paths it writes, one subdirectory per case:
 
   fva_<cfg>_<method>   fva_report.json (runtime and peak-memory fields
                        removed) and profile.csv, benchmark on;
-  sensi_portfolio      sensi.csv for six bumps at 4 dates a year, under
-                       approx_generic;
+  sensi_portfolio      sensi.csv for nine bumps at 4 dates a year, one or
+                       more per bump target, under approx_generic;
   sensi_portfolio_mc   the same bumps under mc;
   sensi_cross          sensi.csv of one cross difference;
   bounds_single_swap   bounds.csv;
@@ -54,12 +54,13 @@ FVA_CASES = {
     "portfolio": PORTFOLIO_METHODS,
     "portfolio_stressed": PORTFOLIO_METHODS,
 }
-# Bumps that share a simulation pass and one valuation (credit curve,
-# rate-credit correlation in base mode), share the pass only (domestic and
-# foreign curves, FX spot) or share nothing (rate volatility).
+# Every bump target: bumps that share a simulation pass and one valuation
+# (credit curve, credit vol and rate-credit correlation in base mode),
+# share the pass only (domestic and foreign curves, a curve pillar, FX spot
+# and FX vol) or share nothing (rate volatility).
 SENSI_BUMPS = ("ir_parallel:EUR", "credit_parallel:C",
                "correlation:r_EUR/lambda_I:0.01", "sigma_r:EUR", "fx_spot:USD",
-               "ir_parallel:USD")
+               "ir_parallel:USD", "sigma_fx:USD", "sigma_lambda:C", "ir_pillar:EUR@2")
 CROSS = ("ir_parallel:EUR", "credit_parallel:C")
 # fields that measure the host, not the computation
 TIMING_FIELDS = ("runtime_wwr_seconds", "runtime_benchmark_wwr_seconds",

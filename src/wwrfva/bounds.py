@@ -29,7 +29,7 @@ import numpy as np
 from .exposure import WwrCoeffs, normal_moments
 from .instruments import Swap, swap_book
 from .mc import DateState, ScenarioCube
-from .models import ModelSet, cir_terms, hw_terms
+from .models import ModelSet, cir_terms, domestic_terms, hw_terms
 from .normal import ndtr, ndtri
 
 # Tail probability defining the clipped domain on which the exponential
@@ -254,8 +254,8 @@ def truncation_bound(n: int, i: int, models: ModelSet, c_v: float,
     eps1 the survival expansion (credit driver sum, empirical moments),
     eps2/eps3 the discounting expansion (rate driver, normal moments).
     """
-    var_Yr, h_ric, *_ = _date_terms(models, float(tab.dates[i]))
-    return _truncation_bound(n, i, c_v, family, x, tab, var_Yr, h_ric)
+    rt, _, _, h_ric, _ = domestic_terms(models, float(tab.dates[i]))
+    return _truncation_bound(n, i, c_v, family, x, tab, rt.var_Y, h_ric)
 
 
 def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
@@ -304,16 +304,6 @@ def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
                  / math.factorial(n + 1) * math.sqrt(max(cross, 0.0)))
 
 
-def _date_terms(models: ModelSet, u) -> tuple:
-    """(Var Y_r, H_r H_I H_C, H_I H_C, Var Y_I, Var Y_C) at the date(s) u,
-    from one rate and two credit closed-form calls: floats for a scalar u,
-    arrays over the dates otherwise."""
-    rt = hw_terms(models.rates[models.domestic], 0.0, u)
-    ci = cir_terms(models.credit["I"], 0.0, u)
-    cc = cir_terms(models.credit["C"], 0.0, u)
-    return rt.var_Y, rt.H * ci.H * cc.H, ci.H * cc.H, ci.var_Y, cc.var_Y
-
-
 # ---------------------------------------------------------------------------
 # directly measured errors (full cube)
 
@@ -336,7 +326,7 @@ def measured_errors(cube: ScenarioCube, models: ModelSet, value_mat: np.ndarray,
     against the plain positive exposure.
     """
     _require_full(cube, "measured errors")
-    _, h_ric, h_ic, *_ = _date_terms(models, float(cube.dates[i]))
+    *_, h_ric, h_ic = domestic_terms(models, float(cube.dates[i]))
     return _measured_errors(cube.state(i), value_mat[i], n_r, (x,), h_ric, h_ic)[x]
 
 
@@ -445,7 +435,7 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
     rp = models.rates[s.currency]
     book = swap_book(s, rp, dates)
     var_y = hw_terms(rp, 0.0, dates).var_y
-    var_Yr, h_ric, h_ic, var_YI, var_YC = _date_terms(models, dates)
+    rt, ci, cc, h_ric, h_ic = domestic_terms(models, dates)
     positions = _plotting_positions(sim.n_paths)
     rows: list[BoundRow] = []
     for st, value_row in pairs:
@@ -466,14 +456,14 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
                 rows.append(BoundRow(
                     date=u, family=fam, x=x, n=n_eff,
                     bound=_truncation_bound(n_eff, i, c_v, fam, x, tab,
-                                            var_Yr[k], h_ric[k]),
+                                            rt.var_Y[k], h_ric[k]),
                     measured=meas[x][fam]))
         for fam_extra in orders:
             rows.append(BoundRow(
                 date=u, family="eps3", x="y_I", n=fam_extra,
                 bound=_truncation_bound(fam_extra, i, c_v, "eps3", "y_I", tab,
-                                        var_Yr[k], h_ric[k])))
-        for factor, var in (("Y_I", var_YI[k]), ("Y_C", var_YC[k])):
+                                        rt.var_Y[k], h_ric[k])))
+        for factor, var in (("Y_I", ci.var_Y[k]), ("Y_C", cc.var_Y[k])):
             cvm, w1 = _normal_distance(getattr(st, factor), math.sqrt(var),
                                        positions)
             rows.append(BoundRow(date=u, family=f"dist_{factor}", x="", n=0,

@@ -18,6 +18,18 @@ import sys
 from . import METHODS, __version__
 
 
+def _orders(text: str) -> tuple[int, ...]:
+    """The value of --orders: comma-separated non-negative integers."""
+    try:
+        orders = tuple(int(x) for x in text.split(","))
+        if min(orders) >= 0:
+            return orders
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected comma-separated non-negative integers, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wwrfva",
@@ -55,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="error bound report")
     common(p_bounds)
-    p_bounds.add_argument("--orders", default="1,2,3",
-                          help="comma-separated extra expansion orders")
+    p_bounds.add_argument("--orders", default="1,2,3", type=_orders,
+                          help="comma-separated extra expansion orders (>= 0)")
 
     p_prof = sub.add_parser("export-profile", help="write the exposure profile")
     common(p_prof)
@@ -132,13 +144,12 @@ def _run(args) -> int:
             raise ValueError("bounds report needs a single-swap portfolio")
         models = build_model_set(inputs)
         corr = build_correlation_for(models, inputs.correlations)
-        orders = tuple(int(x) for x in args.orders.split(","))
         stream = PathStream(models, corr, make_grid(inputs, settings),
                             settings.n_paths, settings.seed, "full")
         valuation = PortfolioValuation(inputs.portfolio, models, stream.dates)
         rows = bound_rows(s, models, stream,
                           ((st, valuation.row(st)) for st in stream),
-                          settings.n_r, orders)
+                          settings.n_r, args.orders)
         write_bounds_csv(rows, os.path.join(args.out, "bounds.csv"))
         print(f"wrote {len(rows)} bound rows")
         return 0

@@ -37,7 +37,7 @@ import numpy as np
 from . import METHODS
 from .instruments import Portfolio, Swap, swap_book, ystar as swap_ystar
 from .mc import CorrelationMatrix, DateState, ScenarioCube, credit_factor, rate_factor
-from .models import ModelSet, cir_terms, hw_terms, sigma_ratio
+from .models import ModelSet, domestic_terms, hw_terms, sigma_ratio
 from .normal import factorial, log_ndtr, ndtr
 
 
@@ -156,8 +156,7 @@ class WwrCoeffs:
     """Deterministic coefficients of the Gaussian WWR approximation.
 
     Every field but `lgd` holds one entry per monitoring date, and `beta`
-    has shape (n_dates, n_r + 1); `wwr_coeffs` at a single date gives
-    scalars and a beta vector instead.
+    has shape (n_dates, n_r + 1).
     """
 
     gamma: np.ndarray
@@ -173,76 +172,46 @@ class WwrCoeffs:
     lgd: float
 
 
-def mu_spread(models: ModelSet, u, u_prev):
-    """Expected instantaneous funding spread LGD_I (mu_I + b_I) at u.
+def coeffs_for_dates(models: ModelSet, corr: CorrelationMatrix,
+                     dates: np.ndarray, n_r: int) -> WwrCoeffs:
+    """All deterministic pieces of the approximation at every monitoring
+    date, one array entry per date; `dates` start at 0 and strictly increase.
 
-    The deterministic shift b_I has a closed-form integral but no closed
-    pointwise value; it is recovered as the average over (u_prev, u],
-    consistent with the right-endpoint rectangle rule of the FVA integral.
-    `u` and `u_prev` may be arrays of dates.
+    Row 0 is the date-0 limit, where the variance ratios are undefined:
+    no coupling (gamma = alpha = nu = exp_YIyI = 0), unit survival and
+    discount factors, beta = [1, 0, ...], and the first interval's spread.
+
+    The expected funding spread LGD_I (mu_I + b_I) needs the shift b_I,
+    which has a closed-form integral but no closed pointwise value; at u_i
+    it is the average over (u_{i-1}, u_i], consistent with the
+    right-endpoint rectangle rule of the FVA integral.
     """
-    p = models.credit["I"]
-    u = np.asarray(u, dtype=float)
-    u_prev = np.asarray(u_prev, dtype=float)
-    if np.any(u <= u_prev):
-        raise ValueError("u must exceed u_prev")
-    ci = cir_terms(p, 0.0, u)
-    ib_prev = np.where(u_prev > 0.0, cir_terms(p, 0.0, np.maximum(u_prev, 0.0)).int_b, 0.0)
-    b_bar = (ci.int_b - ib_prev) / (u - u_prev)
-    out = p.lgd * (ci.mu + b_bar)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def wwr_coeffs(models: ModelSet, corr: CorrelationMatrix, u, u_prev,
-               n_r: int) -> WwrCoeffs:
-    """All deterministic pieces of the approximation at monitoring date u.
-
-    With arrays of dates `u` and `u_prev` every field becomes an array over
-    the dates, and beta gains a leading date axis.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0):
-        raise ValueError("u must exceed 0 (variance ratios undefined at u = 0)")
+    dates = np.asarray(dates, dtype=float)
+    if len(dates) < 2 or dates[0] != 0.0 or np.any(np.diff(dates) <= 0.0):
+        raise ValueError("coefficient dates must start at 0 and strictly increase")
+    u = dates[1:]
+    rt, ci, cc, h_ric, h_ic = domestic_terms(models, u)
     dom = models.domestic
-    rt = hw_terms(models.rates[dom], 0.0, u)
-    ci = cir_terms(models.credit["I"], 0.0, u)
-    cc = cir_terms(models.credit["C"], 0.0, u)
     rho_rI = corr.entry(rate_factor(dom), credit_factor("I"))
     rho_rC = corr.entry(rate_factor(dom), credit_factor("C"))
     s_yI = sigma_ratio(ci.var_y, rt.var_y)
     s_YI = sigma_ratio(ci.var_Y, rt.var_y)
     s_YC = sigma_ratio(cc.var_Y, rt.var_y)
     s_Yr = sigma_ratio(rt.var_Y, rt.var_y)
-    gamma = rho_rI * s_yI
-    alpha = -(rho_rI * s_YI + rho_rC * s_YC)
-    nu = -(rho_rI ** 2 * s_YI + rho_rI * rho_rC * s_YC) * s_yI
     j = np.arange(n_r + 1)
-    beta = (-np.asarray(s_Yr))[..., None] ** j / factorial(j)
-    lgd = models.credit["I"].lgd
-    return WwrCoeffs(
-        gamma=gamma, alpha=alpha, nu=nu, beta=beta,
-        H_rIC=rt.H * ci.H * cc.H, H_IC=ci.H * cc.H,
-        mu_S=mu_spread(models, u, u_prev),
-        exp_YIyI=ci.exp_Yy,
-        P_I=models.credit["I"].curve.discount(u),
-        P_C=models.credit["C"].curve.discount(u),
-        lgd=lgd)
-
-
-def coeffs_for_dates(models: ModelSet, corr: CorrelationMatrix,
-                     dates: np.ndarray, n_r: int) -> WwrCoeffs:
-    """Coefficients at every monitoring date, one array entry per date.
-
-    Row 0 is the date-0 limit, where the variance ratios are undefined:
-    no coupling (gamma = alpha = nu = exp_YIyI = 0), unit survival and
-    discount factors, beta = [1, 0, ...], and the first interval's spread.
-    """
-    dates = np.asarray(dates, dtype=float)
-    c = wwr_coeffs(models, corr, dates[1:], dates[:-1], n_r)
+    p_I = models.credit["I"]
+    mu_S = p_I.lgd * (ci.mu + np.diff(np.r_[0.0, ci.int_b]) / np.diff(dates))
+    rows = dict(
+        gamma=rho_rI * s_yI,
+        alpha=-(rho_rI * s_YI + rho_rC * s_YC),
+        nu=-(rho_rI ** 2 * s_YI + rho_rI * rho_rC * s_YC) * s_yI,
+        beta=(-s_Yr)[:, None] ** j / factorial(j),
+        H_rIC=h_ric, H_IC=h_ic, mu_S=mu_S, exp_YIyI=ci.exp_Yy,
+        P_I=p_I.curve.discount(u), P_C=models.credit["C"].curve.discount(u))
     row0 = dict(gamma=0.0, alpha=0.0, nu=0.0, beta=np.eye(1, n_r + 1)[0],
-                H_rIC=1.0, H_IC=1.0, mu_S=c.mu_S[0], exp_YIyI=0.0, P_I=1.0, P_C=1.0)
-    return WwrCoeffs(lgd=c.lgd, **{k: np.concatenate(([v], getattr(c, k)))
-                                   for k, v in row0.items()})
+                H_rIC=1.0, H_IC=1.0, mu_S=mu_S[0], exp_YIyI=0.0, P_I=1.0, P_C=1.0)
+    return WwrCoeffs(lgd=p_I.lgd, **{k: np.concatenate(([row0[k]], v))
+                                     for k, v in rows.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep
                        wwr_mc_at)
 from .instruments import FxForward, Portfolio, PortfolioValuation, load_portfolio
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
-                 factor_labels, fx_factor, rate_factor, shared_pass)
+                 factor_labels, fx_factor, pair_key, rate_factor, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                      QuantoAdjust)
 
@@ -106,11 +106,11 @@ _SETTINGS = {"grid": {"dates_per_year": integer, "substeps_per_interval": intege
                       "horizon": number},
              "simulation": {"n_paths": integer, "seed": integer},
              "orders": {"n_r": integer, "n_a": integer}}
+# a model record's keys: the fields of its parameter class in models
 _MODEL_PARAMS = {"rates": ("x0", "a", "sigma"), "fx": ("sigma_fx",),
                  "credit": ("x0", "a", "theta", "sigma", "lgd")}
-# the parameters without a default in build_model_set
-_MODEL_REQUIRED = {"rates": ("a", "sigma"), "fx": ("sigma_fx",),
-                   "credit": ("x0", "a", "theta", "sigma")}
+# the parameters that build_model_set defaults; a record must hold the rest
+_MODEL_DEFAULTS = {"rates": {"x0": 0.0}, "fx": {}, "credit": {"lgd": 0.6}}
 _CONFIG_KEYS = ("market", "portfolio", "method", "models", "correlations", *_SETTINGS)
 
 
@@ -141,8 +141,12 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
                              f"of names to records, got {section!r}")
         for name, record in section.items():
             where = f"config {path}: models.{kind}.{name}"
-            check_keys(where, record, allowed, _MODEL_REQUIRED[kind])
+            check_keys(where, record, allowed,
+                       [k for k in allowed if k not in _MODEL_DEFAULTS[kind]])
             params[kind][name] = {k: number(where, k, v) for k, v in record.items()}
+            for k, v in params[kind][name].items():
+                if not math.isfinite(v):
+                    raise ValueError(f"{where}: {k} must be finite, got {v!r}")
     fields = {"method": str(doc["method"])} if "method" in doc else {}
     for section, readers in _SETTINGS.items():
         check_keys(f"config {section}", doc.get(section, {}), readers)
@@ -157,7 +161,10 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
                       for k, v in (doc.get("correlations") or {}).items()},
         portfolio=portfolio,
     )
-    validate_inputs(inputs, settings)
+    try:
+        validate_inputs(inputs, settings)
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
     return inputs, settings
 
 
@@ -165,6 +172,15 @@ def validate_inputs(inputs: RunInputs, settings: RunSettings) -> None:
     if set(inputs.credit_params) != {"I", "C"}:
         raise ValueError("models.credit must hold exactly the entities I and C, "
                          f"found {sorted(inputs.credit_params)}")
+    m = inputs.market
+    for ccy in inputs.rate_params:
+        if ccy != m.domestic and ccy not in m.foreign_curves:
+            raise ValueError(f"models.rates.{ccy}: the market data has no yield "
+                             f"curve for {ccy}")
+    for ccy in inputs.fx_params:
+        if ccy not in m.foreign_curves:
+            raise ValueError(f"models.fx.{ccy}: {ccy} is not a foreign currency of "
+                             "the market data (a yield curve and an FX spot)")
     if settings.method == "approx_analytic":
         s = inputs.portfolio.single_swap
         if s is None:
@@ -190,21 +206,17 @@ def build_model_set(inputs: RunInputs) -> ModelSet:
     for ccy, rp in inputs.rate_params.items():
         quanto = None
         if ccy != dom and ccy in inputs.fx_params:
-            key_a = f"{rate_factor(ccy)}:{fx_factor(ccy)}"
-            key_b = f"{fx_factor(ccy)}:{rate_factor(ccy)}"
-            rho = inputs.correlations.get(key_a, inputs.correlations.get(key_b, 0.0))
+            rho = inputs.correlations.get(
+                pair_key(inputs.correlations, f"{rate_factor(ccy)}:{fx_factor(ccy)}"), 0.0)
             quanto = QuantoAdjust(rho_rf_fx=rho,
                                   sigma_fx=inputs.fx_params[ccy]["sigma_fx"])
-        rates[ccy] = Hw1fParams(
-            x0=rp.get("x0", 0.0), a=rp["a"], sigma=rp["sigma"],
-            curve=inputs.market.rate_curve(ccy), quanto=quanto)
-    fx = {ccy: GbmFxParams(spot=inputs.market.fx_spots[ccy],
-                           sigma_fx=fp["sigma_fx"])
+        rates[ccy] = Hw1fParams(**{**_MODEL_DEFAULTS["rates"], **rp},
+                                curve=inputs.market.rate_curve(ccy), quanto=quanto)
+    fx = {ccy: GbmFxParams(spot=inputs.market.fx_spots[ccy], **fp)
           for ccy, fp in inputs.fx_params.items()}
-    credit = {ent: CirppParams(
-        x0=cp["x0"], a=cp["a"], theta=cp["theta"], sigma=cp["sigma"],
-        lgd=cp.get("lgd", 0.6), curve=inputs.market.credit_curve(ent))
-        for ent, cp in inputs.credit_params.items()}
+    credit = {ent: CirppParams(**{**_MODEL_DEFAULTS["credit"], **cp},
+                               curve=inputs.market.credit_curve(ent))
+              for ent, cp in inputs.credit_params.items()}
     return ModelSet(domestic=dom, rates=rates, fx=fx, credit=credit)
 
 
@@ -367,6 +379,13 @@ class _Leg:
                 wwr = epe_wwr_approx_swap_analytic(self.portfolio.single_swap, models,
                                                    coeffs, bm, settings.n_r, settings.n_a)
             wwr_seconds = bm.y_moment_seconds + (time.thread_time() - t0)
+        finite = np.isfinite(indep) & np.isfinite(wwr) & np.isfinite(wwr_mc)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"the exposure profile is not finite at date "
+                             f"{float(dates[i])!r} (monitoring date {i}, the first "
+                             "such): the model parameters overflow the simulation "
+                             "or the valuation")
         profile = ExposureProfile(dates=dates.copy(), epe_indep=indep, epe_wwr=wwr,
                                   method=settings.method,
                                   se_wwr=se_mc if is_mc else None,

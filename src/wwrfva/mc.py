@@ -92,7 +92,7 @@ def build_correlation(labels, entries: dict[str, float]) -> CorrelationMatrix:
     """Build and validate the factor correlation matrix.
 
     `entries` maps "factor_a:factor_b" to a correlation; unlisted pairs are 0.
-    A pair may be listed once, in either order.
+    A pair may be listed once, in either order (`pair_key` finds it).
     """
     labels = tuple(labels)
     n = len(labels)
@@ -122,6 +122,14 @@ def build_correlation(labels, entries: dict[str, float]) -> CorrelationMatrix:
         raise ValueError("the two credit factors must be uncorrelated")
     _cholesky(mat, "correlation matrix")
     return CorrelationMatrix(labels=labels, matrix=mat)
+
+
+def pair_key(entries: dict[str, float], key: str) -> str:
+    """The key under which `entries` lists the factor pair that `key`
+    ("a:b") names: `key` or "b:a"; `key` for a pair that is not listed."""
+    a, _, b = key.partition(":")
+    flipped = f"{b}:{a}"
+    return flipped if key not in entries and flipped in entries else key
 
 
 def _cholesky(C: np.ndarray, what: str) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -234,30 +235,19 @@ class HwTerms:
 
 
 @dataclass(frozen=True)
-class CirTerms:
-    B: float
-    A: float
-    mu: float
-    M: float
-    var_y: float
-    var_Y: float
-    int_b: float
-    H: float
+class CirTerms(HwTerms):
+    """The rate factor's terms plus exp_Yy = E[Y y], the covariance of the
+    integrated and the pointwise credit driver."""
+
     exp_Yy: float
 
-    @property
-    def A_bar(self) -> float:
-        return self.A - self.int_b
 
-
-def _hw_int_b(p: Hw1fParams, t, u):
-    """integral_t^u b dv from the market-curve ratio (exact curve fit)."""
-    a_t = hw_a(p.a, p.sigma, t)
-    a_u = hw_a(p.a, p.sigma, u)
-    b_t = bfac(p.a, t)
-    b_u = bfac(p.a, u)
+def _int_b(p, A, B, t, u):
+    """integral_t^u b dv from the market-curve ratio (exact curve fit), for
+    a model whose bond exponents over a span tau are A(tau) and B(tau):
+    ln P(t) - ln P(u) - A(t) + A(u) - x0 (B(u) - B(t))."""
     return (p.curve.log_discount(t) - p.curve.log_discount(u)
-            - a_t + a_u - p.x0 * (b_u - b_t))
+            - A(t) + A(u) - p.x0 * (B(u) - B(t)))
 
 
 def hw_terms(p: Hw1fParams, t, u) -> HwTerms:
@@ -279,7 +269,7 @@ def hw_terms(p: Hw1fParams, t, u) -> HwTerms:
         M = M - drift * int_bfac(p.a, tau)
     var_y = p.sigma * p.sigma * bfac(2.0 * p.a, tau)
     var_Y = 2.0 * A
-    int_b = _hw_int_b(p, t, u)
+    int_b = _int_b(p, partial(hw_a, p.a, p.sigma), partial(bfac, p.a), t, u)
     H = np.exp(-M - int_b)
     return _bundle(HwTerms, B=B, A=A, mu=mu, M=M, var_y=var_y, var_Y=var_Y,
                    int_b=int_b, H=H)
@@ -300,15 +290,6 @@ def _cir_a(p: CirppParams, tau):
     log_den = h * tau + np.log(2.0 * h * e + (p.a + h) * (1.0 - e))
     return _out((2.0 * p.a * p.theta / (p.sigma * p.sigma)) * (
         math.log(2.0 * h) + 0.5 * (p.a + h) * tau - log_den))
-
-
-def _cir_int_b(p: CirppParams, t, u):
-    a_t = _cir_a(p, t)
-    a_u = _cir_a(p, u)
-    b_t = _cir_b(p, t)
-    b_u = _cir_b(p, u)
-    return (p.curve.log_discount(t) - p.curve.log_discount(u)
-            - a_t + a_u - p.x0 * (b_u - b_t))
 
 
 # Below a*tau = 1 the closed forms of var_Y and exp_Yy cancel O(1) terms
@@ -347,11 +328,21 @@ def cir_terms(p: CirppParams, t, u) -> CirTerms:
     S = _power_series(x, _CIR_SERIES)
     var_Y = np.where(small, sg * sg * tau**3 * (x_t * S[..., 0] + th * S[..., 1]), var_Y)
     exp_Yy = np.where(small, sg * sg * tau**2 * (x_t * S[..., 2] + th * S[..., 3]), exp_Yy)
-    int_b = _cir_int_b(p, t, u)
+    int_b = _int_b(p, partial(_cir_a, p), partial(_cir_b, p), t, u)
     H = np.exp(-M - int_b)
     return _bundle(CirTerms, B=_cir_b(p, tau), A=_cir_a(p, tau), mu=mu, M=M,
                    var_y=np.maximum(var_y, 0.0), var_Y=np.maximum(var_Y, 0.0),
                    int_b=int_b, H=H, exp_Yy=exp_Yy)
+
+
+def domestic_terms(models: ModelSet, u) -> tuple:
+    """(domestic rate terms, I's terms, C's terms, H_r H_I H_C, H_I H_C)
+    over (0, u): the discount and survival products that weight the WWR
+    terms, from one closed-form call per driver."""
+    rt = hw_terms(models.rates[models.domestic], 0.0, u)
+    ci = cir_terms(models.credit["I"], 0.0, u)
+    cc = cir_terms(models.credit["C"], 0.0, u)
+    return rt, ci, cc, rt.H * ci.H * cc.H, ci.H * cc.H
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .curves import MarketData
 from .fva import RunInputs, RunSettings, run_fva_legs
+from .mc import pair_key
 
 TARGETS = ("ir_parallel", "ir_pillar", "credit_parallel", "sigma_r",
            "sigma_fx", "sigma_lambda", "fx_spot", "correlation")
@@ -32,6 +32,11 @@ DEFAULT_CURVE_BUMP = 1e-4
 DEFAULT_SPOT_REL = 0.01
 DEFAULT_VOL_REL = 0.10
 DEFAULT_CORR_BUMP = 0.01
+# each vol bump: the RunInputs table of its model records, the parameter
+# it moves, and the record's name in messages
+_VOL_BUMPS = {"sigma_r": ("rate_params", "sigma", "rate model"),
+              "sigma_fx": ("fx_params", "sigma_fx", "FX model"),
+              "sigma_lambda": ("credit_params", "sigma", "credit model")}
 
 
 @dataclass(frozen=True)
@@ -68,16 +73,16 @@ def default_size(target: str, qualifier: str, inputs: RunInputs) -> float:
         return DEFAULT_CORR_BUMP
     if target == "fx_spot":
         return DEFAULT_SPOT_REL * _entry(inputs.market.fx_spots, qualifier, "fx spot")
-    if target == "sigma_r":
-        return DEFAULT_VOL_REL * _entry(inputs.rate_params, qualifier,
-                                        "rate model")["sigma"]
-    if target == "sigma_fx":
-        return DEFAULT_VOL_REL * _entry(inputs.fx_params, qualifier,
-                                        "FX model")["sigma_fx"]
-    if target == "sigma_lambda":
-        return DEFAULT_VOL_REL * _entry(inputs.credit_params, qualifier,
-                                        "credit model")["sigma"]
+    if target in _VOL_BUMPS:
+        record, key = _vol_record(inputs, target, qualifier)
+        return DEFAULT_VOL_REL * record[key]
     raise ValueError(f"unknown bump target {target!r}")
+
+
+def _vol_record(inputs: RunInputs, target: str, qualifier: str) -> tuple[dict, str]:
+    """The model record that a vol bump moves, and the key of its vol."""
+    table, key, what = _VOL_BUMPS[target]
+    return _entry(getattr(inputs, table), qualifier, what), key
 
 
 def _entry(table: dict, qualifier: str, what: str):
@@ -166,32 +171,20 @@ def apply_bump(inputs: RunInputs, bump: BumpSpec, direction: float) -> RunInputs
             raise ValueError(f"no fx spot for currency {bump.qualifier}")
         spots[bump.qualifier] = spots[bump.qualifier] + h
         out.market = dataclasses.replace(m, fx_spots=spots)
-    elif bump.target == "sigma_r":
-        params = _entry(out.rate_params, bump.qualifier, "rate model")
-        params["sigma"] = float(params["sigma"]) + h
-    elif bump.target == "sigma_fx":
-        params = _entry(out.fx_params, bump.qualifier, "FX model")
-        params["sigma_fx"] = float(params["sigma_fx"]) + h
-    elif bump.target == "sigma_lambda":
-        params = _entry(out.credit_params, bump.qualifier, "credit model")
-        params["sigma"] = float(params["sigma"]) + h
+    elif bump.target in _VOL_BUMPS:
+        record, key = _vol_record(out, bump.target, bump.qualifier)
+        vol = float(record[key]) + h
+        if vol <= 0.0:
+            raise ValueError(f"bump {bump.label} moves {key} to {vol!r}; "
+                             "a vol must stay positive")
+        record[key] = vol
     elif bump.target == "correlation":
-        key = _corr_key(out, bump.qualifier)
+        key = pair_key(out.correlations, bump.qualifier)
         rho = out.correlations.get(key, 0.0) + h
         if not -1.0 <= rho <= 1.0:
             raise ValueError(f"bumped correlation {key} = {rho} outside [-1, 1]")
         out.correlations[key] = rho
     return out
-
-
-def _corr_key(inputs: RunInputs, qualifier: str) -> str:
-    if qualifier in inputs.correlations:
-        return qualifier
-    a, _, b = qualifier.partition(":")
-    flipped = f"{b}:{a}"
-    if flipped in inputs.correlations:
-        return flipped
-    return qualifier  # a new (previously zero) entry is legitimate
 
 
 @dataclass

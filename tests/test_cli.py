@@ -171,6 +171,80 @@ def test_bounds_too_few_paths_rejected_before_drawing(tmp_path, monkeypatch, cap
     assert not (tmp_path / "bounds.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "1,-2", "1,,2", ""])
+def test_bounds_orders_refused_before_drawing(tmp_path, monkeypatch, capsys, value):
+    # "abc" used to fail in int() naming no flag, and "-1" only after the
+    # stream had drawn its first intervals
+    def no_draws(seed):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(mc, "_generators", no_draws)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", *CFG, *SMALL, "--out", str(tmp_path), "--orders", value])
+    assert exc.value.code == 2
+    assert (f"argument --orders: expected comma-separated non-negative integers, "
+            f"got {value!r}") in capsys.readouterr().err
+    assert not (tmp_path / "bounds.csv").exists()
+
+
+def _edited_config(tmp_path, name, old, new):
+    """A copy of the fixture config `name` with `old` replaced by `new`,
+    reading the fixtures' data files."""
+    with open(fixture_path(name)) as fh:
+        text = fh.read()
+    assert old in text
+    cfg = tmp_path / name
+    cfg.write_text(text.replace("market: ", f"market: {fixture_path('')}")
+                   .replace("portfolio: ", f"portfolio: {fixture_path('')}")
+                   .replace(old, new))
+    return cfg
+
+
+TINY_FVA = ["--paths", "200", "--dates-per-year", "1", "--benchmark"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("I: {x0: 0.0016939", "I: {x0: .nan",
+     "config {cfg}: models.credit.I: x0 must be finite, got nan"),
+    ("I: {x0: 0.0016939", "I: {x0: .inf",
+     "config {cfg}: models.credit.I: x0 must be finite, got inf"),
+    ("EUR: {x0: 0.0", "EUR: {x0: .nan",
+     "config {cfg}: models.rates.EUR: x0 must be finite, got nan"),
+    ("a: 1.0e-5", "a: -0.5",
+     "the exposure profile is not finite at date 1.0 (monitoring date 1, the first such)"),
+], ids=["credit_x0_nan", "credit_x0_inf", "rate_x0_nan", "rate_a_overflows"])
+def test_non_finite_fva_is_an_error(tmp_path, capsys, old, new, message):
+    # each used to print fva_indep=nan ... wwr_rd_vs_mc=nan% and exit 0; a
+    # reversion of -0.5 is finite, but the valuation's exponential overflows
+    cfg = _edited_config(tmp_path, "single_swap.cfg", old, new)
+    rc = main(["fva", "--config", str(cfg), *TINY_FVA, "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "nan" not in out
+    assert message.format(cfg=cfg) in err
+    assert not (tmp_path / "out" / "fva_report.json").exists()
+
+
+def test_negative_mean_reversion_runs(tmp_path, capsys):
+    # a = -0.1 stays finite over the swap's 30 years, so the loader takes
+    # a negative reversion
+    cfg = _edited_config(tmp_path, "single_swap.cfg", "a: 1.0e-5", "a: -0.1")
+    rc = main(["fva", "--config", str(cfg), *TINY_FVA, "--out", str(tmp_path)])
+    assert rc == 0
+    assert "nan" not in capsys.readouterr().out
+
+
+def test_vol_bump_to_a_non_positive_vol_names_the_bump(tmp_path, capsys):
+    # the down leg of sigma_r:EUR:0.01 moves sigma 0.00284 to -0.00716; it
+    # used to fail with "sigma must be positive", naming neither
+    rc = main(["sensi", *CFG, *SMALL, "--out", str(tmp_path),
+               "--bump", "sigma_r:EUR:0.01"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "bump sigma_r:EUR moves sigma to -0.00716" in err
+    assert not (tmp_path / "sensi.csv").exists()
+
+
 def test_export_profile_only(tmp_path):
     rc = main(["export-profile", *CFG, *SMALL, "--out", str(tmp_path)])
     assert rc == 0

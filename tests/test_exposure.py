@@ -11,8 +11,8 @@ from wwrfva.exposure import (WwrCoeffs, _assemble_wwr, base_moments,
                              coeffs_for_dates, epe_indep,
                              epe_wwr_approx_generic,
                              epe_wwr_approx_swap_analytic, epe_wwr_mc,
-                             mu_spread, normal_moments, psi_diagnostic,
-                             truncated_normal_moments, wwr_coeffs)
+                             normal_moments, psi_diagnostic,
+                             truncated_normal_moments)
 from wwrfva.fva import build_correlation_for, build_model_set
 from wwrfva.instruments import value_matrix
 from wwrfva.mc import SimGrid, simulate
@@ -89,35 +89,49 @@ def test_truncated_moments_deep_tail_underflow_flag():
 # ---------------------------------------------------------------------------
 # projection coefficients
 
+# the dates of the coefficient rows read below: u = 5.0 after u_prev = 4.9
+DATES_TO_5 = np.array([0.0, 4.9, 5.0])
+
+
 def test_coeffs_zero_correlation(setup41):
     inputs, models, _ = setup41
     from wwrfva.mc import build_correlation, factor_labels
     corr0 = build_correlation(factor_labels(models), {})
-    c = wwr_coeffs(models, corr0, 5.0, 4.9, 5)
-    assert c.gamma == 0.0 and c.alpha == 0.0 and c.nu == 0.0
+    c = coeffs_for_dates(models, corr0, DATES_TO_5, 5)
+    assert c.gamma[-1] == 0.0 and c.alpha[-1] == 0.0 and c.nu[-1] == 0.0
 
 
 def test_coeffs_signs_negative_correlation(setup41):
     _, models, corr = setup41
-    c = wwr_coeffs(models, corr, 5.0, 4.9, 5)
-    assert c.gamma < 0.0 and c.alpha > 0.0 and c.nu < 0.0
+    c = coeffs_for_dates(models, corr, DATES_TO_5, 5)
+    assert c.gamma[-1] < 0.0 and c.alpha[-1] > 0.0 and c.nu[-1] < 0.0
 
 
 def test_beta_first_terms(setup41):
     _, models, corr = setup41
     from wwrfva.models import hw_terms
     u = 5.0
-    c = wwr_coeffs(models, corr, u, 4.9, 5)
-    assert c.beta[0] == 1.0
+    c = coeffs_for_dates(models, corr, DATES_TO_5, 5)
+    assert c.beta[-1, 0] == 1.0
     t = hw_terms(models.rates["EUR"], 0.0, u)
     sigma_Yr = math.sqrt(t.var_Y / t.var_y)
-    assert c.beta[1] == pytest.approx(-sigma_Yr, rel=1e-12)
+    assert c.beta[-1, 1] == pytest.approx(-sigma_Yr, rel=1e-12)
 
 
 def test_coeffs_rejects_degenerate_interval(setup41):
     _, models, corr = setup41
     with pytest.raises(ValueError):
-        wwr_coeffs(models, corr, 0.0, 0.0, 5)
+        coeffs_for_dates(models, corr, np.array([0.0, 0.0]), 5)
+
+
+@pytest.mark.parametrize("dates", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 2.0], [0.0]],
+                         ids=["repeated_date", "decreasing", "no_date_0", "one_date"])
+def test_coeffs_rejects_dates_that_do_not_strictly_increase(setup41, dates):
+    # each row's spread averages the shift over the interval that ends at it,
+    # so a date that does not follow the previous one has no interval
+    _, models, corr = setup41
+    with pytest.raises(ValueError, match="must start at 0 and strictly increase"):
+        coeffs_for_dates(models, corr, np.array(dates), 5)
 
 
 def test_coeffs_for_dates_row0_is_the_date0_limit(small_run):
@@ -130,20 +144,7 @@ def test_coeffs_for_dates_row0_is_the_date0_limit(small_run):
     assert c.gamma[0] == c.alpha[0] == c.nu[0] == c.exp_YIyI[0] == 0.0
     assert c.P_I[0] == c.P_C[0] == c.H_rIC[0] == c.H_IC[0] == 1.0
     assert c.beta[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    assert c.mu_S[0] == mu_spread(models, base.dates[1], base.dates[0])
-
-
-def test_coeffs_for_dates_rows_match_scalar_calls(small_run):
-    inputs, models, corr, base, full, vm, bm, c = small_run
-    dates = base.dates
-    for i in range(1, len(dates)):
-        ref = wwr_coeffs(models, corr, dates[i], dates[i - 1], 5)
-        assert c.lgd == ref.lgd
-        for f in dataclasses.fields(WwrCoeffs):
-            if f.name != "lgd":
-                np.testing.assert_allclose(getattr(c, f.name)[i],
-                                           getattr(ref, f.name),
-                                           rtol=1e-12, atol=0.0, err_msg=f.name)
+    assert c.mu_S[0] == coeffs_for_dates(models, corr, base.dates[:2], 5).mu_S[1]
 
 
 def _dot_loop_wwr(c, y_moments, disc_epe):
@@ -227,8 +228,7 @@ def test_epe_indep_positive_and_smaller_than_exposure(small_run):
 def test_zero_credit_coupling_limits(small_run):
     inputs, models, corr, base, full, vm, bm, coeffs = small_run
     # date-0 entry of the independent profile equals spread x value
-    from wwrfva.exposure import mu_spread
-    mu0 = mu_spread(models, base.dates[1], 0.0)
+    mu0 = coeffs_for_dates(models, corr, base.dates[:2], 5).mu_S[1]
     assert epe_indep(bm, coeffs, models)[0] == pytest.approx(
         mu0 * bm.disc_epe[0], rel=1e-12)
 

@@ -222,6 +222,19 @@ def test_foreign_currency_without_fx_model_rejected(tmp_path, instrument):
         load_run_config(bad)
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ("  fx:\n", "  fx:\n    JPY: {sigma_fx: 0.1}\n",
+     "models.fx.JPY: JPY is not a foreign currency of the market data"),
+    ("  fx:\n", "    JPY: {x0: 0.0, a: 0.01, sigma: 0.003}\n  fx:\n",
+     "models.rates.JPY: the market data has no yield curve for JPY"),
+], ids=["fx", "rates"])
+def test_model_record_for_a_currency_the_market_lacks_rejected(tmp_path, old, new, where):
+    # it used to fail with a bare KeyError: 'JPY', or one naming no config
+    bad = _patched_config("portfolio.cfg", tmp_path, old, new)
+    with pytest.raises(ValueError, match=re.escape(f"config {bad}: {where}")):
+        load_run_config(bad)
+
+
 def test_domestic_currency_fx_forward_rejected(tmp_path):
     book = tmp_path / "book.yaml"
     book.write_text("instruments:\n- {type: fx_forward, currency: EUR, notional: 100.0,"

@@ -168,6 +168,19 @@ def test_sigma_lambda_bump_can_break_feller(b41):
         build_model_set(bumped)
 
 
+@pytest.mark.parametrize("cfg, text, vol", [
+    ("single_swap.cfg", "sigma_r:EUR:0.01", "sigma to -0.00716"),
+    ("portfolio.cfg", "sigma_fx:USD:0.2", "sigma_fx to -0.05"),
+    ("single_swap.cfg", "sigma_lambda:C:0.1", "sigma to -0.02"),
+], ids=["sigma_r", "sigma_fx", "sigma_lambda"])
+def test_vol_bump_refuses_a_non_positive_vol(cfg, text, vol):
+    inputs, _ = load_run_config(fixture_path(cfg))
+    bump = parse_bump(text, inputs)
+    apply_bump(inputs, bump, +1.0)
+    with pytest.raises(ValueError, match=f"bump {bump.label} moves {vol}"):
+        apply_bump(inputs, bump, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
