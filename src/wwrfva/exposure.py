@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import METHODS
-from .instruments import Portfolio, Swap, swap_book, ystar as swap_ystar
+from .instruments import CurrencyBook, Portfolio, Swap, book_ystar, swap_book
 from .mc import CorrelationMatrix, DateState, ScenarioCube, credit_factor, rate_factor
 from .models import ModelSet, domestic_terms, hw_terms, sigma_ratio
 from .normal import factorial, log_ndtr, ndtr
@@ -260,20 +260,24 @@ def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
 _LOG_SQRT_2PI = math.log(math.sqrt(2.0 * math.pi))  # log-density offset of N(0, 1)
 
 
-def normal_moments(variance: float, l_max: int) -> np.ndarray:
-    """Central moments of N(0, variance): (l-1)!! Var^{l/2} for even l, 0 odd."""
-    if variance < 0.0:
+def normal_moments(variance, l_max: int) -> np.ndarray:
+    """Central moments of N(0, variance): (l-1)!! Var^{l/2} for even l, 0
+    odd; on the last axis, after the shape of `variance`."""
+    variance = np.asarray(variance, dtype=float)
+    if np.any(variance < 0.0):
         raise ValueError("variance must be nonnegative")
-    out = np.zeros(l_max + 1)
-    out[0] = 1.0
+    out = np.zeros(variance.shape + (l_max + 1,))
+    out[..., 0] = 1.0
     for l in range(2, l_max + 1, 2):
-        out[l] = out[l - 2] * (l - 1) * variance
+        out[..., l] = out[..., l - 2] * (l - 1) * variance
     return out
 
 
 @dataclass(frozen=True)
 class TruncatedMoments:
-    """Moments of N(0, Var) on (-inf, ystar]."""
+    """Moments of N(0, Var) on (-inf, ystar]: of one pair (Var, ystar) from
+    `truncated_normal_moments`, or one row per pair, on the last axis, from
+    `truncated_moments_on_rows`."""
 
     m_check: np.ndarray     # conditional moments E[y^l | y <= ystar]
     big_f: float            # F(ystar)
@@ -281,37 +285,48 @@ class TruncatedMoments:
     underflow: bool         # F underflowed to exactly 0
 
 
+def truncated_moments_on_rows(variance: np.ndarray, ystar_value: np.ndarray,
+                              l_max: int) -> TruncatedMoments:
+    """truncated_normal_moments of each pair (variance[i], ystar_value[i]),
+    one row each, in one array computation over the pairs."""
+    variance = np.asarray(variance, dtype=float)
+    ystar_value = np.asarray(ystar_value, dtype=float)
+    if np.any(variance <= 0.0):
+        raise ValueError("variance must be positive")
+    sd = np.sqrt(variance)
+    z = ystar_value / sd
+    m_check = np.zeros((len(z), l_max + 1))
+    big_f = np.zeros(len(z))
+    # ystar = +inf: the whole normal; ystar = -inf or z < -37: F underflows
+    # below the smallest double and every partial moment vanishes
+    whole = ystar_value == math.inf
+    m_check[whole] = normal_moments(variance[whole], l_max)
+    big_f[whole] = 1.0
+    cut = np.isfinite(z) & (z >= -37.0)
+    v, s, y, zc = variance[cut], sd[cut], ystar_value[cut], z[cut]
+    big_f[cut] = ndtr(zc)
+    log_pdf = -(zc * zc) / 2.0 - _LOG_SQRT_2PI
+    mills = np.exp(log_pdf - log_ndtr(zc))  # f(z)/F(z), stable
+    rows = np.zeros((len(zc), l_max + 1))
+    rows[:, 0] = 1.0
+    for l in range(1, l_max + 1):
+        prev2 = rows[:, l - 2] if l >= 2 else 0.0
+        rows[:, l] = (l - 1) * v * prev2 - s * y ** (l - 1) * mills
+    m_check[cut] = rows
+    return TruncatedMoments(m_check=m_check, big_f=big_f,
+                            partial=m_check * big_f[:, None],
+                            underflow=~(whole | cut))
+
+
 def truncated_normal_moments(variance: float, ystar_value: float,
                              l_max: int) -> TruncatedMoments:
-    if variance <= 0.0:
-        raise ValueError("variance must be positive")
-    sd = math.sqrt(variance)
-    if math.isinf(ystar_value):
-        if ystar_value > 0:
-            m = normal_moments(variance, l_max)
-            return TruncatedMoments(m_check=m, big_f=1.0, partial=m.copy(),
-                                    underflow=False)
-        zeros = np.zeros(l_max + 1)
-        return TruncatedMoments(m_check=zeros, big_f=0.0, partial=zeros.copy(),
-                                underflow=True)
-    z = ystar_value / sd
-    if z < -37.0:
-        # F underflows below the smallest double; all partial moments vanish
-        zeros = np.zeros(l_max + 1)
-        return TruncatedMoments(m_check=zeros, big_f=0.0, partial=zeros.copy(),
-                                underflow=True)
-    big_f = ndtr(z)
-    log_pdf = -(z * z) / 2.0 - _LOG_SQRT_2PI
-    mills = math.exp(log_pdf - log_ndtr(z))  # f(z)/F(z), stable
-    m_check = np.zeros(l_max + 1)
-    m_check[0] = 1.0
-    prev2, prev1 = 0.0, 1.0  # m_check[-1], m_check[0]
-    for l in range(1, l_max + 1):
-        cur = (l - 1) * variance * prev2 - sd * ystar_value ** (l - 1) * mills
-        m_check[l] = cur
-        prev2, prev1 = prev1, cur
-    return TruncatedMoments(m_check=m_check, big_f=big_f,
-                            partial=m_check * big_f, underflow=False)
+    """E[y^l | y <= ystar], F(ystar) and E[y^l 1_{y <= ystar}] for
+    y ~ N(0, variance), l = 0..l_max: `truncated_moments_on_rows` on one
+    pair."""
+    tm = truncated_moments_on_rows(np.array([variance], dtype=float),
+                                   np.array([ystar_value], dtype=float), l_max)
+    return TruncatedMoments(m_check=tm.m_check[0], big_f=float(tm.big_f[0]),
+                            partial=tm.partial[0], underflow=bool(tm.underflow[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +363,17 @@ def epe_wwr_approx_generic(coeffs: WwrCoeffs,
 
 
 def _analytic_moments_on_dates(s: Swap, models: ModelSet, dates, n_a: int,
-                               l_max: int) -> np.ndarray:
+                               l_max: int,
+                               book: Optional[CurrencyBook] = None) -> np.ndarray:
     """Closed-form E[y^l (V(u))+], l = 0..l_max, of a single swap at every
     date u in `dates`: one row per date, zero past maturity.
 
     Expands each discount-like factor to order n_a in the rate driver and
     integrates against the normal density restricted to the positivity
-    region bounded by the swap's root. The swap's book and the driver
-    variances come from one closed-form call each.
+    region bounded by the swap's root. The driver variances, the roots,
+    the truncated-normal moments and the expansion are each one array
+    computation over the dates, on the swap's book on `dates`
+    (`swap_book`), built here unless given.
     """
     rp = models.rates[s.currency]
     if s.currency != models.domestic:
@@ -363,30 +381,38 @@ def _analytic_moments_on_dates(s: Swap, models: ModelSet, dates, n_a: int,
     var = hw_terms(rp, 0.0, np.asarray(dates, dtype=float)).var_y
     if np.any(var <= 0.0):
         raise ValueError("driver variance must be positive (u > 0 required)")
-    book = swap_book(s, rp, dates)
-    out = np.empty((len(var), l_max + 1))
+    if book is None:
+        book = swap_book(s, rp, dates)
     top = n_a + l_max
+    tm = truncated_moments_on_rows(var, book_ystar(book, np.sqrt(var)), top)
+    # G_n: moment of y^n over the positivity region of this swap
+    g = normal_moments(var, top) - tm.partial if s.phi == -1 else tm.partial
+    # sum_k W_k (-B_k)^a / a! over each date's live payments k, then
+    # sum_a of that times G_{a+l}, for every l at once: two contractions
+    # over the dates, through (dates, payments, a) and (dates, a, l) arrays
+    live = np.arange(book.W.shape[1]) >= book.start[:, None]
+    W = np.where(live, book.W, 0.0)
+    powers = np.empty(book.B.shape + (n_a + 1,))
+    powers[..., 0] = 1.0
+    for j in range(1, n_a + 1):
+        np.multiply(powers[..., j - 1], -book.B, out=powers[..., j])
     a = np.arange(n_a + 1)
-    inv_fact = 1.0 / factorial(a)
+    wc = np.matmul(W[:, None, :], powers) / factorial(a)
     shift = a[:, None] + np.arange(l_max + 1)
-    for i, v in enumerate(var):
-        const, W, B = row = book.at(i)
-        tm = truncated_normal_moments(v, swap_ystar(row, math.sqrt(v)), top)
-        # G_n: moment of y^n over the positivity region of this swap
-        g = normal_moments(v, top) - tm.partial if s.phi == -1 else tm.partial
-        # sum_k W_k sum_a (-B_k)^a / a! G_{a+l}, for every l at once
-        coef = (-B[:, None]) ** a * inv_fact
-        out[i] = const * g[:l_max + 1] + W @ coef @ g[shift]
-    return out
+    return book.const[:, None] * g[:, :l_max + 1] + np.matmul(wc, g[:, shift])[:, 0]
 
 
 def epe_wwr_approx_swap_analytic(s: Swap, models: ModelSet,
                                  coeffs: WwrCoeffs, bm: BaseMoments, n_r: int,
-                                 n_a: int) -> np.ndarray:
+                                 n_a: int,
+                                 book: Optional[CurrencyBook] = None) -> np.ndarray:
     """WWR exposure with the driver moments evaluated in closed form; of the
-    base moments only the discounted exposure is read."""
+    base moments only the discounted exposure is read. `book`, the swap's
+    book on `bm.dates`, is built here unless given (a run's valuation
+    holds it)."""
     moms = np.zeros((len(bm.dates), n_r + 3))
-    moms[1:] = _analytic_moments_on_dates(s, models, bm.dates[1:], n_a, n_r + 2)
+    moms[1:] = _analytic_moments_on_dates(s, models, bm.dates[1:], n_a, n_r + 2,
+                                          None if book is None else book.since(1))
     # built date-major: each date's moments stay contiguous in the (order,
     # date) view the assembly reads, and np.dot on a contiguous vector can
     # round differently from the same values read with a stride

@@ -376,8 +376,10 @@ class _Leg:
             if settings.method == "approx_generic":
                 wwr = epe_wwr_approx_generic(coeffs, bm)
             else:
+                # the valuation's one book is the swap's
                 wwr = epe_wwr_approx_swap_analytic(self.portfolio.single_swap, models,
-                                                   coeffs, bm, settings.n_r, settings.n_a)
+                                                   coeffs, bm, settings.n_r, settings.n_a,
+                                                   self.valuation.books[0])
             wwr_seconds = bm.y_moment_seconds + (time.thread_time() - t0)
         finite = np.isfinite(indep) & np.isfinite(wwr) & np.isfinite(wwr_mc)
         if not finite.all():

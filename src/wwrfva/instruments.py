@@ -196,71 +196,112 @@ def load_portfolio(path) -> Portfolio:
 # ---------------------------------------------------------------------------
 # swap positivity boundary in terms of the rate driver
 
-def _d_parts(const: float, W: np.ndarray, B: np.ndarray):
-    """Coefficients c_k > 0 and exponents b_k > 0 of the monotone root
-    function of one swap's book row (`CurrencyBook.at`).
+def _d_parts(const: np.ndarray, W: np.ndarray, B: np.ndarray, start: np.ndarray):
+    """Coefficients c >= 0 and exponents b of the monotone root function of
+    each row of a swap's book (`CurrencyBook`: dates x payment dates), with
+    c = 0 and b = 0 on every column that is no term of it.
 
-    The value is zero iff d(y) := sum_k c_k exp(-y b_k) equals 1; d is
+    A row's value is zero iff d(y) := sum_k c_k exp(-y b_k) equals 1; d is
     strictly decreasing, so the root (if the sum is nonempty) is unique.
+    Past expiry the live columns are normalised by minus the constant;
+    before it, by minus the expiry-date term, the first live column, which
+    leaves the sum. Past maturity no column is live: the zero function,
+    with d = 0.
     """
-    if const != 0.0:
-        # past expiry: normalise by minus the constant
-        return W / -const, B
-    if len(W) == 0:
-        # past maturity: the zero function, with d = 0
-        return W, B
-    # before expiry: normalise by minus the expiry-date term
-    return W[1:] / -W[0], B[1:] - B[0]
+    cols = np.arange(W.shape[1])
+    first = np.minimum(start, W.shape[1] - 1)[:, None]
+    before = (const == 0.0)[:, None]
+    term = (cols >= start[:, None]) & ~(before & (cols == start[:, None]))
+    norm = np.where(before, -np.take_along_axis(W, first, 1), -const[:, None])
+    shift = np.where(before, np.take_along_axis(B, first, 1), 0.0)
+    c = np.divide(W, norm, out=np.zeros_like(W), where=term)
+    b = np.subtract(B, shift, out=np.zeros_like(B), where=term)
+    return c, b
+
+
+def _ystar_rows(const: np.ndarray, W: np.ndarray, B: np.ndarray,
+                start: np.ndarray, sd_y: np.ndarray) -> np.ndarray:
+    """The root of every row of a swap's book, each row with its own driver
+    SD; `book_ystar` and `ystar` are this on a whole book and on one row.
+
+    Per row, the bracket [-k sd, k sd] doubles from k = 1 to 64 until it
+    holds a sign change of log d; a row with none is one-signed, +inf when
+    positive everywhere and -inf when never positive. log d is convex and
+    decreasing, so Newton from the bracket's left end (log d >= 0) stays at
+    or left of the root and rises to it; a row stops when its step is no
+    longer positive (rounding has reached the root) or below 1e-15 relative,
+    after at most 100 steps. The rows still stepping move together.
+    """
+    out = np.full(len(const), -math.inf)
+    if W.shape[1] == 0:
+        return out
+    c, b = _d_parts(const, W, B, start)
+    if np.any(c < 0.0):
+        raise ValueError("negative weights: root function not monotone")
+    # a row with no live cash flow beyond the normaliser: d = 0 < 1 everywhere
+    rows = np.flatnonzero((c > 0.0).any(axis=1))
+    with np.errstate(divide="ignore"):
+        logc = np.log(c[rows])  # -inf off the terms
+    b, sd = b[rows], sd_y[rows]
+
+    def log_d(y: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+        """log d(y) on rows r, and its terms c_k exp(-y b_k) up to a
+        common factor per row."""
+        z = logc[r] - y[:, None] * b[r]
+        zmax = z.max(axis=1, keepdims=True)
+        z -= zmax
+        e = np.exp(z, out=z)
+        return zmax[:, 0] + np.log(e.sum(axis=1)), e
+
+    every = np.arange(len(rows))
+    lo = np.full(len(rows), math.nan)
+    k = 1.0
+    while k <= 64.0:
+        r = np.flatnonzero(np.isnan(lo))
+        if not len(r):
+            break
+        hit = (log_d(-k * sd[r], r)[0] >= 0.0) & (log_d(k * sd[r], r)[0] <= 0.0)
+        lo[r[hit]] = -k * sd[r[hit]]
+        k *= 2.0
+    flat = np.isnan(lo)
+    out[rows[flat]] = np.where(log_d(np.zeros(flat.sum()), every[flat])[0] > 0.0,
+                               math.inf, -math.inf)
+
+    r = every[~flat]
+    root = lo[r]
+    live = np.arange(len(r))
+    for _ in range(100):
+        if not len(live):
+            break
+        f, e = log_d(root[live], r[live])
+        step = f * e.sum(axis=1) / np.einsum("ij,ij->i", b[r[live]], e)
+        go = step > 0.0
+        root[live[go]] += step[go]
+        done = ~go | (step <= 1e-15 * np.maximum(1.0, np.abs(root[live])))
+        live = live[~done]
+    out[rows[r]] = root
+    return out
+
+
+def book_ystar(book: CurrencyBook, sd_y) -> np.ndarray:
+    """Positivity boundary of a swap's book at each of its dates, with the
+    rate driver's SD per date: the y with V(u; y) = 0, or +/-inf when
+    one-signed (see `ystar`)."""
+    return _ystar_rows(book.const, book.W, book.B, book.start,
+                       np.asarray(sd_y, dtype=float))
 
 
 def ystar(row: tuple, sd_y: float) -> float:
-    """Positivity boundary of a swap's book row: the y with V(u; y) = 0, or
-    +/-inf when one-signed.
+    """Positivity boundary of one book row (`CurrencyBook.at`): the y with
+    V(u; y) = 0, or +/-inf when one-signed.
 
     Returns +inf when the value is positive for every y (indicator constant 1
     for a receiver) and -inf when never positive.
     """
-    c, b = _d_parts(*row)
-    if np.any(c < 0.0):
-        raise ValueError("negative weights: root function not monotone")
-    c, b = c[c > 0.0], b[c > 0.0]
-    if len(c) == 0:
-        # no live cash flows beyond the normalizer: d = 0 < 1 everywhere
-        return -math.inf
-
-    logc = np.log(c)
-
-    def log_d(y: float):
-        """log d(y), and its terms c_k exp(-y b_k) up to a common factor."""
-        z = logc - y * b
-        zmax = z.max()
-        e = np.exp(z - zmax)
-        return zmax + math.log(e.sum()), e
-
-    f0 = log_d(0.0)[0]
-    k = 1.0
-    while k <= 64.0:
-        lo, hi = -k * sd_y, k * sd_y
-        if log_d(lo)[0] >= 0.0 >= log_d(hi)[0]:
-            break
-        k *= 2.0
-    else:
-        # no sign change in the widest bracket: positivity is constant
-        return math.inf if f0 > 0.0 else -math.inf
-
-    # log d is convex and decreasing, so Newton from the bracket's left end
-    # (log d >= 0) stays at or left of the root and rises to it; a step
-    # that is no longer positive means rounding has reached the root
-    root = lo
-    for _ in range(100):
-        f, e = log_d(root)
-        step = f * e.sum() / (b @ e)
-        if not step > 0.0:
-            break
-        root += step
-        if step <= 1e-15 * max(1.0, abs(root)):
-            break
-    return root
+    const, W, B = row
+    return float(_ystar_rows(np.array([const], dtype=float), np.asarray(W)[None],
+                             np.asarray(B)[None], np.zeros(1, dtype=int),
+                             np.array([sd_y], dtype=float))[0])
 
 
 def positive_indicator(s: Swap, y, ystar_value: float):
@@ -371,6 +412,11 @@ class CurrencyBook:
         payment, no column is left."""
         k = self.start[i]
         return self.const[i], self.W[i, k:], self.B[i, k:]
+
+    def since(self, i: int) -> CurrencyBook:
+        """The book on its dates from index i on."""
+        return CurrencyBook(self.currency, exact_key(self.key, i), self.const[i:],
+                            self.W[i:], self.B[i:], self.start[i:])
 
 
 def book_value(const, W, B, y):

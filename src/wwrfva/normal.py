@@ -10,7 +10,9 @@ there is the Cephes `expx2` product exp(-m^2) exp(-(2m + f) f), with m
 the nearest multiple of 1/128 to x and f = x - m, so that m^2 is exact
 and the rounding of x^2 is not amplified in the far tails. On a float,
 `ndtr` and `log_ndtr` use `math.erf` and `math.erfc`, with scipy's
-branch at |x| = 1/sqrt(2). `ndtri` is `statistics.NormalDist.inv_cdf`.
+branch at |x| = 1/sqrt(2). Either form of `log_ndtr` is log(ndtr(a))
+for a <= 0 and log1p(-ndtr(-a)) beyond. `ndtri` is
+`statistics.NormalDist.inv_cdf`.
 """
 
 from __future__ import annotations
@@ -120,13 +122,20 @@ def ndtr(a):
     return _ndtr_array(np.asarray(a, dtype=float))
 
 
-def log_ndtr(a: float) -> float:
-    """log of the standard normal CDF at a float, accurate in both tails
-    while ndtr(a) is a normal double (a > -37.5)."""
-    a = float(a)
-    if a <= 0.0:
-        return math.log(_ndtr_float(a))
-    return math.log1p(-_ndtr_float(-a))
+def log_ndtr(a):
+    """log of the standard normal CDF, a float for a scalar, else an array;
+    accurate in both tails while ndtr(a) is a normal double (a > -37.5)."""
+    if isinstance(a, float) or np.ndim(a) == 0:
+        a = float(a)
+        if a <= 0.0:
+            return math.log(_ndtr_float(a))
+        return math.log1p(-_ndtr_float(-a))
+    a = np.asarray(a, dtype=float)
+    out = np.empty_like(a)
+    left = a <= 0.0
+    out[left] = np.log(_ndtr_array(a[left]))
+    out[~left] = np.log1p(-_ndtr_array(-a[~left]))
+    return out
 
 
 def ndtri(p):

@@ -71,6 +71,17 @@ def test_log_ndtr_as_accurate_as_scipy(a):
     assert _rel(ours, ref) <= _rel(special.log_ndtr(a), ref) + ULPS * EPS
 
 
+@settings(deadline=None, max_examples=150)
+@given(a=st.lists(cdf_args, min_size=1, max_size=40))
+def test_log_ndtr_on_arrays_as_accurate_as_scipy(a):
+    # both signs of a in one call, each through its own branch
+    ours, theirs = normal.log_ndtr(np.array(a)), special.log_ndtr(np.array(a))
+    for ai, o, t in zip(a, ours, theirs):
+        x = mpmath.mpf(ai * normal._SQRT1_2)
+        ref = mpmath.log(mpmath.erfc(-x) / 2) if ai <= 0 else mpmath.log1p(-mpmath.erfc(x) / 2)
+        assert _rel(o, ref) <= _rel(t, ref) + ULPS * EPS
+
+
 @settings(deadline=None, max_examples=300)
 @given(p=probabilities)
 def test_ndtri_as_accurate_as_scipy(p):

@@ -7,13 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wwrfva.curves import Curve
-from wwrfva.exposure import normal_moments, truncated_normal_moments
+from wwrfva.exposure import (_analytic_moments_on_dates, normal_moments,
+                             truncated_normal_moments)
 from wwrfva.instruments import (FxForward, Portfolio, PortfolioValuation, Swap,
-                                book_value, positive_indicator, swap_book, ystar)
+                                book_value, book_ystar, positive_indicator, swap_book,
+                                ystar)
 from wwrfva.mc import DateState, build_correlation
 from wwrfva.models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                            QuantoAdjust, bfac, cir_terms, fx_terms, hw_terms,
                            int_bfac)
+from wwrfva.normal import factorial, log_ndtr, ndtr
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -402,3 +405,124 @@ def test_array_call_with_one_reversed_pair_raises():
     with pytest.raises(ValueError):
         fx_terms(_hw(0.05, False), _hw(0.3, True), GbmFxParams(spot=0.9, sigma_fx=0.15),
                  0.5, 0.25, 0.3, t, u)
+
+
+# ---------------------------------------------------------------------------
+# the analytic moments' array solve against a per-date loop
+
+def _reference_ystar(row, sd_y):
+    """A book row's root by the per-row search: the doubling bracket, then
+    Newton on log d from its left end."""
+    const, W, B = row
+    if const != 0.0:
+        c, b = W / -const, B
+    elif len(W) == 0:
+        c, b = W, B
+    else:
+        c, b = W[1:] / -W[0], B[1:] - B[0]
+    c, b = c[c > 0.0], b[c > 0.0]
+    if len(c) == 0:
+        return -math.inf
+    logc = np.log(c)
+
+    def log_d(y):
+        z = logc - y * b
+        zmax = z.max()
+        e = np.exp(z - zmax)
+        return zmax + math.log(e.sum()), e
+
+    k = 1.0
+    while k <= 64.0:
+        lo, hi = -k * sd_y, k * sd_y
+        if log_d(lo)[0] >= 0.0 >= log_d(hi)[0]:
+            break
+        k *= 2.0
+    else:
+        return math.inf if log_d(0.0)[0] > 0.0 else -math.inf
+    root = lo
+    for _ in range(100):
+        f, e = log_d(root)
+        step = f * e.sum() / (b @ e)
+        if not step > 0.0:
+            break
+        root += step
+        if step <= 1e-15 * max(1.0, abs(root)):
+            break
+    return root
+
+
+def _reference_partial(var, star, l_max):
+    """E[y^l 1_{y <= star}], y ~ N(0, var), by the scalar recursion."""
+    if star == math.inf:
+        return normal_moments(var, l_max)
+    sd = math.sqrt(var)
+    if star == -math.inf or star / sd < -37.0:
+        return np.zeros(l_max + 1)
+    z = star / sd
+    mills = math.exp(-(z * z) / 2.0 - math.log(math.sqrt(2.0 * math.pi)) - log_ndtr(z))
+    m = [0.0, 1.0]  # m_check[-1], m_check[0]
+    for l in range(1, l_max + 1):
+        m.append((l - 1) * var * m[-2] - sd * star ** (l - 1) * mills)
+    return np.array(m[1:]) * ndtr(z)
+
+
+def _reference_analytic_moments(s, rp, dates, n_a, l_max):
+    """_analytic_moments_on_dates as a loop over the dates, one root, one
+    truncated-normal recursion and one expansion product per date; with
+    each moment's scale, its terms' bound on the whole line,
+    E[|y|^l (|const| + sum_k |W_k| sum_a |B_k|^a |y|^a / a!)]."""
+    var = hw_terms(rp, 0.0, np.asarray(dates)).var_y
+    book = swap_book(s, rp, dates)
+    a = np.arange(n_a + 1)
+    shift = a[:, None] + np.arange(l_max + 1)
+    out = np.empty((len(dates), l_max + 1))
+    size = np.empty((len(dates), l_max + 1))
+    roots = np.empty(len(dates))
+    for i, v in enumerate(var):
+        const, W, B = row = book.at(i)
+        roots[i] = _reference_ystar(row, math.sqrt(v))
+        part = _reference_partial(v, roots[i], n_a + l_max)
+        g = normal_moments(v, n_a + l_max) - part if s.phi == -1 else part
+        coef = (-B[:, None]) ** a / factorial(a)
+        out[i] = const * g[:l_max + 1] + W @ coef @ g[shift]
+        # E|y|^n, n = 0 .. n_a + l_max
+        g_abs = np.array([(2.0 * v) ** (n / 2.0) * math.gamma((n + 1) / 2.0)
+                          / math.sqrt(math.pi) for n in range(n_a + l_max + 1)])
+        size[i] = abs(const) * g_abs[:l_max + 1] + abs(W) @ abs(coef) @ g_abs[shift]
+    return out, size, roots
+
+
+@settings(deadline=None, max_examples=60)
+@given(s=st.builds(
+    lambda K, expiry, years, freq, d: Swap.regular(
+        currency="EUR", notional=100.0, fixed_rate=K, expiry=expiry,
+        maturity=expiry + years, frequency=freq, direction=d),
+    # a fixed rate of 0.5 makes rows one-signed: their roots are +/-inf
+    K=st.floats(0.0, 0.06) | st.just(0.5), expiry=st.floats(0.25, 5.0),
+    years=st.integers(1, 20), freq=st.sampled_from([1, 2]),
+    d=st.sampled_from(["payer", "receiver"])),
+       sigma=st.sampled_from([1e-4, 0.004, 0.02]), data=st.data())
+def test_analytic_moments_match_a_per_date_loop(s, sigma, data):
+    """Dates before expiry, after it and past maturity (a row with no
+    column): the roots within 1e-13 relative, or the same infinity, and
+    each moment within 1e-13 (golden_outputs' profile tolerance) of its
+    order's largest scale over the dates. A moment far out of the money is
+    a small difference of large terms, and one whose root lies tens of
+    SDs out moves by many ulps when the root moves by one."""
+    rp = Hw1fParams(x0=0.0, a=0.03, sigma=sigma, curve=CURVE)
+    fracs = data.draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
+    dates = np.concatenate([np.array(fracs) * s.expiry,
+                            [data.draw(st.floats(s.expiry, s.maturity)),
+                             s.maturity + data.draw(st.floats(0.01, 2.0))]])
+    n_a, l_max = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+    models = ModelSet("EUR", {"EUR": rp}, fx={}, credit={})
+    got = _analytic_moments_on_dates(s, models, dates, n_a, l_max)
+    want, size, roots = _reference_analytic_moments(s, rp, dates, n_a, l_max)
+    scale = size.max(axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    stars = book_ystar(swap_book(s, rp, dates), np.sqrt(hw_terms(rp, 0.0, dates).var_y))
+    inf = np.isinf(roots)
+    assert np.array_equal(stars[inf], roots[inf])
+    assert np.all(np.abs(stars[~inf] - roots[~inf])
+                  <= 1e-13 * np.maximum(1.0, np.abs(roots[~inf])))
+    assert np.all(got[-1] == 0.0)  # past maturity
