@@ -115,26 +115,20 @@ def _empty_table(sim, max_order: int) -> CreditMomentTable:
         S4_x={"1": np.zeros(n), "y_I": np.zeros(n)}, q_abs_s=np.zeros(n))
 
 
-def _credit_moments_at(tab: CreditMomentTable, st: DateState) -> None:
-    """Fill the column of the state's date in `tab` from its credit drivers."""
-    i = st.index
-    yi, YI, YC = st.y_I, st.Y_I, st.Y_C
-    s = YI + YC
-    pI = np.ones_like(YI)
-    pC = np.ones_like(YC)
-    pS = np.ones_like(s)
-    py = np.ones_like(yi)
-    for j in range(tab.max_order + 1):
-        tab.Y_I[j, i] = pI.mean()
-        tab.Y_C[j, i] = pC.mean()
-        tab.S[j, i] = pS.mean()
-        tab.YI_yI[j, i] = (pI * yi).mean()
-        if j <= 8:
-            tab.y_I[j, i] = py.mean()
-            py = py * yi
-        pI = pI * YI
-        pC = pC * YC
-        pS = pS * s
+def _power_means(x: np.ndarray, orders) -> list[float]:
+    """The means of x^j for j in `orders` (ascending), each power the
+    product 1 * x * ... * x from the left."""
+    out, p = [], np.ones_like(x)
+    for j in range(orders[-1] + 1):
+        if j in orders:
+            out.append(p.mean())
+        p = p * x
+    return out
+
+
+def _cross_moments_at(tab: CreditMomentTable, i: int, s: np.ndarray,
+                      yi: np.ndarray) -> None:
+    """Fill date i's S2_x, S4_x and q_abs_s in `tab` from S = Y_I + Y_C and y_I."""
     s2 = s * s
     yi2 = yi * yi
     tab.S2_x["1"][i] = s2.mean()
@@ -142,6 +136,41 @@ def _credit_moments_at(tab: CreditMomentTable, st: DateState) -> None:
     tab.S2_x["y_I"][i] = (yi2 * s2).mean()
     tab.S4_x["y_I"][i] = (yi2 * yi2 * s2 * s2).mean()
     tab.q_abs_s[i] = np.quantile(np.abs(s), 1.0 - TAIL_CLIP) if i else 0.0
+
+
+def _credit_moments_at(tab: CreditMomentTable, st: DateState) -> None:
+    """Fill the column of the state's date in `tab` from its credit drivers."""
+    i = st.index
+    yi, YI, YC = st.y_I, st.Y_I, st.Y_C
+    s = YI + YC
+    pI = np.ones_like(YI)
+    pC = np.ones_like(YC)
+    for j in range(tab.max_order + 1):
+        tab.Y_I[j, i] = pI.mean()
+        tab.Y_C[j, i] = pC.mean()
+        tab.YI_yI[j, i] = (pI * yi).mean()
+        pI = pI * YI
+        pC = pC * YC
+    tab.S[:, i] = _power_means(s, range(tab.max_order + 1))
+    tab.y_I[:, i] = _power_means(yi, range(9))
+    _cross_moments_at(tab, i, s, yi)
+
+
+# The orders of S and y_I that `_truncation_bound` reads at the report's
+# orders: S^{2(n+1)} and S^{4(n+1)} of eps1 at n = _EPS1_ORDER, and y_I^2,
+# y_I^4 (c1_const at m = 2, eps3) and y_I^8 (c1_const at m = 4).
+_BOUND_S_ORDERS = (2 * (_EPS1_ORDER + 1), 4 * (_EPS1_ORDER + 1))
+_BOUND_YI_ORDERS = (2, 4, 8)
+
+
+def _bound_moments_at(tab: CreditMomentTable, st: DateState) -> None:
+    """Fill, in the column of the state's date, only the credit moments that
+    the report's rows read; each has the bits `_credit_moments_at` gives it."""
+    i = st.index
+    s = st.Y_I + st.Y_C
+    tab.S[_BOUND_S_ORDERS, i] = _power_means(s, _BOUND_S_ORDERS)
+    tab.y_I[_BOUND_YI_ORDERS, i] = _power_means(st.y_I, _BOUND_YI_ORDERS)
+    _cross_moments_at(tab, i, s, st.y_I)
 
 
 def credit_moment_table(cube: ScenarioCube, max_order: int = 16) -> CreditMomentTable:
@@ -425,11 +454,11 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
     (DateState, value row) in date order, each one used up before the next
     is read. Of `sim` (a PathStream or ScenarioCube) only the mode, path
     count and dates are read. Without `tab`, each date's credit moments
-    come from its own state."""
+    come from its own state, and only the ones the rows read are filled."""
     _require_full(sim, "bound rows")
     fill = tab is None
     if fill:
-        tab = _empty_table(sim, 4 * (_EPS1_ORDER + 1))
+        tab = _empty_table(sim, _BOUND_S_ORDERS[-1])
     # every closed form once over the dates after 0
     dates = np.asarray(sim.dates)[1:]
     rp = models.rates[s.currency]
@@ -441,7 +470,7 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
     for st, value_row in pairs:
         i = st.index
         if fill:
-            _credit_moments_at(tab, st)
+            _bound_moments_at(tab, st)
         if i == 0:
             continue
         k = i - 1

@@ -8,6 +8,7 @@ survival probability of the entity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,8 +84,9 @@ class MarketData:
 
     def __post_init__(self):
         for ccy, spot in self.fx_spots.items():
-            if spot <= 0.0:
-                raise ValueError(f"fx spot for {ccy} must be positive")
+            if not (math.isfinite(spot) and spot > 0.0):
+                raise ValueError(f"fx_spots: {ccy} must be finite and positive, "
+                                 f"got {spot!r}")
         for ccy in self.foreign_curves:
             if ccy not in self.fx_spots:
                 raise ValueError(f"foreign currency {ccy} has no fx spot")
@@ -183,10 +185,13 @@ def load_market_data(path) -> MarketData:
     fx_spots = {str(k): number(f"market data file {path}: fx_spots", k, v)
                 for k, v in (doc.get("fx_spots") or {}).items()}
     foreign = {ccy: c for ccy, c in curves.items() if ccy != domestic}
-    return MarketData(
-        domestic=domestic,
-        domestic_curve=curves[domestic],
-        foreign_curves=foreign,
-        credit_curves=credit,
-        fx_spots=fx_spots,
-    )
+    try:
+        return MarketData(
+            domestic=domestic,
+            domestic_curve=curves[domestic],
+            foreign_curves=foreign,
+            credit_curves=credit,
+            fx_spots=fx_spots,
+        )
+    except ValueError as exc:
+        raise ValueError(f"market data file {path}: {exc}") from None

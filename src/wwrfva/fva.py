@@ -30,6 +30,7 @@ import os
 import resource
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -383,11 +384,7 @@ class _Leg:
             wwr_seconds = bm.y_moment_seconds + (time.thread_time() - t0)
         finite = np.isfinite(indep) & np.isfinite(wwr) & np.isfinite(wwr_mc)
         if not finite.all():
-            i = int(np.argmin(finite))
-            raise ValueError(f"the exposure profile is not finite at date "
-                             f"{float(dates[i])!r} (monitoring date {i}, the first "
-                             "such): the model parameters overflow the simulation "
-                             "or the valuation")
+            raise _not_finite(dates, int(np.argmin(finite)))
         profile = ExposureProfile(dates=dates.copy(), epe_indep=indep, epe_wwr=wwr,
                                   method=settings.method,
                                   se_wwr=se_mc if is_mc else None,
@@ -420,6 +417,15 @@ class _Leg:
         return report
 
 
+def _not_finite(dates: np.ndarray, i: int) -> ValueError:
+    """The error of a run whose exposure profile is first not finite at
+    monitoring date i."""
+    return ValueError(f"the exposure profile is not finite at date "
+                      f"{float(dates[i])!r} (monitoring date {i}, the first "
+                      "such): the model parameters overflow the simulation "
+                      "or the valuation")
+
+
 def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     """Feed one shared simulation pass to legs of equal stream key.
 
@@ -428,6 +434,11 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     and entered once for all of them, and each of them is charged the
     moments' time. All legs share each date's row of a currency book of
     equal key. The credit covariance reads each leg's own coefficients.
+
+    The pass stops at the first date whose discounted exposure is not
+    finite, with the error the report would give; numpy's overflow and
+    invalid-value warnings are off during the pass, as that check and
+    the simulation's own finite checks stand for them.
     """
     need_full = legs[0].stream.mode == "full"
     # leg indices per distinct (overlay, valuation); the first one values
@@ -438,18 +449,23 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
         for k in ks[1:]:
             legs[k].bm = legs[ks[0]].bm
     pows = np.empty((len(legs[0].bm.y_moments), settings.n_paths))
-    for states in shared_pass([leg.stream for leg in legs]):
-        local_rows = {}
-        for ks in twins.values():
-            st, bm = states[ks[0]], legs[ks[0]].bm
-            i = st.index
-            h = bm.enter(st, legs[ks[0]].valuation.row(st, local_rows), pows)
-            if need_full and i > 0:
-                for k in ks:
-                    leg = legs[k]
-                    t0 = time.thread_time()
-                    leg.wwr_mc[i], leg.se_mc[i] = wwr_mc_at(st, h, bm.disc_epe[i], leg.coeffs)
-                    leg.cov_seconds += time.thread_time() - t0
+    with (np.errstate(over="ignore", invalid="ignore"),
+          closing(shared_pass([leg.stream for leg in legs])) as dates):
+        for states in dates:
+            local_rows = {}
+            for ks in twins.values():
+                st, bm = states[ks[0]], legs[ks[0]].bm
+                i = st.index
+                h = bm.enter(st, legs[ks[0]].valuation.row(st, local_rows), pows)
+                if not math.isfinite(bm.disc_epe[i]):
+                    raise _not_finite(bm.dates, i)
+                if need_full and i > 0:
+                    for k in ks:
+                        leg = legs[k]
+                        t0 = time.thread_time()
+                        leg.wwr_mc[i], leg.se_mc[i] = wwr_mc_at(st, h, bm.disc_epe[i],
+                                                                leg.coeffs)
+                        leg.cov_seconds += time.thread_time() - t0
 
 
 # ---------------------------------------------------------------------------

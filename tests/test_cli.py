@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,29 @@ def test_non_finite_fva_is_an_error(tmp_path, capsys, old, new, message):
     assert "nan" not in out
     assert message.format(cfg=cfg) in err
     assert not (tmp_path / "out" / "fva_report.json").exists()
+
+
+def test_overflowing_run_stops_at_its_first_non_finite_date(tmp_path, capsys,
+                                                          monkeypatch):
+    # it used to run the whole pass and print four RuntimeWarnings before
+    # the report found date 1 not finite
+    import wwrfva.fva
+    entered = []
+    real = wwrfva.fva.shared_pass
+
+    def counted(streams):
+        for states in real(streams):
+            entered.append(states[0].index)
+            yield states
+    monkeypatch.setattr(wwrfva.fva, "shared_pass", counted)
+    cfg = _edited_config(tmp_path, "single_swap.cfg", "a: 1.0e-5", "a: -0.5")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["fva", "--config", str(cfg), *TINY_FVA, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "(monitoring date 1, the first such)" in capsys.readouterr().err
+    assert entered == [0, 1]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_negative_mean_reversion_runs(tmp_path, capsys):

@@ -112,7 +112,12 @@ def test_load_market_data_unknown_key_rejected(tmp_path, extra, key):
      "curves entry 1: times must be a number, got 'x'"),
     ("credit_curves:\n- {label: I, times: [1.0]}\n",
      "credit_curves entry 0: missing key(s) 'zero_rates'"),
-], ids=["fx_spot", "curve_time", "credit_curve_rates"])
+    # a NaN spot used to pass and fail the run inside the simulation
+    ("fx_spots: {USD: .nan}\n", "fx_spots: USD must be finite and positive, got nan"),
+    ("fx_spots: {USD: -.inf}\n", "fx_spots: USD must be finite and positive, got -inf"),
+    ("fx_spots: {USD: 0.0}\n", "fx_spots: USD must be finite and positive, got 0.0"),
+], ids=["fx_spot", "curve_time", "credit_curve_rates", "fx_spot_nan", "fx_spot_inf",
+        "fx_spot_zero"])
 def test_load_market_data_bad_value_rejected(tmp_path, extra, msg):
     # these used to fail with a bare float() error or without naming the file
     path = tmp_path / "m.yaml"
