@@ -283,8 +283,10 @@ def require_memory(n_bytes: int, what: str) -> None:
 
 
 def _generators(seed: int) -> list[np.random.Generator]:
-    """The market and the credit normal streams of a seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    """The market and the credit normal streams of a seed: SFC64, which
+    draws a normal in about a fifth less time than numpy's default PCG64."""
+    return [np.random.Generator(np.random.SFC64(s))
+            for s in np.random.SeedSequence(seed).spawn(2)]
 
 
 def exact_key(*parts) -> bytes:

@@ -452,8 +452,7 @@ def serial_reference(stream, factors):
     entities = stream.entities
     n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
     n_V = 2 * n_ccy + n_fx
-    rng_mkt, rng_credit = (np.random.default_rng(s)
-                           for s in np.random.SeedSequence(stream.seed).spawn(2))
+    rng_mkt, rng_credit = wwrfva.mc._generators(stream.seed)
     dates = stream.dates
     n_dates, nsub = len(dates), stream.grid.substeps_per_interval
     _, which = np.unique(np.diff(dates), return_inverse=True)
