@@ -229,8 +229,9 @@ def _ystar_rows(const: np.ndarray, W: np.ndarray, B: np.ndarray,
     positive everywhere and -inf when never positive. log d is convex and
     decreasing, so Newton from the bracket's left end (log d >= 0) stays at
     or left of the root and rises to it; a row stops when its step is no
-    longer positive (rounding has reached the root) or below 1e-15 relative,
-    after at most 100 steps. The rows still stepping move together.
+    longer positive (rounding has reached the root) or at most
+    1e-15 max(1, |root|), after at most 100 steps. The rows still stepping
+    move together.
     """
     out = np.full(len(const), -math.inf)
     if W.shape[1] == 0:

@@ -204,48 +204,42 @@ def _edited_config(tmp_path, name, old, new):
 TINY_FVA = ["--paths", "200", "--dates-per-year", "1", "--benchmark"]
 
 
-@pytest.mark.parametrize("old, new, message", [
+@pytest.mark.parametrize("old, new, message, entered", [
     ("I: {x0: 0.0016939", "I: {x0: .nan",
-     "config {cfg}: models.credit.I: x0 must be finite, got nan"),
+     "config {cfg}: models.credit.I: x0 must be finite, got nan", []),
     ("I: {x0: 0.0016939", "I: {x0: .inf",
-     "config {cfg}: models.credit.I: x0 must be finite, got inf"),
+     "config {cfg}: models.credit.I: x0 must be finite, got inf", []),
     ("EUR: {x0: 0.0", "EUR: {x0: .nan",
-     "config {cfg}: models.rates.EUR: x0 must be finite, got nan"),
+     "config {cfg}: models.rates.EUR: x0 must be finite, got nan", []),
     ("a: 1.0e-5", "a: -0.5",
-     "the exposure profile is not finite at date 1.0 (monitoring date 1, the first such)"),
+     "the exposure profile is not finite at date 1.0 (monitoring date 1, the first such)",
+     [0, 1]),
 ], ids=["credit_x0_nan", "credit_x0_inf", "rate_x0_nan", "rate_a_overflows"])
-def test_non_finite_fva_is_an_error(tmp_path, capsys, old, new, message):
+def test_non_finite_fva_is_an_error(tmp_path, capsys, monkeypatch, old, new, message,
+                                    entered):
     # each used to print fva_indep=nan ... wwr_rd_vs_mc=nan% and exit 0; a
-    # reversion of -0.5 is finite, but the valuation's exponential overflows
+    # reversion of -0.5 is finite, but the valuation's exponential overflows,
+    # which used to run the whole pass and print four RuntimeWarnings first
+    import wwrfva.fva
+    dates = []
+    real = wwrfva.fva.shared_pass
+
+    def counted(streams):
+        for states in real(streams):
+            dates.append(states[0].index)
+            yield states
+    monkeypatch.setattr(wwrfva.fva, "shared_pass", counted)
     cfg = _edited_config(tmp_path, "single_swap.cfg", old, new)
-    rc = main(["fva", "--config", str(cfg), *TINY_FVA, "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["fva", "--config", str(cfg), *TINY_FVA, "--out", str(tmp_path / "out")])
     out, err = capsys.readouterr()
     assert rc == 1
     assert "nan" not in out
     assert message.format(cfg=cfg) in err
     assert not (tmp_path / "out" / "fva_report.json").exists()
-
-
-def test_overflowing_run_stops_at_its_first_non_finite_date(tmp_path, capsys,
-                                                          monkeypatch):
-    # it used to run the whole pass and print four RuntimeWarnings before
-    # the report found date 1 not finite
-    import wwrfva.fva
-    entered = []
-    real = wwrfva.fva.shared_pass
-
-    def counted(streams):
-        for states in real(streams):
-            entered.append(states[0].index)
-            yield states
-    monkeypatch.setattr(wwrfva.fva, "shared_pass", counted)
-    cfg = _edited_config(tmp_path, "single_swap.cfg", "a: 1.0e-5", "a: -0.5")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["fva", "--config", str(cfg), *TINY_FVA, "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert "(monitoring date 1, the first such)" in capsys.readouterr().err
-    assert entered == [0, 1]
+    # the pass stops at the first date that is not finite, without warnings
+    assert dates == entered
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
