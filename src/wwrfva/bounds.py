@@ -105,14 +105,18 @@ def _require_full(sim, what: str) -> None:
 
 
 def _empty_table(sim, max_order: int) -> CreditMomentTable:
-    """A CreditMomentTable of zeros on the dates and paths of `sim`."""
+    """A CreditMomentTable of NaN on the dates and paths of `sim`: a moment
+    left unfilled makes any bound that reads it NaN, not a bound from 0."""
     n, k = len(sim.dates), max_order + 1
+
+    def nan(*shape):
+        return np.full(shape, np.nan)
+
     return CreditMomentTable(
         dates=np.array(sim.dates), max_order=max_order, n_paths=sim.n_paths,
-        Y_I=np.zeros((k, n)), Y_C=np.zeros((k, n)), YI_yI=np.zeros((k, n)),
-        y_I=np.zeros((9, n)), S=np.zeros((k, n)),
-        S2_x={"1": np.zeros(n), "y_I": np.zeros(n)},
-        S4_x={"1": np.zeros(n), "y_I": np.zeros(n)}, q_abs_s=np.zeros(n))
+        Y_I=nan(k, n), Y_C=nan(k, n), YI_yI=nan(k, n), y_I=nan(9, n), S=nan(k, n),
+        S2_x={"1": nan(n), "y_I": nan(n)}, S4_x={"1": nan(n), "y_I": nan(n)},
+        q_abs_s=nan(n))
 
 
 def _power_means(x: np.ndarray, orders) -> list[float]:
@@ -165,7 +169,8 @@ _BOUND_YI_ORDERS = (2, 4, 8)
 
 def _bound_moments_at(tab: CreditMomentTable, st: DateState) -> None:
     """Fill, in the column of the state's date, only the credit moments that
-    the report's rows read; each has the bits `_credit_moments_at` gives it."""
+    the report's rows read; each has the bits `_credit_moments_at` gives it,
+    and every other entry stays NaN."""
     i = st.index
     s = st.Y_I + st.Y_C
     tab.S[_BOUND_S_ORDERS, i] = _power_means(s, _BOUND_S_ORDERS)

@@ -2,17 +2,15 @@
 CDF), `log_ndtr` and `ndtri` (the quantile), and `factorial`, from numpy
 and the standard library alone: importing the engine imports no scipy.
 
-Both forms of `ndtr` work on x = a / sqrt(2). On an array, `ndtr` is
-0.5 + 0.5 erf(x) for |x| < 1 and erfc(|x|) / 2, or 1 less it, beyond,
-with erf and erfc the Cephes rational approximations that scipy's ndtr
-also evaluates, each only on the entries in its own range. exp(-x^2)
-there is the Cephes `expx2` product exp(-m^2) exp(-(2m + f) f), with m
-the nearest multiple of 1/128 to x and f = x - m, so that m^2 is exact
-and the rounding of x^2 is not amplified in the far tails. On a float,
-`ndtr` and `log_ndtr` use `math.erf` and `math.erfc`, with scipy's
-branch at |x| = 1/sqrt(2). Either form of `log_ndtr` is log(ndtr(a))
-for a <= 0 and log1p(-ndtr(-a)) beyond. `ndtri` is
-`statistics.NormalDist.inv_cdf`.
+`ndtr` works on x = a / sqrt(2): it is 0.5 + 0.5 erf(x) for |x| < 1
+and erfc(|x|) / 2, or 1 less it, beyond, with erf and erfc the Cephes
+rational approximations that scipy's ndtr also evaluates, each only on
+the entries in its own range. exp(-x^2) there is the Cephes `expx2`
+product exp(-m^2) exp(-(2m + f) f), with m the nearest multiple of 1/128
+to x and f = x - m, so that m^2 is exact and the rounding of x^2 is not
+amplified in the far tails. `log_ndtr` is log(ndtr(a)) for a <= 0 and
+log1p(-ndtr(-a)) beyond. Both take a scalar as a one-entry array and
+return it as a float. `ndtri` is `statistics.NormalDist.inv_cdf`.
 """
 
 from __future__ import annotations
@@ -106,36 +104,31 @@ def _ndtr_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ndtr_float(a: float) -> float:
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * math.erf(x)
-    y = 0.5 * math.erfc(z)
-    return 1.0 - y if x > 0.0 else y
-
-
-def ndtr(a):
-    """Standard normal CDF: a float for a scalar, else an array."""
-    if isinstance(a, float) or np.ndim(a) == 0:
-        return _ndtr_float(float(a))
-    return _ndtr_array(np.asarray(a, dtype=float))
-
-
-def log_ndtr(a):
-    """log of the standard normal CDF, a float for a scalar, else an array;
-    accurate in both tails while ndtr(a) is a normal double (a > -37.5)."""
-    if isinstance(a, float) or np.ndim(a) == 0:
-        a = float(a)
-        if a <= 0.0:
-            return math.log(_ndtr_float(a))
-        return math.log1p(-_ndtr_float(-a))
+def _scalar_or_array(f, a):
+    """f on the entries of a as a flat array, in the shape of a; a float
+    for a scalar."""
     a = np.asarray(a, dtype=float)
+    out = f(a.ravel()).reshape(a.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _log_ndtr_array(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     left = a <= 0.0
     out[left] = np.log(_ndtr_array(a[left]))
     out[~left] = np.log1p(-_ndtr_array(-a[~left]))
     return out
+
+
+def ndtr(a):
+    """Standard normal CDF: a float for a scalar, else an array."""
+    return _scalar_or_array(_ndtr_array, a)
+
+
+def log_ndtr(a):
+    """log of the standard normal CDF, a float for a scalar, else an array;
+    accurate in both tails while ndtr(a) is a normal double (a > -37.5)."""
+    return _scalar_or_array(_log_ndtr_array, a)
 
 
 def ndtri(p):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wwrfva.bounds import (TAIL_CLIP, X_CHOICES, bound_report, bound_rows, c1_const,
+from wwrfva.bounds import (_BOUND_S_ORDERS, _EPS1_ORDER, TAIL_CLIP, X_CHOICES,
+                           _bound_moments_at, _empty_table, bound_report, bound_rows, c1_const,
                            c2_const, c4_const, credit_moment_table, explicit_e1_bound,
                            gaussian_distance, measured_errors, swap_cv_bound,
                            tail_envelope_constant, truncation_bound,
@@ -350,3 +351,23 @@ def test_streamed_bound_rows_equal_the_cube_report(rig):
     # repr is exact for floats and treats NaN as equal to itself
     for got, want in zip(streamed, stored):
         assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
+
+
+def test_bound_rows_table_leaves_unread_moments_nan(rig):
+    # bound_rows fills only the credit moments its rows read: those equal
+    # the full table's, and a bound that reads any other moment is NaN
+    inputs, models, corr, full, vm, tab, *_ = rig
+    s = inputs.portfolio.single_swap
+    i = 5
+    part = _empty_table(full, _BOUND_S_ORDERS[-1])
+    _bound_moments_at(part, full.state(i))
+    c_v = swap_cv_bound(s, models, float(full.dates[i]))
+    for x in X_CHOICES:
+        for fam, n in (("eps1", _EPS1_ORDER), ("eps2", 1), ("eps3", 3)):
+            if fam == "eps3" and x == "1":
+                continue
+            assert (truncation_bound(n, i, models, c_v, fam, x, part)
+                    == truncation_bound(n, i, models, c_v, fam, x, tab))
+        assert math.isnan(truncation_bound(0, i, models, c_v, "eps1", x, part))
+    assert math.isnan(c2_const(2, "1", part, i))
+    assert math.isnan(truncation_bound(_EPS1_ORDER, i + 1, models, c_v, "eps1", "1", part))

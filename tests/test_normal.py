@@ -45,7 +45,7 @@ def test_ndtr_on_arrays_as_accurate_as_scipy(a):
     for ai, o, t in zip(a, ours, theirs):
         ref = _ndtr_ref(ai)
         assert _rel(o, ref) <= _rel(t, ref) + ULPS * EPS
-        # the array and float paths agree
+        # a float gives its entry's value in the array
         f = normal.ndtr(ai)
         assert abs(o - f) <= 2e-15 * abs(f)
 
