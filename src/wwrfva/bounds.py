@@ -119,45 +119,67 @@ def _empty_table(sim, max_order: int) -> CreditMomentTable:
         q_abs_s=nan(n))
 
 
-def _power_means(x: np.ndarray, orders) -> list[float]:
+def _power_means(x: np.ndarray, orders) -> tuple[list[float], np.ndarray]:
     """The means of x^j for j in `orders` (ascending), each power the
-    product 1 * x * ... * x from the left."""
-    out, p = [], np.ones_like(x)
+    product x * ... * x from the left, and x^2 for the cross moments: the
+    chain's own where it reaches order 2."""
+    out, p, sq = [], x, None
     for j in range(orders[-1] + 1):
         if j in orders:
-            out.append(p.mean())
-        p = p * x
-    return out
+            out.append(1.0 if j == 0 else p.mean())
+        if j == 2:
+            sq = p
+        if j and j < orders[-1]:
+            p = p * x
+    return out, x * x if sq is None else sq
+
+
+def _quantile(a: np.ndarray, q: float) -> float:
+    """np.quantile(a, q) of a 1-D float array with numpy's default `linear`
+    method, bit for bit, partitioning `a` in place at one pivot instead of
+    two: the order statistic above the pivot is the least entry past it."""
+    n = len(a)
+    virtual = (n - 1) * q
+    lo = math.floor(virtual)
+    if lo >= n - 1:
+        return float(a.max())
+    a.partition(lo)
+    below, above = a[lo], a[lo + 1:].min()
+    # numpy's _lerp: from the nearer order statistic
+    t = virtual - lo
+    diff = above - below
+    return float(above - diff * (1.0 - t) if t >= 0.5 else below + diff * t)
 
 
 def _cross_moments_at(tab: CreditMomentTable, i: int, s: np.ndarray,
-                      yi: np.ndarray) -> None:
-    """Fill date i's S2_x, S4_x and q_abs_s in `tab` from S = Y_I + Y_C and y_I."""
-    s2 = s * s
-    yi2 = yi * yi
+                      s2: np.ndarray, yi2: np.ndarray) -> None:
+    """Fill date i's S2_x, S4_x and q_abs_s in `tab` from S = Y_I + Y_C and
+    the squares of S and y_I."""
     tab.S2_x["1"][i] = s2.mean()
     tab.S4_x["1"][i] = (s2 * s2).mean()
     tab.S2_x["y_I"][i] = (yi2 * s2).mean()
     tab.S4_x["y_I"][i] = (yi2 * yi2 * s2 * s2).mean()
-    tab.q_abs_s[i] = np.quantile(np.abs(s), 1.0 - TAIL_CLIP) if i else 0.0
+    tab.q_abs_s[i] = _quantile(np.abs(s), 1.0 - TAIL_CLIP) if i else 0.0
 
 
 def _credit_moments_at(tab: CreditMomentTable, st: DateState) -> None:
     """Fill the column of the state's date in `tab` from its credit drivers."""
     i = st.index
     yi, YI, YC = st.y_I, st.Y_I, st.Y_C
-    s = YI + YC
-    pI = np.ones_like(YI)
-    pC = np.ones_like(YC)
-    for j in range(tab.max_order + 1):
+    tab.Y_I[0, i] = tab.Y_C[0, i] = 1.0
+    tab.YI_yI[0, i] = yi.mean()
+    pI, pC = YI, YC
+    for j in range(1, tab.max_order + 1):
         tab.Y_I[j, i] = pI.mean()
         tab.Y_C[j, i] = pC.mean()
         tab.YI_yI[j, i] = (pI * yi).mean()
-        pI = pI * YI
-        pC = pC * YC
-    tab.S[:, i] = _power_means(s, range(tab.max_order + 1))
-    tab.y_I[:, i] = _power_means(yi, range(9))
-    _cross_moments_at(tab, i, s, yi)
+        if j < tab.max_order:
+            pI = pI * YI
+            pC = pC * YC
+    s = YI + YC
+    tab.S[:, i], s2 = _power_means(s, range(tab.max_order + 1))
+    tab.y_I[:, i], yi2 = _power_means(yi, range(9))
+    _cross_moments_at(tab, i, s, s2, yi2)
 
 
 # The orders of S and y_I that `_truncation_bound` reads at the report's
@@ -167,15 +189,15 @@ _BOUND_S_ORDERS = (2 * (_EPS1_ORDER + 1), 4 * (_EPS1_ORDER + 1))
 _BOUND_YI_ORDERS = (2, 4, 8)
 
 
-def _bound_moments_at(tab: CreditMomentTable, st: DateState) -> None:
+def _bound_moments_at(tab: CreditMomentTable, st: DateState,
+                      s: np.ndarray) -> None:
     """Fill, in the column of the state's date, only the credit moments that
-    the report's rows read; each has the bits `_credit_moments_at` gives it,
-    and every other entry stays NaN."""
+    the report's rows read, from S = Y_I + Y_C; each has the bits
+    `_credit_moments_at` gives it, and every other entry stays NaN."""
     i = st.index
-    s = st.Y_I + st.Y_C
-    tab.S[_BOUND_S_ORDERS, i] = _power_means(s, _BOUND_S_ORDERS)
-    tab.y_I[_BOUND_YI_ORDERS, i] = _power_means(st.y_I, _BOUND_YI_ORDERS)
-    _cross_moments_at(tab, i, s, st.y_I)
+    tab.S[_BOUND_S_ORDERS, i], s2 = _power_means(s, _BOUND_S_ORDERS)
+    tab.y_I[_BOUND_YI_ORDERS, i], yi2 = _power_means(st.y_I, _BOUND_YI_ORDERS)
+    _cross_moments_at(tab, i, s, s2, yi2)
 
 
 def credit_moment_table(cube: ScenarioCube, max_order: int = 16) -> CreditMomentTable:
@@ -274,11 +296,6 @@ def explicit_e1_bound(models: ModelSet, coeffs: WwrCoeffs, c_v: float,
 # ---------------------------------------------------------------------------
 # generic truncation bounds per error family
 
-def _gauss_even_moment(variance: float, order: int) -> float:
-    """E[Z^order] for Z ~ N(0, variance), order even."""
-    return float(normal_moments(variance, order)[order])
-
-
 def truncation_bound(n: int, i: int, models: ModelSet, c_v: float,
                      family: str, x: str, tab: CreditMomentTable) -> float:
     """Bound on one dropped Taylor tail: sqrt(C_V) C_T/(n+1)! sqrt(E[Y^{2(n+1)} xbar^2]).
@@ -289,12 +306,15 @@ def truncation_bound(n: int, i: int, models: ModelSet, c_v: float,
     eps2/eps3 the discounting expansion (rate driver, normal moments).
     """
     rt, _, _, h_ric, _ = domestic_terms(models, float(tab.dates[i]))
-    return _truncation_bound(n, i, c_v, family, x, tab, rt.var_Y, h_ric)
+    return _truncation_bound(n, i, c_v, family, x, tab, rt.var_Y, h_ric,
+                             normal_moments(rt.var_Y, 4 * (n + 1)))
 
 
 def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
-                      tab: CreditMomentTable, var_Yr: float, h_ric: float) -> float:
-    """truncation_bound from the date's Var Y_r and H_r H_I H_C."""
+                      tab: CreditMomentTable, var_Yr: float, h_ric: float,
+                      gauss: np.ndarray) -> float:
+    """truncation_bound from the date's Var Y_r, H_r H_I H_C and the moments
+    E[Y_r^k] of N(0, Var Y_r) up to an order of at least 4(n + 1)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if x not in X_CHOICES:
@@ -318,8 +338,7 @@ def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
     else:
         # rate tail; xbar = x (-S) for eps2, x for eps3, with plain moments
         m2, m4 = 2 * (n + 1), 4 * (n + 1)
-        ey2 = _gauss_even_moment(var_Yr, m2)
-        ey4 = _gauss_even_moment(var_Yr, m4)
+        ey2, ey4 = gauss[m2], gauss[m4]
         if family == "eps2":
             ex2 = tab.S2_x[x][i]
             ex4 = tab.S4_x[x][i]
@@ -343,11 +362,13 @@ def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
 
 def _tail_terms(z: np.ndarray, start: int) -> np.ndarray:
     """exp(-z) minus its Taylor polynomial of degree start-1."""
-    out = np.exp(-z)
+    neg = -z
+    out = np.exp(neg)
     term = np.ones_like(z)
     for j in range(start):
         out -= term
-        term = term * (-z) / (j + 1)
+        if j + 1 < start:
+            term = term * neg / (j + 1)
     return out
 
 
@@ -361,26 +382,32 @@ def measured_errors(cube: ScenarioCube, models: ModelSet, value_mat: np.ndarray,
     """
     _require_full(cube, "measured errors")
     *_, h_ric, h_ic = domestic_terms(models, float(cube.dates[i]))
-    return _measured_errors(cube.state(i), value_mat[i], n_r, (x,), h_ric, h_ic)[x]
+    st = cube.state(i)
+    return _measured_errors(st, st.Y_I + st.Y_C, value_mat[i], n_r, (x,),
+                            h_ric, h_ic)[x]
 
 
-def _measured_errors(st: DateState, value_row: np.ndarray, n_r: int,
-                     xs: tuple[str, ...], h_ric: float,
+def _measured_errors(st: DateState, s: np.ndarray, value_row: np.ndarray,
+                     n_r: int, xs: tuple[str, ...], h_ric: float,
                      h_ic: float) -> dict[str, dict[str, float]]:
-    """measured_errors at the state's date for each x in xs, sharing the
-    exposure, the discount and both tail series; x other than "y_I" weighs 1."""
+    """measured_errors at the state's date, with S = Y_I + Y_C, for each x
+    in xs, sharing the exposure, the discount, -S and both tail series; x
+    other than "y_I" weighs 1."""
     pos = np.maximum(value_row, 0.0)
     h = st.discount * pos
     h_mean = h.mean()
-    s = st.Y_I + st.Y_C
-    tail_s = _tail_terms(s, 2)
+    neg_s = -s
+    # exp(-S) - 1 + S, the survival expansion's tail past order 1
+    tail_s = np.exp(neg_s)
+    tail_s -= 1.0
+    tail_s += s
     tail_r = _tail_terms(st.Y_r[st.domestic], n_r + 1)
     out = {}
     for x in xs:
         t2, tr = ((tail_s * st.y_I, tail_r * st.y_I) if x == "y_I"
                   else (tail_s, tail_r))
         e1 = h_ic * (np.mean(h * t2) - h_mean * np.mean(t2))
-        e2 = h_ric * np.mean(tr * (-s) * pos)
+        e2 = h_ric * np.mean(tr * neg_s * pos)
         e3 = h_ric * np.mean(tr * pos)
         out[x] = {"eps1": float(e1), "eps2": float(e2), "eps3": float(e3)}
     return out
@@ -400,7 +427,9 @@ def gaussian_distance(cube: ScenarioCube, factor: str, i: int,
         raise ValueError("factor must be Y_I or Y_C")
     sample = getattr(cube.state(i), factor)
     var = cir_terms(models.credit[factor[-1]], 0.0, float(cube.dates[i])).var_Y
-    return _normal_distance(sample, math.sqrt(var), _plotting_positions(len(sample)))
+    cvm, w1 = _normal_distances(sample[None], np.array([math.sqrt(var)]),
+                                _plotting_positions(len(sample)))
+    return float(cvm[0]), float(w1[0])
 
 
 def _plotting_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,15 +438,19 @@ def _plotting_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return p, ndtri(p)
 
 
-def _normal_distance(sample: np.ndarray, sd: float,
-                     positions: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
-    """gaussian_distance of a sample against N(0, sd^2), given the sample
-    size's plotting positions. The statistic is scipy's cramervonmises
-    statistic, without its p-value."""
+def _normal_distances(samples: np.ndarray, sd: np.ndarray,
+                      positions: tuple[np.ndarray, np.ndarray]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """gaussian_distance of each row of `samples` against N(0, sd[row]^2),
+    given the sample size's plotting positions, in one block: each
+    contiguous row sums as a 1-D sample would. The statistic is scipy's
+    cramervonmises statistic, without its p-value."""
     p, z = positions
-    srt = np.sort(sample)
-    cvm = 1.0 / (12.0 * len(srt)) + np.sum((p - ndtr(srt / sd)) ** 2)
-    return float(cvm), float(np.mean(np.abs(srt - z * sd)))
+    srt = np.sort(samples, axis=1)
+    sd = sd[:, None]
+    n = srt.shape[1]
+    cvm = 1.0 / (12.0 * n) + np.sum((p - ndtr(srt / sd)) ** 2, axis=1)
+    return cvm, np.mean(np.abs(srt - z * sd), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +504,20 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
     var_y = hw_terms(rp, 0.0, dates).var_y
     rt, ci, cc, h_ric, h_ic = domestic_terms(models, dates)
     positions = _plotting_positions(sim.n_paths)
+    gauss = normal_moments(rt.var_Y, 4 * (max((n_r, *orders)) + 1))
+    sd_credit = np.sqrt(np.stack([ci.var_Y, cc.var_Y], axis=1))
     rows: list[BoundRow] = []
     for st, value_row in pairs:
         i = st.index
+        s = st.Y_I + st.Y_C
         if fill:
-            _bound_moments_at(tab, st)
+            _bound_moments_at(tab, st, s)
         if i == 0:
             continue
         k = i - 1
         u = float(dates[k])
         c_v = _cv_bound(*book.at(k), var_y[k])
-        meas = _measured_errors(st, value_row, n_r, X_CHOICES, h_ric[k], h_ic[k])
+        meas = _measured_errors(st, s, value_row, n_r, X_CHOICES, h_ric[k], h_ic[k])
         for x in X_CHOICES:
             for fam in FAMILIES:
                 if fam == "eps3" and x == "1":
@@ -490,18 +526,19 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
                 rows.append(BoundRow(
                     date=u, family=fam, x=x, n=n_eff,
                     bound=_truncation_bound(n_eff, i, c_v, fam, x, tab,
-                                            rt.var_Y[k], h_ric[k]),
+                                            rt.var_Y[k], h_ric[k], gauss[k]),
                     measured=meas[x][fam]))
         for fam_extra in orders:
             rows.append(BoundRow(
                 date=u, family="eps3", x="y_I", n=fam_extra,
                 bound=_truncation_bound(fam_extra, i, c_v, "eps3", "y_I", tab,
-                                        rt.var_Y[k], h_ric[k])))
-        for factor, var in (("Y_I", ci.var_Y[k]), ("Y_C", cc.var_Y[k])):
-            cvm, w1 = _normal_distance(getattr(st, factor), math.sqrt(var),
-                                       positions)
+                                        rt.var_Y[k], h_ric[k], gauss[k])))
+        cvm, w1 = _normal_distances(np.stack([st.Y_I, st.Y_C]), sd_credit[k],
+                                    positions)
+        for j, factor in enumerate(("Y_I", "Y_C")):
             rows.append(BoundRow(date=u, family=f"dist_{factor}", x="", n=0,
-                                 bound=0.0, cvm=cvm, wasserstein=w1))
+                                 bound=0.0, cvm=float(cvm[j]),
+                                 wasserstein=float(w1[j])))
     return rows
 
 
