@@ -168,7 +168,11 @@ def _check_root_against_mpmath(s, u):
             # no sign change in the widest bracket the search tries
             assert value(-64 * sd) * value(64 * sd) > 0
             return star
-        ref = float(mpmath.findroot(value, mpmath.mpf(star)))
+        # secant from two points a driver SD apart: from one point mpmath
+        # steps 0.25 away, hundreds of SDs on a short horizon, and may not
+        # come back within its step limit
+        ref = float(mpmath.findroot(value, (mpmath.mpf(star) - sd,
+                                            mpmath.mpf(star) + sd)))
     assert abs(star - ref) <= 1e-13 * max(1.0, abs(ref))
     return ref / sd
 
