@@ -32,17 +32,14 @@ def main() -> int:
                    "--orders", args.orders, "--out", args.out])
     if rc:
         return rc
-    # measured errors far below double precision on the value scale are
-    # numerical noise; comparing them against similarly tiny bounds is
-    # meaningless, so they are dropped from the summary
-    floor = 1e-10
+    # every measured error counts, the tiny ones at early dates too: the
+    # rate tail is summed as its remainder series, so they are accurate,
+    # not the rounding of exp(-z) less its polynomial
     worst = defaultdict(float)
     with open(os.path.join(args.out, "bounds.csv")) as fh:
         for row in csv.DictReader(fh):
             if row["measured_error"] and float(row["bound"]) > 0.0:
                 meas = abs(float(row["measured_error"]))
-                if meas < floor:
-                    continue
                 key = (row["family"], row["x"])
                 worst[key] = max(worst[key], meas / float(row["bound"]))
     for (fam, x), ratio in sorted(worst.items()):

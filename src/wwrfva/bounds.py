@@ -361,14 +361,27 @@ def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
 # directly measured errors (full cube)
 
 def _tail_terms(z: np.ndarray, start: int) -> np.ndarray:
-    """exp(-z) minus its Taylor polynomial of degree start-1."""
+    """exp(-z) minus its Taylor polynomial of degree start-1, summed as the
+    remainder (-z)^start sum_j (-z)^j start!/(start+j)! / start!, by Horner
+    over the terms that reach the double's precision at the largest |z|:
+    the subtraction from exp(-z) leaves only rounding where |z| is small."""
+    big = float(np.max(np.abs(z), initial=0.0))
+    # c_j = start!/(start+j)!, while the term c_j big^j still counts
+    coeffs, c, term = [1.0], 1.0, 1.0
+    for k in range(start + 1, 171):
+        c /= k
+        term *= big / k
+        if term < 2.0 ** -56:
+            break
+        coeffs.append(c)
     neg = -z
-    out = np.exp(neg)
-    term = np.ones_like(z)
-    for j in range(start):
-        out -= term
-        if j + 1 < start:
-            term = term * neg / (j + 1)
+    out = np.full_like(z, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out *= neg
+        out += c
+    for _ in range(start):
+        out *= neg
+    out /= math.factorial(start)
     return out
 
 

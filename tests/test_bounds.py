@@ -1,12 +1,14 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from wwrfva.bounds import (_BOUND_S_ORDERS, _EPS1_ORDER, TAIL_CLIP, X_CHOICES,
-                           _bound_moments_at, _empty_table, bound_report, bound_rows, c1_const,
-                           c2_const, c4_const, credit_moment_table, explicit_e1_bound,
+                           _bound_moments_at, _empty_table, _tail_terms, bound_report,
+                           bound_rows, c1_const, c2_const, c4_const,
+                           credit_moment_table, explicit_e1_bound,
                            gaussian_distance, measured_errors, swap_cv_bound,
                            tail_envelope_constant, truncation_bound,
                            write_bounds_csv)
@@ -216,6 +218,24 @@ def test_truncation_bound_guards(rig):
         truncation_bound(1, 0, models, c_v, "eps1", "y_I", tab)
     with pytest.raises(ValueError):
         truncation_bound(6, 5, models, c_v, "eps1", "y_I", tab)  # needs S^28
+
+
+@pytest.mark.parametrize("start", [1, 2, 4, 6, 8])
+def test_tail_terms_match_a_50_digit_reference(start):
+    """exp(-z) less its degree start-1 Taylor polynomial, over |z| from 1e-6
+    to 3 of both signs and in one array, within 8 ulps of the sum of the
+    dropped terms' magnitudes: at |z| 1e-3 and start 6 the subtraction
+    from exp(-z) left only rounding."""
+    mag = np.geomspace(1e-6, 3.0, 61)
+    z = np.concatenate([mag, -mag])
+    got = _tail_terms(z, start)
+    with mpmath.workdps(50):
+        for zi, g in zip(z, got):
+            terms = [(-mpmath.mpf(zi)) ** j / mpmath.factorial(j)
+                     for j in range(start, start + 60)]
+            ref = mpmath.fsum(terms)
+            size = mpmath.fsum(abs(t) for t in terms)
+            assert abs(g - ref) <= 8 * 2.0 ** -52 * size, (zi, g, ref)
 
 
 def test_measured_errors_need_full_cube(rig):
