@@ -384,9 +384,16 @@ def _analytic_moments_on_dates(s: Swap, models: ModelSet, dates, n_a: int,
     if book is None:
         book = swap_book(s, rp, dates)
     top = n_a + l_max
-    tm = truncated_moments_on_rows(var, book_ystar(book, np.sqrt(var)), top)
-    # G_n: moment of y^n over the positivity region of this swap
-    g = normal_moments(var, top) - tm.partial if s.phi == -1 else tm.partial
+    star = book_ystar(book, np.sqrt(var))
+    # G_n: moment of y^n over the positivity region of this swap, y <= ystar
+    # for a receiver; for a payer, y > ystar, where y^n is (-1)^n (-y)^n and
+    # -y is the same normal: the lower moments at -ystar, sign-flipped, so
+    # a root tens of SDs up leaves no difference of near-equal numbers
+    if s.phi == -1:
+        g = truncated_moments_on_rows(var, -star, top).partial
+        g[:, 1::2] *= -1.0
+    else:
+        g = truncated_moments_on_rows(var, star, top).partial
     # sum_k W_k (-B_k)^a / a! over each date's live payments k, then
     # sum_a of that times G_{a+l}, for every l at once: two contractions
     # over the dates, through (dates, payments, a) and (dates, a, l) arrays

@@ -485,8 +485,10 @@ def _reference_analytic_moments(s, rp, dates, n_a, l_max):
     for i, v in enumerate(var):
         const, W, B = row = book.at(i)
         roots[i] = _reference_ystar(row, math.sqrt(v))
-        part = _reference_partial(v, roots[i], n_a + l_max)
-        g = normal_moments(v, n_a + l_max) - part if s.phi == -1 else part
+        # a payer's region y > root: the lower moments of -y at -root
+        top = n_a + l_max
+        g = (_reference_partial(v, -roots[i], top) * (-1.0) ** np.arange(top + 1)
+             if s.phi == -1 else _reference_partial(v, roots[i], top))
         coef = (-B[:, None]) ** a / factorial(a)
         out[i] = const * g[:l_max + 1] + W @ coef @ g[shift]
         # E|y|^n, n = 0 .. n_a + l_max
@@ -509,10 +511,11 @@ def _reference_analytic_moments(s, rp, dates, n_a, l_max):
 def test_analytic_moments_match_a_per_date_loop(s, sigma, data):
     """Dates before expiry, after it and past maturity (a row with no
     column): the roots within 1e-13 relative, or the same infinity, and
-    each moment within 1e-13 (golden_outputs' profile tolerance) of its
-    order's largest scale over the dates. A moment far out of the money is
-    a small difference of large terms, and one whose root lies tens of
-    SDs out moves by many ulps when the root moves by one."""
+    each moment within 1e-14 (a tenth of golden_outputs' profile
+    tolerance) of its order's largest scale over the dates. A moment far
+    out of the money is a small difference of large terms, and one whose
+    root lies tens of SDs out moves by many ulps when the root moves by
+    one."""
     rp = Hw1fParams(x0=0.0, a=0.03, sigma=sigma, curve=CURVE)
     fracs = data.draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
     dates = np.concatenate([np.array(fracs) * s.expiry,
@@ -523,10 +526,45 @@ def test_analytic_moments_match_a_per_date_loop(s, sigma, data):
     got = _analytic_moments_on_dates(s, models, dates, n_a, l_max)
     want, size, roots = _reference_analytic_moments(s, rp, dates, n_a, l_max)
     scale = size.max(axis=0)
-    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
     stars = book_ystar(swap_book(s, rp, dates), np.sqrt(hw_terms(rp, 0.0, dates).var_y))
     inf = np.isinf(roots)
     assert np.array_equal(stars[inf], roots[inf])
     assert np.all(np.abs(stars[~inf] - roots[~inf])
                   <= 1e-13 * np.maximum(1.0, np.abs(roots[~inf])))
     assert np.all(got[-1] == 0.0)  # past maturity
+
+
+def test_far_out_of_the_money_payer_moments_match_a_50_digit_reference():
+    """A payer whose root lies 30 SDs above 0 (sigma 1e-4): its moments, of
+    order e^{-450}, within 1e-9 relative of a 50-digit evaluation of the
+    same expansion. The partial moments there are the recursion
+    G_n = (n-1) v G_{n-2} + v root^{n-1} phi(root) from G_0 = erfc / 2.
+    Formed as the whole normal moment less the lower partial one, they
+    were rounding noise, 900 times too large."""
+    rp = Hw1fParams(x0=0.0, a=0.03, sigma=1e-4, curve=CURVE)
+    s = Swap.regular(currency="EUR", notional=100.0, fixed_rate=0.0098, expiry=1.0,
+                     maturity=6.0, frequency=1, direction="payer")
+    u, n_a, l_max = 0.5, 4, 6
+    got = _analytic_moments_on_dates(s, ModelSet("EUR", {"EUR": rp}, fx={}, credit={}),
+                                     [u], n_a, l_max)[0]
+    var = float(hw_terms(rp, 0.0, np.array([u])).var_y[0])
+    book = swap_book(s, rp, [u])
+    root = float(book_ystar(book, np.array([math.sqrt(var)]))[0])
+    assert 29.0 < root / math.sqrt(var) < 31.0
+    const, W, B = book.at(0)
+    with mpmath.workdps(50):
+        v, r = mpmath.mpf(var), mpmath.mpf(root)
+        pdf = mpmath.exp(-r * r / (2 * v)) / mpmath.sqrt(2 * mpmath.pi * v)
+        g = [mpmath.erfc(r / mpmath.sqrt(2 * v)) / 2, v * pdf]
+        for n in range(2, n_a + l_max + 1):
+            g.append((n - 1) * v * g[n - 2] + v * r ** (n - 1) * pdf)
+        # the expansion const + sum_k W_k sum_a (-B_k y)^a / a! as a polynomial
+        poly = [mpmath.mpf(float(const))] + [mpmath.mpf(0)] * n_a
+        for w, b in zip(W, B):
+            for a in range(n_a + 1):
+                poly[a] += (mpmath.mpf(float(w)) * (-mpmath.mpf(float(b))) ** a
+                            / math.factorial(a))
+        for l in range(l_max + 1):
+            want = mpmath.fsum(poly[a] * g[a + l] for a in range(n_a + 1))
+            assert abs((got[l] - want) / want) <= 1e-9, (l, got[l], want)
