@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import METHODS, __version__
-from .curves import MarketData, check_keys, integer, load_market_data, number
+from .curves import (MarketData, check_keys, integer, load_market_data, load_yaml,
+                     number)
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        wwr_mc_at)
@@ -117,8 +117,7 @@ _CONFIG_KEYS = ("market", "portfolio", "method", "models", "correlations", *_SET
 
 def load_run_config(path) -> tuple[RunInputs, RunSettings]:
     """Read a run configuration file (YAML); data paths resolve relative to it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = load_yaml(path, "config")
     check_keys(f"config {path}", doc, _CONFIG_KEYS)
     for key in ("market", "portfolio"):
         if key not in doc:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import yaml
 
-from .curves import check_keys, integer, number
+from .curves import check_keys, integer, load_yaml, number
 from .mc import (CorrelationMatrix, DateState, ScenarioCube, exact_key, fx_factor,
                  rate_factor)
 from .models import Hw1fParams, ModelSet, fx_terms, hw_terms, sigma_ratio
@@ -154,8 +153,7 @@ _DIRECTIONS = {"swap": {"receiver": 1, "payer": -1},
 
 def load_portfolio(path) -> Portfolio:
     """Read a portfolio file (YAML list under 'instruments')."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = load_yaml(path, "portfolio file")
     if not (isinstance(doc, dict) and isinstance(doc.get("instruments"), list)
             and doc["instruments"]):
         raise ValueError(f"portfolio file {path}: expected a non-empty 'instruments' list")

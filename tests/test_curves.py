@@ -141,3 +141,10 @@ def test_curve_validation():
         Curve(label="x", times=(2.0, 1.0), zero_rates=(0.01, 0.02))
     with pytest.raises(ValueError):
         Curve(label="x", times=(1.0,), zero_rates=(0.01, 0.02))
+
+
+def test_load_market_data_names_a_malformed_file(tmp_path):
+    path = tmp_path / "m.yaml"
+    path.write_text("domestic: EUR\ncurves: [{label: EUR\n")
+    with pytest.raises(ValueError, match=re.escape(f"malformed market data file {path}: ")):
+        load_market_data(path)

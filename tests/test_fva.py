@@ -53,6 +53,13 @@ def test_load_config_rejects_non_mapping(tmp_path):
         load_run_config(bad)
 
 
+def test_load_config_names_a_malformed_file(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("market: [unclosed\n")
+    with pytest.raises(ValueError, match=re.escape(f"malformed config {bad}: ")):
+        load_run_config(bad)
+
+
 def _patched_config(name, tmp_path, old, new):
     with open(fixture_path(name)) as fh:
         cfg = fh.read()

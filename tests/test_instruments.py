@@ -98,6 +98,13 @@ def test_malformed_portfolio_rejected(tmp_path, text, match):
         load_portfolio(path)
 
 
+def test_malformed_portfolio_yaml_names_the_file(tmp_path):
+    path = tmp_path / "p.yaml"
+    path.write_text("instruments:\n- {type: swap\n")
+    with pytest.raises(ValueError, match=re.escape(f"malformed portfolio file {path}: ")):
+        load_portfolio(path)
+
+
 @pytest.mark.parametrize("entry, kind, key, value", [
     ("{type: swap, currency: EUR, notional: abc, fixed_rate: 0.01, expiry: 1.0,"
      " maturity: 5.0}", "swap", "notional", "'abc'"),
