@@ -4,10 +4,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wwrfva.bounds import (_BOUND_S_ORDERS, _EPS1_ORDER, TAIL_CLIP, X_CHOICES,
-                           _bound_moments_at, _empty_table, _tail_terms, bound_report,
-                           bound_rows, c1_const, c2_const, c4_const,
+                           _bound_moments_at, _empty_table, _quantile, _tail_terms,
+                           bound_report, bound_rows, c1_const, c2_const, c4_const,
                            credit_moment_table, explicit_e1_bound,
                            gaussian_distance, measured_errors, swap_cv_bound,
                            tail_envelope_constant, truncation_bound,
@@ -156,6 +158,28 @@ def test_moment_table_matches_per_date_means(rig):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=str(i))
         assert tab.q_abs_s[i] == np.quantile(np.abs(s), 1.0 - TAIL_CLIP)
     assert tab.q_abs_s[0] == 0.0
+
+
+@settings(deadline=None, max_examples=80)
+@given(n=st.integers(1000, 100_000),
+       q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+       | st.sampled_from([1.0 - TAIL_CLIP, 0.99, 0.5]),
+       kind=st.sampled_from(["normal", "lognormal", 1, 2, 7, 500]),
+       seed=st.integers(0, 2 ** 32 - 1))
+# interpolating from the upper order statistic rounds differently here
+@example(n=1000, q=1.0 - TAIL_CLIP, kind="lognormal", seed=11)
+def test_quantile_equals_numpy_bit_for_bit(n, q, kind, seed):
+    # an integer kind is the number of distinct values: ties, up to a
+    # constant sample
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        a = np.abs(rng.standard_normal(n))
+    elif kind == "lognormal":
+        a = np.exp(3.0 * rng.standard_normal(n))
+    else:
+        a = rng.integers(0, kind, n) * 0.37
+    want = np.quantile(a, q)
+    assert repr(_quantile(a.copy(), q)) == repr(float(want))
 
 
 def test_tail_envelope():

@@ -318,10 +318,9 @@ def test_analytic_override_rejected_on_portfolio(tmp_path, capsys):
     assert "single-swap" in capsys.readouterr().err
 
 
-def test_engine_import_does_not_load_scipy():
-    """The engine's normal-distribution functions come from numpy and the
-    standard library (wwrfva.normal), so importing it loads no scipy
-    module at all."""
+def _python_output(code: str) -> str:
+    """The standard output of `python -c code` with this checkout's engine
+    on the path."""
     import os
     import subprocess
     import sys
@@ -330,8 +329,24 @@ def test_engine_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(wwrfva.__file__)))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_engine_import_does_not_load_scipy():
+    """The engine's normal-distribution functions come from numpy and the
+    standard library (wwrfva.normal), so importing it loads no scipy
+    module at all."""
     code = ("import sys, wwrfva.fva, wwrfva.bounds, wwrfva.sensitivities, wwrfva.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _python_output(code).strip() == "[]"
+
+
+def test_bounds_run_does_not_load_numpy_ma(tmp_path):
+    """The bound report's tail quantile is a partition, not np.quantile,
+    whose first call imports numpy.ma inside the run."""
+    argv = ["bounds", "--config", fixture_path("single_swap.cfg"), "--paths", "1000",
+            "--dates-per-year", "1", "--out", str(tmp_path)]
+    code = ("import sys; from wwrfva.cli import main; "
+            f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
+    assert _python_output(code).splitlines()[-1] == "False"
