@@ -404,8 +404,8 @@ def test_bound_rows_table_leaves_unread_moments_nan(rig):
     s = inputs.portfolio.single_swap
     i = 5
     part = _empty_table(full, _BOUND_S_ORDERS[-1])
-    st = full.state(i)
-    _bound_moments_at(part, st, st.Y_I + st.Y_C)
+    state = full.state(i)
+    _bound_moments_at(part, state, state.Y_I + state.Y_C)
     c_v = swap_cv_bound(s, models, float(full.dates[i]))
     for x in X_CHOICES:
         for fam, n in (("eps1", _EPS1_ORDER), ("eps2", 1), ("eps3", 3)):
