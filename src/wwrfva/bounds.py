@@ -361,10 +361,10 @@ def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
 # directly measured errors (full cube)
 
 def _tail_terms(z: np.ndarray, start: int) -> np.ndarray:
-    """exp(-z) minus its Taylor polynomial of degree start-1, summed as the
-    remainder (-z)^start sum_j (-z)^j start!/(start+j)! / start!, by Horner
-    over the terms that reach the double's precision at the largest |z|:
-    the subtraction from exp(-z) leaves only rounding where |z| is small."""
+    """exp(-z) minus its Taylor polynomial of degree start-1: the sum of the
+    terms (-z)^j / j!, j >= start, by Horner, up to the first term below
+    the double's precision at the largest |z| (subtracting the polynomial
+    from exp(-z) would leave only rounding where |z| is small)."""
     big = float(np.max(np.abs(z), initial=0.0))
     # c_j = start!/(start+j)!, while the term c_j big^j still counts
     coeffs, c, term = [1.0], 1.0, 1.0
