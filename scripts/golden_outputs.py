@@ -11,6 +11,8 @@ and 5,000 paths it writes, one subdirectory per case:
                        more per bump target, under approx_generic;
   sensi_portfolio_mc   the same bumps under mc;
   sensi_cross          sensi.csv of one cross difference;
+  sensi_mixed          sensi.csv of three bumps, one of them a rate vol,
+                       and a cross difference, all in one call;
   bounds_single_swap   bounds.csv;
   cube_<cfg>           the export-cube files in base and full mode.
 
@@ -62,6 +64,10 @@ SENSI_BUMPS = ("ir_parallel:EUR", "credit_parallel:C",
                "correlation:r_EUR/lambda_I:0.01", "sigma_r:EUR", "fx_spot:USD",
                "ir_parallel:USD", "sigma_fx:USD", "sigma_lambda:C", "ir_pillar:EUR@2")
 CROSS = ("ir_parallel:EUR", "credit_parallel:C")
+# one call with --bump and --cross: the cross pair's own first-order rows
+# and a rate-vol bump, whose legs need a pass of their own
+MIXED = ("--bump", "ir_parallel:EUR", "--bump", "credit_parallel:C",
+         "--bump", "sigma_r:EUR", "--cross", *CROSS)
 # fields that measure the host, not the computation
 TIMING_FIELDS = ("runtime_wwr_seconds", "runtime_benchmark_wwr_seconds",
                  "peak_rss_mb")
@@ -207,6 +213,8 @@ def main() -> int:
         "--dates-per-year", "4", "--method", "mc", *bumps)
     run("sensi", "portfolio", os.path.join(root, "sensi_cross"),
         "--dates-per-year", "4", "--cross", *CROSS)
+    run("sensi", "portfolio", os.path.join(root, "sensi_mixed"),
+        "--dates-per-year", "4", *MIXED)
     run("bounds", "single_swap", os.path.join(root, "bounds_single_swap"))
     for cfg in ("single_swap", "portfolio"):
         for mode in ("base", "full"):

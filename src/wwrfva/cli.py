@@ -4,7 +4,6 @@ Verbs:
   fva             run the pipeline, write fva_report.json + profile.csv
   sensi           finite-difference sensitivities, write sensi.csv
   bounds          truncation/error bound report, write bounds.csv
-  export-profile  write profile.csv only
   export-cube     simulate and dump the scenario cube to a binary file
 """
 
@@ -70,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--orders", default="1,2,3", type=_orders,
                           help="comma-separated extra expansion orders (>= 0)")
 
-    p_prof = sub.add_parser("export-profile", help="write the exposure profile")
-    common(p_prof)
-
     p_cube = sub.add_parser("export-cube", help="dump the simulated cube")
     common(p_cube)
     p_cube.add_argument("--mode", choices=["base", "full"], default="base")
@@ -89,7 +85,7 @@ def _run(args) -> int:
     from .fva import (load_run_config, run_fva, validate_inputs,
                       write_profile_csv, write_report_json)
 
-    if args.benchmark and args.verb not in ("fva", "export-profile"):
+    if args.benchmark and args.verb != "fva":
         raise ValueError(f"{args.verb} does not run the Monte Carlo benchmark; "
                          "drop --benchmark")
     inputs, settings = load_run_config(args.config)
@@ -97,37 +93,27 @@ def _run(args) -> int:
     validate_inputs(inputs, settings)
     os.makedirs(args.out, exist_ok=True)
 
-    if args.verb in ("fva", "export-profile"):
+    if args.verb == "fva":
         report = run_fva(inputs, settings)
         write_profile_csv(report.profile, os.path.join(args.out, "profile.csv"))
-        if args.verb == "fva":
-            write_report_json(report, os.path.join(args.out, "fva_report.json"))
-            print(f"fva_indep={report.fva_indep:.6f} "
-                  f"fva_wwr={report.fva_wwr:.6f} "
-                  f"fva_total={report.fva_total:.6f} "
-                  f"wwr_pct={report.wwr_pct:.3f} method={report.method}")
-            if report.wwr_rd_vs_mc is not None:
-                print(f"wwr_rd_vs_mc={report.wwr_rd_vs_mc:.4f}% "
-                      f"fva_wwr_mc={report.fva_wwr_mc:.6f}"
-                      f"+-{report.fva_wwr_mc_se:.6f}")
+        write_report_json(report, os.path.join(args.out, "fva_report.json"))
+        print(f"fva_indep={report.fva_indep:.6f} "
+              f"fva_wwr={report.fva_wwr:.6f} "
+              f"fva_total={report.fva_total:.6f} "
+              f"wwr_pct={report.wwr_pct:.3f} method={report.method}")
+        if report.wwr_rd_vs_mc is not None:
+            print(f"wwr_rd_vs_mc={report.wwr_rd_vs_mc:.4f}% "
+                  f"fva_wwr_mc={report.fva_wwr_mc:.6f}"
+                  f"+-{report.fva_wwr_mc_se:.6f}")
         return 0
 
     if args.verb == "sensi":
-        from .sensitivities import (SensitivityRow, cross_gamma, fd_sensitivities,
-                                    parse_bump, write_sensi_csv)
+        from .sensitivities import fd_sensitivities, parse_bump, write_sensi_csv
         if not args.bump and not args.cross:
             raise ValueError("sensi needs at least one --bump or --cross")
+        cross = tuple(parse_bump(text, inputs) for text in args.cross) if args.cross else None
         rows = fd_sensitivities(inputs, settings,
-                                [parse_bump(text, inputs) for text in args.bump])
-        if args.cross:
-            ba = parse_bump(args.cross[0], inputs)
-            bb = parse_bump(args.cross[1], inputs)
-            g = cross_gamma(inputs, settings, ba, bb)
-            rows.append(SensitivityRow(
-                target=f"cross({ba.label};{bb.label})",
-                size=ba.size * bb.size, scheme="cross",
-                d_fva_indep=g["d2_fva_indep"], d_fva_wwr=g["d2_fva_wwr"],
-                method=settings.method))
+                                [parse_bump(text, inputs) for text in args.bump], cross)
         write_sensi_csv(rows, os.path.join(args.out, "sensi.csv"))
         for r in rows:
             print(f"{r.target}: d_indep={r.d_fva_indep:.6g} "

@@ -132,6 +132,15 @@ def number(where: str, key, value) -> float:
     raise ValueError(f"{where}: {key} must be a number, got {value!r}")
 
 
+def finite(where: str, key, value) -> float:
+    """An input value as a finite float: `number`, refusing NaN and +-inf
+    too, with a message that names where the value sits."""
+    x = number(where, key, value)
+    if not math.isfinite(x):
+        raise ValueError(f"{where}: {key} must be finite, got {x!r}")
+    return x
+
+
 def integer(where: str, key, value) -> int:
     """An input value as an int: an int, or an integral float such as 2000.0.
     Refuses a bool, a string and a float that `int` would truncate, with a

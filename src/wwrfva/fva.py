@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import METHODS, __version__
-from .curves import (MarketData, check_keys, integer, load_market_data, load_yaml,
-                     number)
+from .curves import (MarketData, check_keys, finite, integer, load_market_data,
+                     load_yaml, number)
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        wwr_mc_at)
@@ -76,6 +76,9 @@ class RunSettings:
                              f"error needs two paths), got {self.n_paths}")
         if self.dates_per_year < 1:
             raise ValueError("dates_per_year must be positive")
+        if self.substeps_per_interval < 1:
+            raise ValueError(f"substeps_per_interval must be at least 1, "
+                             f"got {self.substeps_per_interval}")
         if not (0 <= self.n_r <= 20 and 0 <= self.n_a <= 20):
             raise ValueError("truncation orders must be in 0..20")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
@@ -143,16 +146,12 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
             where = f"config {path}: models.{kind}.{name}"
             check_keys(where, record, allowed,
                        [k for k in allowed if k not in _MODEL_DEFAULTS[kind]])
-            params[kind][name] = {k: number(where, k, v) for k, v in record.items()}
-            for k, v in params[kind][name].items():
-                if not math.isfinite(v):
-                    raise ValueError(f"{where}: {k} must be finite, got {v!r}")
+            params[kind][name] = {k: finite(where, k, v) for k, v in record.items()}
     fields = {"method": str(doc["method"])} if "method" in doc else {}
     for section, readers in _SETTINGS.items():
         check_keys(f"config {section}", doc.get(section, {}), readers)
         fields.update((k, readers[k](f"config {path}", f"{section}.{k}", v))
                       for k, v in doc.get(section, {}).items())
-    settings = RunSettings(**fields)
     inputs = RunInputs(
         market=market,
         rate_params=params["rates"], fx_params=params["fx"],
@@ -162,6 +161,7 @@ def load_run_config(path) -> tuple[RunInputs, RunSettings]:
         portfolio=portfolio,
     )
     try:
+        settings = RunSettings(**fields)
         validate_inputs(inputs, settings)
     except ValueError as exc:
         raise ValueError(f"config {path}: {exc}") from None

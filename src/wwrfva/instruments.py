@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .curves import check_keys, integer, load_yaml, number
+from .curves import check_keys, finite, integer, load_yaml
 from .mc import (CorrelationMatrix, DateState, ScenarioCube, exact_key, fx_factor,
                  rate_factor)
 from .models import Hw1fParams, ModelSet, fx_terms, hw_terms, sigma_ratio
@@ -173,7 +173,7 @@ def load_portfolio(path) -> Portfolio:
         if direction not in directions:
             raise ValueError(f"{where}: direction must be "
                              f"{' or '.join(map(repr, directions))}, got {direction!r}")
-        num = {k: number(where, k, entry[k]) for k in _NUMBER_KEYS if k in entry}
+        num = {k: finite(where, k, entry[k]) for k in _NUMBER_KEYS if k in entry}
         if kind == "swap":
             frequency = integer(where, "frequency", entry.get("frequency", 1))
             if frequency < 1:

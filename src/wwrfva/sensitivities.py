@@ -6,19 +6,21 @@ ratios are all consistently recomputed; nothing is frozen across a bump.
 The independent/WWR split is differenced per leg, which makes
 d_total = d_indep + d_wwr exact by construction.
 
-All legs of one call go to `run_fva_legs` together. Legs whose bump
-leaves the random part of the simulation unchanged (curves, spots, FX
-vols, credit curves and, without credit simulation, credit vols and
-market-credit correlations) share one simulation pass, and legs that
-also value the same portfolio on the same states share that valuation;
-a rate-volatility bump gets a pass per leg. Each leg's result is bit for
-bit that of a run of its own.
+All legs of one call, first-order and cross, go to `run_fva_legs`
+together. Legs whose bump leaves the random part of the simulation
+unchanged (curves, spots, FX vols, credit curves and, without credit
+simulation, credit vols and market-credit correlations) share one
+simulation pass, and legs that also value the same portfolio on the
+same states share that valuation; a rate-volatility bump gets a pass
+per leg. Each leg's result is bit for bit that of a run of its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional
 
 from .fva import RunInputs, RunSettings, run_fva_legs
@@ -201,37 +203,48 @@ class SensitivityRow:
         return self.d_fva_indep + self.d_fva_wwr
 
 
-def fd_sensitivities(inputs: RunInputs, settings: RunSettings,
-                     bumps: list[BumpSpec]) -> list[SensitivityRow]:
-    """First-order differences of FVA under each bump, common random
-    numbers, with every leg of every bump in one `run_fva_legs` call.
+def fd_sensitivities(inputs: RunInputs, settings: RunSettings, bumps: list[BumpSpec],
+                     cross: Optional[tuple[BumpSpec, BumpSpec]] = None) -> list[SensitivityRow]:
+    """Differences of FVA under common random numbers: one first-order row
+    per bump, then, for a pair (a, b) of central bumps, their mixed central
+    second difference as the row `cross(a;b)` of size a.size * b.size.
 
-    Forward bumps share one unbumped leg. The benchmark is never run: a
-    leg reads only its own FVA split.
+    Each row is a stencil: signed legs over a denominator, each leg the
+    (bump, direction) moves that make its inputs. Each distinct leg is
+    built once, so forward bumps share one unbumped leg, and every leg of
+    every row runs in one `run_fva_legs` call. A row sums its signed legs
+    left to right in stencil order, which keeps the bits of `up - down`
+    and of `pp - pm - mp + mm`. The benchmark is never run: a leg reads
+    only its own FVA split.
     """
-    legs, at = [], []
-    base_at = None
-    for bump in bumps:
-        up = len(legs)
-        legs.append(apply_bump(inputs, bump, +1.0))
-        if bump.scheme == "central":
-            legs.append(apply_bump(inputs, bump, -1.0))
-            at.append((up, up + 1))
-            continue
-        if base_at is None:
-            base_at = len(legs)
-            legs.append(inputs)
-        at.append((up, base_at))
-    reports = run_fva_legs(legs, dataclasses.replace(settings, benchmark=False))
     rows = []
-    for bump, (up, dn) in zip(bumps, at):
-        den = 2.0 * bump.size if bump.scheme == "central" else bump.size
-        rows.append(SensitivityRow(
-            target=bump.label, size=bump.size, scheme=bump.scheme,
-            d_fva_indep=(reports[up].fva_indep - reports[dn].fva_indep) / den,
-            d_fva_wwr=(reports[up].fva_wwr - reports[dn].fva_wwr) / den,
-            method=settings.method))
-    return rows
+    for bump in bumps:
+        # central: (up - down) / 2h; forward: (up - unbumped) / h
+        central = bump.scheme == "central"
+        rows.append((bump.label, bump.size, bump.scheme,
+                     [(1.0, ((bump, 1.0),)), (-1.0, ((bump, -1.0),) if central else ())],
+                     2.0 * bump.size if central else bump.size))
+    if cross is not None:
+        a, b = cross
+        for bump in cross:
+            if bump.scheme != "central":
+                raise ValueError(f"a cross difference takes central bumps only, got "
+                                 f"{bump.label} with scheme {bump.scheme!r}")
+        # (pp - pm - mp + mm) / 4hk
+        rows.append((f"cross({a.label};{b.label})", a.size * b.size, "cross",
+                     [(da * db, ((a, da), (b, db)))
+                      for da, db in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))],
+                     4.0 * a.size * b.size))
+    legs = list(dict.fromkeys(moves for *_, stencil, _ in rows for _, moves in stencil))
+    # a leg's inputs: its moves applied in turn
+    reports = dict(zip(legs, run_fva_legs(
+        [reduce(lambda x, move: apply_bump(x, *move), moves, inputs) for moves in legs],
+        dataclasses.replace(settings, benchmark=False))))
+    return [SensitivityRow(
+        target=target, size=size, scheme=scheme,
+        d_fva_indep=reduce(add, (s * reports[m].fva_indep for s, m in stencil)) / den,
+        d_fva_wwr=reduce(add, (s * reports[m].fva_wwr for s, m in stencil)) / den,
+        method=settings.method) for target, size, scheme, stencil, den in rows]
 
 
 def fd_sensitivity(inputs: RunInputs, settings: RunSettings,
@@ -242,20 +255,10 @@ def fd_sensitivity(inputs: RunInputs, settings: RunSettings,
 
 def cross_gamma(inputs: RunInputs, settings: RunSettings,
                 bump_a: BumpSpec, bump_b: BumpSpec) -> dict[str, float]:
-    """Mixed central second difference of FVA across two bumps, common seed;
-    the four legs run in one `run_fva_legs` call."""
-    for bump in (bump_a, bump_b):
-        if bump.scheme != "central":
-            raise ValueError(f"cross_gamma takes central bumps only, got "
-                             f"{bump.label} with scheme {bump.scheme!r}")
-    legs = [apply_bump(apply_bump(inputs, bump_a, da), bump_b, db)
-            for da, db in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    pp, pm, mp, mm = run_fva_legs(legs, dataclasses.replace(settings, benchmark=False))
-    den = 4.0 * bump_a.size * bump_b.size
-    d_ind = (pp.fva_indep - pm.fva_indep - mp.fva_indep + mm.fva_indep) / den
-    d_wwr = (pp.fva_wwr - pm.fva_wwr - mp.fva_wwr + mm.fva_wwr) / den
-    return {"d2_fva_indep": d_ind, "d2_fva_wwr": d_wwr,
-            "d2_fva_total": d_ind + d_wwr}
+    """Mixed central second difference of FVA across two bumps, common seed."""
+    row = fd_sensitivities(inputs, settings, [], (bump_a, bump_b))[0]
+    return {"d2_fva_indep": row.d_fva_indep, "d2_fva_wwr": row.d_fva_wwr,
+            "d2_fva_total": row.d_fva_total}
 
 
 def write_sensi_csv(rows: list[SensitivityRow], path) -> None:

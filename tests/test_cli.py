@@ -49,13 +49,15 @@ def test_sensi_verb(tmp_path, capsys):
 
 def test_sensi_cross(tmp_path, capsys):
     rc = main(["sensi", *CFG, *SMALL, "--out", str(tmp_path),
-               "--cross", "ir_parallel:EUR:1e-4", "credit_parallel:C:1e-4"])
+               "--cross", "ir_parallel:EUR:1e-4", "credit_parallel:C:1e-4",
+               "--bump", "credit_parallel:I", "--bump", "ir_parallel:EUR"])
     assert rc == 0
     lines = (tmp_path / "sensi.csv").read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert lines[1].startswith("cross(")
-    assert lines[1].split(",")[2] == "cross"
-    assert ";" in lines[1].split(",")[0]  # the two bump labels, csv-safe
+    # the first-order rows in --bump order, then the cross row
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "credit_parallel:I", "ir_parallel:EUR",
+        "cross(ir_parallel:EUR;credit_parallel:C)"]  # the two bump labels, csv-safe
+    assert [line.split(",")[2] for line in lines[1:]] == ["central", "central", "cross"]
 
 
 @pytest.mark.parametrize("verb, artifact", [("fva", "profile.csv"),
@@ -103,8 +105,7 @@ def test_sensi_requires_bump(tmp_path, capsys):
 
 
 def test_sensi_rejects_benchmark(tmp_path, capsys):
-    # only fva and export-profile run the benchmark; elsewhere the flag
-    # would be ignored
+    # only fva runs the benchmark; elsewhere the flag would be ignored
     for verb, extra, output in (("sensi", ["--bump", "ir_parallel:EUR"], "sensi.csv"),
                                 ("bounds", [], "bounds.csv"),
                                 ("export-cube", [], "cube_base.bin")):
@@ -261,13 +262,6 @@ def test_vol_bump_to_a_non_positive_vol_names_the_bump(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bump sigma_r:EUR moves sigma to -0.00716" in err
     assert not (tmp_path / "sensi.csv").exists()
-
-
-def test_export_profile_only(tmp_path):
-    rc = main(["export-profile", *CFG, *SMALL, "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "profile.csv").exists()
-    assert not (tmp_path / "fva_report.json").exists()
 
 
 def test_export_cube(tmp_path, capsys):

@@ -151,6 +151,22 @@ def test_integral_float_and_int_horizon_settings_accepted(tmp_path):
     assert settings.horizon == 30.0 and type(settings.horizon) is float
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("method: approx_analytic", "method: foo", "method must be one of"),
+    ("n_paths: 100000", "n_paths: 1", "n_paths must be at least 2"),
+    ("seed: 1", "seed: -3", "seed must be non-negative, got -3"),
+    ("n_r: 5", "n_r: 40", "truncation orders must be in 0..20"),
+    ("substeps_per_interval: 4", "substeps_per_interval: 0",
+     "substeps_per_interval must be at least 1, got 0"),
+], ids=["method", "n_paths", "seed", "n_r", "substeps"])
+def test_settings_error_names_the_config(tmp_path, old, new, message):
+    # RunSettings' messages named no file; a zero substep count loaded and
+    # failed only inside the run, in SimGrid
+    bad = _patched_config("single_swap.cfg", tmp_path, old, new)
+    with pytest.raises(ValueError, match=re.escape(f"config {bad}: {message}")):
+        load_run_config(bad)
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         RunSettings(seed=-1)

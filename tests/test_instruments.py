@@ -123,6 +123,30 @@ def test_non_numeric_instrument_value_rejected(tmp_path, entry, kind, key, value
         load_portfolio(path)
 
 
+_INSTRUMENT_NUMBERS = {
+    "swap": {"notional": "1.0", "fixed_rate": "0.01", "expiry": "1.0", "maturity": "5.0"},
+    "fx_forward": {"notional": "1.0", "strike": "0.9", "maturity": "3.0"}}
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, keys in _INSTRUMENT_NUMBERS.items()
+                                       for key in keys])
+@pytest.mark.parametrize("value, shown", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")])
+def test_non_finite_instrument_value_rejected(tmp_path, kind, key, value, shown):
+    # NaN passes every `<= 0` check: a NaN notional ran the whole pass and
+    # failed blaming the model parameters, a NaN expiry failed with a bare
+    # "cannot convert float NaN to integer"
+    numbers = dict(_INSTRUMENT_NUMBERS[kind], **{key: value})
+    fields = ", ".join(f"{k}: {v}" for k, v in numbers.items())
+    currency = "EUR" if kind == "swap" else "USD"
+    path = tmp_path / "p.yaml"
+    path.write_text(f"instruments:\n- {{type: swap, currency: EUR, notional: 1.0,"
+                    f" fixed_rate: 0.01, expiry: 1.0, maturity: 5.0}}\n"
+                    f"- {{type: {kind}, currency: {currency}, {fields}}}\n")
+    msg = f"portfolio file {path}: instrument 1 ({kind}): {key} must be finite, got {shown}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        load_portfolio(path)
+
+
 @pytest.mark.parametrize("value", ["2.5", "abc", "true"])
 def test_non_integral_swap_frequency_rejected(tmp_path, value):
     # int() used to read 2.5 as 2 without a word and fail on abc naming no key

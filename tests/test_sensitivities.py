@@ -5,6 +5,7 @@ import pytest
 
 import wwrfva.mc
 from wwrfva.cli import main as cli_main
+from wwrfva.exposure import BaseMoments
 from wwrfva.fva import load_run_config, run_fva
 from wwrfva.sensitivities import (TARGETS, BumpSpec, apply_bump, cross_gamma,
                                   default_size, fd_sensitivities,
@@ -350,3 +351,47 @@ def test_cli_sensi_runs_one_pass(tmp_path, count_passes):
     assert rc == 0
     assert len(count_passes) == 1
     assert len((tmp_path / "sensi.csv").read_text().strip().splitlines()) == 6
+
+
+def test_cli_sensi_with_cross_runs_one_pass(tmp_path, count_passes, monkeypatch):
+    # the README's call: two bumps and the cross of the same two, on one
+    # pass; the 8 legs value 3 groups (EUR up, EUR down, EUR unbumped)
+    records = set()
+    enter = BaseMoments.enter
+
+    def counted(self, *args):
+        records.add(id(self))
+        return enter(self, *args)
+
+    monkeypatch.setattr(BaseMoments, "enter", counted)
+    rc = cli_main(["sensi", "--config", fixture_path("single_swap.cfg"),
+                   "--paths", "400", "--dates-per-year", "1", "--out", str(tmp_path),
+                   "--bump", "ir_parallel:EUR", "--bump", "credit_parallel:C",
+                   "--cross", "ir_parallel:EUR:1e-4", "credit_parallel:C:1e-4"])
+    assert rc == 0
+    assert len(count_passes) == 1
+    assert len(records) == 3
+
+
+def test_one_call_equals_separate_calls(count_passes):
+    inputs, settings = tiny_run("portfolio.cfg", "approx_generic")
+    a, b, vol = (parse_bump(t, inputs)
+                 for t in ("ir_parallel:EUR", "credit_parallel:C", "sigma_r:EUR"))
+    fwd_a, fwd_b = (dataclasses.replace(x, scheme="forward") for x in (a, b))
+    bumps = [a, fwd_b, vol, fwd_a, b]
+    rows = fd_sensitivities(inputs, settings, bumps, (a, b))
+    # one pass for every curve leg, one per leg of the rate-vol bump
+    assert len(count_passes) == 3
+
+    alone = [fd_sensitivity(inputs, settings, x) for x in bumps]
+    g = cross_gamma(inputs, settings, a, b)
+    assert len(rows) == len(bumps) + 1
+    for r, s in zip(rows, alone):
+        assert (r.target, r.size, r.scheme, r.d_fva_indep, r.d_fva_wwr) == \
+            (s.target, s.size, s.scheme, s.d_fva_indep, s.d_fva_wwr)
+    cross = rows[-1]
+    assert (cross.target, cross.size, cross.scheme, cross.method) == (
+        "cross(ir_parallel:EUR;credit_parallel:C)", a.size * b.size, "cross",
+        "approx_generic")
+    assert (cross.d_fva_indep, cross.d_fva_wwr, cross.d_fva_total) == (
+        g["d2_fva_indep"], g["d2_fva_wwr"], g["d2_fva_total"])
