@@ -13,6 +13,9 @@ and 5,000 paths it writes, one subdirectory per case:
   sensi_cross          sensi.csv of one cross difference;
   sensi_mixed          sensi.csv of three bumps, one of them a rate vol,
                        and a cross difference, all in one call;
+  sensi_ladder         sensi.csv of central ir_pillar bumps on three
+                       pillars each of EUR, USD and GBP in one call, whose
+                       legs share each currency's bond exponentials;
   bounds_single_swap   bounds.csv;
   cube_<cfg>           the export-cube files in base and full mode.
 
@@ -68,6 +71,8 @@ CROSS = ("ir_parallel:EUR", "credit_parallel:C")
 # and a rate-vol bump, whose legs need a pass of their own
 MIXED = ("--bump", "ir_parallel:EUR", "--bump", "credit_parallel:C",
          "--bump", "sigma_r:EUR", "--cross", *CROSS)
+# a curve-delta ladder: three pillars of each of the portfolio's currencies
+LADDER = tuple(f"ir_pillar:{ccy}@{k}" for ccy in ("EUR", "USD", "GBP") for k in (1, 3, 5))
 # fields that measure the host, not the computation
 TIMING_FIELDS = ("runtime_wwr_seconds", "runtime_benchmark_wwr_seconds",
                  "peak_rss_mb")
@@ -215,6 +220,8 @@ def main() -> int:
         "--dates-per-year", "4", "--cross", *CROSS)
     run("sensi", "portfolio", os.path.join(root, "sensi_mixed"),
         "--dates-per-year", "4", *MIXED)
+    run("sensi", "portfolio", os.path.join(root, "sensi_ladder"),
+        "--dates-per-year", "4", *(arg for b in LADDER for arg in ("--bump", b)))
     run("bounds", "single_swap", os.path.join(root, "bounds_single_swap"))
     for cfg in ("single_swap", "portfolio"):
         for mode in ("base", "full"):

@@ -37,7 +37,7 @@ import numpy as np
 from . import METHODS
 from .instruments import CurrencyBook, Portfolio, Swap, book_ystar, swap_book
 from .mc import CorrelationMatrix, DateState, ScenarioCube, credit_factor, rate_factor
-from .models import ModelSet, domestic_terms, hw_terms, sigma_ratio
+from .models import ModelSet, domestic_terms, hw_terms, sigma_ratio, term
 from .normal import factorial, log_ndtr, ndtr
 
 
@@ -47,34 +47,49 @@ from .normal import factorial, log_ndtr, ndtr
 N_BATCHES = 50  # batch count of every Monte Carlo standard error
 
 
+def _mean(values: np.ndarray) -> np.float64:
+    """values.mean() of a 1-D float array, bit for bit: numpy's pairwise
+    sum, then one division by the count, without its per-call dispatch."""
+    return np.add.reduce(values) / len(values)
+
+
 def _batch_se(values: np.ndarray) -> float:
-    """SE of the mean from batch means (values is per-path, 1-D)."""
+    """SE of the mean from batch means (values is per-path, 1-D).
+
+    The batch means and their SD take numpy's `mean(axis=1)` and
+    `std(ddof=1)` steps in numpy's order, so they round as those do."""
     n = len(values)
     nb = min(N_BATCHES, n)
-    cut = (n // nb) * nb
-    means = values[:cut].reshape(nb, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(nb))
+    size = n // nb
+    means = np.add.reduce(values[:nb * size].reshape(nb, size), axis=1)
+    means /= size
+    dev = means - _mean(means)
+    np.square(dev, out=dev)
+    return float(np.sqrt(np.add.reduce(dev) / (nb - 1)) / math.sqrt(nb))
 
 
 # ---------------------------------------------------------------------------
 # per-date kernels: the estimators at one monitoring date, fed either by a
 # live simulation stream or by one date of a stored cube
 
-def exposure_at(st: DateState, value_row: np.ndarray) -> tuple[np.ndarray, float, float]:
+def exposure_at(st: DateState, positive: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Discounted positive exposure e^{-int r}(V)+ per path at the state's
-    date, with its mean and batch SE."""
-    h = st.discount * np.maximum(value_row, 0.0)
-    return h, h.mean(), _batch_se(h)
+    date, from the positive part (V)+ of its values, with its mean and
+    batch SE."""
+    h = st.discount * positive
+    return h, _mean(h), _batch_se(h)
 
 
-def y_moments_at(y: np.ndarray, value_row: np.ndarray,
-                 pows: np.ndarray) -> np.ndarray:
-    """Means of y^l (V)+ for l = 0 .. len(pows) - 1 at one date; `pows` is
-    scratch space of shape (l_max + 1, n_paths), l_max >= 0."""
-    np.maximum(value_row, 0.0, out=pows[0])
+def y_moments_at(y: np.ndarray, pows: np.ndarray) -> np.ndarray:
+    """Means of y^l (V)+ for l = 0 .. len(pows) - 1 at one date; `pows` of
+    shape (l_max + 1, n_paths), l_max >= 0, holds (V)+ in its first row
+    and is scratch space past it."""
     for l in range(1, len(pows)):
         np.multiply(pows[l - 1], y, out=pows[l])
-    return pows.mean(axis=1)
+    # pows.mean(axis=1), bit for bit
+    means = np.add.reduce(pows, axis=1)
+    means /= pows.shape[1]
+    return means
 
 
 def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float,
@@ -86,7 +101,7 @@ def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float,
     surv = c.H_IC[st.index] * np.exp(-st.Y_I - st.Y_C)
     spread = c.mu_S[st.index] + c.lgd * st.y_I
     term = (h - disc_epe) * surv * spread
-    return term.mean(), _batch_se(term)
+    return _mean(term), _batch_se(term)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +138,14 @@ class BaseMoments:
         """Fill the state's date from its value row; return the per-path
         discounted positive exposure. The driver moments, their thread CPU
         time added to `y_moment_seconds`, are filled only when the scratch
-        `pows` (moment rows x paths) has rows."""
+        `pows` (moment rows x paths) has rows; (V)+ is formed once, in its
+        first row."""
         i = st.index
-        h, self.disc_epe[i], self.disc_epe_se[i] = exposure_at(st, value_row)
+        positive = np.maximum(value_row, 0.0, out=pows[0] if len(pows) else None)
+        h, self.disc_epe[i], self.disc_epe_se[i] = exposure_at(st, positive)
         if len(pows):
             t0 = time.thread_time()
-            self.y_moments[:, i] = y_moments_at(st.y_r[st.domestic], value_row, pows)
+            self.y_moments[:, i] = y_moments_at(st.y_r[st.domestic], pows)
             self.y_moment_seconds += time.thread_time() - t0
         return h
 
@@ -186,14 +203,23 @@ def coeffs_for_dates(models: ModelSet, corr: CorrelationMatrix,
     it is the average over (u_{i-1}, u_i], consistent with the
     right-endpoint rectangle rule of the FVA integral.
     """
-    dates = np.asarray(dates, dtype=float)
+    dom = models.domestic
+    # the coefficients read only the domestic rate model, both credit
+    # models and the two rate-credit correlations
+    cut = ModelSet(dom, {dom: models.rates[dom]}, fx={},
+                   credit={z: models.credit[z] for z in ("I", "C")})
+    return term(_coeffs, cut, corr.entry(rate_factor(dom), credit_factor("I")),
+                corr.entry(rate_factor(dom), credit_factor("C")),
+                np.asarray(dates, dtype=float), n_r)
+
+
+def _coeffs(models: ModelSet, rho_rI: float, rho_rC: float, dates: np.ndarray,
+            n_r: int) -> WwrCoeffs:
+    """`coeffs_for_dates` from the models and correlations it reads."""
     if len(dates) < 2 or dates[0] != 0.0 or np.any(np.diff(dates) <= 0.0):
         raise ValueError("coefficient dates must start at 0 and strictly increase")
     u = dates[1:]
     rt, ci, cc, h_ric, h_ic = domestic_terms(models, u)
-    dom = models.domestic
-    rho_rI = corr.entry(rate_factor(dom), credit_factor("I"))
-    rho_rC = corr.entry(rate_factor(dom), credit_factor("C"))
     s_yI = sigma_ratio(ci.var_y, rt.var_y)
     s_YI = sigma_ratio(ci.var_Y, rt.var_y)
     s_YC = sigma_ratio(cc.var_Y, rt.var_y)
@@ -249,7 +275,7 @@ def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     ses = np.zeros(n)
     for i in range(1, n):
         st = cube.state(i)
-        h = exposure_at(st, value_mat[i])[0]
+        h = exposure_at(st, np.maximum(value_mat[i], 0.0))[0]
         vals[i], ses[i] = wwr_mc_at(st, h, bm.disc_epe[i], coeffs)
     return vals, ses
 

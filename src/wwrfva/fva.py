@@ -42,11 +42,12 @@ from .curves import (MarketData, check_keys, finite, integer, load_market_data,
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        wwr_mc_at)
-from .instruments import FxForward, Portfolio, PortfolioValuation, load_portfolio
+from .instruments import (FxForward, Portfolio, PortfolioValuation, book_rows,
+                          load_portfolio)
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
                  factor_labels, fx_factor, pair_key, rate_factor, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
-                     QuantoAdjust)
+                     QuantoAdjust, shared_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +307,23 @@ def run_fva_legs(legs: Sequence[RunInputs], settings: RunSettings) -> list[FvaRe
     """`run_fva` on each input set, with one simulation pass per group of
     legs whose noise recursion reads the same bytes (`PathStream.key`).
 
-    Within a pass, legs whose date states and valuation terms are bitwise
-    equal share one value row, its discounted exposure and its driver
-    moments, and all legs share the rows of equal currency books; each
-    leg keeps its own coefficients, credit covariance and report. Every
-    report is bit for bit the one `run_fva` gives alone on a pass of its
-    own. Nothing is kept across calls: a pass holds one date's drivers
-    per distinct overlay, as a single run does.
+    The legs' deterministic set-up is built once per distinct exact input
+    (`models.shared_terms`): the closed-form bundles over the dates, each
+    currency book, the streams' noise and overlay terms and the WWR
+    coefficients. Legs read them, read-only, from one table that is
+    dropped once every leg is set up, before the passes; the legs keep
+    only the final products they read. Within a pass, legs whose date
+    states and valuation terms are bitwise equal share one value row, its
+    discounted exposure and its driver moments; all legs share each date's
+    row of a currency book of equal key and, per currency, one matrix of
+    bond exponentials for the books of equal loadings. Each leg keeps its
+    own credit covariance and report. Every report is bit for bit the one
+    `run_fva` gives alone on a pass of its own. Nothing outlives the call:
+    a pass holds one date's drivers per distinct overlay, as a single run
+    does.
     """
-    runs = [_Leg(inputs, settings) for inputs in legs]
+    with shared_terms():
+        runs = [_Leg(inputs, settings) for inputs in legs]
     groups: dict[bytes, list[_Leg]] = {}
     for run in runs:
         groups.setdefault(run.stream.key, []).append(run)
@@ -431,8 +440,10 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     Legs with bitwise-equal overlays (hence the same date state) and
     valuation inputs share one `BaseMoments` record: each date is valued
     and entered once for all of them, and each of them is charged the
-    moments' time. All legs share each date's row of a currency book of
-    equal key. The credit covariance reads each leg's own coefficients.
+    moments' time. Each date's book rows are valued once for the pass
+    (`book_rows`), a book of equal key once and one exponential matrix per
+    bitwise-equal loadings. The credit covariance reads each leg's own
+    coefficients.
 
     The pass stops at the first date whose discounted exposure is not
     finite, with the error the report would give; numpy's overflow and
@@ -447,11 +458,13 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     for ks in twins.values():
         for k in ks[1:]:
             legs[k].bm = legs[ks[0]].bm
+    books = [book for ks in twins.values() for book in legs[ks[0]].valuation.books]
     pows = np.empty((len(legs[0].bm.y_moments), settings.n_paths))
     with (np.errstate(over="ignore", invalid="ignore"),
           closing(shared_pass([leg.stream for leg in legs])) as dates):
         for states in dates:
-            local_rows = {}
+            # the book rows read only the rate noise, which the states share
+            local_rows = book_rows(books, states[0])
             for ks in twins.values():
                 st, bm = states[ks[0]], legs[ks[0]].bm
                 i = st.index

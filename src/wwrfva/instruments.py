@@ -4,7 +4,9 @@ Every zero-coupon bond of a currency is one exponential in the zero-mean
 rate driver y of that currency. Each currency's instruments therefore merge
 into one `CurrencyBook` on the union of their payment dates: at a monitoring
 date u, V(u; y) = const + sum_k W_k exp(-y B_k), valued pathwise by one
-kernel (`book_value`). A single swap's book (`swap_book`) is also the value
+kernel (`book_value`); `book_rows` applies it to a date's books at once,
+with one exponential matrix for the books whose loadings B are bitwise
+equal. A single swap's book (`swap_book`) is also the value
 function its closed forms read; its positivity boundary ystar is the unique
 root of a monotone auxiliary function (a Jamshidian-style decomposition),
 found by a doubling bracket search and Newton's method from its left end.
@@ -24,9 +26,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .curves import check_keys, finite, integer, load_yaml
-from .mc import (CorrelationMatrix, DateState, ScenarioCube, exact_key, fx_factor,
-                 rate_factor)
-from .models import Hw1fParams, ModelSet, fx_terms, hw_terms, sigma_ratio
+from .mc import CorrelationMatrix, DateState, ScenarioCube, fx_factor, rate_factor
+from .models import Hw1fParams, ModelSet, exact_key, fx_terms, hw_terms, sigma_ratio, term
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +401,15 @@ class CurrencyBook:
     units of `currency`, over the union of their payment dates k."""
 
     currency: str
-    key: bytes             # mc.exact_key of every input of the terms
+    key: bytes             # models.exact_key of every input of the terms
     const: np.ndarray      # per date
     W: np.ndarray          # dates x payment dates
     B: np.ndarray          # dates x payment dates
     start: np.ndarray      # per date: the first payment column at or after it
+    # models.exact_key of what B and start are built from (the currency,
+    # its rate model's mean reversion, the payment and monitoring dates):
+    # books of equal expo_key read equal bond exponentials on one date state
+    expo_key: bytes
 
     def at(self, i: int) -> tuple[float, np.ndarray, np.ndarray]:
         """(const, W, B) at date i on its live payment columns; past every
@@ -415,17 +420,43 @@ class CurrencyBook:
     def since(self, i: int) -> CurrencyBook:
         """The book on its dates from index i on."""
         return CurrencyBook(self.currency, exact_key(self.key, i), self.const[i:],
-                            self.W[i:], self.B[i:], self.start[i:])
+                            self.W[i:], self.B[i:], self.start[i:],
+                            exact_key(self.expo_key, i))
 
 
-def book_value(const, W, B, y):
-    """The valuation kernel: const + sum_k W_k exp(-B_k y) for each y."""
+def bond_exponentials(B, y):
+    """exp(-B_k y) for each live payment k (rows) and each y (columns)."""
     # live payments x paths, the largest temporary of a valuation: one copy,
     # with the paths on the contiguous axis so each elementwise pass runs
     # over a whole row of paths
     expo = np.multiply.outer(-B, y)
     np.exp(expo, out=expo)
-    return const + W @ expo
+    return expo
+
+
+def book_value(const, W, B, y):
+    """The valuation kernel: const + sum_k W_k exp(-B_k y) for each y."""
+    return const + W @ bond_exponentials(B, y)
+
+
+def book_rows(books, st: DateState) -> dict[bytes, np.ndarray]:
+    """The local-currency value row of each book at the state's date, by
+    key (`book_value` on its live columns, bit for bit). Books of equal
+    key are valued once; books of equal `expo_key`, whose loadings are
+    bitwise equal, share one matrix of bond exponentials, which is dropped
+    once they are valued."""
+    same = {}
+    for book in {book.key: book for book in books}.values():
+        same.setdefault(book.expo_key, []).append(book)
+    rows, i = {}, st.index
+    for group in same.values():
+        expo = None
+        for book in group:
+            const, W, B = book.at(i)
+            if expo is None:
+                expo = bond_exponentials(B, st.y_r[book.currency])
+            rows[book.key] = const + W @ expo
+    return rows
 
 
 def _book_terms(ccy: str, p: Portfolio, models: ModelSet,
@@ -433,34 +464,41 @@ def _book_terms(ccy: str, p: Portfolio, models: ModelSet,
     """The book of currency `ccy` on `dates`, or None if nothing pays in it:
     its swaps and its FX forwards' foreign legs, and in the domestic book
     every forward's strike leg."""
-    insts, times, coefs = [], [], []
+    insts = tuple(inst for inst in p.instruments
+                  if inst.currency == ccy
+                  or (isinstance(inst, FxForward) and ccy == models.domestic))
+    if not insts:
+        return None
+    return term(_book, ccy, models.domestic, insts, models.rates[ccy], dates)
+
+
+def _book(ccy: str, domestic: str, insts: tuple, rp: Hw1fParams,
+          dates: np.ndarray) -> CurrencyBook:
+    """The book of the instruments `insts`, each paying in `ccy`, under the
+    rate model `rp`."""
+    times, coefs = [], []
     const = np.zeros(len(dates))
-    for inst in p.instruments:
-        if isinstance(inst, Swap) and inst.currency == ccy:
+    for inst in insts:
+        if isinstance(inst, Swap):
             pays, coef = inst.schedule, inst.phi * inst.notional * inst.cashflows
             # past expiry and up to maturity, the expiry payment is a constant
             const[(dates > inst.expiry) & (dates <= inst.maturity)] += coef[0]
-        elif isinstance(inst, FxForward) and ccy in (inst.currency, models.domestic):
+        else:
             leg = 1.0 if ccy == inst.currency else -inst.strike
             pays, coef = (inst.maturity,), [inst.phi * inst.notional * leg]
-        else:
-            continue
-        insts.append(inst)
         times.append(pays)
         coefs.append(coef)
-    if not insts:
-        return None
     pay, col = np.unique(np.concatenate(times), return_inverse=True)
     coef = np.bincount(col, weights=np.concatenate(coefs))
-    rp = models.rates[ccy]
     # the bonds P(u, T) on the (date, payment date) grid, whose exponents
     # are B(u, T) and A_bar(u, T) - mu(0, u) B(u, T); payments already made
     # collapse onto u
-    mu = hw_terms(rp, 0.0, dates).mu
+    mu = term(hw_terms, rp, 0.0, dates).mu
     bond = hw_terms(rp, dates[:, None], np.maximum(pay, dates[:, None]))
     disc = np.exp(bond.A_bar - mu[:, None] * bond.B)
-    return CurrencyBook(ccy, exact_key(ccy, models.domestic, insts, rp, dates), const,
-                        coef * disc, bond.B, np.searchsorted(pay, dates, side="left"))
+    return CurrencyBook(ccy, exact_key(ccy, domestic, insts, rp, dates), const,
+                        coef * disc, bond.B, np.searchsorted(pay, dates, side="left"),
+                        exact_key(ccy, rp.a, pay, dates))
 
 
 def swap_book(s: Swap, rp: Hw1fParams, dates) -> CurrencyBook:
@@ -476,7 +514,7 @@ class PortfolioValuation:
     from one `CurrencyBook` per currency.
 
     The term builders see only what `key` holds as exact bytes
-    (`mc.exact_key`): the instruments, the domestic currency, the rate
+    (`models.exact_key`): the instruments, the domestic currency, the rate
     models of the portfolio's currencies and the dates. They get a model
     set cut down to those rate models, with no FX or credit models, so no
     other input can reach them; two valuations of equal key give
@@ -498,15 +536,14 @@ class PortfolioValuation:
 
     def row(self, st: DateState, local_rows: Optional[dict] = None) -> np.ndarray:
         """Portfolio value per path at the state's date: the books in currency
-        order, each times its FX level if foreign, summed from zeros. A book
-        whose key is in `local_rows` (this date's local-currency book rows)
-        is not valued again; one valued here is added to it."""
-        local_rows = {} if local_rows is None else local_rows
-        i = st.index
+        order, each times its FX level if foreign, summed from zeros.
+        `local_rows`, this date's local-currency book rows by key
+        (`book_rows`), holds every book of this valuation; the books are
+        valued here when it is not given."""
+        if local_rows is None:
+            local_rows = book_rows(self.books, st)
         out = np.zeros(len(st.Y_r[st.domestic]))
         for book in self.books:
-            if book.key not in local_rows:
-                local_rows[book.key] = book_value(*book.at(i), st.y_r[book.currency])
             local = local_rows[book.key]
             if book.currency != st.domestic:
                 local = local * np.exp(st.ln_fx[book.currency])

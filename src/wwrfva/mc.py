@@ -46,7 +46,6 @@ interval's market and then its credit normals in turn.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -55,7 +54,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .models import ModelSet, bfac, cir_terms, fx_terms, hw_terms, interval_covariance
+from .models import (ModelSet, bfac, cir_terms, exact_key, fx_terms, hw_terms,
+                     interval_covariance, term)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +289,6 @@ def _generators(seed: int) -> list[np.random.Generator]:
             for s in np.random.SeedSequence(seed).spawn(2)]
 
 
-def exact_key(*parts) -> bytes:
-    """Bytes that are equal for two argument lists only if their strings and
-    integers are equal and their floats and arrays bitwise equal (shapes
-    included): their pickle, which stores floats and array data raw."""
-    return pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 # OpenBLAS runs a product on one thread while m * n * k is at most this
 # (its gemm threading threshold); a second thread would compete with the
 # draw worker for a core.
@@ -408,45 +401,35 @@ class PathStream:
         self.n_V = n_V = 2 * n_ccy + n_fx
         n_E = nsub * n_cred
 
-        # the noise recursion's inputs, one entry per distinct interval
-        # length; interval i - 1 (ending at date i) has length lengths[which]
-        lengths, self.which = np.unique(np.diff(dates), return_inverse=True)
+        # the noise recursion's inputs (one entry per distinct interval
+        # length, see `_noise_terms`) and its key
         rates = [models.rates[c] for c in self.ccys]
         a_r = np.array([p.a for p in rates])
         sigma_r = np.array([p.sigma for p in rates])
         R = corr.matrix[:n_mkt + n_cred, :n_mkt + n_cred]
-        C = interval_covariance(a_r, R, n_fx, lengths, nsub)
-        self.decay = np.exp(-a_r[:, None] * lengths[:, None, None])
-        self.B_r = np.asarray(bfac(a_r[:, None], lengths[:, None, None]))
-        # L_VV from V's block alone, its rows scaled to the shocks (sigma I,
-        # sigma J, dW_fx); E's rows of the joint factor are (L_EV, L_EE)
-        self.L_V = np.r_[sigma_r, sigma_r, np.ones(n_fx)][:, None] \
-            * _cholesky(C[:, :n_V, :n_V], "interval covariance")
         credit = [models.credit[z] for z in self.entities]
         self.x0_c, a_c, self.theta_c, sigma_c = (
             np.array([getattr(p, f) for p in credit])[:, None]
             for f in ("x0", "a", "theta", "sigma"))
-        self.h = lengths / nsub
-        self.revert = -np.expm1(-a_c * self.h[:, None, None])
-        # E's rows scaled to the credit shocks sigma_c sqrt(h) eps
-        shock = np.tile(sigma_c[:, 0], nsub) * np.sqrt(self.h)[:, None]
-        self.L_E = _cholesky(C, "interval covariance")[:, n_V:] * shock[..., None]
+        (self.which, lengths, self.decay, self.B_r, self.L_V, self.L_E, self.h,
+         self.revert) = term(_noise_terms, a_r, sigma_r, R, n_fx, dates, nsub, a_c,
+                             sigma_c)
         self.key = exact_key(tuple(labels), mode, n_paths, seed, nsub, self.which,
                              lengths, self.decay, self.B_r, self.L_V, self.L_E,
                              self.x0_c, self.theta_c, self.revert)
 
         # the overlay: FX log level = mean + Y_dom - Y_ccy + sigma_fx * Brownian
         # level; credit centred by the closed-form mean and mean integral
-        self.h_dom = hw_terms(models.rates[dom], 0.0, dates).H
+        self.h_dom = term(hw_terms, models.rates[dom], 0.0, dates).H
         self.fx_rows = [self.ccys.index(c) for c in self.fx_ccys]
         self.sigma_fx = np.array([models.fx[c].sigma_fx for c in self.fx_ccys])[:, None]
         self.mu_fx = np.array([
-            fx_terms(models.rates[dom], models.rates[c], models.fx[c],
-                     corr.entry(rate_factor(dom), rate_factor(c)),
-                     corr.entry(rate_factor(dom), fx_factor(c)),
-                     corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
+            term(fx_terms, models.rates[dom], models.rates[c], models.fx[c],
+                 corr.entry(rate_factor(dom), rate_factor(c)),
+                 corr.entry(rate_factor(dom), fx_factor(c)),
+                 corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
             for c in self.fx_ccys]).reshape(n_fx, len(dates))
-        cred_terms = [cir_terms(p, 0.0, dates) for p in credit]
+        cred_terms = [term(cir_terms, p, 0.0, dates) for p in credit]
         self.M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, len(dates))
         # only the investor's intensity driver itself reaches the state
         self.mu_I = cred_terms[self.entities.index("I")].mu if "I" in self.entities else None
@@ -483,6 +466,29 @@ class PathStream:
                 yield st
         finally:
             states.close()
+
+
+def _noise_terms(a_r, sigma_r, R, n_fx: int, dates, nsub: int, a_c, sigma_c) -> tuple:
+    """The noise recursion's coefficients on a grid (see PathStream): per
+    interval the index of its length, then per distinct length the length,
+    the rates' decay and B factors, the market and credit Cholesky rows
+    scaled to their shocks, the substep and the credit reversion."""
+    n_V = 2 * len(a_r) + n_fx
+    # interval i - 1 (ending at date i) has length lengths[which[i - 1]]
+    lengths, which = np.unique(np.diff(dates), return_inverse=True)
+    C = interval_covariance(a_r, R, n_fx, lengths, nsub)
+    decay = np.exp(-a_r[:, None] * lengths[:, None, None])
+    B_r = np.asarray(bfac(a_r[:, None], lengths[:, None, None]))
+    # L_VV from V's block alone, its rows scaled to the shocks (sigma I,
+    # sigma J, dW_fx); E's rows of the joint factor are (L_EV, L_EE)
+    L_V = np.r_[sigma_r, sigma_r, np.ones(n_fx)][:, None] \
+        * _cholesky(C[:, :n_V, :n_V], "interval covariance")
+    h = lengths / nsub
+    revert = -np.expm1(-a_c * h[:, None, None])
+    # E's rows scaled to the credit shocks sigma_c sqrt(h) eps
+    shock = np.tile(sigma_c[:, 0], nsub) * np.sqrt(h)[:, None]
+    L_E = _cholesky(C, "interval covariance")[:, n_V:] * shock[..., None]
+    return which, lengths, decay, B_r, L_V, L_E, h, revert
 
 
 def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:

@@ -14,14 +14,73 @@ exp(-int state dv) = H * exp(-Y).
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .curves import Curve
+
+
+# ---------------------------------------------------------------------------
+# deterministic terms shared within one call
+#
+# A call that sets up several runs at once (`fva.run_fva_legs`) opens
+# `shared_terms` around their set-up; inside it, `term(fn, *args)` builds
+# fn(*args) once per exact argument list and hands every caller that one
+# value, with its arrays read-only. The table goes when the block ends, so
+# nothing is kept across calls; outside one, `term` is a plain call.
+
+_TERMS: ContextVar[Optional[dict]] = ContextVar("wwrfva shared terms", default=None)
+
+
+def exact_key(*parts) -> bytes:
+    """Bytes that are equal for two argument lists only if their strings and
+    integers are equal and their floats and arrays bitwise equal (shapes
+    included): their pickle, which stores floats and array data raw."""
+    return pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+@contextmanager
+def shared_terms() -> Iterator[None]:
+    """Within the block, `term` builds each term once per exact input."""
+    token = _TERMS.set({})
+    try:
+        yield
+    finally:
+        _TERMS.reset(token)
+
+
+def term(fn, *args):
+    """fn(*args); inside `shared_terms`, the value built for the first
+    bitwise-equal argument list (`exact_key`), whose arrays are read-only."""
+    table = _TERMS.get()
+    if table is None:
+        return fn(*args)
+    key = exact_key(fn.__module__, fn.__qualname__, *args)
+    if key not in table:
+        table[key] = _read_only(fn(*args))
+    return table[key]
+
+
+def _read_only(value):
+    """`value`, with every array in it, in a tuple or in a dataclass's
+    fields made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _read_only(getattr(value, f.name))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +398,9 @@ def domestic_terms(models: ModelSet, u) -> tuple:
     """(domestic rate terms, I's terms, C's terms, H_r H_I H_C, H_I H_C)
     over (0, u): the discount and survival products that weight the WWR
     terms, from one closed-form call per driver."""
-    rt = hw_terms(models.rates[models.domestic], 0.0, u)
-    ci = cir_terms(models.credit["I"], 0.0, u)
-    cc = cir_terms(models.credit["C"], 0.0, u)
+    rt = term(hw_terms, models.rates[models.domestic], 0.0, u)
+    ci = term(cir_terms, models.credit["I"], 0.0, u)
+    cc = term(cir_terms, models.credit["C"], 0.0, u)
     return rt, ci, cc, rt.H * ci.H * cc.H, ci.H * cc.H
 
 
@@ -379,10 +438,9 @@ def fx_terms(dom: Hw1fParams, fgn: Hw1fParams, fx: GbmFxParams,
              rho_dom_fgn: float, rho_dom_fx: float, rho_fgn_fx: float,
              t, u) -> FxTerms:
     """Mean and variance of the log FX level at u, conditional on t = 0 data."""
+    dom_terms, fgn_terms = term(hw_terms, dom, t, u), term(hw_terms, fgn, t, u)
     t, u = _ordered(t, u)
     tau = u - t
-    dom_terms = hw_terms(dom, t, u)
-    fgn_terms = hw_terms(fgn, t, u)
     sx = fx.sigma_fx
     mu_fx = (math.log(fx.spot) + dom_terms.M + dom_terms.int_b
              - fgn_terms.M - fgn_terms.int_b - 0.5 * sx * sx * tau)

@@ -12,12 +12,19 @@ unchanged (curves, spots, FX vols, credit curves and, without credit
 simulation, credit vols and market-credit correlations) share one
 simulation pass, and legs that also value the same portfolio on the
 same states share that valuation; a rate-volatility bump gets a pass
-per leg. Each leg's result is bit for bit that of a run of its own.
+per leg. Within the call, every deterministic term that two legs build
+from bitwise-equal inputs is built once: the closed-form bundles, the
+currency books, the streams' noise and overlay terms and the WWR
+coefficients. Each date's bond exponentials are formed once per
+currency for the legs whose book loadings are equal, as a curve bump
+leaves them. Nothing of this outlives the call. Each leg's result is bit
+for bit that of a run of its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -54,8 +61,9 @@ class BumpSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown bump target {self.target!r}")
-        if self.size <= 0.0:
-            raise ValueError("bump size must be positive")
+        if not 0.0 < self.size < math.inf:
+            raise ValueError(f"bump {self.label}: the size must be positive and "
+                             f"finite, got {self.size!r}")
         if self.scheme not in ("central", "forward"):
             raise ValueError("scheme must be central or forward")
         if self.target == "ir_pillar" and self.pillar is None:
@@ -144,49 +152,49 @@ def _default_qualifier(target: str, inputs: RunInputs) -> str:
 
 
 def apply_bump(inputs: RunInputs, bump: BumpSpec, direction: float) -> RunInputs:
-    """New inputs with one market quantity shifted by direction * size."""
-    out = inputs.copy()
+    """New inputs with one market quantity shifted by direction * size.
+
+    Only the table that holds the quantity is copied; the new inputs share
+    every other table with `inputs`, so neither is changed in place."""
     h = direction * bump.size
-    m = out.market
+    m = inputs.market
     if bump.target in ("ir_parallel", "ir_pillar"):
         ccy = bump.qualifier
         curve = m.rate_curve(ccy)
         new = (curve.bumped(h) if bump.target == "ir_parallel"
                else curve.bumped_pillar(bump.pillar, h))
         if ccy == m.domestic:
-            out.market = dataclasses.replace(m, domestic_curve=new)
+            market = dataclasses.replace(m, domestic_curve=new)
         else:
-            fc = dict(m.foreign_curves)
-            if ccy not in fc:
-                raise ValueError(f"no curve for currency {ccy}")
-            fc[ccy] = new
-            out.market = dataclasses.replace(m, foreign_curves=fc)
+            market = dataclasses.replace(m, foreign_curves={**m.foreign_curves, ccy: new})
     elif bump.target == "credit_parallel":
-        cc = dict(m.credit_curves)
+        cc = m.credit_curves
         if bump.qualifier not in cc:
             raise ValueError(f"no credit curve for entity {bump.qualifier}")
-        cc[bump.qualifier] = cc[bump.qualifier].bumped(h)
-        out.market = dataclasses.replace(m, credit_curves=cc)
+        market = dataclasses.replace(
+            m, credit_curves={**cc, bump.qualifier: cc[bump.qualifier].bumped(h)})
     elif bump.target == "fx_spot":
-        spots = dict(m.fx_spots)
+        spots = m.fx_spots
         if bump.qualifier not in spots:
             raise ValueError(f"no fx spot for currency {bump.qualifier}")
-        spots[bump.qualifier] = spots[bump.qualifier] + h
-        out.market = dataclasses.replace(m, fx_spots=spots)
+        market = dataclasses.replace(
+            m, fx_spots={**spots, bump.qualifier: spots[bump.qualifier] + h})
     elif bump.target in _VOL_BUMPS:
-        record, key = _vol_record(out, bump.target, bump.qualifier)
+        table = _VOL_BUMPS[bump.target][0]
+        record, key = _vol_record(inputs, bump.target, bump.qualifier)
         vol = float(record[key]) + h
         if vol <= 0.0:
             raise ValueError(f"bump {bump.label} moves {key} to {vol!r}; "
                              "a vol must stay positive")
-        record[key] = vol
-    elif bump.target == "correlation":
-        key = pair_key(out.correlations, bump.qualifier)
-        rho = out.correlations.get(key, 0.0) + h
+        records = {**getattr(inputs, table), bump.qualifier: {**record, key: vol}}
+        return dataclasses.replace(inputs, **{table: records})
+    else:  # correlation
+        key = pair_key(inputs.correlations, bump.qualifier)
+        rho = inputs.correlations.get(key, 0.0) + h
         if not -1.0 <= rho <= 1.0:
             raise ValueError(f"bumped correlation {key} = {rho} outside [-1, 1]")
-        out.correlations[key] = rho
-    return out
+        return dataclasses.replace(inputs, correlations={**inputs.correlations, key: rho})
+    return dataclasses.replace(inputs, market=market)
 
 
 @dataclass
@@ -210,19 +218,26 @@ def fd_sensitivities(inputs: RunInputs, settings: RunSettings, bumps: list[BumpS
     second difference as the row `cross(a;b)` of size a.size * b.size.
 
     Each row is a stencil: signed legs over a denominator, each leg the
-    (bump, direction) moves that make its inputs. Each distinct leg is
-    built once, so forward bumps share one unbumped leg, and every leg of
-    every row runs in one `run_fva_legs` call. A row sums its signed legs
-    left to right in stencil order, which keeps the bits of `up - down`
-    and of `pp - pm - mp + mm`. The benchmark is never run: a leg reads
-    only its own FVA split.
+    (bump, direction) moves that make its inputs. A move leaves out the
+    bump's scheme, which shapes the stencil and not the inputs. Each
+    distinct leg is built once, so forward bumps share one unbumped leg,
+    a central and a forward row of one bump share their up leg, and every
+    leg of every row runs in one `run_fva_legs` call, which builds each
+    deterministic term of the legs once (see there). A row sums its
+    signed legs left to right in stencil order, which keeps the bits of
+    `up - down` and of `pp - pm - mp + mm`. The benchmark is never run: a
+    leg reads only its own FVA split.
     """
+    def move(bump, direction):
+        return dataclasses.replace(bump, scheme="central"), direction
+
     rows = []
     for bump in bumps:
         # central: (up - down) / 2h; forward: (up - unbumped) / h
         central = bump.scheme == "central"
         rows.append((bump.label, bump.size, bump.scheme,
-                     [(1.0, ((bump, 1.0),)), (-1.0, ((bump, -1.0),) if central else ())],
+                     [(1.0, (move(bump, 1.0),)),
+                      (-1.0, (move(bump, -1.0),) if central else ())],
                      2.0 * bump.size if central else bump.size))
     if cross is not None:
         a, b = cross
@@ -232,7 +247,7 @@ def fd_sensitivities(inputs: RunInputs, settings: RunSettings, bumps: list[BumpS
                                  f"{bump.label} with scheme {bump.scheme!r}")
         # (pp - pm - mp + mm) / 4hk
         rows.append((f"cross({a.label};{b.label})", a.size * b.size, "cross",
-                     [(da * db, ((a, da), (b, db)))
+                     [(da * db, (move(a, da), move(b, db)))
                       for da, db in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))],
                      4.0 * a.size * b.size))
     legs = list(dict.fromkeys(moves for *_, stencil, _ in rows for _, moves in stencil))

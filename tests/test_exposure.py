@@ -300,3 +300,21 @@ def test_psi_diagnostic_receiver_negative_correlations(small_run):
         assert d.net_sign[i] == expect, i
     # WWR dominates early in the horizon, where the exposure peaks
     assert np.all(d.net_sign[1:len(bm.dates) // 3] == -1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 49, 50, 51, 99, 400, 2001, 20_000])
+def test_estimators_round_as_numpy_mean_and_std(n):
+    # the per-date estimators skip numpy's per-call dispatch, not its steps
+    rng = np.random.default_rng(n)
+    nb = min(exposure.N_BATCHES, n)
+    for k in range(20):
+        x = np.maximum(rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5) + k - 10, 0.0)
+        batch = x[:(n // nb) * nb].reshape(nb, -1).mean(axis=1)
+        want = float(batch.std(ddof=1) / math.sqrt(nb))
+        assert repr(exposure._batch_se(x)) == repr(want)
+        assert exposure._mean(x).tobytes() == x.mean().tobytes()
+        pows = np.empty((4, n))
+        pows[0] = x
+        y = rng.standard_normal(n)
+        got = exposure.y_moments_at(y, pows)
+        assert got.tobytes() == pows.mean(axis=1).tobytes()

@@ -1,13 +1,16 @@
+import contextlib
 import dataclasses
+import gc
 import json
 import re
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from wwrfva import exposure, fva, instruments
+from wwrfva import exposure, fva, instruments, models
 from wwrfva.exposure import (ExposureProfile, base_moments, coeffs_for_dates,
                              epe_indep, epe_wwr_approx_generic,
                              epe_wwr_approx_swap_analytic, epe_wwr_mc)
@@ -588,23 +591,85 @@ def test_run_fva_legs_fuses_exactly_the_legs_of_one_key(monkeypatch, b42, method
 
 def test_run_fva_legs_value_a_book_their_bump_leaves_alone_once(monkeypatch, b42):
     # a domestic-curve bump moves the EUR book only: its two legs share the
-    # USD and GBP books' local rows and convert them at their own FX levels
+    # USD and GBP books' local rows and convert them at their own FX levels;
+    # it leaves the EUR loadings B alone, so both EUR books read one matrix
+    # of bond exponentials
     inputs, settings = b42
     settings = small_settings(settings, n_paths=400, dates_per_year=2, substeps=1)
     legs = bumped_legs(inputs, ["ir_parallel:EUR"])[1:]
-    kernel = instruments.book_value
-    calls = []
+    kernel, at = instruments.bond_exponentials, instruments.CurrencyBook.at
+    exponentials, rows = [], []
 
     def counted(*args):
-        calls.append(1)
+        exponentials.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(instruments, "book_value", counted)
+    def counted_at(self, i):
+        rows.append(1)
+        return at(self, i)
+
+    monkeypatch.setattr(instruments, "bond_exponentials", counted)
+    monkeypatch.setattr(instruments.CurrencyBook, "at", counted_at)
     alone = [run_fva(leg, settings) for leg in legs]
     n_dates = len(alone[0].profile.dates)
-    assert len(calls) == 6 * n_dates
-    calls.clear()
+    assert (len(exponentials), len(rows)) == (6 * n_dates, 6 * n_dates)
+    exponentials.clear()
+    rows.clear()
     shared = run_fva_legs(legs, settings)
-    assert len(calls) == 4 * n_dates
+    assert (len(exponentials), len(rows)) == (3 * n_dates, 4 * n_dates)
+    for a, b in zip(alone, shared):
+        assert report_bits(a) == report_bits(b)
+
+
+def _arrays_in(value):
+    """The arrays in a term: itself, in a tuple or in a dataclass's fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _arrays_in(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays_in(getattr(value, f.name))
+
+
+def test_run_fva_legs_build_each_term_once_and_keep_none(monkeypatch, b42):
+    # a credit-curve bump moves no currency book: the two legs build each
+    # of the three books once, read them from a read-only table and leave
+    # nothing of it behind
+    inputs, settings = b42
+    settings = small_settings(settings, n_paths=300, dates_per_year=1, substeps=1)
+    legs = bumped_legs(inputs, ["credit_parallel:C"])[1:]
+    build, terms = instruments._book, fva.shared_terms
+    books, tables = [], []
+
+    def counted(*args):
+        books.append(args[0])
+        return build(*args)
+
+    @contextlib.contextmanager
+    def spying():
+        with terms():
+            yield
+            tables.append(models._TERMS.get())
+
+    monkeypatch.setattr(instruments, "_book", counted)
+    monkeypatch.setattr(fva, "shared_terms", spying)
+    shared = run_fva_legs(legs, settings)
+    assert sorted(books) == ["EUR", "GBP", "USD"]
+    assert models._TERMS.get() is None
+    (table,) = tables
+    arrays = [a for value in table.values() for a in _arrays_in(value)]
+    assert len(arrays) > 20
+    assert not any(a.flags.writeable for a in arrays)
+    refs = [weakref.ref(a) for a in arrays]
+    tables.clear()
+    del table, arrays
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+    books.clear()
+    alone = [run_fva(leg, settings) for leg in legs]
+    assert len(books) == 6
     for a, b in zip(alone, shared):
         assert report_bits(a) == report_bits(b)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import wwrfva.mc
+from wwrfva import sensitivities
 from wwrfva.cli import main as cli_main
 from wwrfva.exposure import BaseMoments
-from wwrfva.fva import load_run_config, run_fva
+from wwrfva.fva import load_run_config, run_fva, run_fva_legs
 from wwrfva.sensitivities import (TARGETS, BumpSpec, apply_bump, cross_gamma,
                                   default_size, fd_sensitivities,
                                   fd_sensitivity, parse_bump, write_sensi_csv)
@@ -146,6 +147,10 @@ def test_credit_and_param_bumps(b41):
     dn = apply_bump(inputs, BumpSpec(target="sigma_r", qualifier="EUR",
                                      size=1e-4), -1.0)
     assert dn.rate_params["EUR"]["sigma"] == pytest.approx(0.00284 - 1e-4)
+    # the bumped inputs copy the tables they move; the originals stay
+    assert inputs.rate_params["EUR"]["sigma"] == 0.00284
+    assert inputs.market.credit_curve("C") is not up.market.credit_curve("C")
+    assert up.portfolio is inputs.portfolio
 
 
 def test_correlation_bump_and_range_check(b41):
@@ -154,6 +159,7 @@ def test_correlation_bump_and_range_check(b41):
     up = apply_bump(inputs, b, +1.0)
     # flipped key is matched against the stored orientation
     assert up.correlations["r_EUR:lambda_I"] == pytest.approx(-0.34)
+    assert inputs.correlations["r_EUR:lambda_I"] == -0.35
     big = BumpSpec(target="correlation", qualifier="r_EUR:lambda_C", size=0.6)
     with pytest.raises(ValueError):
         apply_bump(inputs, big, -1.0)  # -0.5 - 0.6 out of range
@@ -371,6 +377,41 @@ def test_cli_sensi_with_cross_runs_one_pass(tmp_path, count_passes, monkeypatch)
     assert rc == 0
     assert len(count_passes) == 1
     assert len(records) == 3
+
+
+@pytest.mark.parametrize("text, label", [("sigma_r:EUR:nan", "sigma_r:EUR"),
+                                         ("ir_parallel:EUR:inf", "ir_parallel:EUR")])
+def test_a_nan_or_infinite_bump_size_is_refused_before_any_pass(tmp_path, count_passes,
+                                                                text, label):
+    # a NaN size used to run the whole pass and then blame the model
+    # parameters for the non-finite profile
+    inputs, _ = tiny_run("single_swap.cfg", "approx_generic")
+    with pytest.raises(ValueError, match=rf"bump {label}: the size must be positive "
+                                         rf"and finite, got (nan|inf)"):
+        parse_bump(text, inputs)
+    rc = cli_main(["sensi", "--config", fixture_path("single_swap.cfg"),
+                   "--paths", "400", "--dates-per-year", "1", "--out", str(tmp_path),
+                   "--bump", text])
+    assert rc == 1
+    assert count_passes == []
+
+
+def test_central_and_forward_rows_of_one_bump_share_their_up_leg(monkeypatch):
+    # a leg is its moves without the scheme: the two rows need 3 input sets
+    inputs, settings = tiny_run("portfolio.cfg", "approx_generic")
+    a = parse_bump("ir_parallel:EUR", inputs)
+    bumps = [a, dataclasses.replace(a, scheme="forward")]
+    sent = []
+
+    def counted(legs, leg_settings):
+        sent.append(len(legs))
+        return run_fva_legs(legs, leg_settings)
+
+    monkeypatch.setattr(sensitivities, "run_fva_legs", counted)
+    rows = fd_sensitivities(inputs, settings, bumps)
+    assert sent == [3]
+    for b, r in zip(bumps, rows):
+        assert (r.d_fva_indep, r.d_fva_wwr) == reference_row(inputs, settings, b)
 
 
 def test_one_call_equals_separate_calls(count_passes):
