@@ -10,11 +10,11 @@ leaving only moments E[y^l (V)+] that are either averaged over the
 market paths (generic method) or, for a single swap, computed in closed
 form from normal and truncated-normal moments (analytic method).
 
-Every path average is a per-date kernel (`exposure_at`, `y_moments_at`,
-`wwr_mc_at`) that reads one date's simulated drivers and portfolio
-values. `BaseMoments.enter` alone fills a date's discounted exposure and
-driver moments from the first two: `run_fva` calls it on the live
-simulation stream, and `base_moments` on the dates of a stored cube.
+Every path average is a per-date step that reads one date's simulated
+drivers and portfolio values. `BaseMoments.enter` alone fills a date's
+discounted exposure and driver moments (`y_moments_at`): `run_fva` calls
+it on the live simulation stream, and `base_moments` on the dates of a
+stored cube.
 `wwr_mc_at` is called by `run_fva` on the stream and by `epe_wwr_mc` on
 a cube. The cube forms serve tests and the benchmark's traced replica
 of a run.
@@ -71,14 +71,6 @@ def _batch_se(values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # per-date kernels: the estimators at one monitoring date, fed either by a
 # live simulation stream or by one date of a stored cube
-
-def exposure_at(st: DateState, positive: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Discounted positive exposure e^{-int r}(V)+ per path at the state's
-    date, from the positive part (V)+ of its values, with its mean and
-    batch SE."""
-    h = st.discount * positive
-    return h, _mean(h), _batch_se(h)
-
 
 def y_moments_at(y: np.ndarray, pows: np.ndarray) -> np.ndarray:
     """Means of y^l (V)+ for l = 0 .. len(pows) - 1 at one date; `pows` of
@@ -141,8 +133,9 @@ class BaseMoments:
         `pows` (moment rows x paths) has rows; (V)+ is formed once, in its
         first row."""
         i = st.index
-        positive = np.maximum(value_row, 0.0, out=pows[0] if len(pows) else None)
-        h, self.disc_epe[i], self.disc_epe_se[i] = exposure_at(st, positive)
+        # the discounted positive exposure e^{-int r}(V)+ per path
+        h = st.discount * np.maximum(value_row, 0.0, out=pows[0] if len(pows) else None)
+        self.disc_epe[i], self.disc_epe_se[i] = _mean(h), _batch_se(h)
         if len(pows):
             t0 = time.thread_time()
             self.y_moments[:, i] = y_moments_at(st.y_r[st.domestic], pows)
@@ -275,7 +268,7 @@ def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     ses = np.zeros(n)
     for i in range(1, n):
         st = cube.state(i)
-        h = exposure_at(st, np.maximum(value_mat[i], 0.0))[0]
+        h = st.discount * np.maximum(value_mat[i], 0.0)
         vals[i], ses[i] = wwr_mc_at(st, h, bm.disc_epe[i], coeffs)
     return vals, ses
 

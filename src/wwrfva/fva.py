@@ -42,8 +42,8 @@ from .curves import (MarketData, check_keys, finite, integer, load_market_data,
 from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        wwr_mc_at)
-from .instruments import (FxForward, Portfolio, PortfolioValuation, book_rows,
-                          load_portfolio)
+from .instruments import (FxForward, Portfolio, PortfolioValuation, book_groups,
+                          book_rows, load_portfolio)
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
                  factor_labels, fx_factor, pair_key, rate_factor, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
@@ -304,29 +304,24 @@ def run_fva(inputs: RunInputs, settings: RunSettings) -> FvaReport:
 
 
 def run_fva_legs(legs: Sequence[RunInputs], settings: RunSettings) -> list[FvaReport]:
-    """`run_fva` on each input set, with one simulation pass per group of
-    legs whose noise recursion reads the same bytes (`PathStream.key`).
+    """`run_fva` on each input set, the legs sharing what they can.
 
-    The legs' deterministic set-up is built once per distinct exact input
-    (`models.shared_terms`): the closed-form bundles over the dates, each
-    currency book, the streams' noise and overlay terms and the WWR
-    coefficients. Legs read them, read-only, from one table that is
-    dropped once every leg is set up, before the passes; the legs keep
-    only the final products they read. Within a pass, legs whose date
-    states and valuation terms are bitwise equal share one value row, its
-    discounted exposure and its driver moments; all legs share each date's
-    row of a currency book of equal key and, per currency, one matrix of
-    bond exponentials for the books of equal loadings. Each leg keeps its
-    own credit covariance and report. Every report is bit for bit the one
-    `run_fva` gives alone on a pass of its own. Nothing outlives the call:
-    a pass holds one date's drivers per distinct overlay, as a single run
-    does.
+    The legs are set up inside `models.shared_terms`, so a leg shares each
+    product that `models.term` built from equal inputs: closed forms,
+    stream noise and overlay, currency books and their loadings, WWR
+    coefficients. Legs that hold one noise object run on one pass; legs
+    that also hold one overlay and the same books share one value row and
+    its moments; books that hold one loadings array share one matrix of
+    bond exponentials per date. Each leg keeps its own credit covariance
+    and report, bit for bit the one `run_fva` gives alone. Nothing outlives
+    the call: the table is dropped before the passes, and a pass holds one
+    date's drivers per distinct overlay, as a single run does.
     """
     with shared_terms():
         runs = [_Leg(inputs, settings) for inputs in legs]
-    groups: dict[bytes, list[_Leg]] = {}
+    groups: dict[int, list[_Leg]] = {}
     for run in runs:
-        groups.setdefault(run.stream.key, []).append(run)
+        groups.setdefault(id(run.stream.noise), []).append(run)
     for group in groups.values():
         _run_pass(group, settings)
     return [run.report(settings) for run in runs]
@@ -435,15 +430,13 @@ def _not_finite(dates: np.ndarray, i: int) -> ValueError:
 
 
 def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
-    """Feed one shared simulation pass to legs of equal stream key.
+    """Feed one shared simulation pass to legs that hold one noise object.
 
-    Legs with bitwise-equal overlays (hence the same date state) and
-    valuation inputs share one `BaseMoments` record: each date is valued
-    and entered once for all of them, and each of them is charged the
-    moments' time. Each date's book rows are valued once for the pass
-    (`book_rows`), a book of equal key once and one exponential matrix per
-    bitwise-equal loadings. The credit covariance reads each leg's own
-    coefficients.
+    Legs that hold one overlay (hence the same date state) and the same
+    books share one `BaseMoments` record: each date is valued and entered
+    once for all of them, and each of them is charged the moments' time.
+    Each date's book rows are valued once for the pass (`book_rows`). The
+    credit covariance reads each leg's own coefficients.
 
     The pass stops at the first date whose discounted exposure is not
     finite, with the error the report would give; numpy's overflow and
@@ -451,20 +444,20 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     the simulation's own finite checks stand for them.
     """
     need_full = legs[0].stream.mode == "full"
-    # leg indices per distinct (overlay, valuation); the first one values
+    # leg indices per distinct (overlay, books); the first one values
     twins: dict[tuple, list[int]] = {}
     for k, leg in enumerate(legs):
-        twins.setdefault((leg.stream.overlay_key, leg.valuation.key), []).append(k)
+        twins.setdefault((id(leg.stream.overlay), *leg.valuation.books), []).append(k)
     for ks in twins.values():
         for k in ks[1:]:
             legs[k].bm = legs[ks[0]].bm
-    books = [book for ks in twins.values() for book in legs[ks[0]].valuation.books]
+    groups = book_groups(book for ks in twins.values() for book in legs[ks[0]].valuation.books)
     pows = np.empty((len(legs[0].bm.y_moments), settings.n_paths))
     with (np.errstate(over="ignore", invalid="ignore"),
           closing(shared_pass([leg.stream for leg in legs])) as dates):
         for states in dates:
             # the book rows read only the rate noise, which the states share
-            local_rows = book_rows(books, states[0])
+            local_rows = book_rows(groups, states[0])
             for ks in twins.values():
                 st, bm = states[ks[0]], legs[ks[0]].bm
                 i = st.index

@@ -5,8 +5,8 @@ rate driver y of that currency. Each currency's instruments therefore merge
 into one `CurrencyBook` on the union of their payment dates: at a monitoring
 date u, V(u; y) = const + sum_k W_k exp(-y B_k), valued pathwise by one
 kernel (`book_value`); `book_rows` applies it to a date's books at once,
-with one exponential matrix for the books whose loadings B are bitwise
-equal. A single swap's book (`swap_book`) is also the value
+with one exponential matrix for the books that hold one loadings array
+B. A single swap's book (`swap_book`) is also the value
 function its closed forms read; its positivity boundary ystar is the unique
 root of a monotone auxiliary function (a Jamshidian-style decomposition),
 found by a doubling bracket search and Newton's method from its left end.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .curves import check_keys, finite, integer, load_yaml
 from .mc import CorrelationMatrix, DateState, ScenarioCube, fx_factor, rate_factor
-from .models import Hw1fParams, ModelSet, exact_key, fx_terms, hw_terms, sigma_ratio, term
+from .models import Hw1fParams, ModelSet, bfac, fx_terms, hw_terms, sigma_ratio, term
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +394,18 @@ def fx_forward_positive_indicator(fwd: FxForward, terms: FxForwardTerms, y):
 # Each currency's instruments merge into one book, whose deterministic terms
 # are computed once over all dates.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurrencyBook:
     """One currency's instruments as a function of its rate driver: at date
     i, V_i(y) = const[i] + sum_{k >= start[i]} W[i, k] exp(-B[i, k] y) in
-    units of `currency`, over the union of their payment dates k."""
+    units of `currency`, over the union of their payment dates k. Compared
+    by identity."""
 
     currency: str
-    key: bytes             # models.exact_key of every input of the terms
     const: np.ndarray      # per date
     W: np.ndarray          # dates x payment dates
     B: np.ndarray          # dates x payment dates
     start: np.ndarray      # per date: the first payment column at or after it
-    # models.exact_key of what B and start are built from (the currency,
-    # its rate model's mean reversion, the payment and monitoring dates):
-    # books of equal expo_key read equal bond exponentials on one date state
-    expo_key: bytes
 
     def at(self, i: int) -> tuple[float, np.ndarray, np.ndarray]:
         """(const, W, B) at date i on its live payment columns; past every
@@ -419,9 +415,8 @@ class CurrencyBook:
 
     def since(self, i: int) -> CurrencyBook:
         """The book on its dates from index i on."""
-        return CurrencyBook(self.currency, exact_key(self.key, i), self.const[i:],
-                            self.W[i:], self.B[i:], self.start[i:],
-                            exact_key(self.expo_key, i))
+        return CurrencyBook(self.currency, self.const[i:], self.W[i:], self.B[i:],
+                            self.start[i:])
 
 
 def bond_exponentials(B, y):
@@ -439,23 +434,28 @@ def book_value(const, W, B, y):
     return const + W @ bond_exponentials(B, y)
 
 
-def book_rows(books, st: DateState) -> dict[bytes, np.ndarray]:
-    """The local-currency value row of each book at the state's date, by
-    key (`book_value` on its live columns, bit for bit). Books of equal
-    key are valued once; books of equal `expo_key`, whose loadings are
-    bitwise equal, share one matrix of bond exponentials, which is dropped
-    once they are valued."""
-    same = {}
-    for book in {book.key: book for book in books}.values():
-        same.setdefault(book.expo_key, []).append(book)
+def book_groups(books) -> list[list[CurrencyBook]]:
+    """The distinct books of `books`, grouped by their loadings array B, one
+    object where `models.term` built the loadings from equal inputs."""
+    groups: dict[int, list[CurrencyBook]] = {}
+    for book in dict.fromkeys(books):
+        groups.setdefault(id(book.B), []).append(book)
+    return list(groups.values())
+
+
+def book_rows(groups, st: DateState) -> dict[CurrencyBook, np.ndarray]:
+    """The local-currency value row at the state's date of each book of
+    `groups` (`book_groups`), by book (`book_value` on its live columns,
+    bit for bit). The books of a group share one matrix of bond
+    exponentials, which is dropped once they are valued."""
     rows, i = {}, st.index
-    for group in same.values():
+    for group in groups:
         expo = None
         for book in group:
             const, W, B = book.at(i)
             if expo is None:
                 expo = bond_exponentials(B, st.y_r[book.currency])
-            rows[book.key] = const + W @ expo
+            rows[book] = const + W @ expo
     return rows
 
 
@@ -495,10 +495,17 @@ def _book(ccy: str, domestic: str, insts: tuple, rp: Hw1fParams,
     # collapse onto u
     mu = term(hw_terms, rp, 0.0, dates).mu
     bond = hw_terms(rp, dates[:, None], np.maximum(pay, dates[:, None]))
-    disc = np.exp(bond.A_bar - mu[:, None] * bond.B)
-    return CurrencyBook(ccy, exact_key(ccy, domestic, insts, rp, dates), const,
-                        coef * disc, bond.B, np.searchsorted(pay, dates, side="left"),
-                        exact_key(ccy, rp.a, pay, dates))
+    B, start = term(_loadings, ccy, rp.a, pay, dates)
+    disc = np.exp(bond.A_bar - mu[:, None] * B)
+    return CurrencyBook(ccy, const, coef * disc, B, start)
+
+
+def _loadings(ccy: str, a: float, pay: np.ndarray, dates: np.ndarray) -> tuple:
+    """(B, start) of a book of currency `ccy` paying at `pay` on `dates` under
+    mean reversion `a`: `hw_terms`' B(u, T) on the (date, payment) grid,
+    and each date's first payment column at or after it."""
+    t = dates[:, None]
+    return bfac(a, np.maximum(pay, t) - t), np.searchsorted(pay, dates, side="left")
 
 
 def swap_book(s: Swap, rp: Hw1fParams, dates) -> CurrencyBook:
@@ -513,12 +520,9 @@ class PortfolioValuation:
     """Pathwise portfolio values in the domestic currency, date by date,
     from one `CurrencyBook` per currency.
 
-    The term builders see only what `key` holds as exact bytes
-    (`models.exact_key`): the instruments, the domestic currency, the rate
-    models of the portfolio's currencies and the dates. They get a model
-    set cut down to those rate models, with no FX or credit models, so no
-    other input can reach them; two valuations of equal key give
-    bitwise-equal rows on one date state, and so do two books of equal key.
+    The books are built through `models.term` from a model set cut down to
+    the rate models of the portfolio's currencies, with no FX or credit
+    models, so no other input can reach them.
     """
 
     def __init__(self, p: Portfolio, models: ModelSet, dates):
@@ -528,23 +532,22 @@ class PortfolioValuation:
         ccys = sorted(p.currencies | {models.domestic})
         rates = {c: models.rates[c] for c in ccys}
         dates = np.asarray(dates, dtype=float)
-        self.key = exact_key(dates, models.domestic, p.instruments,
-                             [rates[c] for c in ccys])
         self.models = ModelSet(models.domestic, rates, fx={}, credit={})
         books = (_book_terms(c, p, self.models, dates) for c in ccys)
         self.books = [b for b in books if b is not None]
+        self.groups = book_groups(self.books)
 
     def row(self, st: DateState, local_rows: Optional[dict] = None) -> np.ndarray:
         """Portfolio value per path at the state's date: the books in currency
         order, each times its FX level if foreign, summed from zeros.
-        `local_rows`, this date's local-currency book rows by key
+        `local_rows`, this date's local-currency book rows by book
         (`book_rows`), holds every book of this valuation; the books are
         valued here when it is not given."""
         if local_rows is None:
-            local_rows = book_rows(self.books, st)
+            local_rows = book_rows(self.groups, st)
         out = np.zeros(len(st.Y_r[st.domestic]))
         for book in self.books:
-            local = local_rows[book.key]
+            local = local_rows[book]
             if book.currency != st.domestic:
                 local = local * np.exp(st.ln_fx[book.currency])
             out += local

@@ -22,8 +22,8 @@ credit-free run would read a base one.
 `PathStream` is the simulation: it yields one monitoring date's drivers
 at a time, so a run that consumes them date by date holds no array that
 grows with the number of dates. `shared_pass` runs one simulation for
-several streams whose random part reads the same inputs, such as the legs
-of a curve sensitivity, and yields each stream's own states. `simulate`
+several streams that hold one noise recursion, such as the legs of a
+curve sensitivity, and yields each stream's own states. `simulate`
 collects the stream into a `ScenarioCube` for the callers that need every
 date at once: the cube export, tests, and the cube forms of the exposure
 and bounds functions. The `bounds` verb reads the stream itself.
@@ -54,7 +54,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .models import (ModelSet, bfac, cir_terms, exact_key, fx_terms, hw_terms,
+from .models import (Hw1fParams, ModelSet, bfac, cir_means, fx_terms, hw_terms,
                      interval_covariance, term)
 
 
@@ -332,19 +332,12 @@ class PathStream:
     full mode and at every substep count.
     The state of each process is one stacked (n_factors, n_paths) array.
 
-    A stream has two parts. The noise recursion (the rate noise `y` and its
-    integral `Y`, the FX Brownian level `w_fx`, and in full mode the credit
-    state and its integral) reads only the inputs that `key` holds as exact
-    bytes: the interval lengths, the rate transition coefficients and
-    factors, in full mode the credit factors and parameters, the substep
-    count, paths, seed and mode. The overlay turns that state into a date's
-    drivers with this model set's deterministic terms: the domestic
-    discount-like factor, the FX means, log spots and volatilities, and in
-    full mode the credit means and mean integrals. Rate curves, FX spots and
-    FX volatilities move only the overlay; credit curves, and in base mode
-    the credit parameters and the market-credit correlations, do not enter
-    the stream at all. Model sets that differ only in these share one pass
-    (`shared_pass`).
+    A stream has two parts, each built through `models.term` from only the
+    inputs it reads. The noise recursion (`noise`) draws the rate noise `y`,
+    its integral `Y`, the FX Brownian level `w_fx`, and in full mode the
+    credit state and its integral. The overlay (`overlay`) turns that state
+    into a date's drivers: the domestic discount-like factor, the FX means
+    and vols, and in full mode the credit means and mean integrals.
 
     Iterating runs the simulation once from `seed` and yields one DateState
     per monitoring date, date 0 first; a second iteration repeats it. Its
@@ -401,40 +394,27 @@ class PathStream:
         self.n_V = n_V = 2 * n_ccy + n_fx
         n_E = nsub * n_cred
 
-        # the noise recursion's inputs (one entry per distinct interval
-        # length, see `_noise_terms`) and its key
         rates = [models.rates[c] for c in self.ccys]
-        a_r = np.array([p.a for p in rates])
-        sigma_r = np.array([p.sigma for p in rates])
-        R = corr.matrix[:n_mkt + n_cred, :n_mkt + n_cred]
         credit = [models.credit[z] for z in self.entities]
-        self.x0_c, a_c, self.theta_c, sigma_c = (
-            np.array([getattr(p, f) for p in credit])[:, None]
-            for f in ("x0", "a", "theta", "sigma"))
-        (self.which, lengths, self.decay, self.B_r, self.L_V, self.L_E, self.h,
-         self.revert) = term(_noise_terms, a_r, sigma_r, R, n_fx, dates, nsub, a_c,
-                             sigma_c)
-        self.key = exact_key(tuple(labels), mode, n_paths, seed, nsub, self.which,
-                             lengths, self.decay, self.B_r, self.L_V, self.L_E,
-                             self.x0_c, self.theta_c, self.revert)
-
+        x0_c, a_c, theta_c, sigma_c = (np.array([getattr(p, f) for p in credit])[:, None]
+                                       for f in ("x0", "a", "theta", "sigma"))
+        self.noise = term(_noise_terms, (tuple(labels), mode, n_paths, seed),
+                          np.array([p.a for p in rates]), np.array([p.sigma for p in rates]),
+                          corr.matrix[:n_mkt + n_cred, :n_mkt + n_cred], n_fx, dates, nsub,
+                          a_c, sigma_c, x0_c, theta_c)
         # the overlay: FX log level = mean + Y_dom - Y_ccy + sigma_fx * Brownian
-        # level; credit centred by the closed-form mean and mean integral
-        self.h_dom = term(hw_terms, models.rates[dom], 0.0, dates).H
-        self.fx_rows = [self.ccys.index(c) for c in self.fx_ccys]
-        self.sigma_fx = np.array([models.fx[c].sigma_fx for c in self.fx_ccys])[:, None]
-        self.mu_fx = np.array([
-            term(fx_terms, models.rates[dom], models.rates[c], models.fx[c],
-                 corr.entry(rate_factor(dom), rate_factor(c)),
-                 corr.entry(rate_factor(dom), fx_factor(c)),
-                 corr.entry(rate_factor(c), fx_factor(c)), 0.0, dates).mu_fx
-            for c in self.fx_ccys]).reshape(n_fx, len(dates))
-        cred_terms = [term(cir_terms, p, 0.0, dates) for p in credit]
-        self.M_cred = np.array([ct.M for ct in cred_terms]).reshape(n_cred, len(dates))
-        # only the investor's intensity driver itself reaches the state
-        self.mu_I = cred_terms[self.entities.index("I")].mu if "I" in self.entities else None
-        self.overlay_key = exact_key(self.h_dom, self.fx_rows, self.sigma_fx, self.mu_fx,
-                                     self.M_cred, self.mu_I)
+        # level; credit centred by the closed-form mean and mean integral. The
+        # credit curves do not reach it, so a credit-curve bump shares it.
+        self.overlay = term(
+            _overlay, models.rates[dom],
+            tuple((models.rates[c], models.fx[c],
+                   corr.entry(rate_factor(dom), rate_factor(c)),
+                   corr.entry(rate_factor(dom), fx_factor(c)),
+                   corr.entry(rate_factor(c), fx_factor(c))) for c in self.fx_ccys),
+            tuple(self.ccys.index(c) for c in self.fx_ccys),
+            tuple((z, p.x0, p.a, p.theta) for z, p in zip(self.entities, credit)), dates)
+        (self.h_dom, self.fx_rows, self.sigma_fx, self.mu_fx, self.M_cred,
+         self.mu_I) = self.overlay
 
         # rows alive at once, the pass's own allocated once: the process
         # states y (and its successor), Y and the FX level; in full mode the
@@ -468,11 +448,13 @@ class PathStream:
             states.close()
 
 
-def _noise_terms(a_r, sigma_r, R, n_fx: int, dates, nsub: int, a_c, sigma_c) -> tuple:
-    """The noise recursion's coefficients on a grid (see PathStream): per
-    interval the index of its length, then per distinct length the length,
-    the rates' decay and B factors, the market and credit Cholesky rows
-    scaled to their shocks, the substep and the credit reversion."""
+def _noise_terms(pass_inputs: tuple, a_r, sigma_r, R, n_fx: int, dates, nsub: int,
+                 a_c, sigma_c, x0_c, theta_c) -> tuple:
+    """What a stream's noise recursion reads on a grid: per interval the index
+    of its length, per distinct length the rates' decay and B factors, the
+    market and credit Cholesky rows scaled to their shocks, the substep and
+    the credit reversion, then x0_c and theta_c. `pass_inputs` (labels,
+    mode, paths, seed) is not read; it tells apart streams whose passes differ."""
     n_V = 2 * len(a_r) + n_fx
     # interval i - 1 (ending at date i) has length lengths[which[i - 1]]
     lengths, which = np.unique(np.diff(dates), return_inverse=True)
@@ -488,33 +470,43 @@ def _noise_terms(a_r, sigma_r, R, n_fx: int, dates, nsub: int, a_c, sigma_c) -> 
     # E's rows scaled to the credit shocks sigma_c sqrt(h) eps
     shock = np.tile(sigma_c[:, 0], nsub) * np.sqrt(h)[:, None]
     L_E = _cholesky(C, "interval covariance")[:, n_V:] * shock[..., None]
-    return which, lengths, decay, B_r, L_V, L_E, h, revert
+    return which, decay, B_r, L_V, L_E, h, revert, x0_c, theta_c
+
+
+def _overlay(dom: Hw1fParams, fx: tuple, fx_rows: tuple, credit: tuple, dates) -> tuple:
+    """A stream's overlay on `dates` from the domestic rate model, per FX
+    currency its `fx_terms` inputs, the FX currencies' rate rows and per
+    credit entity its name, x0, a and theta; only the investor's intensity
+    itself reaches the state, so only its mean is kept."""
+    means = {z: cir_means(x0, a, theta, dates) for z, x0, a, theta in credit}
+    return (term(hw_terms, dom, 0.0, dates).H, fx_rows,
+            np.array([fp.sigma_fx for _, fp, *_ in fx])[:, None],
+            np.array([term(fx_terms, dom, rp, fp, *rhos, 0.0, dates).mu_fx
+                      for rp, fp, *rhos in fx]).reshape(len(fx), len(dates)),
+            np.array([M for _, M in means.values()]).reshape(len(credit), len(dates)),
+            means["I"][0] if "I" in means else None)
 
 
 def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
-    """One simulation pass for streams of equal `key`: per monitoring date, a
-    tuple with one DateState per stream, in the streams' order.
+    """One simulation pass for streams that hold one `noise` object: per
+    monitoring date, a tuple with one DateState per stream, in their order.
 
-    The noise recursion runs once; each distinct overlay then evaluates its
-    own log-FX expression, finite check and credit drivers from the shared
-    state, in the order a stream of its own would, so every stream's states
-    are bitwise those it yields alone. Streams with equal `overlay_key` get
-    the same DateState object. Afterwards each stream's `truncated_fraction`
-    and `credit_seconds` describe the pass.
+    The noise recursion runs once; each distinct overlay object then
+    evaluates its own log-FX expression, finite check and credit drivers
+    from the shared state, in the order a stream of its own would, so every
+    stream's states are bitwise those it yields alone. Streams that hold
+    one overlay object get the same DateState object. Afterwards each
+    stream's `truncated_fraction` and `credit_seconds` describe the pass.
     """
     streams = list(streams)
     s0 = streams[0]
-    if any(s.key != s0.key for s in streams[1:]):
+    if any(s.noise is not s0.noise for s in streams[1:]):
         raise ValueError("streams with different simulation inputs cannot share a pass")
-    # the first stream of each distinct overlay computes it; at[k] is the
-    # overlay of stream k
-    first = {}
-    for s in streams:
-        first.setdefault(s.overlay_key, s)
-    overlays = list(first.values())
-    at = [list(first).index(s.overlay_key) for s in streams]
+    # stream k's states are those of the first stream of its overlay, first[k]
+    ids = [id(s.overlay) for s in streams]
+    first = [ids.index(k) for k in ids]
     n_paths = s0.n_paths
-    require_memory(s0.state_bytes + 8 * n_paths * sum(o.overlay_rows for o in overlays[1:]),
+    require_memory(s0.state_bytes + 8 * n_paths * s0.overlay_rows * (len(set(first)) - 1),
                    "the simulation state")
 
     dom, ccys, fx_ccys, entities = s0.models.domestic, s0.ccys, s0.fx_ccys, s0.entities
@@ -522,8 +514,7 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
     n_V = s0.n_V
     n_dates = len(s0.dates)
     nsub = s0.grid.substeps_per_interval
-    which, decay, B_r, L_V, L_E = s0.which, s0.decay, s0.B_r, s0.L_V, s0.L_E
-    theta_c, revert, h = s0.theta_c, s0.revert, s0.h
+    which, decay, B_r, L_V, L_E, h, revert, x0_c, theta_c = s0.noise
     k_I = entities.index("I") if "I" in entities else None
 
     # every row the updates write is allocated here, once per pass; each
@@ -533,7 +524,7 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
     w_fx = np.zeros((n_fx, n_paths))        # Brownian level of the FX noise
     V = np.empty((n_V, n_paths))            # the interval's market shocks
     sI, sJ, dW_fx = V[:n_ccy], V[n_ccy:2 * n_ccy], V[2 * n_ccy:]
-    x_cred = np.repeat(s0.x0_c, n_paths, axis=1)
+    x_cred = np.repeat(x0_c, n_paths, axis=1)
     xp_cred = np.maximum(x_cred, 0.0)       # its floor, carried across substeps
     intx_cred = np.zeros((n_cred, n_paths))
     eps_cred = np.empty((n_cred, n_paths))  # a substep's credit shocks, then floor
@@ -624,8 +615,8 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
 
             _check_finite(i, "y", y, ccys, mask)
             _check_finite(i, "Y", Y, ccys, mask)
-            made = [state(o, i) for o in overlays]
-            yield tuple(made[k] for k in at)
+            made = {k: state(streams[k], i) for k in dict.fromkeys(first)}
+            yield tuple(made[k] for k in first)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         for s in streams:

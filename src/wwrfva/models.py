@@ -35,7 +35,8 @@ from .curves import Curve
 # `shared_terms` around their set-up; inside it, `term(fn, *args)` builds
 # fn(*args) once per exact argument list and hands every caller that one
 # value, with its arrays read-only. The table goes when the block ends, so
-# nothing is kept across calls; outside one, `term` is a plain call.
+# nothing is kept across calls; outside one, `term` is a plain call. It is
+# the one rule for what runs share: one object, compared by identity.
 
 _TERMS: ContextVar[Optional[dict]] = ContextVar("wwrfva shared terms", default=None)
 
@@ -363,6 +364,13 @@ _CIR_SERIES = np.column_stack([
     _series(lambda n: (-1) ** n * (n - 2 ** (n - 1)), 2)])
 
 
+def cir_means(x_t: float, a: float, theta: float, tau) -> tuple:
+    """(mu, M): the means of the credit factor after a span tau and of its
+    integral over it from the state x_t, the part of `cir_terms` no curve moves."""
+    e1 = np.exp(-(a * tau))
+    return x_t * e1 + theta * (1.0 - e1), x_t * bfac(a, tau) + theta * a * int_bfac(a, tau)
+
+
 def cir_terms(p: CirppParams, t, u) -> CirTerms:
     """All closed-form quantities of the square-root credit factor over (t, u),
     with the state at t taken as p.x0."""
@@ -373,9 +381,7 @@ def cir_terms(p: CirppParams, t, u) -> CirTerms:
     x = a * tau
     e1 = np.exp(-x)
     e2 = np.exp(-2.0 * x)
-    B_lin = bfac(a, tau)
-    mu = x_t * e1 + th * (1.0 - e1)
-    M = x_t * B_lin + th * a * int_bfac(a, tau)
+    mu, M = cir_means(x_t, a, th, tau)
     om = -np.expm1(-x)  # 1 - e1 without cancellation
     var_y = (sg * sg / a) * om * (mu - 0.5 * th * om)
     var_Y = ((sg * sg * x_t / a**3) * (1.0 - 2.0 * x * e1 - e2)

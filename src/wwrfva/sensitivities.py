@@ -7,18 +7,13 @@ The independent/WWR split is differenced per leg, which makes
 d_total = d_indep + d_wwr exact by construction.
 
 All legs of one call, first-order and cross, go to `run_fva_legs`
-together. Legs whose bump leaves the random part of the simulation
-unchanged (curves, spots, FX vols, credit curves and, without credit
-simulation, credit vols and market-credit correlations) share one
-simulation pass, and legs that also value the same portfolio on the
-same states share that valuation; a rate-volatility bump gets a pass
-per leg. Within the call, every deterministic term that two legs build
-from bitwise-equal inputs is built once: the closed-form bundles, the
-currency books, the streams' noise and overlay terms and the WWR
-coefficients. Each date's bond exponentials are formed once per
-currency for the legs whose book loadings are equal, as a curve bump
-leaves them. Nothing of this outlives the call. Each leg's result is bit
-for bit that of a run of its own.
+together, where a leg shares whatever `models.term` built from equal
+inputs (see there). Legs whose bump leaves the random part of the
+simulation unchanged (curves, spots, FX vols, credit curves and, without
+credit simulation, credit vols and market-credit correlations) thus
+share one simulation pass, and a rate-volatility bump gets a pass per
+leg. Nothing of this outlives the call. Each leg's result is bit for bit
+that of a run of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from functools import reduce
 from operator import add
 from typing import Optional
 
-from .fva import RunInputs, RunSettings, run_fva_legs
+from .fva import RunInputs, RunSettings, build_correlation_for, build_model_set, run_fva_legs
 from .mc import pair_key
 
 TARGETS = ("ir_parallel", "ir_pillar", "credit_parallel", "sigma_r",
@@ -177,8 +172,11 @@ def apply_bump(inputs: RunInputs, bump: BumpSpec, direction: float) -> RunInputs
         spots = m.fx_spots
         if bump.qualifier not in spots:
             raise ValueError(f"no fx spot for currency {bump.qualifier}")
-        market = dataclasses.replace(
-            m, fx_spots={**spots, bump.qualifier: spots[bump.qualifier] + h})
+        spot = spots[bump.qualifier] + h
+        if spot <= 0.0:
+            raise ValueError(f"bump {bump.label} moves the spot to {spot!r}; "
+                             "a spot must stay positive")
+        market = dataclasses.replace(m, fx_spots={**spots, bump.qualifier: spot})
     elif bump.target in _VOL_BUMPS:
         table = _VOL_BUMPS[bump.target][0]
         record, key = _vol_record(inputs, bump.target, bump.qualifier)
@@ -251,15 +249,27 @@ def fd_sensitivities(inputs: RunInputs, settings: RunSettings, bumps: list[BumpS
                       for da, db in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))],
                      4.0 * a.size * b.size))
     legs = list(dict.fromkeys(moves for *_, stencil, _ in rows for _, moves in stencil))
-    # a leg's inputs: its moves applied in turn
-    reports = dict(zip(legs, run_fva_legs(
-        [reduce(lambda x, move: apply_bump(x, *move), moves, inputs) for moves in legs],
-        dataclasses.replace(settings, benchmark=False))))
+    reports = dict(zip(legs, run_fva_legs([_leg_inputs(inputs, moves) for moves in legs],
+                                          dataclasses.replace(settings, benchmark=False))))
     return [SensitivityRow(
         target=target, size=size, scheme=scheme,
         d_fva_indep=reduce(add, (s * reports[m].fva_indep for s, m in stencil)) / den,
         d_fva_wwr=reduce(add, (s * reports[m].fva_wwr for s, m in stencil)) / den,
         method=settings.method) for target, size, scheme, stencil, den in rows]
+
+
+def _leg_inputs(inputs: RunInputs, moves: tuple) -> RunInputs:
+    """A leg's inputs: its (bump, direction) moves applied in turn. A leg
+    that moves a correlation is refused here, before any leg runs and
+    naming its moves, if its factor matrix is not valid."""
+    leg = reduce(lambda x, move: apply_bump(x, *move), moves, inputs)
+    if any(bump.target == "correlation" for bump, _ in moves):
+        try:
+            build_correlation_for(build_model_set(leg), leg.correlations)
+        except ValueError as e:
+            named = ", ".join(f"{b.label} {'up' if d > 0 else 'down'}" for b, d in moves)
+            raise ValueError(f"bump leg ({named}): {e}") from None
+    return leg
 
 
 def fd_sensitivity(inputs: RunInputs, settings: RunSettings,

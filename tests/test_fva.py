@@ -574,15 +574,15 @@ def test_run_fva_legs_fuses_exactly_the_legs_of_one_key(monkeypatch, b42, method
     passes = []
 
     def recording_pass(streams):
-        passes.append([s.key for s in streams])
+        passes.append([id(s.noise) for s in streams])
         return shared_pass(streams)
 
     monkeypatch.setattr("wwrfva.fva.shared_pass", recording_pass)
     legs = bumped_legs(inputs, LEG_BUMPS)
     run_fva_legs(legs, settings)
-    # one key per pass, and no key in two passes
-    assert all(len(set(keys)) == 1 for keys in passes)
-    assert len({keys[0] for keys in passes}) == len(passes)
+    # one noise object per pass, and no noise object in two passes
+    assert all(len(set(noises)) == 1 for noises in passes)
+    assert len({noises[0] for noises in passes}) == len(passes)
     assert sum(map(len, passes)) == len(legs)
     # base mode: only the two rate-vol legs leave the base pass; full mode:
     # the rate-credit correlation legs also move the credit Cholesky rows

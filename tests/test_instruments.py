@@ -12,7 +12,7 @@ from wwrfva.instruments import (FxForward, Portfolio, PortfolioValuation, Swap,
                                 book_value, load_portfolio, positive_indicator,
                                 swap_book, value_matrix, ystar)
 from wwrfva.mc import SimGrid, simulate
-from wwrfva.models import hw_terms
+from wwrfva.models import hw_terms, shared_terms
 from wwrfva.sensitivities import apply_bump, parse_bump
 
 from conftest import static_portfolio_value
@@ -355,27 +355,31 @@ def test_portfolio_date0_matches_static_valuation(setup42):
     assert np.allclose(vm[0], static, rtol=1e-10)
 
 
-def test_valuation_terms_read_only_their_key(setup42, monkeypatch):
-    # legs of equal key share one valuation's rows, so its term builders
-    # must not reach an input that the key leaves out
+def test_valuation_books_read_only_their_inputs(setup42, monkeypatch):
+    # legs that hold the same books share one valuation's rows, so the book
+    # builders must not reach an input that the shared terms do not see
     inputs, models, corr = setup42
     fwd = FxForward(currency="USD", notional=100.0, strike=0.9, maturity=5.0,
                     phi=1)
     p = Portfolio(instruments=tuple(inputs.portfolio.instruments) + (fwd,))
     dates = np.linspace(0.0, 5.0, 6)
-    v = PortfolioValuation(p, models, dates)
-    assert v.key == PortfolioValuation(p, models, dates).key
-    assert sorted(v.models.rates) == sorted(p.currencies | {models.domestic})
-    assert v.models.fx == {} and v.models.credit == {}
+    # outside a call's shared terms, no two valuations hold one book
+    assert PortfolioValuation(p, models, dates).books != PortfolioValuation(
+        p, models, dates).books
+    with shared_terms():
+        v = PortfolioValuation(p, models, dates)
+        assert sorted(v.models.rates) == sorted(p.currencies | {models.domestic})
+        assert v.models.fx == {} and v.models.credit == {}
 
-    def key_after(text):
-        bumped = apply_bump(inputs, parse_bump(text, inputs), +1.0)
-        return PortfolioValuation(p, build_model_set(bumped), dates).key
+        def books_after(text):
+            bumped = apply_bump(inputs, parse_bump(text, inputs), +1.0)
+            return PortfolioValuation(p, build_model_set(bumped), dates).books
 
-    assert key_after("fx_spot:USD") == v.key
-    assert key_after("credit_parallel:C") == v.key
-    assert key_after("ir_parallel:USD") != v.key
-    assert key_after("sigma_r:GBP") != v.key
+        assert PortfolioValuation(p, models, dates).books == v.books
+        assert books_after("fx_spot:USD") == v.books
+        assert books_after("credit_parallel:C") == v.books
+        assert books_after("ir_parallel:USD") != v.books
+        assert books_after("sigma_r:GBP") != v.books
 
     builder = instruments._book_terms
 

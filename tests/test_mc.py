@@ -17,7 +17,7 @@ from wwrfva.mc import (PathStream, SimGrid, _correlate, _slabs, build_correlatio
                        rate_factor, shared_pass, simulate)
 from wwrfva.sensitivities import apply_bump, parse_bump
 from wwrfva.models import (GL_NODES, GL_WEIGHTS, cir_terms, fx_terms, hw_terms,
-                           interval_covariance)
+                           interval_covariance, shared_terms)
 
 from conftest import fixture_path
 
@@ -436,8 +436,8 @@ def mp_factors(stream):
 
 def stream_factors(stream):
     """The same factors as `stream` built them."""
-    return [(stream.decay[u], stream.B_r[u], stream.L_V[u], stream.L_E[u],
-             stream.revert[u], stream.h[u]) for u in range(len(stream.h))]
+    _, decay, B_r, L_V, L_E, h, revert, *_ = stream.noise
+    return [(decay[u], B_r[u], L_V[u], L_E[u], revert[u], h[u]) for u in range(len(h))]
 
 
 def serial_reference(stream, factors):
@@ -703,14 +703,16 @@ def test_worker_exception_raised_in_the_consumer(monkeypatch, setup41):
 # one pass, several overlays
 
 def bumped_streams(texts, mode, grid, n_paths=300, seed=3):
-    """One stream of portfolio.cfg per bumped input set, the unbumped first."""
+    """One stream of portfolio.cfg per bumped input set, the unbumped first,
+    built within one call's shared terms."""
     inputs, _ = load_run_config(fixture_path("portfolio.cfg"))
     sets = [inputs] + [apply_bump(inputs, parse_bump(t, inputs), +1.0) for t in texts]
     out = []
-    for s in sets:
-        models = build_model_set(s)
-        out.append(PathStream(models, build_correlation_for(models, s.correlations),
-                              grid, n_paths, seed, mode))
+    with shared_terms():
+        for s in sets:
+            models = build_model_set(s)
+            out.append(PathStream(models, build_correlation_for(models, s.correlations),
+                                  grid, n_paths, seed, mode))
     return out
 
 
@@ -725,8 +727,8 @@ def test_shared_pass_yields_each_streams_own_states(mode):
     # the credit curve moves no overlay: its state is the unbumped one's
     streams = bumped_streams(("ir_parallel:EUR", "fx_spot:USD", "sigma_fx:GBP",
                               "ir_pillar:USD@2", "credit_parallel:C"), mode, grid)
-    assert len({s.key for s in streams}) == 1
-    assert len({s.overlay_key for s in streams}) == 5
+    assert len({id(s.noise) for s in streams}) == 1
+    assert len({id(s.overlay) for s in streams}) == 5
     alone = [[state_bits(st) for st in s] for s in streams]
     alone_truncated = [s.truncated_fraction for s in streams]
     shared = [[] for _ in streams]
@@ -742,13 +744,27 @@ def test_streams_that_differ_in_their_noise_never_share_a_pass():
     grid = SimGrid.regular(2, 6.0, 2)
     base, sig, corr = bumped_streams(("sigma_r:EUR", "correlation:r_EUR/lambda_I"),
                                      "full", grid)
-    assert len({base.key, sig.key, corr.key}) == 3
+    assert len({id(base.noise), id(sig.noise), id(corr.noise)}) == 3
     for other in (sig, corr):
         with pytest.raises(ValueError, match="cannot share a pass"):
             next(shared_pass([base, other]))
     # the rate-credit correlation leaves a base-mode pass unchanged
     base, corr = bumped_streams(("correlation:r_EUR/lambda_I",), "base", grid)
-    assert base.key == corr.key
+    assert base.noise is corr.noise
+
+
+def test_streams_built_outside_a_call_never_share_a_pass():
+    # sameness is decided by a call's shared terms alone: outside them, two
+    # streams of one input set hold two noise objects
+    inputs, _ = load_run_config(fixture_path("portfolio.cfg"))
+    models = build_model_set(inputs)
+    corr = build_correlation_for(models, inputs.correlations)
+    grid = SimGrid.regular(2, 6.0, 2)
+    a, b = (PathStream(models, corr, grid, 300, 3) for _ in range(2))
+    assert a.noise is not b.noise
+    with pytest.raises(ValueError, match="cannot share a pass"):
+        next(shared_pass([a, b]))
+    assert sum(1 for _ in shared_pass([a, a])) == grid.n_dates
 
 
 def test_shared_pass_counts_each_distinct_overlay(monkeypatch):

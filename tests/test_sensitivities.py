@@ -188,6 +188,16 @@ def test_vol_bump_refuses_a_non_positive_vol(cfg, text, vol):
         apply_bump(inputs, bump, -1.0)
 
 
+def test_fx_spot_bump_refuses_a_non_positive_spot():
+    # the down leg used to fail in the market data's own check, naming no bump
+    inputs, _ = load_run_config(fixture_path("portfolio.cfg"))
+    bump = parse_bump("fx_spot:USD:2", inputs)
+    apply_bump(inputs, bump, +1.0)
+    with pytest.raises(ValueError, match=r"bump fx_spot:USD moves the spot to -1\.08\d*; "
+                                         "a spot must stay positive"):
+        apply_bump(inputs, bump, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -393,6 +403,17 @@ def test_a_nan_or_infinite_bump_size_is_refused_before_any_pass(tmp_path, count_
                    "--paths", "400", "--dates-per-year", "1", "--out", str(tmp_path),
                    "--bump", text])
     assert rc == 1
+    assert count_passes == []
+
+
+def test_an_indefinite_correlation_leg_is_refused_before_any_pass(count_passes):
+    # the down leg used to fail in its set-up as "correlation matrix is not
+    # positive semi-definite", naming neither the bump, the leg nor the pair
+    inputs, settings = tiny_run("portfolio.cfg", "approx_generic")
+    bump = parse_bump("correlation:r_EUR/lambda_I:0.64", inputs)
+    with pytest.raises(ValueError, match=r"bump leg \(correlation:r_EUR:lambda_I down\): "
+                                         "correlation matrix is not positive semi-definite"):
+        fd_sensitivity(inputs, settings, bump)
     assert count_passes == []
 
 
