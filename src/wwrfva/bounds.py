@@ -15,7 +15,7 @@ Three layers:
 Every path average, including the higher credit-driver moments that
 have no closed form (a CreditMomentTable), reads one `mc.DateState` and
 its value row: `bound_rows` takes them from a live full-mode stream one
-date at a time, and the cube functions from the dates of a stored cube.
+date at a time, and perfbench's cube forms from the dates of a stored cube.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .exposure import WwrCoeffs, normal_moments
 from .instruments import Swap, swap_book
 from .mc import DateState, ScenarioCube
-from .models import ModelSet, cir_terms, domestic_terms, hw_terms
+from .models import ModelSet, domestic_terms, hw_terms
 from .normal import ndtr, ndtri
 
 # Tail probability defining the clipped domain on which the exponential
@@ -358,7 +358,7 @@ def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
 
 
 # ---------------------------------------------------------------------------
-# directly measured errors (full cube)
+# directly measured errors
 
 def _tail_terms(z: np.ndarray, start: int) -> np.ndarray:
     """exp(-z) minus its Taylor polynomial of degree start-1: the sum of the
@@ -385,27 +385,17 @@ def _tail_terms(z: np.ndarray, start: int) -> np.ndarray:
     return out
 
 
-def measured_errors(cube: ScenarioCube, models: ModelSet, value_mat: np.ndarray,
-                    i: int, n_r: int, x: str) -> dict[str, float]:
-    """Direct estimates of the three dropped tails at one date.
+def _measured_errors(st: DateState, s: np.ndarray, value_row: np.ndarray,
+                     n_r: int, xs: tuple[str, ...], h_ric: float,
+                     h_ic: float) -> dict[str, dict[str, float]]:
+    """Direct estimates of the three dropped tails at the state's date, with
+    S = Y_I + Y_C, for each x in xs, sharing the exposure, the discount, -S
+    and both tail series; x other than "y_I" weighs 1.
 
     eps1 is the covariance of the discounted positive exposure with the
     survival-expansion tail; eps2/eps3 are the rate-expansion tails
     against the plain positive exposure.
     """
-    _require_full(cube, "measured errors")
-    *_, h_ric, h_ic = domestic_terms(models, float(cube.dates[i]))
-    st = cube.state(i)
-    return _measured_errors(st, st.Y_I + st.Y_C, value_mat[i], n_r, (x,),
-                            h_ric, h_ic)[x]
-
-
-def _measured_errors(st: DateState, s: np.ndarray, value_row: np.ndarray,
-                     n_r: int, xs: tuple[str, ...], h_ric: float,
-                     h_ic: float) -> dict[str, dict[str, float]]:
-    """measured_errors at the state's date, with S = Y_I + Y_C, for each x
-    in xs, sharing the exposure, the discount, -S and both tail series; x
-    other than "y_I" weighs 1."""
     pos = np.maximum(value_row, 0.0)
     h = st.discount * pos
     h_mean = h.mean()
@@ -429,22 +419,6 @@ def _measured_errors(st: DateState, s: np.ndarray, value_row: np.ndarray,
 # ---------------------------------------------------------------------------
 # distribution diagnostics
 
-def gaussian_distance(cube: ScenarioCube, factor: str, i: int,
-                      models: ModelSet) -> tuple[float, float]:
-    """(Cramer-von Mises statistic, 1-Wasserstein distance) of an
-    integrated credit driver against the matched centered normal."""
-    _require_full(cube, "distance diagnostics")
-    if i < 1:
-        raise ValueError("date 0 is degenerate")
-    if factor not in ("Y_I", "Y_C"):
-        raise ValueError("factor must be Y_I or Y_C")
-    sample = getattr(cube.state(i), factor)
-    var = cir_terms(models.credit[factor[-1]], 0.0, float(cube.dates[i])).var_Y
-    cvm, w1 = _normal_distances(sample[None], np.array([math.sqrt(var)]),
-                                _plotting_positions(len(sample)))
-    return float(cvm[0]), float(w1[0])
-
-
 def _plotting_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(k - 1/2)/n for k = 1..n and the standard normal quantiles there."""
     p = (np.arange(n) + 0.5) / n
@@ -454,10 +428,10 @@ def _plotting_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _normal_distances(samples: np.ndarray, sd: np.ndarray,
                       positions: tuple[np.ndarray, np.ndarray]
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """gaussian_distance of each row of `samples` against N(0, sd[row]^2),
-    given the sample size's plotting positions, in one block: each
-    contiguous row sums as a 1-D sample would. The statistic is scipy's
-    cramervonmises statistic, without its p-value."""
+    """(Cramer-von Mises statistic, 1-Wasserstein distance) of each row of
+    `samples` against N(0, sd[row]^2), given the sample size's plotting
+    positions, in one block: each contiguous row sums as a 1-D sample
+    would. The statistic is scipy's cramervonmises, without its p-value."""
     p, z = positions
     srt = np.sort(samples, axis=1)
     sd = sd[:, None]

@@ -12,12 +12,11 @@ form from normal and truncated-normal moments (analytic method).
 
 Every path average is a per-date step that reads one date's simulated
 drivers and portfolio values. `BaseMoments.enter` alone fills a date's
-discounted exposure and driver moments (`y_moments_at`): `run_fva` calls
-it on the live simulation stream, and `base_moments` on the dates of a
-stored cube.
-`wwr_mc_at` is called by `run_fva` on the stream and by `epe_wwr_mc` on
-a cube. The cube forms serve tests and the benchmark's traced replica
-of a run.
+discounted exposure and driver moments (`y_moments_at`), and
+`wwr_mc_at` the benchmark's covariance: `run_fva` calls both on the live
+simulation stream. The cube forms `base_moments` and `epe_wwr_mc` loop
+them over the dates of a stored cube for perfbench's traced replica of
+a run.
 
 The projection coefficients are deterministic. `coeffs_for_dates` gives
 one `WwrCoeffs` record of arrays over the monitoring dates, whose row 0
@@ -69,17 +68,22 @@ def _batch_se(values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-date kernels: the estimators at one monitoring date, fed either by a
-# live simulation stream or by one date of a stored cube
+# per-date kernels: the estimators at one monitoring date, fed by a live
+# simulation stream (or, in perfbench's cube forms, by one stored date)
 
-def y_moments_at(y: np.ndarray, pows: np.ndarray) -> np.ndarray:
-    """Means of y^l (V)+ for l = 0 .. len(pows) - 1 at one date; `pows` of
-    shape (l_max + 1, n_paths), l_max >= 0, holds (V)+ in its first row
-    and is scratch space past it."""
-    for l in range(1, len(pows)):
-        np.multiply(pows[l - 1], y, out=pows[l])
-    # pows.mean(axis=1), bit for bit
-    means = np.add.reduce(pows, axis=1)
+def y_moments_at(y: np.ndarray, pows: np.ndarray, l_max: int) -> np.ndarray:
+    """Means of y^l (V)+ for l = 0 .. l_max at one date; `pows` holds (V)+
+    in its first row, and its next two rows (`BaseMoments.scratch`) take
+    the powers y^l (V)+ = y * y^(l-1) (V)+ in turn. Each power is summed
+    as soon as it is formed, while it is still in cache; its mean rounds
+    as numpy's mean of that row."""
+    means = np.empty(l_max + 1)
+    means[0] = np.add.reduce(pows[0])
+    for l in range(1, l_max + 1):
+        # y^l (V)+ into rows 1, 2, 1, 2, ..., from the row written before
+        cur = pows[2 - l % 2]
+        np.multiply(pows[1 + l % 2] if l > 1 else pows[0], y, out=cur)
+        means[l] = np.add.reduce(cur)
     means /= pows.shape[1]
     return means
 
@@ -125,20 +129,25 @@ class BaseMoments:
         return cls(dates=dates.copy(), disc_epe=np.zeros(n), disc_epe_se=np.zeros(n),
                    y_moments=np.zeros((n_moments, n)))
 
+    def scratch(self, n_paths: int) -> np.ndarray:
+        """`enter`'s work rows: (V)+, then up to two for the driver powers."""
+        return np.empty((min(len(self.y_moments), 3) or 1, n_paths))
+
     def enter(self, st: DateState, value_row: np.ndarray,
               pows: np.ndarray) -> np.ndarray:
         """Fill the state's date from its value row; return the per-path
-        discounted positive exposure. The driver moments, their thread CPU
-        time added to `y_moment_seconds`, are filled only when the scratch
-        `pows` (moment rows x paths) has rows; (V)+ is formed once, in its
-        first row."""
+        discounted positive exposure. (V)+ is formed once, in the first row
+        of the scratch `pows` (`scratch`). The driver moments, their thread
+        CPU time added to `y_moment_seconds`, are filled only when the
+        record holds moment rows."""
         i = st.index
         # the discounted positive exposure e^{-int r}(V)+ per path
-        h = st.discount * np.maximum(value_row, 0.0, out=pows[0] if len(pows) else None)
+        h = st.discount * np.maximum(value_row, 0.0, out=pows[0])
         self.disc_epe[i], self.disc_epe_se[i] = _mean(h), _batch_se(h)
-        if len(pows):
+        if len(self.y_moments):
             t0 = time.thread_time()
-            self.y_moments[:, i] = y_moments_at(st.y_r[st.domestic], pows)
+            self.y_moments[:, i] = y_moments_at(st.y_r[st.domestic], pows,
+                                                len(self.y_moments) - 1)
             self.y_moment_seconds += time.thread_time() - t0
         return h
 
@@ -152,7 +161,7 @@ def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     if value_mat is None:
         value_mat = value_matrix(p, models, cube)
     bm = BaseMoments.empty(cube.dates, n_r + 3)
-    pows = np.empty((n_r + 3, cube.n_paths))
+    pows = bm.scratch(cube.n_paths)
     for i in range(len(cube.dates)):
         bm.enter(cube.state(i), value_mat[i], pows)
     return bm

@@ -43,7 +43,7 @@ from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        wwr_mc_at)
 from .instruments import (FxForward, Portfolio, PortfolioValuation, book_groups,
-                          book_rows, load_portfolio)
+                          book_rows, exponential_buffer, load_portfolio)
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
                  factor_labels, fx_factor, pair_key, rate_factor, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
@@ -435,8 +435,8 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     Legs that hold one overlay (hence the same date state) and the same
     books share one `BaseMoments` record: each date is valued and entered
     once for all of them, and each of them is charged the moments' time.
-    Each date's book rows are valued once for the pass (`book_rows`). The
-    credit covariance reads each leg's own coefficients.
+    Each date's book rows are valued once for the pass (`book_rows`), in
+    one buffer. The credit covariance reads each leg's own coefficients.
 
     The pass stops at the first date whose discounted exposure is not
     finite, with the error the report would give; numpy's overflow and
@@ -452,12 +452,13 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
         for k in ks[1:]:
             legs[k].bm = legs[ks[0]].bm
     groups = book_groups(book for ks in twins.values() for book in legs[ks[0]].valuation.books)
-    pows = np.empty((len(legs[0].bm.y_moments), settings.n_paths))
+    expo = exponential_buffer(groups, settings.n_paths)
+    pows = legs[0].bm.scratch(settings.n_paths)
     with (np.errstate(over="ignore", invalid="ignore"),
           closing(shared_pass([leg.stream for leg in legs])) as dates):
         for states in dates:
             # the book rows read only the rate noise, which the states share
-            local_rows = book_rows(groups, states[0])
+            local_rows = book_rows(groups, states[0], expo)
             for ks in twins.values():
                 st, bm = states[ks[0]], legs[ks[0]].bm
                 i = st.index

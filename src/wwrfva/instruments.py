@@ -419,12 +419,13 @@ class CurrencyBook:
                             self.start[i:])
 
 
-def bond_exponentials(B, y):
-    """exp(-B_k y) for each live payment k (rows) and each y (columns)."""
-    # live payments x paths, the largest temporary of a valuation: one copy,
-    # with the paths on the contiguous axis so each elementwise pass runs
-    # over a whole row of paths
-    expo = np.multiply.outer(-B, y)
+def bond_exponentials(B, y, out=None):
+    """exp(-B_k y) for each live payment k (rows) and each y (columns),
+    written into the first len(B) rows of `out` when it is given."""
+    # live payments x paths, the largest array of a valuation, with the
+    # paths on the contiguous axis so each elementwise pass runs over a
+    # whole row of paths; a leading row slice of `out` is C-contiguous too
+    expo = np.multiply.outer(-B, y, out=None if out is None else out[:len(B)])
     np.exp(expo, out=expo)
     return expo
 
@@ -443,18 +444,26 @@ def book_groups(books) -> list[list[CurrencyBook]]:
     return list(groups.values())
 
 
-def book_rows(groups, st: DateState) -> dict[CurrencyBook, np.ndarray]:
+def exponential_buffer(groups, n_paths: int) -> np.ndarray:
+    """`book_rows`' scratch for `groups`: their most live payments x paths.
+    Allocated once per pass, no freed per-date matrix moves glibc's mmap
+    threshold (after which later matrices come from the heap)."""
+    return np.empty((max(g[0].B.shape[1] - g[0].start[0] for g in groups), n_paths))
+
+
+def book_rows(groups, st: DateState,
+              expo_buffer: np.ndarray) -> dict[CurrencyBook, np.ndarray]:
     """The local-currency value row at the state's date of each book of
     `groups` (`book_groups`), by book (`book_value` on its live columns,
     bit for bit). The books of a group share one matrix of bond
-    exponentials, which is dropped once they are valued."""
+    exponentials, written into `expo_buffer` (`exponential_buffer`)."""
     rows, i = {}, st.index
     for group in groups:
         expo = None
         for book in group:
             const, W, B = book.at(i)
             if expo is None:
-                expo = bond_exponentials(B, st.y_r[book.currency])
+                expo = bond_exponentials(B, st.y_r[book.currency], expo_buffer)
             rows[book] = const + W @ expo
     return rows
 
@@ -536,16 +545,20 @@ class PortfolioValuation:
         books = (_book_terms(c, p, self.models, dates) for c in ccys)
         self.books = [b for b in books if b is not None]
         self.groups = book_groups(self.books)
+        self.expo_buffer: Optional[np.ndarray] = None
 
     def row(self, st: DateState, local_rows: Optional[dict] = None) -> np.ndarray:
         """Portfolio value per path at the state's date: the books in currency
         order, each times its FX level if foreign, summed from zeros.
         `local_rows`, this date's local-currency book rows by book
         (`book_rows`), holds every book of this valuation; the books are
-        valued here when it is not given."""
+        valued here, in the valuation's own buffer, when it is not given."""
+        n_paths = len(st.Y_r[st.domestic])
         if local_rows is None:
-            local_rows = book_rows(self.groups, st)
-        out = np.zeros(len(st.Y_r[st.domestic]))
+            if self.expo_buffer is None or self.expo_buffer.shape[1] != n_paths:
+                self.expo_buffer = exponential_buffer(self.groups, n_paths)
+            local_rows = book_rows(self.groups, st, self.expo_buffer)
+        out = np.zeros(n_paths)
         for book in self.books:
             local = local_rows[book]
             if book.currency != st.domestic:

@@ -24,9 +24,10 @@ at a time, so a run that consumes them date by date holds no array that
 grows with the number of dates. `shared_pass` runs one simulation for
 several streams that hold one noise recursion, such as the legs of a
 curve sensitivity, and yields each stream's own states. `simulate`
-collects the stream into a `ScenarioCube` for the callers that need every
-date at once: the cube export, tests, and the cube forms of the exposure
-and bounds functions. The `bounds` verb reads the stream itself.
+collects the stream into a `ScenarioCube`, which holds every date at once;
+it serves the `export-cube` verb, perfbench and the cube forms' own unit
+tests. Every run, the `bounds` verb and the acceptance tests read the
+stream itself.
 
 Each interval runs in place on rows that the pass allocates once, in the
 evaluation order of the update formulas, so it gives their values bit

@@ -13,46 +13,61 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate as sci_integrate
-from scipy import stats
 
-from wwrfva.bounds import (credit_moment_table, explicit_e1_bound,
-                           measured_errors, swap_cv_bound)
-from wwrfva.exposure import (base_moments, coeffs_for_dates, epe_indep,
+from wwrfva.bounds import explicit_e1_bound, swap_cv_bound
+from wwrfva.exposure import (BaseMoments, coeffs_for_dates, epe_indep,
                              epe_wwr_approx_generic,
-                             epe_wwr_approx_swap_analytic, epe_wwr_mc,
-                             normal_moments, psi_diagnostic,
-                             truncated_normal_moments)
+                             epe_wwr_approx_swap_analytic, normal_moments,
+                             psi_diagnostic, truncated_normal_moments,
+                             wwr_mc_at)
 from wwrfva.fva import build_correlation_for, build_model_set, run_fva
-from wwrfva.instruments import value_matrix
-from wwrfva.mc import SimGrid, build_correlation, factor_labels, simulate
-from wwrfva.models import cir_terms, hw_terms
+from wwrfva.instruments import PortfolioValuation
+from wwrfva.mc import PathStream, SimGrid, build_correlation, factor_labels
+from wwrfva.models import hw_terms
 from wwrfva.sensitivities import (BumpSpec, cross_gamma, fd_sensitivities,
                                   fd_sensitivity)
 
-from conftest import integrate, small_settings
+from conftest import integrate, normal_partial_moment, small_settings
 
 
 # ---------------------------------------------------------------------------
 # 1. market repricing at full scale, within budget
 
 def test_criterion_1_market_fit(acc):
-    cube = acc.cube
+    dates = acc.dates
     curve = acc.inputs.market.rate_curve("EUR")
-    sqrt_n = math.sqrt(cube.n_paths)
-    for i in range(1, len(cube.dates)):
-        disc = cube.state(i).discount
-        se = disc.std() / sqrt_n
-        assert abs(disc.mean() - curve.discount(cube.dates[i])) <= 3.0 * se, i
-    for ent, slab in (("I", cube.Y_I), ("C", cube.Y_C)):
+    sqrt_n = math.sqrt(acc.n_paths)
+    for i in range(1, len(dates)):
+        mean, std = acc.market["discount"][:, i]
+        se = std / sqrt_n
+        assert abs(mean - curve.discount(dates[i])) <= 3.0 * se, i
+    for ent in ("I", "C"):
         ccurve = acc.inputs.market.credit_curve(ent)
-        p = acc.models.credit[ent]
-        for i in range(1, len(cube.dates)):
-            surv = cir_terms(p, 0.0, float(cube.dates[i])).H * np.exp(-slab[i])
-            se = surv.std() / sqrt_n
-            assert abs(surv.mean() - ccurve.discount(cube.dates[i])) \
-                <= 3.0 * se, (ent, i)
+        for i in range(1, len(dates)):
+            mean, std = acc.market["Y_" + ent][:, i]
+            se = std / sqrt_n
+            assert abs(mean - ccurve.discount(dates[i])) <= 3.0 * se, (ent, i)
     assert acc.sim_seconds < 120.0
+
+
+def test_acc_holds_no_array_of_dates_by_paths(acc):
+    # the gate reads the engine's stream: the fixture keeps per-date
+    # estimates only, never a stored cube or value matrix
+    n_dates = len(acc.dates)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, dict):
+            for v in value.values():
+                yield from arrays(v)
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            for f in dataclasses.fields(value):
+                yield from arrays(getattr(value, f.name))
+
+    for name, value in vars(acc).items():
+        for a in arrays(value):
+            assert not {n_dates, acc.n_paths} <= set(a.shape), (name, a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -62,17 +77,24 @@ def test_criterion_2_zero_correlation(acc):
     models, p = acc.models, acc.portfolio
     corr0 = build_correlation(factor_labels(models), {})
     grid = SimGrid.regular(4, 30.0, 2)
-    base = simulate(models, corr0, grid, 20000, 1, "base")
-    full = simulate(models, corr0, grid, 20000, 1, "full")
-    vm = value_matrix(p, models, base)
-    bm = base_moments(base, p, models, 5, value_mat=vm)
-    coeffs = coeffs_for_dates(models, corr0, base.dates, 5)
+    # one full-mode pass: its market drivers equal a base-mode pass's (see mc)
+    stream = PathStream(models, corr0, grid, 20000, 1, "full")
+    dates = stream.dates
+    valuation = PortfolioValuation(p, models, dates)
+    coeffs = coeffs_for_dates(models, corr0, dates, 5)
+    bm = BaseMoments.empty(dates, 8)
+    pows = bm.scratch(20000)
+    vals, ses = np.zeros(len(dates)), np.zeros(len(dates))
+    for st in stream:
+        h = bm.enter(st, valuation.row(st), pows)
+        if st.index:
+            vals[st.index], ses[st.index] = wwr_mc_at(st, h, bm.disc_epe[st.index],
+                                                      coeffs)
     total = epe_indep(bm, coeffs, models) + epe_wwr_approx_generic(coeffs, bm)
     c = coeffs
-    for i in range(1, len(base.dates)):
+    for i in range(1, len(dates)):
         assert total[i] == pytest.approx(
             c.P_I[i] * c.P_C[i] * c.mu_S[i] * bm.disc_epe[i], rel=1e-12), i
-    vals, ses = epe_wwr_mc(full, p, models, bm, coeffs, value_mat=vm)
     z = vals[1:] / np.maximum(ses[1:], 1e-300)
     assert np.max(np.abs(z)) < 4.0
 
@@ -81,7 +103,7 @@ def test_criterion_2_zero_correlation(acc):
 # 3. approximation within 5% of the benchmark FVA
 
 def test_criterion_3_benchmark_agreement(acc):
-    dates = acc.cube.dates
+    dates = acc.dates
     fva_indep = integrate(dates, acc.epe_indep)
     fva_wwr = integrate(dates, acc.wwr_approx)
     fva_wwr_mc = integrate(dates, acc.wwr_mc)
@@ -112,7 +134,7 @@ def test_criterion_4_speedup(acc):
 # 5. order convergence of both expansions
 
 def test_criterion_5_order_convergence(acc):
-    dates = acc.cube.dates
+    dates = acc.dates
     models, corr = acc.models, acc.corr
 
     def fva_at_nr(n_r):
@@ -152,9 +174,7 @@ def test_criterion_6_moment_oracles():
         sd = math.sqrt(var)
         tm = truncated_normal_moments(var, z * sd, 12)
         for l in range(13):
-            ref, _ = sci_integrate.quad(
-                lambda y: y ** l * stats.norm.pdf(y, scale=sd),
-                -np.inf, z * sd, epsabs=1e-300, epsrel=1e-13, limit=500)
+            ref = normal_partial_moment(l, sd, z * sd)
             even = l if l % 2 == 0 else l + 1
             scale = max(abs(ref), normal_moments(var, even)[even])
             assert abs(tm.partial[l] - ref) <= 1e-10 * scale, (var, z, l)
@@ -200,23 +220,22 @@ def test_criterion_7_indicator_oracles(acc, b42):
 # 8. error bounds dominate the measured errors at full scale
 
 def test_criterion_8_error_bounds(acc):
-    cube = acc.cube
-    models, s, vm = acc.models, acc.swap, acc.value_mat
-    tab = credit_moment_table(cube)
-    for i in range(1, len(cube.dates)):
-        u = float(cube.dates[i])
+    dates = acc.dates
+    models, s = acc.models, acc.swap
+    for i in range(1, len(dates)):
+        u = float(dates[i])
         c_v = swap_cv_bound(s, models, u)
-        emp = float(np.mean(np.maximum(vm[i], 0.0) ** 2))
+        emp = float(acc.pos_sq[i])
         # float allowance: at the last live date the Cauchy-Schwarz step is
         # an equality and the bound is tight to rounding
         assert emp <= c_v * (1.0 + 1e-9), i
-    for i in range(1, len(cube.dates), 10):
-        u = float(cube.dates[i])
+    for i in range(1, len(dates), 10):
+        u = float(dates[i])
         c_v = swap_cv_bound(s, models, u)
         for x in ("1", "y_I"):
-            meas = measured_errors(cube, models, vm, i, 5, x)["eps1"]
+            meas = acc.eps1[x][i]
             b = explicit_e1_bound(models, acc.coeffs5, c_v,
-                                  acc.bm5.disc_epe[i], tab, i, x)
+                                  acc.bm5.disc_epe[i], acc.tab, i, x)
             assert meas <= b, (i, x)
 
 
@@ -225,13 +244,13 @@ def test_criterion_8_error_bounds(acc):
 
 def test_criterion_9_risk_direction(acc):
     c = acc.coeffs5
-    for i in range(1, len(acc.cube.dates)):
+    for i in range(1, len(acc.dates)):
         assert c.gamma[i] < 0.0 and c.alpha[i] > 0.0 and c.nu[i] < 0.0
     d = psi_diagnostic(acc.bm5, acc.coeffs5, 1)
     assert np.all(d.psi[1:] < 0.0)
     assert d.gamma_verdict == "WWR"
     assert d.alpha_verdict == "RWR"
-    for i in range(1, len(acc.cube.dates)):
+    for i in range(1, len(acc.dates)):
         assert d.net_sign[i] == np.sign(c.mu_S[i] * c.alpha[i] + c.lgd * c.gamma[i]), i
 
 

@@ -8,16 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wwrfva.bounds import (_BOUND_S_ORDERS, _EPS1_ORDER, TAIL_CLIP, X_CHOICES,
-                           _bound_moments_at, _empty_table, _quantile, _tail_terms,
-                           bound_report, bound_rows, c1_const, c2_const, c4_const,
-                           credit_moment_table, explicit_e1_bound,
-                           gaussian_distance, measured_errors, swap_cv_bound,
+                           _bound_moments_at, _empty_table, _measured_errors,
+                           _normal_distances, _plotting_positions, _quantile,
+                           _tail_terms, bound_report, bound_rows, c1_const,
+                           c2_const, c4_const, credit_moment_table,
+                           explicit_e1_bound, swap_cv_bound,
                            tail_envelope_constant, truncation_bound,
                            write_bounds_csv)
 from wwrfva.exposure import base_moments, coeffs_for_dates
 from wwrfva.fva import build_correlation_for, build_model_set
 from wwrfva.instruments import PortfolioValuation, value_matrix
 from wwrfva.mc import PathStream, SimGrid, simulate
+from wwrfva.models import cir_terms, domestic_terms
 
 
 @pytest.fixture(scope="module")
@@ -191,32 +193,43 @@ def test_tail_envelope():
 # ---------------------------------------------------------------------------
 # bounds vs measured errors
 
+def measured(rig, dates, n_r=5):
+    """The measured errors of the bound report's rows at the cube's dates
+    `dates`: {(i, family, x): value}."""
+    inputs, models, corr, full, vm, tab, *_ = rig
+    rows = bound_report(inputs.portfolio.single_swap, models, full, vm, n_r,
+                        date_indices=dates, orders=(), tab=tab)
+    index = {float(full.dates[i]): i for i in dates}
+    return {(index[r.date], r.family, r.x): r.measured
+            for r in rows if r.measured is not None}
+
+
 def test_explicit_bound_dominates_measured_eps1(rig):
     inputs, models, corr, full, vm, tab, coeffs, bm = rig
     s = inputs.portfolio.single_swap
+    meas = measured(rig, [5, 20, 60, 100])
     for i in (5, 20, 60, 100):
         u = float(full.dates[i])
         c_v = swap_cv_bound(s, models, u)
         for x in ("1", "y_I"):
-            meas = measured_errors(full, models, vm, i, 5, x)["eps1"]
             b = explicit_e1_bound(models, coeffs, c_v, bm.disc_epe[i],
                                   tab, i, x)
-            assert meas <= b, (i, x)
+            assert meas[i, "eps1", x] <= b, (i, x)
 
 
 def test_generic_bounds_dominate_all_families(rig):
     inputs, models, corr, full, vm, tab, coeffs, bm = rig
     s = inputs.portfolio.single_swap
+    meas = measured(rig, [5, 20, 60, 100])
     for i in (5, 20, 60, 100):
         u = float(full.dates[i])
         c_v = swap_cv_bound(s, models, u)
-        meas = measured_errors(full, models, vm, i, 5, "y_I")
-        assert abs(meas["eps1"]) <= truncation_bound(1, i, models, c_v,
-                                                     "eps1", "y_I", tab)
-        assert abs(meas["eps2"]) <= truncation_bound(5, i, models, c_v,
-                                                     "eps2", "y_I", tab)
-        assert abs(meas["eps3"]) <= truncation_bound(5, i, models, c_v,
-                                                     "eps3", "y_I", tab)
+        assert abs(meas[i, "eps1", "y_I"]) <= truncation_bound(1, i, models, c_v,
+                                                               "eps1", "y_I", tab)
+        assert abs(meas[i, "eps2", "y_I"]) <= truncation_bound(5, i, models, c_v,
+                                                               "eps2", "y_I", tab)
+        assert abs(meas[i, "eps3", "y_I"]) <= truncation_bound(5, i, models, c_v,
+                                                               "eps3", "y_I", tab)
 
 
 def test_bound_decreases_factorially_in_order(rig):
@@ -262,45 +275,38 @@ def test_tail_terms_match_a_50_digit_reference(start):
             assert abs(g - ref) <= 8 * 2.0 ** -52 * size, (zi, g, ref)
 
 
-def test_measured_errors_need_full_cube(rig):
-    inputs, models, corr, full, vm, tab, coeffs, bm = rig
-    base = simulate(models, corr, SimGrid.regular(2, 2.0, 1), 2000, 1, "base")
-    with pytest.raises(ValueError):
-        measured_errors(base, models, vm, 1, 5, "1")
-
-
 # ---------------------------------------------------------------------------
 # normality diagnostics
 
 def test_gaussian_distance_null_calibration(rig):
     inputs, models, corr, full, vm, tab, coeffs, bm = rig
+    s = inputs.portfolio.single_swap
+
+    def distance(cube, i):
+        """The report's (cvm, wasserstein) of Y_I at the cube's date i."""
+        rows = bound_report(s, models, cube, vm, 5, date_indices=[i], orders=(),
+                            tab=tab)
+        (row,) = [r for r in rows if r.family == "dist_Y_I"]
+        return row.cvm, row.wasserstein
+
     # self test: an exactly normal sample should sit in the null band
     rng = np.random.default_rng(0)
-    from wwrfva.models import cir_terms
     i = 40
     sd = math.sqrt(cir_terms(models.credit["I"], 0.0, float(full.dates[i])).var_Y)
     fake = dataclasses.replace(full)
     fake.Y_I = full.Y_I.copy()
     fake.Y_I[i] = rng.normal(0.0, sd, full.n_paths)
-    cvm_null, w_null = gaussian_distance(fake, "Y_I", i, models)
+    cvm_null, w_null = distance(fake, i)
     assert cvm_null < 0.5  # 95% null quantile is ~0.46
     # the real CIR-integral sample is close to normal too at this date,
     # but detectably less so than the exact draw
-    cvm_real, w_real = gaussian_distance(full, "Y_I", i, models)
+    cvm_real, w_real = distance(full, i)
     assert w_real < 0.2 * sd  # close in Wasserstein terms
     # doubling the scale must blow the distance up
     fake.Y_I[i] = rng.normal(0.0, 2.0 * sd, full.n_paths)
-    cvm_far, w_far = gaussian_distance(fake, "Y_I", i, models)
+    cvm_far, w_far = distance(fake, i)
     assert cvm_far > 10.0 * max(cvm_null, 1e-6)
     assert w_far > 5.0 * w_null
-
-
-def test_gaussian_distance_guards(rig):
-    inputs, models, corr, full, vm, tab, coeffs, bm = rig
-    with pytest.raises(ValueError):
-        gaussian_distance(full, "Y_I", 0, models)
-    with pytest.raises(ValueError):
-        gaussian_distance(full, "y_I", 5, models)
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +354,25 @@ def test_bound_report_rows_equal_the_row_functions(rig):
 
     for r in rows:
         i = index[r.date]
+        st = full.state(i)
         if r.family.startswith("dist_"):
-            cvm, w1 = gaussian_distance(full, r.family[5:], i, models)
-            assert close(r.cvm, cvm) and close(r.wasserstein, w1), (i, r.family)
+            # the distances of the date's sample against the normal whose
+            # variance cir_terms gives on its own
+            factor = r.family[5:]
+            sd = math.sqrt(cir_terms(models.credit[factor[-1]], 0.0, r.date).var_Y)
+            cvm, w1 = _normal_distances(getattr(st, factor)[None], np.array([sd]),
+                                        _plotting_positions(full.n_paths))
+            assert close(r.cvm, cvm[0]) and close(r.wasserstein, w1[0]), (i, r.family)
             continue
         c_v = swap_cv_bound(s, models, r.date)
         assert close(r.bound, truncation_bound(r.n, i, models, c_v, r.family,
                                                r.x, tab)), (i, r.family, r.x, r.n)
         if r.measured is not None:
-            meas = measured_errors(full, models, vm, i, n_r, r.x)[r.family]
+            # the kernel on the date's cube row, with the date's own scalar
+            # H_r H_I H_C and H_I H_C
+            *_, h_ric, h_ic = domestic_terms(models, r.date)
+            meas = _measured_errors(st, st.Y_I + st.Y_C, vm[i], n_r, (r.x,),
+                                    h_ric, h_ic)[r.x][r.family]
             assert close(r.measured, meas), (i, r.family, r.x)
 
 
