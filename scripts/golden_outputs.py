@@ -16,7 +16,10 @@ and 5,000 paths it writes, one subdirectory per case:
   sensi_ladder         sensi.csv of central ir_pillar bumps on three
                        pillars each of EUR, USD and GBP in one call, whose
                        legs share each currency's bond exponentials;
-  bounds_single_swap   bounds.csv;
+  bounds_single_swap   bounds.csv, and explicit_e1.csv: the explicit eps1
+                       bound (`bounds.explicit_e1_bound`) for x = 1 and
+                       x = y_I at every date after 0 of the same case, in
+                       bounds.csv's format, from the engine's cube forms;
   cube_<cfg>           the export-cube files in base and full mode.
 
 A change that states a tolerance instead compares the two sets with
@@ -30,8 +33,8 @@ check and exits non-zero if any fails:
   sensi.csv            first-order rows within SENSI_TOL relative, the
                        cross row within CROSS_TOL (a 1e-8 second difference
                        amplifies round-off);
-  bounds.csv           within BOUNDS_TOL relative; the worst cell is named
-                       with its row's (date, family, x, n).
+  bounds.csv,          within BOUNDS_TOL relative; the worst cell is named
+  explicit_e1.csv      with its row's (date, family, x, n).
 
 Usage: python3 scripts/golden_outputs.py OUT_DIR
        python3 scripts/golden_outputs.py --compare PARENT_DIR CHANGE_DIR
@@ -39,6 +42,7 @@ Usage: python3 scripts/golden_outputs.py OUT_DIR
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -47,7 +51,14 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from wwrfva import METHODS  # noqa: E402
+from wwrfva.bounds import (X_CHOICES, BoundRow, credit_moment_table,  # noqa: E402
+                           explicit_e1_bound, swap_cv_bound, write_bounds_csv)
 from wwrfva.cli import main as cli_main  # noqa: E402
+from wwrfva.exposure import base_moments, coeffs_for_dates  # noqa: E402
+from wwrfva.fva import (build_correlation_for, build_model_set,  # noqa: E402
+                        load_run_config, make_grid)
+from wwrfva.instruments import value_matrix  # noqa: E402
+from wwrfva.mc import simulate  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "..", "fixtures")
@@ -81,13 +92,37 @@ REPORT_TOL = 1e-13
 SENSI_TOL = 1e-12
 CROSS_TOL = 1e-9
 BOUNDS_TOL = 1e-12
+SEED, PATHS = 1, 5000
 
 
 def run(verb: str, cfg: str, out: str, *extra: str) -> None:
     argv = [verb, "--config", os.path.join(FIXTURES, f"{cfg}.cfg"),
-            "--seed", "1", "--paths", "5000", "--out", out, *extra]
+            "--seed", str(SEED), "--paths", str(PATHS), "--out", out, *extra]
     if cli_main(argv):
         raise SystemExit(f"failed: {' '.join(argv)}")
+
+
+def write_explicit_e1(out: str) -> None:
+    """explicit_e1.csv of the bounds case: the `bounds` verb's settings,
+    seed and paths, on a stored full cube."""
+    inputs, settings = load_run_config(os.path.join(FIXTURES, "single_swap.cfg"))
+    settings = dataclasses.replace(settings, seed=SEED, n_paths=PATHS)
+    models = build_model_set(inputs)
+    corr = build_correlation_for(models, inputs.correlations)
+    cube = simulate(models, corr, make_grid(inputs, settings), settings.n_paths,
+                    settings.seed, "full")
+    p, s = inputs.portfolio, inputs.portfolio.single_swap
+    bm = base_moments(cube, p, models, settings.n_r, value_mat=value_matrix(p, models, cube))
+    coeffs = coeffs_for_dates(models, corr, cube.dates, settings.n_r)
+    tab = credit_moment_table(cube)
+    rows = []
+    for i in range(1, len(cube.dates)):
+        u = float(cube.dates[i])
+        c_v = swap_cv_bound(s, models, u)
+        for x in X_CHOICES:
+            rows.append(BoundRow(date=u, family="eps1", x=x, n=1, bound=explicit_e1_bound(
+                models, coeffs, c_v, bm.disc_epe[i], tab, i, x)))
+    write_bounds_csv(rows, os.path.join(out, "explicit_e1.csv"))
 
 
 def _rel(a: float, b: float) -> float:
@@ -146,7 +181,7 @@ def _checks(name: str, a: str, b: str) -> list[tuple[str, float, float]]:
         return [(f"{row['target']} {col}", _rel(xa, xb),
                  CROSS_TOL if row["scheme"] == "cross" else SENSI_TOL)
                 for row, col, xa, xb in cells]
-    if name == "bounds.csv":
+    if name in ("bounds.csv", "explicit_e1.csv"):
         return [(f"{col} at (date, family, x, n) = ({row['date']}, {row['family']}, "
                  f"{row['x']}, {row['n']})", _rel(xa, xb), BOUNDS_TOL)
                 for row, col, xa, xb in cells]
@@ -223,6 +258,7 @@ def main() -> int:
     run("sensi", "portfolio", os.path.join(root, "sensi_ladder"),
         "--dates-per-year", "4", *(arg for b in LADDER for arg in ("--bump", b)))
     run("bounds", "single_swap", os.path.join(root, "bounds_single_swap"))
+    write_explicit_e1(os.path.join(root, "bounds_single_swap"))
     for cfg in ("single_swap", "portfolio"):
         for mode in ("base", "full"):
             run("export-cube", cfg, os.path.join(root, f"cube_{cfg}"),

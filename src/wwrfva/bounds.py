@@ -13,9 +13,12 @@ Three layers:
   exact normals).
 
 Every path average, including the higher credit-driver moments that
-have no closed form (a CreditMomentTable), reads one `mc.DateState` and
+have no closed form (a CreditMomentTable, which holds moments of the
+credit sum S = Y_I + Y_C and of y_I only), reads one `mc.DateState` and
 its value row: `bound_rows` takes them from a live full-mode stream one
 date at a time, and perfbench's cube forms from the dates of a stored cube.
+The eps1 bound exists once, `truncation_bound`'s; `explicit_e1_bound` is
+it less the exact mean term.
 """
 
 from __future__ import annotations
@@ -75,22 +78,20 @@ def _cv_bound(const: float, W: np.ndarray, B: np.ndarray, var: float) -> float:
 
 @dataclass
 class CreditMomentTable:
-    """Per-date empirical moments of the integrated credit drivers.
-
-    S denotes the sum of the two integrated intensity drivers. All
-    drivers are the zero-mean stochastic parts. `q_abs_s` is the upper
-    tail quantile of |S| at probability TAIL_CLIP used for the
-    exponential envelope constant.
+    """Per-date empirical moments of S = Y_I + Y_C, the sum of the two
+    integrated intensity drivers, and of the investor's intensity driver
+    y_I, all zero-mean stochastic parts. Nothing of Y_I or Y_C apart: both
+    load on the domestic rate, so the sum's moments are not the marginals'
+    binomial sums. `q_abs_s` is the upper tail quantile of |S| at
+    probability TAIL_CLIP used for the exponential envelope constant.
     """
 
     dates: np.ndarray
     max_order: int
     n_paths: int
-    Y_I: np.ndarray        # [order, date] E[Y_I^k]
-    Y_C: np.ndarray        # [order, date]
-    YI_yI: np.ndarray      # [order, date] E[Y_I^k y_I]
     y_I: np.ndarray        # [order up to 8, date] E[y_I^k]
-    S: np.ndarray          # [order, date]   E[(Y_I + Y_C)^k]
+    S: np.ndarray          # [order, date] E[S^k]
+    S_yI: np.ndarray       # [order, date] E[S^k y_I]
     S2_x: dict = field(default_factory=dict)   # x -> E[x^2 S^2] per date
     S4_x: dict = field(default_factory=dict)   # x -> E[x^4 S^4] per date
     q_abs_s: np.ndarray = None
@@ -114,24 +115,28 @@ def _empty_table(sim, max_order: int) -> CreditMomentTable:
 
     return CreditMomentTable(
         dates=np.array(sim.dates), max_order=max_order, n_paths=sim.n_paths,
-        Y_I=nan(k, n), Y_C=nan(k, n), YI_yI=nan(k, n), y_I=nan(9, n), S=nan(k, n),
+        y_I=nan(9, n), S=nan(k, n), S_yI=nan(k, n),
         S2_x={"1": nan(n), "y_I": nan(n)}, S4_x={"1": nan(n), "y_I": nan(n)},
         q_abs_s=nan(n))
 
 
-def _power_means(x: np.ndarray, orders) -> tuple[list[float], np.ndarray]:
+def _power_means(x: np.ndarray, orders, weight: Optional[np.ndarray] = None
+                 ) -> tuple[list[float], list[float], np.ndarray]:
     """The means of x^j for j in `orders` (ascending), each power the
-    product x * ... * x from the left, and x^2 for the cross moments: the
+    product x * ... * x from the left; the means of x^j weight on the same
+    chain when a weight is given; and x^2 for the cross moments: the
     chain's own where it reaches order 2."""
-    out, p, sq = [], x, None
+    out, weighted, p, sq = [], [], x, None
     for j in range(orders[-1] + 1):
         if j in orders:
             out.append(1.0 if j == 0 else p.mean())
+            if weight is not None:
+                weighted.append((weight if j == 0 else p * weight).mean())
         if j == 2:
             sq = p
         if j and j < orders[-1]:
             p = p * x
-    return out, x * x if sq is None else sq
+    return out, weighted, x * x if sq is None else sq
 
 
 def _quantile(a: np.ndarray, q: float) -> float:
@@ -151,10 +156,27 @@ def _quantile(a: np.ndarray, q: float) -> float:
     return float(above - diff * (1.0 - t) if t >= 0.5 else below + diff * t)
 
 
-def _cross_moments_at(tab: CreditMomentTable, i: int, s: np.ndarray,
-                      s2: np.ndarray, yi2: np.ndarray) -> None:
-    """Fill date i's S2_x, S4_x and q_abs_s in `tab` from S = Y_I + Y_C and
-    the squares of S and y_I."""
+# The orders of S and y_I that `_truncation_bound` reads at the report's
+# orders: S^{2(n+1)} and S^{4(n+1)} of eps1 at n = _EPS1_ORDER, and y_I^2,
+# y_I^4 (c1_const at m = 2, eps3) and y_I^8 (c1_const at m = 4).
+_BOUND_ORDERS = ((2 * (_EPS1_ORDER + 1), 4 * (_EPS1_ORDER + 1)), (2, 4, 8))
+
+
+def _credit_moments_at(tab: CreditMomentTable, st: DateState, s: np.ndarray,
+                       orders: Optional[tuple] = None) -> None:
+    """Fill, in the column of the state's date, the credit moments of
+    S = Y_I + Y_C (`s`) and y_I: with `orders` None every moment of `tab`;
+    else only E[S^m] at the orders `orders[0]` and E[y_I^m] at `orders[1]`
+    (the report's `_BOUND_ORDERS`), each with the bits the full fill gives
+    it, leaving E[S^m y_I] and every other order NaN. The cross moments
+    and q_abs_s are filled either way."""
+    i, yi = st.index, st.y_I
+    full = orders is None
+    s_orders, yi_orders = (range(tab.max_order + 1), range(9)) if full else orders
+    tab.S[s_orders, i], s_yi, s2 = _power_means(s, s_orders, yi if full else None)
+    if full:
+        tab.S_yI[:, i] = s_yi
+    tab.y_I[yi_orders, i], _, yi2 = _power_means(yi, yi_orders)
     tab.S2_x["1"][i] = s2.mean()
     tab.S4_x["1"][i] = (s2 * s2).mean()
     tab.S2_x["y_I"][i] = (yi2 * s2).mean()
@@ -162,50 +184,13 @@ def _cross_moments_at(tab: CreditMomentTable, i: int, s: np.ndarray,
     tab.q_abs_s[i] = _quantile(np.abs(s), 1.0 - TAIL_CLIP) if i else 0.0
 
 
-def _credit_moments_at(tab: CreditMomentTable, st: DateState) -> None:
-    """Fill the column of the state's date in `tab` from its credit drivers."""
-    i = st.index
-    yi, YI, YC = st.y_I, st.Y_I, st.Y_C
-    tab.Y_I[0, i] = tab.Y_C[0, i] = 1.0
-    tab.YI_yI[0, i] = yi.mean()
-    pI, pC = YI, YC
-    for j in range(1, tab.max_order + 1):
-        tab.Y_I[j, i] = pI.mean()
-        tab.Y_C[j, i] = pC.mean()
-        tab.YI_yI[j, i] = (pI * yi).mean()
-        if j < tab.max_order:
-            pI = pI * YI
-            pC = pC * YC
-    s = YI + YC
-    tab.S[:, i], s2 = _power_means(s, range(tab.max_order + 1))
-    tab.y_I[:, i], yi2 = _power_means(yi, range(9))
-    _cross_moments_at(tab, i, s, s2, yi2)
-
-
-# The orders of S and y_I that `_truncation_bound` reads at the report's
-# orders: S^{2(n+1)} and S^{4(n+1)} of eps1 at n = _EPS1_ORDER, and y_I^2,
-# y_I^4 (c1_const at m = 2, eps3) and y_I^8 (c1_const at m = 4).
-_BOUND_S_ORDERS = (2 * (_EPS1_ORDER + 1), 4 * (_EPS1_ORDER + 1))
-_BOUND_YI_ORDERS = (2, 4, 8)
-
-
-def _bound_moments_at(tab: CreditMomentTable, st: DateState,
-                      s: np.ndarray) -> None:
-    """Fill, in the column of the state's date, only the credit moments that
-    the report's rows read, from S = Y_I + Y_C; each has the bits
-    `_credit_moments_at` gives it, and every other entry stays NaN."""
-    i = st.index
-    tab.S[_BOUND_S_ORDERS, i], s2 = _power_means(s, _BOUND_S_ORDERS)
-    tab.y_I[_BOUND_YI_ORDERS, i], yi2 = _power_means(st.y_I, _BOUND_YI_ORDERS)
-    _cross_moments_at(tab, i, s, s2, yi2)
-
-
 def credit_moment_table(cube: ScenarioCube, max_order: int = 16) -> CreditMomentTable:
     """Estimate all credit moments the bounds need from a full cube."""
     _require_full(cube, "credit moments")
     tab = _empty_table(cube, max_order)
     for i in range(len(cube.dates)):
-        _credit_moments_at(tab, cube.state(i))
+        st = cube.state(i)
+        _credit_moments_at(tab, st, st.Y_I + st.Y_C)
     return tab
 
 
@@ -228,42 +213,27 @@ def c1_const(m: int, x: str, var_Yr: float, tab: CreditMomentTable,
 
 
 def c2_const(m: int, x: str, tab: CreditMomentTable, i: int) -> float:
-    """Binomial cross-moment E[(Y_I + Y_C)^m x] from marginal moments."""
+    """E[S^m x] at date i: the table's moment of the sum S = Y_I + Y_C."""
     if m > tab.max_order:
         raise ValueError(f"credit moments available up to order {tab.max_order}")
-    left = tab.YI_yI if x == "y_I" else tab.Y_I
-    total = 0.0
-    for j in range(m + 1):
-        total += math.comb(m, j) * left[m - j, i] * tab.Y_C[j, i]
-    return total
+    return float((tab.S_yI if x == "y_I" else tab.S)[m, i])
 
 
-def c3_const(x: str, var_Yr: float, tab: CreditMomentTable, i: int) -> float:
-    c2_8 = c2_const(8, "1", tab, i)
-    c2_4 = c2_const(4, "1", tab, i)
-    c1_4 = c1_const(4, x, var_Yr, tab, i)
-    c1_2 = c1_const(2, x, var_Yr, tab, i)
-    inner = (math.sqrt(max(c2_8 - c2_4 * c2_4, 0.0))
-             * math.sqrt(2.0 * (c1_4 + c1_2 * c1_2))
-             + c2_4 * c1_2)
-    return math.sqrt(max(inner, 0.0))
-
-
-def c4_const(x: str, tab: CreditMomentTable, i: int, start: int = 2,
-             rel_tol: float = 1e-12, max_terms: int = 50) -> float:
-    """Alternating tail series of the survival expansion beyond `start`-1."""
-    last = min(tab.max_order, max_terms)
-    if start > last:
-        raise ValueError(f"credit moments available up to order {last}")
+def c4_const(x: str, tab: CreditMomentTable, i: int) -> float:
+    """E[(e^{-S} - 1 + S) x] at date i, the mean of the survival
+    expansion's tail past order 1: the alternating series of
+    (-1)^m E[S^m x] / m! from m = 2 up to the table's order."""
+    if tab.max_order < 2:
+        raise ValueError(f"credit moments available up to order {tab.max_order}")
     total = 0.0
     scale = 0.0
-    for m in range(start, last + 1):
+    for m in range(2, tab.max_order + 1):
         term = ((-1.0) ** m / math.factorial(m)) * c2_const(m, x, tab, i)
         total += term
         scale = max(scale, abs(term))
         # alternating, factorially damped series: the remainder is of the
         # order of the first dropped term
-        if m > start and abs(term) <= rel_tol * max(scale, 1e-300):
+        if m > 2 and abs(term) <= 1e-12 * max(scale, 1e-300):
             return total
     if abs(term) > 1e-8 * max(scale, 1e-300):
         raise ValueError("survival tail series did not converge; "
@@ -279,18 +249,17 @@ def tail_envelope_constant(q_abs: float) -> float:
 def explicit_e1_bound(models: ModelSet, coeffs: WwrCoeffs, c_v: float,
                       disc_epe: float, tab: CreditMomentTable, i: int,
                       x: str) -> float:
-    """Closed-form upper bound on the survival-expansion error at date i of
-    the date-array `coeffs`.
+    """Closed-form upper bound on the survival-expansion error eps1 at date
+    i of the date-array `coeffs`: the covariance H_I H_C Cov(D (V)+,
+    (e^{-S} - 1 + S) x) that the approximation drops, D the discount and
+    disc_epe = E[D (V)+].
 
-    First piece bounds the covariance-like term through the product
-    bound and the moment constants; second piece is the exact mean term
-    of the expansion tail.
+    The eps1 truncation bound at n = 1 bounds H_I H_C E[D (V)+ (e^{-S} - 1
+    + S) x]; the mean term H_I H_C disc_epe E[(e^{-S} - 1 + S) x]
+    (`c4_const`) is subtracted exactly.
     """
-    var_Yr = hw_terms(models.rates[models.domestic], 0.0, tab.dates[i]).var_Y
-    c_t2 = tail_envelope_constant(tab.q_abs_s[i])
-    first = coeffs.H_rIC[i] * math.sqrt(c_v) * c_t2 * c3_const(x, var_Yr, tab, i) / 2.0
-    second = coeffs.H_IC[i] * disc_epe * c4_const(x, tab, i)
-    return first - second
+    return (truncation_bound(1, i, models, c_v, "eps1", x, tab)
+            - coeffs.H_IC[i] * disc_epe * c4_const(x, tab, i))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +291,9 @@ def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
     if n < 0 or i < 1:
         raise ValueError("need n >= 0 and an interior date")
 
+    m2, m4 = 2 * (n + 1), 4 * (n + 1)
     if family == "eps1":
         # credit-sum tail against xbar = e^{-Y_r} x
-        m2, m4 = 2 * (n + 1), 4 * (n + 1)
         if m4 > tab.max_order:
             raise ValueError("credit moment order too low for this n")
         ey2 = tab.S[m2, i]
@@ -337,7 +306,6 @@ def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
         c_t = tail_envelope_constant(tab.q_abs_s[i])
     else:
         # rate tail; xbar = x (-S) for eps2, x for eps3, with plain moments
-        m2, m4 = 2 * (n + 1), 4 * (n + 1)
         ey2, ey4 = gauss[m2], gauss[m4]
         if family == "eps2":
             ex2 = tab.S2_x[x][i]
@@ -483,7 +451,7 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
     _require_full(sim, "bound rows")
     fill = tab is None
     if fill:
-        tab = _empty_table(sim, _BOUND_S_ORDERS[-1])
+        tab = _empty_table(sim, _BOUND_ORDERS[0][-1])
     # every closed form once over the dates after 0
     dates = np.asarray(sim.dates)[1:]
     rp = models.rates[s.currency]
@@ -498,7 +466,7 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
         i = st.index
         s = st.Y_I + st.Y_C
         if fill:
-            _bound_moments_at(tab, st, s)
+            _credit_moments_at(tab, st, s, _BOUND_ORDERS)
         if i == 0:
             continue
         k = i - 1

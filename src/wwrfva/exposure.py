@@ -129,9 +129,14 @@ class BaseMoments:
         return cls(dates=dates.copy(), disc_epe=np.zeros(n), disc_epe_se=np.zeros(n),
                    y_moments=np.zeros((n_moments, n)))
 
-    def scratch(self, n_paths: int) -> np.ndarray:
+    @property
+    def scratch_rows(self) -> int:
         """`enter`'s work rows: (V)+, then up to two for the driver powers."""
-        return np.empty((min(len(self.y_moments), 3) or 1, n_paths))
+        return min(len(self.y_moments), 3) or 1
+
+    def scratch(self, n_paths: int) -> np.ndarray:
+        """`enter`'s work rows (`scratch_rows`) of `n_paths` each."""
+        return np.empty((self.scratch_rows, n_paths))
 
     def enter(self, st: DateState, value_row: np.ndarray,
               pows: np.ndarray) -> np.ndarray:

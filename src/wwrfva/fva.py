@@ -43,9 +43,11 @@ from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep
                        epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        wwr_mc_at)
 from .instruments import (FxForward, Portfolio, PortfolioValuation, book_groups,
-                          book_rows, exponential_buffer, load_portfolio)
+                          book_rows, exponential_buffer, exponential_rows,
+                          load_portfolio)
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
-                 factor_labels, fx_factor, pair_key, rate_factor, shared_pass)
+                 factor_labels, fx_factor, pair_key, rate_factor,
+                 require_pass_memory, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                      QuantoAdjust, shared_terms)
 
@@ -452,10 +454,12 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
         for k in ks[1:]:
             legs[k].bm = legs[ks[0]].bm
     groups = book_groups(book for ks in twins.values() for book in legs[ks[0]].valuation.books)
+    streams = [leg.stream for leg in legs]
+    require_pass_memory(streams, exponential_rows(groups) + legs[0].bm.scratch_rows)
     expo = exponential_buffer(groups, settings.n_paths)
     pows = legs[0].bm.scratch(settings.n_paths)
     with (np.errstate(over="ignore", invalid="ignore"),
-          closing(shared_pass([leg.stream for leg in legs])) as dates):
+          closing(shared_pass(streams)) as dates):
         for states in dates:
             # the book rows read only the rate noise, which the states share
             local_rows = book_rows(groups, states[0], expo)

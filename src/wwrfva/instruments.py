@@ -444,11 +444,16 @@ def book_groups(books) -> list[list[CurrencyBook]]:
     return list(groups.values())
 
 
+def exponential_rows(groups) -> int:
+    """The rows of `exponential_buffer` for `groups`: their most live payments."""
+    return max(g[0].B.shape[1] - g[0].start[0] for g in groups)
+
+
 def exponential_buffer(groups, n_paths: int) -> np.ndarray:
     """`book_rows`' scratch for `groups`: their most live payments x paths.
     Allocated once per pass, no freed per-date matrix moves glibc's mmap
     threshold (after which later matrices come from the heap)."""
-    return np.empty((max(g[0].B.shape[1] - g[0].start[0] for g in groups), n_paths))
+    return np.empty((exponential_rows(groups), n_paths))
 
 
 def book_rows(groups, st: DateState,

@@ -283,6 +283,17 @@ def require_memory(n_bytes: int, what: str) -> None:
                          f"{have / 1e6:.1f} MB of physical memory")
 
 
+def require_pass_memory(streams, scratch_rows: int = 0) -> None:
+    """Refuse, before it allocates anything, a pass of `streams` (one noise
+    object) whose `state_bytes`, derived rows of each further distinct
+    overlay and consumer's `scratch_rows` rows of paths exceed memory."""
+    s0 = streams[0]
+    n_overlays = len({id(s.overlay) for s in streams})
+    require_memory(s0.state_bytes + 8 * s0.n_paths
+                   * (s0.overlay_rows * (n_overlays - 1) + scratch_rows),
+                   "the simulation state")
+
+
 def _generators(seed: int) -> list[np.random.Generator]:
     """The market and the credit normal streams of a seed: SFC64, which
     draws a normal in about a fifth less time than numpy's default PCG64."""
@@ -507,8 +518,7 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
     ids = [id(s.overlay) for s in streams]
     first = [ids.index(k) for k in ids]
     n_paths = s0.n_paths
-    require_memory(s0.state_bytes + 8 * n_paths * s0.overlay_rows * (len(set(first)) - 1),
-                   "the simulation state")
+    require_pass_memory(streams)
 
     dom, ccys, fx_ccys, entities = s0.models.domestic, s0.ccys, s0.fx_ccys, s0.entities
     n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)

@@ -133,9 +133,10 @@ def acc():
             market["Y_" + ent][:, i] = surv.mean(), surv.std()
         pos_sq[i] = np.mean(np.maximum(row, 0.0) ** 2)
         if i % 10 == 1:
-            _credit_moments_at(tab, st)
+            credit_sum = st.Y_I + st.Y_C
+            _credit_moments_at(tab, st, credit_sum)
             *_, h_ric, h_ic = domestic_terms(models, u)
-            meas = _measured_errors(st, st.Y_I + st.Y_C, row, 5, X_CHOICES, h_ric, h_ic)
+            meas = _measured_errors(st, credit_sum, row, 5, X_CHOICES, h_ric, h_ic)
             for x in X_CHOICES:
                 eps1[x][i] = meas[x]["eps1"]
     sim_seconds = time.perf_counter() - t0

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wwrfva.bounds import (_BOUND_S_ORDERS, _EPS1_ORDER, TAIL_CLIP, X_CHOICES,
-                           _bound_moments_at, _empty_table, _measured_errors,
+from wwrfva.bounds import (_BOUND_ORDERS, _EPS1_ORDER, TAIL_CLIP, X_CHOICES,
+                           _credit_moments_at, _empty_table, _measured_errors,
                            _normal_distances, _plotting_positions, _quantile,
                            _tail_terms, bound_report, bound_rows, c1_const,
                            c2_const, c4_const, credit_moment_table,
@@ -93,8 +93,9 @@ def test_moment_table_basics(rig):
     i = 20
     assert tab.S[0, i] == 1.0
     # centered drivers: first moments vanish to MC noise
-    assert abs(tab.Y_I[1, i]) < 5.0 * math.sqrt(tab.Y_I[2, i] / tab.n_paths)
-    # even moments positive and S moments dominate each marginal
+    assert abs(tab.S[1, i]) < 5.0 * math.sqrt(tab.S[2, i] / tab.n_paths)
+    assert abs(tab.y_I[1, i]) < 5.0 * math.sqrt(tab.y_I[2, i] / tab.n_paths)
+    # even moments positive
     assert tab.S[2, i] > 0.0
     assert tab.S[4, i] > 0.0
     assert tab.q_abs_s[i] > 0.0
@@ -133,11 +134,27 @@ def test_c4_series_converges_small(rig):
 
 
 def test_c4_rejects_an_empty_order_range(rig):
+    inputs, models, corr, full, *_ = rig
+    # the series starts at S^2
+    short = _empty_table(full, 1)
+    for x in X_CHOICES:
+        with pytest.raises(ValueError):
+            c4_const(x, short, 30)
+
+
+def test_c4_equals_the_exact_tail_mean(rig):
+    """c4_const against the path mean of (e^{-S} - 1 + S) x, within 1e-10
+    of the series' scale sum_m |E[S^m x]|/m!: the series of the sum's own
+    moments is that mean's Taylor series term by term."""
     inputs, models, corr, full, vm, tab, coeffs, bm = rig
-    with pytest.raises(ValueError):
-        c4_const("1", tab, 30, start=tab.max_order + 1)
-    with pytest.raises(ValueError):
-        c4_const("y_I", tab, 30, start=5, max_terms=4)
+    for i in (5, 20, 60, 100, len(full.dates) - 1):
+        st = full.state(i)
+        tail = _tail_terms(st.Y_I + st.Y_C, 2)
+        for x, w in (("1", 1.0), ("y_I", st.y_I)):
+            exact = float(np.mean(tail * w))
+            scale = sum(abs(c2_const(m, x, tab, i)) / math.factorial(m)
+                        for m in range(2, tab.max_order + 1))
+            assert abs(c4_const(x, tab, i) - exact) <= 1e-10 * scale, (i, x)
 
 
 def test_moment_table_matches_per_date_means(rig):
@@ -145,19 +162,21 @@ def test_moment_table_matches_per_date_means(rig):
     inputs, models, corr, full, vm, tab, coeffs, bm = rig
     last = len(full.dates) - 1
     for i in [*range(1, last, 7), last]:  # a date in every block of the table
-        yi, YI, YC = full.y_I[i], full.Y_I[i], full.Y_C[i]
-        s = YI + YC
+        yi = full.y_I[i]
+        s = full.Y_I[i] + full.Y_C[i]
         for got, want in (
-                (tab.Y_I[:, i], [np.mean(YI ** j) for j in range(tab.max_order + 1)]),
-                (tab.Y_C[:, i], [np.mean(YC ** j) for j in range(tab.max_order + 1)]),
                 (tab.S[:, i], [np.mean(s ** j) for j in range(tab.max_order + 1)]),
-                (tab.YI_yI[:, i], [np.mean(YI ** j * yi) for j in range(tab.max_order + 1)]),
                 (tab.y_I[:, i], [np.mean(yi ** j) for j in range(9)]),
                 ([tab.S2_x[x][i] for x in X_CHOICES],
                  [np.mean(s ** 2), np.mean(yi ** 2 * s ** 2)]),
                 ([tab.S4_x[x][i] for x in X_CHOICES],
                  [np.mean(s ** 4), np.mean(yi ** 4 * s ** 4)])):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=str(i))
+        # E[S^m y_I] sums terms of both signs, so it is compared within 1e-14
+        # of the mean of the terms' magnitudes, the scale of their rounding
+        terms = [s ** j * yi for j in range(tab.max_order + 1)]
+        err = np.abs(tab.S_yI[:, i] - [np.mean(w) for w in terms])
+        assert np.all(err <= 1e-14 * np.array([np.mean(np.abs(w)) for w in terms])), i
         assert tab.q_abs_s[i] == np.quantile(np.abs(s), 1.0 - TAIL_CLIP)
     assert tab.q_abs_s[0] == 0.0
 
@@ -215,6 +234,18 @@ def test_explicit_bound_dominates_measured_eps1(rig):
             b = explicit_e1_bound(models, coeffs, c_v, bm.disc_epe[i],
                                   tab, i, x)
             assert meas[i, "eps1", x] <= b, (i, x)
+
+
+def test_explicit_bound_is_the_eps1_bound_less_the_mean_term(rig):
+    inputs, models, corr, full, vm, tab, coeffs, bm = rig
+    s = inputs.portfolio.single_swap
+    for i in (5, 20, 60, 100, len(full.dates) - 1):
+        c_v = swap_cv_bound(s, models, float(full.dates[i]))
+        for x in X_CHOICES:
+            want = (truncation_bound(1, i, models, c_v, "eps1", x, tab)
+                    - coeffs.H_IC[i] * bm.disc_epe[i] * c4_const(x, tab, i))
+            got = explicit_e1_bound(models, coeffs, c_v, bm.disc_epe[i], tab, i, x)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (i, x)
 
 
 def test_generic_bounds_dominate_all_families(rig):
@@ -419,9 +450,9 @@ def test_bound_rows_table_leaves_unread_moments_nan(rig):
     inputs, models, corr, full, vm, tab, *_ = rig
     s = inputs.portfolio.single_swap
     i = 5
-    part = _empty_table(full, _BOUND_S_ORDERS[-1])
+    part = _empty_table(full, _BOUND_ORDERS[0][-1])
     state = full.state(i)
-    _bound_moments_at(part, state, state.Y_I + state.Y_C)
+    _credit_moments_at(part, state, state.Y_I + state.Y_C, _BOUND_ORDERS)
     c_v = swap_cv_bound(s, models, float(full.dates[i]))
     for x in X_CHOICES:
         for fam, n in (("eps1", _EPS1_ORDER), ("eps2", 1), ("eps3", 3)):
@@ -431,4 +462,27 @@ def test_bound_rows_table_leaves_unread_moments_nan(rig):
                     == truncation_bound(n, i, models, c_v, fam, x, tab))
         assert math.isnan(truncation_bound(0, i, models, c_v, "eps1", x, part))
     assert math.isnan(c2_const(2, "1", part, i))
+    assert math.isnan(c2_const(4, "y_I", part, i))
     assert math.isnan(truncation_bound(_EPS1_ORDER, i + 1, models, c_v, "eps1", "1", part))
+
+
+def test_partial_table_entries_are_the_full_tables(rig):
+    # one fill at two sets of orders: each entry the report's partial table
+    # fills is bitwise the full table's, at every date
+    inputs, models, corr, full, vm, tab, *_ = rig
+    part = _empty_table(full, _BOUND_ORDERS[0][-1])
+    for i in range(len(full.dates)):
+        state = full.state(i)
+        _credit_moments_at(part, state, state.Y_I + state.Y_C, _BOUND_ORDERS)
+    s_orders, yi_orders = _BOUND_ORDERS
+    pairs = [(part.S[list(s_orders)], tab.S[list(s_orders)]),
+             (part.y_I[list(yi_orders)], tab.y_I[list(yi_orders)]),
+             (part.q_abs_s, tab.q_abs_s)]
+    pairs += [(getattr(part, name)[x], getattr(tab, name)[x])
+              for name in ("S2_x", "S4_x") for x in X_CHOICES]
+    for got, want in pairs:
+        assert not np.isnan(got).any()
+        assert got.tobytes() == want.tobytes()
+    # and nothing else
+    filled = sum(int(np.sum(~np.isnan(a))) for a in (part.S, part.y_I, part.S_yI))
+    assert filled == len(full.dates) * (len(s_orders) + len(yi_orders))

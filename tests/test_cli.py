@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -7,7 +8,8 @@ import pytest
 
 from wwrfva import instruments, mc
 from wwrfva.cli import _apply_overrides, build_parser, main
-from wwrfva.fva import RunSettings, read_profile_csv
+from wwrfva.fva import (RunSettings, build_correlation_for, build_model_set,
+                        load_run_config, make_grid, read_profile_csv)
 from wwrfva.mc import load_cube
 
 from conftest import fixture_path
@@ -171,6 +173,28 @@ def test_bounds_too_few_paths_rejected_before_drawing(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ValueError: too few paths") and "\n" not in err
     assert not (tmp_path / "bounds.csv").exists()
+
+
+@pytest.mark.parametrize("verb, mode", [("fva", "base"), ("bounds", "full")])
+def test_a_pass_whose_valuation_scratch_does_not_fit_is_refused_before_drawing(
+        tmp_path, monkeypatch, capsys, verb, mode):
+    # room for the simulation state alone: the pass's bond exponentials (and
+    # the exposure scratch of fva) do not fit, and no path is drawn
+    def no_draws(seed):
+        raise AssertionError("paths were drawn")
+
+    inputs, settings = load_run_config(fixture_path("single_swap.cfg"))
+    models = build_model_set(inputs)
+    grid = make_grid(inputs, dataclasses.replace(settings, dates_per_year=2))
+    stream = mc.PathStream(models, build_correlation_for(models, inputs.correlations),
+                           grid, 2000, settings.seed, mode)
+    monkeypatch.setattr(mc, "physical_memory_bytes", lambda: stream.state_bytes)
+    monkeypatch.setattr(mc, "_generators", no_draws)
+    rc = main([verb, *CFG, *SMALL, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ValueError: the simulation state needs"), err
+    assert "physical memory" in err and "\n" not in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "1,-2", "1,,2", ""])
