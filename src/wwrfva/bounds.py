@@ -31,7 +31,7 @@ import numpy as np
 
 from .exposure import WwrCoeffs, normal_moments
 from .instruments import Swap, swap_book
-from .mc import DateState, ScenarioCube
+from .mc import DateState, ScenarioCube, exposure_not_finite, pass_numpy_state
 from .models import ModelSet, domestic_terms, hw_terms
 from .normal import ndtr, ndtri
 
@@ -447,7 +447,10 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
     (DateState, value row) in date order, each one used up before the next
     is read. Of `sim` (a PathStream or ScenarioCube) only the mode, path
     count and dates are read. Without `tab`, each date's credit moments
-    come from its own state, and only the ones the rows read are filled."""
+    come from its own state, and only the ones the rows read are filled.
+
+    The dates run under `mc.pass_numpy_state`, and stop at the first
+    whose value row is not finite, with the error a run gives there."""
     _require_full(sim, "bound rows")
     fill = tab is None
     if fill:
@@ -462,38 +465,41 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
     gauss = normal_moments(rt.var_Y, 4 * (max((n_r, *orders)) + 1))
     sd_credit = np.sqrt(np.stack([ci.var_Y, cc.var_Y], axis=1))
     rows: list[BoundRow] = []
-    for st, value_row in pairs:
-        i = st.index
-        s = st.Y_I + st.Y_C
-        if fill:
-            _credit_moments_at(tab, st, s, _BOUND_ORDERS)
-        if i == 0:
-            continue
-        k = i - 1
-        u = float(dates[k])
-        c_v = _cv_bound(*book.at(k), var_y[k])
-        meas = _measured_errors(st, s, value_row, n_r, X_CHOICES, h_ric[k], h_ic[k])
-        for x in X_CHOICES:
-            for fam in FAMILIES:
-                if fam == "eps3" and x == "1":
-                    continue
-                n_eff = _EPS1_ORDER if fam == "eps1" else n_r
+    with pass_numpy_state():
+        for st, value_row in pairs:
+            i = st.index
+            if not np.isfinite(value_row).all():
+                raise exposure_not_finite(sim.dates, i)
+            s = st.Y_I + st.Y_C
+            if fill:
+                _credit_moments_at(tab, st, s, _BOUND_ORDERS)
+            if i == 0:
+                continue
+            k = i - 1
+            u = float(dates[k])
+            c_v = _cv_bound(*book.at(k), var_y[k])
+            meas = _measured_errors(st, s, value_row, n_r, X_CHOICES, h_ric[k], h_ic[k])
+            for x in X_CHOICES:
+                for fam in FAMILIES:
+                    if fam == "eps3" and x == "1":
+                        continue
+                    n_eff = _EPS1_ORDER if fam == "eps1" else n_r
+                    rows.append(BoundRow(
+                        date=u, family=fam, x=x, n=n_eff,
+                        bound=_truncation_bound(n_eff, i, c_v, fam, x, tab,
+                                                rt.var_Y[k], h_ric[k], gauss[k]),
+                        measured=meas[x][fam]))
+            for fam_extra in orders:
                 rows.append(BoundRow(
-                    date=u, family=fam, x=x, n=n_eff,
-                    bound=_truncation_bound(n_eff, i, c_v, fam, x, tab,
-                                            rt.var_Y[k], h_ric[k], gauss[k]),
-                    measured=meas[x][fam]))
-        for fam_extra in orders:
-            rows.append(BoundRow(
-                date=u, family="eps3", x="y_I", n=fam_extra,
-                bound=_truncation_bound(fam_extra, i, c_v, "eps3", "y_I", tab,
-                                        rt.var_Y[k], h_ric[k], gauss[k])))
-        cvm, w1 = _normal_distances(np.stack([st.Y_I, st.Y_C]), sd_credit[k],
-                                    positions)
-        for j, factor in enumerate(("Y_I", "Y_C")):
-            rows.append(BoundRow(date=u, family=f"dist_{factor}", x="", n=0,
-                                 bound=0.0, cvm=float(cvm[j]),
-                                 wasserstein=float(w1[j])))
+                    date=u, family="eps3", x="y_I", n=fam_extra,
+                    bound=_truncation_bound(fam_extra, i, c_v, "eps3", "y_I", tab,
+                                            rt.var_Y[k], h_ric[k], gauss[k])))
+            cvm, w1 = _normal_distances(np.stack([st.Y_I, st.Y_C]), sd_credit[k],
+                                        positions)
+            for j, factor in enumerate(("Y_I", "Y_C")):
+                rows.append(BoundRow(date=u, family=f"dist_{factor}", x="", n=0,
+                                     bound=0.0, cvm=float(cvm[j]),
+                                     wasserstein=float(w1[j])))
     return rows
 
 

@@ -46,8 +46,8 @@ from .instruments import (FxForward, Portfolio, PortfolioValuation, book_groups,
                           book_rows, exponential_buffer, exponential_rows,
                           load_portfolio)
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
-                 factor_labels, fx_factor, pair_key, rate_factor,
-                 require_pass_memory, shared_pass)
+                 exposure_not_finite, factor_labels, fx_factor, pair_key,
+                 pass_numpy_state, rate_factor, require_pass_memory, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                      QuantoAdjust, shared_terms)
 
@@ -389,7 +389,7 @@ class _Leg:
             wwr_seconds = bm.y_moment_seconds + (time.thread_time() - t0)
         finite = np.isfinite(indep) & np.isfinite(wwr) & np.isfinite(wwr_mc)
         if not finite.all():
-            raise _not_finite(dates, int(np.argmin(finite)))
+            raise exposure_not_finite(dates, int(np.argmin(finite)))
         profile = ExposureProfile(dates=dates.copy(), epe_indep=indep, epe_wwr=wwr,
                                   method=settings.method,
                                   se_wwr=se_mc if is_mc else None,
@@ -422,15 +422,6 @@ class _Leg:
         return report
 
 
-def _not_finite(dates: np.ndarray, i: int) -> ValueError:
-    """The error of a run whose exposure profile is first not finite at
-    monitoring date i."""
-    return ValueError(f"the exposure profile is not finite at date "
-                      f"{float(dates[i])!r} (monitoring date {i}, the first "
-                      "such): the model parameters overflow the simulation "
-                      "or the valuation")
-
-
 def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     """Feed one shared simulation pass to legs that hold one noise object.
 
@@ -441,9 +432,9 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     one buffer. The credit covariance reads each leg's own coefficients.
 
     The pass stops at the first date whose discounted exposure is not
-    finite, with the error the report would give; numpy's overflow and
-    invalid-value warnings are off during the pass, as that check and
-    the simulation's own finite checks stand for them.
+    finite, with the error the report would give. It runs under
+    `mc.pass_numpy_state`: that check and the simulation's own finite
+    checks stand for numpy's overflow and invalid-value warnings.
     """
     need_full = legs[0].stream.mode == "full"
     # leg indices per distinct (overlay, books); the first one values
@@ -458,8 +449,7 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     require_pass_memory(streams, exponential_rows(groups) + legs[0].bm.scratch_rows)
     expo = exponential_buffer(groups, settings.n_paths)
     pows = legs[0].bm.scratch(settings.n_paths)
-    with (np.errstate(over="ignore", invalid="ignore"),
-          closing(shared_pass(streams)) as dates):
+    with pass_numpy_state(), closing(shared_pass(streams)) as dates:
         for states in dates:
             # the book rows read only the rate noise, which the states share
             local_rows = book_rows(groups, states[0], expo)
@@ -468,7 +458,7 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
                 i = st.index
                 h = bm.enter(st, legs[ks[0]].valuation.row(st, local_rows), pows)
                 if not math.isfinite(bm.disc_epe[i]):
-                    raise _not_finite(bm.dates, i)
+                    raise exposure_not_finite(bm.dates, i)
                 if need_full and i > 0:
                     for k in ks:
                         leg = legs[k]

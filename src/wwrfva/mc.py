@@ -49,6 +49,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -305,6 +306,41 @@ def _generators(seed: int) -> list[np.random.Generator]:
 # (its gemm threading threshold); a second thread would compete with the
 # draw worker for a core.
 BLAS_ONE_THREAD = 2 ** 18
+
+
+# numpy's ufunc buffer, in elements, during a per-date pass. An op with a
+# broadcast operand, such as a (rows, 1) coefficient column or the bond
+# exponents' outer product, runs through this buffer; on rows of fewer than
+# about 4k paths numpy's default of 8,192 makes such an op 2-4.5 times
+# slower, with the same bits (scripts/ufunc_buffer_probe.py). Casting ops
+# slow down below about 1,024.
+PASS_UFUNC_BUFFER = 1024
+
+
+@contextmanager
+def pass_numpy_state() -> Iterator[None]:
+    """numpy's state during a per-date pass: a ufunc buffer of
+    PASS_UFUNC_BUFFER elements, and no overflow or invalid-value warnings,
+    as the pass's finite checks stand for them (`exposure_not_finite`).
+
+    A generator iterated inside the block runs with it too. The previous
+    buffer size is restored explicitly: numpy 1.x's errstate does not.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = np.setbufsize(PASS_UFUNC_BUFFER)
+        try:
+            yield
+        finally:
+            np.setbufsize(old)
+
+
+def exposure_not_finite(dates: np.ndarray, i: int) -> ValueError:
+    """The error of a run whose exposure is first not finite at
+    monitoring date i."""
+    return ValueError(f"the exposure profile is not finite at date "
+                      f"{float(dates[i])!r} (monitoring date {i}, the first "
+                      "such): the model parameters overflow the simulation "
+                      "or the valuation")
 
 
 def _correlate(L: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:

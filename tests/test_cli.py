@@ -268,6 +268,23 @@ def test_non_finite_fva_is_an_error(tmp_path, capsys, monkeypatch, old, new, mes
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_non_finite_bounds_is_an_error(tmp_path, capsys):
+    # the bounds verb used to print 84 RuntimeWarnings and fail with
+    # "OverflowError: math range error" in a later date's closed forms; it
+    # stops at the first date whose value row is not finite, as fva does
+    cfg = _edited_config(tmp_path, "single_swap.cfg", "a: 1.0e-5", "a: -0.5")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["bounds", "--config", str(cfg), "--paths", "1000",
+                   "--dates-per-year", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert ("error: ValueError: the exposure profile is not finite at date 1.0 "
+            "(monitoring date 1, the first such)") in err
+    assert not (tmp_path / "out" / "bounds.csv").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_negative_mean_reversion_runs(tmp_path, capsys):
     # a = -0.1 stays finite over the swap's 30 years, so the loader takes
     # a negative reversion
