@@ -93,7 +93,7 @@ class CreditMomentTable:
     S: np.ndarray          # [order, date] E[S^k]
     S_yI: np.ndarray       # [order, date] E[S^k y_I]
     S2_x: dict = field(default_factory=dict)   # x -> E[x^2 S^2] per date
-    S4_x: dict = field(default_factory=dict)   # x -> E[x^4 S^4] per date
+    S4_x: dict = field(default_factory=dict)   # x -> E[x^4 S^4]; at x = 1, S[4]
     q_abs_s: np.ndarray = None
 
 
@@ -157,8 +157,9 @@ def _quantile(a: np.ndarray, q: float) -> float:
 
 
 # The orders of S and y_I that `_truncation_bound` reads at the report's
-# orders: S^{2(n+1)} and S^{4(n+1)} of eps1 at n = _EPS1_ORDER, and y_I^2,
-# y_I^4 (c1_const at m = 2, eps3) and y_I^8 (c1_const at m = 4).
+# orders: S^{2(n+1)} and S^{4(n+1)} of eps1 at n = _EPS1_ORDER (S^4 is
+# also eps2's E[S^4] at x = 1), and y_I^2, y_I^4 (c1_const at m = 2, eps3)
+# and y_I^8 (c1_const at m = 4).
 _BOUND_ORDERS = ((2 * (_EPS1_ORDER + 1), 4 * (_EPS1_ORDER + 1)), (2, 4, 8))
 
 
@@ -178,7 +179,7 @@ def _credit_moments_at(tab: CreditMomentTable, st: DateState, s: np.ndarray,
         tab.S_yI[:, i] = s_yi
     tab.y_I[yi_orders, i], _, yi2 = _power_means(yi, yi_orders)
     tab.S2_x["1"][i] = s2.mean()
-    tab.S4_x["1"][i] = (s2 * s2).mean()
+    tab.S4_x["1"][i] = tab.S[4, i]
     tab.S2_x["y_I"][i] = (yi2 * s2).mean()
     tab.S4_x["y_I"][i] = (yi2 * yi2 * s2 * s2).mean()
     tab.q_abs_s[i] = _quantile(np.abs(s), 1.0 - TAIL_CLIP) if i else 0.0
@@ -187,6 +188,9 @@ def _credit_moments_at(tab: CreditMomentTable, st: DateState, s: np.ndarray,
 def credit_moment_table(cube: ScenarioCube, max_order: int = 16) -> CreditMomentTable:
     """Estimate all credit moments the bounds need from a full cube."""
     _require_full(cube, "credit moments")
+    if max_order < 4:
+        raise ValueError(f"credit moments need an order of at least 4 "
+                         f"(E[S^4] enters eps2), got {max_order}")
     tab = _empty_table(cube, max_order)
     for i in range(len(cube.dates)):
         st = cube.state(i)

@@ -86,6 +86,9 @@ def test_moment_table_guards(rig):
     small = simulate(models, corr, SimGrid.regular(2, 2.0, 1), 500, 1, "full")
     with pytest.raises(ValueError):
         credit_moment_table(small)
+    # E[S^4] is read off the S row
+    with pytest.raises(ValueError, match="at least 4"):
+        credit_moment_table(full, max_order=3)
 
 
 def test_moment_table_basics(rig):
@@ -483,6 +486,9 @@ def test_partial_table_entries_are_the_full_tables(rig):
     for got, want in pairs:
         assert not np.isnan(got).any()
         assert got.tobytes() == want.tobytes()
+    # eps2's E[S^4] at x = 1 is the S chain's, in both tables
+    for t in (part, tab):
+        assert t.S4_x["1"].tobytes() == t.S[4].tobytes()
     # and nothing else
     filled = sum(int(np.sum(~np.isnan(a))) for a in (part.S, part.y_I, part.S_yI))
     assert filled == len(full.dates) * (len(s_orders) + len(yi_orders))
