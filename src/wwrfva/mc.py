@@ -311,7 +311,7 @@ BLAS_ONE_THREAD = 2 ** 18
 # numpy's ufunc buffer, in elements, during a per-date pass. An op with a
 # broadcast operand, such as a (rows, 1) coefficient column or the bond
 # exponents' outer product, runs through this buffer; on rows of fewer than
-# about 4k paths numpy's default of 8,192 makes such an op 2-4.5 times
+# about 4k paths numpy's default of 8,192 makes such an op 2-5 times
 # slower, with the same bits (scripts/ufunc_buffer_probe.py). Casting ops
 # slow down below about 1,024.
 PASS_UFUNC_BUFFER = 1024
