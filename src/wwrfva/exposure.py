@@ -10,13 +10,19 @@ leaving only moments E[y^l (V)+] that are either averaged over the
 market paths (generic method) or, for a single swap, computed in closed
 form from normal and truncated-normal moments (analytic method).
 
-Every path average is a per-date step that reads one date's simulated
-drivers and portfolio values. `BaseMoments.enter` alone fills a date's
-discounted exposure and driver moments (`y_moments_at`), and
-`wwr_mc_at` the benchmark's covariance: `run_fva` calls both on the live
-simulation stream. The cube forms `base_moments` and `epe_wwr_mc` loop
-them over the dates of a stored cube for perfbench's traced replica of
-a run.
+Every path average reads the simulated drivers and portfolio values of
+one date at a time. `BaseMoments.enter` alone fills a date's discounted
+exposure and holds the rows its reductions read in a `DateTile`;
+`BaseMoments.reduce` then fills the batch SEs and driver moments
+(`y_moments_at`) of the tile's dates, and `wwr_mc_at` reduces the
+benchmark's covariance over the same tile. Each reduction is one 2-D
+call along the path axis for the whole tile, and rounds each date as a
+call on that date's row alone would, so a tile of any size gives the
+same bits. `run_fva` tiles the live simulation stream: below
+TILE_ELEMENTS paths a tile holds several dates (`tile_dates`), which
+spreads each reduction's fixed cost over them. The cube forms
+`base_moments` and `epe_wwr_mc` enter the dates of a stored cube as
+tiles of one for perfbench's traced replica of a run.
 
 The projection coefficients are deterministic. `coeffs_for_dates` gives
 one `WwrCoeffs` record of arrays over the monitoring dates, whose row 0
@@ -46,58 +52,143 @@ from .normal import factorial, log_ndtr, ndtr
 N_BATCHES = 50  # batch count of every Monte Carlo standard error
 
 
-def _mean(values: np.ndarray) -> np.float64:
-    """values.mean() of a 1-D float array, bit for bit: numpy's pairwise
-    sum, then one division by the count, without its per-call dispatch."""
-    return np.add.reduce(values) / len(values)
+def _mean(values: np.ndarray):
+    """values.mean(axis=-1) of a float array, bit for bit: numpy's pairwise
+    sum along the path axis, then one division by the count, without its
+    per-call dispatch."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
-def _batch_se(values: np.ndarray) -> float:
-    """SE of the mean from batch means (values is per-path, 1-D).
+def _batch_se(values: np.ndarray):
+    """SE of the mean from batch means, of each row of paths (the last
+    axis): one per date of a tile (D, paths), or a scalar of one row.
 
     The batch means and their SD take numpy's `mean(axis=1)` and
-    `std(ddof=1)` steps in numpy's order, so they round as those do."""
-    n = len(values)
+    `std(ddof=1)` steps in numpy's order, so each row rounds as those do
+    on that row alone."""
+    n = values.shape[-1]
     nb = min(N_BATCHES, n)
     size = n // nb
-    means = np.add.reduce(values[:nb * size].reshape(nb, size), axis=1)
+    means = np.add.reduce(values[..., :nb * size].reshape(values.shape[:-1] + (nb, size)),
+                          axis=-1)
     means /= size
-    dev = means - _mean(means)
+    dev = means - _mean(means)[..., None]
     np.square(dev, out=dev)
-    return float(np.sqrt(np.add.reduce(dev) / (nb - 1)) / math.sqrt(nb))
+    return np.sqrt(np.add.reduce(dev, axis=-1) / (nb - 1)) / math.sqrt(nb)
 
 
 # ---------------------------------------------------------------------------
-# per-date kernels: the estimators at one monitoring date, fed by a live
-# simulation stream (or, in perfbench's cube forms, by one stored date)
+# tile kernels: the estimators at a tile of consecutive monitoring dates,
+# one row of paths per date, fed by a live simulation stream (or, in
+# perfbench's cube forms, by one stored date, a tile of one)
 
-def y_moments_at(y: np.ndarray, pows: np.ndarray, l_max: int) -> np.ndarray:
-    """Means of y^l (V)+ for l = 0 .. l_max at one date; `pows` holds (V)+
-    in its first row, and its next two rows (`BaseMoments.scratch`) take
-    the powers y^l (V)+ = y * y^(l-1) (V)+ in turn. Each power is summed
-    as soon as it is formed, while it is still in cache; its mean rounds
-    as numpy's mean of that row."""
-    means = np.empty(l_max + 1)
-    means[0] = np.add.reduce(pows[0])
+# The doubles one row of a date tile holds: a tile takes as many dates of
+# paths as fit, at least one, so that below 16,384 paths each reduction's
+# fixed cost is shared by several dates (scripts/tile_probe.py). At 10k
+# paths and more a tile is one date.
+TILE_ELEMENTS = 16_384
+
+
+def tile_dates(n_paths: int, n_dates: int) -> int:
+    """The dates a tile holds: as many rows of `n_paths` as fit
+    TILE_ELEMENTS, at least one and at most the grid's."""
+    return max(1, min(TILE_ELEMENTS // n_paths, n_dates))
+
+
+def y_moments_at(y: np.ndarray, vp: np.ndarray, l_max: int) -> np.ndarray:
+    """Means of y^l (V)+ for l = 0 .. l_max at a tile of dates, shaped
+    (l_max + 1, dates), from the driver `y` and (V)+ in `vp`, each
+    (dates, paths). `vp` then takes the powers y^l (V)+ = y * y^(l-1) (V)+
+    in turn, in place, and is left holding y^l_max (V)+. Each power is
+    summed as soon as it is formed, while it is still in cache; each
+    date's mean rounds as numpy's mean of that date's row."""
+    means = np.empty((l_max + 1,) + y.shape[:-1])
+    means[0] = np.add.reduce(vp, axis=-1)
     for l in range(1, l_max + 1):
-        # y^l (V)+ into rows 1, 2, 1, 2, ..., from the row written before
-        cur = pows[2 - l % 2]
-        np.multiply(pows[1 + l % 2] if l > 1 else pows[0], y, out=cur)
-        means[l] = np.add.reduce(cur)
-    means /= pows.shape[1]
+        np.multiply(vp, y, out=vp)
+        means[l] = np.add.reduce(vp, axis=-1)
+    means /= vp.shape[-1]
     return means
 
 
-def wwr_mc_at(st: DateState, h: np.ndarray, disc_epe: float,
-              c: WwrCoeffs) -> tuple[float, float]:
+def wwr_mc_at(dates, h: np.ndarray, disc_epe, Y_I: np.ndarray, Y_C: np.ndarray,
+              y_I: np.ndarray, c: WwrCoeffs):
     """Covariance of the discounted positive exposure `h` (mean `disc_epe`)
-    with the survival-weighted funding spread at one date after 0, with its
-    batch SE; reads the state's credit drivers and the coefficients at the
-    state's date."""
-    surv = c.H_IC[st.index] * np.exp(-st.Y_I - st.Y_C)
-    spread = c.mu_S[st.index] + c.lgd * st.y_I
-    term = (h - disc_epe) * surv * spread
+    with the survival-weighted funding spread, with its batch SE, at dates
+    after 0: at one date, `dates` its index, with a row of paths in `h`
+    and in the credit drivers Y_I, Y_C and y_I; or at a tile, `dates` a
+    slice, with a row per date in each and a mean per date. Reads the
+    coefficients at those dates."""
+    surv = c.H_IC[dates, None] * np.exp(-Y_I - Y_C)
+    spread = c.mu_S[dates, None] + c.lgd * y_I
+    term = (h - disc_epe[..., None]) * surv * spread
     return _mean(term), _batch_se(term)
+
+
+class DateTile:
+    """Work rows of up to `size` consecutive monitoring dates of paths,
+    which `BaseMoments.enter` fills one date at a time and
+    `BaseMoments.reduce` and `wwr_mc_at` reduce at once.
+
+    Per date: (V)+ (`vp`), which the driver moments overwrite with their
+    powers; the discounted positive exposure h; and, as a stream's state
+    is live only until its next date, copies of the rows the reductions
+    read: the domestic rate noise (with moments) and the credit drivers
+    Y_I, Y_C and y_I (`credit`). A tile of one date is reduced before the
+    next date is drawn, so it reads those rows of the state in place and
+    holds no copies; its reductions read one row of paths (`held`) at one
+    date index (`dates`), as a call on a single date does.
+    """
+
+    def __init__(self, size: int, n_paths: int, moments: bool, credit: bool):
+        self.size, self.moments, self.with_credit = size, moments, credit
+        self.start = self.count = 0
+        rows = np.empty((self.n_rows(size, moments, credit), size, n_paths))
+        self.vp, self.h = rows[0], rows[1]
+        self.y = rows[2] if moments and size > 1 else None
+        self.credit = rows[2 + moments:] if credit and size > 1 else None
+
+    @staticmethod
+    def n_rows(size: int, moments: bool, credit: bool) -> int:
+        """The tile's rows of paths per date (see the class)."""
+        return 2 + (size > 1) * (moments + 3 * credit)
+
+    @property
+    def full(self) -> bool:
+        return self.count == self.size
+
+    @property
+    def dates(self):
+        """The dates the tile holds: a slice, or a tile of one's index."""
+        return self.start if self.size == 1 else slice(self.start, self.start + self.count)
+
+    def held(self, rows: np.ndarray) -> np.ndarray:
+        """The rows of the tile's dates in `rows` (one of its row sets):
+        (dates, paths), or a tile of one's row of paths."""
+        return rows[0] if self.size == 1 else rows[:self.count]
+
+    def take(self, st: DateState) -> int:
+        """The slot of the state's date, the one after the tile's last, or
+        the first of a new tile once the tile is full; holds the state's
+        rows that the reductions read."""
+        if self.full:
+            self.count = 0
+        j = self.count
+        if j == 0:
+            self.start = st.index
+        self.count += 1
+        live = (st.Y_I, st.Y_C, st.y_I) if self.with_credit else ()
+        if self.size == 1:
+            if self.moments:
+                self.y = st.y_r[st.domestic][None]
+            if self.with_credit:
+                self.credit = [row[None] for row in live]
+            return j
+        if self.moments:
+            self.y[j] = st.y_r[st.domestic]
+        for k, row in enumerate(live):
+            self.credit[k, j] = row
+        return j
 
 
 # ---------------------------------------------------------------------------
@@ -129,32 +220,28 @@ class BaseMoments:
         return cls(dates=dates.copy(), disc_epe=np.zeros(n), disc_epe_se=np.zeros(n),
                    y_moments=np.zeros((n_moments, n)))
 
-    @property
-    def scratch_rows(self) -> int:
-        """`enter`'s work rows: (V)+, then up to two for the driver powers."""
-        return min(len(self.y_moments), 3) or 1
+    def enter(self, st: DateState, value_row: np.ndarray, tile: DateTile) -> np.ndarray:
+        """Enter the state's date into the tile's next slot from its value
+        row: fill its discounted exposure at once, and hold in the tile the
+        rows that `reduce` and `wwr_mc_at` read. Return the date's row of
+        per-path discounted positive exposure h, e^{-int r} (V)+."""
+        j = tile.take(st)
+        vp = np.maximum(value_row, 0.0, out=tile.vp[j])
+        h = np.multiply(st.discount, vp, out=tile.h[j])
+        self.disc_epe[st.index] = _mean(h)
+        return h
 
-    def scratch(self, n_paths: int) -> np.ndarray:
-        """`enter`'s work rows (`scratch_rows`) of `n_paths` each."""
-        return np.empty((self.scratch_rows, n_paths))
-
-    def enter(self, st: DateState, value_row: np.ndarray,
-              pows: np.ndarray) -> np.ndarray:
-        """Fill the state's date from its value row; return the per-path
-        discounted positive exposure. (V)+ is formed once, in the first row
-        of the scratch `pows` (`scratch`). The driver moments, their thread
-        CPU time added to `y_moment_seconds`, are filled only when the
-        record holds moment rows."""
-        i = st.index
-        # the discounted positive exposure e^{-int r}(V)+ per path
-        h = st.discount * np.maximum(value_row, 0.0, out=pows[0])
-        self.disc_epe[i], self.disc_epe_se[i] = _mean(h), _batch_se(h)
+    def reduce(self, tile: DateTile) -> None:
+        """Fill the batch SEs of the discounted exposure at the tile's
+        dates, and their driver moments, with their thread CPU time added
+        to `y_moment_seconds`, when the record holds moment rows."""
+        dates = tile.dates
+        self.disc_epe_se[dates] = _batch_se(tile.held(tile.h))
         if len(self.y_moments):
             t0 = time.thread_time()
-            self.y_moments[:, i] = y_moments_at(st.y_r[st.domestic], pows,
-                                                len(self.y_moments) - 1)
+            self.y_moments[:, dates] = y_moments_at(tile.held(tile.y), tile.held(tile.vp),
+                                                    len(self.y_moments) - 1)
             self.y_moment_seconds += time.thread_time() - t0
-        return h
 
 
 def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
@@ -166,9 +253,10 @@ def base_moments(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     if value_mat is None:
         value_mat = value_matrix(p, models, cube)
     bm = BaseMoments.empty(cube.dates, n_r + 3)
-    pows = bm.scratch(cube.n_paths)
+    tile = DateTile(1, cube.n_paths, moments=True, credit=False)
     for i in range(len(cube.dates)):
-        bm.enter(cube.state(i), value_mat[i], pows)
+        bm.enter(cube.state(i), value_mat[i], tile)
+        bm.reduce(tile)
     return bm
 
 
@@ -283,7 +371,7 @@ def epe_wwr_mc(cube: ScenarioCube, p: Portfolio, models: ModelSet,
     for i in range(1, n):
         st = cube.state(i)
         h = st.discount * np.maximum(value_mat[i], 0.0)
-        vals[i], ses[i] = wwr_mc_at(st, h, bm.disc_epe[i], coeffs)
+        vals[i], ses[i] = wwr_mc_at(i, h, bm.disc_epe[i], st.Y_I, st.Y_C, st.y_I, coeffs)
     return vals, ses
 
 

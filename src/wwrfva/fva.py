@@ -39,9 +39,9 @@ import numpy as np
 from . import METHODS, __version__
 from .curves import (MarketData, check_keys, finite, integer, load_market_data,
                      load_yaml, number)
-from .exposure import (BaseMoments, ExposureProfile, coeffs_for_dates, epe_indep,
-                       epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
-                       wwr_mc_at)
+from .exposure import (BaseMoments, DateTile, ExposureProfile, coeffs_for_dates,
+                       epe_indep, epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
+                       tile_dates, wwr_mc_at)
 from .instruments import (FxForward, Portfolio, PortfolioValuation, book_groups,
                           book_rows, exponential_buffer, exponential_rows,
                           load_portfolio)
@@ -431,6 +431,11 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     Each date's book rows are valued once for the pass (`book_rows`), in
     one buffer. The credit covariance reads each leg's own coefficients.
 
+    Each date's discounted exposure is entered at once; the batch SEs,
+    driver moments and credit covariances are reduced per tile of
+    `tile_dates` consecutive dates, one tile per record (or one tile of one
+    date that the records reduce in turn), with the same bits.
+
     The pass stops at the first date whose discounted exposure is not
     finite, with the error the report would give. It runs under
     `mc.pass_numpy_state`: that check and the simulation's own finite
@@ -446,26 +451,42 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
             legs[k].bm = legs[ks[0]].bm
     groups = book_groups(book for ks in twins.values() for book in legs[ks[0]].valuation.books)
     streams = [leg.stream for leg in legs]
-    require_pass_memory(streams, exponential_rows(groups) + legs[0].bm.scratch_rows)
-    expo = exponential_buffer(groups, settings.n_paths)
-    pows = legs[0].bm.scratch(settings.n_paths)
+    n_paths, last = settings.n_paths, len(legs[0].dates) - 1
+    size = tile_dates(n_paths, last + 1)
+    moments = len(legs[0].bm.y_moments) > 0
+    n_tiles = 1 if size == 1 else len(twins)
+    require_pass_memory(streams, exponential_rows(groups)
+                        + n_tiles * size * DateTile.n_rows(size, moments, need_full))
+    expo = exponential_buffer(groups, n_paths)
+    tiles = ([DateTile(size, n_paths, moments, need_full)] * len(twins) if size == 1
+             else [DateTile(size, n_paths, moments, need_full) for _ in twins])
     with pass_numpy_state(), closing(shared_pass(streams)) as dates:
         for states in dates:
             # the book rows read only the rate noise, which the states share
             local_rows = book_rows(groups, states[0], expo)
-            for ks in twins.values():
+            for ks, tile in zip(twins.values(), tiles):
                 st, bm = states[ks[0]], legs[ks[0]].bm
                 i = st.index
-                h = bm.enter(st, legs[ks[0]].valuation.row(st, local_rows), pows)
+                bm.enter(st, legs[ks[0]].valuation.row(st, local_rows), tile)
                 if not math.isfinite(bm.disc_epe[i]):
                     raise exposure_not_finite(bm.dates, i)
-                if need_full and i > 0:
-                    for k in ks:
-                        leg = legs[k]
-                        t0 = time.thread_time()
-                        leg.wwr_mc[i], leg.se_mc[i] = wwr_mc_at(st, h, bm.disc_epe[i],
-                                                                leg.coeffs)
-                        leg.cov_seconds += time.thread_time() - t0
+                if tile.full or i == last:
+                    bm.reduce(tile)
+                    if need_full:
+                        for k in ks:
+                            _enter_covariance(legs[k], tile, bm.disc_epe)
+
+
+def _enter_covariance(leg: _Leg, tile: DateTile, disc_epe: np.ndarray) -> None:
+    """The leg's credit covariance and its SE at the tile's dates, but for
+    date 0, which has none."""
+    t0 = time.thread_time()
+    dates = tile.dates
+    leg.wwr_mc[dates], leg.se_mc[dates] = wwr_mc_at(
+        dates, tile.held(tile.h), disc_epe[dates], *map(tile.held, tile.credit), leg.coeffs)
+    if tile.start == 0:
+        leg.wwr_mc[0] = leg.se_mc[0] = 0.0
+    leg.cov_seconds += time.thread_time() - t0
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,15 @@ enough for OpenBLAS to keep each on one thread (`_correlate`), so they
 do not compete with the draw worker for a core.
 
 The standard normals are drawn ahead on a one-thread
-`concurrent.futures.ThreadPoolExecutor`: while the stream runs one
-monitoring interval, the executor's worker fills the next interval's
+`concurrent.futures.ThreadPoolExecutor`: while the stream runs one block
+of monitoring intervals, the executor's worker fills the next block's
 draws into a second buffer (numpy's generators release the GIL while
-they fill). One worker runs the fills in the order they were submitted,
-so the paths are bit for bit those of a serial loop that draws each
-interval's market and then its credit normals in turn.
+they fill). A block holds as many intervals as fit DRAW_SLOT_ELEMENTS
+normals, at least one: at small path counts one hand-off serves several
+dates. One worker runs the fills in the order they were submitted, and
+a fill draws its intervals in turn, so the paths are bit for bit those
+of a serial loop that draws each interval's market and then its credit
+normals in turn.
 """
 
 from __future__ import annotations
@@ -350,6 +353,19 @@ def _correlate(L: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
         np.matmul(L, z[:, j:j + width], out=out[:, j:j + width])
 
 
+# The normals one slot of the draw ring holds: a slot takes as many
+# consecutive intervals as fit, at least one, so that below about 8k draws
+# an interval one hand-off to the draw worker serves several dates
+# (scripts/tile_probe.py). At 10k paths and more a slot is one interval.
+DRAW_SLOT_ELEMENTS = 65_536
+
+
+def draw_block(interval_rows: int, n_paths: int, n_intervals: int) -> int:
+    """The intervals one slot of the draw ring holds: as many as fit
+    DRAW_SLOT_ELEMENTS normals, at least one and at most the grid's."""
+    return max(1, min(DRAW_SLOT_ELEMENTS // (interval_rows * n_paths), n_intervals))
+
+
 # What a pass allocates besides its rows: the draw worker's thread and
 # futures, array headers, date states and the interpreter's free lists;
 # 28-42 KB under tracemalloc on CPython 3.11, whatever the path count.
@@ -399,19 +415,20 @@ class PathStream:
     `truncated_fraction` and `credit_seconds` describe the pass.
 
     Each pass owns a `ThreadPoolExecutor` with one worker that draws the
-    standard normals into a ring of two preallocated buffers of
+    standard normals into a ring of two preallocated slots of `block`
+    intervals (`draw_block`), each interval's rows
     (2 n_ccy + n_fx + substeps x credit entities, paths): z_V from the
-    market generator, then z_C from the credit generator. The first two
-    intervals are submitted before date 0 is yielded; once an interval has
-    run, the interval two ahead is submitted into the slot just read. The
-    worker only fills buffers; the Cholesky products, the process updates
-    and the finite checks stay in the iterating thread, in the serial
-    order, so the yielded states are bit for bit those of drawing each
-    interval in turn. However the iteration ends (last date, `close()`, a
-    `break`, an exception in the consumer or in the stream), pending fills
-    are cancelled and the worker is joined; an exception raised in the
-    worker is re-raised in the consumer when it reads that interval's
-    result.
+    market generator, then z_C from the credit generator, interval by
+    interval. The first two blocks are submitted before date 0 is yielded;
+    once a block's last interval has run, the block two ahead is submitted
+    into the slot just read. The worker only fills buffers; the Cholesky
+    products, the process updates and the finite checks stay in the
+    iterating thread, in the serial order, so the yielded states are bit
+    for bit those of drawing each interval in turn. However the iteration
+    ends (last date, `close()`, a `break`, an exception in the consumer or
+    in the stream), pending fills are cancelled and the worker is joined;
+    an exception raised in the worker is re-raised in the consumer when it
+    reads that block's result, at the block's first date.
 
     `credit_seconds` is the CPU time of the iterating thread in the credit
     Euler steps (not of OpenBLAS's own threads) plus that of the worker
@@ -468,14 +485,15 @@ class PathStream:
         # states y (and its successor), Y and the FX level; in full mode the
         # credit state, its floor and its integral; the interval's market
         # shocks V, one substep's credit shocks and one credit scratch row;
-        # and the draw ring, two intervals of standard normals. Then the
+        # and the draw ring, two blocks of intervals of standard normals. Then the
         # derived rows (log-FX, credit drivers, investor's driver and the
         # discount its consumer derives) of two dates, the one being built
         # and the one its consumer still holds; a shared pass holds them
         # once per distinct overlay. Plus a boolean mask row per path.
         self.overlay_rows = 2 * (n_fx + n_cred + ("I" in self.entities) + 1)
+        self.block = draw_block(n_V + n_E, n_paths, len(dates) - 1)
         rows = (3 * n_ccy + n_fx) + 3 * n_cred + (n_V + 2 * n_cred) \
-            + 2 * (n_V + n_E) + self.overlay_rows
+            + 2 * self.block * (n_V + n_E) + self.overlay_rows
         self.state_bytes = (8 * n_paths * rows + n_paths * max(n_ccy, n_fx, n_cred)
                             + PASS_OBJECT_BYTES)
         # the cube's slabs: y and Y per currency, log-FX, and in full mode
@@ -594,31 +612,38 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
                          dict(zip(ccys, Y)), dict(zip(fx_ccys, ln_fx)),
                          y_I, Y_c.get("I"), Y_c.get("C"))
 
-    # the draw ring: interval i is drawn into slot (i - 1) % 2, so the worker
-    # fills one slot while the loop reads the other; a slot's first n_V rows
-    # are z_V, the rest z_C, substep-major
-    ring = [np.empty((n_V + nsub * n_cred, n_paths)) for _ in range(2)]
+    # the draw ring: block b, intervals 1 + b * block .. (b + 1) * block, is
+    # drawn into slot b % 2, so the worker fills one slot while the loop reads
+    # the other; an interval's first n_V rows are z_V, the rest z_C,
+    # substep-major
+    block = s0.block
+    n_blocks = -(-(n_dates - 1) // block)
+    ring = np.empty((2, block, n_V + nsub * n_cred, n_paths))
     rng_mkt, rng_credit = _generators(s0.seed)
 
-    def fill(slot):
-        """Draw one interval into `slot`; return the credit fill's CPU seconds."""
-        rng_mkt.standard_normal(out=ring[slot][:n_V])
-        if not entities:
-            return 0.0
-        t0 = time.thread_time()
-        rng_credit.standard_normal(out=ring[slot][n_V:])
-        return time.thread_time() - t0
+    def fill(b):
+        """Draw block b's intervals into its slot, each interval's market
+        and then its credit normals; return the credit fills' CPU seconds."""
+        seconds = 0.0
+        for z in ring[b % 2, :min(block, n_dates - 1 - b * block)]:
+            rng_mkt.standard_normal(out=z[:n_V])
+            if entities:
+                t0 = time.thread_time()
+                rng_credit.standard_normal(out=z[n_V:])
+                seconds += time.thread_time() - t0
+        return seconds
 
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="PathStream draws")
     n_truncated = 0
     credit_seconds = 0.0
     try:
-        ahead = [pool.submit(fill, slot) for slot in range(min(2, n_dates - 1))]
+        ahead = [pool.submit(fill, b) for b in range(min(2, n_blocks))]
         for i in range(n_dates):
             if i > 0:
-                slot = (i - 1) % 2
-                credit_seconds += ahead[slot].result()
-                z, u = ring[slot], which[i - 1]
+                b, j = divmod(i - 1, block)
+                if j == 0:
+                    credit_seconds += ahead[b % 2].result()
+                z, u = ring[b % 2, j], which[i - 1]
                 _correlate(L_V[u], z[:n_V], V)
                 # y_new = decay * y + sigma * I
                 np.multiply(y, decay[u], out=y_new)
@@ -657,8 +682,8 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
                         intx_cred += tmp
                         xp_cred, eps_cred = eps_cred, xp_cred
                     credit_seconds += time.thread_time() - tc
-                if i + 2 < n_dates:
-                    ahead[slot] = pool.submit(fill, slot)
+                if j == block - 1 and b + 2 < n_blocks:
+                    ahead[b % 2] = pool.submit(fill, b + 2)
 
             _check_finite(i, "y", y, ccys, mask)
             _check_finite(i, "Y", Y, ccys, mask)

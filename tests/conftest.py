@@ -19,7 +19,7 @@ from scipy import integrate as sci_integrate
 
 from wwrfva.bounds import (X_CHOICES, _credit_moments_at, _empty_table,
                            _measured_errors)
-from wwrfva.exposure import (BaseMoments, coeffs_for_dates, epe_indep,
+from wwrfva.exposure import (BaseMoments, DateTile, coeffs_for_dates, epe_indep,
                              epe_wwr_approx_generic,
                              epe_wwr_approx_swap_analytic, wwr_mc_at)
 from wwrfva.fva import (build_correlation_for, build_model_set, load_run_config,
@@ -103,7 +103,7 @@ def acc():
     # moments up to the order needed by the n_r = 20 convergence study,
     # and those of the default order, whose time the WWR stage is charged
     bm20, bm5 = BaseMoments.empty(dates, 23), BaseMoments.empty(dates, 8)
-    pows = bm20.scratch(n_paths)  # (V)+ and the driver powers, for both
+    tile = DateTile(1, n_paths, moments=True, credit=False)  # a date's rows, for both
     wwr_mc, wwr_mc_se = np.zeros(n), np.zeros(n)
     cov_seconds = 0.0
     # criterion 1: per-date mean and std of the discount and the survivals
@@ -118,12 +118,15 @@ def acc():
     for st in stream:
         i = st.index
         row = valuation.row(st)
-        bm20.enter(st, row, pows)
-        h = bm5.enter(st, row, pows)
+        bm20.enter(st, row, tile)
+        bm20.reduce(tile)
+        h = bm5.enter(st, row, tile)
+        bm5.reduce(tile)
         if i == 0:
             continue
         tc = time.thread_time()
-        wwr_mc[i], wwr_mc_se[i] = wwr_mc_at(st, h, bm5.disc_epe[i], coeffs5)
+        wwr_mc[i], wwr_mc_se[i] = wwr_mc_at(i, h, bm5.disc_epe[i], st.Y_I, st.Y_C, st.y_I,
+                                            coeffs5)
         cov_seconds += time.thread_time() - tc
         u = float(dates[i])
         market["discount"][:, i] = st.discount.mean(), st.discount.std()

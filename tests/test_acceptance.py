@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from wwrfva.bounds import explicit_e1_bound, swap_cv_bound
-from wwrfva.exposure import (BaseMoments, coeffs_for_dates, epe_indep,
+from wwrfva.exposure import (BaseMoments, DateTile, coeffs_for_dates, epe_indep,
                              epe_wwr_approx_generic,
                              epe_wwr_approx_swap_analytic, normal_moments,
                              psi_diagnostic, truncated_normal_moments,
@@ -83,13 +83,15 @@ def test_criterion_2_zero_correlation(acc):
     valuation = PortfolioValuation(p, models, dates)
     coeffs = coeffs_for_dates(models, corr0, dates, 5)
     bm = BaseMoments.empty(dates, 8)
-    pows = bm.scratch(20000)
+    tile = DateTile(1, 20000, moments=True, credit=False)
     vals, ses = np.zeros(len(dates)), np.zeros(len(dates))
     for st in stream:
-        h = bm.enter(st, valuation.row(st), pows)
-        if st.index:
-            vals[st.index], ses[st.index] = wwr_mc_at(st, h, bm.disc_epe[st.index],
-                                                      coeffs)
+        i = st.index
+        h = bm.enter(st, valuation.row(st), tile)
+        bm.reduce(tile)
+        if i:
+            vals[i], ses[i] = wwr_mc_at(i, h, bm.disc_epe[i], st.Y_I, st.Y_C, st.y_I,
+                                        coeffs)
     total = epe_indep(bm, coeffs, models) + epe_wwr_approx_generic(coeffs, bm)
     c = coeffs
     for i in range(1, len(dates)):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import time
@@ -14,7 +15,7 @@ from wwrfva.exposure import (WwrCoeffs, _assemble_wwr, base_moments,
                              truncated_normal_moments)
 from wwrfva.fva import build_correlation_for, build_model_set
 from wwrfva.instruments import value_matrix
-from wwrfva.mc import SimGrid, simulate
+from wwrfva.mc import SimGrid, pass_numpy_state, simulate
 
 from conftest import normal_partial_moment
 
@@ -308,13 +309,35 @@ def test_estimators_round_as_numpy_mean_and_std(n):
         x = np.maximum(rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5) + k - 10, 0.0)
         batch = x[:(n // nb) * nb].reshape(nb, -1).mean(axis=1)
         want = float(batch.std(ddof=1) / math.sqrt(nb))
-        assert repr(exposure._batch_se(x)) == repr(want)
+        assert repr(float(exposure._batch_se(x))) == repr(want)
         assert exposure._mean(x).tobytes() == x.mean().tobytes()
-        pows = np.empty((3, n))
-        pows[0] = x
         y = rng.standard_normal(n)
         chain = [x]
         for _ in range(3):
             chain.append(chain[-1] * y)
-        got = exposure.y_moments_at(y, pows, 3)
+        vp = x.copy()
+        got = exposure.y_moments_at(y, vp, 3)
         assert got.tobytes() == np.array(chain).mean(axis=1).tobytes()
+        assert vp.tobytes() == chain[-1].tobytes()  # left holding y^3 (V)+
+
+
+@pytest.mark.parametrize("n", [2, 3, 49, 50, 51, 99, 400, 2001])
+@pytest.mark.parametrize("d", [1, 2, 7])
+@pytest.mark.parametrize("state", [contextlib.nullcontext, pass_numpy_state])
+def test_tile_reductions_equal_each_rows_own(n, d, state):
+    # a tile's one 2-D call per reduction rounds each date as the 1-D call
+    # on that date's row alone, under numpy's default ufunc buffer and the
+    # pass's
+    rng = np.random.default_rng(1000 * n + d)
+    scale = 10.0 ** rng.integers(-4, 5, size=(d, 1))
+    x = np.maximum(rng.standard_normal((d, n)) * scale + rng.integers(-2, 3, (d, 1)), 0.0)
+    y = rng.standard_normal((d, n))
+    with state():
+        means, ses = exposure._mean(x), exposure._batch_se(x)
+        moms = exposure.y_moments_at(y, x.copy(), 7)
+        assert means.shape == ses.shape == (d,) and moms.shape == (8, d)
+        for j in range(d):
+            assert means[j].tobytes() == exposure._mean(x[j]).tobytes()
+            assert ses[j].tobytes() == exposure._batch_se(x[j]).tobytes()
+            row = exposure.y_moments_at(y[j], x[j].copy(), 7)
+            assert moms[:, j].tobytes() == row.tobytes()

@@ -20,7 +20,7 @@ from wwrfva.fva import (FvaReport, RunSettings, build_correlation_for,
                         write_profile_csv, write_report_json)
 from wwrfva.instruments import value_matrix
 from wwrfva.mc import PathStream, shared_pass, simulate
-from wwrfva.sensitivities import apply_bump, parse_bump
+from wwrfva.sensitivities import apply_bump, fd_sensitivities, parse_bump
 
 from conftest import fixture_path, small_settings
 
@@ -427,13 +427,18 @@ def test_benchmark_run_simulates_once(monkeypatch, cfg, method):
     assert np.array_equal(bench.profile.epe_wwr, plain.profile.epe_wwr)
 
 
-def test_stage_timers_charge_thread_cpu_time(monkeypatch, b41):
+@pytest.mark.parametrize("tile_elements, n_calls", [
+    (500, 31),   # a tile of one date: one kernel call per date
+    (None, 1)])  # the default: 32 dates of 500 paths a tile, the grid's 31 in one
+def test_stage_timers_charge_thread_cpu_time(monkeypatch, b41, tile_elements, n_calls):
     # a stage timer must not count the time its thread waits for a core
     # while the draw worker or the BLAS threads run; a sleep in the moment
     # kernel stands for such a wait
     inputs, settings = b41
     settings = small_settings(settings, n_paths=500, dates_per_year=1, substeps=1,
                               method="approx_generic")
+    if tile_elements is not None:
+        monkeypatch.setattr(exposure, "TILE_ELEMENTS", tile_elements)
     kernel = exposure.y_moments_at
     slept = []
 
@@ -444,7 +449,8 @@ def test_stage_timers_charge_thread_cpu_time(monkeypatch, b41):
 
     monkeypatch.setattr(exposure, "y_moments_at", sleepy)
     rep = run_fva(inputs, settings)
-    assert len(slept) == len(rep.profile.dates)
+    assert len(rep.profile.dates) == 31
+    assert len(slept) == n_calls
     assert rep.runtime_wwr_seconds < sum(slept)
 
 
@@ -673,3 +679,52 @@ def test_run_fva_legs_build_each_term_once_and_keep_none(monkeypatch, b42):
     assert len(books) == 6
     for a, b in zip(alone, shared):
         assert report_bits(a) == report_bits(b)
+
+
+def _report_bits(rep):
+    """A report's outputs, timings aside, with its profiles' bytes."""
+    out = rep.to_dict(include_timings=False)
+    for name in ("profile", "benchmark_profile"):
+        prof = getattr(rep, name)
+        out[name] = prof and [None if a is None else a.tobytes() for a in
+                              (prof.epe_indep, prof.epe_wwr, prof.se_wwr, prof.se_indep)]
+    return out
+
+
+@pytest.mark.parametrize("method, bench", [("approx_generic", False),
+                                           ("approx_generic", True),
+                                           ("approx_analytic", True), ("mc", False)])
+def test_date_tiles_keep_every_bit(monkeypatch, method, bench):
+    # 31 dates of 300 paths, in tiles of 1, of 4 (seven and a partial 3),
+    # of 7 (four and a partial 3) and, by default, one of all 31; three legs on two overlays: the credit bump shares the base's overlay
+    # and books, so its twin group holds two legs with their own covariance
+    cfg = "single_swap.cfg" if method == "approx_analytic" else "portfolio.cfg"
+    inputs, settings = load_run_config(fixture_path(cfg))
+    settings = small_settings(settings, n_paths=300, dates_per_year=1, substeps=1,
+                              method=method, benchmark=bench)
+    legs = [inputs] + [apply_bump(inputs, parse_bump(text, inputs), +1.0)
+                       for text in ("ir_parallel:EUR", "credit_parallel:C")]
+    runs = []
+    for per_tile in (1, 4, 7, None):
+        size = exposure.tile_dates(300, 1000) if per_tile is None else per_tile
+        monkeypatch.setattr(exposure, "TILE_ELEMENTS", size * 300)
+        reports = run_fva_legs(legs, settings)
+        runs.append([_report_bits(r) for r in reports])
+    assert len(reports[0].profile.dates) == 31
+    assert runs[1] == runs[0] and runs[2] == runs[0] and runs[3] == runs[0]
+
+
+@pytest.mark.parametrize("method", ["approx_generic", "mc"])
+def test_date_tiles_keep_every_sensitivity_bit(monkeypatch, method):
+    # a sensi call whose legs hold two overlays (the rate bump's up and
+    # down); under mc each leg reads its own credit covariance
+    inputs, settings = load_run_config(fixture_path("portfolio.cfg"))
+    settings = small_settings(settings, n_paths=300, dates_per_year=1, substeps=1,
+                              method=method)
+    bumps = [parse_bump(text, inputs) for text in ("ir_parallel:EUR", "credit_parallel:C")]
+    rows = []
+    for per_tile in (1, 4):
+        monkeypatch.setattr(exposure, "TILE_ELEMENTS", per_tile * 300)
+        rows.append([repr(dataclasses.astuple(r)) for r in
+                     fd_sensitivities(inputs, settings, bumps)])
+    assert rows[1] == rows[0]

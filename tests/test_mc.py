@@ -277,29 +277,37 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
     # the state includes the draw ring; portfolio.cfg in full mode has
     # 3 currencies, 2 FX rates and 2 credit entities
     p_models, p_corr = fixture_models("portfolio.cfg")
-    n, nsub = 5000, 3
-    stream = PathStream(p_models, p_corr, SimGrid.regular(4, 10.0, nsub), n, 7, "full")
-    states = 3 * 3 + 2 + 3 * 2          # y, its successor and Y per currency,
+    nsub = 3
+    # 14 rows of normals an interval: a slot of 65,536 holds one interval of
+    # 5,000 paths and nine of 500; the grid has 40
+    for n, block in ((5000, 1), (500, 9)):
+        stream = PathStream(p_models, p_corr, SimGrid.regular(4, 10.0, nsub), n, 7,
+                            "full")
+        assert stream.block == block
+        states = 3 * 3 + 2 + 3 * 2      # y, its successor and Y per currency,
                                         # FX level; credit state, its floor and
                                         # its integral
-    draws = (2 * 3 + 2) + 2 + 2         # the interval's market shocks, one
+        draws = (2 * 3 + 2) + 2 + 2     # the interval's market shocks, one
                                         # substep's credit shocks, one credit
                                         # scratch row
-    derived = 2 * (2 + 2 + 1 + 1)       # log-FX, credit drivers, investor's
+        derived = 2 * (2 + 2 + 1 + 1)   # log-FX, credit drivers, investor's
                                         # driver, discount; two dates
-    ring = 2 * (2 * 3 + 2 + nsub * 2) * n * 8  # 2 x (market and credit normals
-                                               # of an interval) x paths x 8 B
-    mask = 3 * n                        # one byte per path, max(3, 2, 2) rows
-    assert stream.state_bytes == (8 * n * (states + draws + derived) + ring + mask
-                                  + wwrfva.mc.PASS_OBJECT_BYTES)
+        ring = 2 * block * (2 * 3 + 2 + nsub * 2) * n * 8  # 2 slots x block x
+                                        # (market and credit normals of an
+                                        # interval) x paths x 8 B
+        mask = 3 * n                    # one byte per path, max(3, 2, 2) rows
+        assert stream.state_bytes == (8 * n * (states + draws + derived) + ring + mask
+                                      + wwrfva.mc.PASS_OBJECT_BYTES)
     _, models, corr = setup41
     grid = SimGrid.regular(4, 10.0, 2)
     stream = PathStream(models, corr, grid, 5000, 7, "full")
     assert stream.cube_bytes == 8 * 5000 * grid.n_dates * 5  # y, Y, y_I, Y_I, Y_C
+    # a slot holds two intervals of 6 rows: the state is 2.0 MB, the cube 8.2
+    assert stream.block == 2
     # room for the streamed state but not for the cube
     monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
                         lambda: stream.state_bytes + stream.cube_bytes // 2)
-    with pytest.raises(ValueError, match=r"scenario cube .* needs 9\.7 MB, more "
+    with pytest.raises(ValueError, match=r"scenario cube .* needs 10\.2 MB, more "
                                          r"than the \d\.\d MB of physical memory"):
         simulate(models, corr, grid, 5000, 7, "full")
     assert sum(1 for _ in PathStream(models, corr, grid, 5000, 7, "full")) == grid.n_dates
@@ -319,6 +327,10 @@ def test_state_bytes_bound_the_traced_pass(cfg):
     n = 1000
     stream = PathStream(models, build_correlation_for(models, inputs.correlations),
                         make_grid(inputs, settings), n, 3, "full")
+    # a slot of the draw ring holds several intervals (6 of the single
+    # swap's 10 rows, 4 of the portfolio's 16)
+    assert stream.block == 65_536 // (stream.n_V + len(stream.entities)
+                                      * settings.substeps_per_interval) // n > 1
 
     def consume():
         for st in stream:
@@ -528,17 +540,26 @@ def as_arrays(rows):
 @pytest.mark.parametrize("mode", ["base", "full"])
 @pytest.mark.parametrize("cfg", ["single_swap.cfg", "portfolio.cfg",
                                  "single_swap.cfg uncorrelated"])
-def test_draw_ahead_equals_serial_draws(cfg, mode, nsub, n_paths):
+@pytest.mark.parametrize("per_slot", [1, 5, None])
+def test_draw_ahead_equals_serial_draws(monkeypatch, cfg, mode, nsub, n_paths, per_slot):
     if cfg.endswith(" uncorrelated"):
         # a zero market-credit block: the credit shocks read z_C alone
         models, corr = uncorrelated_credit_models(cfg.split()[0])
     else:
         models, corr = fixture_models(cfg)
     # 12 intervals; 1, where fewer than two fills are submitted up front;
-    # 2, where no slot is ever refilled
+    # 2, where no slot is ever refilled. A slot of `per_slot` intervals
+    # (None: the default budget, all 12 at one path) splits 12 into blocks
+    # of 1, or of 5, 5 and a partial 2.
     for n_intervals in (12, 1, 2):
         grid = SimGrid.regular(4, n_intervals / 4, nsub)
+        if per_slot is not None:
+            rows = PathStream(models, corr, grid, n_paths, 5, mode).n_V \
+                + nsub * len(models.credit) * (mode == "full")
+            monkeypatch.setattr("wwrfva.mc.DRAW_SLOT_ELEMENTS", per_slot * rows * n_paths)
         stream = PathStream(models, corr, grid, n_paths, 5, mode)
+        if per_slot is not None:
+            assert stream.block == min(per_slot, n_intervals)
         first = collect(stream)
         assert collect(stream) == first
         # drawn ahead, the stream's states are bit for bit those of the
@@ -668,34 +689,46 @@ def test_worker_joined_however_the_stream_ends(end, setup41):
 
 
 class FailingMarket:
-    """A generator wrapper whose third fill raises."""
+    """A generator wrapper whose fill number `failing` (one interval's
+    market normals) raises."""
 
-    def __init__(self, rng):
-        self.rng, self.fills = rng, 0
+    def __init__(self, rng, failing):
+        self.rng, self.fills, self.failing = rng, 0, failing
 
     def standard_normal(self, *args, **kwargs):
         self.fills += 1
-        if self.fills == 3:
+        if self.fills == self.failing:
             raise RuntimeError("draw failed")
         return self.rng.standard_normal(*args, **kwargs)
 
 
-def test_worker_exception_raised_in_the_consumer(monkeypatch, setup41):
+# the single swap in full mode with 2 substeps draws 6 rows of 100 paths
+# an interval
+@pytest.mark.parametrize("block, failing, seen_dates", [
+    # one interval a slot: the first two were drawn before the third failed
+    (1, 3, [0, 1, 2]),
+    # two a slot: interval 6 fails in the block of intervals 5 and 6, and
+    # the consumer reads that block's result at its first date, 5
+    (2, 6, [0, 1, 2, 3, 4])])
+def test_worker_exception_raised_in_the_consumer(monkeypatch, setup41, block, failing,
+                                                 seen_dates):
     _, models, corr = setup41
     make = wwrfva.mc._generators
 
     def generators(seed):
         rng_mkt, rng_credit = make(seed)
-        return FailingMarket(rng_mkt), rng_credit
+        return FailingMarket(rng_mkt, failing), rng_credit
 
     monkeypatch.setattr("wwrfva.mc._generators", generators)
+    monkeypatch.setattr("wwrfva.mc.DRAW_SLOT_ELEMENTS", block * 6 * 100)
+    stream = PathStream(models, corr, SimGrid.regular(4, 5.0, 2), 100, 7, "full")
+    assert stream.block == block
     before = set(threading.enumerate())
     seen = []
     with pytest.raises(RuntimeError, match="draw failed"):
-        for st in PathStream(models, corr, SimGrid.regular(4, 5.0, 2), 100, 7, "full"):
+        for st in stream:
             seen.append(st.index)
-    # the first two intervals were drawn before the third fill failed
-    assert seen == [0, 1, 2]
+    assert seen == seen_dates
     assert set(threading.enumerate()) == before
 
 
