@@ -201,10 +201,27 @@ def credit_moment_table(cube: ScenarioCube, max_order: int = 16) -> CreditMoment
 # ---------------------------------------------------------------------------
 # the explicit constants of the closed-form bound
 
+def _scaled_exp(a: float, c: float) -> float:
+    """c e^a, infinite only where it exceeds a double: e^a alone may
+    overflow while c e^a does not."""
+    if c == 0.0:
+        return 0.0
+    try:
+        return c * math.exp(a)
+    except OverflowError:
+        pass
+    try:
+        return math.copysign(math.exp(a + math.log(abs(c))), c)
+    except OverflowError:
+        return math.copysign(math.inf, c)
+
+
 def c1_const(m: int, x: str, var_Yr: float, tab: CreditMomentTable,
              i: int) -> float:
-    """Upper bound on E[e^{-m Y_r} x^m] (equality at x = 1)."""
-    e_small = math.exp(0.5 * m * m * var_Yr)
+    """Upper bound on E[e^{-m Y_r} x^m] (equality at x = 1); infinite only
+    where the bound exceeds a double."""
+    a = m * m * var_Yr
+    e_small = _scaled_exp(0.5 * a, 1.0)
     if x == "1":
         return e_small
     if 2 * m > 8:
@@ -212,8 +229,9 @@ def c1_const(m: int, x: str, var_Yr: float, tab: CreditMomentTable,
     ex_m = tab.y_I[m, i]
     ex_2m = tab.y_I[2 * m, i]
     spread = math.sqrt(max(ex_2m - ex_m * ex_m, 0.0))
-    big = math.sqrt(max(math.exp(2.0 * m * m * var_Yr) - e_small * e_small, 0.0))
-    return big * spread + e_small * ex_m
+    # the SD of e^{-m Y_r}, sqrt(e^{2a} - e^a), as e^a sqrt(1 - e^{-a}),
+    # which overflows only with e^a
+    return _scaled_exp(a, math.sqrt(-math.expm1(-a)) * spread) + _scaled_exp(0.5 * a, ex_m)
 
 
 def c2_const(m: int, x: str, tab: CreditMomentTable, i: int) -> float:

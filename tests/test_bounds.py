@@ -117,6 +117,30 @@ def test_c1_equality_at_unit_weight(rig):
         c1_const(5, "y_I", var, tab, i)  # needs y_I moments beyond order 8
 
 
+@pytest.mark.parametrize("m, var", [(2, 0.3), (4, 0.3), (4, 22.0), (4, 30.0), (4, 45.0),
+                                    (4, 60.0), (2, 180.0), (2, 200.0)])
+def test_c1_is_finite_wherever_the_bound_is(rig, m, var):
+    # e^{2 m^2 Var Y_r} overflowed from Var Y_r of about 22 at m = 4, and
+    # the bounds verb failed with "OverflowError: math range error"; the
+    # bound e^{m^2 V} sqrt(1 - e^{-m^2 V}) spread + e^{m^2 V / 2} E[y_I^m]
+    # stays finite until e^{m^2 V} times the spread exceeds a double, past
+    # the overflow of e^{m^2 V} alone (at m^2 V = 720)
+    *_, tab, coeffs, bm = rig
+    i = 12
+    a = mpmath.mpf(m * m * var)
+    ex_m, ex_2m = (mpmath.mpf(float(tab.y_I[k, i])) for k in (m, 2 * m))
+    want = (mpmath.sqrt(mpmath.exp(2 * a) - mpmath.exp(a)) * mpmath.sqrt(ex_2m - ex_m ** 2)
+            + mpmath.exp(a / 2) * ex_m)
+    got = c1_const(m, "y_I", var, tab, i)
+    if want > mpmath.mpf(np.finfo(float).max):
+        assert got == math.inf
+    else:
+        assert math.isfinite(got)
+        assert got == pytest.approx(float(want), rel=1e-12)
+    assert c1_const(m, "1", var, tab, i) == (math.exp(0.5 * m * m * var)
+                                             if 0.5 * m * m * var < 709.0 else math.inf)
+
+
 def test_c2_even_orders_nonnegative(rig):
     inputs, models, corr, full, vm, tab, coeffs, bm = rig
     for i in (5, 40, 100):

@@ -285,6 +285,18 @@ def test_non_finite_bounds_is_an_error(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_bounds_runs_where_the_rate_variance_is_large(tmp_path, capsys):
+    # Var Y_r passes 22 by the last dates, where the eps1 constant at m = 4
+    # used to overflow e^{2 m^2 Var Y_r} and end the verb with "OverflowError:
+    # math range error" although fva runs the same config
+    cfg = _edited_config(tmp_path, "single_swap.cfg", "a: 1.0e-5", "a: -0.2")
+    rc = main(["bounds", "--config", str(cfg), "--paths", "1000", "--dates-per-year", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    rows = (tmp_path / "out" / "bounds.csv").read_text().splitlines()
+    assert len(rows) > 1 and "nan" not in "".join(rows)
+
+
 def test_negative_mean_reversion_runs(tmp_path, capsys):
     # a = -0.1 stays finite over the swap's 30 years, so the loader takes
     # a negative reversion
