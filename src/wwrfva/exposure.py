@@ -83,9 +83,9 @@ def _batch_se(values: np.ndarray):
 # perfbench's cube forms, by one stored date, a tile of one)
 
 # The doubles one row of a date tile holds: a tile takes as many dates of
-# paths as fit, at least one, so that below 16,384 paths each reduction's
-# fixed cost is shared by several dates (scripts/tile_probe.py). At 10k
-# paths and more a tile is one date.
+# paths as fit, at least one, so that at 8,192 paths or fewer each
+# reduction's fixed cost is shared by several dates (scripts/tile_probe.py).
+# At 10k paths and more a tile is one date.
 TILE_ELEMENTS = 16_384
 
 

@@ -354,9 +354,10 @@ def _correlate(L: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
 
 
 # The normals one slot of the draw ring holds: a slot takes as many
-# consecutive intervals as fit, at least one, so that below about 8k draws
-# an interval one hand-off to the draw worker serves several dates
-# (scripts/tile_probe.py). At 10k paths and more a slot is one interval.
+# consecutive intervals as fit, at least one, so that where an interval
+# draws at most half as many, one hand-off to the draw worker serves
+# several dates (scripts/tile_probe.py). At 10k paths and more a slot is
+# one interval.
 DRAW_SLOT_ELEMENTS = 65_536
 
 
@@ -485,11 +486,11 @@ class PathStream:
         # states y (and its successor), Y and the FX level; in full mode the
         # credit state, its floor and its integral; the interval's market
         # shocks V, one substep's credit shocks and one credit scratch row;
-        # and the draw ring, two blocks of intervals of standard normals. Then the
-        # derived rows (log-FX, credit drivers, investor's driver and the
-        # discount its consumer derives) of two dates, the one being built
-        # and the one its consumer still holds; a shared pass holds them
-        # once per distinct overlay. Plus a boolean mask row per path.
+        # and the draw ring, two blocks of intervals of standard normals.
+        # Then the derived rows (log-FX, credit drivers, investor's driver
+        # and the discount its consumer derives) of two dates, the one being
+        # built and the one its consumer still holds; a shared pass holds
+        # them once per distinct overlay. Plus a boolean mask row per path.
         self.overlay_rows = 2 * (n_fx + n_cred + ("I" in self.entities) + 1)
         self.block = draw_block(n_V + n_E, n_paths, len(dates) - 1)
         rows = (3 * n_ccy + n_fx) + 3 * n_cred + (n_V + 2 * n_cred) \

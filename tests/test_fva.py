@@ -728,3 +728,36 @@ def test_date_tiles_keep_every_sensitivity_bit(monkeypatch, method):
         rows.append([repr(dataclasses.astuple(r)) for r in
                      fd_sensitivities(inputs, settings, bumps)])
     assert rows[1] == rows[0]
+
+
+@pytest.mark.parametrize("method, bench, rows", [
+    ("approx_generic", False, 3),   # (V)+, h and the rate noise's copy
+    ("approx_generic", True, 6),    # and the three credit drivers' copies
+    ("approx_analytic", True, 5)])  # no driver moments, no rate noise copy
+def test_the_pass_memory_check_counts_the_tile_rows(monkeypatch, method, bench, rows):
+    # before any normal is drawn, the pass asks for its tile rows with the
+    # rest of its state: at 500 paths a tile holds all 31 dates, `rows`
+    # rows of paths each, where a tile of one date holds (V)+ and h alone
+    import wwrfva.mc
+    inputs, settings = load_run_config(fixture_path("single_swap.cfg"))
+    settings = small_settings(settings, n_paths=500, dates_per_year=1, substeps=1,
+                              method=method, benchmark=bench)
+    require = wwrfva.mc.require_memory
+
+    def largest_state_asked(tile_elements):
+        """The largest memory check of the simulation state in one run: the
+        pass's, which counts its bond exponentials and tile rows."""
+        asked = []
+
+        def spy(n_bytes, what):
+            if what == "the simulation state":
+                asked.append(n_bytes)
+            return require(n_bytes, what)
+
+        monkeypatch.setattr(wwrfva.mc, "require_memory", spy)
+        monkeypatch.setattr(exposure, "TILE_ELEMENTS", tile_elements)
+        run_fva(inputs, settings)
+        return max(asked)
+
+    assert (largest_state_asked(31 * 500) - largest_state_asked(500)
+            == 8 * 500 * (31 * rows - 2))
