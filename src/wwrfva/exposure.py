@@ -119,9 +119,12 @@ def wwr_mc_at(dates, h: np.ndarray, disc_epe, Y_I: np.ndarray, Y_C: np.ndarray,
     and in the credit drivers Y_I, Y_C and y_I; or at a tile, `dates` a
     slice, with a row per date in each and a mean per date. Reads the
     coefficients at those dates."""
-    surv = c.H_IC[dates, None] * np.exp(-Y_I - Y_C)
-    spread = c.mu_S[dates, None] + c.lgd * y_I
-    term = (h - disc_epe[..., None]) * surv * spread
+    # a column per date of a tile; a scalar at one date, as a broadcast
+    # operand of another shape leaves numpy's fast scalar loop
+    col = (..., None) if h.ndim > 1 else ()
+    surv = c.H_IC[dates][col] * np.exp(-Y_I - Y_C)
+    spread = c.mu_S[dates][col] + c.lgd * y_I
+    term = (h - disc_epe[col]) * surv * spread
     return _mean(term), _batch_se(term)
 
 
@@ -131,10 +134,11 @@ class DateTile:
     `BaseMoments.reduce` and `wwr_mc_at` reduce at once.
 
     Per date: (V)+ (`vp`), which the driver moments overwrite with their
-    powers; the discounted positive exposure h; and, as a stream's state
-    is live only until its next date, copies of the rows the reductions
-    read: the domestic rate noise (with moments) and the credit drivers
-    Y_I, Y_C and y_I (`credit`). A tile of one date is reduced before the
+    powers; the discounted positive exposure h, formed in place of (V)+
+    when no moments read it; and, as a stream's state is live only until
+    its next date, copies of the rows the reductions read: the domestic
+    rate noise (with moments) and the credit drivers Y_I, Y_C and y_I
+    (`credit`). A tile of one date is reduced before the
     next date is drawn, so it reads those rows of the state in place and
     holds no copies; its reductions read one row of paths (`held`) at one
     date index (`dates`), as a call on a single date does.
@@ -144,14 +148,14 @@ class DateTile:
         self.size, self.moments, self.with_credit = size, moments, credit
         self.start = self.count = 0
         rows = np.empty((self.n_rows(size, moments, credit), size, n_paths))
-        self.vp, self.h = rows[0], rows[1]
+        self.vp, self.h = rows[0], rows[int(moments)]
         self.y = rows[2] if moments and size > 1 else None
-        self.credit = rows[2 + moments:] if credit and size > 1 else None
+        self.credit = rows[1 + 2 * moments:] if credit and size > 1 else None
 
     @staticmethod
     def n_rows(size: int, moments: bool, credit: bool) -> int:
         """The tile's rows of paths per date (see the class)."""
-        return 2 + (size > 1) * (moments + 3 * credit)
+        return 1 + moments + (size > 1) * (moments + 3 * credit)
 
     @property
     def full(self) -> bool:

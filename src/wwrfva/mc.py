@@ -619,14 +619,14 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
     # substep-major
     block = s0.block
     n_blocks = -(-(n_dates - 1) // block)
-    ring = np.empty((2, block, n_V + nsub * n_cred, n_paths))
+    ring = [np.empty((block, n_V + nsub * n_cred, n_paths)) for _ in range(2)]
     rng_mkt, rng_credit = _generators(s0.seed)
 
     def fill(b):
         """Draw block b's intervals into its slot, each interval's market
         and then its credit normals; return the credit fills' CPU seconds."""
         seconds = 0.0
-        for z in ring[b % 2, :min(block, n_dates - 1 - b * block)]:
+        for z in ring[b % 2][:min(block, n_dates - 1 - b * block)]:
             rng_mkt.standard_normal(out=z[:n_V])
             if entities:
                 t0 = time.thread_time()
@@ -644,7 +644,7 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
                 b, j = divmod(i - 1, block)
                 if j == 0:
                     credit_seconds += ahead[b % 2].result()
-                z, u = ring[b % 2, j], which[i - 1]
+                z, u = ring[b % 2][j], which[i - 1]
                 _correlate(L_V[u], z[:n_V], V)
                 # y_new = decay * y + sigma * I
                 np.multiply(y, decay[u], out=y_new)

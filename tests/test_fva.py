@@ -427,13 +427,9 @@ def test_benchmark_run_simulates_once(monkeypatch, cfg, method):
     assert np.array_equal(bench.profile.epe_wwr, plain.profile.epe_wwr)
 
 
-@pytest.mark.parametrize("tile_elements, n_calls", [
-    (500, 31),   # a tile of one date: one kernel call per date
-    (None, 1)])  # the default: 32 dates of 500 paths a tile, the grid's 31 in one
-def test_stage_timers_charge_thread_cpu_time(monkeypatch, b41, tile_elements, n_calls):
-    # a stage timer must not count the time its thread waits for a core
-    # while the draw worker or the BLAS threads run; a sleep in the moment
-    # kernel stands for such a wait
+def stage_timer_run(monkeypatch, b41, tile_elements=None):
+    """A run whose moment kernel sleeps 0.02 s a call: its report, the
+    sleeps and the run's 31 dates of 500 paths."""
     inputs, settings = b41
     settings = small_settings(settings, n_paths=500, dates_per_year=1, substeps=1,
                               method="approx_generic")
@@ -450,7 +446,22 @@ def test_stage_timers_charge_thread_cpu_time(monkeypatch, b41, tile_elements, n_
     monkeypatch.setattr(exposure, "y_moments_at", sleepy)
     rep = run_fva(inputs, settings)
     assert len(rep.profile.dates) == 31
-    assert len(slept) == n_calls
+    return rep, slept
+
+
+def test_stage_timers_charge_thread_cpu_time(monkeypatch, b41):
+    # a stage timer must not count the time its thread waits for a core
+    # while the draw worker or the BLAS threads run; a sleep in the moment
+    # kernel stands for such a wait. Tiles of one date: a call per date
+    rep, slept = stage_timer_run(monkeypatch, b41, tile_elements=500)
+    assert len(slept) == len(rep.profile.dates)
+    assert rep.runtime_wwr_seconds < sum(slept)
+
+
+def test_stage_timers_charge_thread_cpu_time_per_tile(monkeypatch, b41):
+    # by default a tile holds 32 dates of 500 paths: one call for the 31
+    rep, slept = stage_timer_run(monkeypatch, b41)
+    assert len(slept) == 1
     assert rep.runtime_wwr_seconds < sum(slept)
 
 
@@ -730,14 +741,16 @@ def test_date_tiles_keep_every_sensitivity_bit(monkeypatch, method):
     assert rows[1] == rows[0]
 
 
-@pytest.mark.parametrize("method, bench, rows", [
-    ("approx_generic", False, 3),   # (V)+, h and the rate noise's copy
-    ("approx_generic", True, 6),    # and the three credit drivers' copies
-    ("approx_analytic", True, 5)])  # no driver moments, no rate noise copy
-def test_the_pass_memory_check_counts_the_tile_rows(monkeypatch, method, bench, rows):
+@pytest.mark.parametrize("method, bench, rows, rows_one", [
+    ("approx_generic", False, 3, 2),   # (V)+, h and the rate noise's copy
+    ("approx_generic", True, 6, 2),    # and the three credit drivers' copies
+    ("approx_analytic", True, 4, 1)])  # h in place of (V)+: no driver moments
+def test_the_pass_memory_check_counts_the_tile_rows(monkeypatch, method, bench, rows,
+                                                    rows_one):
     # before any normal is drawn, the pass asks for its tile rows with the
     # rest of its state: at 500 paths a tile holds all 31 dates, `rows`
-    # rows of paths each, where a tile of one date holds (V)+ and h alone
+    # rows of paths each, where a tile of one date reads the state's rows
+    # in place and holds `rows_one`
     import wwrfva.mc
     inputs, settings = load_run_config(fixture_path("single_swap.cfg"))
     settings = small_settings(settings, n_paths=500, dates_per_year=1, substeps=1,
@@ -760,4 +773,4 @@ def test_the_pass_memory_check_counts_the_tile_rows(monkeypatch, method, bench, 
         return max(asked)
 
     assert (largest_state_asked(31 * 500) - largest_state_asked(500)
-            == 8 * 500 * (31 * rows - 2))
+            == 8 * 500 * (31 * rows - rows_one))

@@ -535,22 +535,20 @@ def as_arrays(rows):
     return [{k: np.frombuffer(v) for k, v in r.items()} for r in rows]
 
 
-@pytest.mark.parametrize("n_paths", [1, 1000])
-@pytest.mark.parametrize("nsub", [1, 4])
-@pytest.mark.parametrize("mode", ["base", "full"])
-@pytest.mark.parametrize("cfg", ["single_swap.cfg", "portfolio.cfg",
-                                 "single_swap.cfg uncorrelated"])
-@pytest.mark.parametrize("per_slot", [1, 5, None])
-def test_draw_ahead_equals_serial_draws(monkeypatch, cfg, mode, nsub, n_paths, per_slot):
+DRAW_CFGS = ["single_swap.cfg", "portfolio.cfg", "single_swap.cfg uncorrelated"]
+
+
+def check_draw_ahead(monkeypatch, cfg, mode, nsub, n_paths, per_slot=None):
+    """A stream drawn ahead equals the serial loop bit for bit on grids of
+    12, 1 and 2 intervals, under the default draw budget or one of
+    `per_slot` intervals a slot."""
     if cfg.endswith(" uncorrelated"):
         # a zero market-credit block: the credit shocks read z_C alone
         models, corr = uncorrelated_credit_models(cfg.split()[0])
     else:
         models, corr = fixture_models(cfg)
     # 12 intervals; 1, where fewer than two fills are submitted up front;
-    # 2, where no slot is ever refilled. A slot of `per_slot` intervals
-    # (None: the default budget, all 12 at one path) splits 12 into blocks
-    # of 1, or of 5, 5 and a partial 2.
+    # 2, where no slot is ever refilled
     for n_intervals in (12, 1, 2):
         grid = SimGrid.regular(4, n_intervals / 4, nsub)
         if per_slot is not None:
@@ -574,6 +572,25 @@ def test_draw_ahead_equals_serial_draws(monkeypatch, cfg, mode, nsub, n_paths, p
             for k in got:
                 np.testing.assert_allclose(got[k], want[k], rtol=1e-11, atol=1e-14,
                                            err_msg=k)
+
+
+@pytest.mark.parametrize("n_paths", [1, 1000])
+@pytest.mark.parametrize("nsub", [1, 4])
+@pytest.mark.parametrize("mode", ["base", "full"])
+@pytest.mark.parametrize("cfg", DRAW_CFGS)
+def test_draw_ahead_equals_serial_draws(monkeypatch, cfg, mode, nsub, n_paths):
+    # under the default budget a slot holds all 12 intervals at one path,
+    # and at 1,000 paths 4 to 8 of them, the last block partial
+    check_draw_ahead(monkeypatch, cfg, mode, nsub, n_paths)
+
+
+@pytest.mark.parametrize("per_slot", [1, 5])
+@pytest.mark.parametrize("mode", ["base", "full"])
+@pytest.mark.parametrize("cfg", DRAW_CFGS)
+def test_draw_blocks_equal_serial_draws(monkeypatch, cfg, mode, per_slot):
+    # slots pinned to one interval, and to five, which split 12 intervals
+    # into blocks of 5, 5 and a partial 2
+    check_draw_ahead(monkeypatch, cfg, mode, 4, 1000, per_slot)
 
 
 def test_gauss_legendre_rule():
@@ -702,16 +719,10 @@ class FailingMarket:
         return self.rng.standard_normal(*args, **kwargs)
 
 
-# the single swap in full mode with 2 substeps draws 6 rows of 100 paths
-# an interval
-@pytest.mark.parametrize("block, failing, seen_dates", [
-    # one interval a slot: the first two were drawn before the third failed
-    (1, 3, [0, 1, 2]),
-    # two a slot: interval 6 fails in the block of intervals 5 and 6, and
-    # the consumer reads that block's result at its first date, 5
-    (2, 6, [0, 1, 2, 3, 4])])
-def test_worker_exception_raised_in_the_consumer(monkeypatch, setup41, block, failing,
-                                                 seen_dates):
+def raise_in_worker(monkeypatch, setup41, block, failing):
+    """The dates a full stream of the single swap (2 substeps, so 6 rows of
+    100 paths an interval) yields before the market fill number `failing`
+    raises in the draw worker, with `block` intervals a slot."""
     _, models, corr = setup41
     make = wwrfva.mc._generators
 
@@ -728,8 +739,19 @@ def test_worker_exception_raised_in_the_consumer(monkeypatch, setup41, block, fa
     with pytest.raises(RuntimeError, match="draw failed"):
         for st in stream:
             seen.append(st.index)
-    assert seen == seen_dates
     assert set(threading.enumerate()) == before
+    return seen
+
+
+def test_worker_exception_raised_in_the_consumer(monkeypatch, setup41):
+    # one interval a slot: the first two were drawn before the third failed
+    assert raise_in_worker(monkeypatch, setup41, 1, 3) == [0, 1, 2]
+
+
+def test_worker_exception_surfaces_at_its_blocks_first_date(monkeypatch, setup41):
+    # two intervals a slot: interval 6 fails in the block of intervals 5
+    # and 6, and the consumer reads that block's result at its first date
+    assert raise_in_worker(monkeypatch, setup41, 2, 6) == [0, 1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
