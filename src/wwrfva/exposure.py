@@ -138,10 +138,10 @@ class DateTile:
     when no moments read it; and, as a stream's state is live only until
     its next date, copies of the rows the reductions read: the domestic
     rate noise (with moments) and the credit drivers Y_I, Y_C and y_I
-    (`credit`). A tile of one date is reduced before the
-    next date is drawn, so it reads those rows of the state in place and
-    holds no copies; its reductions read one row of paths (`held`) at one
-    date index (`dates`), as a call on a single date does.
+    (`credit`). A tile of one date is reduced before the next date is
+    drawn, so it reads those rows of the state in place and holds no
+    copies; its reductions read one row of paths (`held`) at one date
+    index (`dates`), as a call on a single date does.
     """
 
     def __init__(self, size: int, n_paths: int, moments: bool, credit: bool):
