@@ -123,8 +123,8 @@ def _run(args) -> int:
     if args.verb == "bounds":
         from .bounds import bound_rows, write_bounds_csv
         from .fva import build_correlation_for, build_model_set, make_grid
-        from .instruments import PortfolioValuation, exponential_rows
-        from .mc import PathStream, require_pass_memory
+        from .instruments import PortfolioValuation
+        from .mc import PathStream
         s = inputs.portfolio.single_swap
         if s is None:
             raise ValueError("bounds report needs a single-swap portfolio")
@@ -133,10 +133,7 @@ def _run(args) -> int:
         stream = PathStream(models, corr, make_grid(inputs, settings),
                             settings.n_paths, settings.seed, "full")
         valuation = PortfolioValuation(inputs.portfolio, models, stream.dates)
-        # the valuation allocates its bond exponentials on the first date
-        require_pass_memory([stream], exponential_rows(valuation.groups))
-        rows = bound_rows(s, models, stream,
-                          ((st, valuation.row(st)) for st in stream),
+        rows = bound_rows(s, models, stream, valuation.valued_pass(stream),
                           settings.n_r, args.orders)
         write_bounds_csv(rows, os.path.join(args.out, "bounds.csv"))
         print(f"wrote {len(rows)} bound rows")

@@ -42,12 +42,12 @@ from .curves import (MarketData, check_keys, finite, integer, load_market_data,
 from .exposure import (BaseMoments, DateTile, ExposureProfile, coeffs_for_dates,
                        epe_indep, epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        tile_dates, wwr_mc_at)
-from .instruments import (FxForward, Portfolio, PortfolioValuation, book_groups,
-                          book_rows, exponential_buffer, exponential_rows,
+from .instruments import (FxForward, Portfolio, PortfolioValuation,
+                          book_buffer, book_groups, book_rows, buffer_rows,
                           load_portfolio)
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
                  exposure_not_finite, factor_labels, fx_factor, pair_key,
-                 pass_numpy_state, rate_factor, require_pass_memory, shared_pass)
+                 pass_numpy_state, rate_factor, shared_pass)
 from .models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                      QuantoAdjust, shared_terms)
 
@@ -450,20 +450,19 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
         for k in ks[1:]:
             legs[k].bm = legs[ks[0]].bm
     groups = book_groups(book for ks in twins.values() for book in legs[ks[0]].valuation.books)
-    streams = [leg.stream for leg in legs]
     n_paths, last = settings.n_paths, len(legs[0].dates) - 1
     size = tile_dates(n_paths, last + 1)
     moments = len(legs[0].bm.y_moments) > 0
     n_tiles = 1 if size == 1 else len(twins)
-    require_pass_memory(streams, exponential_rows(groups)
+    dates = shared_pass([leg.stream for leg in legs], buffer_rows(groups)
                         + n_tiles * size * DateTile.n_rows(size, moments, need_full))
-    expo = exponential_buffer(groups, n_paths)
+    buffer = book_buffer(groups, n_paths)
     tiles = ([DateTile(size, n_paths, moments, need_full)] * len(twins) if size == 1
              else [DateTile(size, n_paths, moments, need_full) for _ in twins])
-    with pass_numpy_state(), closing(shared_pass(streams)) as dates:
+    with pass_numpy_state(), closing(dates):
         for states in dates:
             # the book rows read only the rate noise, which the states share
-            local_rows = book_rows(groups, states[0], expo)
+            local_rows = book_rows(groups, states[0], buffer)
             for ks, tile in zip(twins.values(), tiles):
                 st, bm = states[ks[0]], legs[ks[0]].bm
                 i = st.index

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .curves import check_keys, finite, integer, load_yaml
-from .mc import CorrelationMatrix, DateState, ScenarioCube, fx_factor, rate_factor
+from .mc import (CorrelationMatrix, DateState, PathStream, ScenarioCube, fx_factor,
+                 rate_factor, shared_pass)
 from .models import Hw1fParams, ModelSet, bfac, fx_terms, hw_terms, sigma_ratio, term
 
 
@@ -444,32 +445,35 @@ def book_groups(books) -> list[list[CurrencyBook]]:
     return list(groups.values())
 
 
-def exponential_rows(groups) -> int:
-    """The rows of `exponential_buffer` for `groups`: their most live payments."""
-    return max(g[0].B.shape[1] - g[0].start[0] for g in groups)
+def buffer_rows(groups) -> int:
+    """The rows of `book_buffer` for `groups`: their most live payments,
+    then one value row per book."""
+    return max(g[0].B.shape[1] - g[0].start[0] for g in groups) + sum(map(len, groups))
 
 
-def exponential_buffer(groups, n_paths: int) -> np.ndarray:
-    """`book_rows`' scratch for `groups`: their most live payments x paths.
-    Allocated once per pass, no freed per-date matrix moves glibc's mmap
-    threshold (after which later matrices come from the heap)."""
-    return np.empty((exponential_rows(groups), n_paths))
+def book_buffer(groups, n_paths: int) -> np.ndarray:
+    """`book_rows`' buffer for `groups`, `buffer_rows` rows of paths. A
+    pass allocates it once: no freed per-date matrix then moves glibc's
+    mmap threshold (after which later matrices come from the heap)."""
+    return np.empty((buffer_rows(groups), n_paths))
 
 
-def book_rows(groups, st: DateState,
-              expo_buffer: np.ndarray) -> dict[CurrencyBook, np.ndarray]:
+def book_rows(groups, st: DateState, buffer: np.ndarray) -> dict[CurrencyBook, np.ndarray]:
     """The local-currency value row at the state's date of each book of
     `groups` (`book_groups`), by book (`book_value` on its live columns,
-    bit for bit). The books of a group share one matrix of bond
-    exponentials, written into `expo_buffer` (`exponential_buffer`)."""
+    bit for bit), in `buffer` (`book_buffer`): the books of a group share
+    its first rows for their bond exponentials, and each book's row is one
+    of its last rows, valid until the next call."""
     rows, i = {}, st.index
+    out = iter(buffer[len(buffer) - sum(map(len, groups)):])
     for group in groups:
         expo = None
         for book in group:
             const, W, B = book.at(i)
             if expo is None:
-                expo = bond_exponentials(B, st.y_r[book.currency], expo_buffer)
-            rows[book] = const + W @ expo
+                expo = bond_exponentials(B, st.y_r[book.currency], buffer)
+            rows[book] = row = np.matmul(W, expo, out=next(out))
+            row += const
     return rows
 
 
@@ -550,20 +554,13 @@ class PortfolioValuation:
         books = (_book_terms(c, p, self.models, dates) for c in ccys)
         self.books = [b for b in books if b is not None]
         self.groups = book_groups(self.books)
-        self.expo_buffer: Optional[np.ndarray] = None
 
-    def row(self, st: DateState, local_rows: Optional[dict] = None) -> np.ndarray:
+    def row(self, st: DateState, local_rows: dict) -> np.ndarray:
         """Portfolio value per path at the state's date: the books in currency
         order, each times its FX level if foreign, summed from zeros.
         `local_rows`, this date's local-currency book rows by book
-        (`book_rows`), holds every book of this valuation; the books are
-        valued here, in the valuation's own buffer, when it is not given."""
-        n_paths = len(st.Y_r[st.domestic])
-        if local_rows is None:
-            if self.expo_buffer is None or self.expo_buffer.shape[1] != n_paths:
-                self.expo_buffer = exponential_buffer(self.groups, n_paths)
-            local_rows = book_rows(self.groups, st, self.expo_buffer)
-        out = np.zeros(n_paths)
+        (`book_rows`), holds every book of this valuation."""
+        out = np.zeros(len(st.Y_r[st.domestic]))
         for book in self.books:
             local = local_rows[book]
             if book.currency != st.domestic:
@@ -571,11 +568,22 @@ class PortfolioValuation:
             out += local
         return out
 
+    def valued_pass(self, stream: PathStream,
+                    rows: int = 0) -> Iterator[tuple[DateState, np.ndarray]]:
+        """Each date's state of one pass of `stream` (`mc.shared_pass`) and
+        its value row, valued in one `book_buffer`, which the pass's memory
+        check counts with the `rows` rows of paths its caller declares."""
+        states = shared_pass([stream], buffer_rows(self.groups) + rows)
+        buffer = book_buffer(self.groups, stream.n_paths)
+        return ((st, self.row(st, book_rows(self.groups, st, buffer))) for (st,) in states)
+
 
 def value_matrix(p: Portfolio, models: ModelSet, cube: ScenarioCube) -> np.ndarray:
     """Portfolio values for every (date, path) pair of a cube."""
     valuation = PortfolioValuation(p, models, cube.dates)
     out = np.empty((len(cube.dates), cube.n_paths))
+    buffer = book_buffer(valuation.groups, cube.n_paths)
     for i in range(len(cube.dates)):
-        out[i] = valuation.row(cube.state(i))
+        st = cube.state(i)
+        out[i] = valuation.row(st, book_rows(valuation.groups, st, buffer))
     return out

@@ -287,17 +287,6 @@ def require_memory(n_bytes: int, what: str) -> None:
                          f"{have / 1e6:.1f} MB of physical memory")
 
 
-def require_pass_memory(streams, scratch_rows: int = 0) -> None:
-    """Refuse, before it allocates anything, a pass of `streams` (one noise
-    object) whose `state_bytes`, derived rows of each further distinct
-    overlay and consumer's `scratch_rows` rows of paths exceed memory."""
-    s0 = streams[0]
-    n_overlays = len({id(s.overlay) for s in streams})
-    require_memory(s0.state_bytes + 8 * s0.n_paths
-                   * (s0.overlay_rows * (n_overlays - 1) + scratch_rows),
-                   "the simulation state")
-
-
 def _generators(seed: int) -> list[np.random.Generator]:
     """The market and the credit normal streams of a seed: SFC64, which
     draws a normal in about a fifth less time than numpy's default PCG64."""
@@ -499,20 +488,13 @@ class PathStream:
                             + PASS_OBJECT_BYTES)
         # the cube's slabs: y and Y per currency, log-FX, and in full mode
         # the investor's driver plus the integrated I and C drivers
-        n_slabs = (2 * n_ccy + n_fx + 2 * ("I" in self.entities)
-                   + ("C" in self.entities))
-        self.cube_bytes = 8 * n_paths * len(dates) * n_slabs
-        require_memory(self.state_bytes, "the simulation state")
+        self.cube_rows = len(dates) * (2 * n_ccy + n_fx + 2 * ("I" in self.entities)
+                                       + ("C" in self.entities))
         self.truncated_fraction = 0.0
         self.credit_seconds = 0.0
 
     def __iter__(self) -> Iterator[DateState]:
-        states = shared_pass([self])
-        try:
-            for (st,) in states:
-                yield st
-        finally:
-            states.close()
+        return (st for (st,) in shared_pass([self]))
 
 
 def _noise_terms(pass_inputs: tuple, a_r, sigma_r, R, n_fx: int, dates, nsub: int,
@@ -554,9 +536,15 @@ def _overlay(dom: Hw1fParams, fx: tuple, fx_rows: tuple, credit: tuple, dates) -
             means["I"][0] if "I" in means else None)
 
 
-def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
+def shared_pass(streams, rows: int = 0,
+                what: str = "the simulation state") -> Iterator[tuple[DateState, ...]]:
     """One simulation pass for streams that hold one `noise` object: per
     monitoring date, a tuple with one DateState per stream, in their order.
+
+    The call is the pass's one memory check: before anything is drawn, it
+    refuses (as `what`) a pass whose `state_bytes`, derived rows of each
+    further overlay and the `rows` rows of paths its caller allocates
+    after the call exceed physical memory.
 
     The noise recursion runs once; each distinct overlay object then
     evaluates its own log-FX expression, finite check and credit drivers
@@ -569,11 +557,18 @@ def shared_pass(streams) -> Iterator[tuple[DateState, ...]]:
     s0 = streams[0]
     if any(s.noise is not s0.noise for s in streams[1:]):
         raise ValueError("streams with different simulation inputs cannot share a pass")
+    further = len({id(s.overlay) for s in streams}) - 1
+    require_memory(s0.state_bytes + 8 * s0.n_paths * (s0.overlay_rows * further + rows), what)
+    return _pass(streams)
+
+
+def _pass(streams: list) -> Iterator[tuple[DateState, ...]]:
+    """`shared_pass`'s states, once its memory is checked."""
+    s0 = streams[0]
     # stream k's states are those of the first stream of its overlay, first[k]
     ids = [id(s.overlay) for s in streams]
     first = [ids.index(k) for k in ids]
     n_paths = s0.n_paths
-    require_pass_memory(streams)
 
     dom, ccys, fx_ccys, entities = s0.models.domestic, s0.ccys, s0.fx_ccys, s0.entities
     n_ccy, n_fx, n_cred = len(ccys), len(fx_ccys), len(entities)
@@ -718,9 +713,9 @@ def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
     physical memory before any of it is allocated.
     """
     stream = PathStream(models, corr, grid, n_paths, seed, mode)
-    require_memory(stream.cube_bytes + stream.state_bytes,
-                   "the scenario cube and its simulation state")
-    for st in stream:
+    states = shared_pass([stream], stream.cube_rows,
+                         "the scenario cube and its simulation state")
+    for (st,) in states:
         if st.index == 0:
             slabs = {name: np.empty((grid.n_dates, n_paths)) for name in _slabs(st)}
         for name, row in _slabs(st).items():

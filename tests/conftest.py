@@ -115,9 +115,8 @@ def acc():
     eps1 = {x: np.full(n, np.nan) for x in X_CHOICES}
 
     t0 = time.perf_counter()
-    for st in stream:
+    for st, row in valuation.valued_pass(stream):
         i = st.index
-        row = valuation.row(st)
         bm20.enter(st, row, tile)
         bm20.reduce(tile)
         h = bm5.enter(st, row, tile)

@@ -85,9 +85,9 @@ def test_criterion_2_zero_correlation(acc):
     bm = BaseMoments.empty(dates, 8)
     tile = DateTile(1, 20000, moments=True, credit=False)
     vals, ses = np.zeros(len(dates)), np.zeros(len(dates))
-    for st in stream:
+    for st, row in valuation.valued_pass(stream):
         i = st.index
-        h = bm.enter(st, valuation.row(st), tile)
+        h = bm.enter(st, row, tile)
         bm.reduce(tile)
         if i:
             vals[i], ses[i] = wwr_mc_at(i, h, bm.disc_epe[i], st.Y_I, st.Y_C, st.y_I,

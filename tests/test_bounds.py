@@ -462,8 +462,7 @@ def test_streamed_bound_rows_equal_the_cube_report(rig):
     grid = SimGrid.regular(4, 30.0, 2)
     stream = PathStream(models, corr, grid, full.n_paths, full.seed, "full")
     valuation = PortfolioValuation(inputs.portfolio, models, stream.dates)
-    streamed = bound_rows(s, models, stream,
-                          ((st, valuation.row(st)) for st in stream), 5, (1, 2))
+    streamed = bound_rows(s, models, stream, valuation.valued_pass(stream), 5, (1, 2))
     stored = bound_report(s, models, full, vm, 5, orders=(1, 2))
     assert len(streamed) == len(stored) == (len(full.dates) - 1) * (5 + 2 + 2)
     # repr is exact for floats and treats NaN as equal to itself

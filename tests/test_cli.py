@@ -249,8 +249,8 @@ def test_non_finite_fva_is_an_error(tmp_path, capsys, monkeypatch, old, new, mes
     dates = []
     real = wwrfva.fva.shared_pass
 
-    def counted(streams):
-        for states in real(streams):
+    def counted(streams, *declared):
+        for states in real(streams, *declared):
             dates.append(states[0].index)
             yield states
     monkeypatch.setattr(wwrfva.fva, "shared_pass", counted)

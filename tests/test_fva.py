@@ -590,9 +590,9 @@ def test_run_fva_legs_fuses_exactly_the_legs_of_one_key(monkeypatch, b42, method
                               method=method)
     passes = []
 
-    def recording_pass(streams):
+    def recording_pass(streams, *declared):
         passes.append([id(s.noise) for s in streams])
-        return shared_pass(streams)
+        return shared_pass(streams, *declared)
 
     monkeypatch.setattr("wwrfva.fva.shared_pass", recording_pass)
     legs = bumped_legs(inputs, LEG_BUMPS)

@@ -301,20 +301,24 @@ def test_memory_checked_before_allocating(monkeypatch, setup41):
     _, models, corr = setup41
     grid = SimGrid.regular(4, 10.0, 2)
     stream = PathStream(models, corr, grid, 5000, 7, "full")
-    assert stream.cube_bytes == 8 * 5000 * grid.n_dates * 5  # y, Y, y_I, Y_I, Y_C
+    assert stream.cube_rows == grid.n_dates * 5  # y, Y, y_I, Y_I, Y_C
     # a slot holds two intervals of 6 rows: the state is 2.0 MB, the cube 8.2
     assert stream.block == 2
     # room for the streamed state but not for the cube
     monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
-                        lambda: stream.state_bytes + stream.cube_bytes // 2)
+                        lambda: stream.state_bytes + 8 * 5000 * stream.cube_rows // 2)
     with pytest.raises(ValueError, match=r"scenario cube .* needs 10\.2 MB, more "
                                          r"than the \d\.\d MB of physical memory"):
         simulate(models, corr, grid, 5000, 7, "full")
     assert sum(1 for _ in PathStream(models, corr, grid, 5000, 7, "full")) == grid.n_dates
     monkeypatch.setattr("wwrfva.mc.physical_memory_bytes",
                         lambda: stream.state_bytes - 1)
+    # the stream is built; the start of its pass refuses
+    refused = PathStream(models, corr, grid, 5000, 7, "full")
     with pytest.raises(ValueError, match="simulation state needs"):
-        PathStream(models, corr, grid, 5000, 7, "full")
+        next(iter(refused))
+    with pytest.raises(ValueError, match="simulation state needs"):
+        shared_pass([refused])
 
 
 @pytest.mark.parametrize("cfg", ["single_swap.cfg", "portfolio.cfg"])

@@ -64,7 +64,7 @@ def _bound_rows(inputs, settings):
                         settings.seed, "full")
     valuation = PortfolioValuation(inputs.portfolio, models, stream.dates)
     return bound_rows(inputs.portfolio.single_swap, models, stream,
-                      ((st, valuation.row(st)) for st in stream), settings.n_r)
+                      valuation.valued_pass(stream), settings.n_r)
 
 
 # a reversion of -0.5 overflows the valuation at monitoring date 1

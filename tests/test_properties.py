@@ -10,8 +10,8 @@ from wwrfva.curves import Curve
 from wwrfva.exposure import (_analytic_moments_on_dates, normal_moments,
                              truncated_normal_moments)
 from wwrfva.instruments import (FxForward, Portfolio, PortfolioValuation, Swap,
-                                book_value, book_ystar, positive_indicator, swap_book,
-                                ystar)
+                                book_buffer, book_rows, book_value, book_ystar,
+                                positive_indicator, swap_book, ystar)
 from wwrfva.mc import DateState, build_correlation
 from wwrfva.models import (CirppParams, GbmFxParams, Hw1fParams, ModelSet,
                            QuantoAdjust, bfac, cir_terms, fx_terms, hw_terms,
@@ -293,6 +293,7 @@ def test_currency_books_match_per_instrument_values(swaps, forwards, data):
     dates = np.unique(np.append(0.0, np.clip(np.add(picked, shifts), 0.0, None)))
     valuation = PortfolioValuation(p, BOOK_MODELS, dates)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    buffer = book_buffer(valuation.groups, 7)
     for i, u in enumerate(dates):
         y = {c: rng.normal(0.0, 0.02, 7) for c in BOOK_MODELS.rates}
         ln_fx = {c: rng.normal(np.log(BOOK_MODELS.fx[c].spot), 0.2, 7)
@@ -303,7 +304,8 @@ def test_currency_books_match_per_instrument_values(swaps, forwards, data):
         want = sum(legs, np.zeros(7))
         # relative to the legs' gross: a swap's legs cancel to far below it
         gross = sum((np.abs(leg) for leg in legs), np.zeros(7))
-        assert np.all(np.abs(valuation.row(st_i) - want) <= 1e-12 * gross), u
+        row = valuation.row(st_i, book_rows(valuation.groups, st_i, buffer))
+        assert np.all(np.abs(row - want) <= 1e-12 * gross), u
 
 
 # ---------------------------------------------------------------------------
