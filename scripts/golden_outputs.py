@@ -19,7 +19,7 @@ and 5,000 paths it writes, one subdirectory per case:
   bounds_single_swap   bounds.csv, and explicit_e1.csv: the explicit eps1
                        bound (`bounds.explicit_e1_bound`) for x = 1 and
                        x = y_I at every date after 0 of the same case, in
-                       bounds.csv's format, from the engine's cube forms;
+                       bounds.csv's format, from one streamed pass;
   cube_<cfg>           the export-cube files in base and full mode.
 
 A change that states a tolerance instead compares the two sets with
@@ -51,14 +51,15 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from wwrfva import METHODS  # noqa: E402
-from wwrfva.bounds import (X_CHOICES, BoundRow, credit_moment_table,  # noqa: E402
-                           explicit_e1_bound, swap_cv_bound, write_bounds_csv)
+from wwrfva.bounds import (X_CHOICES, BoundRow, _credit_moments_at,  # noqa: E402
+                           _empty_table, explicit_e1_bound, swap_cv_bound,
+                           write_bounds_csv)
 from wwrfva.cli import main as cli_main  # noqa: E402
-from wwrfva.exposure import base_moments, coeffs_for_dates  # noqa: E402
+from wwrfva.exposure import BaseMoments, DateTile, coeffs_for_dates  # noqa: E402
 from wwrfva.fva import (build_correlation_for, build_model_set,  # noqa: E402
                         load_run_config, make_grid)
-from wwrfva.instruments import value_matrix  # noqa: E402
-from wwrfva.mc import simulate  # noqa: E402
+from wwrfva.instruments import PortfolioValuation  # noqa: E402
+from wwrfva.mc import PathStream  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "..", "fixtures")
@@ -93,6 +94,11 @@ SENSI_TOL = 1e-12
 CROSS_TOL = 1e-9
 BOUNDS_TOL = 1e-12
 SEED, PATHS = 1, 5000
+# The rows of paths that `write_explicit_e1` holds besides its value rows:
+# the one-date tile's row, and while a date of the full credit moment
+# table is filled, the credit sum S, its power chain with its square and
+# the weighted power, and |S| for the tail quantile.
+E1_ROWS = 6
 
 
 def run(verb: str, cfg: str, out: str, *extra: str) -> None:
@@ -104,20 +110,25 @@ def run(verb: str, cfg: str, out: str, *extra: str) -> None:
 
 def write_explicit_e1(out: str) -> None:
     """explicit_e1.csv of the bounds case: the `bounds` verb's settings,
-    seed and paths, on a stored full cube."""
+    seed and paths, on one streamed full-mode pass that fills the full
+    credit moment table and each date's discounted exposure."""
     inputs, settings = load_run_config(os.path.join(FIXTURES, "single_swap.cfg"))
     settings = dataclasses.replace(settings, seed=SEED, n_paths=PATHS)
     models = build_model_set(inputs)
     corr = build_correlation_for(models, inputs.correlations)
-    cube = simulate(models, corr, make_grid(inputs, settings), settings.n_paths,
-                    settings.seed, "full")
-    p, s = inputs.portfolio, inputs.portfolio.single_swap
-    bm = base_moments(cube, p, models, settings.n_r, value_mat=value_matrix(p, models, cube))
-    coeffs = coeffs_for_dates(models, corr, cube.dates, settings.n_r)
-    tab = credit_moment_table(cube)
+    stream = PathStream(models, corr, make_grid(inputs, settings), settings.n_paths,
+                        settings.seed, "full")
+    p, s, dates = inputs.portfolio, inputs.portfolio.single_swap, stream.dates
+    bm = BaseMoments.empty(dates, 0)
+    tile = DateTile(1, settings.n_paths, moments=False, credit=False)
+    tab = _empty_table(stream, 16)
+    for st, value_row in PortfolioValuation(p, models, dates).valued_pass(stream, E1_ROWS):
+        bm.enter(st, value_row, tile)
+        _credit_moments_at(tab, st, st.Y_I + st.Y_C)
+    coeffs = coeffs_for_dates(models, corr, dates, settings.n_r)
     rows = []
-    for i in range(1, len(cube.dates)):
-        u = float(cube.dates[i])
+    for i in range(1, len(dates)):
+        u = float(dates[i])
         c_v = swap_cv_bound(s, models, u)
         for x in X_CHOICES:
             rows.append(BoundRow(date=u, family="eps1", x=x, n=1, bound=explicit_e1_bound(

@@ -47,6 +47,12 @@ _MIN_PATHS = 1000
 # Order n of the report's eps1 rows; they read credit moments up to 4 (n + 1).
 _EPS1_ORDER = 1
 
+# The rows of paths that `bound_rows` holds at a date besides its value row,
+# at most: the credit sum S, both credit drivers' stacked samples and the
+# temporaries of their normal distances, a date's largest step (19 rows
+# under tracemalloc at 20k and 50k paths; the measured errors take 10).
+REPORT_ROWS = 23
+
 FAMILIES = ("eps1", "eps2", "eps3")
 X_CHOICES = ("1", "y_I")
 
@@ -67,10 +73,26 @@ def swap_cv_bound(s: Swap, models: ModelSet, u: float) -> float:
 
 
 def _cv_bound(const: float, W: np.ndarray, B: np.ndarray, var: float) -> float:
-    """swap_cv_bound from the date's book row and rate-driver variance."""
-    return float(const * const
-                 + 2.0 * const * float(np.sum(W * np.exp(0.5 * B ** 2 * var)))
-                 + len(W) * float(np.sum(W ** 2 * np.exp(2.0 * B ** 2 * var))))
+    """swap_cv_bound from the date's book row and rate-driver variance;
+    infinite only where the bound exceeds a double.
+
+    Where an exponential overflows, the direct form meets inf - inf or
+    0 * inf; the bound is then formed relative to its largest part, the
+    sum of squares, whose log is summed in log space over the nonzero
+    weights."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_v = float(const * const
+                    + 2.0 * const * float(np.sum(W * np.exp(0.5 * B ** 2 * var)))
+                    + len(W) * float(np.sum(W ** 2 * np.exp(2.0 * B ** 2 * var))))
+    if math.isfinite(c_v):
+        return c_v
+    live = W != 0.0
+    W, a = W[live], 0.5 * B[live] ** 2 * var
+    # log of len(W) sum_k W_k^2 e^{2 B_k^2 var}, and the other two terms over it
+    top = math.log(len(live)) + float(np.logaddexp.reduce(2.0 * np.log(np.abs(W)) + 4.0 * a))
+    rest = (const * const * math.exp(-top)
+            + 2.0 * const * float(np.sum(W * np.exp(a - top))))
+    return _scaled_exp(top, 1.0 + rest)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def _run(args) -> int:
         return 0
 
     if args.verb == "bounds":
-        from .bounds import bound_rows, write_bounds_csv
+        from .bounds import REPORT_ROWS, bound_rows, write_bounds_csv
         from .fva import build_correlation_for, build_model_set, make_grid
         from .instruments import PortfolioValuation
         from .mc import PathStream
@@ -133,7 +133,7 @@ def _run(args) -> int:
         stream = PathStream(models, corr, make_grid(inputs, settings),
                             settings.n_paths, settings.seed, "full")
         valuation = PortfolioValuation(inputs.portfolio, models, stream.dates)
-        rows = bound_rows(s, models, stream, valuation.valued_pass(stream),
+        rows = bound_rows(s, models, stream, valuation.valued_pass(stream, REPORT_ROWS),
                           settings.n_r, args.orders)
         write_bounds_csv(rows, os.path.join(args.out, "bounds.csv"))
         print(f"wrote {len(rows)} bound rows")

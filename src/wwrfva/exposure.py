@@ -118,7 +118,8 @@ def wwr_mc_at(dates, h: np.ndarray, disc_epe, Y_I: np.ndarray, Y_C: np.ndarray,
     after 0: at one date, `dates` its index, with a row of paths in `h`
     and in the credit drivers Y_I, Y_C and y_I; or at a tile, `dates` a
     slice, with a row per date in each and a mean per date. Reads the
-    coefficients at those dates."""
+    coefficients at those dates; holds at most COV_TEMPORARIES rows of
+    paths per date at once."""
     # a column per date of a tile; a scalar at one date, as a broadcast
     # operand of another shape leaves numpy's fast scalar loop
     col = (..., None) if h.ndim > 1 else ()
@@ -126,6 +127,11 @@ def wwr_mc_at(dates, h: np.ndarray, disc_epe, Y_I: np.ndarray, Y_C: np.ndarray,
     spread = c.mu_S[dates][col] + c.lgd * y_I
     term = (h - disc_epe[col]) * surv * spread
     return _mean(term), _batch_se(term)
+
+
+# The rows of paths per date that `wwr_mc_at` holds at once: the survival
+# weight and the spread, and the centred exposure with its first product.
+COV_TEMPORARIES = 4
 
 
 class DateTile:
@@ -137,25 +143,52 @@ class DateTile:
     powers; the discounted positive exposure h, formed in place of (V)+
     when no moments read it; and, as a stream's state is live only until
     its next date, copies of the rows the reductions read: the domestic
-    rate noise (with moments) and the credit drivers Y_I, Y_C and y_I
-    (`credit`). A tile of one date is reduced before the next date is
+    rate noise (`y`, with moments) and the credit drivers Y_I, Y_C and
+    y_I (`credit`). The states of one pass share their rate noise, so
+    the tiles of a pass (`for_pass`) hold one copy of it, which the first
+    tile fills. A tile of one date is reduced before the next date is
     drawn, so it reads those rows of the state in place and holds no
     copies; its reductions read one row of paths (`held`) at one date
     index (`dates`), as a call on a single date does.
     """
 
-    def __init__(self, size: int, n_paths: int, moments: bool, credit: bool):
+    def __init__(self, size: int, n_paths: int, moments: bool, credit: bool,
+                 y: Optional[np.ndarray] = None):
         self.size, self.moments, self.with_credit = size, moments, credit
         self.start = self.count = 0
         rows = np.empty((self.n_rows(size, moments, credit), size, n_paths))
         self.vp, self.h = rows[0], rows[int(moments)]
-        self.y = rows[2] if moments and size > 1 else None
-        self.credit = rows[1 + 2 * moments:] if credit and size > 1 else None
+        copies = moments and size > 1
+        # the rate noise's copy: the tile's own, or another tile's that it
+        # leaves to that tile to fill
+        self.fills_y = copies and y is None
+        self.y = np.empty((size, n_paths)) if self.fills_y else y if copies else None
+        self.credit = rows[1 + moments:] if credit and size > 1 else None
 
     @staticmethod
     def n_rows(size: int, moments: bool, credit: bool) -> int:
-        """The tile's rows of paths per date (see the class)."""
-        return 1 + moments + (size > 1) * (moments + 3 * credit)
+        """The tile's rows of paths per date but the rate noise's copy."""
+        return 1 + moments + (size > 1) * 3 * credit
+
+    @classmethod
+    def for_pass(cls, n_records: int, size: int, n_paths: int, moments: bool,
+                 credit: bool) -> list[DateTile]:
+        """The tiles of a pass's `n_records` records: one each, holding one
+        copy of the rate noise between them, or at one date a tile that
+        they reduce in turn."""
+        if size == 1:
+            return [cls(1, n_paths, moments, credit)] * n_records
+        first = cls(size, n_paths, moments, credit)
+        return [first] + [cls(size, n_paths, moments, credit, first.y)
+                          for _ in range(n_records - 1)]
+
+    @classmethod
+    def pass_rows(cls, n_records: int, size: int, moments: bool, credit: bool) -> int:
+        """The rows of paths of `for_pass`'s tiles, and with credit those
+        that `wwr_mc_at` holds at a tile."""
+        n_tiles = 1 if size == 1 else n_records
+        return size * (n_tiles * cls.n_rows(size, moments, credit)
+                       + (moments and size > 1) + credit * COV_TEMPORARIES)
 
     @property
     def full(self) -> bool:
@@ -188,7 +221,7 @@ class DateTile:
             if self.with_credit:
                 self.credit = [row[None] for row in live]
             return j
-        if self.moments:
+        if self.fills_y:
             self.y[j] = st.y_r[st.domestic]
         for k, row in enumerate(live):
             self.credit[k, j] = row

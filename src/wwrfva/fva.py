@@ -11,7 +11,8 @@ run's one simulation) and a WWR part computed by the configured method:
 
 The simulation is streamed: each monitoring date is valued and averaged
 as soon as it is simulated, so a run's memory scales with paths x
-factors, not with dates; only the cube export stores every date.
+factors, not with dates; only the cube export stores every date. Each
+pass is checked against memory once, before it draws, for all it holds.
 `run_fva_legs` runs several input sets (the legs of a sensitivity) on
 as few passes as their simulation inputs allow.
 
@@ -42,7 +43,7 @@ from .curves import (MarketData, check_keys, finite, integer, load_market_data,
 from .exposure import (BaseMoments, DateTile, ExposureProfile, coeffs_for_dates,
                        epe_indep, epe_wwr_approx_generic, epe_wwr_approx_swap_analytic,
                        tile_dates, wwr_mc_at)
-from .instruments import (FxForward, Portfolio, PortfolioValuation,
+from .instruments import (ROW_TEMPORARIES, FxForward, Portfolio, PortfolioValuation,
                           book_buffer, book_groups, book_rows, buffer_rows,
                           load_portfolio)
 from .mc import (CorrelationMatrix, PathStream, SimGrid, build_correlation,
@@ -430,6 +431,9 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     once for all of them, and each of them is charged the moments' time.
     Each date's book rows are valued once for the pass (`book_rows`), in
     one buffer. The credit covariance reads each leg's own coefficients.
+    The pass's one memory check (`mc.shared_pass`) counts that buffer,
+    the value row's temporaries, the tiles and the covariance's
+    temporaries; each is allocated after it.
 
     Each date's discounted exposure is entered at once; the batch SEs,
     driver moments and credit covariances are reduced per tile of
@@ -453,12 +457,11 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     n_paths, last = settings.n_paths, len(legs[0].dates) - 1
     size = tile_dates(n_paths, last + 1)
     moments = len(legs[0].bm.y_moments) > 0
-    n_tiles = 1 if size == 1 else len(twins)
-    dates = shared_pass([leg.stream for leg in legs], buffer_rows(groups)
-                        + n_tiles * size * DateTile.n_rows(size, moments, need_full))
+    dates = shared_pass([leg.stream for leg in legs],
+                        buffer_rows(groups) + ROW_TEMPORARIES
+                        + DateTile.pass_rows(len(twins), size, moments, need_full))
     buffer = book_buffer(groups, n_paths)
-    tiles = ([DateTile(size, n_paths, moments, need_full)] * len(twins) if size == 1
-             else [DateTile(size, n_paths, moments, need_full) for _ in twins])
+    tiles = DateTile.for_pass(len(twins), size, n_paths, moments, need_full)
     with pass_numpy_state(), closing(dates):
         for states in dates:
             # the book rows read only the rate noise, which the states share

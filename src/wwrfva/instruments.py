@@ -6,7 +6,11 @@ into one `CurrencyBook` on the union of their payment dates: at a monitoring
 date u, V(u; y) = const + sum_k W_k exp(-y B_k), valued pathwise by one
 kernel (`book_value`); `book_rows` applies it to a date's books at once,
 with one exponential matrix for the books that hold one loadings array
-B. A single swap's book (`swap_book`) is also the value
+B, in one buffer (`book_buffer`) that the owner of a pass allocates once
+and declares to its memory check: `fva._run_pass`,
+`PortfolioValuation.valued_pass` (the `bounds` verb) or `value_matrix`.
+A `PortfolioValuation` holds no path-sized array. A single swap's book
+(`swap_book`) is also the value
 function its closed forms read; its positivity boundary ystar is the unique
 root of a monotone auxiliary function (a Jamshidian-style decomposition),
 found by a doubling bracket search and Newton's method from its left end.
@@ -572,10 +576,16 @@ class PortfolioValuation:
                     rows: int = 0) -> Iterator[tuple[DateState, np.ndarray]]:
         """Each date's state of one pass of `stream` (`mc.shared_pass`) and
         its value row, valued in one `book_buffer`, which the pass's memory
-        check counts with the `rows` rows of paths its caller declares."""
-        states = shared_pass([stream], buffer_rows(self.groups) + rows)
+        check counts with `row`'s ROW_TEMPORARIES and the `rows` rows of
+        paths its caller declares."""
+        states = shared_pass([stream], buffer_rows(self.groups) + ROW_TEMPORARIES + rows)
         buffer = book_buffer(self.groups, stream.n_paths)
         return ((st, self.row(st, book_rows(self.groups, st, buffer))) for (st,) in states)
+
+
+# The rows of paths that `PortfolioValuation.row` allocates: its sum, and
+# for a foreign book the FX level and its product with the book's row.
+ROW_TEMPORARIES = 3
 
 
 def value_matrix(p: Portfolio, models: ModelSet, cube: ScenarioCube) -> np.ndarray:

@@ -29,6 +29,13 @@ it serves the `export-cube` verb, perfbench and the cube forms' own unit
 tests. Every run, the `bounds` verb and the acceptance tests read the
 stream itself.
 
+`shared_pass` is the front door of every pass and its one memory check:
+at the call, before anything path-sized is allocated or any normal is
+drawn, it counts the stream state, the derived rows of each further
+overlay and the rows of paths its caller declares, which the caller then
+allocates once (`fva._run_pass`, `PortfolioValuation.valued_pass`,
+`simulate`'s cube).
+
 Each interval runs in place on rows that the pass allocates once, in the
 evaluation order of the update formulas, so it gives their values bit
 for bit. The Cholesky products run on column blocks of paths small
@@ -401,8 +408,9 @@ class PathStream:
     buffers that the intervals write in turn. Memory therefore scales with
     paths x factors, not with dates: `state_bytes` counts the rows a pass
     allocates, once, for its updates, and the derived rows of the state it
-    builds and the one its consumer holds. After the last date,
-    `truncated_fraction` and `credit_seconds` describe the pass.
+    builds and the one its consumer holds; `shared_pass` checks it when
+    the iteration starts, not when the stream is built. After the last
+    date, `truncated_fraction` and `credit_seconds` describe the pass.
 
     Each pass owns a `ThreadPoolExecutor` with one worker that draws the
     standard normals into a ring of two preallocated slots of `block`
@@ -709,8 +717,8 @@ def simulate(models: ModelSet, corr: CorrelationMatrix, grid: SimGrid,
              n_paths: int, seed: int, mode: str = "base") -> ScenarioCube:
     """Simulate all drivers (see PathStream) and keep every date in a cube.
 
-    The cube holds (n_dates, n_paths) slabs; its size is checked against
-    physical memory before any of it is allocated.
+    The cube holds (n_dates, n_paths) slabs; the pass's one memory check
+    counts them with its state, before any of them is allocated.
     """
     stream = PathStream(models, corr, grid, n_paths, seed, mode)
     states = shared_pass([stream], stream.cube_rows,

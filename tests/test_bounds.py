@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wwrfva.bounds import (_BOUND_ORDERS, _EPS1_ORDER, TAIL_CLIP, X_CHOICES,
-                           _credit_moments_at, _empty_table, _measured_errors,
+                           _credit_moments_at, _cv_bound, _empty_table, _measured_errors,
                            _normal_distances, _plotting_positions, _quantile,
                            _tail_terms, bound_report, bound_rows, c1_const,
                            c2_const, c4_const, credit_moment_table,
@@ -73,6 +73,47 @@ def test_cv_collapses_with_vanishing_vol(rig):
     u = 29.5
     det = book_value(*swap_book(s, tiny, [u]).at(0), 0.0)
     assert swap_cv_bound(s, models2, u) == pytest.approx(det * det, rel=1e-6)
+
+
+def test_cv_bound_reads_inf_only_past_a_double_where_its_exponentials_overflow():
+    # at a reversion of -0.3, exp(2 B^2 Var y) overflows at every date; the
+    # swap's weights mix signs and zeros, so the direct sums met inf - inf
+    # and 0 * inf and the bound read nan, also where it is below 1e8
+    from wwrfva.fva import load_run_config
+    from wwrfva.instruments import swap_book
+    from wwrfva.models import hw_terms
+    from conftest import fixture_path
+    inputs, _ = load_run_config(fixture_path("single_swap.cfg"))
+    inputs.rate_params["EUR"]["a"] = -0.3
+    rp = build_model_set(inputs).rates["EUR"]
+    dates = np.arange(1.0, 31.0)
+    book = swap_book(inputs.portfolio.single_swap, rp, dates)
+    var = hw_terms(rp, 0.0, dates).var_y
+    with mpmath.workprec(200):
+        def cv(const, W, B, v):
+            c, v = mpmath.mpf(const), mpmath.mpf(v)
+            ws, bs = [mpmath.mpf(w) for w in W], [mpmath.mpf(b) for b in B]
+            return (c * c + 2 * c * mpmath.fsum(w * mpmath.exp(b * b * v / 2)
+                                                for w, b in zip(ws, bs))
+                    + len(ws) * mpmath.fsum(w * w * mpmath.exp(2 * b * b * v)
+                                            for w, b in zip(ws, bs)))
+        kinds = set()
+        for k in range(len(dates)):
+            row = book.at(k)
+            got, want = _cv_bound(*row, var[k]), cv(*row, var[k])
+            if want > np.finfo(float).max:
+                assert got == math.inf, k
+                kinds.add("inf")
+            else:
+                assert got == pytest.approx(float(want), rel=1e-12), k
+                kinds.add("finite")
+    assert kinds == {"inf", "finite"}
+    # where the direct form is finite, the bound is that form, bit for bit
+    const, W, B = book.at(len(dates) - 1)
+    v = var[-1]
+    assert _cv_bound(const, W, B, v) == float(
+        const * const + 2.0 * const * float(np.sum(W * np.exp(0.5 * B ** 2 * v)))
+        + len(W) * float(np.sum(W ** 2 * np.exp(2.0 * B ** 2 * v))))
 
 
 # ---------------------------------------------------------------------------
