@@ -77,9 +77,9 @@ def _cv_bound(const: float, W: np.ndarray, B: np.ndarray, var: float) -> float:
     infinite only where the bound exceeds a double.
 
     Where an exponential overflows, the direct form meets inf - inf or
-    0 * inf; the bound is then formed relative to its largest part, the
-    sum of squares, whose log is summed in log space over the nonzero
-    weights."""
+    0 * inf. The bound is then formed in log space over the nonzero
+    weights: relative to e^top, top the log of its square and sum of
+    squares parts added, each part is at most 2 in magnitude."""
     with np.errstate(over="ignore", invalid="ignore"):
         c_v = float(const * const
                     + 2.0 * const * float(np.sum(W * np.exp(0.5 * B ** 2 * var)))
@@ -87,12 +87,13 @@ def _cv_bound(const: float, W: np.ndarray, B: np.ndarray, var: float) -> float:
     if math.isfinite(c_v):
         return c_v
     live = W != 0.0
-    W, a = W[live], 0.5 * B[live] ** 2 * var
-    # log of len(W) sum_k W_k^2 e^{2 B_k^2 var}, and the other two terms over it
-    top = math.log(len(live)) + float(np.logaddexp.reduce(2.0 * np.log(np.abs(W)) + 4.0 * a))
-    rest = (const * const * math.exp(-top)
-            + 2.0 * const * float(np.sum(W * np.exp(a - top))))
-    return _scaled_exp(top, 1.0 + rest)
+    log_w, a = np.log(np.abs(W[live])), 0.5 * B[live] ** 2 * var
+    log_c2 = 2.0 * math.log(abs(const)) if const else -math.inf
+    log_sq = math.log(len(W)) + float(np.logaddexp.reduce(2.0 * log_w + 4.0 * a))
+    top = float(np.logaddexp(log_c2, log_sq))
+    cross = math.copysign(2.0, const) * float(
+        np.sum(np.sign(W[live]) * np.exp(0.5 * log_c2 + log_w + a - top)))
+    return _scaled_exp(top, math.exp(log_c2 - top) + cross + math.exp(log_sq - top))
 
 
 # ---------------------------------------------------------------------------
