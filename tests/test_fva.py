@@ -743,16 +743,17 @@ def test_date_tiles_keep_every_sensitivity_bit(monkeypatch, method):
 
 @pytest.mark.parametrize("method, bench, rows, rows_one", [
     ("approx_generic", False, 3, 2),   # (V)+, h and the rate noise's copy
-    ("approx_generic", True, 10, 6),   # and the three credit drivers' copies,
-                                       # and the covariance's four temporaries
-    ("approx_analytic", True, 8, 5)])  # h in place of (V)+: no driver moments
+    ("approx_generic", True, 6, 2),    # and the three credit drivers' copies
+    ("approx_analytic", True, 4, 1)])  # h in place of (V)+: no driver moments
 def test_the_pass_memory_check_counts_the_tile_rows(monkeypatch, method, bench, rows,
                                                     rows_one):
     # before any normal is drawn, the pass asks for its tile rows with the
     # rest of its state: at 500 paths a tile holds all 31 dates, `rows`
     # rows of paths each, where a tile of one date reads the state's rows
-    # in place and holds `rows_one`; the covariance's temporaries are rows
-    # of the tile's dates
+    # in place and holds `rows_one`; with the benchmark, each date of a
+    # tile also counts the covariance's four temporaries
+    rows += 4 * bench
+    rows_one += 4 * bench
     import wwrfva.mc
     inputs, settings = load_run_config(fixture_path("single_swap.cfg"))
     settings = small_settings(settings, n_paths=500, dates_per_year=1, substeps=1,
