@@ -32,8 +32,8 @@ import numpy as np
 from .exposure import WwrCoeffs, normal_moments
 from .instruments import Swap, swap_book
 from .mc import DateState, ScenarioCube, exposure_not_finite, pass_numpy_state
-from .models import ModelSet, domestic_terms, hw_terms
-from .normal import ndtr, ndtri
+from .models import ModelSet, domestic_terms, hw_terms, log_h_ric
+from .normal import ndtr_sorted, ndtri
 
 # Tail probability defining the clipped domain on which the exponential
 # envelope of the Taylor tail is evaluated; the clipped mass is reported.
@@ -48,10 +48,11 @@ _MIN_PATHS = 1000
 _EPS1_ORDER = 1
 
 # The rows of paths that `bound_rows` holds at a date besides its value row,
-# at most: the credit sum S, both credit drivers' stacked samples and the
-# temporaries of their normal distances, a date's largest step (19 rows
-# under tracemalloc at 20k and 50k paths; the measured errors take 10).
-REPORT_ROWS = 23
+# at most: the credit sum S and a date's largest step, the measured errors
+# (9.01 rows under tracemalloc at 50k paths, so 10). The normal distances
+# take 6.7: both credit drivers' stacked samples, sorted in place, and 4.7
+# rows for their one terms buffer and Phi's temporaries on one row.
+REPORT_ROWS = 11
 
 FAMILIES = ("eps1", "eps2", "eps3")
 X_CHOICES = ("1", "y_I")
@@ -319,16 +320,39 @@ def truncation_bound(n: int, i: int, models: ModelSet, c_v: float,
     eps1 the survival expansion (credit driver sum, empirical moments),
     eps2/eps3 the discounting expansion (rate driver, normal moments).
     """
-    rt, _, _, h_ric, _ = domestic_terms(models, float(tab.dates[i]))
-    return _truncation_bound(n, i, c_v, family, x, tab, rt.var_Y, h_ric,
+    rt, ci, cc, h_ric, _ = domestic_terms(models, float(tab.dates[i]))
+    return _truncation_bound(n, i, c_v, family, x, tab, rt.var_Y,
+                             (h_ric, log_h_ric(rt, ci, cc)),
                              normal_moments(rt.var_Y, 4 * (n + 1)))
 
 
+def _log(v: float) -> float:
+    """log v of v >= 0 or NaN: -inf at 0, NaN at NaN."""
+    return -math.inf if v == 0.0 else math.log(v)
+
+
+def _log_c1_const(m: int, x: str, var_Yr: float, tab: CreditMomentTable,
+                  i: int) -> float:
+    """log c1_const, finite where c1_const overflows."""
+    a = m * m * var_Yr
+    if x == "1":
+        return 0.5 * a
+    ex_m = tab.y_I[m, i]
+    spread = math.sqrt(max(tab.y_I[2 * m, i] - ex_m * ex_m, 0.0))
+    return float(np.logaddexp(a + 0.5 * _log(-math.expm1(-a)) + _log(spread),
+                              0.5 * a + _log(ex_m)))
+
+
 def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
-                      tab: CreditMomentTable, var_Yr: float, h_ric: float,
+                      tab: CreditMomentTable, var_Yr: float, h_ric: tuple,
                       gauss: np.ndarray) -> float:
-    """truncation_bound from the date's Var Y_r, H_r H_I H_C and the moments
-    E[Y_r^k] of N(0, Var Y_r) up to an order of at least 4(n + 1)."""
+    """truncation_bound from the date's Var Y_r, H_r H_I H_C and its log
+    (`models.log_h_ric`) and the moments E[Y_r^k] of N(0, Var Y_r) up to
+    an order of at least 4(n + 1); infinite only where the bound exceeds
+    a double.
+
+    Where H_r H_I H_C underflows while a factor overflows, the direct form
+    meets 0 * inf; the bound is then formed in log space."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if x not in X_CHOICES:
@@ -366,8 +390,25 @@ def _truncation_bound(n: int, i: int, c_v: float, family: str, x: str,
                  + ey2 * ex2)
         c_t = tail_envelope_constant(_Z_CLIP * math.sqrt(var_Yr))
 
-    return float(h_ric * math.sqrt(max(c_v, 0.0)) * c_t
-                 / math.factorial(n + 1) * math.sqrt(max(cross, 0.0)))
+    bound = float(h_ric[0] * math.sqrt(max(c_v, 0.0)) * c_t
+                  / math.factorial(n + 1) * math.sqrt(max(cross, 0.0)))
+    if math.isfinite(bound):
+        return bound
+    if family == "eps1":
+        # a moment the table left unfilled is NaN, and so is the bound
+        with np.errstate(invalid="ignore"):
+            l2, l4 = (_log_c1_const(m, x, var_Yr, tab, i) for m in (2, 4))
+            log_spread = 0.5 * (math.log(2.0) + float(np.logaddexp(l4, 2.0 * l2)))
+            log_cross = float(np.logaddexp(_log(math.sqrt(max(ey4 - ey2 * ey2, 0.0)))
+                                           + log_spread, _log(ey2) + l2))
+    else:
+        log_cross = _log(cross)
+    if math.isnan(log_cross):
+        return math.nan
+    if c_v <= 0.0 or log_cross == -math.inf:
+        return 0.0
+    return _scaled_exp(h_ric[1] + 0.5 * math.log(c_v) + math.log(c_t)
+                       - math.lgamma(n + 2) + 0.5 * log_cross, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +483,26 @@ def _normal_distances(samples: np.ndarray, sd: np.ndarray,
                       positions: tuple[np.ndarray, np.ndarray]
                       ) -> tuple[np.ndarray, np.ndarray]:
     """(Cramer-von Mises statistic, 1-Wasserstein distance) of each row of
-    `samples` against N(0, sd[row]^2), given the sample size's plotting
-    positions, in one block: each contiguous row sums as a 1-D sample
-    would. The statistic is scipy's cramervonmises, without its p-value."""
+    `samples`, which it sorts in place, against N(0, sd[row]^2), given the
+    sample size's plotting positions, in one block: each contiguous row
+    sums as a 1-D sample would. Phi on the sorted rows (`ndtr_sorted`),
+    the statistic's terms and the distance's are written in turn into one
+    buffer of the samples' shape. The statistic is scipy's cramervonmises,
+    without its p-value."""
     p, z = positions
-    srt = np.sort(samples, axis=1)
+    samples.sort(axis=1)
     sd = sd[:, None]
-    n = srt.shape[1]
-    cvm = 1.0 / (12.0 * n) + np.sum((p - ndtr(srt / sd)) ** 2, axis=1)
-    return cvm, np.mean(np.abs(srt - z * sd), axis=1)
+    n = samples.shape[1]
+    terms = np.divide(samples, sd)
+    for row in terms:
+        ndtr_sorted(row, row)
+    np.subtract(p, terms, out=terms)
+    terms *= terms
+    cvm = 1.0 / (12.0 * n) + np.sum(terms, axis=1)
+    np.multiply(z, sd, out=terms)
+    np.subtract(samples, terms, out=terms)
+    np.abs(terms, out=terms)
+    return cvm, np.mean(terms, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +558,7 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
     book = swap_book(s, rp, dates)
     var_y = hw_terms(rp, 0.0, dates).var_y
     rt, ci, cc, h_ric, h_ic = domestic_terms(models, dates)
+    log_h = log_h_ric(rt, ci, cc)
     positions = _plotting_positions(sim.n_paths)
     gauss = normal_moments(rt.var_Y, 4 * (max((n_r, *orders)) + 1))
     sd_credit = np.sqrt(np.stack([ci.var_Y, cc.var_Y], axis=1))
@@ -531,14 +584,14 @@ def bound_rows(s: Swap, models: ModelSet, sim, pairs: Iterable,
                     n_eff = _EPS1_ORDER if fam == "eps1" else n_r
                     rows.append(BoundRow(
                         date=u, family=fam, x=x, n=n_eff,
-                        bound=_truncation_bound(n_eff, i, c_v, fam, x, tab,
-                                                rt.var_Y[k], h_ric[k], gauss[k]),
+                        bound=_truncation_bound(n_eff, i, c_v, fam, x, tab, rt.var_Y[k],
+                                                (h_ric[k], log_h[k]), gauss[k]),
                         measured=meas[x][fam]))
             for fam_extra in orders:
                 rows.append(BoundRow(
                     date=u, family="eps3", x="y_I", n=fam_extra,
                     bound=_truncation_bound(fam_extra, i, c_v, "eps3", "y_I", tab,
-                                            rt.var_Y[k], h_ric[k], gauss[k])))
+                                            rt.var_Y[k], (h_ric[k], log_h[k]), gauss[k])))
             cvm, w1 = _normal_distances(np.stack([st.Y_I, st.Y_C]), sd_credit[k],
                                         positions)
             for j, factor in enumerate(("Y_I", "Y_C")):

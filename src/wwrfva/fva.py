@@ -458,7 +458,7 @@ def _run_pass(legs: list[_Leg], settings: RunSettings) -> None:
     size = tile_dates(n_paths, last + 1)
     moments = len(legs[0].bm.y_moments) > 0
     dates = shared_pass([leg.stream for leg in legs],
-                        buffer_rows(groups) + ROW_TEMPORARIES
+                        buffer_rows(groups, n_paths) + ROW_TEMPORARIES
                         + DateTile.pass_rows(len(twins), size, moments, need_full))
     buffer = book_buffer(groups, n_paths)
     tiles = DateTile.for_pass(len(twins), size, n_paths, moments, need_full)

@@ -5,10 +5,12 @@ rate driver y of that currency. Each currency's instruments therefore merge
 into one `CurrencyBook` on the union of their payment dates: at a monitoring
 date u, V(u; y) = const + sum_k W_k exp(-y B_k), valued pathwise by one
 kernel (`book_value`); `book_rows` applies it to a date's books at once,
-with one exponential matrix for the books that hold one loadings array
-B, in one buffer (`book_buffer`) that the owner of a pass allocates once
-and declares to its memory check: `fva._run_pass`,
-`PortfolioValuation.valued_pass` (the `bounds` verb) or `value_matrix`.
+on column blocks of paths (`mc.value_block`), with one block of bond
+exponentials for the books that hold one loadings array B, in one
+buffer (`book_buffer`: a block, then a value row per book) that the
+owner of a pass allocates once and declares to its memory check:
+`fva._run_pass`, `PortfolioValuation.valued_pass` (the `bounds` verb)
+or `value_matrix`.
 A `PortfolioValuation` holds no path-sized array. A single swap's book
 (`swap_book`) is also the value
 function its closed forms read; its positivity boundary ystar is the unique
@@ -31,7 +33,7 @@ import numpy as np
 
 from .curves import check_keys, finite, integer, load_yaml
 from .mc import (CorrelationMatrix, DateState, PathStream, ScenarioCube, fx_factor,
-                 rate_factor, shared_pass)
+                 rate_factor, shared_pass, value_block)
 from .models import Hw1fParams, ModelSet, bfac, fx_terms, hw_terms, sigma_ratio, term
 
 
@@ -424,20 +426,40 @@ class CurrencyBook:
                             self.start[i:])
 
 
-def bond_exponentials(B, y, out=None):
+def bond_exponentials(B, y, out):
     """exp(-B_k y) for each live payment k (rows) and each y (columns),
-    written into the first len(B) rows of `out` when it is given."""
-    # live payments x paths, the largest array of a valuation, with the
-    # paths on the contiguous axis so each elementwise pass runs over a
-    # whole row of paths; a leading row slice of `out` is C-contiguous too
-    expo = np.multiply.outer(-B, y, out=None if out is None else out[:len(B)])
+    in `out` (live payments x len(y))."""
+    # the paths on the contiguous axis, so each elementwise pass runs over
+    # a whole row of the block
+    expo = np.multiply.outer(-B, y, out=out)
     np.exp(expo, out=expo)
     return expo
 
 
+def _value_blocks(parts, y, width: int, scratch: np.ndarray) -> None:
+    """row = W @ exp(-B y) for each (const, W, B, row) of `parts`, which
+    share B, on column blocks of `width` paths: each block's bond
+    exponentials are formed once, in the leading doubles of the flat
+    `scratch`."""
+    B = parts[0][2]
+    for j in range(0, len(y), width):
+        yj = y[j:j + width]
+        expo = bond_exponentials(B, yj, scratch[:len(B) * len(yj)].reshape(len(B), len(yj)))
+        for _, W, _, row in parts:
+            np.matmul(W, expo, out=row[j:j + width])
+
+
 def book_value(const, W, B, y):
-    """The valuation kernel: const + sum_k W_k exp(-B_k y) for each y."""
-    return const + W @ bond_exponentials(B, y)
+    """The valuation kernel: const + sum_k W_k exp(-B_k y) for each y, on
+    column blocks of `mc.value_block` paths, as `book_rows` values a row;
+    a float for a scalar y."""
+    y = np.asarray(y, dtype=float)
+    flat = y.reshape(-1)
+    width = value_block(len(B), len(flat))
+    out = np.empty(len(flat))
+    _value_blocks([(const, W, B, out)], flat, width, np.empty(len(B) * width))
+    out += const
+    return out.reshape(y.shape)[()]
 
 
 def book_groups(books) -> list[list[CurrencyBook]]:
@@ -449,35 +471,51 @@ def book_groups(books) -> list[list[CurrencyBook]]:
     return list(groups.values())
 
 
-def buffer_rows(groups) -> int:
-    """The rows of `book_buffer` for `groups`: their most live payments,
+def _block_shape(groups, n_paths: int) -> tuple[int, int]:
+    """The most live payments of `groups` and their block width, one per
+    pass (`mc.value_block`)."""
+    payments = max(g[0].B.shape[1] - g[0].start[0] for g in groups)
+    return payments, value_block(payments, n_paths)
+
+
+def buffer_rows(groups, n_paths: int) -> int:
+    """The rows of paths of `book_buffer` for `groups`: one block of bond
+    exponentials of their most live payments, rounded up to whole rows,
     then one value row per book."""
-    return max(g[0].B.shape[1] - g[0].start[0] for g in groups) + sum(map(len, groups))
+    payments, width = _block_shape(groups, n_paths)
+    return -(-payments * width // n_paths) + sum(map(len, groups))
 
 
 def book_buffer(groups, n_paths: int) -> np.ndarray:
     """`book_rows`' buffer for `groups`, `buffer_rows` rows of paths. A
     pass allocates it once: no freed per-date matrix then moves glibc's
     mmap threshold (after which later matrices come from the heap)."""
-    return np.empty((buffer_rows(groups), n_paths))
+    return np.empty((buffer_rows(groups, n_paths), n_paths))
 
 
 def book_rows(groups, st: DateState, buffer: np.ndarray) -> dict[CurrencyBook, np.ndarray]:
     """The local-currency value row at the state's date of each book of
-    `groups` (`book_groups`), by book (`book_value` on its live columns,
-    bit for bit), in `buffer` (`book_buffer`): the books of a group share
-    its first rows for their bond exponentials, and each book's row is one
-    of its last rows, valid until the next call."""
-    rows, i = {}, st.index
-    out = iter(buffer[len(buffer) - sum(map(len, groups)):])
+    `groups` (`book_groups`), by book, in `buffer` (`book_buffer`), valid
+    until the next call.
+
+    A date is valued on column blocks of paths of one width per pass
+    (`mc.value_block` of the groups' most live payments), so that the
+    (payments,) @ (payments, width) product stays on one OpenBLAS thread
+    and the block in L2; it is `book_value` on the book's live columns,
+    bit for bit. The books of a group share each block's bond
+    exponentials, in the buffer's first rows; each book's row is one of
+    its last rows."""
+    i, n_paths = st.index, buffer.shape[1]
+    first = len(buffer) - sum(map(len, groups))
+    scratch = buffer[:first].reshape(-1)
+    width = _block_shape(groups, n_paths)[1]
+    rows, out = {}, iter(buffer[first:])
     for group in groups:
-        expo = None
-        for book in group:
-            const, W, B = book.at(i)
-            if expo is None:
-                expo = bond_exponentials(B, st.y_r[book.currency], buffer)
-            rows[book] = row = np.matmul(W, expo, out=next(out))
+        parts = [(*book.at(i), next(out)) for book in group]
+        _value_blocks(parts, st.y_r[group[0].currency], width, scratch)
+        for book, (const, _, _, row) in zip(group, parts):
             row += const
+            rows[book] = row
     return rows
 
 
@@ -578,7 +616,8 @@ class PortfolioValuation:
         its value row, valued in one `book_buffer`, which the pass's memory
         check counts with `row`'s ROW_TEMPORARIES and the `rows` rows of
         paths its caller declares."""
-        states = shared_pass([stream], buffer_rows(self.groups) + ROW_TEMPORARIES + rows)
+        states = shared_pass([stream], buffer_rows(self.groups, stream.n_paths)
+                             + ROW_TEMPORARIES + rows)
         buffer = book_buffer(self.groups, stream.n_paths)
         return ((st, self.row(st, book_rows(self.groups, st, buffer))) for (st,) in states)
 

@@ -38,9 +38,13 @@ allocates once (`fva._run_pass`, `PortfolioValuation.valued_pass`,
 
 Each interval runs in place on rows that the pass allocates once, in the
 evaluation order of the update formulas, so it gives their values bit
-for bit. The Cholesky products run on column blocks of paths small
-enough for OpenBLAS to keep each on one thread (`_correlate`), so they
-do not compete with the draw worker for a core.
+for bit. Every BLAS product of a pass runs on column blocks of paths
+small enough for OpenBLAS to keep it on one thread, so it does not
+compete with the draw worker for a core: the Cholesky products here
+(`_correlate`), and a date's valuation (`instruments.book_rows`) in
+blocks of `value_block` paths, VALUE_BLOCK_ELEMENTS doubles of bond
+exponentials each. At default BLAS threads the valuation's second
+thread made a full-size run 1.5-1.9 times slower.
 
 The standard normals are drawn ahead on a one-thread
 `concurrent.futures.ThreadPoolExecutor`: while the stream runs one block
@@ -305,6 +309,21 @@ def _generators(seed: int) -> list[np.random.Generator]:
 # (its gemm threading threshold); a second thread would compete with the
 # draw worker for a core.
 BLAS_ONE_THREAD = 2 ** 18
+
+# The doubles of one valuation block: a date's bond exponentials and their
+# (payments,) @ (payments, width) product run on column blocks of paths,
+# small enough that OpenBLAS 0.3.31 keeps the product on one thread (it
+# took a second one past about 450,000 payments x paths) and the block
+# stays in L2 (`scripts/value_block_probe.py` re-checks it).
+VALUE_BLOCK_ELEMENTS = 2 ** 17
+
+
+def value_block(payments: int, n_paths: int) -> int:
+    """The paths of one valuation block: the largest power of two w with
+    payments x w at most VALUE_BLOCK_ELEMENTS, at least one and at most
+    `n_paths`, so that below it a row is one block."""
+    w = 1 << max(0, (VALUE_BLOCK_ELEMENTS // max(1, int(payments))).bit_length() - 1)
+    return max(1, min(w, n_paths))
 
 
 # numpy's ufunc buffer, in elements, during a per-date pass. An op with a
@@ -763,7 +782,8 @@ def dump_cube(cube: ScenarioCube, path) -> None:
         fh.write(blob)
         fh.write(cube.h_dom.astype(np.float64).tobytes())
         for arr in slabs.values():
-            fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            # the contiguous slab's own buffer: `tobytes` would copy it
+            fh.write(np.ascontiguousarray(arr, dtype=np.float64).data)
 
 
 def load_cube(path) -> ScenarioCube:

@@ -410,6 +410,12 @@ def domestic_terms(models: ModelSet, u) -> tuple:
     return rt, ci, cc, rt.H * ci.H * cc.H, ci.H * cc.H
 
 
+def log_h_ric(rt: HwTerms, ci: CirTerms, cc: CirTerms):
+    """log(H_r H_I H_C) from `domestic_terms`' three terms, each
+    H = exp(-M - int_b): finite where the product underflows."""
+    return -(rt.M + rt.int_b + ci.M + ci.int_b + cc.M + cc.int_b)
+
+
 @dataclass(frozen=True)
 class FxTerms:
     mu_fx: float

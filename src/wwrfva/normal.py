@@ -10,7 +10,9 @@ product exp(-m^2) exp(-(2m + f) f), with m the nearest multiple of 1/128
 to x and f = x - m, so that m^2 is exact and the rounding of x^2 is not
 amplified in the far tails. `log_ndtr` is log(ndtr(a)) for a <= 0 and
 log1p(-ndtr(-a)) beyond. Both take a scalar as a one-entry array and
-return it as a float. `ndtri` is `statistics.NormalDist.inv_cdf`.
+return it as a float. On a sorted row each range is a contiguous slice:
+`ndtr_sorted` runs the same per-range kernels there, bit for bit, with
+no mask or gathered copy. `ndtri` is `statistics.NormalDist.inv_cdf`.
 """
 
 from __future__ import annotations
@@ -64,20 +66,43 @@ def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _half_erfc_large(x: np.ndarray) -> np.ndarray:
-    """erfc(x) / 2 for 1 <= x < _ERFC_UNDER."""
-    m = np.rint(128.0 * x)
+def _half_erf_inner(x: np.ndarray) -> np.ndarray:
+    """0.5 + 0.5 erf(x) for |x| < 1, erf(x) = x T(x^2) / U(x^2)."""
+    x2 = x * x
+    v = _horner(_T, x2)
+    v *= x
+    v /= _horner(_U, x2)
+    v *= 0.5
+    v += 0.5
+    return v
+
+
+def _half_expx2(z: np.ndarray) -> np.ndarray:
+    """exp(-z^2) / 2 for z >= 1, as the Cephes expx2 product."""
+    m = np.rint(128.0 * z)
     m /= 128.0
-    f = x - m
+    f = z - m
     e = np.exp(-m * m)
     f *= 2.0 * m + f
     np.negative(f, out=f)
     e *= np.exp(f, out=f)
     e *= 0.5
-    mid = x < 8.0
-    xm, xr = x[mid], x[~mid]
-    e[mid] *= _horner(_P, xm) / _horner(_Q, xm)
-    e[~mid] *= _horner(_R, xr) / _horner(_S, xr)
+    return e
+
+
+def _erfc_ratio(z: np.ndarray, mid: bool) -> np.ndarray:
+    """erfc(z) exp(z^2): P(z) / Q(z) on 1 <= z < 8 (`mid`), R(z) / S(z)
+    on z >= 8."""
+    num, den = (_P, _Q) if mid else (_R, _S)
+    return _horner(num, z) / _horner(den, z)
+
+
+def _half_erfc_large(z: np.ndarray) -> np.ndarray:
+    """erfc(z) / 2 for 1 <= z < _ERFC_UNDER."""
+    e = _half_expx2(z)
+    mid = z < 8.0
+    e[mid] *= _erfc_ratio(z[mid], True)
+    e[~mid] *= _erfc_ratio(z[~mid], False)
     return e
 
 
@@ -87,21 +112,37 @@ def _ndtr_array(a: np.ndarray) -> np.ndarray:
     out = (x > 0.0).astype(float)
     z = np.abs(x)
     inner = z < 1.0
-    xi = x[inner]
-    # 0.5 + 0.5 erf(x), erf(x) = x T(x^2) / U(x^2)
-    x2 = xi * xi
-    v = _horner(_T, x2)
-    v *= xi
-    v /= _horner(_U, x2)
-    v *= 0.5
-    v += 0.5
-    out[inner] = v
+    out[inner] = _half_erf_inner(x[inner])
     outer = ~inner & (z < _ERFC_UNDER)
     s = out[outer]
     # s + (1 - 2s) y is y where x < 0 and 1 - y where x > 0, exactly
     out[outer] = s + (1.0 - 2.0 * s) * _half_erfc_large(z[outer])
     out[np.isnan(x)] = np.nan
     return out
+
+
+def ndtr_sorted(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`ndtr` of a 1-D row sorted ascending, NaN last (as `np.sort` leaves
+    it), into `out`, which may be `a` itself; bit for bit."""
+    x = np.multiply(a, _SQRT1_2, out=out)
+    # x <= -_ERFC_UNDER | R/S | P/Q | erf | P/Q | R/S | x >= _ERFC_UNDER | NaN
+    ends = [0, *np.searchsorted(x, (-_ERFC_UNDER, -8.0, -1.0), side="right").tolist(),
+            *np.searchsorted(x, (1.0, 8.0, _ERFC_UNDER), side="left").tolist(),
+            int(np.searchsorted(x, np.inf, side="right")), len(x)]
+    x[:ends[1]] = 0.0
+    for k, mid in ((1, False), (2, True)):
+        z = np.negative(x[ends[k]:ends[k + 1]])
+        y = _half_expx2(z)
+        y *= _erfc_ratio(z, mid)
+        x[ends[k]:ends[k + 1]] = y
+    x[ends[3]:ends[4]] = _half_erf_inner(x[ends[3]:ends[4]])
+    for k, mid in ((4, True), (5, False)):
+        z = x[ends[k]:ends[k + 1]]
+        y = _half_expx2(z)
+        y *= _erfc_ratio(z, mid)
+        np.subtract(1.0, y, out=z)
+    x[ends[6]:ends[7]] = 1.0
+    return x
 
 
 def _scalar_or_array(f, a):

@@ -116,6 +116,60 @@ def test_cv_bound_reads_inf_only_past_a_double_where_its_exponentials_overflow()
         + len(W) * float(np.sum(W ** 2 * np.exp(2.0 * B ** 2 * v))))
 
 
+def _eps1_reference(log_h, c_v, var_Yr, tab, i, x):
+    """The eps1 truncation bound at n = 1 at 200 bits, from its factors."""
+    with mpmath.workprec(200):
+        def c1(m):
+            a = mpmath.mpf(m * m * var_Yr)
+            if x == "1":
+                return mpmath.exp(a / 2)
+            ex_m = mpmath.mpf(tab.y_I[m, i])
+            spread = mpmath.sqrt(max(mpmath.mpf(tab.y_I[2 * m, i]) - ex_m ** 2, 0))
+            return mpmath.exp(a) * mpmath.sqrt(1 - mpmath.exp(-a)) * spread \
+                + mpmath.exp(a / 2) * ex_m
+        ey2, ey4 = mpmath.mpf(tab.S[4, i]), mpmath.mpf(tab.S[8, i])
+        cross = (mpmath.sqrt(max(ey4 - ey2 ** 2, 0)) * mpmath.sqrt(2 * (c1(4) + c1(2) ** 2))
+                 + ey2 * c1(2))
+        c_t = max(1, mpmath.exp(mpmath.mpf(tab.q_abs_s[i])))
+        return mpmath.exp(mpmath.mpf(log_h)) * mpmath.sqrt(c_v) * c_t / 2 * mpmath.sqrt(cross)
+
+
+@pytest.mark.parametrize("x", X_CHOICES)
+def test_eps1_bound_is_formed_in_log_space_where_h_underflows(x):
+    # H_r H_I H_C underflows to 0 while c1_const overflows: the direct
+    # product read 0 * inf = nan
+    from types import SimpleNamespace
+    from wwrfva.bounds import _truncation_bound
+    tab = _empty_table(SimpleNamespace(dates=[0.0, 1.0], n_paths=1000), 8)
+    tab.S[4, 1], tab.S[8, 1] = 2e-3, 9e-6
+    tab.y_I[2, 1], tab.y_I[4, 1], tab.y_I[8, 1] = 1e-4, 3e-8, 4e-15
+    tab.q_abs_s[1] = 0.4
+    log_h, c_v, var_Yr = -1000.0, 1e8, 200.0
+    assert c1_const(4, x, var_Yr, tab, 1) == math.inf and math.exp(log_h) == 0.0
+    got = _truncation_bound(1, 1, c_v, "eps1", x, tab, var_Yr, (0.0, log_h), None)
+    want = _eps1_reference(log_h, c_v, var_Yr, tab, 1, x)
+    assert 0.0 < got < math.inf
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_bound_rows_read_finite_or_inf_where_the_rate_reversion_is_negative():
+    # at a reversion of -0.3, H_r underflows to 0 at dates 27-30 while
+    # c1_const overflows; there the eps1 cells read nan
+    from wwrfva.fva import load_run_config, make_grid
+    from conftest import fixture_path, small_settings
+    inputs, settings = load_run_config(fixture_path("single_swap.cfg"))
+    inputs.rate_params["EUR"]["a"] = -0.3
+    settings = small_settings(settings, n_paths=1000, dates_per_year=1)
+    models = build_model_set(inputs)
+    stream = PathStream(models, build_correlation_for(models, inputs.correlations),
+                        make_grid(inputs, settings), settings.n_paths, settings.seed, "full")
+    valuation = PortfolioValuation(inputs.portfolio, models, stream.dates)
+    rows = bound_rows(inputs.portfolio.single_swap, models, stream,
+                      valuation.valued_pass(stream), settings.n_r)
+    assert {r.date for r in rows if r.family == "eps1"} >= {27.0, 28.0, 29.0, 30.0}
+    assert all(r.bound >= 0.0 for r in rows)  # no nan
+
+
 # ---------------------------------------------------------------------------
 # moment table and constants
 
@@ -459,7 +513,8 @@ def test_bound_report_rows_equal_the_row_functions(rig):
             # variance cir_terms gives on its own
             factor = r.family[5:]
             sd = math.sqrt(cir_terms(models.credit[factor[-1]], 0.0, r.date).var_Y)
-            cvm, w1 = _normal_distances(getattr(st, factor)[None], np.array([sd]),
+            # a copy: the distances sort their samples in place
+            cvm, w1 = _normal_distances(getattr(st, factor)[None].copy(), np.array([sd]),
                                         _plotting_positions(full.n_paths))
             assert close(r.cvm, cvm[0]) and close(r.wasserstein, w1[0]), (i, r.family)
             continue

@@ -391,3 +391,61 @@ def test_valuation_books_read_only_their_inputs(setup42, monkeypatch):
     monkeypatch.setattr(instruments, "_book_terms", reads_fx)
     with pytest.raises(KeyError):
         PortfolioValuation(p, models, dates)
+
+
+# A child process values the fixtures' books and a 120-payment swap's
+# book, through `book_rows` and `book_value`, at 20k and 1e5 paths, both
+# of which end in a partial block, and prints per book and date the
+# block width and whether both equal one whole-row W @ expo.
+_BLOCK_CHECK = """
+import numpy as np
+from wwrfva.fva import build_model_set, load_run_config
+from wwrfva.instruments import (Portfolio, PortfolioValuation, Swap, book_buffer,
+                                book_rows, book_value)
+from wwrfva.mc import DateState, value_block
+for cfg, swap in ((%r, None), (%r, None), (%r, Swap.regular(
+        currency="EUR", notional=1e4, fixed_rate=0.013, expiry=0.25,
+        maturity=30.0, frequency=4))):
+    inputs, _ = load_run_config(cfg)
+    models = build_model_set(inputs)
+    p = inputs.portfolio if swap is None else Portfolio((swap,))
+    dates = np.linspace(0.0, 29.0, 5)
+    valuation = PortfolioValuation(p, models, dates)
+    payments = max(g[0].B.shape[1] for g in valuation.groups)
+    rng = np.random.default_rng(7)
+    for n in (20_000, 100_000):
+        buffer = book_buffer(valuation.groups, n)
+        y = {c: rng.normal(0.0, 0.05, n) for c in models.rates}
+        for i in range(len(dates)):
+            st = DateState(i, models.domestic, 1.0, y, y, {})
+            for book, row in book_rows(valuation.groups, st, buffer).items():
+                const, W, B = book.at(i)
+                whole = const + W @ np.exp(np.multiply.outer(-B, y[book.currency]))
+                same = (np.array_equal(row, whole)
+                        and np.array_equal(book_value(const, W, B, y[book.currency]), whole))
+                print(payments, value_block(payments, n), n, same)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blocked_valuation_equals_one_whole_row_product(threads):
+    import os
+    import subprocess
+    import sys
+
+    from conftest import fixture_path
+
+    import wwrfva
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wwrfva.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = _BLOCK_CHECK % (fixture_path("single_swap.cfg"), fixture_path("portfolio.cfg"),
+                           fixture_path("single_swap.cfg"))
+    lines = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split("\n")
+    checks = [line.split() for line in lines if line]
+    # the fixtures' 30 payments and the swap's 120: two widths, each with
+    # several blocks and a partial last one at both path counts
+    assert {(p, w) for p, w, *_ in checks} == {("30", "4096"), ("120", "1024")}
+    assert all(int(n) % int(w) and int(n) > 2 * int(w) for _, w, n, _ in checks)
+    assert all(same == "True" for *_, same in checks)

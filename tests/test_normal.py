@@ -110,3 +110,23 @@ def test_factorial_is_exact():
                                   [float(math.factorial(k)) for k in range(171)])
     # scipy's, which the engine read before, agrees wherever n! is exact
     np.testing.assert_array_equal(normal.factorial(n[:23]), special.factorial(n[:23]))
+
+
+# the ends of ndtr's ranges in a = x sqrt(2): |x| = 1, 8 and the erfc
+# underflow, each with its neighbouring doubles
+_EDGES = [e * math.sqrt(2.0) for e in (1.0, 8.0, normal._ERFC_UNDER)]
+_EDGE_POINTS = [v for e in _EDGES for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 99.0))]
+
+
+@settings(deadline=None, max_examples=60)
+@given(scale=st.sampled_from([0.5, 2.0, 12.0, 40.0]), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 3000), nans=st.integers(0, 3), in_place=st.booleans())
+def test_sorted_row_ndtr_equals_the_masked_one_bit_for_bit(scale, seed, n, nans, in_place):
+    rng = np.random.default_rng(seed)
+    special_points = [-np.inf, np.inf, -0.0, 0.0, *_EDGE_POINTS,
+                      *(-v for v in _EDGE_POINTS), *[np.nan] * nans]
+    a = np.sort(np.append(rng.normal(0.0, scale, n), special_points))
+    want = normal._ndtr_array(a)
+    got = normal.ndtr_sorted(a, a if in_place else np.empty_like(a))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

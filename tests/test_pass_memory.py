@@ -112,12 +112,15 @@ def warm(tmp_path_factory):
         _fva(1000, m, b)()
     _sensi(1000)()
     _verb(out, "bounds", 1000)()
+    for mode in ("base", "full"):
+        _verb(out, "export-cube", 1000, "--mode", mode)()
     return out
 
 
 @pytest.mark.parametrize("n_paths", [20_000, 50_000])
 @pytest.mark.parametrize("case", [*(f"fva {m} {b}" for m, b in METHODS_BENCH),
-                                  "sensi", "bounds"])
+                                  "sensi", "bounds", "export-cube base",
+                                  "export-cube full"])
 def test_the_memory_check_bounds_the_traced_peak(monkeypatch, warm, n_paths, case):
     # at these sizes the pass's rows dominate the call's peak; at 2k paths
     # the set-up objects (books, coefficients, closed forms) would
@@ -127,7 +130,8 @@ def test_the_memory_check_bounds_the_traced_peak(monkeypatch, warm, n_paths, cas
     elif verb == "sensi":
         call = _sensi(n_paths)
     else:
-        call = _verb(warm, verb, n_paths)
+        # the cube's writer must not copy a slab
+        call = _verb(warm, verb, n_paths, *(("--mode", rest[0]) if rest else ()))
     asked = []
     real = mc.require_memory
 

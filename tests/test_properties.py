@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wwrfva.curves import Curve
@@ -168,17 +168,24 @@ def _check_root_against_mpmath(s, u):
             # no sign change in the widest bracket the search tries
             assert value(-64 * sd) * value(64 * sd) > 0
             return star
-        # secant from two points a driver SD apart: from one point mpmath
-        # steps 0.25 away, hundreds of SDs on a short horizon, and may not
-        # come back within its step limit
-        ref = float(mpmath.findroot(value, (mpmath.mpf(star) - sd,
-                                            mpmath.mpf(star) + sd)))
+        # a bracketing solver on the engine's root +/- one driver SD, which
+        # must hold a sign change: the secant from those two points could
+        # leave it and stop short of mpmath's tolerance
+        lo, hi = mpmath.mpf(star) - sd, mpmath.mpf(star) + sd
+        assert value(lo) * value(hi) < 0
+        ref = float(mpmath.findroot(value, (lo, hi), solver="anderson"))
     assert abs(star - ref) <= 1e-13 * max(1.0, abs(ref))
     return ref / sd
 
 
 @settings(deadline=None, max_examples=60)
 @given(s=SWAPS, u_frac=st.floats(0.01, 0.99))
+# two draws on which the secant reference raised
+@example(s=Swap(currency="EUR", notional=100.0, fixed_rate=1.3191911000770365e-40,
+                schedule=(0.75, 1.75, 2.75, 3.75, 4.75, 5.75), phi=-1), u_frac=0.125)
+@example(s=Swap.regular(currency="EUR", notional=100.0, fixed_rate=1.2528294759520567e-55,
+                        expiry=0.5, maturity=2.5, frequency=2, direction="payer"),
+         u_frac=0.03125)
 def test_root_matches_a_50_digit_reference(s, u_frac):
     # u_frac covers dates before and after expiry
     _check_root_against_mpmath(s, u_frac * s.maturity)
