@@ -782,7 +782,7 @@ def dump_cube(cube: ScenarioCube, path) -> None:
         fh.write(blob)
         fh.write(cube.h_dom.astype(np.float64).tobytes())
         for arr in slabs.values():
-            # the contiguous slab's own buffer: `tobytes` would copy it
+            # the contiguous slab's own buffer, not a copy of it
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).data)
 
 
