@@ -19,15 +19,18 @@ host whose speed drifts, a fixed order biases every pair the same way.
 Per run it records the wall time, the child's CPU time (user + system)
 and its peak RSS, all from os.wait4, and for fva cells the
 `runtime_wwr_seconds` and `runtime_benchmark_wwr_seconds` of its
-fva_report.json (None where the run has no such stage). It writes the runs and,
-per cell, thread setting and metric, both medians and in how many pairs
-the change read lower, to FILE as JSON, and prints them.
+fva_report.json (None where the run has no such stage). It writes the
+runs and, per cell, thread setting and metric, scripts/bench_pairs.py's
+verdict (both medians, the parent's relative interquartile range, in how
+many pairs the change read lower, and whether that is a gain) to FILE as
+JSON, and prints them. Each metric takes the relative bound of its name
+in PARENT_DIR's BENCHMARK.json; the CPU and stage times take wall_s's.
 
 --paths and --dates-per-year override the shipped settings (a smoke
 test runs it small).
 
 Usage: python3 scripts/full_size_cells.py PARENT_DIR CHANGE_DIR --out FILE
-           [--pairs N] [--cells C ...] [--paths N] [--dates-per-year N]
+           [--pairs N] [--paths N] [--dates-per-year N]
 """
 
 import argparse
@@ -37,7 +40,8 @@ import subprocess
 import sys
 import tempfile
 import time
-from statistics import median
+
+from bench_pairs import end_to_end_metrics, verdict
 
 CELLS = {
     "fva_single_swap_bench": ("fva", "single_swap.cfg", "--benchmark"),
@@ -81,18 +85,17 @@ def run_cell(checkout: str, cell: str, threads: str, extra: list[str]) -> dict:
             **{m: report.get(m) for m in METRICS[3:]}}
 
 
-def summary(runs: dict) -> dict:
-    """Per metric: both medians and in how many pairs the change read
-    lower, over the pairs where both sides ran."""
+def summary(runs: dict, bounds: dict) -> dict:
+    """Per metric, `bench_pairs.verdict` over the pairs where both sides
+    ran and recorded it."""
     ok = [(p, c) for p, c in zip(runs["parent"], runs["change"])
           if "error" not in p and "error" not in c]
     out = {"pairs": len(ok)}
     for m in METRICS:
         pairs = [(p[m], c[m]) for p, c in ok if p[m] is not None and c[m] is not None]
         if pairs:
-            out[m] = {"parent_median": median(p for p, _ in pairs),
-                      "change_median": median(c for _, c in pairs),
-                      "change_lower": sum(c < p for p, c in pairs)}
+            out[m] = verdict([p for p, _ in pairs], [c for _, c in pairs], "lower",
+                             bounds.get(m, bounds["wall_s"]))
     return out
 
 
@@ -103,7 +106,6 @@ def main() -> int:
     ap.add_argument("change_dir")
     ap.add_argument("--pairs", type=int, default=1)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--cells", nargs="+", choices=list(CELLS), default=list(CELLS))
     ap.add_argument("--paths", type=int)
     ap.add_argument("--dates-per-year", type=int)
     args = ap.parse_args()
@@ -115,10 +117,10 @@ def main() -> int:
         extra += ["--paths", str(args.paths)]
     if args.dates_per_year is not None:
         extra += ["--dates-per-year", str(args.dates_per_year)]
-    runs = {c: {t: {"parent": [], "change": []} for t in THREADS} for c in args.cells}
+    runs = {c: {t: {"parent": [], "change": []} for t in THREADS} for c in CELLS}
     for j in range(args.pairs):
         order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
-        for cell in args.cells:
+        for cell in CELLS:
             for threads in THREADS:
                 for side in order:
                     r = run_cell(sides[side], cell, threads, extra)
@@ -128,15 +130,19 @@ def main() -> int:
                               f"{m} {r[m]:.4g}" for m in METRICS if r[m] is not None)),
                           flush=True)
 
-    summaries = {c: {t: summary(runs[c][t]) for t in THREADS} for c in args.cells}
+    bounds = {s["name"]: s["bound"] for s in end_to_end_metrics(sides["parent"])}
+    summaries = {c: {t: summary(runs[c][t], bounds) for t in THREADS} for c in CELLS}
     for cell, per_threads in summaries.items():
         for threads, s in per_threads.items():
             for m in METRICS:
                 if m in s:
                     v = s[m]
                     print(f"{cell} threads {threads} {m}: parent median "
-                          f"{v['parent_median']:.4g}, change median {v['change_median']:.4g},"
-                          f" change lower in {v['change_lower']}/{s['pairs']}")
+                          f"{v['parent_median']:.4g}, change median {v['change_median']:.4g}"
+                          f" ({100 * v['rel_change']:+.1f} %), parent IQR "
+                          f"{100 * v['parent_rel_iqr']:.1f} %, change lower in "
+                          f"{v['change_better']}/{v['pairs']}: {v['verdict']}; gain "
+                          f"{'holds' if v['gain'] else 'not shown'}")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"pairs_asked": args.pairs, "settings_overridden": extra,
                    "threads": list(THREADS), "summaries": summaries, "runs": runs},

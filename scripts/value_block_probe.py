@@ -21,7 +21,7 @@ the wall time of the products alone (about 1 on one thread, up to the
 core count on more), and whether every row is bitwise equal to the
 whole-row product.
 
-Usage: python3 scripts/value_block_probe.py [--repeats N] [--paths N ...]
+Usage: python3 scripts/value_block_probe.py
 """
 
 import argparse
@@ -46,7 +46,7 @@ WIDTHS = (1_024, 2_048, 4_096, 8_192, 16_384)
 REPEATS = 5
 
 
-def probe(n_paths: int, repeats: int) -> list[str]:
+def probe(n_paths: int) -> list[str]:
     """One line per width (whole rows last) at `n_paths`, in this process's
     BLAS thread setting."""
     inputs, settings = load_run_config(CONFIG)
@@ -78,7 +78,7 @@ def probe(n_paths: int, repeats: int) -> list[str]:
                 for j in range(0, n_paths, w)]
             row = np.empty(n_paths)
             rows_ms, prod_ms, ratios = [], [], []
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 t0 = time.perf_counter()
                 for st in states:
                     book_rows(valuation.groups, st, buffer)
@@ -102,16 +102,14 @@ def probe(n_paths: int, repeats: int) -> list[str]:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--repeats", type=int, default=REPEATS)
-    ap.add_argument("--paths", type=int, nargs="+", default=PATHS)
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        for n in args.paths:
-            print("\n".join(probe(n, args.repeats)), flush=True)
+        for n in PATHS:
+            print("\n".join(probe(n)), flush=True)
         return 0
     print(f"budget {mc.VALUE_BLOCK_ELEMENTS} doubles a block; median of "
-          f"{args.repeats} calls over 21 dates")
+          f"{REPEATS} calls over 21 dates")
     print(f"{'threads':<9}{'paths':>8}{'width':>8}{'engine':>8}{'rows ms':>11}"
           f"{'prod ms':>11}{'cpu/wall':>10}  bits")
     for threads in ("1", "default"):
@@ -119,9 +117,8 @@ def main() -> int:
         env.pop("OPENBLAS_NUM_THREADS", None)
         if threads != "default":
             env["OPENBLAS_NUM_THREADS"] = threads
-        out = subprocess.run([sys.executable, __file__, "--child", "--repeats",
-                              str(args.repeats), "--paths", *map(str, args.paths)],
-                             env=env, check=True, capture_output=True, text=True).stdout
+        out = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
+                             capture_output=True, text=True).stdout
         for line in out.splitlines():
             print(f"{threads:<9}{line}")
     return 0

@@ -426,40 +426,19 @@ class CurrencyBook:
                             self.start[i:])
 
 
-def bond_exponentials(B, y, out):
+def bond_exponentials(B, y, out=None):
     """exp(-B_k y) for each live payment k (rows) and each y (columns),
-    in `out` (live payments x len(y))."""
+    written into `out` (live payments x len(y)) when it is given."""
     # the paths on the contiguous axis, so each elementwise pass runs over
-    # a whole row of the block
+    # a whole row of paths
     expo = np.multiply.outer(-B, y, out=out)
     np.exp(expo, out=expo)
     return expo
 
 
-def _value_blocks(parts, y, width: int, scratch: np.ndarray) -> None:
-    """row = W @ exp(-B y) for each (const, W, B, row) of `parts`, which
-    share B, on column blocks of `width` paths: each block's bond
-    exponentials are formed once, in the leading doubles of the flat
-    `scratch`."""
-    B = parts[0][2]
-    for j in range(0, len(y), width):
-        yj = y[j:j + width]
-        expo = bond_exponentials(B, yj, scratch[:len(B) * len(yj)].reshape(len(B), len(yj)))
-        for _, W, _, row in parts:
-            np.matmul(W, expo, out=row[j:j + width])
-
-
 def book_value(const, W, B, y):
-    """The valuation kernel: const + sum_k W_k exp(-B_k y) for each y, on
-    column blocks of `mc.value_block` paths, as `book_rows` values a row;
-    a float for a scalar y."""
-    y = np.asarray(y, dtype=float)
-    flat = y.reshape(-1)
-    width = value_block(len(B), len(flat))
-    out = np.empty(len(flat))
-    _value_blocks([(const, W, B, out)], flat, width, np.empty(len(B) * width))
-    out += const
-    return out.reshape(y.shape)[()]
+    """The valuation kernel: const + sum_k W_k exp(-B_k y) for each y."""
+    return const + W @ bond_exponentials(B, y)
 
 
 def book_groups(books) -> list[list[CurrencyBook]]:
@@ -472,8 +451,8 @@ def book_groups(books) -> list[list[CurrencyBook]]:
 
 
 def _block_shape(groups, n_paths: int) -> tuple[int, int]:
-    """The most live payments of `groups` and their block width, one per
-    pass (`mc.value_block`)."""
+    """The most live payments of `groups` and their block width
+    (`mc.value_block`)."""
     payments = max(g[0].B.shape[1] - g[0].start[0] for g in groups)
     return payments, value_block(payments, n_paths)
 
@@ -486,14 +465,21 @@ def buffer_rows(groups, n_paths: int) -> int:
     return -(-payments * width // n_paths) + sum(map(len, groups))
 
 
-def book_buffer(groups, n_paths: int) -> np.ndarray:
-    """`book_rows`' buffer for `groups`, `buffer_rows` rows of paths. A
-    pass allocates it once: no freed per-date matrix then moves glibc's
-    mmap threshold (after which later matrices come from the heap)."""
-    return np.empty((buffer_rows(groups, n_paths), n_paths))
+def book_buffer(groups, n_paths: int) -> tuple:
+    """`book_rows`' buffer for `groups`: one allocation of `buffer_rows`
+    rows of paths, as (its first rows, flat, for a block of bond
+    exponentials; its last rows, one value row per book; the pass's
+    blocks of paths, each as (columns, width)). A pass allocates it once:
+    no freed per-date matrix then moves glibc's mmap threshold (after
+    which later matrices come from the heap)."""
+    width = _block_shape(groups, n_paths)[1]
+    buffer = np.empty((buffer_rows(groups, n_paths), n_paths))
+    first = len(buffer) - sum(map(len, groups))
+    blocks = [(slice(j, j + width), min(width, n_paths - j)) for j in range(0, n_paths, width)]
+    return buffer[:first].reshape(-1), list(buffer[first:]), blocks
 
 
-def book_rows(groups, st: DateState, buffer: np.ndarray) -> dict[CurrencyBook, np.ndarray]:
+def book_rows(groups, st: DateState, buffer: tuple) -> dict[CurrencyBook, np.ndarray]:
     """The local-currency value row at the state's date of each book of
     `groups` (`book_groups`), by book, in `buffer` (`book_buffer`), valid
     until the next call.
@@ -501,19 +487,21 @@ def book_rows(groups, st: DateState, buffer: np.ndarray) -> dict[CurrencyBook, n
     A date is valued on column blocks of paths of one width per pass
     (`mc.value_block` of the groups' most live payments), so that the
     (payments,) @ (payments, width) product stays on one OpenBLAS thread
-    and the block in L2; it is `book_value` on the book's live columns,
-    bit for bit. The books of a group share each block's bond
-    exponentials, in the buffer's first rows; each book's row is one of
-    its last rows."""
-    i, n_paths = st.index, buffer.shape[1]
-    first = len(buffer) - sum(map(len, groups))
-    scratch = buffer[:first].reshape(-1)
-    width = _block_shape(groups, n_paths)[1]
-    rows, out = {}, iter(buffer[first:])
+    and the block in L2; below that width a row is one block. Each row
+    equals `book_value` on the book's live columns, bit for bit. The
+    books of a group share each block's bond exponentials."""
+    expo_block, value_rows, blocks = buffer
+    rows, i, out = {}, st.index, iter(value_rows)
     for group in groups:
-        parts = [(*book.at(i), next(out)) for book in group]
-        _value_blocks(parts, st.y_r[group[0].currency], width, scratch)
-        for book, (const, _, _, row) in zip(group, parts):
+        y = st.y_r[group[0].currency]
+        parts = [(book, *book.at(i), next(out)) for book in group]
+        B = parts[0][3]
+        for cols, width in blocks:
+            block = expo_block[:len(B) * width].reshape(len(B), width)
+            expo = bond_exponentials(B, y[cols], block)
+            for _, _, W, _, row in parts:
+                np.matmul(W, expo, out=row[cols])
+        for book, const, _, _, row in parts:
             row += const
             rows[book] = row
     return rows

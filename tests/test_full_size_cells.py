@@ -40,4 +40,7 @@ def test_full_size_cells_records_every_cell_and_thread_setting(tmp_path):
                 + (["runtime_benchmark_wwr_seconds"] if cell.endswith("bench") else [])
             assert sorted(k for k in s if k != "pairs") == sorted(metrics)
             for m in metrics:
-                assert set(s[m]) == {"parent_median", "change_median", "change_lower"}
+                # bench_pairs' verdict, with the parent's IQR
+                assert s[m]["pairs"] == 1 and s[m]["better"] == "lower"
+                assert {"parent_median", "change_median", "parent_rel_iqr",
+                        "change_better", "verdict", "gain"} <= set(s[m])

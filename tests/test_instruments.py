@@ -394,9 +394,9 @@ def test_valuation_books_read_only_their_inputs(setup42, monkeypatch):
 
 
 # A child process values the fixtures' books and a 120-payment swap's
-# book, through `book_rows` and `book_value`, at 20k and 1e5 paths, both
-# of which end in a partial block, and prints per book and date the
-# block width and whether both equal one whole-row W @ expo.
+# book through `book_rows` at 20k and 1e5 paths, both of which end in a
+# partial block, and prints per book and date the block width and
+# whether the row equals `book_value`, one whole-row W @ expo.
 _BLOCK_CHECK = """
 import numpy as np
 from wwrfva.fva import build_model_set, load_run_config
@@ -419,10 +419,7 @@ for cfg, swap in ((%r, None), (%r, None), (%r, Swap.regular(
         for i in range(len(dates)):
             st = DateState(i, models.domestic, 1.0, y, y, {})
             for book, row in book_rows(valuation.groups, st, buffer).items():
-                const, W, B = book.at(i)
-                whole = const + W @ np.exp(np.multiply.outer(-B, y[book.currency]))
-                same = (np.array_equal(row, whole)
-                        and np.array_equal(book_value(const, W, B, y[book.currency]), whole))
+                same = np.array_equal(row, book_value(*book.at(i), y[book.currency]))
                 print(payments, value_block(payments, n), n, same)
 """
 
